@@ -18,19 +18,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .config import SolverConfig
 from .errors import ConfigError, NoConvergence, OpmeansError
 from .inequalities import (
-    FAMILIES,
+    CampaignConfig,
     SearchConfig,
+    kantorovich,
     optimality_scan,
     recheck,
-    run_cell,
+    run_campaign,
     verify_counterexample,
-    kantorovich,
 )
 from .meanfns import repfn_from_json
 from .multimeans import eval_mean, meanspec_from_json
@@ -43,45 +42,11 @@ EXIT_CHECK_FAILED = 3
 EXIT_SEARCH_EXHAUSTED = 4
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    inequality_ids: tuple
-    dimensions: tuple
-    r_values: tuple
-    alpha_values: tuple
-    trials: int
-    seed: int
-    output_path: str
-
-    @classmethod
-    def from_json(cls, obj) -> "CampaignConfig":
-        try:
-            ids = tuple(obj["inequality_ids"])
-            dims = tuple(int(d) for d in obj["dimensions"])
-            rs = tuple(float(r) for r in obj["r_values"])
-            alphas = tuple(float(a) for a in obj.get("alpha_values", []))
-            trials = int(obj.get("trials", 200))
-            seed = int(obj.get("seed", 0))
-            output_path = str(obj.get("output_path", "-"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad campaign config: {exc}") from exc
-        if trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not ids or not dims or not rs:
-            raise ConfigError("inequality_ids, dimensions and r_values must be nonempty")
-        if any(d < 1 for d in dims):
-            raise ConfigError("dimensions must be positive")
-        unknown = [i for i in ids if i not in FAMILIES]
-        if unknown:
-            raise ConfigError(f"unknown inequality ids: {unknown}")
-        return cls(ids, dims, rs, alphas, trials, seed, output_path)
-
-
 def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and text decoding
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -112,7 +77,9 @@ def _emit(text, output):
 def cmd_mean(args) -> int:
     spec = meanspec_from_json(_load_json(args.spec))
     raw = _load_json(args.matrices)
-    mats_json = raw["matrices"] if isinstance(raw, dict) else raw
+    mats_json = raw.get("matrices") if isinstance(raw, dict) else raw
+    if not isinstance(mats_json, list):
+        raise ConfigError("matrices JSON must be a list of matrices or an object with one under 'matrices'")
     mats = [matrix_from_json(m) for m in mats_json]
     cfg = _solver_config(args)
     try:
@@ -129,56 +96,16 @@ def cmd_mean(args) -> int:
     return EXIT_OK
 
 
-def _campaign_cells(config: CampaignConfig):
-    alphas = config.alpha_values or (0.5,)
-    cells = []
-    for fam in config.inequality_ids:
-        fam_alphas = alphas if FAMILIES[fam]["needs_alpha"] else (None,)
-        for dim in config.dimensions:
-            for alpha in fam_alphas:
-                for r in config.r_values:
-                    cells.append((fam, dim, alpha, r))
-    return cells
-
-
-def _run_campaign_cell(fam, dim, alpha, r, config, cfg):
-    try:
-        rep = run_cell(fam, dim, r, alpha, config.trials, config.seed, cfg)
-        return rep.to_json()
-    except NoConvergence as exc:
-        return {
-            "inequality_id": f"{fam}[dim={dim},r={r},alpha={alpha}]",
-            "holds": False,
-            "error": "NoConvergence",
-            "message": str(exc),
-        }
-    except OpmeansError as exc:
-        return {
-            "inequality_id": f"{fam}[dim={dim},r={r},alpha={alpha}]",
-            "holds": False,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-
-
 def cmd_verify(args) -> int:
     cfg = _solver_config(args)
     if args.recheck:
         report = recheck(_load_json(args.recheck), cfg)
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
         return EXIT_OK if report.holds else EXIT_CHECK_FAILED
-    raw = _load_json(args.campaign)
-    if getattr(args, "seed", None) is not None:
-        raw = {**raw, "seed": args.seed}
-    config = CampaignConfig.from_json(raw)
-    cells = _campaign_cells(config)
-    if args.threads and args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(
-                pool.map(lambda c: _run_campaign_cell(*c, config, cfg), cells)
-            )
-    else:
-        results = [_run_campaign_cell(*c, config, cfg) for c in cells]
+    config = CampaignConfig.from_json(_load_json(args.campaign))
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    results = run_campaign(config, cfg, args.threads)
     lines = [json.dumps(r, sort_keys=True) for r in results]
     passed = sum(1 for r in results if r.get("holds") and "error" not in r)
     errors = sum(1 for r in results if "error" in r)

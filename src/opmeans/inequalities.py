@@ -10,29 +10,38 @@ The module has two layers:
 * typed single-instance checks (``check_ah_family``, ``check_modified``,
   ``check_two_var``, ``check_reverse`` ...) that take :class:`SpdMatrix`
   inputs and return a :class:`CheckReport`;
-* a batched campaign layer (:func:`run_cell`) that evaluates one
+* a batched campaign layer: :func:`run_cell` evaluates one
   (family, dimension, r, alpha) cell over many seeded random trials in a
-  single stacked solve, which is what makes 200-trial cells affordable.
+  single stacked solve, which is what makes 200-trial cells affordable, and
+  :func:`run_campaign` runs a whole campaign grid, sharing trial data and
+  solves across the r values of each (family, dimension, alpha) group.
 
 Family identifiers ("3.9" ... "5.10", "L5.1", "logmaj") are opaque labels
-fixed by the report wire format; :data:`FAMILIES` maps each one to its
-r-range and parameter needs.
+fixed by the report wire format.  :data:`FAMILIES` is the one table that
+says what each family needs: its r-range, whether it takes alpha, its data
+layout, the spectrum rule of the bounded families and its margin function.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import (
+    ArityMismatch,
     BadH,
     BadMode,
     BadR,
     BoundsViolated,
+    ConfigError,
+    OpmeansError,
     SandwichFails,
     UnknownKind,
 )
@@ -51,6 +60,7 @@ from .meanfns import (
 from .multimeans import (
     MultiMeanSpec,
     Weights,
+    _as_stack,
     eval_mean_stack,
 )
 from .psd_core import (
@@ -89,6 +99,8 @@ __all__ = [
     "find_reverse_improvement",
     "run_cell",
     "recheck",
+    "CampaignConfig",
+    "run_campaign",
 ]
 
 DEFAULT_CHECK_TOL = 1e-9
@@ -211,21 +223,26 @@ def _scaled(pref, x):
     return np.asarray(pref)[..., None, None] * x
 
 
+def _cached(cache, key, fn):
+    if key not in cache:
+        cache[key] = fn()
+    return cache[key]
+
+
 def _bracket_margins(mid, x, r, style, lo_factor=1.0, hi_factor=1.0):
     """Margins of ``lo_pref*x <= mid <= hi_pref*x``.
 
     ``style='direct'`` places ``lambda_min^{r-1}`` on the lower side and the
     norm on the upper (the r >= 1 displays); ``'complement'`` swaps them
-    (the 0 < r <= 1 displays).  ``lo_factor``/``hi_factor`` multiply the
-    prefactors (Kantorovich constants in the reverse forms).
+    (the 0 < r <= 1 displays, and the reverse forms with K^{-1} below and
+    K above).  ``lo_factor``/``hi_factor`` multiply the prefactors
+    (Kantorovich constants in the reverse forms).
     """
     lam = lambda_min(x)
     nrm = op_norm(x)
     if style == "direct":
         lo_pref, hi_pref = lo_factor * lam ** (r - 1.0), hi_factor * nrm ** (r - 1.0)
-    elif style == "complement":
-        lo_pref, hi_pref = lo_factor * nrm ** (r - 1.0), hi_factor * lam ** (r - 1.0)
-    else:  # 'reverse': K^{-1} * norm below, K * lambda_min above
+    else:
         lo_pref, hi_pref = lo_factor * nrm ** (r - 1.0), hi_factor * lam ** (r - 1.0)
     lo = _ge_margin(mid, _scaled(lo_pref, x))
     hi = _le_margin(mid, _scaled(hi_pref, x))
@@ -233,11 +250,12 @@ def _bracket_margins(mid, x, r, style, lo_factor=1.0, hi_factor=1.0):
     return lo, hi, consts
 
 
-def _require_r(r, lo=None, hi=None, what=""):
-    if lo is not None and r < lo:
-        raise BadR(f"{what}: r must satisfy r >= {lo}, got {r}")
-    if hi is not None and r > hi:
-        raise BadR(f"{what}: r must satisfy r <= {hi}, got {r}")
+def _require_r(r, r_range, what):
+    """BadR unless r is in ``r_range``: "ge1" is r >= 1, "le1" is 0 < r <= 1."""
+    if r_range == "ge1" and r < 1:
+        raise BadR(f"{what} needs r >= 1, got {r}")
+    if r_range == "le1" and not 0 < r <= 1:
+        raise BadR(f"{what} needs 0 < r <= 1, got {r}")
 
 
 def _check_bounds(stack, m, M, tol=1e-8):
@@ -250,11 +268,8 @@ def _check_bounds(stack, m, M, tol=1e-8):
         )
 
 
-def _as_stack_arrays(As: Sequence[SpdMatrix]):
-    return np.stack([m.a for m in As])
-
-
-def _report(inequality_id, margin, constants, tol, witness_seed=-1, matrices=None):
+def _report(inequality_id, margin, constants, tol, witness_seed, inputs):
+    """A typed check's report; a failing one embeds its ``inputs`` as witness."""
     margin = float(margin)
     return CheckReport(
         inequality_id=inequality_id,
@@ -262,7 +277,7 @@ def _report(inequality_id, margin, constants, tol, witness_seed=-1, matrices=Non
         margin=margin,
         constants=constants,
         witness_seed=witness_seed,
-        matrices=matrices if margin < -tol else None,
+        matrices=[m.to_json() for m in inputs] if margin < -tol else None,
     )
 
 
@@ -270,7 +285,13 @@ def _report(inequality_id, margin, constants, tol, witness_seed=-1, matrices=Non
 # section-3 style checks
 # --------------------------------------------------------------------------
 
-_AH_VARIANTS = {"3.1", "3.2", "3.3", "3.4"}
+# variant: (r-range, adjoint mean with the norm prefactor, comparison)
+_AH_VARIANTS = {
+    "3.1": ("ge1", False, _ge_margin),
+    "3.2": ("ge1", True, _le_margin),
+    "3.3": ("le1", False, _le_margin),
+    "3.4": ("le1", True, _ge_margin),
+}
 
 
 def check_ah_family(
@@ -290,35 +311,20 @@ def check_ah_family(
     """
     if variant not in _AH_VARIANTS:
         raise UnknownKind(f"unknown variant {variant!r}")
-    if variant in ("3.1", "3.2"):
-        _require_r(r, lo=1.0, what=variant)
-    else:
-        _require_r(r, lo=0.0, hi=1.0, what=variant)
-        if r <= 0:
-            raise BadR(f"{variant}: r must be positive")
-    use = spec if variant in ("3.1", "3.3") else MultiMeanSpec.adjoint(spec)
-    stack = _as_stack_arrays(As)
+    r_range, adjoint, compare = _AH_VARIANTS[variant]
+    _require_r(r, r_range, variant)
+    use = MultiMeanSpec.adjoint(spec) if adjoint else spec
+    stack = _as_stack(As)
     base = eval_mean_stack(use, stack, cfg).values
     powd = eval_mean_stack(use, spd_power(stack, r), cfg).values
     lam = lambda_min(base)
     nrm = op_norm(base)
-    if variant == "3.1":
-        pref = lam ** (r - 1.0)
-        margin = _ge_margin(powd, _scaled(pref, base))
-    elif variant == "3.3":
-        pref = lam ** (r - 1.0)
-        margin = _le_margin(powd, _scaled(pref, base))
-    elif variant == "3.2":
-        pref = nrm ** (r - 1.0)
-        margin = _le_margin(powd, _scaled(pref, base))
-    else:
-        pref = nrm ** (r - 1.0)
-        margin = _ge_margin(powd, _scaled(pref, base))
+    pref = (nrm if adjoint else lam) ** (r - 1.0)
+    margin = compare(powd, _scaled(pref, base))
     consts = {"r": r, "prefactor": float(pref), "lambda_min": float(lam), "op_norm": float(nrm)}
     if spec.alpha is not None:
         consts["alpha"] = spec.alpha
-    return _report(f"{variant}:{spec.kind}", margin, consts, tol, witness_seed,
-                   matrices=[matrix_to_json(m.a) for m in As])
+    return _report(f"{variant}:{spec.kind}", margin, consts, tol, witness_seed, As)
 
 
 def check_modified(
@@ -337,27 +343,19 @@ def check_modified(
     the lambda_min / norm prefactors; "4.2" (0 < r <= 1) brackets
     ``M_sigma(A^r)`` by ``M_{sigma_r}(A)`` with the prefactors swapped.
     """
-    stack = _as_stack_arrays(As)
-    if which == "4.1":
-        _require_r(r, lo=1.0, what="4.1")
-        x = eval_mean_stack(MultiMeanSpec.deformed(base, sigma), stack, cfg).values
-        sig_mod = rep_transform(sigma, "power_inner", 1.0 / r)
-        mid = eval_mean_stack(MultiMeanSpec.deformed(base, sig_mod), spd_power(stack, r), cfg).values
-        lo, hi, consts = _bracket_margins(mid, x, r, "direct")
-    elif which == "4.2":
-        _require_r(r, lo=0.0, hi=1.0, what="4.2")
-        if r <= 0:
-            raise BadR("4.2: r must be positive")
-        sig_mod = rep_transform(sigma, "power_inner", r)
-        x = eval_mean_stack(MultiMeanSpec.deformed(base, sig_mod), stack, cfg).values
-        mid = eval_mean_stack(MultiMeanSpec.deformed(base, sigma), spd_power(stack, r), cfg).values
-        lo, hi, consts = _bracket_margins(mid, x, r, "complement")
-    else:
+    if which not in ("4.1", "4.2"):
         raise UnknownKind(f"unknown modified check {which!r}")
+    r_range = "ge1" if which == "4.1" else "le1"
+    _require_r(r, r_range, which)
+    stack = _as_stack(As)
+
+    def mean(sig, x):
+        return eval_mean_stack(MultiMeanSpec.deformed(base, sig), x, cfg).values
+
+    lo, hi, consts = _modified_bracket(mean, sigma, "power_inner", r, r_range, stack, spd_power(stack, r))
     margin = min(float(lo), float(hi))
     consts = {"r": r, "lower_margin": float(lo), "upper_margin": float(hi), **consts}
-    return _report(which, margin, consts, tol, witness_seed,
-                   matrices=[matrix_to_json(m.a) for m in As])
+    return _report(which, margin, consts, tol, witness_seed, As)
 
 
 def check_two_var(
@@ -380,50 +378,44 @@ def check_two_var(
         which, tau, sigma, A.a, B.a, r, cfg
     )
     consts = {"r": r, "lower_margin": float(lo), "upper_margin": float(hi), **consts}
-    return _report(which, margin, consts, tol, witness_seed,
-                   matrices=[A.to_json(), B.to_json()])
+    return _report(which, margin, consts, tol, witness_seed, [A, B])
+
+
+def _modified_bracket(mean, fn, op, r, r_range, inputs, powered):
+    """Margins of the modified power bracket of the means ``mean(f, inputs)``.
+
+    For r >= 1 ``mean(f_{1/r}, A^r)`` is bracketed by ``mean(f, A)`` with the
+    direct prefactors; for 0 < r <= 1 ``mean(f, A^r)`` by ``mean(f_r, A)``
+    with the complement ones.  ``f_s`` is the ``op`` transform of ``fn``.
+    """
+    if r_range == "ge1":
+        x = mean(fn, inputs)
+        mid = mean(rep_transform(fn, op, 1.0 / r), powered)
+        return _bracket_margins(mid, x, r, "direct")
+    x = mean(rep_transform(fn, op, r), inputs)
+    mid = mean(fn, powered)
+    return _bracket_margins(mid, x, r, "complement")
+
+
+# check: (r-range, whether tau is deformed by sigma or power-bracketed alone)
+_TWO_VAR = {"4.6": ("ge1", True), "4.7": ("le1", True), "4.8": ("ge1", False), "4.9": ("le1", False)}
 
 
 def _two_var_margins(which, tau, sigma, a, b, r, cfg):
-    def plain(spec):
-        return lambda aa, bb: _two_var_arrays(lambda t: rep_eval(spec, t), aa, bb)
-
-    def deformed(t_spec, s_spec):
-        return lambda aa, bb: _two_var_arrays(
-            lambda t: deformed_rep(t_spec, s_spec, t, cfg), aa, bb
-        )
-
-    ar, br = spd_power(a, r), spd_power(b, r)
-    if which == "4.6":
-        _require_r(r, lo=1.0, what="4.6")
-        x = deformed(tau, sigma)(a, b)
-        mid = deformed(tau, rep_transform(sigma, "power_inner", 1.0 / r))(ar, br)
-        lo, hi, consts = _bracket_margins(mid, x, r, "direct")
-    elif which == "4.7":
-        _require_r(r, lo=0.0, hi=1.0, what="4.7")
-        if r <= 0:
-            raise BadR("4.7: r must be positive")
-        x = deformed(tau, rep_transform(sigma, "power_inner", r))(a, b)
-        mid = deformed(tau, sigma)(ar, br)
-        lo, hi, consts = _bracket_margins(mid, x, r, "complement")
-    elif which == "4.8":
-        _require_r(r, lo=1.0, what="4.8")
-        x = plain(tau)(a, b)
-        mid = plain(rep_transform(tau, "power_inner_outer", 1.0 / r))(ar, br)
-        lo, hi, consts = _bracket_margins(mid, x, r, "direct")
-    elif which == "4.9":
-        _require_r(r, lo=0.0, hi=1.0, what="4.9")
-        if r <= 0:
-            raise BadR("4.9: r must be positive")
-        x = plain(rep_transform(tau, "power_inner_outer", r))(a, b)
-        mid = plain(tau)(ar, br)
-        lo, hi, consts = _bracket_margins(mid, x, r, "complement")
-    else:
+    if which not in _TWO_VAR:
         raise UnknownKind(f"unknown two-variable check {which!r}")
-    margin = np.minimum(lo, hi)
-    if np.ndim(margin) == 0:
-        margin = float(margin)
-    return margin, lo, hi, consts
+    r_range, by_sigma = _TWO_VAR[which]
+    _require_r(r, r_range, which)
+
+    def mean(f, x):
+        if by_sigma:
+            return _two_var_arrays(lambda t: deformed_rep(tau, f, t, cfg), *x)
+        return _two_var_arrays(lambda t: rep_eval(f, t), *x)
+
+    fn, op = (sigma, "power_inner") if by_sigma else (tau, "power_inner_outer")
+    powered = (spd_power(a, r), spd_power(b, r))
+    lo, hi, consts = _modified_bracket(mean, fn, op, r, r_range, (a, b), powered)
+    return np.minimum(lo, hi), lo, hi, consts
 
 
 def check_implication_equivalence(
@@ -445,7 +437,7 @@ def check_implication_equivalence(
     concrete matrix violation is constructed from the worst grid point and
     must be confirmed.
     """
-    _require_r(r, lo=1.0, what="equivalence test")
+    _require_r(r, "ge1", "equivalence test")
     grid = np.geomspace(1e-3, 1e3, 400) if t_grid is None else np.asarray(t_grid, float)
     fs = rep_eval(sigma, grid**r)
     ft = rep_eval(tau, grid) ** r
@@ -494,7 +486,13 @@ def check_implication_equivalence(
 # reverse (Kantorovich) checks
 # --------------------------------------------------------------------------
 
-_REVERSE_WHICH = {"5.4", "5.5", "5.8", "5.9", "5.10"}
+# reverse form: the alpha it admits, as a test and as text
+_REVERSE_ALPHA = {
+    "5.4": (lambda a: 0 < a <= 1, "(0, 1]"),
+    "5.5": (lambda a: -1 <= a < 0, "[-1, 0)"),
+    "5.8": (lambda a: a != 0 and -1 <= a <= 1, "[-1,1] minus 0"),
+    "5.9": (lambda a: a != 0 and -1 <= a <= 1, "[-1,1] minus 0"),
+}
 
 
 def check_reverse(
@@ -517,97 +515,63 @@ def check_reverse(
     with a harmonic deformation of the arithmetic mean), "5.10" the
     two-sided multivariate geometric form (alpha ignored).
     """
-    if which not in _REVERSE_WHICH:
+    if which not in (*_REVERSE_ALPHA, "5.10"):
         raise UnknownKind(f"unknown reverse check {which!r}")
-    _require_r(r, lo=1.0, what=which)
+    _require_r(r, "ge1", which)
     m, M = bounds
-    stack = _as_stack_arrays(As)
+    stack = _as_stack(As)
     _check_bounds(stack, m, M)
     w_arr = w.asarray()
-    margin, consts = _reverse_margins(which, stack, w_arr, alpha, r, (m, M), cfg)
+    margin, consts = _reverse_margins(which, stack, w_arr, alpha, r, (m, M), cfg, {})
     consts = {"r": r, "alpha": alpha, "m": m, "M": M, **consts}
-    return _report(which, float(margin), consts, tol, witness_seed,
-                   matrices=[matrix_to_json(m_.a) for m_ in As])
+    return _report(which, float(margin), consts, tol, witness_seed, As)
 
 
-def _reverse_margins(which, stack, w_arr, alpha, r, bounds, cfg, cache=None):
+def _reverse_margins(which, stack, w_arr, alpha, r, bounds, cfg, cache):
     m, M = bounds
     kappa0 = M / m
-    n = stack.shape[-3]
-    uni = Weights.uniform(n)
-
-    def power(a, s):
-        return eval_mean_stack(MultiMeanSpec.power(uni, a), s, cfg, weights_override=w_arr).values
-
-    def cached(key, fn):
-        if cache is None:
-            return fn()
-        if key not in cache:
-            cache[key] = fn()
-        return cache[key]
-
-    if which == "5.4":
-        if not (alpha is not None and 0 < alpha <= 1):
-            raise BadR(f"5.4 needs alpha in (0, 1], got {alpha}")
-        x = cached(("power", alpha), lambda: power(alpha, stack))
-        y = power(alpha, spd_power(stack, r))
-        kx = op_norm(x) / lambda_min(x)
-        k1 = kantorovich(kappa0 * kx, r)
-        k2 = kantorovich((kappa0 * kx) ** alpha, r) ** (1.0 / alpha)
-        pref = k1 * k2 * lambda_min(x) ** (r - 1.0)
-        margin = _le_margin(y, _scaled(pref, x))
-        return margin, {"kappa0": kappa0, "kappa_x": _w(kx), "K1": _w(k1), "K2_pow": _w(k2), "prefactor": _w(pref)}
-    if which == "5.5":
-        if not (alpha is not None and -1 <= alpha < 0):
-            raise BadR(f"5.5 needs alpha in [-1, 0), got {alpha}")
-        x = cached(("power", alpha), lambda: power(alpha, stack))
-        y = power(alpha, spd_power(stack, r))
-        kx = op_norm(x) / lambda_min(x)
-        k1 = kantorovich(kappa0 * kx, r)
-        k2 = kantorovich((kappa0 * kx) ** (-alpha), r) ** (1.0 / alpha)
-        pref = k2 / k1 * op_norm(x) ** (r - 1.0)
-        margin = _ge_margin(y, _scaled(pref, x))
-        return margin, {"kappa0": kappa0, "kappa_x": _w(kx), "K1": _w(k1), "K2_pow": _w(k2), "prefactor": _w(pref)}
-    if which in ("5.8", "5.9"):
-        if not (alpha is not None and alpha != 0 and -1 <= alpha <= 1):
-            raise BadR(f"{which} needs alpha in [-1,1] minus 0, got {alpha}")
-        if which == "5.9":
-            x = cached(("power", alpha), lambda: power(alpha, stack))
-            y = power(alpha / r, spd_power(stack, r))
-        else:
-            sigma = harmonic(alpha) if alpha > 0 else rep_transform(harmonic(-alpha), "adjoint")
-            base = MultiMeanSpec.arithmetic(uni)
-            x = cached(("deformed", alpha), lambda: eval_mean_stack(
-                MultiMeanSpec.deformed(base, sigma), stack, cfg, weights_override=w_arr
-            ).values)
-            sig_mod = rep_transform(sigma, "power_inner", 1.0 / r)
-            y = eval_mean_stack(
-                MultiMeanSpec.deformed(base, sig_mod), spd_power(stack, r), cfg, weights_override=w_arr
-            ).values
-        kx = op_norm(x) / lambda_min(x)
-        k1 = kantorovich(kappa0 * kx, r)
-        lo, hi, _ = _bracket_margins(y, x, r, "reverse", lo_factor=1.0 / k1, hi_factor=k1)
-        return np.minimum(lo, hi), {
-            "kappa0": kappa0, "kappa_x": _w(kx), "K1": _w(k1),
-            "lower_margin": _w(lo), "upper_margin": _w(hi),
-        }
-    # 5.10
-    karch = MultiMeanSpec.karcher(uni)
-    x = cached(("karcher",), lambda: eval_mean_stack(karch, stack, cfg, weights_override=w_arr).values)
-    y = eval_mean_stack(karch, spd_power(stack, r), cfg, weights_override=w_arr).values
+    uni = Weights.uniform(stack.shape[-3])
+    if which in _REVERSE_ALPHA:
+        admits, domain = _REVERSE_ALPHA[which]
+        if alpha is None or not admits(alpha):
+            raise BadR(f"{which} needs alpha in {domain}, got {alpha}")
+    if which == "5.10":
+        key, spec = ("karcher",), MultiMeanSpec.karcher(uni)
+        spec_r = spec
+    elif which == "5.8":
+        # the deformed-mean form, with a harmonic deformation of the arithmetic mean
+        sigma = harmonic(alpha) if alpha > 0 else rep_transform(harmonic(-alpha), "adjoint")
+        base = MultiMeanSpec.arithmetic(uni)
+        key, spec = ("deformed", alpha), MultiMeanSpec.deformed(base, sigma)
+        spec_r = MultiMeanSpec.deformed(base, rep_transform(sigma, "power_inner", 1.0 / r))
+    else:
+        key, spec = ("power", alpha), MultiMeanSpec.power(uni, alpha)
+        spec_r = MultiMeanSpec.power(uni, alpha / r) if which == "5.9" else spec
+    x = _cached(cache, key, lambda: eval_mean_stack(spec, stack, cfg, weights_override=w_arr).values)
+    y = eval_mean_stack(spec_r, spd_power(stack, r), cfg, weights_override=w_arr).values
     kx = op_norm(x) / lambda_min(x)
     k1 = kantorovich(kappa0 * kx, r)
-    lo, hi, _ = _bracket_margins(y, x, r, "reverse", lo_factor=1.0 / k1, hi_factor=k1)
-    return np.minimum(lo, hi), {
-        "kappa0": kappa0, "kappa_x": _w(kx), "K1": _w(k1),
-        "lower_margin": _w(lo), "upper_margin": _w(hi),
-    }
+    consts = {"kappa0": kappa0, "kappa_x": _w(kx), "K1": _w(k1)}
+    if which == "5.4":
+        k2 = kantorovich((kappa0 * kx) ** alpha, r) ** (1.0 / alpha)
+        pref = k1 * k2 * lambda_min(x) ** (r - 1.0)
+        return _le_margin(y, _scaled(pref, x)), {**consts, "K2_pow": _w(k2), "prefactor": _w(pref)}
+    if which == "5.5":
+        k2 = kantorovich((kappa0 * kx) ** (-alpha), r) ** (1.0 / alpha)
+        pref = k2 / k1 * op_norm(x) ** (r - 1.0)
+        return _ge_margin(y, _scaled(pref, x)), {**consts, "K2_pow": _w(k2), "prefactor": _w(pref)}
+    lo, hi, _ = _bracket_margins(y, x, r, "complement", lo_factor=1.0 / k1, hi_factor=k1)
+    return np.minimum(lo, hi), {**consts, **_lo_hi(lo, hi)}
 
 
 def _w(v):
     """Worst-case scalar of a batched constant for report embedding."""
     arr = np.asarray(v)
     return float(arr.reshape(-1)[np.argmax(np.abs(arr))]) if arr.ndim else float(arr)
+
+
+def _lo_hi(lo, hi):
+    return {"lower_margin": _w(lo), "upper_margin": _w(hi)}
 
 
 def check_compression_reverse(
@@ -625,13 +589,12 @@ def check_compression_reverse(
 
     Requires ``m I <= A <= M I`` and ``mu I <= C^2 <= I``.
     """
-    _require_r(r, lo=1.0, what="L5.1")
+    _require_r(r, "ge1", "L5.1")
     _check_bounds(A.a[None], m, M)
     _check_bounds((C.a @ C.a)[None], mu, 1.0)
     margin, consts = _compression_margin(A.a, C.a, r, m, M, mu)
     consts = {"r": r, "m": m, "M": M, "mu": mu, **consts}
-    return _report("L5.1", float(margin), consts, tol, witness_seed,
-                   matrices=[A.to_json(), C.to_json()])
+    return _report("L5.1", float(margin), consts, tol, witness_seed, [A, C])
 
 
 def _compression_margin(a, c, r, m, M, mu):
@@ -651,14 +614,13 @@ def check_arithmetic_power_reverse(
     witness_seed: int = -1,
 ) -> CheckReport:
     """``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r`` under pinned bounds."""
-    _require_r(r, lo=1.0, what="5.3")
+    _require_r(r, "ge1", "5.3")
     m, M = bounds
-    stack = _as_stack_arrays(As)
+    stack = _as_stack(As)
     _check_bounds(stack, m, M)
     margin, consts = _arith_reverse_margin(stack, w.asarray(), r, m, M)
     consts = {"r": r, "m": m, "M": M, **consts}
-    return _report("5.3", float(margin), consts, tol, witness_seed,
-                   matrices=[matrix_to_json(x.a) for x in As])
+    return _report("5.3", float(margin), consts, tol, witness_seed, As)
 
 
 def _arith_reverse_margin(stack, w_arr, r, m, M):
@@ -697,7 +659,7 @@ def lie_trotter_gap(
     """
     ps = [2.0**-k for k in range(7)] if p_sequence is None else list(p_sequence)
     w = _spec_weights(spec)
-    stack = _as_stack_arrays(As)
+    stack = _as_stack(As)
     w_arr = w.asarray()
     mean_val = eval_mean_stack(spec, stack, cfg).values
     arith = np.einsum("n,nij->ij", w_arr, stack)
@@ -732,25 +694,17 @@ def check_log_majorization(
     ``lambda_{N+1-i}^{r-1} lambda_i`` of the mean of the ``A_j``, with
     equality of the full products.
     """
-    _require_r(r, lo=0.0, hi=1.0, what="logmaj")
-    if r <= 0:
-        raise BadR("logmaj: r must be positive")
-    stack = _as_stack_arrays(As)
-    margin, consts = _logmaj_margin(stack, w.asarray(), r, cfg)
+    _require_r(r, "le1", "logmaj")
+    stack = _as_stack(As)
+    margin, consts = _logmaj_margin(stack, w.asarray(), r, cfg, {})
     consts = {"r": r, **consts}
-    return _report("logmaj", float(margin), consts, tol, witness_seed,
-                   matrices=[matrix_to_json(x.a) for x in As])
+    return _report("logmaj", float(margin), consts, tol, witness_seed, As)
 
 
-def _logmaj_margin(stack, w_arr, r, cfg, cache=None):
+def _logmaj_margin(stack, w_arr, r, cfg, cache):
     uni = Weights.uniform(stack.shape[-3])
     karch = MultiMeanSpec.karcher(uni)
-    if cache is not None and ("karcher",) in cache:
-        g1 = cache[("karcher",)]
-    else:
-        g1 = eval_mean_stack(karch, stack, cfg, weights_override=w_arr).values
-        if cache is not None:
-            cache[("karcher",)] = g1
+    g1 = _cached(cache, ("karcher",), lambda: eval_mean_stack(karch, stack, cfg, weights_override=w_arr).values)
     gr = eval_mean_stack(karch, spd_power(stack, r), cfg, weights_override=w_arr).values
     lam1 = np.sort(np.linalg.eigvalsh(g1), axis=-1)[..., ::-1]  # decreasing
     lamr = np.sort(np.linalg.eigvalsh(gr), axis=-1)[..., ::-1]
@@ -788,15 +742,32 @@ def optimality_scan(
     if mode == "prop_6_1":
         return _scan_bracket_complement(tau, r, search_cfg)
     if mode == "prop_6_2":
-        if tau.is_left_trivial or _acts_right_trivial(tau):
+        if tau.is_left_trivial or tau.acts_right_trivial:
             raise BadMode("prop_6_2 needs a mean distinct from both trivial means")
         return _scan_escalation(tau, r, search_cfg, cfg)
     raise BadMode(f"unknown scan mode {mode!r}")
 
 
-def _acts_right_trivial(spec):
-    probe = rep_eval(spec, np.array([0.5, 2.0]))
-    return bool(np.allclose(probe, [0.5, 2.0], rtol=0, atol=1e-14))
+def _complement_margin(tau, r, a, b):
+    """Margin of the complement bracket ``||tau_r||^{r-1} tau_r(A, B) <= A^r tau B^r`` (6.1)."""
+    lhs = _two_var_arrays(lambda t: rep_eval(rep_transform(tau, "power_inner_outer", r), t), a, b)
+    rhs = _two_var_arrays(lambda t: rep_eval(tau, t), spd_power(a, r), spd_power(b, r))
+    pref = float(op_norm(lhs)) ** (r - 1.0)
+    return float(_le_margin(pref * lhs, rhs))
+
+
+def _clamped(spec):
+    # the rank-one family sits on the boundary of the cone; eigenvalues of
+    # order shift**r drown in eigensolver noise, so evaluation clamps to 0+
+    return lambda u: rep_eval(spec, np.maximum(u, 1e-30))
+
+
+def _escalation_margin(tau, r, a, b):
+    """Margin of ``A^r tau_{1/r} B^r <= I`` (6.3), the power bracket of tau."""
+    out = _two_var_arrays(
+        _clamped(rep_transform(tau, "power_inner_outer", 1.0 / r)), spd_power(a, r), spd_power(b, r)
+    )
+    return float(lambda_min(np.eye(a.shape[-1]) - out)) / (1.0 + float(op_norm(out)))
 
 
 def _scan_bracket_complement(tau, r, search_cfg):
@@ -804,10 +775,7 @@ def _scan_bracket_complement(tau, r, search_cfg):
     eye = np.eye(2)
     for x in xs:
         b = np.diag([1.0, float(x)])
-        lhs = _two_var_arrays(lambda t: rep_eval(rep_transform(tau, "power_inner_outer", r), t), eye, b)
-        rhs = _two_var_arrays(lambda t: rep_eval(tau, t), spd_power(eye, r), spd_power(b, r))
-        pref = float(op_norm(lhs)) ** (r - 1.0)
-        margin = float(_le_margin(pref * lhs, rhs))
+        margin = _complement_margin(tau, r, eye, b)
         if margin < -search_cfg.tol:
             return Counterexample(
                 family_params=(float(x), None, None),
@@ -835,17 +803,11 @@ def _scan_escalation(tau, r, search_cfg, cfg):
             t = (1.0 + k * eps) / 2.0
             if 0.0 < t < 1.0:
                 candidates.append((1.0 + eps, 1.0 - eps, float(t)))
-    # the family sits on the boundary of the cone; eigenvalues of order
-    # shift**r drown in eigensolver noise, so evaluation clamps to 0+
-    tau_fn = lambda u: rep_eval(tau, np.maximum(u, 1e-30))  # noqa: E731
-    bracket = rep_transform(tau, "power_inner_outer", 1.0 / r)
-    bracket_fn = lambda u: rep_eval(bracket, np.maximum(u, 1e-30))  # noqa: E731
     for x, y, t in candidates:
         a, b = _rank_one_family(x, y, t, search_cfg.shift)
-        beta = float(op_norm(_two_var_arrays(tau_fn, a, b)))
+        beta = float(op_norm(_two_var_arrays(_clamped(tau), a, b)))
         a_s, b_s = a / beta, b / beta
-        out = _two_var_arrays(bracket_fn, spd_power(a_s, r), spd_power(b_s, r))
-        margin = float(lambda_min(np.eye(2) - out)) / (1.0 + float(op_norm(out)))
+        margin = _escalation_margin(tau, r, a_s, b_s)
         if margin < -search_cfg.tol:
             return Counterexample(
                 family_params=(x, y, t),
@@ -867,20 +829,11 @@ def verify_counterexample(
     a, b = (m.a for m in cx.matrices)
     r = cx.r
     if cx.violated_id == "6.1":
-        lhs = _two_var_arrays(lambda t: rep_eval(rep_transform(tau, "power_inner_outer", r), t), a, b)
-        rhs = _two_var_arrays(lambda t: rep_eval(tau, t), spd_power(a, r), spd_power(b, r))
-        pref = float(op_norm(lhs)) ** (r - 1.0)
-        return float(_le_margin(pref * lhs, rhs)) < -search_cfg.tol
+        return _complement_margin(tau, r, a, b) < -search_cfg.tol
     if cx.violated_id == "6.3":
-        hyp = _two_var_arrays(lambda t: rep_eval(tau, np.maximum(t, 1e-30)), a, b)
-        if float(op_norm(hyp)) > 1.0 + 1e-9:
+        if float(op_norm(_two_var_arrays(_clamped(tau), a, b))) > 1.0 + 1e-9:
             return False
-        bracket = rep_transform(tau, "power_inner_outer", 1.0 / r)
-        out = _two_var_arrays(
-            lambda t: rep_eval(bracket, np.maximum(t, 1e-30)), spd_power(a, r), spd_power(b, r)
-        )
-        margin = float(lambda_min(np.eye(a.shape[-1]) - out)) / (1.0 + float(op_norm(out)))
-        return margin < -search_cfg.tol
+        return _escalation_margin(tau, r, a, b) < -search_cfg.tol
     raise BadMode(f"unknown counterexample id {cx.violated_id!r}")
 
 
@@ -906,7 +859,7 @@ def find_reverse_improvement(
     quiet = SolverConfig(certify=False)
     for seed in range(max_seeds):
         mats = [random_spd(dim, (1.0, kappa0), 7_000 + 31 * seed + j) for j in range(n)]
-        x = eval_mean_stack(MultiMeanSpec.karcher(uni), _as_stack_arrays(mats), quiet).values
+        x = eval_mean_stack(MultiMeanSpec.karcher(uni), _as_stack(mats), quiet).values
         kx = float(op_norm(x) / lambda_min(x))
         if kx <= threshold:
             continue
@@ -923,24 +876,127 @@ def find_reverse_improvement(
     return None
 
 
+
+
 # --------------------------------------------------------------------------
 # batched campaign cells
 # --------------------------------------------------------------------------
 
-_R_GE1 = {"3.9", "3.10", "3.13", "4.4", "4.6", "4.8", "5.3", "L5.1", "5.4", "5.5", "5.8", "5.9", "5.10"}
-_R_LE1 = {"3.11", "3.12", "3.14", "4.5", "4.7", "4.9", "logmaj"}
-_NEEDS_ALPHA = {"3.9", "3.10", "3.11", "3.12", "4.4", "4.5", "4.6", "4.7", "4.8", "4.9", "5.4", "5.5", "5.8", "5.9"}
-_PAIR = {"4.6", "4.7", "4.8", "4.9"}
-_BOUNDED = {"5.3", "L5.1", "5.4", "5.5", "5.8", "5.9", "5.10"}
+
+def _mean_vals(spec, stack, data, cfg):
+    return eval_mean_stack(spec, stack, cfg, weights_override=data.weights).values
+
+
+# Margin functions of the families: ``(data, r, alpha, cfg, cache)`` to the
+# per-trial margins and a constants dict.  ``cache`` is scoped to one
+# (family, dim, alpha) group and holds the r-independent solves, which the
+# shared-ensemble seed scheme makes reusable across the whole r grid.
+
+
+def _ah_power_cell(variant, data, r, alpha, cfg, cache):
+    """3.9-3.12: the check ``variant`` of :func:`check_ah_family` for the
+    power mean P_alpha, whose adjoint is P_{-alpha}."""
+    _, adjoint, compare = _AH_VARIANTS[variant]
+    a = -alpha if adjoint else alpha
+    spec = MultiMeanSpec.power(Weights.uniform(data.n), a)
+    base = _cached(cache, ("power", a), lambda: _mean_vals(spec, data.stack, data, cfg))
+    powd = _mean_vals(spec, spd_power(data.stack, r), data, cfg)
+    pref = (op_norm(base) if adjoint else lambda_min(base)) ** (r - 1.0)
+    return compare(powd, _scaled(pref, base)), {"alpha_used": a}
+
+
+def _ah_karcher_cell(style, data, r, alpha, cfg, cache):
+    """3.13/3.14: the Karcher mean at A^r bracketed by its value at A."""
+    spec = MultiMeanSpec.karcher(Weights.uniform(data.n))
+    base = _cached(cache, ("karcher",), lambda: _mean_vals(spec, data.stack, data, cfg))
+    powd = _mean_vals(spec, spd_power(data.stack, r), data, cfg)
+    lo, hi, _ = _bracket_margins(powd, base, r, style)
+    return np.minimum(lo, hi), _lo_hi(lo, hi)
+
+
+def _power_direct_cell(data, r, alpha, cfg, cache):
+    """4.4: P_{alpha/r}(A^r) bracketed by P_alpha(A), r >= 1."""
+    uni = Weights.uniform(data.n)
+    x = _cached(cache, ("power", alpha), lambda: _mean_vals(MultiMeanSpec.power(uni, alpha), data.stack, data, cfg))
+    mid = _mean_vals(MultiMeanSpec.power(uni, alpha / r), spd_power(data.stack, r), data, cfg)
+    lo, hi, _ = _bracket_margins(mid, x, r, "direct")
+    return np.minimum(lo, hi), _lo_hi(lo, hi)
+
+
+def _power_complement_cell(data, r, alpha, cfg, cache):
+    """4.5: P_alpha(A^r) bracketed by P_{alpha r}(A), 0 < r <= 1."""
+    uni = Weights.uniform(data.n)
+    x = _mean_vals(MultiMeanSpec.power(uni, alpha * r), data.stack, data, cfg)
+    mid = _mean_vals(MultiMeanSpec.power(uni, alpha), spd_power(data.stack, r), data, cfg)
+    lo, hi, _ = _bracket_margins(mid, x, r, "complement")
+    return np.minimum(lo, hi), _lo_hi(lo, hi)
+
+
+def _pair_cell(which, data, r, alpha, cfg, cache):
+    margin, lo, hi, _ = _two_var_margins(which, data.tau, data.sigma, data.a, data.b, r, cfg)
+    fns = {"tau_json": repfn_to_json(data.tau), "sigma_json": repfn_to_json(data.sigma)}
+    return margin, {**fns, **_lo_hi(lo, hi)}
+
+
+def _arith_reverse_cell(data, r, alpha, cfg, cache):
+    return _arith_reverse_margin(data.stack, data.weights, r, *data.bounds)
+
+
+def _compression_cell(data, r, alpha, cfg, cache):
+    m, M = data.bounds
+    margin, consts = _compression_margin(data.stack[:, 0], data.c, r, m, M, data.mu)
+    return margin, {"mu": data.mu, **consts}
+
+
+def _reverse_cell(which, negate, data, r, alpha, cfg, cache):
+    a_used = -alpha if negate else alpha
+    margin, consts = _reverse_margins(which, data.stack, data.weights, a_used, r, data.bounds, cfg, cache)
+    return margin, {"alpha_used": a_used, **consts}
+
+
+def _logmaj_cell(data, r, alpha, cfg, cache):
+    return _logmaj_margin(data.stack, data.weights, r, cfg, cache)
+
+
+def _family(r_range, margins, needs_alpha=True, layout="stack", spread=None):
+    """One campaign family.
+
+    ``layout`` holds a trial as ``"stack"`` (``n`` matrices and weights),
+    ``"pair"`` (A, B and the representing functions tau, sigma) or
+    ``"compress"`` (``n`` matrices and weights, then a compression C); the
+    witness matrices are written in that order.  ``spread`` pins a bounded
+    family's inputs to [m, M], m ~ U(0.5, 1) per cell and M/m fixed or drawn
+    from a (lo, hi) range; the others use [0.5, 2.2].  The Kantorovich
+    prefactors only dominate when the input spread is wide relative to the
+    spread of the mean (narrow pinned spectra can genuinely violate the
+    stated reverse bounds, as aligned commuting inputs do), so each spread
+    is one where the family's constant suffices against the aligned worst case.
+    """
+    return {"r_range": r_range, "needs_alpha": needs_alpha, "layout": layout,
+            "spread": spread, "margins": margins}
+
 
 FAMILIES = {
-    fam: {
-        "r_range": "ge1" if fam in _R_GE1 else "le1",
-        "needs_alpha": fam in _NEEDS_ALPHA,
-        "pair": fam in _PAIR,
-        "bounded": fam in _BOUNDED,
-    }
-    for fam in sorted(_R_GE1 | _R_LE1)
+    "3.9": _family("ge1", partial(_ah_power_cell, "3.1")),
+    "3.10": _family("ge1", partial(_ah_power_cell, "3.2")),
+    "3.11": _family("le1", partial(_ah_power_cell, "3.3")),
+    "3.12": _family("le1", partial(_ah_power_cell, "3.4")),
+    "3.13": _family("ge1", partial(_ah_karcher_cell, "direct"), needs_alpha=False),
+    "3.14": _family("le1", partial(_ah_karcher_cell, "complement"), needs_alpha=False),
+    "4.4": _family("ge1", _power_direct_cell),
+    "4.5": _family("le1", _power_complement_cell),
+    "4.6": _family("ge1", partial(_pair_cell, "4.6"), layout="pair"),
+    "4.7": _family("le1", partial(_pair_cell, "4.7"), layout="pair"),
+    "4.8": _family("ge1", partial(_pair_cell, "4.8"), layout="pair"),
+    "4.9": _family("le1", partial(_pair_cell, "4.9"), layout="pair"),
+    "5.3": _family("ge1", _arith_reverse_cell, needs_alpha=False, spread=(1.6, 3.4)),
+    "L5.1": _family("ge1", _compression_cell, needs_alpha=False, layout="compress", spread=10.0),
+    "5.4": _family("ge1", partial(_reverse_cell, "5.4", False), spread=8.0),
+    "5.5": _family("ge1", partial(_reverse_cell, "5.5", True), spread=8.0),
+    "5.8": _family("ge1", partial(_reverse_cell, "5.8", False), spread=8.0),
+    "5.9": _family("ge1", partial(_reverse_cell, "5.9", False), spread=8.0),
+    "5.10": _family("ge1", partial(_reverse_cell, "5.10", False), needs_alpha=False, spread=8.0),
+    "logmaj": _family("le1", _logmaj_cell, needs_alpha=False),
 }
 
 
@@ -958,11 +1014,18 @@ class _CellData:
     b: Optional[np.ndarray] = None
     c: Optional[np.ndarray] = None
     bounds: tuple = (None, None)
-    mu: float = 0.5
+    mu: float = 0.4  # the compress layout draws C with mu I <= C^2 <= I
     tau: Optional[RepFnSpec] = None
     sigma: Optional[RepFnSpec] = None
     n: int = 3
-    extras: dict = field(default_factory=dict)
+
+    def witness(self, idx):
+        """Trial ``idx``'s matrices in wire format, in the order ``recheck`` reads them."""
+        if self.stack is None:
+            mats = [self.a[idx], self.b[idx]]
+        else:
+            mats = list(self.stack[idx]) + ([] if self.c is None else [self.c[idx]])
+        return [matrix_to_json(m) for m in mats]
 
 
 def _gen_cell_data(family, dim, alpha, trials, master_seed, n=3) -> _CellData:
@@ -975,128 +1038,48 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed, n=3) -> _CellData:
     info = FAMILIES[family]
     seeds = [_derive_seed(master_seed, family, dim, alpha, t) for t in range(trials)]
     data = _CellData(seeds=seeds, n=n)
-    if info["bounded"]:
-        # The Kantorovich prefactors only dominate when the input spread is
-        # wide relative to the spread of the mean; narrow pinned spectra can
-        # genuinely violate the stated reverse bounds (aligned commuting
-        # inputs do), so each family's ensembles live in a regime where its
-        # constant suffices (checked against the aligned worst case).
+    spectrum, spread = (0.5, 2.2), info["spread"]
+    if spread is not None:
         cell_rng = np.random.default_rng(_derive_seed(master_seed, family, dim, alpha, "cell"))
         m = round(float(cell_rng.uniform(0.5, 1.0)), 6)
-        if family == "5.3":
-            M = round(float(m * cell_rng.uniform(1.6, 3.4)), 6)
-        elif family == "L5.1":
-            M = round(10.0 * m, 6)
-        else:
-            M = round(8.0 * m, 6)
-        spectrum = (m, M)
-        data.bounds = spectrum
-    else:
-        spectrum = (0.5, 2.2)
-    if info["pair"]:
+        ratio = cell_rng.uniform(*spread) if isinstance(spread, tuple) else spread
+        spectrum = data.bounds = (m, round(float(m * ratio), 6))
+    if info["layout"] == "pair":
         data.a = np.stack([random_spd(dim, spectrum, _derive_seed(s, "a")).a for s in seeds])
         data.b = np.stack([random_spd(dim, spectrum, _derive_seed(s, "b")).a for s in seeds])
         kind_rng = np.random.default_rng(_derive_seed(master_seed, family, dim, alpha, "fn"))
         w_tau = round(float(kind_rng.uniform(0.25, 0.75)), 6)
-        tau_kind = ("arithmetic", "harmonic", "geometric")[int(kind_rng.integers(3))]
-        data.tau = {"arithmetic": arithmetic, "harmonic": harmonic, "geometric": geometric}[tau_kind](w_tau)
+        data.tau = (arithmetic, harmonic, geometric)[int(kind_rng.integers(3))](w_tau)
         a_sig = alpha if alpha is not None else 0.5
         data.sigma = geometric(a_sig) if kind_rng.integers(2) == 0 else harmonic(a_sig)
-        data.extras["tau_json"] = repfn_to_json(data.tau)
-        data.extras["sigma_json"] = repfn_to_json(data.sigma)
-    else:
-        data.stack = np.stack(
-            [[random_spd(dim, spectrum, _derive_seed(s, j)).a for j in range(n)] for s in seeds]
-        )
-        raw = np.stack(
-            [np.random.default_rng(_derive_seed(s, "w")).uniform(0.2, 1.0, n) for s in seeds]
-        )
-        data.weights = raw / raw.sum(axis=1, keepdims=True)
-    if family == "L5.1":
-        m, M = data.bounds
-        data.mu = 0.4
+        return data
+    data.stack = np.stack(
+        [[random_spd(dim, spectrum, _derive_seed(s, j)).a for j in range(n)] for s in seeds]
+    )
+    raw = np.stack(
+        [np.random.default_rng(_derive_seed(s, "w")).uniform(0.2, 1.0, n) for s in seeds]
+    )
+    data.weights = raw / raw.sum(axis=1, keepdims=True)
+    if info["layout"] == "compress":
         data.c = np.stack(
             [random_spd(dim, (np.sqrt(data.mu), 0.999999), _derive_seed(s, "c")).a for s in seeds]
         )
     return data
 
 
-def _cell_margins(family, data: _CellData, r, alpha, cfg, cache=None) -> tuple:
-    """Margins over all trials of one cell, plus a constants dict.
+def _cell_info(family, r, alpha) -> dict:
+    """The family's table entry, after checking r and alpha against it."""
+    if family not in FAMILIES:
+        raise UnknownKind(f"unknown family {family!r}")
+    info = FAMILIES[family]
+    if info["needs_alpha"] and alpha is None:
+        raise BadR(f"family {family} needs an alpha value")
+    _require_r(r, info["r_range"], f"family {family}")
+    return info
 
-    ``cache`` (a plain dict scoped to one (family, dim, alpha) group) holds
-    the r-independent solves, which the shared-ensemble seed scheme makes
-    reusable across the whole r grid.
-    """
-    quiet = SolverConfig(
-        dt_tol=cfg.dt_tol, max_iters=cfg.max_iters, karcher_alpha=cfg.karcher_alpha,
-        delta_floor=cfg.delta_floor, tol=cfg.tol, scalar_max_iters=cfg.scalar_max_iters,
-        certify=False,
-    )
-    n = data.n
-    uni = Weights.uniform(n)
 
-    def mean_vals(spec, s):
-        return eval_mean_stack(spec, s, quiet, weights_override=data.weights).values
-
-    def cached(key, fn):
-        if cache is None:
-            return fn()
-        if key not in cache:
-            cache[key] = fn()
-        return cache[key]
-
-    if family in ("3.9", "3.10", "3.11", "3.12"):
-        a = alpha if family in ("3.9", "3.11") else -alpha
-        spec = MultiMeanSpec.power(uni, a)
-        base = cached(("power", a), lambda: mean_vals(spec, data.stack))
-        powd = mean_vals(spec, spd_power(data.stack, r))
-        if family == "3.9":
-            margin = _ge_margin(powd, _scaled(lambda_min(base) ** (r - 1.0), base))
-        elif family == "3.11":
-            margin = _le_margin(powd, _scaled(lambda_min(base) ** (r - 1.0), base))
-        elif family == "3.10":
-            margin = _le_margin(powd, _scaled(op_norm(base) ** (r - 1.0), base))
-        else:
-            margin = _ge_margin(powd, _scaled(op_norm(base) ** (r - 1.0), base))
-        return margin, {"alpha_used": a}
-    if family in ("3.13", "3.14"):
-        spec = MultiMeanSpec.karcher(uni)
-        base = cached(("karcher",), lambda: mean_vals(spec, data.stack))
-        powd = mean_vals(spec, spd_power(data.stack, r))
-        style = "direct" if family == "3.13" else "complement"
-        lo, hi, _ = _bracket_margins(powd, base, r, style)
-        return np.minimum(lo, hi), {"lower_margin": _w(lo), "upper_margin": _w(hi)}
-    if family in ("4.4", "4.5"):
-        if family == "4.4":
-            x = cached(("power", alpha), lambda: mean_vals(MultiMeanSpec.power(uni, alpha), data.stack))
-            mid = mean_vals(MultiMeanSpec.power(uni, alpha / r), spd_power(data.stack, r))
-            lo, hi, _ = _bracket_margins(mid, x, r, "direct")
-        else:
-            x = mean_vals(MultiMeanSpec.power(uni, alpha * r), data.stack)
-            mid = mean_vals(MultiMeanSpec.power(uni, alpha), spd_power(data.stack, r))
-            lo, hi, _ = _bracket_margins(mid, x, r, "complement")
-        return np.minimum(lo, hi), {"lower_margin": _w(lo), "upper_margin": _w(hi)}
-    if family in _PAIR:
-        margin, lo, hi, consts = _two_var_margins(family, data.tau, data.sigma, data.a, data.b, r, quiet)
-        return margin, {**data.extras, "lower_margin": _w(lo), "upper_margin": _w(hi)}
-    if family == "5.3":
-        margin, consts = _arith_reverse_margin(data.stack, data.weights, r, *data.bounds)
-        return margin, consts
-    if family == "L5.1":
-        m, M = data.bounds
-        margin, consts = _compression_margin(data.stack[:, 0], data.c, r, m, M, data.mu)
-        return margin, {"mu": data.mu, **consts}
-    if family in ("5.4", "5.5", "5.8", "5.9", "5.10"):
-        a_used = alpha
-        if family == "5.5":
-            a_used = -alpha
-        margin, consts = _reverse_margins(family, data.stack, data.weights, a_used, r, data.bounds, quiet, cache)
-        return margin, {"alpha_used": a_used, **consts}
-    if family == "logmaj":
-        margin, consts = _logmaj_margin(data.stack, data.weights, r, quiet, cache)
-        return margin, consts
-    raise UnknownKind(f"unknown family {family!r}")
+def _cell_id(family, dim, r, alpha) -> str:
+    return f"{family}[dim={dim},r={r}" + (f",alpha={alpha}]" if FAMILIES[family]["needs_alpha"] else "]")
 
 
 def run_cell(
@@ -1116,21 +1099,15 @@ def run_cell(
 
     Reports the worst trial: its normalized margin decides ``holds`` and its
     seed and matrices are embedded on failure so the instance can be
-    re-checked in isolation.
+    re-checked in isolation.  ``data`` and ``cache`` let the cells of one
+    (family, dim, alpha) group share their trial data and r-independent
+    solves; the report is the same with or without them.
     """
-    if family not in FAMILIES:
-        raise UnknownKind(f"unknown family {family!r}")
-    info = FAMILIES[family]
-    ident = f"{family}[dim={dim},r={r}" + (f",alpha={alpha}]" if info["needs_alpha"] else "]")
-    if info["needs_alpha"] and alpha is None:
-        raise BadR(f"family {family} needs an alpha value")
-    if info["r_range"] == "ge1" and r < 1:
-        raise BadR(f"family {family} needs r >= 1, got {r}")
-    if info["r_range"] == "le1" and not 0 < r <= 1:
-        raise BadR(f"family {family} needs 0 < r <= 1, got {r}")
+    info = _cell_info(family, r, alpha)
     if data is None:
         data = _gen_cell_data(family, dim, alpha, trials, master_seed, n=n)
-    margins, consts = _cell_margins(family, data, r, alpha, cfg, cache)
+    quiet = replace(cfg, certify=False)
+    margins, consts = info["margins"](data, r, alpha, quiet, {} if cache is None else cache)
     margins = np.atleast_1d(np.asarray(margins, dtype=float))
     worst = int(np.argmin(margins))
     margin = float(margins[worst])
@@ -1143,11 +1120,11 @@ def run_cell(
     holds = margin >= -tol
     matrices = None
     if not holds:
-        matrices = _trial_matrices_json(family, data, worst)
+        matrices = data.witness(worst)
         if data.weights is not None:
             constants["weights"] = [float(x) for x in data.weights[worst]]
     return CheckReport(
-        inequality_id=ident,
+        inequality_id=_cell_id(family, dim, r, alpha),
         holds=holds,
         margin=margin,
         constants=constants,
@@ -1156,57 +1133,152 @@ def run_cell(
     )
 
 
-def _trial_matrices_json(family, data: _CellData, idx):
-    if FAMILIES[family]["pair"]:
-        mats = [matrix_to_json(data.a[idx]), matrix_to_json(data.b[idx])]
-    else:
-        mats = [matrix_to_json(m) for m in data.stack[idx]]
-        if data.c is not None:
-            mats.append(matrix_to_json(data.c[idx]))
-    return mats
+def _finite(value, what) -> float:
+    """``value`` as a float; ConfigError unless it is a finite number."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return out
 
 
 def recheck(report_json: dict, cfg: SolverConfig = DEFAULT_CONFIG, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
-    """Re-run a single failed campaign report from its embedded witness."""
+    """Re-run a single failed campaign report from its embedded witness.
+
+    The family's layout rebuilds the witness into a one-trial cell, which
+    :func:`run_cell` evaluates; a report that does not fit the layout raises
+    a typed error.
+    """
+    if not isinstance(report_json, dict) or not isinstance(report_json.get("inequality_id"), str):
+        raise ConfigError("a report must be a JSON object with a string 'inequality_id'")
     ident = report_json["inequality_id"]
     family = ident.split("[", 1)[0]
     if family not in FAMILIES:
         raise UnknownKind(f"cannot recheck inequality id {ident!r}")
-    consts = report_json.get("constants", {})
+    consts = report_json.get("constants")
+    if not isinstance(consts, dict) or "r" not in consts:
+        raise ConfigError("report constants must be an object carrying 'r'")
+    seed = report_json.get("witness_seed", -1)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"witness_seed must be an integer, got {seed!r}")
+    r = _finite(consts["r"], "r")
+    alpha = None if consts.get("alpha") is None else _finite(consts["alpha"], "alpha")
+    info = _cell_info(family, r, alpha)
     mats = report_json.get("matrices")
-    if not mats:
+    if not mats or not isinstance(mats, list):
         raise UnknownKind("report carries no embedded witness matrices")
-    r = float(consts["r"])
-    alpha = consts.get("alpha")
-    info = FAMILIES[family]
-    arrays = [matrix_from_json(m).a for m in mats]
-    data = _CellData(seeds=[int(report_json.get("witness_seed", -1))])
-    if info["pair"]:
-        data.a = arrays[0][None]
-        data.b = arrays[1][None]
+    arrays = _as_stack([matrix_from_json(m) for m in mats])
+    layout = info["layout"]
+    if (layout == "pair" and len(arrays) != 2) or (layout == "compress" and len(arrays) < 2):
+        raise ArityMismatch(f"{family} witness has {len(arrays)} matrices, which does not fit its layout")
+    data = _CellData(seeds=[seed])
+    if info["spread"] is not None:
+        data.bounds = (_finite(consts.get("m"), "m"), _finite(consts.get("M"), "M"))
+        if not 0 < data.bounds[0] <= data.bounds[1]:
+            raise ConfigError(f"bounds need 0 < m <= M, got {data.bounds}")
+    if layout == "pair":
+        if "tau_json" not in consts or "sigma_json" not in consts:
+            raise ConfigError(f"{family} reports must carry tau_json and sigma_json")
+        data.a, data.b = arrays[0][None], arrays[1][None]
         data.tau = repfn_from_json(consts["tau_json"])
         data.sigma = repfn_from_json(consts["sigma_json"])
-    elif family == "L5.1":
-        data.stack = np.stack([arrays[0]])[None]
-        data.c = arrays[-1][None]
-        data.mu = float(consts.get("mu", 0.4))
-        data.bounds = (float(consts["m"]), float(consts["M"]))
     else:
-        data.stack = np.stack(arrays)[None]
-        data.n = len(arrays)
-        if "weights" in consts:
-            data.weights = np.asarray(consts["weights"], dtype=float)[None]
-        else:
-            data.weights = np.full((1, len(arrays)), 1.0 / len(arrays))
-        if "m" in consts:
-            data.bounds = (float(consts["m"]), float(consts["M"]))
-    margins, extra = _cell_margins(family, data, r, alpha, cfg)
-    margin = float(np.atleast_1d(margins)[0])
-    return CheckReport(
-        inequality_id=ident,
-        holds=margin >= -tol,
-        margin=margin,
-        constants={"r": r, "alpha": alpha, **{k: _plain(v) for k, v in extra.items()}},
-        witness_seed=int(report_json.get("witness_seed", -1)),
-        matrices=mats if margin < -tol else None,
-    )
+        ensemble = arrays[:-1] if layout == "compress" else arrays
+        data.stack = ensemble[None]
+        data.n = len(ensemble)
+        w = Weights(consts["weights"]) if "weights" in consts else Weights.uniform(data.n)
+        if len(w.values) != data.n:
+            raise ArityMismatch(f"{len(w.values)} weights for {data.n} matrices")
+        data.weights = w.asarray()[None]
+        if layout == "compress":
+            data.c = arrays[-1][None]
+            data.mu = _finite(consts.get("mu", data.mu), "mu")
+            if not 0 < data.mu <= 1:
+                raise ConfigError(f"mu must lie in (0, 1], got {data.mu}")
+    rep = run_cell(family, arrays[0].shape[-1], r, alpha, 1, seed, cfg, tol, data=data)
+    return replace(rep, inequality_id=ident)
+
+
+# --------------------------------------------------------------------------
+# campaigns
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    inequality_ids: tuple
+    dimensions: tuple
+    r_values: tuple
+    alpha_values: tuple
+    trials: int
+    seed: int
+    output_path: str
+
+    @classmethod
+    def from_json(cls, obj) -> "CampaignConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a campaign config must be a JSON object, got {type(obj).__name__}")
+        try:
+            ids = tuple(obj["inequality_ids"])
+            dims = tuple(int(d) for d in obj["dimensions"])
+            rs = tuple(_finite(r, "r") for r in obj["r_values"])
+            alphas = tuple(_finite(a, "alpha") for a in obj.get("alpha_values", []))
+            trials = int(obj.get("trials", 200))
+            seed = int(obj.get("seed", 0))
+            output_path = str(obj.get("output_path", "-"))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad campaign config: {exc}") from exc
+        if trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if not ids or not dims or not rs:
+            raise ConfigError("inequality_ids, dimensions and r_values must be nonempty")
+        if any(d < 1 for d in dims):
+            raise ConfigError("dimensions must be positive")
+        unknown = [i for i in ids if not isinstance(i, str) or i not in FAMILIES]
+        if unknown:
+            raise ConfigError(f"unknown inequality ids: {unknown}")
+        return cls(ids, dims, rs, alphas, trials, seed, output_path)
+
+
+def run_campaign(config: CampaignConfig, cfg: SolverConfig = DEFAULT_CONFIG, threads: int = 1) -> list:
+    """Run every cell of a campaign; one report dict per cell, in cell order.
+
+    Cells run family by family, then by dimension, alpha and r.  Each
+    (family, dim, alpha) group generates its trial data once and shares it,
+    with a solve cache, over the r grid; groups run on ``threads`` worker
+    threads.  A cell that raises a library error gives an error line with
+    the cell's id.
+    """
+    alphas = config.alpha_values or (0.5,)
+    groups = [
+        (family, dim, alpha)
+        for family in config.inequality_ids
+        for dim in config.dimensions
+        for alpha in (alphas if FAMILIES[family]["needs_alpha"] else (None,))
+    ]
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        batches = list(pool.map(lambda g: _run_group(*g, config, cfg), groups))
+    return [line for batch in batches for line in batch]
+
+
+def _run_group(family, dim, alpha, config, cfg):
+    try:
+        data = _gen_cell_data(family, dim, alpha, config.trials, config.seed)
+    except OpmeansError:
+        data = None  # each cell regenerates the data and reports the error
+    cache = {}
+    lines = []
+    for r in config.r_values:
+        try:
+            rep = run_cell(family, dim, r, alpha, config.trials, config.seed, cfg, data=data, cache=cache)
+            lines.append(rep.to_json())
+        except OpmeansError as exc:
+            lines.append({
+                "inequality_id": _cell_id(family, dim, r, alpha),
+                "holds": False,
+                "error": type(exc).__name__,
+                "message": str(exc),
+            })
+    return lines

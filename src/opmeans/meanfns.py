@@ -75,8 +75,8 @@ class Transform:
         if self.op in ("power_inner", "power_inner_outer", "power_outer"):
             if self.r is None:
                 raise MissingParameter(f"transform {self.op!r} needs a parameter r")
-            if self.r <= 0:
-                raise DomainError(f"transform {self.op!r} needs r > 0, got {self.r}")
+            if not 0 < self.r < np.inf:
+                raise DomainError(f"transform {self.op!r} needs a finite r > 0, got {self.r}")
             if self.op == "power_outer" and not self.r <= 1:
                 raise DomainError(f"power_outer keeps operator monotonicity only for r <= 1, got {self.r}")
 
@@ -103,7 +103,7 @@ class RepFnSpec:
                 raise DomainError(f"{self.kind} parameter must lie in [0, 1], got {p}")
         if self.kind == "convex":
             weights = np.array([w for w, _ in self.params], dtype=float)
-            if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+            if not np.all(weights >= 0) or abs(weights.sum() - 1.0) > 1e-12:
                 raise DomainError("convex combination weights must be nonnegative and sum to 1")
 
     @cached_property
@@ -119,6 +119,12 @@ class RepFnSpec:
         # value profile is still the robust test.
         probe = rep_eval(self, np.array([0.5, 2.0]))
         return bool(np.all(np.abs(probe - 1.0) < 1e-14))
+
+    @property
+    def acts_right_trivial(self) -> bool:
+        """True when the mean acts as the right trivial one, ``A sigma B = B``."""
+        probe = rep_eval(self, np.array([0.5, 2.0]))
+        return bool(np.allclose(probe, [0.5, 2.0], rtol=0, atol=1e-14))
 
 
 @dataclass(frozen=True)
@@ -438,19 +444,22 @@ def repfn_from_json(obj) -> RepFnSpec:
         raise UnknownKind(f"representing-function JSON must carry 'kind': {exc}") from exc
     if kind not in _KINDS:
         raise UnknownKind(f"unknown representing-function kind {kind!r}")
-    raw_params = obj.get("params", {})
-    if kind == "convex":
-        params = tuple(
-            (float(term["weight"]), repfn_from_json(term["fn"])) for term in raw_params["terms"]
+    try:
+        raw_params = obj.get("params", {})
+        if kind == "convex":
+            params = tuple(
+                (float(term["weight"]), repfn_from_json(term["fn"])) for term in raw_params["terms"]
+            )
+        elif kind in ("arithmetic", "harmonic", "geometric"):
+            key = "w" if kind == "arithmetic" else "alpha"
+            if key not in raw_params:
+                raise MissingParameter(f"kind {kind!r} needs parameter {key!r}")
+            params = (float(raw_params[key]),)
+        else:
+            params = ()
+        transforms = tuple(
+            Transform(tr["op"], tr.get("r")) for tr in obj.get("transforms", [])
         )
-    elif kind in ("arithmetic", "harmonic", "geometric"):
-        key = "w" if kind == "arithmetic" else "alpha"
-        if key not in raw_params:
-            raise MissingParameter(f"kind {kind!r} needs parameter {key!r}")
-        params = (float(raw_params[key]),)
-    else:
-        params = ()
-    transforms = tuple(
-        Transform(tr["op"], tr.get("r")) for tr in obj.get("transforms", [])
-    )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MissingParameter(f"malformed {kind!r} representing function: {exc}") from exc
     return RepFnSpec(kind, params, transforms)

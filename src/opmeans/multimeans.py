@@ -16,6 +16,7 @@ verification campaigns cheap; the typed API wraps the single-ensemble case.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     HypothesisFails,
     InvalidWeights,
+    MissingParameter,
     NoConvergence,
     SigmaIsLeftTrivial,
     UnknownKind,
@@ -40,7 +42,6 @@ from .psd_core import (
     eigh_apply,
     lambda_min,
     loewner_compare,
-    matrix_from_json,
     op_norm,
     spd_inv,
     spd_sqrt_pair,
@@ -66,6 +67,7 @@ __all__ = [
 
 _MONO_TOL = 1e-9
 _MEAN_KINDS = ("arithmetic", "harmonic", "deformed", "power", "karcher", "adjoint")
+_MEAN_PARTS = {"deformed": ("base", "sigma"), "adjoint": ("inner",)}  # required sub-descriptions
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,14 @@ class Weights:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        try:
+            vals = tuple(float(v) for v in self.values)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidWeights(f"weights must be a list of numbers: {exc}") from exc
         object.__setattr__(self, "values", vals)
         arr = np.array(vals)
-        if arr.size == 0 or np.any(arr < 0):
-            raise InvalidWeights("weights must be a nonempty list of nonnegative reals")
+        if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr < 0):
+            raise InvalidWeights("weights must be a nonempty list of finite nonnegative reals")
         if abs(arr.sum() - 1.0) > 1e-12:
             raise InvalidWeights(f"weights must sum to 1, got {arr.sum()!r}")
 
@@ -104,10 +109,15 @@ class MultiMeanSpec:
         if self.kind not in _MEAN_KINDS:
             raise UnknownKind(f"unknown mean kind {self.kind!r}")
         if self.kind == "power":
+            if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+                raise MissingParameter(f"power mean needs a numeric alpha, got {self.alpha!r}")
             if self.alpha == 0:
                 raise AlphaZero("power mean exponent must be nonzero")
             if not -1 <= self.alpha <= 1:
                 raise AlphaZero(f"power mean exponent must lie in [-1, 1], got {self.alpha}")
+        missing = [part for part in _MEAN_PARTS.get(self.kind, ()) if getattr(self, part) is None]
+        if missing:
+            raise MissingParameter(f"{self.kind} mean needs {' and '.join(missing)}")
         if self.kind == "deformed" and self.sigma.is_left_trivial:
             raise SigmaIsLeftTrivial("cannot deform by the left trivial mean")
 
@@ -183,11 +193,6 @@ def _weighted_sum(w, stack):
     return np.einsum("...n,...nij->...ij", w, stack)
 
 
-def _sigma_acts_as_right_trivial(sigma: RepFnSpec) -> bool:
-    probe = rep_eval(sigma, np.array([0.5, 2.0]))
-    return bool(np.allclose(probe, [0.5, 2.0], rtol=0, atol=1e-14))
-
-
 def _eval_node(spec: MultiMeanSpec, stack, cfg: SolverConfig, w_over=None):
     """Evaluate a mean on ``stack`` of shape (..., n, d, d).
 
@@ -235,7 +240,7 @@ def _power_node(spec, stack, cfg, w_over):
 def _deformed_loop(base: MultiMeanSpec, sigma: RepFnSpec, stack, cfg, w_over=None):
     if sigma.is_left_trivial:
         raise SigmaIsLeftTrivial("cannot deform by the left trivial mean")
-    if _sigma_acts_as_right_trivial(sigma):
+    if sigma.acts_right_trivial:
         vals, iters, _ = _eval_node(base, stack, cfg, w_over)
         return vals, max(iters, 1), np.zeros(stack.shape[:-3])
 
@@ -412,8 +417,6 @@ def elementary_mean(kind: str, w: Weights, As: Sequence[SpdMatrix]) -> SpdMatrix
     if kind not in ("arithmetic", "harmonic"):
         raise UnknownKind(f"elementary mean must be arithmetic or harmonic, got {kind!r}")
     spec = MultiMeanSpec.arithmetic(w) if kind == "arithmetic" else MultiMeanSpec.harmonic(w)
-    if len(w.values) != len(As):
-        raise ArityMismatch(f"{len(w.values)} weights for {len(As)} matrices")
     return eval_mean(spec, As).value
 
 
@@ -428,8 +431,6 @@ def deformed_mean(
 
 
 def power_mean(w: Weights, alpha: float, As: Sequence[SpdMatrix], cfg: SolverConfig = DEFAULT_CONFIG) -> MeanResult:
-    if alpha == 0:
-        raise AlphaZero("power mean exponent must be nonzero")
     return _wrap(eval_mean_stack(MultiMeanSpec.power(w, alpha), _as_stack(As), cfg))
 
 
@@ -512,7 +513,7 @@ def meanspec_from_json(obj) -> MultiMeanSpec:
         raise UnknownKind(f"mean JSON must carry 'kind': {exc}") from exc
     if kind not in _MEAN_KINDS:
         raise UnknownKind(f"unknown mean kind {kind!r}")
-    weights = Weights(tuple(obj["weights"])) if "weights" in obj else None
+    weights = Weights(obj["weights"]) if "weights" in obj else None
     return MultiMeanSpec(
         kind=kind,
         weights=weights,
@@ -520,13 +521,4 @@ def meanspec_from_json(obj) -> MultiMeanSpec:
         base=meanspec_from_json(obj["base"]) if "base" in obj else None,
         sigma=repfn_from_json(obj["sigma"]) if "sigma" in obj else None,
         inner=meanspec_from_json(obj["inner"]) if "inner" in obj else None,
-    )
-
-
-def mean_result_from_json(obj) -> MeanResult:
-    return MeanResult(
-        value=matrix_from_json(obj["value"]),
-        iterations=int(obj["iterations"]),
-        residual_dt=float(obj["residual_dt"]),
-        enclosure_gap=None if obj.get("enclosure_gap") is None else float(obj["enclosure_gap"]),
     )

@@ -360,10 +360,9 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj, tol=DEFAULT_PD_TOL, sym_tol=DEFAULT_SYM_TOL) -> SpdMatrix:
     try:
         dim = int(obj["dim"])
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise NotSquare(f"matrix JSON must carry 'dim' and 'entries': {exc}") from exc
-    a = np.asarray(entries, dtype=float)
+        a = np.asarray(obj["entries"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise NotSquare(f"matrix JSON must carry an integer 'dim' and numeric 'entries': {exc}") from exc
     if a.shape != (dim, dim):
         raise NotSquare(f"declared dim {dim} does not match entries shape {a.shape}")
     return validate_spd(a, tol=tol, sym_tol=sym_tol)

@@ -7,14 +7,13 @@ same instances.
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from opmeans.cli import EXIT_OK, EXIT_SEARCH_EXHAUSTED, main as cli_main
 from opmeans.config import SolverConfig
-from opmeans.inequalities import FAMILIES, kantorovich, lie_trotter_gap, run_cell, _gen_cell_data
+from opmeans.inequalities import FAMILIES, CampaignConfig, kantorovich, lie_trotter_gap, run_campaign
 from opmeans.meanfns import (
     arithmetic,
     arithmetic_harmonic_mix,
@@ -186,32 +185,20 @@ def test_criterion_4_solver_correctness():
 # --------------------------------------------------------------------------
 
 
-def _campaign_group(args):
-    family, dim, alpha = args
-    rs = R_GE1 if FAMILIES[family]["r_range"] == "ge1" else R_LE1
-    data = _gen_cell_data(family, dim, alpha, TRIALS, MASTER_SEED)
-    cache = {}
-    out = []
-    for r in rs:
-        out.append(run_cell(family, dim, r, alpha, TRIALS, MASTER_SEED, data=data, cache=cache))
-    return out
-
-
 def test_criterion_5_inequality_campaign():
-    groups = []
-    for family in sorted(FAMILIES):
-        alphas = ALPHAS if FAMILIES[family]["needs_alpha"] else (None,)
-        for dim in DIMS:
-            for alpha in alphas:
-                groups.append((family, dim, alpha))
+    # the campaign config takes one r grid, so the r >= 1 and 0 < r <= 1
+    # families run as two campaigns
     workers = max(2, min(8, os.cpu_count() or 2))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = [rep for batch in pool.map(_campaign_group, groups) for rep in batch]
-    failing = [r for r in results if not r.holds]
-    worst = min(results, key=lambda r: r.margin)
-    assert not failing, f"{len(failing)} cells failed, worst {worst.inequality_id}: {worst.margin:.3e}"
+    results = []
+    for r_range, rs in (("ge1", R_GE1), ("le1", R_LE1)):
+        ids = tuple(f for f in sorted(FAMILIES) if FAMILIES[f]["r_range"] == r_range)
+        config = CampaignConfig(ids, DIMS, rs, ALPHAS, TRIALS, MASTER_SEED, "-")
+        results += run_campaign(config, threads=workers)
+    failing = [r for r in results if not r["holds"]]
+    assert not failing, f"{len(failing)} cells failed, first: {failing[0]}"
+    worst = min(results, key=lambda r: r["margin"])
     report(5, f"{len(results)} campaign cells x {TRIALS} trials all hold; worst margin "
-              f"{worst.margin:.3e} at {worst.inequality_id}")
+              f"{worst['margin']:.3e} at {worst['inequality_id']}")
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opmeans.cli import (
     EXIT_CHECK_FAILED,
@@ -10,7 +11,7 @@ from opmeans.cli import (
     EXIT_SEARCH_EXHAUSTED,
     main,
 )
-from opmeans.inequalities import check_compression_reverse
+from opmeans.inequalities import FAMILIES, check_compression_reverse, run_cell
 from opmeans.psd_core import random_spd, validate_spd
 
 
@@ -65,6 +66,25 @@ def test_mean_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "deformed", "weights": [0.5, 0.5], "base": {"kind": "arithmetic", "weights": [0.5, 0.5]}},
+        {"kind": "deformed", "sigma": {"kind": "harmonic", "params": {"alpha": 0.5}}},
+        {"kind": "power", "weights": [0.5, 0.5]},
+        {"kind": "power", "weights": [0.5, 0.5], "alpha": "half"},
+        {"kind": "adjoint"},
+    ],
+)
+def test_mean_incomplete_spec_is_input_error(tmp_path, capsys, spec):
+    spec_path = write(tmp_path, "spec.json", spec)
+    mats = write(tmp_path, "mats.json", [matrix_json(np.eye(2)), matrix_json(2 * np.eye(2))])
+    code = main(["mean", "--spec", spec_path, "--matrices", mats])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert "MissingParameter" in err
+
+
 def campaign(tmp_path, **overrides):
     base = {
         "inequality_ids": ["3.13", "3.9"],
@@ -95,7 +115,7 @@ def test_verify_deterministic_across_threads(tmp_path, capsys):
 
 
 def test_verify_bad_r_range_gives_error_entries(tmp_path, capsys):
-    cfg = campaign(tmp_path, inequality_ids=["3.9"], r_values=[0.5])
+    cfg = campaign(tmp_path, inequality_ids=["3.9", "5.3"], r_values=[0.5])
     out = str(tmp_path / "bad.jsonl")
     code = main(["verify", cfg, "--output", out])
     capsys.readouterr()
@@ -103,12 +123,30 @@ def test_verify_bad_r_range_gives_error_entries(tmp_path, capsys):
     lines = [json.loads(line) for line in open(out)]
     assert all(entry["error"] == "BadR" for entry in lines[:-1])
     assert lines[-1]["summary"]["errors"] == len(lines) - 1
+    # error lines carry the id a report line of the same cell would carry
+    assert [entry["inequality_id"] for entry in lines[:-1]] == [
+        "3.9[dim=2,r=0.5,alpha=0.5]",
+        "3.9[dim=3,r=0.5,alpha=0.5]",
+        "5.3[dim=2,r=0.5]",
+        "5.3[dim=3,r=0.5]",
+    ]
 
 
 def test_verify_unknown_family_is_config_error(tmp_path, capsys):
     cfg = campaign(tmp_path, inequality_ids=["nope"])
     code = main(["verify", cfg])
     capsys.readouterr()
+    assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "config",
+    [[1, 2, 3], {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [10**400]}],
+)
+def test_verify_malformed_config_is_config_error(tmp_path, capsys, config):
+    path = write(tmp_path, "config.json", config)
+    code = main(["verify", path, "--seed", "3"])
+    assert "ConfigError" in capsys.readouterr().err
     assert code == EXIT_INPUT
 
 
@@ -157,3 +195,120 @@ def test_kantorovich_command(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(9.0 / 8.0, rel=1e-15)
     assert main(["kantorovich", "0.5", "2"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+def _failing_report(family, **changes):
+    """A campaign report line of ``family`` that embeds its witness, edited."""
+    r = 2.0 if FAMILIES[family]["r_range"] == "ge1" else 0.5
+    alpha = 0.5 if FAMILIES[family]["needs_alpha"] else None
+    out = run_cell(family, 2, r, alpha, 3, 1, tol=-1.0).to_json()
+    for key, value in changes.items():
+        target = out["constants"] if key in out["constants"] else out
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "family, changes",
+    [
+        ("3.9", {"inequality_id": None}),
+        ("3.9", {"r": None}),
+        ("5.3", {"m": None}),
+        ("5.3", {"M": None}),
+        ("4.6", {"tau_json": None}),
+        ("4.8", {"sigma_json": None}),
+        ("4.7", {"matrices": [matrix_json(np.eye(2))] * 3}),
+        ("L5.1", {"matrices": [matrix_json(np.eye(2))]}),
+        ("logmaj", {"weights": [0.5, 0.5]}),
+        ("3.13", {"matrices": [matrix_json(np.eye(2)), matrix_json(np.eye(3))]}),
+        ("3.9", {"r": "two"}),
+        ("3.9", {"r": 10**400}),
+        ("3.9", {"r": 0.5}),
+        ("5.4", {"m": 0.0}),
+        ("5.4", {"M": 10**400}),
+    ],
+)
+def test_verify_recheck_malformed_report(tmp_path, capsys, family, changes):
+    path = write(tmp_path, "report.json", _failing_report(family, **changes))
+    code = main(["verify", "--recheck", path])
+    assert capsys.readouterr().err.startswith("error: ")
+    assert code == EXIT_INPUT
+
+
+# ------------------------------------------------------------------ fuzzing
+
+# Integers stay small: a campaign's trials and dimensions are sizes, and a huge
+# size is a well-formed request for a huge run, not malformed input.  Numbers
+# too large for a float are covered by the explicit cases above.
+_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-10, 10)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")]) | st.text(max_size=4)
+)
+_json = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=10,
+)
+
+_MATS = [matrix_json(np.diag([1.0, 2.0])), matrix_json(np.array([[2.0, 0.5], [0.5, 1.0]]))]
+_VALID = {
+    "spec": [
+        {"kind": "karcher", "weights": [0.5, 0.5]},
+        {"kind": "power", "weights": [0.3, 0.7], "alpha": -0.5},
+        {"kind": "deformed", "base": {"kind": "arithmetic", "weights": [0.5, 0.5]},
+         "sigma": {"kind": "harmonic", "params": {"alpha": 0.5},
+                   "transforms": [{"op": "power_inner", "r": 0.5}]}},
+        {"kind": "adjoint", "inner": {"kind": "harmonic", "weights": [0.5, 0.5]}},
+    ],
+    "matrices": [_MATS, {"matrices": _MATS}],
+    "campaign": [
+        {"inequality_ids": ["4.8", "5.3"], "dimensions": [2], "r_values": [1.0, 2.0],
+         "alpha_values": [0.5], "trials": 2, "seed": 1},
+        {"inequality_ids": ["logmaj", "4.5"], "dimensions": [2], "r_values": [0.5],
+         "trials": 2},
+    ],
+    "report": [_failing_report(f) for f in ("4.6", "5.5", "L5.1", "3.12")],
+}
+
+
+@st.composite
+def _mutated(draw, kind):
+    """A valid document of ``kind`` with one node replaced by or deleted for any JSON."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_VALID[kind]))))
+    holder, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        holder = node
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    value = draw(_json)
+    if holder is None:
+        return value
+    if isinstance(holder, dict) and draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(_VALID)), data=st.data())
+def test_cli_survives_malformed_json(tmp_path, capsys, kind, data):
+    doc = data.draw(_mutated(kind))
+    path = str(tmp_path / "doc.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "out.json")
+    spec = write(tmp_path, "spec.json", _VALID["spec"][0])
+    mats = write(tmp_path, "mats.json", _MATS)
+    argv = {
+        "spec": ["mean", "--spec", path, "--matrices", mats, "--output", out],
+        "matrices": ["mean", "--spec", spec, "--matrices", path, "--output", out],
+        "campaign": ["verify", path, "--output", out],
+        "report": ["verify", "--recheck", path, "--output", out],
+    }[kind]
+    code = main(argv)
+    capsys.readouterr()
+    assert code in range(5)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from opmeans import errors
 from opmeans.config import SolverConfig
 from opmeans.inequalities import (
     FAMILIES,
+    CampaignConfig,
     SearchConfig,
     check_ah_family,
     check_arithmetic_power_reverse,
@@ -19,6 +22,7 @@ from opmeans.inequalities import (
     lie_trotter_gap,
     optimality_scan,
     recheck,
+    run_campaign,
     run_cell,
     verify_counterexample,
 )
@@ -566,6 +570,37 @@ def test_recheck_roundtrip_on_failure():
     again = recheck(payload)
     assert not again.holds
     assert again.margin == pytest.approx(rep.margin, rel=1e-9)
+
+
+def test_run_campaign_matches_ungrouped_cells():
+    # grouped, cached and threaded campaign lines against independent cells,
+    # each generating its own data with no cache
+    for r_range, rs in (("ge1", (1.0, 1.5, 3.0)), ("le1", (0.25, 0.75, 1.0))):
+        ids = tuple(f for f in FAMILIES if FAMILIES[f]["r_range"] == r_range)
+        config = CampaignConfig(ids, (2, 3), rs, (0.25, 1.0), 8, 17, "-")
+        grouped = run_campaign(config, threads=2)
+        ungrouped = [
+            run_cell(f, dim, r, alpha, 8, 17).to_json()
+            for f in ids
+            for dim in (2, 3)
+            for alpha in ((0.25, 1.0) if FAMILIES[f]["needs_alpha"] else (None,))
+            for r in rs
+        ]
+        assert [json.dumps(x, sort_keys=True) for x in grouped] == [
+            json.dumps(x, sort_keys=True) for x in ungrouped
+        ]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_recheck_reproduces_every_family_witness(family):
+    # tol = -1 fails every cell, so each family's report embeds a witness in
+    # its layout, and recheck must rebuild the same trial from it
+    r = 2.0 if FAMILIES[family]["r_range"] == "ge1" else 0.5
+    alpha = 0.5 if FAMILIES[family]["needs_alpha"] else None
+    rep = run_cell(family, 2, r, alpha, 4, 5, tol=-1.0)
+    assert not rep.holds and rep.matrices
+    again = recheck(json.loads(json.dumps(rep.to_json())), tol=-1.0)
+    assert again.margin == pytest.approx(rep.margin, rel=1e-8, abs=1e-12)
 
 
 def test_family_table_is_complete():

@@ -51,6 +51,9 @@ def test_weights_validation():
         Weights((0.5, 0.6))
     with pytest.raises(errors.InvalidWeights):
         Weights((-0.1, 1.1))
+    for bad in ((float("nan"), 1.0), (10**400, 0.0), ("half", 0.5), 3):
+        with pytest.raises(errors.InvalidWeights):
+            Weights(bad)
     assert Weights.uniform(4).values == (0.25,) * 4
 
 
