@@ -58,13 +58,19 @@ def _solver_config(args) -> SolverConfig:
         kwargs["max_iters"] = args.max_iters
     if getattr(args, "no_certify", False):
         kwargs["certify"] = False
-    return SolverConfig(**kwargs)
+    try:
+        return SolverConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad solver settings: {exc}") from exc
 
 
 def _emit(text, output):
     if output and output != "-":
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -1,5 +1,6 @@
 """Solver configuration shared by the scalar and matrix fixed-point solvers."""
 
+import math
 from dataclasses import dataclass
 
 
@@ -28,12 +29,12 @@ class SolverConfig:
     certify: bool = True
 
     def __post_init__(self):
-        if self.dt_tol <= 0 or self.max_iters < 1:
-            raise ValueError("dt_tol must be > 0 and max_iters >= 1")
+        if not 0 < self.dt_tol < math.inf or self.max_iters < 1:
+            raise ValueError("dt_tol must be finite and > 0, and max_iters >= 1")
         if not 0 < self.karcher_alpha <= 1:
             raise ValueError("karcher_alpha must lie in (0, 1]")
-        if self.delta_floor <= 0 or self.tol <= 0:
-            raise ValueError("delta_floor and tol must be > 0")
+        if self.delta_floor <= 0 or not 0 < self.tol < math.inf:
+            raise ValueError("delta_floor must be > 0 and tol finite and > 0")
 
 
 DEFAULT_CONFIG = SolverConfig()

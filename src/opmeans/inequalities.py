@@ -5,21 +5,24 @@ eigenvalue of the favorable difference, and normalizes it by the combined
 spectral scale of the two sides, so a margin of ``-1e-9`` means the same
 thing at every dimension and scale.  ``holds`` is ``margin >= -tol``.
 
-The module has two layers:
-
-* typed single-instance checks (``check_ah_family``, ``check_modified``,
-  ``check_two_var``, ``check_reverse`` ...) that take :class:`SpdMatrix`
-  inputs and return a :class:`CheckReport`;
-* a batched campaign layer: :func:`run_cell` evaluates one
-  (family, dimension, r, alpha) cell over many seeded random trials in a
-  single stacked solve, which is what makes 200-trial cells affordable, and
-  :func:`run_campaign` runs a whole campaign grid, sharing trial data and
-  solves across the r values of each (family, dimension, alpha) group.
+Every check is a campaign cell.  :func:`run_cell` evaluates one
+(family, dimension, r, alpha) cell over many seeded random trials in a
+single stacked solve, which is what makes 200-trial cells affordable, and
+:func:`run_campaign` runs a whole campaign grid, sharing trial data and
+solves across the r values of each (family, dimension, alpha) group.  The
+typed checks (``check_ah_family``, ``check_modified``, ``check_two_var``,
+``check_reverse`` ...) take :class:`SpdMatrix` inputs and run the same
+margin function on a one-trial cell; :func:`recheck` builds that cell from
+a report's witness.  Both validate the trial in one place, and every report
+comes from one builder, which reads each per-trial constant at the worst
+trial.
 
 Family identifiers ("3.9" ... "5.10", "L5.1", "logmaj") are opaque labels
 fixed by the report wire format.  :data:`FAMILIES` is the one table that
 says what each family needs: its r-range, whether it takes alpha, its data
 layout, the spectrum rule of the bounded families and its margin function.
+The typed labels "3.1"-"3.4", "4.1" and "4.2" read their r-range from the
+families 3.9-3.12, 4.4 and 4.5.
 """
 
 from __future__ import annotations
@@ -230,7 +233,7 @@ def _cached(cache, key, fn):
 
 
 def _bracket_margins(mid, x, r, style, lo_factor=1.0, hi_factor=1.0):
-    """Margins of ``lo_pref*x <= mid <= hi_pref*x``.
+    """Margin of ``lo_pref*x <= mid <= hi_pref*x`` and its two sides.
 
     ``style='direct'`` places ``lambda_min^{r-1}`` on the lower side and the
     norm on the upper (the r >= 1 displays); ``'complement'`` swaps them
@@ -246,8 +249,7 @@ def _bracket_margins(mid, x, r, style, lo_factor=1.0, hi_factor=1.0):
         lo_pref, hi_pref = lo_factor * nrm ** (r - 1.0), hi_factor * lam ** (r - 1.0)
     lo = _ge_margin(mid, _scaled(lo_pref, x))
     hi = _le_margin(mid, _scaled(hi_pref, x))
-    consts = {"lower_prefactor": lo_pref, "upper_prefactor": hi_pref}
-    return lo, hi, consts
+    return np.minimum(lo, hi), {"lower_margin": lo, "upper_margin": hi}
 
 
 def _require_r(r, r_range, what):
@@ -268,29 +270,16 @@ def _check_bounds(stack, m, M, tol=1e-8):
         )
 
 
-def _report(inequality_id, margin, constants, tol, witness_seed, inputs):
-    """A typed check's report; a failing one embeds its ``inputs`` as witness."""
-    margin = float(margin)
-    return CheckReport(
-        inequality_id=inequality_id,
-        holds=margin >= -tol,
-        margin=margin,
-        constants=constants,
-        witness_seed=witness_seed,
-        matrices=[m.to_json() for m in inputs] if margin < -tol else None,
-    )
-
-
 # --------------------------------------------------------------------------
-# section-3 style checks
+# section-3 and section-4 checks
 # --------------------------------------------------------------------------
 
-# variant: (r-range, adjoint mean with the norm prefactor, comparison)
+# variant: (its campaign family, adjoint mean with the norm prefactor, comparison)
 _AH_VARIANTS = {
-    "3.1": ("ge1", False, _ge_margin),
-    "3.2": ("ge1", True, _le_margin),
-    "3.3": ("le1", False, _le_margin),
-    "3.4": ("le1", True, _ge_margin),
+    "3.1": ("3.9", False, _ge_margin),
+    "3.2": ("3.10", True, _le_margin),
+    "3.3": ("3.11", False, _le_margin),
+    "3.4": ("3.12", True, _ge_margin),
 }
 
 
@@ -311,20 +300,12 @@ def check_ah_family(
     """
     if variant not in _AH_VARIANTS:
         raise UnknownKind(f"unknown variant {variant!r}")
-    r_range, adjoint, compare = _AH_VARIANTS[variant]
-    _require_r(r, r_range, variant)
+    family, adjoint, compare = _AH_VARIANTS[variant]
+    _require_r(r, FAMILIES[family]["r_range"], variant)
+    data = _witness_cell("stack", As, witness_seed, _spec_weights(spec))
     use = MultiMeanSpec.adjoint(spec) if adjoint else spec
-    stack = _as_stack(As)
-    base = eval_mean_stack(use, stack, cfg).values
-    powd = eval_mean_stack(use, spd_power(stack, r), cfg).values
-    lam = lambda_min(base)
-    nrm = op_norm(base)
-    pref = (nrm if adjoint else lam) ** (r - 1.0)
-    margin = compare(powd, _scaled(pref, base))
-    consts = {"r": r, "prefactor": float(pref), "lambda_min": float(lam), "op_norm": float(nrm)}
-    if spec.alpha is not None:
-        consts["alpha"] = spec.alpha
-    return _report(f"{variant}:{spec.kind}", margin, consts, tol, witness_seed, As)
+    margins = _ah_margin(use, adjoint, compare, data, r, cfg, {})
+    return _verdict(f"{variant}:{spec.kind}", data, margins, {}, tol, r, spec.alpha)
 
 
 def check_modified(
@@ -345,17 +326,16 @@ def check_modified(
     """
     if which not in ("4.1", "4.2"):
         raise UnknownKind(f"unknown modified check {which!r}")
-    r_range = "ge1" if which == "4.1" else "le1"
+    r_range = FAMILIES["4.4" if which == "4.1" else "4.5"]["r_range"]
     _require_r(r, r_range, which)
-    stack = _as_stack(As)
+    data = _witness_cell("stack", As, witness_seed, _spec_weights(base))
 
     def mean(sig, x):
-        return eval_mean_stack(MultiMeanSpec.deformed(base, sig), x, cfg).values
+        return _mean_vals(MultiMeanSpec.deformed(base, sig), x, data, cfg)
 
-    lo, hi, consts = _modified_bracket(mean, sigma, "power_inner", r, r_range, stack, spd_power(stack, r))
-    margin = min(float(lo), float(hi))
-    consts = {"r": r, "lower_margin": float(lo), "upper_margin": float(hi), **consts}
-    return _report(which, margin, consts, tol, witness_seed, As)
+    powered = spd_power(data.stack, r)
+    margins, consts = _modified_bracket(mean, sigma, "power_inner", r, r_range, data.stack, powered)
+    return _verdict(which, data, margins, consts, tol, r, None)
 
 
 def check_two_var(
@@ -374,11 +354,18 @@ def check_two_var(
     "4.6"/"4.7" use the deformation of ``tau`` by ``sigma``; "4.8"/"4.9"
     use the power-bracket transform of ``tau`` alone (``sigma`` ignored).
     """
-    margin, lo, hi, consts = _two_var_margins(
-        which, tau, sigma, A.a, B.a, r, cfg
-    )
-    consts = {"r": r, "lower_margin": float(lo), "upper_margin": float(hi), **consts}
-    return _report(which, margin, consts, tol, witness_seed, [A, B])
+    if which not in FAMILIES or FAMILIES[which]["layout"] != "pair":
+        raise UnknownKind(f"unknown two-variable check {which!r}")
+    return _family_check(which, r, [A, B], witness_seed, cfg, tol, tau=tau, sigma=sigma)
+
+
+def _family_check(family, r, mats, seed, cfg, tol, **inputs) -> CheckReport:
+    """``family``'s own cell as a typed check of the one trial ``mats``."""
+    info = FAMILIES[family]
+    _require_r(r, info["r_range"], family)
+    data = _witness_cell(info["layout"], mats, seed, **inputs)
+    margins, consts = info["margins"](data, r, None, cfg, {})
+    return _verdict(family, data, margins, consts, tol, r, None)
 
 
 def _modified_bracket(mean, fn, op, r, r_range, inputs, powered):
@@ -395,27 +382,6 @@ def _modified_bracket(mean, fn, op, r, r_range, inputs, powered):
     x = mean(rep_transform(fn, op, r), inputs)
     mid = mean(fn, powered)
     return _bracket_margins(mid, x, r, "complement")
-
-
-# check: (r-range, whether tau is deformed by sigma or power-bracketed alone)
-_TWO_VAR = {"4.6": ("ge1", True), "4.7": ("le1", True), "4.8": ("ge1", False), "4.9": ("le1", False)}
-
-
-def _two_var_margins(which, tau, sigma, a, b, r, cfg):
-    if which not in _TWO_VAR:
-        raise UnknownKind(f"unknown two-variable check {which!r}")
-    r_range, by_sigma = _TWO_VAR[which]
-    _require_r(r, r_range, which)
-
-    def mean(f, x):
-        if by_sigma:
-            return _two_var_arrays(lambda t: deformed_rep(tau, f, t, cfg), *x)
-        return _two_var_arrays(lambda t: rep_eval(f, t), *x)
-
-    fn, op = (sigma, "power_inner") if by_sigma else (tau, "power_inner_outer")
-    powered = (spd_power(a, r), spd_power(b, r))
-    lo, hi, consts = _modified_bracket(mean, fn, op, r, r_range, (a, b), powered)
-    return np.minimum(lo, hi), lo, hi, consts
 
 
 def check_implication_equivalence(
@@ -517,61 +483,47 @@ def check_reverse(
     """
     if which not in (*_REVERSE_ALPHA, "5.10"):
         raise UnknownKind(f"unknown reverse check {which!r}")
-    _require_r(r, "ge1", which)
-    m, M = bounds
-    stack = _as_stack(As)
-    _check_bounds(stack, m, M)
-    w_arr = w.asarray()
-    margin, consts = _reverse_margins(which, stack, w_arr, alpha, r, (m, M), cfg, {})
-    consts = {"r": r, "alpha": alpha, "m": m, "M": M, **consts}
-    return _report(which, float(margin), consts, tol, witness_seed, As)
+    _require_r(r, FAMILIES[which]["r_range"], which)
+    data = _witness_cell("stack", As, witness_seed, w, bounds)
+    margins, consts = _reverse_margins(which, data, alpha, r, cfg, {})
+    return _verdict(which, data, margins, consts, tol, r, alpha)
 
 
-def _reverse_margins(which, stack, w_arr, alpha, r, bounds, cfg, cache):
-    m, M = bounds
+def _reverse_margins(which, data, alpha, r, cfg, cache):
+    """The reverse form ``which`` at exponent ``alpha`` on the trials of ``data``."""
+    m, M = data.bounds
     kappa0 = M / m
-    uni = Weights.uniform(stack.shape[-3])
+    uni = _uniform(data)
     if which in _REVERSE_ALPHA:
         admits, domain = _REVERSE_ALPHA[which]
         if alpha is None or not admits(alpha):
             raise BadR(f"{which} needs alpha in {domain}, got {alpha}")
     if which == "5.10":
-        key, spec = ("karcher",), MultiMeanSpec.karcher(uni)
-        spec_r = spec
+        spec = spec_r = MultiMeanSpec.karcher(uni)
     elif which == "5.8":
         # the deformed-mean form, with a harmonic deformation of the arithmetic mean
         sigma = harmonic(alpha) if alpha > 0 else rep_transform(harmonic(-alpha), "adjoint")
         base = MultiMeanSpec.arithmetic(uni)
-        key, spec = ("deformed", alpha), MultiMeanSpec.deformed(base, sigma)
+        spec = MultiMeanSpec.deformed(base, sigma)
         spec_r = MultiMeanSpec.deformed(base, rep_transform(sigma, "power_inner", 1.0 / r))
     else:
-        key, spec = ("power", alpha), MultiMeanSpec.power(uni, alpha)
+        spec = MultiMeanSpec.power(uni, alpha)
         spec_r = MultiMeanSpec.power(uni, alpha / r) if which == "5.9" else spec
-    x = _cached(cache, key, lambda: eval_mean_stack(spec, stack, cfg, weights_override=w_arr).values)
-    y = eval_mean_stack(spec_r, spd_power(stack, r), cfg, weights_override=w_arr).values
+    x = _base_mean(spec, data, cfg, cache)
+    y = _mean_vals(spec_r, spd_power(data.stack, r), data, cfg)
     kx = op_norm(x) / lambda_min(x)
     k1 = kantorovich(kappa0 * kx, r)
-    consts = {"kappa0": kappa0, "kappa_x": _w(kx), "K1": _w(k1)}
+    consts = {"kappa0": kappa0, "kappa_x": kx, "K1": k1}
     if which == "5.4":
         k2 = kantorovich((kappa0 * kx) ** alpha, r) ** (1.0 / alpha)
         pref = k1 * k2 * lambda_min(x) ** (r - 1.0)
-        return _le_margin(y, _scaled(pref, x)), {**consts, "K2_pow": _w(k2), "prefactor": _w(pref)}
+        return _le_margin(y, _scaled(pref, x)), {**consts, "K2_pow": k2, "prefactor": pref}
     if which == "5.5":
         k2 = kantorovich((kappa0 * kx) ** (-alpha), r) ** (1.0 / alpha)
         pref = k2 / k1 * op_norm(x) ** (r - 1.0)
-        return _ge_margin(y, _scaled(pref, x)), {**consts, "K2_pow": _w(k2), "prefactor": _w(pref)}
-    lo, hi, _ = _bracket_margins(y, x, r, "complement", lo_factor=1.0 / k1, hi_factor=k1)
-    return np.minimum(lo, hi), {**consts, **_lo_hi(lo, hi)}
-
-
-def _w(v):
-    """Worst-case scalar of a batched constant for report embedding."""
-    arr = np.asarray(v)
-    return float(arr.reshape(-1)[np.argmax(np.abs(arr))]) if arr.ndim else float(arr)
-
-
-def _lo_hi(lo, hi):
-    return {"lower_margin": _w(lo), "upper_margin": _w(hi)}
+        return _ge_margin(y, _scaled(pref, x)), {**consts, "K2_pow": k2, "prefactor": pref}
+    margin, sides = _bracket_margins(y, x, r, "complement", lo_factor=1.0 / k1, hi_factor=k1)
+    return margin, {**consts, **sides}
 
 
 def check_compression_reverse(
@@ -589,20 +541,7 @@ def check_compression_reverse(
 
     Requires ``m I <= A <= M I`` and ``mu I <= C^2 <= I``.
     """
-    _require_r(r, "ge1", "L5.1")
-    _check_bounds(A.a[None], m, M)
-    _check_bounds((C.a @ C.a)[None], mu, 1.0)
-    margin, consts = _compression_margin(A.a, C.a, r, m, M, mu)
-    consts = {"r": r, "m": m, "M": M, "mu": mu, **consts}
-    return _report("L5.1", float(margin), consts, tol, witness_seed, [A, C])
-
-
-def _compression_margin(a, c, r, m, M, mu):
-    h1 = M / (m * mu)
-    k = kantorovich(h1, r) if r != 1 else 1.0
-    lhs = sym(c @ spd_power(a, r) @ c)
-    rhs = _scaled(k if np.ndim(k) else np.full(a.shape[:-2], k), spd_power(sym(c @ a @ c), r))
-    return _le_margin(lhs, rhs), {"h1": _w(h1), "K": _w(k)}
+    return _family_check("L5.1", r, [A, C], witness_seed, cfg, tol, bounds=(m, M), mu=mu)
 
 
 def check_arithmetic_power_reverse(
@@ -614,21 +553,7 @@ def check_arithmetic_power_reverse(
     witness_seed: int = -1,
 ) -> CheckReport:
     """``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r`` under pinned bounds."""
-    _require_r(r, "ge1", "5.3")
-    m, M = bounds
-    stack = _as_stack(As)
-    _check_bounds(stack, m, M)
-    margin, consts = _arith_reverse_margin(stack, w.asarray(), r, m, M)
-    consts = {"r": r, "m": m, "M": M, **consts}
-    return _report("5.3", float(margin), consts, tol, witness_seed, As)
-
-
-def _arith_reverse_margin(stack, w_arr, r, m, M):
-    k = kantorovich(M / m, r) if r != 1 else 1.0
-    lhs = np.einsum("...n,...nij->...ij", w_arr, spd_power(stack, r))
-    mean = np.einsum("...n,...nij->...ij", w_arr, stack)
-    rhs = k * spd_power(mean, r)
-    return _le_margin(lhs, rhs), {"K": _w(k)}
+    return _family_check("5.3", r, As, witness_seed, DEFAULT_CONFIG, tol, weights=w, bounds=bounds)
 
 
 # --------------------------------------------------------------------------
@@ -694,27 +619,7 @@ def check_log_majorization(
     ``lambda_{N+1-i}^{r-1} lambda_i`` of the mean of the ``A_j``, with
     equality of the full products.
     """
-    _require_r(r, "le1", "logmaj")
-    stack = _as_stack(As)
-    margin, consts = _logmaj_margin(stack, w.asarray(), r, cfg, {})
-    consts = {"r": r, **consts}
-    return _report("logmaj", float(margin), consts, tol, witness_seed, As)
-
-
-def _logmaj_margin(stack, w_arr, r, cfg, cache):
-    uni = Weights.uniform(stack.shape[-3])
-    karch = MultiMeanSpec.karcher(uni)
-    g1 = _cached(cache, ("karcher",), lambda: eval_mean_stack(karch, stack, cfg, weights_override=w_arr).values)
-    gr = eval_mean_stack(karch, spd_power(stack, r), cfg, weights_override=w_arr).values
-    lam1 = np.sort(np.linalg.eigvalsh(g1), axis=-1)[..., ::-1]  # decreasing
-    lamr = np.sort(np.linalg.eigvalsh(gr), axis=-1)[..., ::-1]
-    lhs_log = np.cumsum(np.log(lamr), axis=-1)
-    rhs_log = np.cumsum((r - 1.0) * np.log(lam1[..., ::-1]) + np.log(lam1), axis=-1)
-    gap = rhs_log - lhs_log
-    eq_err = np.abs(gap[..., -1])
-    partial = gap[..., :-1].min(axis=-1) if gap.shape[-1] > 1 else np.zeros(gap.shape[:-1])
-    margin = np.minimum(partial, 1e-8 - eq_err)
-    return margin, {"equality_error": _w(eq_err), "worst_partial": _w(partial)}
+    return _family_check("logmaj", r, As, witness_seed, cfg, tol, weights=w)
 
 
 # --------------------------------------------------------------------------
@@ -876,15 +781,25 @@ def find_reverse_improvement(
     return None
 
 
-
-
 # --------------------------------------------------------------------------
 # batched campaign cells
 # --------------------------------------------------------------------------
 
+_N = 3  # matrices per trial ensemble in the stack and compress layouts
+
 
 def _mean_vals(spec, stack, data, cfg):
     return eval_mean_stack(spec, stack, cfg, weights_override=data.weights).values
+
+
+def _base_mean(spec, data, cfg, cache):
+    """``spec`` on the trials' own matrices; the solve does not depend on r."""
+    return _cached(cache, spec, lambda: _mean_vals(spec, data.stack, data, cfg))
+
+
+def _uniform(data):
+    """Placeholder weights of a cell's mean specs; the trial weights override them."""
+    return Weights.uniform(data.stack.shape[-3])
 
 
 # Margin functions of the families: ``(data, r, alpha, cfg, cache)`` to the
@@ -893,77 +808,113 @@ def _mean_vals(spec, stack, data, cfg):
 # shared-ensemble seed scheme makes reusable across the whole r grid.
 
 
+def _ah_margin(spec, adjoint, compare, data, r, cfg, cache):
+    """3.1-3.4: ``spec(A^r)`` against ``spec(A)`` scaled by its
+    ``lambda_min^{r-1}``, or by its norm to the r-1 when ``spec`` is the
+    adjoint side, in the order ``compare`` tests."""
+    base = _base_mean(spec, data, cfg, cache)
+    powd = _mean_vals(spec, spd_power(data.stack, r), data, cfg)
+    pref = (op_norm(base) if adjoint else lambda_min(base)) ** (r - 1.0)
+    return compare(powd, _scaled(pref, base))
+
+
 def _ah_power_cell(variant, data, r, alpha, cfg, cache):
     """3.9-3.12: the check ``variant`` of :func:`check_ah_family` for the
     power mean P_alpha, whose adjoint is P_{-alpha}."""
     _, adjoint, compare = _AH_VARIANTS[variant]
     a = -alpha if adjoint else alpha
-    spec = MultiMeanSpec.power(Weights.uniform(data.n), a)
-    base = _cached(cache, ("power", a), lambda: _mean_vals(spec, data.stack, data, cfg))
-    powd = _mean_vals(spec, spd_power(data.stack, r), data, cfg)
-    pref = (op_norm(base) if adjoint else lambda_min(base)) ** (r - 1.0)
-    return compare(powd, _scaled(pref, base)), {"alpha_used": a}
+    spec = MultiMeanSpec.power(_uniform(data), a)
+    return _ah_margin(spec, adjoint, compare, data, r, cfg, cache), {"alpha_used": a}
 
 
 def _ah_karcher_cell(style, data, r, alpha, cfg, cache):
     """3.13/3.14: the Karcher mean at A^r bracketed by its value at A."""
-    spec = MultiMeanSpec.karcher(Weights.uniform(data.n))
-    base = _cached(cache, ("karcher",), lambda: _mean_vals(spec, data.stack, data, cfg))
-    powd = _mean_vals(spec, spd_power(data.stack, r), data, cfg)
-    lo, hi, _ = _bracket_margins(powd, base, r, style)
-    return np.minimum(lo, hi), _lo_hi(lo, hi)
+    spec = MultiMeanSpec.karcher(_uniform(data))
+    base = _base_mean(spec, data, cfg, cache)
+    return _bracket_margins(_mean_vals(spec, spd_power(data.stack, r), data, cfg), base, r, style)
 
 
 def _power_direct_cell(data, r, alpha, cfg, cache):
     """4.4: P_{alpha/r}(A^r) bracketed by P_alpha(A), r >= 1."""
-    uni = Weights.uniform(data.n)
-    x = _cached(cache, ("power", alpha), lambda: _mean_vals(MultiMeanSpec.power(uni, alpha), data.stack, data, cfg))
+    uni = _uniform(data)
+    x = _base_mean(MultiMeanSpec.power(uni, alpha), data, cfg, cache)
     mid = _mean_vals(MultiMeanSpec.power(uni, alpha / r), spd_power(data.stack, r), data, cfg)
-    lo, hi, _ = _bracket_margins(mid, x, r, "direct")
-    return np.minimum(lo, hi), _lo_hi(lo, hi)
+    return _bracket_margins(mid, x, r, "direct")
 
 
 def _power_complement_cell(data, r, alpha, cfg, cache):
     """4.5: P_alpha(A^r) bracketed by P_{alpha r}(A), 0 < r <= 1."""
-    uni = Weights.uniform(data.n)
+    uni = _uniform(data)
     x = _mean_vals(MultiMeanSpec.power(uni, alpha * r), data.stack, data, cfg)
     mid = _mean_vals(MultiMeanSpec.power(uni, alpha), spd_power(data.stack, r), data, cfg)
-    lo, hi, _ = _bracket_margins(mid, x, r, "complement")
-    return np.minimum(lo, hi), _lo_hi(lo, hi)
+    return _bracket_margins(mid, x, r, "complement")
 
 
-def _pair_cell(which, data, r, alpha, cfg, cache):
-    margin, lo, hi, _ = _two_var_margins(which, data.tau, data.sigma, data.a, data.b, r, cfg)
-    fns = {"tau_json": repfn_to_json(data.tau), "sigma_json": repfn_to_json(data.sigma)}
-    return margin, {**fns, **_lo_hi(lo, hi)}
+def _pair_cell(r_range, by_sigma, data, r, alpha, cfg, cache):
+    """4.6-4.9: the modified bracket of the two-variable mean tau, deformed
+    by sigma (4.6/4.7) or power-bracketed alone (4.8/4.9)."""
+
+    def mean(f, x):
+        if by_sigma:
+            return _two_var_arrays(lambda t: deformed_rep(data.tau, f, t, cfg), *x)
+        return _two_var_arrays(lambda t: rep_eval(f, t), *x)
+
+    fn, op = (data.sigma, "power_inner") if by_sigma else (data.tau, "power_inner_outer")
+    powered = (spd_power(data.a, r), spd_power(data.b, r))
+    margin, sides = _modified_bracket(mean, fn, op, r, r_range, (data.a, data.b), powered)
+    sigma_json = None if data.sigma is None else repfn_to_json(data.sigma)
+    return margin, {"tau_json": repfn_to_json(data.tau), "sigma_json": sigma_json, **sides}
 
 
 def _arith_reverse_cell(data, r, alpha, cfg, cache):
-    return _arith_reverse_margin(data.stack, data.weights, r, *data.bounds)
+    """5.3: ``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r``."""
+    m, M = data.bounds
+    k = kantorovich(M / m, r) if r != 1 else 1.0
+    lhs = np.einsum("...n,...nij->...ij", data.weights, spd_power(data.stack, r))
+    mean = np.einsum("...n,...nij->...ij", data.weights, data.stack)
+    return _le_margin(lhs, k * spd_power(mean, r)), {"K": k}
 
 
 def _compression_cell(data, r, alpha, cfg, cache):
+    """L5.1: ``C A^r C <= K(M/(m mu), r) (C A C)^r`` for the first matrix
+    ``A`` of each trial's ensemble."""
     m, M = data.bounds
-    margin, consts = _compression_margin(data.stack[:, 0], data.c, r, m, M, data.mu)
-    return margin, {"mu": data.mu, **consts}
+    a, c = data.stack[:, 0], data.c
+    h1 = M / (m * data.mu)
+    k = kantorovich(h1, r) if r != 1 else 1.0
+    lhs = sym(c @ spd_power(a, r) @ c)
+    return _le_margin(lhs, k * spd_power(sym(c @ a @ c), r)), {"mu": data.mu, "h1": h1, "K": k}
 
 
 def _reverse_cell(which, negate, data, r, alpha, cfg, cache):
     a_used = -alpha if negate else alpha
-    margin, consts = _reverse_margins(which, data.stack, data.weights, a_used, r, data.bounds, cfg, cache)
+    margin, consts = _reverse_margins(which, data, a_used, r, cfg, cache)
     return margin, {"alpha_used": a_used, **consts}
 
 
 def _logmaj_cell(data, r, alpha, cfg, cache):
-    return _logmaj_margin(data.stack, data.weights, r, cfg, cache)
+    """logmaj: see :func:`check_log_majorization`; the full products must
+    agree to 1e-8 in log terms."""
+    karch = MultiMeanSpec.karcher(_uniform(data))
+    g1 = _base_mean(karch, data, cfg, cache)
+    gr = _mean_vals(karch, spd_power(data.stack, r), data, cfg)
+    lam1 = np.sort(np.linalg.eigvalsh(g1), axis=-1)[..., ::-1]  # decreasing
+    lamr = np.sort(np.linalg.eigvalsh(gr), axis=-1)[..., ::-1]
+    lhs_log = np.cumsum(np.log(lamr), axis=-1)
+    rhs_log = np.cumsum((r - 1.0) * np.log(lam1[..., ::-1]) + np.log(lam1), axis=-1)
+    gap = rhs_log - lhs_log
+    eq_err = np.abs(gap[..., -1])
+    worst_partial = gap[..., :-1].min(axis=-1) if gap.shape[-1] > 1 else np.zeros(gap.shape[:-1])
+    margin = np.minimum(worst_partial, 1e-8 - eq_err)
+    return margin, {"equality_error": eq_err, "worst_partial": worst_partial}
 
 
 def _family(r_range, margins, needs_alpha=True, layout="stack", spread=None):
     """One campaign family.
 
-    ``layout`` holds a trial as ``"stack"`` (``n`` matrices and weights),
+    ``layout`` holds a trial as ``"stack"`` (``_N`` matrices and weights),
     ``"pair"`` (A, B and the representing functions tau, sigma) or
-    ``"compress"`` (``n`` matrices and weights, then a compression C); the
+    ``"compress"`` (``_N`` matrices and weights, then a compression C); the
     witness matrices are written in that order.  ``spread`` pins a bounded
     family's inputs to [m, M], m ~ U(0.5, 1) per cell and M/m fixed or drawn
     from a (lo, hi) range; the others use [0.5, 2.2].  The Kantorovich
@@ -985,10 +936,10 @@ FAMILIES = {
     "3.14": _family("le1", partial(_ah_karcher_cell, "complement"), needs_alpha=False),
     "4.4": _family("ge1", _power_direct_cell),
     "4.5": _family("le1", _power_complement_cell),
-    "4.6": _family("ge1", partial(_pair_cell, "4.6"), layout="pair"),
-    "4.7": _family("le1", partial(_pair_cell, "4.7"), layout="pair"),
-    "4.8": _family("ge1", partial(_pair_cell, "4.8"), layout="pair"),
-    "4.9": _family("le1", partial(_pair_cell, "4.9"), layout="pair"),
+    "4.6": _family("ge1", partial(_pair_cell, "ge1", True), layout="pair"),
+    "4.7": _family("le1", partial(_pair_cell, "le1", True), layout="pair"),
+    "4.8": _family("ge1", partial(_pair_cell, "ge1", False), layout="pair"),
+    "4.9": _family("le1", partial(_pair_cell, "le1", False), layout="pair"),
     "5.3": _family("ge1", _arith_reverse_cell, needs_alpha=False, spread=(1.6, 3.4)),
     "L5.1": _family("ge1", _compression_cell, needs_alpha=False, layout="compress", spread=10.0),
     "5.4": _family("ge1", partial(_reverse_cell, "5.4", False), spread=8.0),
@@ -1017,7 +968,10 @@ class _CellData:
     mu: float = 0.4  # the compress layout draws C with mu I <= C^2 <= I
     tau: Optional[RepFnSpec] = None
     sigma: Optional[RepFnSpec] = None
-    n: int = 3
+
+    @property
+    def dim(self) -> int:
+        return int((self.a if self.stack is None else self.stack).shape[-1])
 
     def witness(self, idx):
         """Trial ``idx``'s matrices in wire format, in the order ``recheck`` reads them."""
@@ -1028,7 +982,7 @@ class _CellData:
         return [matrix_to_json(m) for m in mats]
 
 
-def _gen_cell_data(family, dim, alpha, trials, master_seed, n=3) -> _CellData:
+def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
     """Deterministic trial data for one campaign cell.
 
     The seed scheme deliberately excludes r, so every r-value of a family
@@ -1037,7 +991,7 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed, n=3) -> _CellData:
     """
     info = FAMILIES[family]
     seeds = [_derive_seed(master_seed, family, dim, alpha, t) for t in range(trials)]
-    data = _CellData(seeds=seeds, n=n)
+    data = _CellData(seeds=seeds)
     spectrum, spread = (0.5, 2.2), info["spread"]
     if spread is not None:
         cell_rng = np.random.default_rng(_derive_seed(master_seed, family, dim, alpha, "cell"))
@@ -1054,16 +1008,51 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed, n=3) -> _CellData:
         data.sigma = geometric(a_sig) if kind_rng.integers(2) == 0 else harmonic(a_sig)
         return data
     data.stack = np.stack(
-        [[random_spd(dim, spectrum, _derive_seed(s, j)).a for j in range(n)] for s in seeds]
+        [[random_spd(dim, spectrum, _derive_seed(s, j)).a for j in range(_N)] for s in seeds]
     )
     raw = np.stack(
-        [np.random.default_rng(_derive_seed(s, "w")).uniform(0.2, 1.0, n) for s in seeds]
+        [np.random.default_rng(_derive_seed(s, "w")).uniform(0.2, 1.0, _N) for s in seeds]
     )
     data.weights = raw / raw.sum(axis=1, keepdims=True)
     if info["layout"] == "compress":
         data.c = np.stack(
             [random_spd(dim, (np.sqrt(data.mu), 0.999999), _derive_seed(s, "c")).a for s in seeds]
         )
+    return data
+
+
+def _witness_cell(layout, mats, seed, weights=None, bounds=None, mu=None, tau=None, sigma=None) -> _CellData:
+    """A one-trial cell in ``layout`` from typed inputs or a report's witness.
+
+    ``mats`` are the trial's matrices in witness order.  The trial must be
+    one that a campaign could have drawn: a matrix count that fits the
+    layout, one dimension, one weight per ensemble matrix (uniform when
+    ``weights`` is None), ``m I <= A_j <= M I`` under ``bounds = (m, M)``
+    and ``mu I <= C^2 <= I`` for the compression.
+    """
+    arrays = _as_stack(mats)
+    if (layout == "pair" and len(arrays) != 2) or (layout == "compress" and len(arrays) < 2):
+        raise ArityMismatch(f"{len(arrays)} matrices do not fit the {layout} layout")
+    data = _CellData(seeds=[seed])
+    if layout == "pair":
+        data.a, data.b, data.tau, data.sigma = arrays[:1], arrays[1:], tau, sigma
+        return data
+    ensemble = arrays[:-1] if layout == "compress" else arrays
+    w = Weights.uniform(len(ensemble)) if weights is None else weights
+    if len(w.values) != len(ensemble):
+        raise ArityMismatch(f"{len(w.values)} weights for {len(ensemble)} matrices")
+    data.stack, data.weights = ensemble[None], w.asarray()[None]
+    if bounds is not None:
+        if not 0 < bounds[0] <= bounds[1]:
+            raise BoundsViolated(f"bounds need 0 < m <= M, got {tuple(bounds)}")
+        data.bounds = tuple(bounds)
+        _check_bounds(ensemble, *data.bounds)
+    if layout == "compress":
+        data.c = arrays[-1:]
+        data.mu = data.mu if mu is None else mu
+        if not 0 < data.mu <= 1:
+            raise BoundsViolated(f"mu must lie in (0, 1], got {data.mu}")
+        _check_bounds(data.c @ data.c, data.mu, 1.0)
     return data
 
 
@@ -1082,6 +1071,40 @@ def _cell_id(family, dim, r, alpha) -> str:
     return f"{family}[dim={dim},r={r}" + (f",alpha={alpha}]" if FAMILIES[family]["needs_alpha"] else "]")
 
 
+def _at(value, idx):
+    """A constant as reported: a per-trial array is read at trial ``idx``."""
+    return float(value[idx]) if isinstance(value, np.ndarray) else value
+
+
+def _verdict(ident, data, margins, consts, tol, r, alpha) -> CheckReport:
+    """The report of a cell: its worst trial decides ``holds`` and gives every
+    per-trial constant; a failing report embeds that trial's seed, matrices
+    and weights so it can be re-checked in isolation."""
+    margins = np.atleast_1d(np.asarray(margins, dtype=float))
+    worst = int(np.argmin(margins))
+    margin = float(margins[worst])
+    constants = {
+        "r": r, "alpha": alpha, "dim": data.dim, "trials": len(data.seeds),
+        "worst_trial": worst, **{k: _at(v, worst) for k, v in consts.items()},
+    }
+    if data.bounds[0] is not None:
+        constants["m"], constants["M"] = data.bounds
+    holds = margin >= -tol
+    matrices = None
+    if not holds:
+        matrices = data.witness(worst)
+        if data.weights is not None:
+            constants["weights"] = [float(x) for x in data.weights[worst]]
+    return CheckReport(
+        inequality_id=ident,
+        holds=holds,
+        margin=margin,
+        constants=constants,
+        witness_seed=int(data.seeds[worst]),
+        matrices=matrices,
+    )
+
+
 def run_cell(
     family: str,
     dim: int,
@@ -1091,7 +1114,6 @@ def run_cell(
     master_seed: int,
     cfg: SolverConfig = DEFAULT_CONFIG,
     tol: float = DEFAULT_CHECK_TOL,
-    n: int = 3,
     data: Optional[_CellData] = None,
     cache: Optional[dict] = None,
 ) -> CheckReport:
@@ -1105,32 +1127,10 @@ def run_cell(
     """
     info = _cell_info(family, r, alpha)
     if data is None:
-        data = _gen_cell_data(family, dim, alpha, trials, master_seed, n=n)
+        data = _gen_cell_data(family, dim, alpha, trials, master_seed)
     quiet = replace(cfg, certify=False)
     margins, consts = info["margins"](data, r, alpha, quiet, {} if cache is None else cache)
-    margins = np.atleast_1d(np.asarray(margins, dtype=float))
-    worst = int(np.argmin(margins))
-    margin = float(margins[worst])
-    constants = {
-        "r": r, "alpha": alpha, "dim": dim, "trials": trials,
-        "worst_trial": worst, **{k: _plain(v) for k, v in consts.items()},
-    }
-    if data.bounds[0] is not None:
-        constants["m"], constants["M"] = data.bounds
-    holds = margin >= -tol
-    matrices = None
-    if not holds:
-        matrices = data.witness(worst)
-        if data.weights is not None:
-            constants["weights"] = [float(x) for x in data.weights[worst]]
-    return CheckReport(
-        inequality_id=_cell_id(family, dim, r, alpha),
-        holds=holds,
-        margin=margin,
-        constants=constants,
-        witness_seed=int(data.seeds[worst]),
-        matrices=matrices,
-    )
+    return _verdict(_cell_id(family, dim, r, alpha), data, margins, consts, tol, r, alpha)
 
 
 def _finite(value, what) -> float:
@@ -1147,9 +1147,11 @@ def _finite(value, what) -> float:
 def recheck(report_json: dict, cfg: SolverConfig = DEFAULT_CONFIG, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
     """Re-run a single failed campaign report from its embedded witness.
 
-    The family's layout rebuilds the witness into a one-trial cell, which
-    :func:`run_cell` evaluates; a report that does not fit the layout raises
-    a typed error.
+    The witness, with the report's weights, bounds, ``mu`` and representing
+    functions, becomes a one-trial cell of the family, validated like the
+    inputs of a typed check (a witness outside its bounds raises
+    BoundsViolated), which :func:`run_cell` evaluates.  A report that does
+    not fit the family's layout raises a typed error.
     """
     if not isinstance(report_json, dict) or not isinstance(report_json.get("inequality_id"), str):
         raise ConfigError("a report must be a JSON object with a string 'inequality_id'")
@@ -1169,35 +1171,20 @@ def recheck(report_json: dict, cfg: SolverConfig = DEFAULT_CONFIG, tol: float = 
     mats = report_json.get("matrices")
     if not mats or not isinstance(mats, list):
         raise UnknownKind("report carries no embedded witness matrices")
-    arrays = _as_stack([matrix_from_json(m) for m in mats])
-    layout = info["layout"]
-    if (layout == "pair" and len(arrays) != 2) or (layout == "compress" and len(arrays) < 2):
-        raise ArityMismatch(f"{family} witness has {len(arrays)} matrices, which does not fit its layout")
-    data = _CellData(seeds=[seed])
+    inputs = {}
     if info["spread"] is not None:
-        data.bounds = (_finite(consts.get("m"), "m"), _finite(consts.get("M"), "M"))
-        if not 0 < data.bounds[0] <= data.bounds[1]:
-            raise ConfigError(f"bounds need 0 < m <= M, got {data.bounds}")
-    if layout == "pair":
+        inputs["bounds"] = (_finite(consts.get("m"), "m"), _finite(consts.get("M"), "M"))
+    if "mu" in consts:
+        inputs["mu"] = _finite(consts["mu"], "mu")
+    if "weights" in consts:
+        inputs["weights"] = Weights(consts["weights"])
+    if info["layout"] == "pair":
         if "tau_json" not in consts or "sigma_json" not in consts:
             raise ConfigError(f"{family} reports must carry tau_json and sigma_json")
-        data.a, data.b = arrays[0][None], arrays[1][None]
-        data.tau = repfn_from_json(consts["tau_json"])
-        data.sigma = repfn_from_json(consts["sigma_json"])
-    else:
-        ensemble = arrays[:-1] if layout == "compress" else arrays
-        data.stack = ensemble[None]
-        data.n = len(ensemble)
-        w = Weights(consts["weights"]) if "weights" in consts else Weights.uniform(data.n)
-        if len(w.values) != data.n:
-            raise ArityMismatch(f"{len(w.values)} weights for {data.n} matrices")
-        data.weights = w.asarray()[None]
-        if layout == "compress":
-            data.c = arrays[-1][None]
-            data.mu = _finite(consts.get("mu", data.mu), "mu")
-            if not 0 < data.mu <= 1:
-                raise ConfigError(f"mu must lie in (0, 1], got {data.mu}")
-    rep = run_cell(family, arrays[0].shape[-1], r, alpha, 1, seed, cfg, tol, data=data)
+        inputs["tau"] = repfn_from_json(consts["tau_json"])
+        inputs["sigma"] = repfn_from_json(consts["sigma_json"])
+    data = _witness_cell(info["layout"], [matrix_from_json(m) for m in mats], seed, **inputs)
+    rep = run_cell(family, data.dim, r, alpha, 1, seed, cfg, tol, data=data)
     return replace(rep, inequality_id=ident)
 
 
@@ -1236,6 +1223,9 @@ class CampaignConfig:
             raise ConfigError("inequality_ids, dimensions and r_values must be nonempty")
         if any(d < 1 for d in dims):
             raise ConfigError("dimensions must be positive")
+        # a cell holds all its trials in one (trials, _N, dim, dim) array
+        if trials * _N * max(dims) ** 2 > np.iinfo(np.intp).max:
+            raise ConfigError(f"{trials} trials of dimension {max(dims)} do not fit in one array")
         unknown = [i for i in ids if not isinstance(i, str) or i not in FAMILIES]
         if unknown:
             raise ConfigError(f"unknown inequality ids: {unknown}")

@@ -85,6 +85,26 @@ def test_mean_incomplete_spec_is_input_error(tmp_path, capsys, spec):
     assert "MissingParameter" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--tol", "-1"], ["--max-iters", "0"], ["--tol", "inf"], ["--tol", "nan"]]
+)
+def test_mean_bad_solver_flags_are_input_errors(tmp_path, capsys, flags):
+    spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.5, 0.5]})
+    mats = write(tmp_path, "mats.json", [matrix_json(np.eye(2)), matrix_json(2 * np.eye(2))])
+    code = main(["mean", "--spec", spec, "--matrices", mats, "--no-certify", *flags])
+    assert "ConfigError" in capsys.readouterr().err
+    assert code == EXIT_INPUT
+
+
+def test_mean_unwritable_output_is_input_error(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.5, 0.5]})
+    mats = write(tmp_path, "mats.json", [matrix_json(np.eye(2)), matrix_json(2 * np.eye(2))])
+    out = str(tmp_path / "missing" / "x.json")
+    code = main(["mean", "--spec", spec, "--matrices", mats, "--output", out])
+    assert "ConfigError" in capsys.readouterr().err
+    assert code == EXIT_INPUT
+
+
 def campaign(tmp_path, **overrides):
     base = {
         "inequality_ids": ["3.13", "3.9"],
@@ -141,7 +161,13 @@ def test_verify_unknown_family_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config",
-    [[1, 2, 3], {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [10**400]}],
+    [
+        [1, 2, 3],
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [10**400]},
+        # sizes whose trial arrays numpy cannot index: rejected before any work
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "trials": 10**20},
+        {"inequality_ids": ["3.9"], "dimensions": [10**11], "r_values": [2.0]},
+    ],
 )
 def test_verify_malformed_config_is_config_error(tmp_path, capsys, config):
     path = write(tmp_path, "config.json", config)
@@ -238,11 +264,36 @@ def test_verify_recheck_malformed_report(tmp_path, capsys, family, changes):
     assert code == EXIT_INPUT
 
 
+def _scaled_witness(report, factor, indices):
+    """``report`` with its witness matrices at ``indices`` scaled by ``factor``."""
+    for i in indices:
+        mat = report["matrices"][i]
+        mat["entries"] = [[factor * x for x in row] for row in mat["entries"]]
+    return report
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        # every 5.4 matrix scaled far outside the report's [m, M]
+        _scaled_witness(_failing_report("5.4"), 50.0, (0, 1, 2)),
+        # the L5.1 compression C (the last matrix) scaled so that C^2 > I
+        _scaled_witness(_failing_report("L5.1"), 1.5, (-1,)),
+    ],
+)
+def test_verify_recheck_witness_outside_bounds(tmp_path, capsys, report):
+    path = write(tmp_path, "report.json", report)
+    code = main(["verify", "--recheck", path])
+    assert "BoundsViolated" in capsys.readouterr().err
+    assert code == EXIT_INPUT
+
+
 # ------------------------------------------------------------------ fuzzing
 
-# Integers stay small: a campaign's trials and dimensions are sizes, and a huge
-# size is a well-formed request for a huge run, not malformed input.  Numbers
-# too large for a float are covered by the explicit cases above.
+# Integers stay small: a campaign's trials and dimensions are sizes, and a large
+# size is a well-formed request for a long run, not malformed input.  Sizes too
+# large for one array and numbers too large for a float are covered by the
+# explicit cases above.
 _scalars = (
     st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-10, 10)
     | st.sampled_from([float("nan"), float("inf"), -float("inf")]) | st.text(max_size=4)

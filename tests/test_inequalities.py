@@ -26,9 +26,9 @@ from opmeans.inequalities import (
     run_cell,
     verify_counterexample,
 )
-from opmeans.meanfns import arithmetic, geometric, harmonic, left_trivial, rep_eval
+from opmeans.meanfns import arithmetic, geometric, harmonic, left_trivial, rep_eval, repfn_from_json
 from opmeans.multimeans import MultiMeanSpec, Weights, eval_mean, power_mean
-from opmeans.psd_core import random_spd, validate_spd
+from opmeans.psd_core import matrix_from_json, random_spd, validate_spd
 
 W3 = Weights((0.2, 0.3, 0.5))
 UNI3 = Weights.uniform(3)
@@ -591,16 +591,75 @@ def test_run_campaign_matches_ungrouped_cells():
         ]
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_recheck_reproduces_every_family_witness(family):
-    # tol = -1 fails every cell, so each family's report embeds a witness in
-    # its layout, and recheck must rebuild the same trial from it
+def _forced_failure(family):
+    """A report of ``family`` over several trials; tol = -1 fails every cell,
+    so the report embeds the worst trial's witness in the family's layout."""
     r = 2.0 if FAMILIES[family]["r_range"] == "ge1" else 0.5
     alpha = 0.5 if FAMILIES[family]["needs_alpha"] else None
     rep = run_cell(family, 2, r, alpha, 4, 5, tol=-1.0)
     assert not rep.holds and rep.matrices
+    return rep
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_recheck_reproduces_every_family_witness(family):
+    # recheck rebuilds the worst trial, so it reproduces the margin and every
+    # constant the report read at that trial
+    rep = _forced_failure(family)
     again = recheck(json.loads(json.dumps(rep.to_json())), tol=-1.0)
     assert again.margin == pytest.approx(rep.margin, rel=1e-8, abs=1e-12)
+    assert again.constants["trials"] == 1 and again.constants["worst_trial"] == 0
+    for key, value in rep.constants.items():
+        if isinstance(value, float):
+            assert again.constants[key] == pytest.approx(value, rel=1e-8, abs=1e-12), key
+        elif key not in ("trials", "worst_trial"):
+            assert again.constants[key] == value, key
+
+
+def _typed_margin(family, report):
+    """The typed form of ``family`` on a cell report's witness, weights and bounds."""
+    c = report.constants
+    mats = [matrix_from_json(m) for m in report.matrices]
+    r, alpha = c["r"], c["alpha"]
+    w = Weights(c["weights"]) if "weights" in c else None
+    bounds = (c.get("m"), c.get("M"))
+    if family in ("3.9", "3.10", "3.11", "3.12"):
+        variant = {"3.9": "3.1", "3.10": "3.2", "3.11": "3.3", "3.12": "3.4"}[family]
+        return check_ah_family(MultiMeanSpec.power(w, alpha), mats, r, variant, QUIET).margin
+    if family in ("3.13", "3.14"):
+        # the Karcher mean is its own adjoint, so its bracket is the pair 3.1/3.2 (3.3/3.4)
+        variants = ("3.1", "3.2") if family == "3.13" else ("3.3", "3.4")
+        return min(check_ah_family(MultiMeanSpec.karcher(w), mats, r, v, QUIET).margin for v in variants)
+    if family in ("4.4", "4.5"):
+        # P_alpha is the arithmetic mean deformed by the weighted geometric mean
+        which = "4.1" if family == "4.4" else "4.2"
+        return check_modified(MultiMeanSpec.arithmetic(w), geometric(alpha), mats, r, which, QUIET).margin
+    if FAMILIES[family]["layout"] == "pair":
+        tau, sigma = repfn_from_json(c["tau_json"]), repfn_from_json(c["sigma_json"])
+        return check_two_var(tau, sigma, *mats, r, family).margin
+    if family == "5.3":
+        return check_arithmetic_power_reverse(w, mats, r, bounds).margin
+    if family == "L5.1":
+        return check_compression_reverse(mats[0], mats[-1], r, *bounds, c["mu"]).margin
+    if family == "logmaj":
+        return check_log_majorization(w, mats, r, QUIET).margin
+    return check_reverse(w, c["alpha_used"], mats, r, family, bounds, QUIET).margin
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_typed_check_returns_cell_margin_on_witness(family):
+    rep = _forced_failure(family)
+    assert _typed_margin(family, rep) == pytest.approx(rep.margin, rel=1e-8, abs=1e-12)
+
+
+def test_typed_report_carries_cell_constants():
+    As = ensemble(2, 3, 60, (1.0, 3.0))
+    rep = check_reverse(W3, 0.5, As, 2.0, "5.4", (1.0, 3.0), QUIET, tol=-1.0, witness_seed=7)
+    assert not rep.holds and rep.witness_seed == 7 and len(rep.matrices) == 3
+    c = rep.constants
+    assert (c["r"], c["alpha"], c["dim"], c["trials"], c["worst_trial"]) == (2.0, 0.5, 2, 1, 0)
+    assert (c["m"], c["M"], c["weights"]) == (1.0, 3.0, [0.2, 0.3, 0.5])
+    assert {"kappa0", "kappa_x", "K1", "K2_pow", "prefactor"} <= set(c)
 
 
 def test_family_table_is_complete():

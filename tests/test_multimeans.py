@@ -134,6 +134,13 @@ def test_deformed_mean_residual_contract(base_kind, sigma):
     assert fixed_point_gap(base, sigma, As, res.value.a) < 2 * cfg.dt_tol
 
 
+@pytest.mark.parametrize("field", ["dt_tol", "tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+def test_solver_config_rejects_bad_tolerances(field, value):
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: value})
+
+
 def test_deformed_mean_no_convergence_payload():
     As = ensemble(3, 3, 77)
     cfg = SolverConfig(max_iters=2)
