@@ -64,6 +64,7 @@ from .multimeans import (
     MultiMeanSpec,
     Weights,
     _as_stack,
+    _weighted_sum,
     eval_mean_stack,
 )
 from .psd_core import (
@@ -587,8 +588,8 @@ def lie_trotter_gap(
     stack = _as_stack(As)
     w_arr = w.asarray()
     mean_val = eval_mean_stack(spec, stack, cfg).values
-    arith = np.einsum("n,nij->ij", w_arr, stack)
-    harm = spd_inv(np.einsum("n,nij->ij", w_arr, spd_inv(stack)))
+    arith = _weighted_sum(w_arr, stack)
+    harm = spd_inv(_weighted_sum(w_arr, spd_inv(stack)))
     order_tol = 1e-9
     lo = loewner_compare(SpdMatrix(stack.shape[-1], harm), SpdMatrix(stack.shape[-1], mean_val), order_tol)
     hi = loewner_compare(SpdMatrix(stack.shape[-1], mean_val), SpdMatrix(stack.shape[-1], arith), order_tol)
@@ -596,7 +597,7 @@ def lie_trotter_gap(
         raise SandwichFails(
             f"mean escapes the harmonic-arithmetic sandwich (margins {lo.margin:.3e}, {hi.margin:.3e})"
         )
-    target = spd_exp(np.einsum("n,nij->ij", w_arr, spd_log(stack)))
+    target = spd_exp(_weighted_sum(w_arr, spd_log(stack)))
     gaps = []
     for p in ps:
         val = eval_mean_stack(spec, spd_power(stack, p), cfg).values
@@ -870,8 +871,8 @@ def _arith_reverse_cell(data, r, alpha, cfg, cache):
     """5.3: ``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r``."""
     m, M = data.bounds
     k = kantorovich(M / m, r) if r != 1 else 1.0
-    lhs = np.einsum("...n,...nij->...ij", data.weights, spd_power(data.stack, r))
-    mean = np.einsum("...n,...nij->...ij", data.weights, data.stack)
+    lhs = _weighted_sum(data.weights, spd_power(data.stack, r))
+    mean = _weighted_sum(data.weights, data.stack)
     return _le_margin(lhs, k * spd_power(mean, r)), {"K": k}
 
 
@@ -1223,9 +1224,12 @@ class CampaignConfig:
             raise ConfigError("inequality_ids, dimensions and r_values must be nonempty")
         if any(d < 1 for d in dims):
             raise ConfigError("dimensions must be positive")
-        # a cell holds all its trials in one (trials, _N, dim, dim) array
-        if trials * _N * max(dims) ** 2 > np.iinfo(np.intp).max:
-            raise ConfigError(f"{trials} trials of dimension {max(dims)} do not fit in one array")
+        # a cell holds all its trials in one (trials, _N, dim, dim) array;
+        # reserving one up front rejects sizes that cannot run before any work
+        try:
+            np.empty((trials, _N, max(dims), max(dims)))
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"{trials} trials of dimension {max(dims)} do not fit in memory: {exc}") from exc
         unknown = [i for i in ids if not isinstance(i, str) or i not in FAMILIES]
         if unknown:
             raise ConfigError(f"unknown inequality ids: {unknown}")

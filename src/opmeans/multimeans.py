@@ -39,13 +39,14 @@ from .meanfns import RepFnSpec, geometric, rep_eval, repfn_from_json, repfn_to_j
 from .psd_core import (
     LoewnerVerdict,
     SpdMatrix,
+    _rebuild,
+    congruence,
     eigh_apply,
     lambda_min,
     loewner_compare,
     op_norm,
     spd_inv,
     spd_sqrt_pair,
-    sym,
     thompson,
 )
 
@@ -257,7 +258,7 @@ def _deformed_loop(base: MultiMeanSpec, sigma: RepFnSpec, stack, cfg, w_over=Non
     step = None
     for k in range(1, cfg.max_iters + 1):
         xh, xih = spd_sqrt_pair(x)
-        w_blocks = sym(np.einsum("...ij,...njk,...kl->...nil", xih, stack, xih))
+        w_blocks = congruence(xih[..., None, :, :], stack)
         f_blocks = eigh_apply(w_blocks, sigma_fn)
         z, _, _ = _eval_node(base, f_blocks, cfg, w_over)
         zw = np.linalg.eigvalsh(z)
@@ -270,7 +271,7 @@ def _deformed_loop(base: MultiMeanSpec, sigma: RepFnSpec, stack, cfg, w_over=Non
             )
         lzw = np.log(np.maximum(zw, 1e-300))
         step = np.maximum(np.abs(lzw[..., 0]), np.abs(lzw[..., -1]))
-        x = sym(np.einsum("...ij,...jk,...kl->...il", xh, z, xh))
+        x = congruence(xh, z)
         if np.all(step < cfg.dt_tol):
             return x, k, step
     raise NoConvergence(
@@ -282,14 +283,14 @@ def _deformed_loop(base: MultiMeanSpec, sigma: RepFnSpec, stack, cfg, w_over=Non
 
 def _karcher_residual(w, stack, x):
     xh, xih = spd_sqrt_pair(x)
-    blocks = sym(np.einsum("...ij,...njk,...kl->...nil", xih, stack, xih))
+    blocks = congruence(xih[..., None, :, :], stack)
     ew, ev = np.linalg.eigh(blocks)
     if np.any(ew <= 0):
         raise NoConvergence(
             "Karcher iterate lost positive definiteness", last_iterate=x, residual=None
         )
     lew = np.log(ew)
-    logs = sym(np.einsum("...ij,...j,...kj->...ik", ev, lew, ev))
+    logs = _rebuild(ev, lew)
     # max Thompson radius of the inputs seen from x, for the step-size model
     dmax = np.maximum(np.abs(lew[..., 0]), np.abs(lew[..., -1])).max(axis=-1)
     r = _weighted_sum(w, logs)
@@ -314,7 +315,7 @@ def _karcher_loop(w, stack, cfg):
             break
         theta = np.minimum(cap, 2.0 / (2.0 + dmax))
         step = eigh_apply(theta[..., None, None] * r, np.exp)
-        x_try = sym(np.einsum("...ij,...jk,...kl->...il", xh, step, xh))
+        x_try = congruence(xh, step)
         xh_try, r_try, rnorm_try, dmax_try = _karcher_residual(w, stack, x_try)
         accept = (rnorm_try <= rnorm) | (rnorm < cfg.dt_tol)
         acc = accept[..., None, None]
@@ -364,12 +365,16 @@ def eval_mean_stack(
 
 
 def _certify_karcher(w, stack, vals, cfg):
-    """Assert the power-mean enclosure around a Karcher solve; return its width."""
-    n = stack.shape[-3]
-    upper_spec = MultiMeanSpec.power(Weights.uniform(n), cfg.karcher_alpha)
-    upper, _, _ = _power_node(upper_spec, stack, cfg, w)
-    lower_spec = MultiMeanSpec.power(Weights.uniform(n), -cfg.karcher_alpha)
-    lower, _, _ = _power_node(lower_spec, stack, cfg, w)
+    """Assert the power-mean enclosure around a Karcher solve; return its width.
+
+    ``P_{-t} <= G <= P_t`` with ``t = cfg.karcher_alpha``.  Both ends come
+    from one batched fixed-point solve at ``+t``: the upper end on ``stack``
+    and the lower end through ``P_{-t}(A) = P_t(A^{-1})^{-1}`` on the
+    inverses, stacked along a new leading axis.
+    """
+    spec = MultiMeanSpec.power(Weights.uniform(stack.shape[-3]), cfg.karcher_alpha)
+    ends, _, _ = _power_node(spec, np.stack([stack, spd_inv(stack)]), cfg, w)
+    upper, lower = ends[0], spd_inv(ends[1])
     scale = op_norm(upper) + op_norm(vals)
     tol = 1e-9
     up_margin = lambda_min(upper - vals) / scale
@@ -471,10 +476,10 @@ def comparison_bound(
     if Y.dim != stack.shape[-1]:
         raise DimensionMismatch(f"Y has dimension {Y.dim}, inputs {stack.shape[-1]}")
     yh, yih = spd_sqrt_pair(Y.a)
-    blocks = sym(np.einsum("ij,njk,kl->nil", yih, stack, yih))
+    blocks = congruence(yih, stack)
     f_blocks = eigh_apply(blocks, lambda t: rep_eval(sigma, t))
     z, _, _ = _eval_node(base, f_blocks, cfg)
-    fy = SpdMatrix(dim=Y.dim, entries=sym(yh @ z @ yh))
+    fy = SpdMatrix(dim=Y.dim, entries=congruence(yh, z))
     premise = loewner_compare(Y, fy)
     ok = premise.holds_le if direction == "lower" else premise.holds_ge
     if not ok:

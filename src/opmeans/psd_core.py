@@ -10,7 +10,10 @@ carry the tolerance semantics.
 Eigendecomposition is the single primitive behind every matrix function
 here: the matrices are small (dimension of order tens) and symmetric
 eigensolvers are backward stable, so there is no reason to special-case
-exp/log/sqrt.
+exp/log/sqrt.  Batched ``eigh`` is the only LAPACK primitive behind them;
+the spectral rebuilds ``U f(L) U^T`` and the congruences ``s^T a s`` are
+batched matmul, which on stacks of small matrices is several times faster
+than the equivalent ``einsum`` contractions.
 """
 
 from __future__ import annotations
@@ -89,7 +92,12 @@ def eigh_apply(a, fn):
     if not np.all(np.isfinite(fw)):
         bad = w[~np.isfinite(fw)]
         raise DomainError(f"function undefined at eigenvalue(s) {bad[:4]}")
-    return sym(np.einsum("...ij,...j,...kj->...ik", v, fw, v))
+    return _rebuild(v, fw)
+
+
+def _rebuild(v, fw):
+    """``v diag(fw) v^T`` symmetrized, batched: the spectral rebuild."""
+    return sym((v * fw[..., None, :]) @ np.swapaxes(v, -1, -2))
 
 
 def spd_power(a, r):
@@ -115,9 +123,7 @@ def spd_sqrt_pair(a):
     if np.any(w <= 0):
         raise DomainError(f"matrix not positive definite (min eigenvalue {w.min()})")
     s = np.sqrt(w)
-    half = np.einsum("...ij,...j,...kj->...ik", v, s, v)
-    inv_half = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / s, v)
-    return sym(half), sym(inv_half)
+    return _rebuild(v, s), _rebuild(v, 1.0 / s)
 
 
 def spd_log(a):
@@ -148,7 +154,7 @@ def op_norm(a):
 def thompson(a, b):
     """Thompson distance ``max |log eig(a^{-1/2} b a^{-1/2})|`` (batched)."""
     _, a_invh = spd_sqrt_pair(a)
-    w = np.linalg.eigvalsh(sym(a_invh @ b @ a_invh))
+    w = np.linalg.eigvalsh(congruence(a_invh, b))
     if np.any(w <= 0):
         raise DomainError("thompson distance needs positive definite operands")
     lw = np.log(w)

@@ -164,9 +164,11 @@ def test_verify_unknown_family_is_config_error(tmp_path, capsys):
     [
         [1, 2, 3],
         {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [10**400]},
-        # sizes whose trial arrays numpy cannot index: rejected before any work
+        # sizes whose trial arrays numpy cannot index or allocate: rejected
+        # before any work
         {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "trials": 10**20},
         {"inequality_ids": ["3.9"], "dimensions": [10**11], "r_values": [2.0]},
+        {"inequality_ids": ["4.6"], "dimensions": [1], "r_values": [1.0], "trials": 10**17},
     ],
 )
 def test_verify_malformed_config_is_config_error(tmp_path, capsys, config):

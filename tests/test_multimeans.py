@@ -16,6 +16,8 @@ from opmeans.multimeans import (
     MeanResult,
     MultiMeanSpec,
     Weights,
+    _certify_karcher,
+    _power_node,
     adjoint_eval,
     comparison_bound,
     deformed_mean,
@@ -273,6 +275,26 @@ def test_karcher_certification_reports_gap():
     res = karcher_mean(Weights.uniform(4), As)
     assert res.enclosure_gap is not None
     assert 0 <= res.enclosure_gap < 1e-2
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+def test_batched_enclosure_matches_separate_power_solves(batch):
+    # both enclosure ends come from one solve at +t on [A, A^{-1}]; the gap
+    # must match the ends solved one at a time, P_t(A) and P_{-t}(A)
+    stack = np.stack(
+        [np.stack([a.a for a in ensemble(3, 3, 900 + 10 * b, spectrum=(0.6, 1.8))]) for b in range(batch)]
+    )
+    w = W3.asarray()
+    cfg = SolverConfig()
+    vals = eval_mean_stack(MultiMeanSpec.karcher(W3), stack, QUIET).values
+    gap = _certify_karcher(w, stack, vals, cfg)
+    t = cfg.karcher_alpha
+    upper, _, _ = _power_node(MultiMeanSpec.power(UNI3, t), stack, cfg, w)
+    lower, _, _ = _power_node(MultiMeanSpec.power(UNI3, -t), stack, cfg, w)
+    assert gap.shape == (batch,)
+    np.testing.assert_allclose(gap, thompson(lower, upper), rtol=0, atol=1e-9)
+    with pytest.raises(errors.CertificationFailure):
+        _certify_karcher(w, stack, 1.05 * vals, cfg)
 
 
 # ------------------------------------------------------------------ axioms

@@ -5,12 +5,15 @@ from opmeans import errors
 from opmeans.psd_core import (
     Relation,
     congruence,
+    eigh_apply,
     loewner_compare,
     matrix_from_json,
     matrix_function,
     matrix_to_json,
     random_spd,
     spectral_stats,
+    spd_sqrt_pair,
+    sym,
     thompson_distance,
     validate_spd,
 )
@@ -170,3 +173,48 @@ def test_matrix_json_roundtrip():
     np.testing.assert_allclose(back.a, a.a, atol=1e-15)
     with pytest.raises(errors.NotSquare):
         matrix_from_json({"dim": 3, "entries": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+# ------------------------------------------------------------------ kernels
+
+
+def _spd_batch(shape, d, seed):
+    """Seeded SPD matrices of shape ``shape + (d, d)``, spectra in [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal(shape + (d, d)))
+    lam = rng.uniform(0.1, 10.0, shape + (d,))
+    return sym((q * lam[..., None, :]) @ np.swapaxes(q, -1, -2))
+
+
+def _rel_err(x, ref):
+    """Largest relative Frobenius-norm error over the batch."""
+    err = np.linalg.norm(x - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+    return float(np.max(err))
+
+
+def _einsum_rebuild(v, fw):
+    return sym(np.einsum("...ij,...j,...kj->...ik", v, fw, v))
+
+
+@pytest.mark.parametrize("shape", [(200, 3), ()], ids=["batch", "single"])
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_matmul_kernels_match_einsum_formulas(shape, d):
+    a = _spd_batch(shape, d, 1000 + d)
+    w, v = np.linalg.eigh(a)
+    for fn in (np.log, np.sqrt, lambda t: t**-0.3):
+        assert _rel_err(eigh_apply(a, fn), _einsum_rebuild(v, fn(w))) < 1e-13
+
+    half, inv_half = spd_sqrt_pair(a)
+    assert _rel_err(half, _einsum_rebuild(v, np.sqrt(w))) < 1e-13
+    assert _rel_err(inv_half, _einsum_rebuild(v, 1.0 / np.sqrt(w))) < 1e-13
+    assert _rel_err(half @ half, a) < 1e-12
+    assert _rel_err(half @ inv_half, np.broadcast_to(np.eye(d), a.shape)) < 1e-12
+
+    b = _spd_batch(shape, d, 2000 + d)
+    expect = sym(np.einsum("...ji,...jk,...kl->...il", inv_half, b, inv_half))
+    assert _rel_err(congruence(inv_half, b), expect) < 1e-13
+    if shape:
+        # one congruence broadcast over the ensemble axis, as the solvers use it
+        s = inv_half[:, 0]
+        expect = sym(np.einsum("...ji,...njk,...kl->...nil", s, b, s))
+        assert _rel_err(congruence(s[:, None, :, :], b), expect) < 1e-13
