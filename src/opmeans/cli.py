@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean = sub.add_parser("mean", help="compute a mean of SPD matrices")
     p_mean.add_argument("--spec", required=True, help="mean description JSON file")
     p_mean.add_argument("--matrices", required=True, help="JSON file with a list of matrices")
-    p_mean.add_argument("--tol", type=float, default=None, help="Thompson-step stopping tolerance")
+    p_mean.add_argument("--tol", type=float, default=None, help="error-bound stopping tolerance")
     p_mean.add_argument("--max-iters", type=int, default=None)
     p_mean.add_argument("--no-certify", action="store_true", help="skip the Karcher enclosure certificate")
     p_mean.add_argument("--output", default=None, help="write result here instead of stdout")

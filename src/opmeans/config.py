@@ -8,7 +8,7 @@ from dataclasses import dataclass
 class SolverConfig:
     """Tolerances and caps for fixed-point solves.
 
-    dt_tol        Thompson-metric step threshold for matrix iterations.
+    dt_tol        stop tolerance on the error bound (power, Karcher; deformed: last step).
     max_iters     cap for matrix fixed-point iterations.
     karcher_alpha exponent of the power-mean pair used to certify a Karcher
                   solve by enclosure.

@@ -4,10 +4,10 @@ The deformed mean of a base mean ``M`` by a two-variable mean ``sigma`` is
 the unique fixed point of ``X = M(X sigma A_1, ..., X sigma A_n)``, computed
 by the monotone iteration started at ``delta^{-1} I`` (which dominates the
 fixed point, so the iterates decrease in the positive semidefinite order,
-and the step size contracts in the Thompson metric).  Power means are the
-geometric deformation of the weighted arithmetic mean; the Karcher mean is
-solved directly from its defining equation and certified against a
-power-mean enclosure computed by the independent fixed-point route.
+and the step size contracts in the Thompson metric).  Power means and the
+Karcher mean share one damped geodesic iteration that stops on a true error
+bound; a Karcher solve is certified by the power-mean enclosure
+``P_{-t} <= G <= P_t``, whose ends solve a different equation.
 
 All solvers run on stacked operands of shape ``(..., n, d, d)`` and
 broadcast over the leading axes, which is what makes large randomized
@@ -35,7 +35,7 @@ from .errors import (
     SigmaIsLeftTrivial,
     UnknownKind,
 )
-from .meanfns import RepFnSpec, geometric, rep_eval, repfn_from_json, repfn_to_json
+from .meanfns import RepFnSpec, rep_eval, repfn_from_json, repfn_to_json
 from .psd_core import (
     LoewnerVerdict,
     SpdMatrix,
@@ -149,6 +149,9 @@ class MultiMeanSpec:
 
 @dataclass(frozen=True)
 class MeanResult:
+    """``residual_dt`` bounds the Thompson error of power and Karcher means (0 for
+    closed forms); a general deformed mean reports its last step, not a bound."""
+
     value: SpdMatrix
     iterations: int
     residual_dt: float
@@ -165,7 +168,7 @@ class MeanResult:
 
 @dataclass(frozen=True)
 class StackResult:
-    """Batched solve outcome: arrays broadcast over the leading axes."""
+    """Batched outcome over the leading axes; ``residual_dt`` per member, as in :class:`MeanResult`."""
 
     values: np.ndarray
     iterations: int
@@ -197,8 +200,8 @@ def _weighted_sum(w, stack):
 def _eval_node(spec: MultiMeanSpec, stack, cfg: SolverConfig, w_over=None):
     """Evaluate a mean on ``stack`` of shape (..., n, d, d).
 
-    Returns ``(values, iterations, step)`` where ``step`` is the final
-    Thompson step size per batch element (zero for closed forms).
+    Returns ``(values, iterations, residual)`` with the per-member residual
+    of :class:`MeanResult` (an error bound, or a deformed mean's last step).
     """
     n = stack.shape[-3]
     batch = stack.shape[:-3]
@@ -221,26 +224,21 @@ def _eval_node(spec: MultiMeanSpec, stack, cfg: SolverConfig, w_over=None):
     if kind == "power":
         return _power_node(spec, stack, cfg, w_over)
     if kind == "karcher":
-        w = _node_weights(spec, w_over, n)
-        return _karcher_loop(w, stack, cfg)
+        return _geodesic_loop(_node_weights(spec, w_over, n), 0.0, stack, cfg)
     # deformed
     return _deformed_loop(spec.base, spec.sigma, stack, cfg, w_over)
 
 
 def _power_node(spec, stack, cfg, w_over):
-    alpha = spec.alpha
     w = _node_weights(spec, w_over, stack.shape[-3])
-    if alpha > 0:
-        base = MultiMeanSpec.arithmetic(Weights.uniform(stack.shape[-3]))
-        return _deformed_loop(base, geometric(alpha), stack, cfg, w)
-    neg = MultiMeanSpec.power(spec.weights or Weights.uniform(stack.shape[-3]), -alpha)
-    vals, iters, step = _power_node(neg, spd_inv(stack), cfg, w_over)
-    return spd_inv(vals), iters, step
+    if spec.alpha > 0:
+        return _geodesic_loop(w, spec.alpha, stack, cfg)
+    # P_{-t}(A) = P_t(A^{-1})^{-1}, and the Thompson bound is inversion invariant
+    vals, iters, bound = _geodesic_loop(w, -spec.alpha, spd_inv(stack), cfg)
+    return spd_inv(vals), iters, bound
 
 
 def _deformed_loop(base: MultiMeanSpec, sigma: RepFnSpec, stack, cfg, w_over=None):
-    if sigma.is_left_trivial:
-        raise SigmaIsLeftTrivial("cannot deform by the left trivial mean")
     if sigma.acts_right_trivial:
         vals, iters, _ = _eval_node(base, stack, cfg, w_over)
         return vals, max(iters, 1), np.zeros(stack.shape[:-3])
@@ -281,64 +279,67 @@ def _deformed_loop(base: MultiMeanSpec, sigma: RepFnSpec, stack, cfg, w_over=Non
     )
 
 
-def _karcher_residual(w, stack, x):
-    xh, xih = spd_sqrt_pair(x)
-    blocks = congruence(xih[..., None, :, :], stack)
-    ew, ev = np.linalg.eigh(blocks)
-    if np.any(ew <= 0):
-        raise NoConvergence(
-            "Karcher iterate lost positive definiteness", last_iterate=x, residual=None
-        )
-    lew = np.log(ew)
-    logs = _rebuild(ev, lew)
-    # max Thompson radius of the inputs seen from x, for the step-size model
-    dmax = np.maximum(np.abs(lew[..., 0]), np.abs(lew[..., -1])).max(axis=-1)
-    r = _weighted_sum(w, logs)
-    return xh, r, op_norm(r), dmax
+def _geodesic_frame(w, p, a, s):
+    """``(eig G, eigenvectors of G, max |log eig B_i|, bound)`` at ``S``; see :func:`_geodesic_loop`."""
+    eb, vb = np.linalg.eigh(congruence(s[..., None, :, :], a))
+    if np.any(eb <= 0):
+        raise NoConvergence("geodesic iterate lost positive definiteness")
+    lb = np.log(eb)
+    f = w[..., None] * (lb if p == 0 else np.exp(p * lb))
+    # sum_i V_i diag(f_i) V_i^T as one rebuild over the n spectra side by side
+    _, n, d = f.shape
+    em, vm = np.linalg.eigh(_rebuild(np.swapaxes(vb, -3, -2).reshape(-1, d, n * d), f.reshape(-1, n * d)))
+    g = em if p == 0 else np.log(em) / p
+    bound = np.sqrt(np.sum(g * g, axis=-1)) if p == 0 else np.abs(g).max(axis=-1)
+    return g, vm, np.abs(lb).max(axis=(-2, -1)), bound
 
 
-def _karcher_loop(w, stack, cfg):
-    # Exponential-residual descent from the arithmetic mean.  The step is
-    # metric gradient descent on the squared-distance objective; its local
-    # Hessian is bounded by 1 + (max Thompson radius of the inputs), so the
-    # informed step 2/(2 + dmax) descends without overshoot and degrades to
-    # the full step as the radius shrinks.  A damping cap that starts at 1
-    # and halves whenever the residual still manages to increase guards the
-    # model.
-    x = _weighted_sum(w, stack)
-    xh, r, rnorm, dmax = _karcher_residual(w, stack, x)
-    batch = stack.shape[:-3]
-    cap = np.ones(batch)
-    iters = 0
-    for k in range(1, cfg.max_iters + 1):
-        if np.all(rnorm < cfg.dt_tol):
+def _geodesic_loop(w, p, stack, cfg):
+    """Damped geodesic solve of ``P_p`` (``0 < p <= 1``) or Karcher (``p = 0``).
+
+    ``X = (S S^T)^{-1}`` starts at the weighted arithmetic mean.  With ``B_i =
+    S^T A_i S`` and ``G = log(sum_i w_i B_i^p) / p`` (``sum_i w_i log B_i`` at
+    ``p = 0``), it steps ``S <- S exp(-theta G / 2)``.  For ``p > 0`` that is
+    ``X <- X #_{theta/p} f(X)`` with the monotone map ``f(X) = sum_i w_i X #_p
+    A_i``, a Thompson contraction of rate ``1 - p``, so ``max |eig G| = d(X,
+    f(X)) / p`` bounds ``d(X, X*)``.  At ``p = 0`` it is Riemannian gradient
+    descent on the 1-strongly convex ``1/2 sum_i w_i delta_R(X, A_i)^2``, and
+    ``||G||_F`` bounds ``delta_R(X, G*)``, hence the Thompson error.  ``theta =
+    max(p, min(cap, 2 / (2 + dmax)))`` follows its curvature; a step that does
+    not lower the bound halves the member's cap, an accepted one raises it by
+    1.25.  A member that meets ``cfg.dt_tol`` is frozen, so its solution does
+    not depend on its batch; one whose damping collapses is accepted with its
+    bound if that is within ``16 eps kappa`` (its inputs' spectral spread).
+    """
+    batch, (n, d) = np.broadcast_shapes(stack.shape[:-3], np.shape(w)[:-1]), stack.shape[-3:-1]
+    a = np.broadcast_to(stack, batch + (n, d, d)).reshape(-1, n, d, d)
+    w = np.broadcast_to(w, batch + (n,)).reshape(-1, n)
+    eigs = np.linalg.eigvalsh(a)
+    floor = 16 * np.finfo(float).eps * eigs[..., -1].max(axis=-1) / eigs[..., 0].min(axis=-1)
+    r, s = spd_sqrt_pair(_weighted_sum(w, a))  # X = R^T R, S = R^{-1}
+    g, v, dmax, bound = _geodesic_frame(w, p, a, s)
+    cap, done, iters = np.ones(len(a)), bound < cfg.dt_tol, 0
+    while not done.all() and iters < cfg.max_iters:
+        iters += 1
+        act = np.flatnonzero(~done)
+        half = 0.5 * np.maximum(p, np.minimum(cap[act], 2.0 / (2.0 + dmax[act])))[:, None] * g[act]
+        s_try, r_try = s[act] @ _rebuild(v[act], np.exp(-half)), _rebuild(v[act], np.exp(half)) @ r[act]
+        g_t, v_t, dmax_t, bound_t = _geodesic_frame(w[act], p, a[act], s_try)
+        ok = bound_t <= bound[act]
+        hit = act[ok]
+        s[hit], r[hit], g[hit], v[hit] = s_try[ok], r_try[ok], g_t[ok], v_t[ok]
+        dmax[hit], bound[hit] = dmax_t[ok], bound_t[ok]
+        cap[act] = np.where(ok, np.minimum(1.0, 1.25 * cap[act]), 0.5 * cap[act])
+        done[hit] = bound_t[ok] < cfg.dt_tol
+        stuck = act[cap[act] < 1e-8]
+        if np.any(bound[stuck] > floor[stuck]):
             break
-        theta = np.minimum(cap, 2.0 / (2.0 + dmax))
-        step = eigh_apply(theta[..., None, None] * r, np.exp)
-        x_try = congruence(xh, step)
-        xh_try, r_try, rnorm_try, dmax_try = _karcher_residual(w, stack, x_try)
-        accept = (rnorm_try <= rnorm) | (rnorm < cfg.dt_tol)
-        acc = accept[..., None, None]
-        x = np.where(acc, x_try, x)
-        xh = np.where(acc, xh_try, xh)
-        r = np.where(acc, r_try, r)
-        rnorm = np.where(accept, rnorm_try, rnorm)
-        dmax = np.where(accept, dmax_try, dmax)
-        cap = np.where(accept, np.minimum(1.0, cap * 1.25), cap * 0.5)
-        if np.any(cap < 1e-8):
-            raise NoConvergence(
-                "Karcher damping collapsed without residual decrease",
-                last_iterate=x,
-                residual=float(rnorm.max()),
-            )
-        iters = k
-    else:
-        raise NoConvergence(
-            f"Karcher iteration did not converge in {cfg.max_iters} steps",
-            last_iterate=x,
-            residual=float(rnorm.max()),
-        )
-    return x, iters, rnorm
+        done[stuck] = True
+    x = congruence(r, np.eye(d)).reshape(batch + (d, d))
+    if not done.all():
+        msg = f"{'Karcher' if p == 0 else 'power-mean'} iteration stopped above its tolerance after {iters} steps"
+        raise NoConvergence(msg, last_iterate=x, residual=float(bound[~done].max()))
+    return x, iters, bound.reshape(batch)
 
 
 def eval_mean_stack(
@@ -372,8 +373,7 @@ def _certify_karcher(w, stack, vals, cfg):
     and the lower end through ``P_{-t}(A) = P_t(A^{-1})^{-1}`` on the
     inverses, stacked along a new leading axis.
     """
-    spec = MultiMeanSpec.power(Weights.uniform(stack.shape[-3]), cfg.karcher_alpha)
-    ends, _, _ = _power_node(spec, np.stack([stack, spd_inv(stack)]), cfg, w)
+    ends, _, _ = _geodesic_loop(w, cfg.karcher_alpha, np.stack([stack, spd_inv(stack)]), cfg)
     upper, lower = ends[0], spd_inv(ends[1])
     scale = op_norm(upper) + op_norm(vals)
     tol = 1e-9

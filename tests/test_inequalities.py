@@ -596,7 +596,7 @@ def _forced_failure(family):
     so the report embeds the worst trial's witness in the family's layout."""
     r = 2.0 if FAMILIES[family]["r_range"] == "ge1" else 0.5
     alpha = 0.5 if FAMILIES[family]["needs_alpha"] else None
-    rep = run_cell(family, 2, r, alpha, 4, 5, tol=-1.0)
+    rep = run_cell(family, 2, r, alpha, 6, 5, tol=-1.0)
     assert not rep.holds and rep.matrices
     return rep
 

@@ -3,6 +3,7 @@ import pytest
 
 from opmeans import errors
 from opmeans.config import SolverConfig
+from opmeans.inequalities import _gen_cell_data
 from opmeans.meanfns import (
     arithmetic,
     geometric,
@@ -33,6 +34,7 @@ from opmeans.psd_core import (
     Relation,
     eigh_apply,
     random_spd,
+    spd_power,
     spd_sqrt_pair,
     sym,
     thompson,
@@ -205,6 +207,61 @@ def test_power_mean_negative_alpha_is_adjoint():
     inv_inputs = [validate_spd(np.linalg.inv(a.a)) for a in As]
     expect = np.linalg.inv(power_mean(W3, 0.5, inv_inputs).value.a)
     assert np.abs(neg - expect).max() / np.abs(expect).max() < 1e-9
+
+
+def _check_against_monotone(stack, w, t):
+    # the geodesic solve of P_t against the monotone deformed loop of
+    # X = sum_i w_i X #_t A_i: the monotone error is at most step (1 - t) / t
+    cfg = SolverConfig()
+    uni = Weights.uniform(stack.shape[-3])
+    spec = MultiMeanSpec.power(uni, t)
+    fast = eval_mean_stack(spec, stack, cfg, weights_override=w)
+    monotone = MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(uni), geometric(t))
+    mono = eval_mean_stack(monotone, stack, cfg, weights_override=w)
+    fine = eval_mean_stack(spec, stack, SolverConfig(dt_tol=1e-12), weights_override=w)
+    assert np.all(fast.residual_dt < cfg.dt_tol) and np.all(fine.residual_dt < 1e-12)
+    assert np.all(thompson(fast.values, mono.values) <= mono.residual_dt * (1 - t) / t + fast.residual_dt)
+    # the reported bound covers the distance to a tighter solve
+    assert np.all(thompson(fast.values, fine.values) <= fast.residual_dt)
+
+
+@pytest.mark.parametrize("t", [0.5, 1 / 12, 1 / 64])
+@pytest.mark.parametrize("dim", [2, 5, 8])
+def test_power_mean_matches_monotone_route(t, dim):
+    stack = np.stack([np.stack([a.a for a in ensemble(dim, 3, 700 + 10 * b)]) for b in range(4)])
+    w = np.random.default_rng(dim).dirichlet(np.ones(3), size=4)
+    _check_against_monotone(stack, w, t)
+
+
+def test_power_mean_matches_monotone_route_at_condition_512():
+    # 5.9[dim=2, r=3, alpha=0.25] solves P_{1/12} on cubes of inputs with
+    # spread M/m = 8, under non-uniform trial weights
+    data = _gen_cell_data("5.9", 2, 0.25, 8, 17)
+    _check_against_monotone(spd_power(data.stack, 3.0), data.weights, 1 / 12)
+
+
+@pytest.mark.parametrize("alpha,top", [(0.5, 8), (-0.25, 6), (1 / 64, 8), (None, 4)])
+def test_condition_ladder(alpha, top):
+    # 4x4 inputs with spectra [1, 10^k]: every solve returns a finite bound,
+    # at the tolerance or within the rounding floor 16 eps kappa
+    spec = MultiMeanSpec.karcher(W3) if alpha is None else MultiMeanSpec.power(W3, alpha)
+    for k in range(1, top + 1):
+        As = [random_spd(4, (1.0, 10.0**k), 100 * k + j) for j in range(3)]
+        res = eval_mean(spec, As, QUIET)
+        assert res.residual_dt <= max(QUIET.dt_tol, 16 * np.finfo(float).eps * 10.0**k), k
+        assert np.all(np.isfinite(res.value.a))
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.25, 1 / 64, None])
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_scaled_inputs_keep_homogeneity(alpha, scale):
+    # the solves start at the weighted arithmetic mean, so a scalar factor on
+    # the inputs (here near the ends of the float range) passes through
+    spec = MultiMeanSpec.karcher(W3) if alpha is None else MultiMeanSpec.power(W3, alpha)
+    As = ensemble(4, 3, 900)
+    res = eval_mean(spec, [validate_spd(scale * a.a) for a in As])
+    assert res.residual_dt < SolverConfig().dt_tol
+    np.testing.assert_allclose(res.value.a / scale, eval_mean(spec, As).value.a, rtol=1e-9, atol=0)
 
 
 def test_power_mean_alpha_zero_rejected():
