@@ -8,11 +8,10 @@ from dataclasses import dataclass
 class SolverConfig:
     """Tolerances and caps for fixed-point solves.
 
-    dt_tol        stop tolerance on the error bound (power, Karcher; deformed: last step).
+    dt_tol        stop tolerance on the Thompson error bound of a matrix mean.
     max_iters     cap for matrix fixed-point iterations.
     karcher_alpha exponent of the power-mean pair used to certify a Karcher
                   solve by enclosure.
-    delta_floor   lower clamp for the initialization box parameter delta.
     tol           residual threshold for the scalar deformed-mean solve.
     scalar_max_iters  cap for the scalar solve before bisection fallback.
     certify       when False, karcher_mean skips the power-mean enclosure
@@ -23,7 +22,6 @@ class SolverConfig:
     dt_tol: float = 1e-11
     max_iters: int = 20_000
     karcher_alpha: float = 1.0 / 64.0
-    delta_floor: float = 1e-8
     tol: float = 1e-12
     scalar_max_iters: int = 10_000
     certify: bool = True
@@ -33,8 +31,8 @@ class SolverConfig:
             raise ValueError("dt_tol must be finite and > 0, and max_iters >= 1")
         if not 0 < self.karcher_alpha <= 1:
             raise ValueError("karcher_alpha must lie in (0, 1]")
-        if self.delta_floor <= 0 or not 0 < self.tol < math.inf:
-            raise ValueError("delta_floor must be > 0 and tol finite and > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
 
 
 DEFAULT_CONFIG = SolverConfig()

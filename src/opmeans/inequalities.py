@@ -75,6 +75,7 @@ from .psd_core import (
     matrix_to_json,
     op_norm,
     random_spd,
+    random_spd_stack,
     spd_exp,
     spd_inv,
     spd_log,
@@ -506,12 +507,13 @@ def _reverse_margins(which, data, alpha, r, cfg, cache):
         sigma = harmonic(alpha) if alpha > 0 else rep_transform(harmonic(-alpha), "adjoint")
         base = MultiMeanSpec.arithmetic(uni)
         spec = MultiMeanSpec.deformed(base, sigma)
-        spec_r = MultiMeanSpec.deformed(base, rep_transform(sigma, "power_inner", 1.0 / r))
+        # at r = 1 the transform is the identity, so the spec is the one solved at A itself
+        spec_r = spec if r == 1 else MultiMeanSpec.deformed(base, rep_transform(sigma, "power_inner", 1.0 / r))
     else:
         spec = MultiMeanSpec.power(uni, alpha)
         spec_r = MultiMeanSpec.power(uni, alpha / r) if which == "5.9" else spec
-    x = _base_mean(spec, data, cfg, cache)
-    y = _mean_vals(spec_r, spd_power(data.stack, r), data, cfg)
+    x = _solve(spec, 1.0, data, cfg, cache)
+    y = _solve(spec_r, r, data, cfg, cache)
     kx = op_norm(x) / lambda_min(x)
     k1 = kantorovich(kappa0 * kx, r)
     consts = {"kappa0": kappa0, "kappa_x": kx, "K1": k1}
@@ -793,9 +795,14 @@ def _mean_vals(spec, stack, data, cfg):
     return eval_mean_stack(spec, stack, cfg, weights_override=data.weights).values
 
 
-def _base_mean(spec, data, cfg, cache):
-    """``spec`` on the trials' own matrices; the solve does not depend on r."""
-    return _cached(cache, spec, lambda: _mean_vals(spec, data.stack, data, cfg))
+def _solve(spec, r, data, cfg, cache):
+    """``spec`` on the trials' matrices raised to ``r``, solved once per group.
+
+    The key is ``(spec, r)``: ``A^1`` is ``A`` itself, so the r = 1 cell finds
+    the means that every other cell of its group solves on the trials' own
+    matrices.
+    """
+    return _cached(cache, (spec, r), lambda: _mean_vals(spec, spd_power(data.stack, r), data, cfg))
 
 
 def _uniform(data):
@@ -805,16 +812,16 @@ def _uniform(data):
 
 # Margin functions of the families: ``(data, r, alpha, cfg, cache)`` to the
 # per-trial margins and a constants dict.  ``cache`` is scoped to one
-# (family, dim, alpha) group and holds the r-independent solves, which the
-# shared-ensemble seed scheme makes reusable across the whole r grid.
+# (family, dim, alpha) group and holds its solves (see :func:`_solve`), which
+# the shared-ensemble seed scheme makes reusable across the whole r grid.
 
 
 def _ah_margin(spec, adjoint, compare, data, r, cfg, cache):
     """3.1-3.4: ``spec(A^r)`` against ``spec(A)`` scaled by its
     ``lambda_min^{r-1}``, or by its norm to the r-1 when ``spec`` is the
     adjoint side, in the order ``compare`` tests."""
-    base = _base_mean(spec, data, cfg, cache)
-    powd = _mean_vals(spec, spd_power(data.stack, r), data, cfg)
+    base = _solve(spec, 1.0, data, cfg, cache)
+    powd = _solve(spec, r, data, cfg, cache)
     pref = (op_norm(base) if adjoint else lambda_min(base)) ** (r - 1.0)
     return compare(powd, _scaled(pref, base))
 
@@ -831,23 +838,22 @@ def _ah_power_cell(variant, data, r, alpha, cfg, cache):
 def _ah_karcher_cell(style, data, r, alpha, cfg, cache):
     """3.13/3.14: the Karcher mean at A^r bracketed by its value at A."""
     spec = MultiMeanSpec.karcher(_uniform(data))
-    base = _base_mean(spec, data, cfg, cache)
-    return _bracket_margins(_mean_vals(spec, spd_power(data.stack, r), data, cfg), base, r, style)
+    return _bracket_margins(_solve(spec, r, data, cfg, cache), _solve(spec, 1.0, data, cfg, cache), r, style)
 
 
 def _power_direct_cell(data, r, alpha, cfg, cache):
     """4.4: P_{alpha/r}(A^r) bracketed by P_alpha(A), r >= 1."""
     uni = _uniform(data)
-    x = _base_mean(MultiMeanSpec.power(uni, alpha), data, cfg, cache)
-    mid = _mean_vals(MultiMeanSpec.power(uni, alpha / r), spd_power(data.stack, r), data, cfg)
+    x = _solve(MultiMeanSpec.power(uni, alpha), 1.0, data, cfg, cache)
+    mid = _solve(MultiMeanSpec.power(uni, alpha / r), r, data, cfg, cache)
     return _bracket_margins(mid, x, r, "direct")
 
 
 def _power_complement_cell(data, r, alpha, cfg, cache):
     """4.5: P_alpha(A^r) bracketed by P_{alpha r}(A), 0 < r <= 1."""
     uni = _uniform(data)
-    x = _mean_vals(MultiMeanSpec.power(uni, alpha * r), data.stack, data, cfg)
-    mid = _mean_vals(MultiMeanSpec.power(uni, alpha), spd_power(data.stack, r), data, cfg)
+    x = _solve(MultiMeanSpec.power(uni, alpha * r), 1.0, data, cfg, cache)
+    mid = _solve(MultiMeanSpec.power(uni, alpha), r, data, cfg, cache)
     return _bracket_margins(mid, x, r, "complement")
 
 
@@ -897,8 +903,8 @@ def _logmaj_cell(data, r, alpha, cfg, cache):
     """logmaj: see :func:`check_log_majorization`; the full products must
     agree to 1e-8 in log terms."""
     karch = MultiMeanSpec.karcher(_uniform(data))
-    g1 = _base_mean(karch, data, cfg, cache)
-    gr = _mean_vals(karch, spd_power(data.stack, r), data, cfg)
+    g1 = _solve(karch, 1.0, data, cfg, cache)
+    gr = _solve(karch, r, data, cfg, cache)
     lam1 = np.sort(np.linalg.eigvalsh(g1), axis=-1)[..., ::-1]  # decreasing
     lamr = np.sort(np.linalg.eigvalsh(gr), axis=-1)[..., ::-1]
     lhs_log = np.cumsum(np.log(lamr), axis=-1)
@@ -1000,25 +1006,22 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
         ratio = cell_rng.uniform(*spread) if isinstance(spread, tuple) else spread
         spectrum = data.bounds = (m, round(float(m * ratio), 6))
     if info["layout"] == "pair":
-        data.a = np.stack([random_spd(dim, spectrum, _derive_seed(s, "a")).a for s in seeds])
-        data.b = np.stack([random_spd(dim, spectrum, _derive_seed(s, "b")).a for s in seeds])
+        data.a = random_spd_stack(dim, spectrum, [_derive_seed(s, "a") for s in seeds])
+        data.b = random_spd_stack(dim, spectrum, [_derive_seed(s, "b") for s in seeds])
         kind_rng = np.random.default_rng(_derive_seed(master_seed, family, dim, alpha, "fn"))
         w_tau = round(float(kind_rng.uniform(0.25, 0.75)), 6)
         data.tau = (arithmetic, harmonic, geometric)[int(kind_rng.integers(3))](w_tau)
         a_sig = alpha if alpha is not None else 0.5
         data.sigma = geometric(a_sig) if kind_rng.integers(2) == 0 else harmonic(a_sig)
         return data
-    data.stack = np.stack(
-        [[random_spd(dim, spectrum, _derive_seed(s, j)).a for j in range(_N)] for s in seeds]
-    )
+    draws = random_spd_stack(dim, spectrum, [_derive_seed(s, j) for s in seeds for j in range(_N)])
+    data.stack = draws.reshape(trials, _N, dim, dim)
     raw = np.stack(
         [np.random.default_rng(_derive_seed(s, "w")).uniform(0.2, 1.0, _N) for s in seeds]
     )
     data.weights = raw / raw.sum(axis=1, keepdims=True)
     if info["layout"] == "compress":
-        data.c = np.stack(
-            [random_spd(dim, (np.sqrt(data.mu), 0.999999), _derive_seed(s, "c")).a for s in seeds]
-        )
+        data.c = random_spd_stack(dim, (np.sqrt(data.mu), 0.999999), [_derive_seed(s, "c") for s in seeds])
     return data
 
 

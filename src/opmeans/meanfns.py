@@ -47,6 +47,7 @@ __all__ = [
     "convex_combo",
     "arithmetic_harmonic_mix",
     "rep_eval",
+    "rep_elasticity",
     "rep_transform",
     "two_var_mean",
     "two_var_deformed_mean",
@@ -61,7 +62,6 @@ __all__ = [
 
 _KINDS = ("left_trivial", "right_trivial", "arithmetic", "harmonic", "geometric", "convex")
 _TRANSFORM_OPS = ("adjoint", "transpose", "power_inner", "power_inner_outer", "power_outer")
-_DERIV_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,8 @@ class RepFnSpec:
 
     @cached_property
     def derivative_at_one(self) -> float:
-        lo = rep_eval(self, 1.0 - _DERIV_STEP)
-        hi = rep_eval(self, 1.0 + _DERIV_STEP)
-        return float((hi - lo) / (2.0 * _DERIV_STEP))
+        """``f'(1)``, which is the elasticity at 1 since ``f(1) = 1``."""
+        return float(rep_elasticity(self, 1.0, 1.0)[0])
 
     @property
     def is_left_trivial(self) -> bool:
@@ -229,6 +228,71 @@ def rep_eval(spec: RepFnSpec, t):
         raise DomainError("representing functions are defined on (0, inf)")
     out = _eval_transformed(spec, spec.transforms, arr)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+
+
+def rep_elasticity(spec: RepFnSpec, lo, hi):
+    """Bounds ``(e_lo, e_hi)`` on the elasticity ``t f'(t) / f(t)`` over ``lo <= t <= hi``.
+
+    Every catalog entry has a monotone elasticity and every transform maps an
+    interval of ``t`` to an interval and the elasticity affinely, so the
+    bounds are exact for a transformed catalog entry.  A convex combination's
+    elasticity is the average of its terms' weighted by ``w_i f_i``, so it
+    lies within their extremes; where every term is increasing (and at a
+    single point, exactly) it also lies between ``sum_i w_i f_i(lo) e_i /
+    sum_i w_i f_i(hi)`` at the terms' lower bounds and the mirror image at
+    their upper bounds, and the tighter bound is used.  Vectorized over
+    ``lo`` and ``hi``.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _elasticity(spec, spec.transforms, lo, hi)
+
+
+def _elasticity(spec, stack, lo, hi):
+    if not stack:
+        return _base_elasticity(spec, lo, hi)
+    head, tr = stack[:-1], stack[-1]
+    if tr.op == "adjoint":  # 1 / f(1/t): e(1/t)
+        return _elasticity(spec, head, 1.0 / hi, 1.0 / lo)
+    if tr.op == "transpose":  # t f(1/t): 1 - e(1/t)
+        e_lo, e_hi = _elasticity(spec, head, 1.0 / hi, 1.0 / lo)
+        return 1.0 - e_hi, 1.0 - e_lo
+    if tr.op == "power_outer":  # f(t)^r: r e(t)
+        e_lo, e_hi = _elasticity(spec, head, lo, hi)
+        return tr.r * e_lo, tr.r * e_hi
+    # f(t^r): r e(t^r); f(t^r)^{1/r}: e(t^r)
+    e_lo, e_hi = _elasticity(spec, head, lo**tr.r, hi**tr.r)
+    scale = tr.r if tr.op == "power_inner" else 1.0
+    return scale * e_lo, scale * e_hi
+
+
+def _base_elasticity(spec, lo, hi):
+    kind = spec.kind
+    lo, hi = np.clip(lo, 1e-300, 1e300), np.clip(hi, 1e-300, 1e300)
+    if kind == "arithmetic":  # w t / (1 - w + w t), increasing
+        w = spec.params[0]
+        return w * lo / (1.0 - w + w * lo), w * hi / (1.0 - w + w * hi)
+    if kind == "harmonic":  # a / ((1 - a) t + a), decreasing
+        a = spec.params[0]
+        return a / ((1.0 - a) * hi + a), a / ((1.0 - a) * lo + a)
+    if kind == "convex":
+        terms = [(w, sub) for w, sub in spec.params if w > 0]
+        bounds = [_elasticity(sub, sub.transforms, lo, hi) for _, sub in terms]
+        e_lo = np.min([b[0] for b in bounds], axis=0)
+        e_hi = np.max([b[1] for b in bounds], axis=0)
+        f_lo = [w * _eval_transformed(sub, sub.transforms, lo) for w, sub in terms]
+        f_hi = [w * _eval_transformed(sub, sub.transforms, hi) for w, sub in terms]
+        avg_lo = sum(f * b[0] for f, b in zip(f_lo, bounds)) / sum(f_hi)
+        avg_hi = sum(f * b[1] for f, b in zip(f_hi, bounds)) / sum(f_lo)
+        # valid where every term is increasing on [lo, hi], as operator means are, and exact at a point
+        valid = (e_lo >= 0) | (lo == hi)
+        return np.where(valid, np.fmax(e_lo, avg_lo), e_lo), np.where(valid, np.fmin(e_hi, avg_hi), e_hi)
+    if kind == "geometric":  # t^a
+        e = spec.params[0]
+    else:  # the trivial means 1 and t
+        e = 0.0 if kind == "left_trivial" else 1.0
+    e = np.full(np.shape(lo), e)
+    return e, e
 
 
 def rep_transform(spec: RepFnSpec, op: str, r: float | None = None) -> RepFnSpec:

@@ -1,13 +1,13 @@
 """n-variable matrix means: elementary, deformed, power, Karcher, adjoint.
 
 The deformed mean of a base mean ``M`` by a two-variable mean ``sigma`` is
-the unique fixed point of ``X = M(X sigma A_1, ..., X sigma A_n)``, computed
-by the monotone iteration started at ``delta^{-1} I`` (which dominates the
-fixed point, so the iterates decrease in the positive semidefinite order,
-and the step size contracts in the Thompson metric).  Power means and the
-Karcher mean share one damped geodesic iteration that stops on a true error
-bound; a Karcher solve is certified by the power-mean enclosure
-``P_{-t} <= G <= P_t``, whose ends solve a different equation.
+the unique fixed point of ``X = M(X sigma A_1, ..., X sigma A_n)`` (Lim and
+Palfia, *Matrix power means and the Karcher mean*, JFA 262 (2012)).  Power
+means are the deformations of the arithmetic mean by ``t^p``, and the
+Karcher mean is their limit; all three run one damped geodesic iteration,
+:func:`_geodesic_loop`, that stops on a true Thompson error bound.  A
+Karcher solve is certified by the power-mean enclosure ``P_{-t} <= G <=
+P_t``, whose ends solve a different equation.
 
 All solvers run on stacked operands of shape ``(..., n, d, d)`` and
 broadcast over the leading axes, which is what makes large randomized
@@ -17,7 +17,7 @@ verification campaigns cheap; the typed API wraps the single-ensemble case.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .errors import (
     SigmaIsLeftTrivial,
     UnknownKind,
 )
-from .meanfns import RepFnSpec, rep_eval, repfn_from_json, repfn_to_json
+from .meanfns import RepFnSpec, rep_elasticity, rep_eval, repfn_from_json, repfn_to_json
 from .psd_core import (
     LoewnerVerdict,
     SpdMatrix,
@@ -66,7 +66,6 @@ __all__ = [
     "meanspec_from_json",
 ]
 
-_MONO_TOL = 1e-9
 _MEAN_KINDS = ("arithmetic", "harmonic", "deformed", "power", "karcher", "adjoint")
 _MEAN_PARTS = {"deformed": ("base", "sigma"), "adjoint": ("inner",)}  # required sub-descriptions
 
@@ -149,8 +148,8 @@ class MultiMeanSpec:
 
 @dataclass(frozen=True)
 class MeanResult:
-    """``residual_dt`` bounds the Thompson error of power and Karcher means (0 for
-    closed forms); a general deformed mean reports its last step, not a bound."""
+    """``residual_dt`` bounds the Thompson distance from ``value`` to the mean
+    (0 for closed forms)."""
 
     value: SpdMatrix
     iterations: int
@@ -200,8 +199,8 @@ def _weighted_sum(w, stack):
 def _eval_node(spec: MultiMeanSpec, stack, cfg: SolverConfig, w_over=None):
     """Evaluate a mean on ``stack`` of shape (..., n, d, d).
 
-    Returns ``(values, iterations, residual)`` with the per-member residual
-    of :class:`MeanResult` (an error bound, or a deformed mean's last step).
+    Returns ``(values, iterations, bound)`` with the per-member Thompson
+    error bound of :class:`MeanResult`.
     """
     n = stack.shape[-3]
     batch = stack.shape[:-3]
@@ -219,68 +218,62 @@ def _eval_node(spec: MultiMeanSpec, stack, cfg: SolverConfig, w_over=None):
         w = _node_weights(spec, w_over, n)
         return spd_inv(_weighted_sum(w, spd_inv(stack))), 0, zeros
     if kind == "adjoint":
-        vals, iters, step = _eval_node(spec.inner, spd_inv(stack), cfg, w_over)
-        return spd_inv(vals), iters, step
+        vals, iters, bound = _eval_node(spec.inner, spd_inv(stack), cfg, w_over)
+        return spd_inv(vals), iters, bound
     if kind == "power":
         return _power_node(spec, stack, cfg, w_over)
     if kind == "karcher":
-        return _geodesic_loop(_node_weights(spec, w_over, n), 0.0, stack, cfg)
-    # deformed
-    return _deformed_loop(spec.base, spec.sigma, stack, cfg, w_over)
+        return _power_loop(_node_weights(spec, w_over, n), 0.0, stack, cfg)
+    return _deformed_node(spec, stack, cfg, w_over)
 
 
 def _power_node(spec, stack, cfg, w_over):
     w = _node_weights(spec, w_over, stack.shape[-3])
     if spec.alpha > 0:
-        return _geodesic_loop(w, spec.alpha, stack, cfg)
+        return _power_loop(w, spec.alpha, stack, cfg)
     # P_{-t}(A) = P_t(A^{-1})^{-1}, and the Thompson bound is inversion invariant
-    vals, iters, bound = _geodesic_loop(w, -spec.alpha, spd_inv(stack), cfg)
+    vals, iters, bound = _power_loop(w, -spec.alpha, spd_inv(stack), cfg)
     return spd_inv(vals), iters, bound
 
 
-def _deformed_loop(base: MultiMeanSpec, sigma: RepFnSpec, stack, cfg, w_over=None):
-    if sigma.acts_right_trivial:
-        vals, iters, _ = _eval_node(base, stack, cfg, w_over)
-        return vals, max(iters, 1), np.zeros(stack.shape[:-3])
-
-    d = stack.shape[-1]
-    eye = np.eye(d)
-    eigs = np.linalg.eigvalsh(stack)
-    lam_lo = eigs[..., 0].min(axis=-1)
-    lam_hi = eigs[..., -1].max(axis=-1)
-    delta = np.minimum(1.0, np.minimum(lam_lo, 1.0 / lam_hi))
-    delta = np.maximum(delta, cfg.delta_floor)
-    x = (1.0 / delta)[..., None, None] * eye
-
-    sigma_fn = lambda t: rep_eval(sigma, t)  # noqa: E731 - tight capture
-    step = None
-    for k in range(1, cfg.max_iters + 1):
-        xh, xih = spd_sqrt_pair(x)
-        w_blocks = congruence(xih[..., None, :, :], stack)
-        f_blocks = eigh_apply(w_blocks, sigma_fn)
-        z, _, _ = _eval_node(base, f_blocks, cfg, w_over)
-        zw = np.linalg.eigvalsh(z)
-        if np.max(zw[..., -1]) > 1.0 + _MONO_TOL:
-            raise NoConvergence(
-                "monotone descent violated; the base mean broke the fixed-point "
-                f"contract at iteration {k}",
-                last_iterate=x,
-                residual=float(np.max(zw[..., -1]) - 1.0),
-            )
-        lzw = np.log(np.maximum(zw, 1e-300))
-        step = np.maximum(np.abs(lzw[..., 0]), np.abs(lzw[..., -1]))
-        x = congruence(xh, z)
-        if np.all(step < cfg.dt_tol):
-            return x, k, step
-    raise NoConvergence(
-        f"deformed-mean iteration did not converge in {cfg.max_iters} steps",
-        last_iterate=x,
-        residual=float(np.max(step)),
-    )
+def _members(stack, w):
+    """``stack`` and the weights ``w`` (None: the spec's own) on one batch, flattened to members."""
+    n, d = stack.shape[-3:-1]
+    batch = np.broadcast_shapes(stack.shape[:-3], () if w is None else np.shape(w)[:-1])
+    a = np.broadcast_to(stack, batch + (n, d, d)).reshape(-1, n, d, d)
+    return batch, a, None if w is None else np.broadcast_to(w, batch + (n,)).reshape(-1, n)
 
 
-def _geodesic_frame(w, p, a, s):
-    """``(eig G, eigenvectors of G, max |log eig B_i|, bound)`` at ``S``; see :func:`_geodesic_loop`."""
+def _rounding_floor(a):
+    """``16 eps kappa`` per member, ``kappa`` the spectral spread of its inputs."""
+    eigs = np.linalg.eigvalsh(a)
+    return 16 * np.finfo(float).eps * eigs[..., -1].max(axis=-1) / eigs[..., 0].min(axis=-1)
+
+
+def _power_loop(w, p, stack, cfg):
+    """``P_p`` (``0 < p <= 1``) or the Karcher mean (``p = 0``) by :func:`_geodesic_loop`.
+
+    The frame mean is ``sum_i w_i B_i^p`` (``exp sum_i w_i log B_i`` at ``p =
+    0``) and the step ``G = log(M) / p`` (``log M``).  For ``p > 0`` the map
+    ``f(X) = sum_i w_i X #_p A_i`` is a Thompson contraction of rate ``1 -
+    p``, so ``max |eig G| = d(X, f(X)) / p`` bounds ``d(X, X*)``.  At ``p =
+    0`` the step is Riemannian gradient descent on the 1-strongly convex
+    ``1/2 sum_i w_i delta_R(X, A_i)^2``, and ``||G||_F`` bounds ``delta_R(X,
+    G*)``, hence the Thompson error; its rounding floor carries a ``sqrt d``
+    for the Frobenius norm.
+    """
+    batch, a, w = _members(stack, w)
+    floor = _rounding_floor(a) * (np.sqrt(a.shape[-1]) if p == 0 else 1.0)
+
+    def frame(idx, s):
+        return _power_frame(w[idx], p, a[idx], s)
+
+    what = "Karcher" if p == 0 else "power-mean"
+    return _geodesic_loop(frame, _weighted_sum(w, a), p, floor, cfg, what, batch)
+
+
+def _power_frame(w, p, a, s):
+    """``(G, eigenvectors of G, max |log eig B_i|, bound, bound)`` at ``S``; see :func:`_power_loop`."""
     eb, vb = np.linalg.eigh(congruence(s[..., None, :, :], a))
     if np.any(eb <= 0):
         raise NoConvergence("geodesic iterate lost positive definiteness")
@@ -291,53 +284,103 @@ def _geodesic_frame(w, p, a, s):
     em, vm = np.linalg.eigh(_rebuild(np.swapaxes(vb, -3, -2).reshape(-1, d, n * d), f.reshape(-1, n * d)))
     g = em if p == 0 else np.log(em) / p
     bound = np.sqrt(np.sum(g * g, axis=-1)) if p == 0 else np.abs(g).max(axis=-1)
-    return g, vm, np.abs(lb).max(axis=(-2, -1)), bound
+    return g, vm, np.abs(lb).max(axis=(-2, -1)), bound, bound
 
 
-def _geodesic_loop(w, p, stack, cfg):
-    """Damped geodesic solve of ``P_p`` (``0 < p <= 1``) or Karcher (``p = 0``).
+def _deformed_node(spec, stack, cfg, w_over):
+    """The deformed mean ``X = base(X sigma A_1, ..., X sigma A_n)`` by :func:`_geodesic_loop`.
 
-    ``X = (S S^T)^{-1}`` starts at the weighted arithmetic mean.  With ``B_i =
-    S^T A_i S`` and ``G = log(sum_i w_i B_i^p) / p`` (``sum_i w_i log B_i`` at
-    ``p = 0``), it steps ``S <- S exp(-theta G / 2)``.  For ``p > 0`` that is
-    ``X <- X #_{theta/p} f(X)`` with the monotone map ``f(X) = sum_i w_i X #_p
-    A_i``, a Thompson contraction of rate ``1 - p``, so ``max |eig G| = d(X,
-    f(X)) / p`` bounds ``d(X, X*)``.  At ``p = 0`` it is Riemannian gradient
-    descent on the 1-strongly convex ``1/2 sum_i w_i delta_R(X, A_i)^2``, and
-    ``||G||_F`` bounds ``delta_R(X, G*)``, hence the Thompson error.  ``theta =
-    max(p, min(cap, 2 / (2 + dmax)))`` follows its curvature; a step that does
-    not lower the bound halves the member's cap, an accepted one raises it by
-    1.25.  A member that meets ``cfg.dt_tol`` is frozen, so its solution does
-    not depend on its batch; one whose damping collapses is accepted with its
-    bound if that is within ``16 eps kappa`` (its inputs' spectral spread).
+    It starts at ``base(A_1, ..., A_n)``, the mean of the right trivial
+    deformation, which is also its shortcut.  See :func:`_deformed_frame`.
     """
-    batch, (n, d) = np.broadcast_shapes(stack.shape[:-3], np.shape(w)[:-1]), stack.shape[-3:-1]
-    a = np.broadcast_to(stack, batch + (n, d, d)).reshape(-1, n, d, d)
-    w = np.broadcast_to(w, batch + (n,)).reshape(-1, n)
-    eigs = np.linalg.eigvalsh(a)
-    floor = 16 * np.finfo(float).eps * eigs[..., -1].max(axis=-1) / eigs[..., 0].min(axis=-1)
-    r, s = spd_sqrt_pair(_weighted_sum(w, a))  # X = R^T R, S = R^{-1}
-    g, v, dmax, bound = _geodesic_frame(w, p, a, s)
-    cap, done, iters = np.ones(len(a)), bound < cfg.dt_tol, 0
+    base, sigma = spec.base, spec.sigma
+    if sigma.acts_right_trivial:
+        vals, iters, bound = _eval_node(base, stack, cfg, w_over)
+        return vals, max(iters, 1), bound
+    batch, a, w = _members(stack, w_over)
+    x0, _, _ = _eval_node(base, a, cfg, w)
+    slope = sigma.derivative_at_one
+
+    def frame(idx, s):
+        return _deformed_frame(base, sigma, slope, a[idx], None if w is None else w[idx], s, cfg)
+
+    return _geodesic_loop(frame, x0, slope, _rounding_floor(a), cfg, "deformed-mean", batch)
+
+
+def _deformed_frame(base, sigma, slope, a, w, s, cfg):
+    """``(G, eigenvectors of G, max |log eig B_i|, residual, bound)`` at ``S``.
+
+    The frame mean is ``M = base(f(B_1), ..., f(B_n))``: by congruence
+    invariance, ``f(X) = base(X sigma A_i)`` seen from ``X``, so ``rho = max
+    |log eig M|`` (plus the base's own bound when it is iterative) bounds
+    ``d(X, f(X))``, and ``G = log(M) / sigma'(1)``.  ``X -> X sigma A`` is
+    Thompson-Lipschitz with rate ``1 - e``, ``e`` the least elasticity ``t
+    f'(t) / f(t)`` over the spectrum of ``X^{-1/2} A X^{-1/2}``.  Over the
+    ball of radius ``R = 2 rho / e_0`` around ``X`` (``e_0`` taken on the
+    spectra of the ``B_i``) those spectra widen by at most ``e^{+-R}``; with
+    ``e`` taken there, ``rho / e <= R`` makes ``f`` map the ball into itself,
+    so ``X*`` lies in it and ``d(X, X*) <= rho / e``.  Where that fails the
+    bound is infinite, and the residual ``rho`` decides the steps.
+    """
+    eb, vb = np.linalg.eigh(congruence(s[..., None, :, :], a))
+    if np.any(eb <= 0):
+        raise NoConvergence("geodesic iterate lost positive definiteness")
+    lo, hi = eb[..., 0].min(axis=-1), eb[..., -1].max(axis=-1)
+    e0 = rep_elasticity(sigma, lo, hi)[0]
+    # an iterative base is solved well inside the outer tolerance, since its bound adds to rho
+    inner = replace(cfg, dt_tol=0.25 * cfg.dt_tol * e0.min()) if e0.min() > 0 else cfg
+    m, _, base_bound = _eval_node(base, _rebuild(vb, rep_eval(sigma, eb)), inner, w)
+    em, vm = np.linalg.eigh(m)
+    if np.any(em <= 0):
+        raise NoConvergence("deformed frame mean lost positive definiteness")
+    lm = np.log(em)
+    rho = np.abs(lm).max(axis=-1) + base_bound
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        widen = np.exp(np.minimum(2.0 * rho / e0, 700.0))
+        e = rep_elasticity(sigma, lo / widen, hi * widen)[0]
+        bound = np.where((e > 0) & (e >= 0.5 * e0), rho / e, np.inf)
+    return lm / slope, vm, np.abs(np.log(eb)).max(axis=(-2, -1)), rho, bound
+
+
+def _geodesic_loop(frame, x0, slope, floor, cfg, what, batch):
+    """Damped geodesic solve of a mean given by its ``frame``.
+
+    The iterate is a factor ``S`` with ``X = (S S^T)^{-1}``, starting at
+    ``x0``; ``frame(members, S)`` returns, with ``B_i = S^T A_i S``, the step
+    ``G`` (its eigenvectors, ``max |log eig B_i|``), a residual that decides
+    the steps and the error bound that stops them.  The loop steps ``S <- S
+    exp(-theta G / 2)``, i.e. ``X <- X #_{theta/slope} f(X)`` for the mean's
+    monotone map ``f``; ``theta = max(slope, min(cap, 2 / (2 + dmax)))``
+    follows its curvature, and at ``theta = slope`` the step is ``f`` itself.
+    A step that does not lower the residual halves the member's cap, an
+    accepted one raises it by 1.25.  A member that meets ``cfg.dt_tol`` is
+    frozen, so its solution does not depend on its batch; one whose damping
+    collapses is accepted with its bound if its residual is within ``floor``
+    (the rounding floor of its inputs).
+    """
+    r, s = spd_sqrt_pair(x0)  # X = R^T R, S = R^{-1}
+    d = s.shape[-1]
+    g, v, dmax, resid, bound = frame(np.arange(len(s)), s)
+    cap, done, iters = np.ones(len(s)), bound < cfg.dt_tol, 0
     while not done.all() and iters < cfg.max_iters:
         iters += 1
         act = np.flatnonzero(~done)
-        half = 0.5 * np.maximum(p, np.minimum(cap[act], 2.0 / (2.0 + dmax[act])))[:, None] * g[act]
+        half = 0.5 * np.maximum(slope, np.minimum(cap[act], 2.0 / (2.0 + dmax[act])))[:, None] * g[act]
         s_try, r_try = s[act] @ _rebuild(v[act], np.exp(-half)), _rebuild(v[act], np.exp(half)) @ r[act]
-        g_t, v_t, dmax_t, bound_t = _geodesic_frame(w[act], p, a[act], s_try)
-        ok = bound_t <= bound[act]
+        g_t, v_t, dmax_t, resid_t, bound_t = frame(act, s_try)
+        ok = resid_t <= resid[act]
         hit = act[ok]
         s[hit], r[hit], g[hit], v[hit] = s_try[ok], r_try[ok], g_t[ok], v_t[ok]
-        dmax[hit], bound[hit] = dmax_t[ok], bound_t[ok]
+        dmax[hit], resid[hit], bound[hit] = dmax_t[ok], resid_t[ok], bound_t[ok]
         cap[act] = np.where(ok, np.minimum(1.0, 1.25 * cap[act]), 0.5 * cap[act])
         done[hit] = bound_t[ok] < cfg.dt_tol
         stuck = act[cap[act] < 1e-8]
-        if np.any(bound[stuck] > floor[stuck]):
+        if not np.all((resid[stuck] <= floor[stuck]) & np.isfinite(bound[stuck])):
             break
         done[stuck] = True
     x = congruence(r, np.eye(d)).reshape(batch + (d, d))
     if not done.all():
-        msg = f"{'Karcher' if p == 0 else 'power-mean'} iteration stopped above its tolerance after {iters} steps"
+        msg = f"{what} iteration stopped above its tolerance after {iters} steps"
         raise NoConvergence(msg, last_iterate=x, residual=float(bound[~done].max()))
     return x, iters, bound.reshape(batch)
 
@@ -373,7 +416,7 @@ def _certify_karcher(w, stack, vals, cfg):
     and the lower end through ``P_{-t}(A) = P_t(A^{-1})^{-1}`` on the
     inverses, stacked along a new leading axis.
     """
-    ends, _, _ = _geodesic_loop(w, cfg.karcher_alpha, np.stack([stack, spd_inv(stack)]), cfg)
+    ends, _, _ = _power_loop(w, cfg.karcher_alpha, np.stack([stack, spd_inv(stack)]), cfg)
     upper, lower = ends[0], spd_inv(ends[1])
     scale = op_norm(upper) + op_norm(vals)
     tol = 1e-9

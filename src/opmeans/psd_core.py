@@ -44,6 +44,7 @@ __all__ = [
     "loewner_compare",
     "spectral_stats",
     "random_spd",
+    "random_spd_stack",
     "congruence",
     "sym",
     "eigh_apply",
@@ -326,31 +327,37 @@ def random_spd(dim: int, spectrum, seed: int) -> SpdMatrix:
     For ``dim >= 2`` the extreme eigenvalues are exactly ``m`` and ``M`` and
     the rest are uniform in between, so hypotheses of the form
     ``m I <= A <= M I`` hold with equality at both ends rather than only in
-    distribution.  ``dim == 1`` draws a single value in ``[m, M]``.
+    distribution.  ``dim == 1`` draws a single value in ``[m, M]``.  This is
+    the one-seed case of :func:`random_spd_stack`.
+    """
+    return SpdMatrix(dim=dim, entries=random_spd_stack(dim, spectrum, [seed])[0])
+
+
+def random_spd_stack(dim: int, spectrum, seeds) -> np.ndarray:
+    """``random_spd(dim, spectrum, s).a`` for every seed ``s``, stacked.
+
+    Each seed's generator draws as in the one-seed case; the orthogonal
+    factors then come from one batched QR (with the sign fix that makes them
+    Haar and independent of LAPACK's sign conventions) and one rebuild, which
+    give the same bits as the per-seed calls.
     """
     m, M = spectrum
     if not (0 < m < M):
         raise BadInterval(f"need 0 < m < M, got [{m}, {M}]")
     if dim < 1:
         raise BadInterval(f"dimension must be positive, got {dim}")
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(s) for s in seeds]
     if dim == 1:
-        val = rng.uniform(m, M)
-        return SpdMatrix(dim=1, entries=np.array([[val]]))
-    eigs = np.empty(dim)
-    eigs[0], eigs[-1] = m, M
-    eigs[1:-1] = rng.uniform(m, M, size=dim - 2)
-    q = _random_orthogonal(dim, rng)
-    a = sym((q * eigs) @ q.T)
-    return SpdMatrix(dim=dim, entries=a)
-
-
-def _random_orthogonal(dim, rng):
-    # QR with the sign fix that makes the distribution Haar and the result
-    # independent of LAPACK's sign conventions.
-    g = rng.standard_normal((dim, dim))
+        return np.array([rng.uniform(m, M) for rng in rngs]).reshape(-1, 1, 1)
+    eigs = np.empty((len(rngs), dim))
+    eigs[:, 0], eigs[:, -1] = m, M
+    g = np.empty((len(rngs), dim, dim))
+    for k, rng in enumerate(rngs):
+        eigs[k, 1:-1] = rng.uniform(m, M, size=dim - 2)
+        g[k] = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    return sym((q * eigs[:, None, :]) @ np.swapaxes(q, -1, -2))
 
 
 # --------------------------------------------------------------------------

@@ -604,10 +604,15 @@ def _forced_failure(family):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_recheck_reproduces_every_family_witness(family):
     # recheck rebuilds the worst trial, so it reproduces the margin and every
-    # constant the report read at that trial
+    # constant the report read at that trial; a matrix solve does not depend
+    # on its batch, so only the pair families' scalar deformed solves may
+    # move the margin in its last bits
     rep = _forced_failure(family)
     again = recheck(json.loads(json.dumps(rep.to_json())), tol=-1.0)
-    assert again.margin == pytest.approx(rep.margin, rel=1e-8, abs=1e-12)
+    if FAMILIES[family]["layout"] == "pair":
+        assert again.margin == pytest.approx(rep.margin, rel=1e-8, abs=1e-12)
+    else:
+        assert again.margin == rep.margin
     assert again.constants["trials"] == 1 and again.constants["worst_trial"] == 0
     for key, value in rep.constants.items():
         if isinstance(value, float):

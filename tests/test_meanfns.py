@@ -15,6 +15,7 @@ from opmeans.meanfns import (
     harmonic,
     left_trivial,
     pmi_margin,
+    rep_elasticity,
     rep_eval,
     rep_transform,
     repfn_from_json,
@@ -114,6 +115,26 @@ def test_arithmetic_value_and_derivative(w, t):
     spec = arithmetic(w)
     assert rep_eval(spec, t) == pytest.approx(1 - w + w * t, rel=1e-13)
     assert spec.derivative_at_one == pytest.approx(w, abs=1e-7)
+
+
+@pytest.mark.parametrize("interval", [(1e-2, 1e2), (0.5, 2.0), (1.0, 1.0)])
+def test_rep_elasticity_brackets_finite_differences(interval):
+    # the bounds must contain t f'(t) / f(t) on the interval, read off the
+    # log-log slope; a single point must give the derivative at that point
+    lo, hi = interval
+    t = np.geomspace(lo, hi, 2001)
+    specs = catalog() + [
+        convex_combo([(0.5, left_trivial()), (0.5, rep_transform(arithmetic(0.5), "adjoint"))]),
+        rep_transform(rep_transform(harmonic(0.5), "power_inner", 1 / 3), "transpose"),
+        rep_transform(geometric(0.5), "power_outer", 0.6),
+    ]
+    for spec in specs:
+        h = 1e-6
+        slope = (np.log(rep_eval(spec, t * np.exp(h))) - np.log(rep_eval(spec, t * np.exp(-h)))) / (2 * h)
+        e_lo, e_hi = rep_elasticity(spec, lo, hi)
+        assert e_lo <= slope.min() + 1e-8 and slope.max() - 1e-8 <= e_hi, spec
+        if lo == hi:
+            assert e_hi - e_lo < 1e-12 and spec.derivative_at_one == pytest.approx(slope[0], abs=1e-8)
 
 
 def test_transform_validation():

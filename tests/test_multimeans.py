@@ -209,18 +209,31 @@ def test_power_mean_negative_alpha_is_adjoint():
     assert np.abs(neg - expect).max() / np.abs(expect).max() < 1e-9
 
 
+def monotone_reference(base, sigma, stack, w, tol=1e-11):
+    # X <- base(X sigma A_1, ..., X sigma A_n) from lambda_max I, which lies
+    # above the fixed point, so the iterates decrease in the Loewner order;
+    # returns the last iterate and its Thompson step
+    x = np.linalg.eigvalsh(stack)[..., -1].max(axis=-1)[..., None, None] * np.eye(stack.shape[-1])
+    while True:
+        xh, xih = (m[..., None, :, :] for m in spd_sqrt_pair(x))
+        x_sigma_a = sym(xh @ eigh_apply(sym(xih @ stack @ xih), lambda u: rep_eval(sigma, u)) @ xh)
+        z = eval_mean_stack(base, x_sigma_a, weights_override=w).values
+        step, x = thompson(x, z), z
+        if np.all(step < tol):
+            return x, step
+
+
 def _check_against_monotone(stack, w, t):
-    # the geodesic solve of P_t against the monotone deformed loop of
+    # the geodesic solve of P_t against the monotone iteration of
     # X = sum_i w_i X #_t A_i: the monotone error is at most step (1 - t) / t
     cfg = SolverConfig()
     uni = Weights.uniform(stack.shape[-3])
     spec = MultiMeanSpec.power(uni, t)
     fast = eval_mean_stack(spec, stack, cfg, weights_override=w)
-    monotone = MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(uni), geometric(t))
-    mono = eval_mean_stack(monotone, stack, cfg, weights_override=w)
+    mono, step = monotone_reference(MultiMeanSpec.arithmetic(uni), geometric(t), stack, w)
     fine = eval_mean_stack(spec, stack, SolverConfig(dt_tol=1e-12), weights_override=w)
     assert np.all(fast.residual_dt < cfg.dt_tol) and np.all(fine.residual_dt < 1e-12)
-    assert np.all(thompson(fast.values, mono.values) <= mono.residual_dt * (1 - t) / t + fast.residual_dt)
+    assert np.all(thompson(fast.values, mono) <= step * (1 - t) / t + fast.residual_dt)
     # the reported bound covers the distance to a tighter solve
     assert np.all(thompson(fast.values, fine.values) <= fast.residual_dt)
 
@@ -240,24 +253,65 @@ def test_power_mean_matches_monotone_route_at_condition_512():
     _check_against_monotone(spd_power(data.stack, 3.0), data.weights, 1 / 12)
 
 
-@pytest.mark.parametrize("alpha,top", [(0.5, 8), (-0.25, 6), (1 / 64, 8), (None, 4)])
-def test_condition_ladder(alpha, top):
+@pytest.mark.parametrize("dim", [2, 5, 8])
+def test_deformed_bound_covers_tighter_solve_on_5_8_data(dim):
+    # 5.8 cells deform the arithmetic mean by harmonic(1/2) on cubes of inputs
+    # with spread M/m = 8; the bound must cover the distance to a solve at
+    # 1e-13 (which may stop at its rounding floor 16 eps 8^3), and the fixed
+    # point must match the monotone iteration
+    data = _gen_cell_data("5.8", dim, 0.5, 12, 17)
+    stack = spd_power(data.stack, 3.0)
+    arith, sigma = MultiMeanSpec.arithmetic(UNI3), harmonic(0.5)
+    spec = MultiMeanSpec.deformed(arith, sigma)
+    fast = eval_mean_stack(spec, stack, QUIET, weights_override=data.weights)
+    fine = eval_mean_stack(spec, stack, SolverConfig(dt_tol=1e-13), weights_override=data.weights)
+    assert np.all(fast.residual_dt < QUIET.dt_tol)
+    assert np.all(fine.residual_dt <= 16 * np.finfo(float).eps * 8.0**3)
+    assert np.all(thompson(fast.values, fine.values) <= fast.residual_dt)
+    mono, _ = monotone_reference(arith, sigma, stack, data.weights, tol=1e-13)
+    assert np.all(thompson(fast.values, mono) <= 1e-10)
+
+
+DEFORMED = MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(W3), harmonic(0.5))
+
+
+def _ladder_spec(alpha):
+    if alpha == "deformed":
+        return DEFORMED
+    return MultiMeanSpec.karcher(W3) if alpha is None else MultiMeanSpec.power(W3, alpha)
+
+
+@pytest.mark.parametrize(
+    "alpha,top,norm",
+    [
+        pytest.param(0.5, 8, 1.0, id="0.5-8"),
+        pytest.param(-0.25, 6, 1.0, id="-0.25-6"),
+        pytest.param(1 / 64, 8, 1.0, id="0.015625-8"),
+        pytest.param(None, 4, 1.0, id="None-4"),
+        # at 1e8 (seeds 800-802) the Karcher damping collapses at a Frobenius
+        # bound above 16 eps kappa, within sqrt(d) = 2 times it
+        pytest.param(None, 8, 2.0, id="None-8"),
+        pytest.param("deformed", 5, 1.0, id="deformed-5"),
+    ],
+)
+def test_condition_ladder(alpha, top, norm):
     # 4x4 inputs with spectra [1, 10^k]: every solve returns a finite bound,
-    # at the tolerance or within the rounding floor 16 eps kappa
-    spec = MultiMeanSpec.karcher(W3) if alpha is None else MultiMeanSpec.power(W3, alpha)
+    # at the tolerance or within norm times the rounding floor 16 eps kappa
+    spec = _ladder_spec(alpha)
     for k in range(1, top + 1):
         As = [random_spd(4, (1.0, 10.0**k), 100 * k + j) for j in range(3)]
         res = eval_mean(spec, As, QUIET)
-        assert res.residual_dt <= max(QUIET.dt_tol, 16 * np.finfo(float).eps * 10.0**k), k
+        assert res.residual_dt <= max(QUIET.dt_tol, norm * 16 * np.finfo(float).eps * 10.0**k), k
         assert np.all(np.isfinite(res.value.a))
 
 
-@pytest.mark.parametrize("alpha", [0.5, -0.25, 1 / 64, None])
+@pytest.mark.parametrize("alpha", [0.5, -0.25, 1 / 64, None, "deformed"])
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
 def test_scaled_inputs_keep_homogeneity(alpha, scale):
-    # the solves start at the weighted arithmetic mean, so a scalar factor on
-    # the inputs (here near the ends of the float range) passes through
-    spec = MultiMeanSpec.karcher(W3) if alpha is None else MultiMeanSpec.power(W3, alpha)
+    # the solves start at the weighted arithmetic mean (the base mean of the
+    # inputs for a deformed mean), so a scalar factor on the inputs (here near
+    # the ends of the float range) passes through
+    spec = _ladder_spec(alpha)
     As = ensemble(4, 3, 900)
     res = eval_mean(spec, [validate_spd(scale * a.a) for a in As])
     assert res.residual_dt < SolverConfig().dt_tol

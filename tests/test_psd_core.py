@@ -11,6 +11,7 @@ from opmeans.psd_core import (
     matrix_function,
     matrix_to_json,
     random_spd,
+    random_spd_stack,
     spectral_stats,
     spd_sqrt_pair,
     sym,
@@ -145,6 +146,32 @@ def test_random_spd_contract():
         s = spectral_stats(m)
         assert s.lambda_min == pytest.approx(0.7, abs=1e-10)
         assert s.op_norm == pytest.approx(2.5, abs=1e-10)
+
+
+def _random_spd_loop(dim, spectrum, seeds):
+    # the per-seed draw: spectrum pinned at both ends, then a Haar rotation
+    # from QR with the sign fix
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        if dim == 1:
+            out.append([[rng.uniform(*spectrum)]])
+            continue
+        eigs = np.concatenate([[spectrum[0]], rng.uniform(*spectrum, size=dim - 2), [spectrum[1]]])
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        q = q * np.sign(np.diag(r))
+        out.append(sym((q * eigs) @ q.T))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+def test_random_spd_stack_matches_per_seed_draws(dim):
+    seeds = [int(s) for s in np.random.default_rng(dim).integers(0, 2**63, 50)]
+    stack = random_spd_stack(dim, (0.5, 2.2), seeds)
+    assert np.array_equal(stack, _random_spd_loop(dim, (0.5, 2.2), seeds))
+    assert np.array_equal(random_spd(dim, (0.5, 2.2), seeds[3]).a, stack[3])
+    with pytest.raises(errors.BadInterval):
+        random_spd_stack(dim, (1.0, 1.0), seeds)
 
 
 def test_arithmetic_mean_nonexpansive_in_thompson():
