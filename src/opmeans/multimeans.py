@@ -5,9 +5,11 @@ the unique fixed point of ``X = M(X sigma A_1, ..., X sigma A_n)`` (Lim and
 Palfia, *Matrix power means and the Karcher mean*, JFA 262 (2012)).  Power
 means are the deformations of the arithmetic mean by ``t^p``, and the
 Karcher mean is their limit; all three run one damped geodesic iteration,
-:func:`_geodesic_loop`, that stops on a true Thompson error bound.  A
-Karcher solve is certified by the power-mean enclosure ``P_{-t} <= G <=
-P_t``, whose ends solve a different equation.
+:func:`_geodesic_loop`, Anderson-mixed in the chart ``log X``, that stops on
+a true Thompson error bound.  For power and Karcher means that bound also
+covers the rounding of its own evaluation.  A Karcher solve is certified by
+the power-mean enclosure ``P_{-t} <= G <= P_t``, whose ends solve a
+different equation.
 
 All solvers run on stacked operands of shape ``(..., n, d, d)`` and
 broadcast over the leading axes, which is what makes large randomized
@@ -149,7 +151,10 @@ class MultiMeanSpec:
 @dataclass(frozen=True)
 class MeanResult:
     """``residual_dt`` bounds the Thompson distance from ``value`` to the mean
-    (0 for closed forms)."""
+    (0 for closed forms).  For power and Karcher means it includes the
+    rounding of its own evaluation, ``16 eps / |alpha|`` and ``16 eps sqrt d``.
+    ``iterations`` counts the iterations of the geodesic loop: damped steps
+    and Anderson points alike."""
 
     value: SpdMatrix
     iterations: int
@@ -244,10 +249,15 @@ def _members(stack, w):
     return batch, a, None if w is None else np.broadcast_to(w, batch + (n,)).reshape(-1, n)
 
 
+_EPS = np.finfo(float).eps
+_DEPTH = 5  # Anderson history kept per member
+_EYE = np.eye(_DEPTH)
+
+
 def _rounding_floor(a):
     """``16 eps kappa`` per member, ``kappa`` the spectral spread of its inputs."""
     eigs = np.linalg.eigvalsh(a)
-    return 16 * np.finfo(float).eps * eigs[..., -1].max(axis=-1) / eigs[..., 0].min(axis=-1)
+    return 16 * _EPS * eigs[..., -1].max(axis=-1) / eigs[..., 0].min(axis=-1)
 
 
 def _power_loop(w, p, stack, cfg):
@@ -265,26 +275,46 @@ def _power_loop(w, p, stack, cfg):
     batch, a, w = _members(stack, w)
     floor = _rounding_floor(a) * (np.sqrt(a.shape[-1]) if p == 0 else 1.0)
 
-    def frame(idx, s):
-        return _power_frame(w[idx], p, a[idx], s)
+    def frame(idx):
+        wi, ai = w[idx], a[idx]
+        return lambda s: _power_frame(wi, p, ai, s)
 
     what = "Karcher" if p == 0 else "power-mean"
     return _geodesic_loop(frame, _weighted_sum(w, a), p, floor, cfg, what, batch)
 
 
+def _frame_spectra(s, a):
+    """Spectra of ``B_i = S A_i S`` (``S`` symmetric), and the members where one is not positive.
+
+    Those members' spectra are replaced by ones, so that their frame stays
+    finite; the frame reports an infinite residual for them.
+    """
+    eb, vb = np.linalg.eigh(congruence(s[:, None], a))
+    bad = eb[..., 0].min(axis=-1) <= 0
+    eb[bad] = 1.0
+    return eb, vb, bad
+
+
 def _power_frame(w, p, a, s):
-    """``(G, eigenvectors of G, max |log eig B_i|, bound, bound)`` at ``S``; see :func:`_power_loop`."""
-    eb, vb = np.linalg.eigh(congruence(s[..., None, :, :], a))
-    if np.any(eb <= 0):
-        raise NoConvergence("geodesic iterate lost positive definiteness")
+    """``(G, eigenvectors of G, max |log eig B_i|, residual, bound)`` at ``S``; see :func:`_power_loop`.
+
+    The bound adds the rounding of its own evaluation, ``16 eps / p`` on
+    ``max |eig G|`` (``16 eps sqrt d`` on ``||G||_F`` at ``p = 0``).
+    """
+    eb, vb, bad = _frame_spectra(s, a)
     lb = np.log(eb)
     f = w[..., None] * (lb if p == 0 else np.exp(p * lb))
     # sum_i V_i diag(f_i) V_i^T as one rebuild over the n spectra side by side
     _, n, d = f.shape
     em, vm = np.linalg.eigh(_rebuild(np.swapaxes(vb, -3, -2).reshape(-1, d, n * d), f.reshape(-1, n * d)))
-    g = em if p == 0 else np.log(em) / p
-    bound = np.sqrt(np.sum(g * g, axis=-1)) if p == 0 else np.abs(g).max(axis=-1)
-    return g, vm, np.abs(lb).max(axis=(-2, -1)), bound, bound
+    if p == 0:
+        g = em
+        resid, rounding = np.sqrt(np.sum(g * g, axis=-1)), 16 * _EPS * np.sqrt(d)
+    else:
+        g = np.log(em) / p
+        resid, rounding = np.abs(g).max(axis=-1), 16 * _EPS / p
+    resid[bad] = np.inf
+    return g, vm, np.abs(lb).max(axis=(-2, -1)), resid, resid + rounding
 
 
 def _deformed_node(spec, stack, cfg, w_over):
@@ -301,8 +331,9 @@ def _deformed_node(spec, stack, cfg, w_over):
     x0, _, _ = _eval_node(base, a, cfg, w)
     slope = sigma.derivative_at_one
 
-    def frame(idx, s):
-        return _deformed_frame(base, sigma, slope, a[idx], None if w is None else w[idx], s, cfg)
+    def frame(idx):
+        ai, wi = a[idx], None if w is None else w[idx]
+        return lambda s: _deformed_frame(base, sigma, slope, ai, wi, s, cfg)
 
     return _geodesic_loop(frame, x0, slope, _rounding_floor(a), cfg, "deformed-mean", batch)
 
@@ -322,19 +353,18 @@ def _deformed_frame(base, sigma, slope, a, w, s, cfg):
     so ``X*`` lies in it and ``d(X, X*) <= rho / e``.  Where that fails the
     bound is infinite, and the residual ``rho`` decides the steps.
     """
-    eb, vb = np.linalg.eigh(congruence(s[..., None, :, :], a))
-    if np.any(eb <= 0):
-        raise NoConvergence("geodesic iterate lost positive definiteness")
+    eb, vb, bad = _frame_spectra(s, a)
     lo, hi = eb[..., 0].min(axis=-1), eb[..., -1].max(axis=-1)
     e0 = rep_elasticity(sigma, lo, hi)[0]
     # an iterative base is solved well inside the outer tolerance, since its bound adds to rho
     inner = replace(cfg, dt_tol=0.25 * cfg.dt_tol * e0.min()) if e0.min() > 0 else cfg
     m, _, base_bound = _eval_node(base, _rebuild(vb, rep_eval(sigma, eb)), inner, w)
     em, vm = np.linalg.eigh(m)
-    if np.any(em <= 0):
-        raise NoConvergence("deformed frame mean lost positive definiteness")
+    bad |= em[..., 0] <= 0
+    em[bad] = 1.0
     lm = np.log(em)
     rho = np.abs(lm).max(axis=-1) + base_bound
+    rho[bad] = np.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         widen = np.exp(np.minimum(2.0 * rho / e0, 700.0))
         e = rep_elasticity(sigma, lo / widen, hi * widen)[0]
@@ -342,47 +372,146 @@ def _deformed_frame(base, sigma, slope, a, w, s, cfg):
     return lm / slope, vm, np.abs(np.log(eb)).max(axis=(-2, -1)), rho, bound
 
 
-def _geodesic_loop(frame, x0, slope, floor, cfg, what, batch):
-    """Damped geodesic solve of a mean given by its ``frame``.
+def _chart_step(lw, lv, g, v):
+    """The step ``X -> R exp(G) R`` to first order in the chart ``L = log X``, flattened.
 
-    The iterate is a factor ``S`` with ``X = (S S^T)^{-1}``, starting at
-    ``x0``; ``frame(members, S)`` returns, with ``B_i = S^T A_i S``, the step
-    ``G`` (its eigenvectors, ``max |log eig B_i|``), a residual that decides
-    the steps and the error bound that stops them.  The loop steps ``S <- S
-    exp(-theta G / 2)``, i.e. ``X <- X #_{theta/slope} f(X)`` for the mean's
-    monotone map ``f``; ``theta = max(slope, min(cap, 2 / (2 + dmax)))``
-    follows its curvature, and at ``theta = slope`` the step is ``f`` itself.
-    A step that does not lower the residual halves the member's cap, an
-    accepted one raises it by 1.25.  A member that meets ``cfg.dt_tol`` is
-    frozen, so its solution does not depend on its batch; one whose damping
-    collapses is accepted with its bound if its residual is within ``floor``
-    (the rounding floor of its inputs).
+    ``X = lv diag(exp lw) lv^T``, ``R = X^{1/2}`` and ``G = v diag(g) v^T``.
+    The Daleckii-Krein formula for the derivative of ``log`` at ``X`` gives
+    ``lv [(lv^T G lv) o phi(lw_i - lw_j)] lv^T`` with ``phi(x) = (x / 2) /
+    sinh(x / 2)``, no decomposition needed.
     """
-    r, s = spd_sqrt_pair(x0)  # X = R^T R, S = R^{-1}
-    d = s.shape[-1]
-    g, v, dmax, resid, bound = frame(np.arange(len(s)), s)
-    cap, done, iters = np.ones(len(s)), bound < cfg.dt_tol, 0
-    while not done.all() and iters < cfg.max_iters:
-        iters += 1
-        act = np.flatnonzero(~done)
-        half = 0.5 * np.maximum(slope, np.minimum(cap[act], 2.0 / (2.0 + dmax[act])))[:, None] * g[act]
-        s_try, r_try = s[act] @ _rebuild(v[act], np.exp(-half)), _rebuild(v[act], np.exp(half)) @ r[act]
-        g_t, v_t, dmax_t, resid_t, bound_t = frame(act, s_try)
-        ok = resid_t <= resid[act]
-        hit = act[ok]
-        s[hit], r[hit], g[hit], v[hit] = s_try[ok], r_try[ok], g_t[ok], v_t[ok]
-        dmax[hit], resid[hit], bound[hit] = dmax_t[ok], resid_t[ok], bound_t[ok]
-        cap[act] = np.where(ok, np.minimum(1.0, 1.25 * cap[act]), 0.5 * cap[act])
-        done[hit] = bound_t[ok] < cfg.dt_tol
-        stuck = act[cap[act] < 1e-8]
-        if not np.all((resid[stuck] <= floor[stuck]) & np.isfinite(bound[stuck])):
+    lvt = lv.swapaxes(-1, -2)
+    h = lvt @ v
+    half = 0.5 * (lw[:, :, None] - lw[:, None, :])  # |half| < 710 for spectra of normal floats
+    phi = np.divide(half, np.sinh(half), out=np.ones_like(half), where=half != 0)
+    return (lv @ ((h * g[:, None, :]) @ h.swapaxes(-1, -2) * phi) @ lvt).reshape(len(lw), -1)
+
+
+def _anderson(l, f, hist):
+    """Type-II Anderson point ``L + F - (dL + dF) gamma`` per member, flattened.
+
+    ``l`` and ``f`` are ``(k, d*d)``; ``hist`` holds the differences ``dL``
+    and ``dF`` between past iterates, ``(k, 2, _DEPTH, d*d)`` with unused
+    columns zero.  ``gamma`` minimises ``||F - dF gamma||`` through the Gram
+    matrix, regularised relative to its trace, so a zero column gets a zero
+    coefficient.
+    """
+    dl, df = hist[:, 0], hist[:, 1]
+    gram = df @ df.swapaxes(-1, -2)
+    reg = 1e-10 * (df * df).sum(axis=(-2, -1)) + np.finfo(float).tiny
+    gamma = np.linalg.solve(gram + reg[:, None, None] * _EYE, df @ f[:, :, None])
+    return l + f - (gamma.swapaxes(-1, -2) @ (dl + df))[:, 0]
+
+
+def _geodesic_loop(frame, x0, slope, floor, cfg, what, batch):
+    """Anderson-mixed damped geodesic solve of a mean given by its ``frame``.
+
+    Each member's iterate is the eigenpair ``(lw, lv)`` of ``L = log X``,
+    starting at ``x0``.  ``frame(members)`` gives the map that returns, at
+    ``S = X^{-1/2}`` and with ``B_i = S A_i S``, the step ``G`` (its
+    eigenvectors, ``max |log eig B_i|``), a residual that decides the steps
+    and the error bound that stops them.  The damped step is ``X <- R
+    exp(theta G) R`` with ``R = X^{1/2}``, i.e. ``X <- X #_{theta/slope}
+    f(X)`` for the mean's monotone map ``f``; ``theta = max(slope, min(cap,
+    2 / (2 + dmax)))`` follows its curvature, and at ``theta = slope`` the
+    step is ``f`` itself.  In the chart it reads ``F = theta C``
+    (:func:`_chart_step`).  A member with a history of ``L`` and ``F``
+    differences tries the Anderson point (Walker and Ni, SIAM J. Numer.
+    Anal. 49 (2011), depth ``_DEPTH``) instead of the damped step.  Both
+    candidates go through one ``eigh``, and one is accepted only if it lowers
+    the residual.  A rejected Anderson point drops the member's history, a
+    rejected damped step halves its cap, an accepted step raises it by 1.25.
+    An Anderson point whose spectrum leaves ``[min lw - dmax, max lw +
+    dmax]`` at ``x0`` is rejected unseen, since the mean lies in ``e^{+-dmax}
+    x0``; so is one whose frame is not positive definite.  A member that
+    meets ``cfg.dt_tol`` is frozen, and all arithmetic is per member, so its
+    solution does not depend on its batch; one whose damping collapses is
+    accepted with its bound if its residual is within ``floor`` (the rounding
+    floor of its inputs).
+    """
+    ew, lv = np.linalg.eigh(x0)
+    if np.any(ew <= 0):
+        raise NoConvergence(f"{what} start is not positive definite")
+    lw = np.log(ew)
+    size, d = lw.shape
+    idx = np.arange(size)  # the members still iterating
+    g, v, dmax, resid, bound = frame(idx)(_rebuild(lv, np.exp(-0.5 * lw)))
+    if not np.all(np.isfinite(resid)):
+        raise NoConvergence("geodesic iterate lost positive definiteness")
+    out_w, out_v, out_bound = lw.copy(), lv.copy(), bound.copy()
+    lo, hi = lw[:, 0] - dmax, lw[:, -1] + dmax  # the spectrum of log X* lies in [lo, hi]
+    cap, hist, count = np.ones(size), np.zeros((size, 2, _DEPTH, d * d)), np.zeros(size, dtype=int)
+    theta = np.maximum(slope, np.minimum(cap, 2.0 / (2.0 + dmax)))
+    l, c = _rebuild(lv, lw).reshape(size, -1), _chart_step(lw, lv, g, v)
+    f = theta[:, None] * c
+    live, iters = bound >= cfg.dt_tol, 0
+    while True:
+        all_live = live.all()
+        if not all_live:  # write out the members that stopped, go on with the rest
+            fin = idx[~live]
+            out_w[fin], out_v[fin], out_bound[fin] = lw[~live], lv[~live], bound[~live]
+            state = (idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count)
+            idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count = (x[live] for x in state)
+        if iters == 0 or not all_live:
+            fmap, rows = frame(idx), np.arange(len(idx))
+        if not len(idx) or iters == cfg.max_iters:
             break
-        done[stuck] = True
-    x = congruence(r, np.eye(d)).reshape(batch + (d, d))
-    if not done.all():
+        iters += 1
+        mix = count > 0
+        all_mix = mix.all()
+        if all_mix:
+            cand = _anderson(l, f, hist).reshape(-1, d, d)
+        else:
+            k = _rebuild(lv, np.exp(0.5 * lw)) @ (v * np.exp(0.5 * theta[:, None] * g)[:, None, :])
+            cand = k @ k.swapaxes(-1, -2)
+            if mix.any():
+                cand[mix] = _anderson(l[mix], f[mix], hist[mix]).reshape(-1, d, d)
+        lw_t, lv_t = np.linalg.eigh(cand)
+        sane = (lw_t[:, 0] >= lo) & (lw_t[:, -1] <= hi)
+        if not all_mix:  # damped candidates are X, not log X
+            plain = ~mix
+            sane[plain] = lw_t[plain, 0] > 0
+            lw_t[plain] = np.log(np.where(sane[plain, None], lw_t[plain], 1.0))
+        if not sane.all():  # evaluate the frame at the current point instead
+            lw_t[~sane], lv_t[~sane] = lw[~sane], lv[~sane]
+        g_t, v_t, dmax_t, resid_t, bound_t = fmap(_rebuild(lv_t, np.exp(-0.5 * lw_t)))
+        ok = sane & (resid_t <= resid)
+        all_ok = ok.all()
+        cap_t = np.minimum(1.0, 1.25 * cap)
+        l_t = cand.reshape(len(idx), -1)
+        if not all_mix:
+            l_t[plain] = _rebuild(lv_t[plain], lw_t[plain]).reshape(-1, d * d)
+        c_t = _chart_step(lw_t, lv_t, g_t, v_t)
+        if not all_ok:
+            back = ~ok
+            cap_t[back] = np.where(mix[back], 1.0, 0.5) * cap[back]
+            for new, old in (
+                (lw_t, lw), (lv_t, lv), (l_t, l), (c_t, c), (g_t, g), (v_t, v),
+                (dmax_t, dmax), (resid_t, resid), (bound_t, bound),
+            ):
+                new[back] = old[back]
+        theta = np.maximum(slope, np.minimum(cap_t, 2.0 / (2.0 + dmax_t)))
+        f_t = theta[:, None] * c_t
+        slot = count % _DEPTH
+        hist[rows, 0, slot], hist[rows, 1, slot] = l_t - l, f_t - f
+        count += 1
+        lw, lv, l, c, f, g, v, cap = lw_t, lv_t, l_t, c_t, f_t, g_t, v_t, cap_t
+        dmax, resid, bound = dmax_t, resid_t, bound_t
+        live = bound >= cfg.dt_tol
+        if not all_ok:
+            hist[back], count[back] = 0.0, 0
+            stuck = live & (cap < 1e-8)
+            if stuck.any():
+                if not np.all((resid[stuck] <= floor[idx[stuck]]) & np.isfinite(bound[stuck])):
+                    break
+                live &= ~stuck
+    if len(idx):
+        out_w[idx], out_v[idx] = lw, lv
+    x = _rebuild(out_v, np.exp(out_w)).reshape(batch + (d, d))
+    if len(idx):
         msg = f"{what} iteration stopped above its tolerance after {iters} steps"
-        raise NoConvergence(msg, last_iterate=x, residual=float(bound[~done].max()))
-    return x, iters, bound.reshape(batch)
+        raise NoConvergence(msg, last_iterate=x, residual=float(bound.max()))
+    return x, iters, out_bound.reshape(batch)
 
 
 def eval_mean_stack(

@@ -234,8 +234,8 @@ def _check_against_monotone(stack, w, t):
     fine = eval_mean_stack(spec, stack, SolverConfig(dt_tol=1e-12), weights_override=w)
     assert np.all(fast.residual_dt < cfg.dt_tol) and np.all(fine.residual_dt < 1e-12)
     assert np.all(thompson(fast.values, mono) <= step * (1 - t) / t + fast.residual_dt)
-    # the reported bound covers the distance to a tighter solve
-    assert np.all(thompson(fast.values, fine.values) <= fast.residual_dt)
+    # the two reported bounds cover the distance between the solves
+    assert np.all(thompson(fast.values, fine.values) <= fast.residual_dt + fine.residual_dt)
 
 
 @pytest.mark.parametrize("t", [0.5, 1 / 12, 1 / 64])
@@ -251,6 +251,69 @@ def test_power_mean_matches_monotone_route_at_condition_512():
     # spread M/m = 8, under non-uniform trial weights
     data = _gen_cell_data("5.9", 2, 0.25, 8, 17)
     _check_against_monotone(spd_power(data.stack, 3.0), data.weights, 1 / 12)
+
+
+def _mp_fixed_point(t, mats, w):
+    # the 2x2 power mean P_t (Karcher at t = 0) to 50 digits: Newton on the
+    # three entries of sum_i w_i f(X^{-1/2} A_i X^{-1/2}) = f(I), f = t-th power or log
+    from mpmath import mp
+
+    def fn(a, f):
+        e, q = mp.eigsy(a)
+        return q * mp.diag([f(u) for u in e]) * q.T
+
+    mats = [mp.matrix(a.tolist()) for a in mats]
+    power = mp.log if t == 0 else (lambda u: u**t)
+
+    def eqs(x00, x01, x11):
+        xih = fn(mp.matrix([[x00, x01], [x01, x11]]), lambda u: 1 / mp.sqrt(u))
+        m = sum((mp.mpf(float(wi)) * fn(xih * a * xih, power) for wi, a in zip(w, mats)), -power(1) * mp.eye(2))
+        return [m[0, 0], m[0, 1], m[1, 1]]
+
+    return eqs, fn
+
+
+@pytest.mark.parametrize("t", [0.5, 1 / 12, 1 / 64, 0.0])
+def test_bound_covers_true_error_against_mpmath(t):
+    # d = 2 ensembles of test_power_mean_matches_monotone_route: the Thompson
+    # distance to a 50-digit solution stays within residual_dt, with no slack
+    mp = pytest.importorskip("mpmath").mp
+    stack = np.stack([np.stack([a.a for a in ensemble(2, 3, 700 + 10 * b)]) for b in range(4)])
+    w = np.random.default_rng(2).dirichlet(np.ones(3), size=4)
+    spec = MultiMeanSpec.karcher(UNI3) if t == 0 else MultiMeanSpec.power(UNI3, t)
+    res = eval_mean_stack(spec, stack, QUIET, weights_override=w)
+    with mp.workdps(50):
+        for b in range(4):
+            eqs, fn = _mp_fixed_point(t, stack[b], w[b])
+            x = res.values[b]
+            star = mp.findroot(eqs, (x[0, 0], x[0, 1], x[1, 1]))
+            sih = fn(mp.matrix([[star[0], star[1]], [star[1], star[2]]]), lambda u: 1 / mp.sqrt(u))
+            e, _ = mp.eigsy(sih * mp.matrix(x.tolist()) * sih)
+            assert max(abs(mp.log(u)) for u in e) <= res.residual_dt[b], b
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MultiMeanSpec.power(UNI3, 1 / 12),
+        MultiMeanSpec.power(UNI3, -0.25),
+        MultiMeanSpec.karcher(UNI3),
+        MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(UNI3), harmonic(0.5)),
+    ],
+    ids=["power", "power-negative", "karcher", "deformed"],
+)
+def test_member_solved_alone_matches_batch(spec):
+    # every member iterates on its own history and is frozen once converged,
+    # so solving it alone gives the same bits as solving it among 8 (what
+    # recheck relies on); the spreads differ, so the members stop apart
+    spreads = [(1.0, 4.0 ** (b + 1)) for b in range(8)]
+    stack = np.stack([np.stack([random_spd(4, spreads[b], 40 * b + j).a for j in range(3)]) for b in range(8)])
+    w = np.random.default_rng(3).dirichlet(np.ones(3), size=8)
+    batch = eval_mean_stack(spec, stack, QUIET, weights_override=w)
+    for b in range(8):
+        alone = eval_mean_stack(spec, stack[b], QUIET, weights_override=w[b])
+        assert np.array_equal(alone.values, batch.values[b]), b
+        assert np.array_equal(alone.residual_dt, batch.residual_dt[b]), b
 
 
 @pytest.mark.parametrize("dim", [2, 5, 8])
@@ -288,20 +351,23 @@ def _ladder_spec(alpha):
         pytest.param(-0.25, 6, 1.0, id="-0.25-6"),
         pytest.param(1 / 64, 8, 1.0, id="0.015625-8"),
         pytest.param(None, 4, 1.0, id="None-4"),
-        # at 1e8 (seeds 800-802) the Karcher damping collapses at a Frobenius
-        # bound above 16 eps kappa, within sqrt(d) = 2 times it
+        # the Karcher floor is sqrt(d) = 2 times 16 eps kappa, the scale of
+        # its Frobenius bound
         pytest.param(None, 8, 2.0, id="None-8"),
-        pytest.param("deformed", 5, 1.0, id="deformed-5"),
+        pytest.param(None, 12, 2.0, id="None-12"),
+        pytest.param("deformed", 7, 1.0, id="deformed-7"),
     ],
 )
 def test_condition_ladder(alpha, top, norm):
     # 4x4 inputs with spectra [1, 10^k]: every solve returns a finite bound,
-    # at the tolerance or within norm times the rounding floor 16 eps kappa
+    # at the tolerance or within norm times the rounding floor 16 eps kappa,
+    # in at most 500 iterations
     spec = _ladder_spec(alpha)
     for k in range(1, top + 1):
         As = [random_spd(4, (1.0, 10.0**k), 100 * k + j) for j in range(3)]
         res = eval_mean(spec, As, QUIET)
         assert res.residual_dt <= max(QUIET.dt_tol, norm * 16 * np.finfo(float).eps * 10.0**k), k
+        assert res.iterations <= 500, k
         assert np.all(np.isfinite(res.value.a))
 
 
