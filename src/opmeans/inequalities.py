@@ -182,6 +182,12 @@ class SearchConfig:
     shift: float = 1e-9
     tol: float = 1e-7
 
+    def __post_init__(self):
+        if min(self.ratio_points, self.t_points, self.k_points) < 1:
+            raise ConfigError("search point counts must be >= 1")
+        if not (math.isfinite(self.shift) and 0 <= self.tol < math.inf):
+            raise ConfigError(f"search shift must be finite and tol in [0, inf), got {self.shift} and {self.tol}")
+
 
 # --------------------------------------------------------------------------
 # the generalized Kantorovich constant
@@ -189,16 +195,18 @@ class SearchConfig:
 
 
 def kantorovich(h, p):
-    """Generalized Kantorovich constant ``K(h, p)`` for ``h > 1``.
+    """Generalized Kantorovich constant ``K(h, p)`` for finite ``h > 1`` and ``p``.
 
-    At ``p = 1`` the singularity is removable and the value is 1; near
-    ``p = 1`` the expm1-based evaluation below stays accurate.  Vectorized
-    over ``h``.
+    At ``p = 0`` and ``p = 1`` the singularity is removable and the value is
+    1; near ``p = 1`` the expm1-based evaluation below stays accurate.
+    Vectorized over ``h``.
     """
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr <= 1.0):
         raise BadH(f"K(h, p) needs h > 1, got min h = {h_arr.min()}")
-    if p == 1:
+    if not (np.all(np.isfinite(h_arr)) and math.isfinite(p)):
+        raise BadH(f"K(h, p) needs finite h and p, got h = {h}, p = {p}")
+    if p in (0, 1):
         out = np.ones_like(h_arr)
         return float(out) if np.isscalar(h) else out
     q = p - 1.0
@@ -647,6 +655,8 @@ def optimality_scan(
     which exists exactly when r < 1.  Returns the first confirmed violation
     or None.
     """
+    if not 0 < r < math.inf:
+        raise BadR(f"optimality scans need a finite r > 0, got {r}")
     if mode == "prop_6_1":
         return _scan_bracket_complement(tau, r, search_cfg)
     if mode == "prop_6_2":
@@ -863,7 +873,7 @@ def _pair_cell(r_range, by_sigma, data, r, alpha, cfg, cache):
 
     def mean(f, x):
         if by_sigma:
-            return _two_var_arrays(lambda t: deformed_rep(data.tau, f, t, cfg), *x)
+            return _two_var_arrays(lambda t: deformed_rep(data.tau, f, t), *x)
         return _two_var_arrays(lambda t: rep_eval(f, t), *x)
 
     fn, op = (data.sigma, "power_inner") if by_sigma else (data.tau, "power_inner_outer")

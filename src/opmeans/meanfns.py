@@ -13,8 +13,9 @@ dense scalar grids share one code path.
 
 The scalar solver :func:`deformed_rep` computes the representing function
 of the deformed mean ``tau_sigma`` (the unique fixed point of
-``x = (x sigma 1) tau (x sigma t)``), which is how two-variable deformed
-means are evaluated on matrices.
+``x = (x sigma 1) tau (x sigma t)``) by bisection on the bracket
+``[min(1, t), max(1, t)]``, to a few ulps; this is how two-variable
+deformed means are evaluated on matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -319,23 +319,20 @@ def two_var_mean(spec: RepFnSpec, A: SpdMatrix, B: SpdMatrix) -> SpdMatrix:
     return SpdMatrix(dim=A.dim, entries=out)
 
 
-def two_var_deformed_mean(
-    tau: RepFnSpec,
-    sigma: RepFnSpec,
-    A: SpdMatrix,
-    B: SpdMatrix,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> SpdMatrix:
+def two_var_deformed_mean(tau: RepFnSpec, sigma: RepFnSpec, A: SpdMatrix, B: SpdMatrix) -> SpdMatrix:
     """``A tau_sigma B``: functional calculus with the solved representing function."""
     if A.dim != B.dim:
         raise DimensionMismatch(f"dimensions differ: {A.dim} vs {B.dim}")
-    out = _two_var_arrays(lambda w: deformed_rep(tau, sigma, w, cfg), A.a, B.a)
+    out = _two_var_arrays(lambda w: deformed_rep(tau, sigma, w), A.a, B.a)
     return SpdMatrix(dim=A.dim, entries=out)
 
 
 # --------------------------------------------------------------------------
 # the scalar deformed mean
 # --------------------------------------------------------------------------
+
+
+_BISECT_RTOL = 4.0 * np.finfo(float).eps
 
 
 def _deformed_residual(tau, sigma, t, x):
@@ -346,18 +343,22 @@ def _deformed_residual(tau, sigma, t, x):
     return u * rep_eval(tau, v / u) - 1.0
 
 
-def deformed_rep(tau: RepFnSpec, sigma: RepFnSpec, t, cfg: SolverConfig = DEFAULT_CONFIG):
+def deformed_rep(tau: RepFnSpec, sigma: RepFnSpec, t):
     """Representing function of the deformed mean ``tau_sigma`` at ``t``.
 
-    Solves ``x = (x sigma 1) tau (x sigma t)`` by fixed-point iteration from
-    ``x = 1`` (a strict Thompson contraction), falling back to bisection of
-    the residual on ``[min(1, t), max(1, t)]`` if the cap is reached.
-    Vectorized over ``t``.
+    Bisects the sign of the residual of ``x = (x sigma 1) tau (x sigma t)``
+    on ``[min(1, t), max(1, t)]``, where it is nonnegative at the left end
+    and nonpositive at the right end for operator means.  Each element stops
+    on its own once its bracket is ``_BISECT_RTOL`` wide relative to its
+    right end, so the midpoint it returns is that close to the root, up to
+    the rounding of the residual, whatever the batch around it.  The count
+    is at most about ``52 + log2(max(t, 1/t))`` halvings.  Vectorized over
+    ``t``.
     """
     if sigma.is_left_trivial:
         raise SigmaIsLeftTrivial("deformation by the left trivial mean is undefined")
     scalar_in = np.isscalar(t) or np.asarray(t).ndim == 0
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    tt = np.asarray(t, dtype=float).ravel()
     if np.any(tt <= 0):
         raise DomainError("deformed representing functions are defined on (0, inf)")
 
@@ -365,64 +366,22 @@ def deformed_rep(tau: RepFnSpec, sigma: RepFnSpec, t, cfg: SolverConfig = DEFAUL
         out = rep_eval(tau, tt)
         return float(out[0]) if scalar_in else out.reshape(np.shape(t))
 
-    def advance(x):
-        u = rep_eval(sigma, 1.0 / x)
-        v = rep_eval(sigma, tt / x)
-        return x * u * rep_eval(tau, v / u)
-
-    x = np.ones_like(tt)
-    converged = False
-    for _ in range(cfg.scalar_max_iters):
-        x_new = advance(x)
-        step = np.max(np.abs(np.log(x_new) - np.log(x)))
-        x = x_new
-        if step < cfg.tol:
-            converged = True
-            break
-    if converged:
-        # Aitken extrapolation in log coordinates kills the geometric tail
-        # left by a slowly contracting map (rate close to 1 near the
-        # trivial means), at the price of two extra map evaluations.
-        l0 = np.log(x)
-        l1 = np.log(advance(x))
-        l2 = np.log(advance(np.exp(l1)))
-        denom = l2 - 2.0 * l1 + l0
-        safe = np.abs(denom) > 1e-300
-        lhat = np.where(safe, l0 - (l1 - l0) ** 2 / np.where(safe, denom, 1.0), l0)
-        x = np.exp(lhat)
-    resid = np.abs(_deformed_residual(tau, sigma, tt, x))
-    if not (converged and np.all(resid < max(cfg.tol, 1e-14))):
-        x = _deformed_bisect(tau, sigma, tt, x, cfg)
-        resid = np.abs(_deformed_residual(tau, sigma, tt, x))
-        if not np.all(resid < max(cfg.tol, 1e-12)):
-            raise NoConvergence(
-                "scalar deformed-mean solve did not reach tolerance",
-                last_iterate=x,
-                residual=float(resid.max()),
-            )
-    return float(x[0]) if scalar_in else x.reshape(np.shape(t))
-
-
-def _deformed_bisect(tau, sigma, tt, x0, cfg):
-    lo = np.minimum(1.0, tt)
-    hi = np.maximum(1.0, tt)
-    flo = _deformed_residual(tau, sigma, tt, np.maximum(lo, 1e-300))
-    if np.any(flo < -1e-12) or np.any(
+    # the bracket is guaranteed for operator means; the guard catches a residual that breaks it
+    lo, hi = np.minimum(1.0, tt), np.maximum(1.0, tt)
+    if np.any(_deformed_residual(tau, sigma, tt, lo) < -1e-12) or np.any(
         _deformed_residual(tau, sigma, tt, hi) > 1e-12
-    ):  # pragma: no cover - bracket is guaranteed for operator means
-        raise NoConvergence(
-            "residual bracket invalid for bisection", last_iterate=x0, residual=None
-        )
-    x = x0.copy()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = _deformed_residual(tau, sigma, tt, np.maximum(mid, 1e-300))
-        take_lo = fmid >= 0
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-        if np.max(hi - lo) < 1e-15 * np.max(hi):
-            break
-    return 0.5 * (lo + hi)
+    ):
+        raise NoConvergence("residual bracket invalid for bisection", last_iterate=0.5 * (lo + hi), residual=None)
+    live = np.flatnonzero(hi - lo > _BISECT_RTOL * hi)
+    while live.size:
+        l, h = lo[live], hi[live]
+        mid = 0.5 * (l + h)
+        up = _deformed_residual(tau, sigma, tt[live], mid) >= 0
+        l, h = np.where(up, mid, l), np.where(up, h, mid)
+        lo[live], hi[live] = l, h
+        live = live[h - l > _BISECT_RTOL * h]
+    x = 0.5 * (lo + hi)
+    return float(x[0]) if scalar_in else x.reshape(np.shape(t))
 
 
 # --------------------------------------------------------------------------

@@ -70,6 +70,7 @@ __all__ = [
 
 _MEAN_KINDS = ("arithmetic", "harmonic", "deformed", "power", "karcher", "adjoint")
 _MEAN_PARTS = {"deformed": ("base", "sigma"), "adjoint": ("inner",)}  # required sub-descriptions
+KARCHER_ALPHA = 1.0 / 64.0  # exponent t of the enclosure P_{-t} <= G <= P_t that certifies a Karcher solve
 
 
 @dataclass(frozen=True)
@@ -540,12 +541,12 @@ def eval_mean_stack(
 def _certify_karcher(w, stack, vals, cfg):
     """Assert the power-mean enclosure around a Karcher solve; return its width.
 
-    ``P_{-t} <= G <= P_t`` with ``t = cfg.karcher_alpha``.  Both ends come
+    ``P_{-t} <= G <= P_t`` with ``t = KARCHER_ALPHA``.  Both ends come
     from one batched fixed-point solve at ``+t``: the upper end on ``stack``
     and the lower end through ``P_{-t}(A) = P_t(A^{-1})^{-1}`` on the
     inverses, stacked along a new leading axis.
     """
-    ends, _, _ = _power_loop(w, cfg.karcher_alpha, np.stack([stack, spd_inv(stack)]), cfg)
+    ends, _, _ = _power_loop(w, KARCHER_ALPHA, np.stack([stack, spd_inv(stack)]), cfg)
     upper, lower = ends[0], spd_inv(ends[1])
     scale = op_norm(upper) + op_norm(vals)
     tol = 1e-9
@@ -615,7 +616,7 @@ def karcher_mean(w: Weights, As: Sequence[SpdMatrix], cfg: SolverConfig = DEFAUL
     """Solve the defining equation of the multivariate geometric mean.
 
     The returned result is certified (unless ``cfg.certify`` is off) by the
-    power-mean pair at exponents ``+-cfg.karcher_alpha``, an enclosure that
+    power-mean pair at exponents ``+-KARCHER_ALPHA``, an enclosure that
     is computed by a different solver route than the solution itself;
     ``enclosure_gap`` is the Thompson width of that certificate.
     """

@@ -217,12 +217,28 @@ def test_search_exit_codes(tmp_path, capsys):
     assert main(["search", "--tau", arith, "--mode", "prop_6_1", "--r", "1"]) == EXIT_SEARCH_EXHAUSTED
     capsys.readouterr()
 
+    # malformed search input is rejected before any scan
+    for mode, extra in (
+        ("prop_6_2", ["--r", "0"]),
+        ("prop_6_1", ["--r", "inf"]),
+        ("prop_6_2", ["--r", "0.5", "--k-points", "-1"]),
+        ("prop_6_2", ["--r", "0.5", "--t-points", "-2"]),
+        ("prop_6_1", ["--r", "2", "--search-tol", "nan"]),
+        ("prop_6_1", ["--r", "0.5", "--search-tol", "-1"]),
+        ("prop_6_2", ["--r", "0.5", "--shift", "inf"]),
+    ):
+        assert main(["search", "--tau", harm, "--mode", mode, *extra]) == EXIT_INPUT, extra
+        assert capsys.readouterr().out == ""
+
 
 def test_kantorovich_command(capsys):
     assert main(["kantorovich", "2", "2"]) == EXIT_OK
     assert float(capsys.readouterr().out) == pytest.approx(9.0 / 8.0, rel=1e-15)
-    assert main(["kantorovich", "0.5", "2"]) == EXIT_INPUT
-    capsys.readouterr()
+    assert main(["kantorovich", "2", "0"]) == EXIT_OK
+    assert float(capsys.readouterr().out) == 1.0
+    for args in (["0.5", "2"], ["nan", "2"], ["inf", "2"], ["2", "nan"], ["2", "inf"]):
+        assert main(["kantorovich", *args]) == EXIT_INPUT, args
+        assert capsys.readouterr().out == ""
 
 
 def _failing_report(family, **changes):

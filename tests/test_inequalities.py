@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -43,8 +44,12 @@ def ensemble(dim, n, base_seed, spectrum=(0.5, 2.0)):
 
 
 def test_kantorovich_at_one():
+    # p = 0 and p = 1 are removable points with value 1, approached continuously
     for h in (1.5, 2.0, 10.0):
         assert kantorovich(h, 1) == pytest.approx(1.0, abs=1e-10)
+        assert kantorovich(h, 0) == 1.0
+        assert kantorovich(h, 1e-9) == pytest.approx(1.0, abs=1e-6)
+    np.testing.assert_array_equal(kantorovich(np.array([2.0, 3.0]), 0), [1.0, 1.0])
 
 
 def test_kantorovich_hand_value():
@@ -57,6 +62,11 @@ def test_kantorovich_rejects_h_below_one():
         kantorovich(1.0, 2.0)
     with pytest.raises(errors.BadH):
         kantorovich(0.5, 2.0)
+    # non-finite h or p has no constant
+    nonfinite = ((math.nan, 2.0), (math.inf, 2.0), (np.array([2.0, math.inf]), 2.0), (2.0, math.nan), (2.0, math.inf))
+    for h, p in nonfinite:
+        with pytest.raises(errors.BadH):
+            kantorovich(h, p)
 
 
 def test_kantorovich_bounds_and_monotonicity():
@@ -454,6 +464,17 @@ def test_scan_escalation_positive_at_zero_branch():
     assert optimality_scan(arithmetic(0.5), 2.0, "prop_6_2") is None
 
 
+def test_scan_input_validated():
+    for mode in ("prop_6_1", "prop_6_2"):
+        for r in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(errors.BadR):
+                optimality_scan(harmonic(0.5), r, mode)
+    bad_counts = ({"ratio_points": 0}, {"t_points": -2}, {"k_points": -1})
+    for bad in bad_counts + ({"shift": math.nan}, {"tol": math.inf}, {"tol": -1.0}):
+        with pytest.raises(errors.ConfigError):
+            SearchConfig(**bad)
+
+
 def test_scan_escalation_rejects_trivial_means():
     with pytest.raises(errors.BadMode):
         optimality_scan(left_trivial(), 0.5, "prop_6_2")
@@ -604,15 +625,11 @@ def _forced_failure(family):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_recheck_reproduces_every_family_witness(family):
     # recheck rebuilds the worst trial, so it reproduces the margin and every
-    # constant the report read at that trial; a matrix solve does not depend
-    # on its batch, so only the pair families' scalar deformed solves may
-    # move the margin in its last bits
+    # constant the report read at that trial; no solve, matrix or scalar,
+    # depends on its batch, so the margin is reproduced bit for bit
     rep = _forced_failure(family)
     again = recheck(json.loads(json.dumps(rep.to_json())), tol=-1.0)
-    if FAMILIES[family]["layout"] == "pair":
-        assert again.margin == pytest.approx(rep.margin, rel=1e-8, abs=1e-12)
-    else:
-        assert again.margin == rep.margin
+    assert again.margin == rep.margin
     assert again.constants["trials"] == 1 and again.constants["worst_trial"] == 0
     for key, value in rep.constants.items():
         if isinstance(value, float):

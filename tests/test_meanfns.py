@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmeans import errors
-from opmeans.config import SolverConfig
+from opmeans import errors, meanfns
 from opmeans.meanfns import (
     arithmetic,
     arithmetic_harmonic_mix,
@@ -278,11 +277,40 @@ def test_two_var_deformed_mean_matches_scalar_on_diagonals():
     np.testing.assert_allclose(got.a, expect, atol=1e-10)
 
 
-def test_deformed_rep_no_convergence_payload():
-    cfg = SolverConfig(tol=1e-12, scalar_max_iters=10_000)
-    # still converges (bisection backstop): sanity that tight caps don't break
-    val = deformed_rep(arithmetic(0.5), geometric(0.01), 7.0, cfg)
-    assert val == pytest.approx(power_formula(0.5, 0.01, 7.0), rel=1e-9)
+def test_deformed_rep_no_convergence_payload(monkeypatch):
+    # a small sigma exponent makes the residual flat; the bisection still lands on the closed form
+    val = deformed_rep(arithmetic(0.5), geometric(0.01), 7.0)
+    assert val == pytest.approx(power_formula(0.5, 0.01, 7.0), rel=1e-13)
+    # a residual with the wrong sign at the bracket ends raises with the bracket midpoint
+    monkeypatch.setattr(meanfns, "_deformed_residual", lambda tau, sigma, t, x: -np.ones_like(x))
+    with pytest.raises(errors.NoConvergence) as info:
+        deformed_rep(arithmetic(0.5), geometric(0.01), np.array([0.25, 7.0]))
+    np.testing.assert_array_equal(info.value.last_iterate, [0.625, 4.0])
+
+
+@pytest.mark.parametrize("w", [0.3, 0.7])
+@pytest.mark.parametrize("a", [0.5, 0.25, 0.05, 0.01])
+def test_deformed_rep_closed_form_to_rounding(w, a):
+    # the bracket width bounds the error, so a flat residual (small a) costs no accuracy
+    t = np.exp(np.random.default_rng(3).uniform(-5.0, 5.0, 400))
+    got = deformed_rep(arithmetic(w), geometric(a), t)
+    np.testing.assert_allclose(got, power_formula(w, a, t), rtol=2e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "tau, sigma",
+    [
+        (arithmetic(0.3), geometric(0.01)),
+        (arithmetic(0.6), harmonic(0.4)),
+        (geometric(0.5), arithmetic_harmonic_mix()),
+    ],
+    ids=["arithmetic-geometric", "arithmetic-harmonic", "geometric-mix"],
+)
+def test_deformed_rep_batch_independent(tau, sigma):
+    t = np.exp(np.random.default_rng(4).uniform(-8.0, 8.0, 40))
+    batch = deformed_rep(tau, sigma, t)
+    alone = np.array([deformed_rep(tau, sigma, x) for x in t])
+    np.testing.assert_array_equal(batch, alone)
 
 
 # --------------------------------------------------------------- margin scans

@@ -14,6 +14,7 @@ from opmeans.meanfns import (
     right_trivial,
 )
 from opmeans.multimeans import (
+    KARCHER_ALPHA,
     MeanResult,
     MultiMeanSpec,
     Weights,
@@ -138,7 +139,7 @@ def test_deformed_mean_residual_contract(base_kind, sigma):
     assert fixed_point_gap(base, sigma, As, res.value.a) < 2 * cfg.dt_tol
 
 
-@pytest.mark.parametrize("field", ["dt_tol", "tol"])
+@pytest.mark.parametrize("field", ["dt_tol"])
 @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
 def test_solver_config_rejects_bad_tolerances(field, value):
     with pytest.raises(ValueError):
@@ -465,7 +466,7 @@ def test_batched_enclosure_matches_separate_power_solves(batch):
     cfg = SolverConfig()
     vals = eval_mean_stack(MultiMeanSpec.karcher(W3), stack, QUIET).values
     gap = _certify_karcher(w, stack, vals, cfg)
-    t = cfg.karcher_alpha
+    t = KARCHER_ALPHA
     upper, _, _ = _power_node(MultiMeanSpec.power(UNI3, t), stack, cfg, w)
     lower, _, _ = _power_node(MultiMeanSpec.power(UNI3, -t), stack, cfg, w)
     assert gap.shape == (batch,)
