@@ -20,9 +20,12 @@ trial.
 Family identifiers ("3.9" ... "5.10", "L5.1", "logmaj") are opaque labels
 fixed by the report wire format.  :data:`FAMILIES` is the one table that
 says what each family needs: its r-range, whether it takes alpha, its data
-layout, the spectrum rule of the bounded families and its margin function.
-The typed labels "3.1"-"3.4", "4.1" and "4.2" read their r-range from the
-families 3.9-3.12, 4.4 and 4.5.
+layout (a trial is a stack of matrices: an ensemble, the pair A, B, or an
+ensemble and a compression), the spectrum rule of the bounded families and
+its margin function.  The modified bracket of 4.1/4.2 and 4.4-4.9 is one
+function, :func:`_modified_bracket`, over each family's own mean.  The typed
+labels "3.1"-"3.4", "4.1" and "4.2" read their r-range from the families
+3.9-3.12, 4.4 and 4.5.
 """
 
 from __future__ import annotations
@@ -124,7 +127,6 @@ class CheckReport:
     constants: dict
     witness_seed: int
     matrices: Optional[list] = None
-    error: Optional[str] = None
 
     def to_json(self):
         out = {
@@ -136,8 +138,6 @@ class CheckReport:
         }
         if self.matrices is not None:
             out["matrices"] = self.matrices
-        if self.error is not None:
-            out["error"] = self.error
         return out
 
 
@@ -198,8 +198,11 @@ def kantorovich(h, p):
     """Generalized Kantorovich constant ``K(h, p)`` for finite ``h > 1`` and ``p``.
 
     At ``p = 0`` and ``p = 1`` the singularity is removable and the value is
-    1; near ``p = 1`` the expm1-based evaluation below stays accurate.
-    Vectorized over ``h``.
+    1.  ``h^p`` is never formed: ``log K = p g(pL) - q g(qL) - qL - g(L)``
+    with ``L = log h``, ``q = p - 1`` and ``g(x) = log(expm1(x) / x) = max(x,
+    0) + _log_ratio(x)``.  The ``max`` terms sum to ``L`` times ``q``, ``p q``
+    or ``-p`` (p > 1, 0 < p < 1, p < 0), so no large terms cancel, and a
+    constant beyond the float range is ``inf``.  Vectorized over ``h``.
     """
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr <= 1.0):
@@ -209,14 +212,21 @@ def kantorovich(h, p):
     if p in (0, 1):
         out = np.ones_like(h_arr)
         return float(out) if np.isscalar(h) else out
+    # K exceeds the float range for every h once |p| > 1e300; the clip keeps p L finite
+    p = min(max(p, -1e300), 1e300)
     q = p - 1.0
     logh = np.log(h_arr)
-    h_pow_minus_h = h_arr * np.expm1(q * logh)  # h^p - h, no cancellation
-    h_pow_minus_1 = np.expm1(p * logh)  # h^p - 1
-    first = h_pow_minus_h / (q * (h_arr - 1.0))
-    second = ((q / p) * (h_pow_minus_1 / h_pow_minus_h)) ** p
-    out = first * second
+    lead = q if p > 1 else (p * q if p > 0 else -p)
+    lr_p, lr_q = _log_ratio(p * logh), _log_ratio(q * logh)
+    with np.errstate(over="ignore"):
+        out = np.exp(lead * logh + q * (lr_p - lr_q) + lr_p - _log_ratio(logh))
     return float(out) if np.isscalar(h) else out
+
+
+def _log_ratio(x):
+    """``log(-expm1(-|x|) / |x|)``, which is 0 at ``x = 0``."""
+    a = np.maximum(np.abs(x), np.finfo(float).tiny)
+    return np.log(-np.expm1(-a) / a)
 
 
 # --------------------------------------------------------------------------
@@ -340,11 +350,11 @@ def check_modified(
     _require_r(r, r_range, which)
     data = _witness_cell("stack", As, witness_seed, _spec_weights(base))
 
-    def mean(sig, x):
-        return _mean_vals(MultiMeanSpec.deformed(base, sig), x, data, cfg)
+    def mean(s, q):
+        sig = sigma if s == 1 else rep_transform(sigma, "power_inner", s)
+        return _solve(MultiMeanSpec.deformed(base, sig), q, data, cfg, {})
 
-    powered = spd_power(data.stack, r)
-    margins, consts = _modified_bracket(mean, sigma, "power_inner", r, r_range, data.stack, powered)
+    margins, consts = _modified_bracket(mean, r, r_range)
     return _verdict(which, data, margins, consts, tol, r, None)
 
 
@@ -378,20 +388,18 @@ def _family_check(family, r, mats, seed, cfg, tol, **inputs) -> CheckReport:
     return _verdict(family, data, margins, consts, tol, r, None)
 
 
-def _modified_bracket(mean, fn, op, r, r_range, inputs, powered):
-    """Margins of the modified power bracket of the means ``mean(f, inputs)``.
+def _modified_bracket(mean, r, r_range):
+    """Margins of the modified power bracket of a family of means.
 
-    For r >= 1 ``mean(f_{1/r}, A^r)`` is bracketed by ``mean(f, A)`` with the
-    direct prefactors; for 0 < r <= 1 ``mean(f, A^r)`` by ``mean(f_r, A)``
-    with the complement ones.  ``f_s`` is the ``op`` transform of ``fn``.
+    ``mean(s, q)`` is the family's mean with its parameter transformed by
+    ``s`` (``s = 1``: untransformed) on the inputs raised to ``q``.  For
+    r >= 1 ``mean(1/r, r)`` is bracketed by ``mean(1, 1)`` with the direct
+    prefactors; for 0 < r <= 1 ``mean(1, r)`` by ``mean(r, 1)`` with the
+    complement ones.
     """
     if r_range == "ge1":
-        x = mean(fn, inputs)
-        mid = mean(rep_transform(fn, op, 1.0 / r), powered)
-        return _bracket_margins(mid, x, r, "direct")
-    x = mean(rep_transform(fn, op, r), inputs)
-    mid = mean(fn, powered)
-    return _bracket_margins(mid, x, r, "complement")
+        return _bracket_margins(mean(1.0 / r, r), mean(1.0, 1.0), r, "direct")
+    return _bracket_margins(mean(1.0, r), mean(r, 1.0), r, "complement")
 
 
 def check_implication_equivalence(
@@ -503,23 +511,22 @@ def _reverse_margins(which, data, alpha, r, cfg, cache):
     """The reverse form ``which`` at exponent ``alpha`` on the trials of ``data``."""
     m, M = data.bounds
     kappa0 = M / m
-    uni = _uniform(data)
     if which in _REVERSE_ALPHA:
         admits, domain = _REVERSE_ALPHA[which]
         if alpha is None or not admits(alpha):
             raise BadR(f"{which} needs alpha in {domain}, got {alpha}")
     if which == "5.10":
-        spec = spec_r = MultiMeanSpec.karcher(uni)
+        spec = spec_r = MultiMeanSpec.karcher(None)
     elif which == "5.8":
         # the deformed-mean form, with a harmonic deformation of the arithmetic mean
         sigma = harmonic(alpha) if alpha > 0 else rep_transform(harmonic(-alpha), "adjoint")
-        base = MultiMeanSpec.arithmetic(uni)
+        base = MultiMeanSpec.arithmetic(None)
         spec = MultiMeanSpec.deformed(base, sigma)
         # at r = 1 the transform is the identity, so the spec is the one solved at A itself
         spec_r = spec if r == 1 else MultiMeanSpec.deformed(base, rep_transform(sigma, "power_inner", 1.0 / r))
     else:
-        spec = MultiMeanSpec.power(uni, alpha)
-        spec_r = MultiMeanSpec.power(uni, alpha / r) if which == "5.9" else spec
+        spec = MultiMeanSpec.power(None, alpha)
+        spec_r = MultiMeanSpec.power(None, alpha / r) if which == "5.9" else spec
     x = _solve(spec, 1.0, data, cfg, cache)
     y = _solve(spec_r, r, data, cfg, cache)
     kx = op_norm(x) / lambda_min(x)
@@ -643,7 +650,6 @@ def optimality_scan(
     r: float,
     mode: str,
     search_cfg: SearchConfig = SearchConfig(),
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> Optional[Counterexample]:
     """Search the explicit 2x2 families for a violation outside the valid r-range.
 
@@ -662,7 +668,7 @@ def optimality_scan(
     if mode == "prop_6_2":
         if tau.is_left_trivial or tau.acts_right_trivial:
             raise BadMode("prop_6_2 needs a mean distinct from both trivial means")
-        return _scan_escalation(tau, r, search_cfg, cfg)
+        return _scan_escalation(tau, r, search_cfg)
     raise BadMode(f"unknown scan mode {mode!r}")
 
 
@@ -712,7 +718,7 @@ def _rank_one_family(x, y, t, shift):
     return a, b
 
 
-def _scan_escalation(tau, r, search_cfg, cfg):
+def _scan_escalation(tau, r, search_cfg):
     ratios = np.geomspace(0.05, 20.0, search_cfg.ratio_points)
     ts = np.linspace(0.1, 0.9, search_cfg.t_points)
     candidates = [(float(x), float(y), float(t)) for x in ratios for y in ratios for t in ts]
@@ -801,10 +807,6 @@ def find_reverse_improvement(
 _N = 3  # matrices per trial ensemble in the stack and compress layouts
 
 
-def _mean_vals(spec, stack, data, cfg):
-    return eval_mean_stack(spec, stack, cfg, weights_override=data.weights).values
-
-
 def _solve(spec, r, data, cfg, cache):
     """``spec`` on the trials' matrices raised to ``r``, solved once per group.
 
@@ -812,18 +814,17 @@ def _solve(spec, r, data, cfg, cache):
     the means that every other cell of its group solves on the trials' own
     matrices.
     """
-    return _cached(cache, (spec, r), lambda: _mean_vals(spec, spd_power(data.stack, r), data, cfg))
-
-
-def _uniform(data):
-    """Placeholder weights of a cell's mean specs; the trial weights override them."""
-    return Weights.uniform(data.stack.shape[-3])
+    key = (spec, r)
+    if key not in cache:
+        cache[key] = eval_mean_stack(spec, spd_power(data.stack, r), cfg, weights_override=data.weights).values
+    return cache[key]
 
 
 # Margin functions of the families: ``(data, r, alpha, cfg, cache)`` to the
-# per-trial margins and a constants dict.  ``cache`` is scoped to one
-# (family, dim, alpha) group and holds its solves (see :func:`_solve`), which
-# the shared-ensemble seed scheme makes reusable across the whole r grid.
+# per-trial margins and a constants dict.  Their mean specs carry no weights,
+# so every node takes the trial weights.  ``cache`` is scoped to one (family,
+# dim, alpha) group and holds its solves (see :func:`_solve`), which the
+# shared-ensemble seed scheme makes reusable across the whole r grid.
 
 
 def _ah_margin(spec, adjoint, compare, data, r, cfg, cache):
@@ -841,44 +842,34 @@ def _ah_power_cell(variant, data, r, alpha, cfg, cache):
     power mean P_alpha, whose adjoint is P_{-alpha}."""
     _, adjoint, compare = _AH_VARIANTS[variant]
     a = -alpha if adjoint else alpha
-    spec = MultiMeanSpec.power(_uniform(data), a)
+    spec = MultiMeanSpec.power(None, a)
     return _ah_margin(spec, adjoint, compare, data, r, cfg, cache), {"alpha_used": a}
 
 
 def _ah_karcher_cell(style, data, r, alpha, cfg, cache):
     """3.13/3.14: the Karcher mean at A^r bracketed by its value at A."""
-    spec = MultiMeanSpec.karcher(_uniform(data))
+    spec = MultiMeanSpec.karcher(None)
     return _bracket_margins(_solve(spec, r, data, cfg, cache), _solve(spec, 1.0, data, cfg, cache), r, style)
 
 
-def _power_direct_cell(data, r, alpha, cfg, cache):
-    """4.4: P_{alpha/r}(A^r) bracketed by P_alpha(A), r >= 1."""
-    uni = _uniform(data)
-    x = _solve(MultiMeanSpec.power(uni, alpha), 1.0, data, cfg, cache)
-    mid = _solve(MultiMeanSpec.power(uni, alpha / r), r, data, cfg, cache)
-    return _bracket_margins(mid, x, r, "direct")
-
-
-def _power_complement_cell(data, r, alpha, cfg, cache):
-    """4.5: P_alpha(A^r) bracketed by P_{alpha r}(A), 0 < r <= 1."""
-    uni = _uniform(data)
-    x = _solve(MultiMeanSpec.power(uni, alpha * r), 1.0, data, cfg, cache)
-    mid = _solve(MultiMeanSpec.power(uni, alpha), r, data, cfg, cache)
-    return _bracket_margins(mid, x, r, "complement")
+def _power_bracket_cell(r_range, data, r, alpha, cfg, cache):
+    """4.4/4.5: the modified bracket of the power means P_{alpha s}."""
+    return _modified_bracket(
+        lambda s, q: _solve(MultiMeanSpec.power(None, alpha * s), q, data, cfg, cache), r, r_range
+    )
 
 
 def _pair_cell(r_range, by_sigma, data, r, alpha, cfg, cache):
     """4.6-4.9: the modified bracket of the two-variable mean tau, deformed
     by sigma (4.6/4.7) or power-bracketed alone (4.8/4.9)."""
-
-    def mean(f, x):
-        if by_sigma:
-            return _two_var_arrays(lambda t: deformed_rep(data.tau, f, t), *x)
-        return _two_var_arrays(lambda t: rep_eval(f, t), *x)
-
     fn, op = (data.sigma, "power_inner") if by_sigma else (data.tau, "power_inner_outer")
-    powered = (spd_power(data.a, r), spd_power(data.b, r))
-    margin, sides = _modified_bracket(mean, fn, op, r, r_range, (data.a, data.b), powered)
+
+    def mean(s, q):
+        f = fn if s == 1 else rep_transform(fn, op, s)
+        rep = partial(deformed_rep, data.tau, f) if by_sigma else partial(rep_eval, f)
+        return _two_var_arrays(rep, *np.moveaxis(spd_power(data.stack, q), 1, 0))
+
+    margin, sides = _modified_bracket(mean, r, r_range)
     sigma_json = None if data.sigma is None else repfn_to_json(data.sigma)
     return margin, {"tau_json": repfn_to_json(data.tau), "sigma_json": sigma_json, **sides}
 
@@ -912,7 +903,7 @@ def _reverse_cell(which, negate, data, r, alpha, cfg, cache):
 def _logmaj_cell(data, r, alpha, cfg, cache):
     """logmaj: see :func:`check_log_majorization`; the full products must
     agree to 1e-8 in log terms."""
-    karch = MultiMeanSpec.karcher(_uniform(data))
+    karch = MultiMeanSpec.karcher(None)
     g1 = _solve(karch, 1.0, data, cfg, cache)
     gr = _solve(karch, r, data, cfg, cache)
     lam1 = np.sort(np.linalg.eigvalsh(g1), axis=-1)[..., ::-1]  # decreasing
@@ -930,9 +921,9 @@ def _family(r_range, margins, needs_alpha=True, layout="stack", spread=None):
     """One campaign family.
 
     ``layout`` holds a trial as ``"stack"`` (``_N`` matrices and weights),
-    ``"pair"`` (A, B and the representing functions tau, sigma) or
-    ``"compress"`` (``_N`` matrices and weights, then a compression C); the
-    witness matrices are written in that order.  ``spread`` pins a bounded
+    ``"pair"`` (the two matrices A, B and the representing functions tau,
+    sigma) or ``"compress"`` (``_N`` matrices and weights, then a compression
+    C); the witness matrices are written in that order.  ``spread`` pins a bounded
     family's inputs to [m, M], m ~ U(0.5, 1) per cell and M/m fixed or drawn
     from a (lo, hi) range; the others use [0.5, 2.2].  The Kantorovich
     prefactors only dominate when the input spread is wide relative to the
@@ -951,8 +942,8 @@ FAMILIES = {
     "3.12": _family("le1", partial(_ah_power_cell, "3.4")),
     "3.13": _family("ge1", partial(_ah_karcher_cell, "direct"), needs_alpha=False),
     "3.14": _family("le1", partial(_ah_karcher_cell, "complement"), needs_alpha=False),
-    "4.4": _family("ge1", _power_direct_cell),
-    "4.5": _family("le1", _power_complement_cell),
+    "4.4": _family("ge1", partial(_power_bracket_cell, "ge1")),
+    "4.5": _family("le1", partial(_power_bracket_cell, "le1")),
     "4.6": _family("ge1", partial(_pair_cell, "ge1", True), layout="pair"),
     "4.7": _family("le1", partial(_pair_cell, "le1", True), layout="pair"),
     "4.8": _family("ge1", partial(_pair_cell, "ge1", False), layout="pair"),
@@ -976,10 +967,8 @@ def _derive_seed(*parts) -> int:
 @dataclass
 class _CellData:
     seeds: list
-    stack: Optional[np.ndarray] = None
+    stack: np.ndarray  # (trials, matrices, dim, dim)
     weights: Optional[np.ndarray] = None
-    a: Optional[np.ndarray] = None
-    b: Optional[np.ndarray] = None
     c: Optional[np.ndarray] = None
     bounds: tuple = (None, None)
     mu: float = 0.4  # the compress layout draws C with mu I <= C^2 <= I
@@ -988,14 +977,11 @@ class _CellData:
 
     @property
     def dim(self) -> int:
-        return int((self.a if self.stack is None else self.stack).shape[-1])
+        return int(self.stack.shape[-1])
 
     def witness(self, idx):
         """Trial ``idx``'s matrices in wire format, in the order ``recheck`` reads them."""
-        if self.stack is None:
-            mats = [self.a[idx], self.b[idx]]
-        else:
-            mats = list(self.stack[idx]) + ([] if self.c is None else [self.c[idx]])
+        mats = list(self.stack[idx]) + ([] if self.c is None else [self.c[idx]])
         return [matrix_to_json(m) for m in mats]
 
 
@@ -1008,24 +994,23 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
     """
     info = FAMILIES[family]
     seeds = [_derive_seed(master_seed, family, dim, alpha, t) for t in range(trials)]
-    data = _CellData(seeds=seeds)
-    spectrum, spread = (0.5, 2.2), info["spread"]
+    spectrum, bounds, spread = (0.5, 2.2), (None, None), info["spread"]
     if spread is not None:
         cell_rng = np.random.default_rng(_derive_seed(master_seed, family, dim, alpha, "cell"))
         m = round(float(cell_rng.uniform(0.5, 1.0)), 6)
         ratio = cell_rng.uniform(*spread) if isinstance(spread, tuple) else spread
-        spectrum = data.bounds = (m, round(float(m * ratio), 6))
+        spectrum = bounds = (m, round(float(m * ratio), 6))
+    # a pair trial is the two matrices A, B; the others are an ensemble of _N
+    keys = "ab" if info["layout"] == "pair" else range(_N)
+    draws = random_spd_stack(dim, spectrum, [_derive_seed(s, k) for s in seeds for k in keys])
+    data = _CellData(seeds, draws.reshape(trials, len(keys), dim, dim), bounds=bounds)
     if info["layout"] == "pair":
-        data.a = random_spd_stack(dim, spectrum, [_derive_seed(s, "a") for s in seeds])
-        data.b = random_spd_stack(dim, spectrum, [_derive_seed(s, "b") for s in seeds])
         kind_rng = np.random.default_rng(_derive_seed(master_seed, family, dim, alpha, "fn"))
         w_tau = round(float(kind_rng.uniform(0.25, 0.75)), 6)
         data.tau = (arithmetic, harmonic, geometric)[int(kind_rng.integers(3))](w_tau)
         a_sig = alpha if alpha is not None else 0.5
         data.sigma = geometric(a_sig) if kind_rng.integers(2) == 0 else harmonic(a_sig)
         return data
-    draws = random_spd_stack(dim, spectrum, [_derive_seed(s, j) for s in seeds for j in range(_N)])
-    data.stack = draws.reshape(trials, _N, dim, dim)
     raw = np.stack(
         [np.random.default_rng(_derive_seed(s, "w")).uniform(0.2, 1.0, _N) for s in seeds]
     )
@@ -1047,15 +1032,15 @@ def _witness_cell(layout, mats, seed, weights=None, bounds=None, mu=None, tau=No
     arrays = _as_stack(mats)
     if (layout == "pair" and len(arrays) != 2) or (layout == "compress" and len(arrays) < 2):
         raise ArityMismatch(f"{len(arrays)} matrices do not fit the {layout} layout")
-    data = _CellData(seeds=[seed])
-    if layout == "pair":
-        data.a, data.b, data.tau, data.sigma = arrays[:1], arrays[1:], tau, sigma
-        return data
     ensemble = arrays[:-1] if layout == "compress" else arrays
+    data = _CellData([seed], ensemble[None])
+    if layout == "pair":
+        data.tau, data.sigma = tau, sigma
+        return data
     w = Weights.uniform(len(ensemble)) if weights is None else weights
     if len(w.values) != len(ensemble):
         raise ArityMismatch(f"{len(w.values)} weights for {len(ensemble)} matrices")
-    data.stack, data.weights = ensemble[None], w.asarray()[None]
+    data.weights = w.asarray()[None]
     if bounds is not None:
         if not 0 < bounds[0] <= bounds[1]:
             raise BoundsViolated(f"bounds need 0 < m <= M, got {tuple(bounds)}")

@@ -351,9 +351,9 @@ def deformed_rep(tau: RepFnSpec, sigma: RepFnSpec, t):
     and nonpositive at the right end for operator means.  Each element stops
     on its own once its bracket is ``_BISECT_RTOL`` wide relative to its
     right end, so the midpoint it returns is that close to the root, up to
-    the rounding of the residual, whatever the batch around it.  The count
-    is at most about ``52 + log2(max(t, 1/t))`` halvings.  Vectorized over
-    ``t``.
+    the rounding of the residual, whatever the batch around it; that root is
+    ``tau(t)`` when ``sigma`` acts as the right trivial mean.  The count is
+    at most about ``52 + log2(max(t, 1/t))`` halvings.  Vectorized over ``t``.
     """
     if sigma.is_left_trivial:
         raise SigmaIsLeftTrivial("deformation by the left trivial mean is undefined")
@@ -361,10 +361,6 @@ def deformed_rep(tau: RepFnSpec, sigma: RepFnSpec, t):
     tt = np.asarray(t, dtype=float).ravel()
     if np.any(tt <= 0):
         raise DomainError("deformed representing functions are defined on (0, inf)")
-
-    if sigma.kind == "right_trivial" and not sigma.transforms:
-        out = rep_eval(tau, tt)
-        return float(out[0]) if scalar_in else out.reshape(np.shape(t))
 
     # the bracket is guaranteed for operator means; the guard catches a residual that breaks it
     lo, hi = np.minimum(1.0, tt), np.maximum(1.0, tt)

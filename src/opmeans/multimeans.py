@@ -226,20 +226,15 @@ def _eval_node(spec: MultiMeanSpec, stack, cfg: SolverConfig, w_over=None):
     if kind == "adjoint":
         vals, iters, bound = _eval_node(spec.inner, spd_inv(stack), cfg, w_over)
         return spd_inv(vals), iters, bound
+    if kind == "power" and spec.alpha < 0:
+        # P_{-t} is the adjoint of P_t, and the Thompson bound is inversion invariant
+        dual = MultiMeanSpec.adjoint(MultiMeanSpec.power(spec.weights, -spec.alpha))
+        return _eval_node(dual, stack, cfg, w_over)
     if kind == "power":
-        return _power_node(spec, stack, cfg, w_over)
+        return _power_loop(_node_weights(spec, w_over, n), spec.alpha, stack, cfg)
     if kind == "karcher":
         return _power_loop(_node_weights(spec, w_over, n), 0.0, stack, cfg)
     return _deformed_node(spec, stack, cfg, w_over)
-
-
-def _power_node(spec, stack, cfg, w_over):
-    w = _node_weights(spec, w_over, stack.shape[-3])
-    if spec.alpha > 0:
-        return _power_loop(w, spec.alpha, stack, cfg)
-    # P_{-t}(A) = P_t(A^{-1})^{-1}, and the Thompson bound is inversion invariant
-    vals, iters, bound = _power_loop(w, -spec.alpha, spd_inv(stack), cfg)
-    return spd_inv(vals), iters, bound
 
 
 def _members(stack, w):
@@ -321,13 +316,10 @@ def _power_frame(w, p, a, s):
 def _deformed_node(spec, stack, cfg, w_over):
     """The deformed mean ``X = base(X sigma A_1, ..., X sigma A_n)`` by :func:`_geodesic_loop`.
 
-    It starts at ``base(A_1, ..., A_n)``, the mean of the right trivial
-    deformation, which is also its shortcut.  See :func:`_deformed_frame`.
+    It starts at ``base(A_1, ..., A_n)``, the fixed point when ``sigma`` acts
+    as the right trivial mean.  See :func:`_deformed_frame`.
     """
     base, sigma = spec.base, spec.sigma
-    if sigma.acts_right_trivial:
-        vals, iters, bound = _eval_node(base, stack, cfg, w_over)
-        return vals, max(iters, 1), bound
     batch, a, w = _members(stack, w_over)
     x0, _, _ = _eval_node(base, a, cfg, w)
     slope = sigma.derivative_at_one

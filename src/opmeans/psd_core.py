@@ -291,14 +291,8 @@ def loewner_compare(A: SpdMatrix, B: SpdMatrix, tol=DEFAULT_ORDER_TOL) -> Loewne
         raise DimensionMismatch(f"dimensions differ: {A.dim} vs {B.dim}")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    return loewner_compare_arrays(A.a, B.a, tol)
-
-
-def loewner_compare_arrays(a, b, tol=DEFAULT_ORDER_TOL) -> LoewnerVerdict:
-    """Array-level twin of :func:`loewner_compare` (single matrices)."""
-    scale = float(op_norm(a) + op_norm(b))
-    slack = tol * scale
-    diff = b - a
+    slack = tol * float(op_norm(A.a) + op_norm(B.a))
+    diff = B.a - A.a
     lo = float(lambda_min(diff))
     hi = float(lambda_min(-diff))
     le = lo >= -slack

@@ -236,6 +236,8 @@ def test_kantorovich_command(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(9.0 / 8.0, rel=1e-15)
     assert main(["kantorovich", "2", "0"]) == EXIT_OK
     assert float(capsys.readouterr().out) == 1.0
+    assert main(["kantorovich", "1e200", "2"]) == EXIT_OK
+    assert float(capsys.readouterr().out) == pytest.approx(2.5e199, rel=1e-12)
     for args in (["0.5", "2"], ["nan", "2"], ["inf", "2"], ["2", "nan"], ["2", "inf"]):
         assert main(["kantorovich", *args]) == EXIT_INPUT, args
         assert capsys.readouterr().out == ""

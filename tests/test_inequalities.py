@@ -88,6 +88,21 @@ def test_kantorovich_near_one_exponent_stable():
     assert k == pytest.approx(1.0, abs=1e-6)
 
 
+def test_kantorovich_without_overflow():
+    # K(h, 2) = K(h, -1) = (h + 1)^2 / (4h); h^p itself would overflow
+    h = 1e200
+    assert kantorovich(h, 2.0) == pytest.approx(h / 4 + 0.5, rel=1e-12)
+    assert kantorovich(h, -1.0) == pytest.approx(h / 4 + 0.5, rel=1e-12)
+    for hh in (1.5, 3.0, 1e5):
+        for p in (-2.5, 0.3, 2.0, 7.0):
+            assert kantorovich(hh, p) == pytest.approx(kantorovich(hh, 1.0 - p), rel=1e-13)
+    # constants beyond the float range are inf, with no RuntimeWarning
+    assert kantorovich(2.0, 2000.0) == math.inf
+    assert kantorovich(2.0, -2000.0) == math.inf
+    for p in (1e300, 1e308, -1e308):
+        np.testing.assert_array_equal(kantorovich(np.array([2.0, 1e308]), p), [math.inf, math.inf])
+
+
 # ----------------------------------------------------------- section-3 checks
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opmeans import errors
+from opmeans import errors, multimeans
 from opmeans.config import SolverConfig
 from opmeans.inequalities import _gen_cell_data
 from opmeans.meanfns import (
@@ -19,7 +19,7 @@ from opmeans.multimeans import (
     MultiMeanSpec,
     Weights,
     _certify_karcher,
-    _power_node,
+    _eval_node,
     adjoint_eval,
     comparison_bound,
     deformed_mean,
@@ -101,10 +101,14 @@ def test_deformed_mean_scalar_inputs_match_formula():
     assert res.value.a[0, 0] == pytest.approx(expect, rel=1e-10)
 
 
-def test_deformed_mean_right_trivial_short_circuit():
+def test_deformed_mean_right_trivial_is_base_mean():
+    # the solve starts at base(A), which a sigma acting as the right trivial
+    # mean leaves fixed; harmonic(1) does so without being the right_trivial kind
     As = ensemble(3, 3, 40)
-    res = deformed_mean(MultiMeanSpec.arithmetic(W3), right_trivial(), As)
-    np.testing.assert_allclose(res.value.a, elementary_mean("arithmetic", W3, As).a, atol=1e-13)
+    for sigma in (right_trivial(), harmonic(1.0)):
+        res = deformed_mean(MultiMeanSpec.arithmetic(W3), sigma, As)
+        np.testing.assert_allclose(res.value.a, elementary_mean("arithmetic", W3, As).a, atol=1e-13)
+        assert res.iterations == 0
     with pytest.raises(errors.SigmaIsLeftTrivial):
         deformed_mean(MultiMeanSpec.arithmetic(W3), left_trivial(), As)
 
@@ -372,6 +376,17 @@ def test_condition_ladder(alpha, top, norm):
         assert np.all(np.isfinite(res.value.a))
 
 
+def test_damping_collapse_above_floor_raises(monkeypatch):
+    # with a zero rounding floor, a member whose damping collapses at spread
+    # 1e12 is stuck above its floor, so the loop stops and reports it
+    monkeypatch.setattr(multimeans, "_rounding_floor", lambda a: np.zeros(len(a)))
+    As = [random_spd(4, (1.0, 1e12), 1200 + j) for j in range(3)]
+    with pytest.raises(errors.NoConvergence, match="Karcher") as info:
+        eval_mean(MultiMeanSpec.karcher(W3), As, QUIET)
+    assert np.isfinite(info.value.residual)
+    assert info.value.last_iterate.shape == (4, 4)
+
+
 @pytest.mark.parametrize("alpha", [0.5, -0.25, 1 / 64, None, "deformed"])
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
 def test_scaled_inputs_keep_homogeneity(alpha, scale):
@@ -467,8 +482,8 @@ def test_batched_enclosure_matches_separate_power_solves(batch):
     vals = eval_mean_stack(MultiMeanSpec.karcher(W3), stack, QUIET).values
     gap = _certify_karcher(w, stack, vals, cfg)
     t = KARCHER_ALPHA
-    upper, _, _ = _power_node(MultiMeanSpec.power(UNI3, t), stack, cfg, w)
-    lower, _, _ = _power_node(MultiMeanSpec.power(UNI3, -t), stack, cfg, w)
+    upper, _, _ = _eval_node(MultiMeanSpec.power(UNI3, t), stack, cfg, w)
+    lower, _, _ = _eval_node(MultiMeanSpec.power(UNI3, -t), stack, cfg, w)
     assert gap.shape == (batch,)
     np.testing.assert_allclose(gap, thompson(lower, upper), rtol=0, atol=1e-9)
     with pytest.raises(errors.CertificationFailure):
