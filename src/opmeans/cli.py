@@ -3,7 +3,7 @@
 Exit codes are part of the contract so scripts and CI can branch on them:
 
     0  success (mean converged / all checks hold / counterexample found)
-    1  input or configuration error
+    1  input or configuration error, including command-line usage errors
     2  solver did not converge
     3  at least one inequality check failed (witnesses embedded)
     4  counterexample search exhausted its budget without a hit
@@ -24,7 +24,6 @@ from .config import SolverConfig
 from .errors import ConfigError, NoConvergence, OpmeansError
 from .inequalities import (
     CampaignConfig,
-    SearchConfig,
     kantorovich,
     optimality_scan,
     recheck,
@@ -129,18 +128,11 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     tau = repfn_from_json(_load_json(args.tau))
-    search_cfg = SearchConfig(
-        ratio_points=args.ratio_points,
-        t_points=args.t_points,
-        k_points=args.k_points,
-        shift=args.shift,
-        tol=args.search_tol,
-    )
-    cx = optimality_scan(tau, args.r, args.mode, search_cfg)
+    cx = optimality_scan(tau, args.r, args.mode)
     if cx is None:
         _emit("none\n", args.output)
         return EXIT_SEARCH_EXHAUSTED
-    if not verify_counterexample(cx, tau, search_cfg):  # pragma: no cover - scan output self-checks
+    if not verify_counterexample(cx, tau):  # pragma: no cover - scan output self-checks
         raise ConfigError("scan produced a counterexample that does not re-verify")
     _emit(json.dumps(cx.to_json(), indent=2) + "\n", args.output)
     return EXIT_OK
@@ -186,11 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--tau", required=True, help="representing-function JSON file")
     p_search.add_argument("--mode", required=True, choices=["prop_6_1", "prop_6_2"])
     p_search.add_argument("--r", type=float, required=True)
-    p_search.add_argument("--ratio-points", type=int, default=SearchConfig.ratio_points)
-    p_search.add_argument("--t-points", type=int, default=SearchConfig.t_points)
-    p_search.add_argument("--k-points", type=int, default=SearchConfig.k_points)
-    p_search.add_argument("--shift", type=float, default=SearchConfig.shift)
-    p_search.add_argument("--search-tol", type=float, default=SearchConfig.tol)
     p_search.add_argument("--output", default=None)
     p_search.set_defaults(func=cmd_search)
 
@@ -205,9 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and not args.campaign and not args.recheck:
-        parser.error("verify needs a campaign file or --recheck")
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "verify" and not args.campaign and not args.recheck:
+            parser.error("verify needs a campaign file or --recheck")
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except NoConvergence as exc:

@@ -90,7 +90,6 @@ from .psd_core import (
 __all__ = [
     "CheckReport",
     "Counterexample",
-    "SearchConfig",
     "FAMILIES",
     "kantorovich",
     "check_ah_family",
@@ -171,24 +170,6 @@ class Counterexample:
         }
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Grid budget for the optimality scans."""
-
-    ratio_points: int = 21
-    t_points: int = 9
-    eps_values: tuple = (0.05, 0.02, 0.01)
-    k_points: int = 41
-    shift: float = 1e-9
-    tol: float = 1e-7
-
-    def __post_init__(self):
-        if min(self.ratio_points, self.t_points, self.k_points) < 1:
-            raise ConfigError("search point counts must be >= 1")
-        if not (math.isfinite(self.shift) and 0 <= self.tol < math.inf):
-            raise ConfigError(f"search shift must be finite and tol in [0, inf), got {self.shift} and {self.tol}")
-
-
 # --------------------------------------------------------------------------
 # the generalized Kantorovich constant
 # --------------------------------------------------------------------------
@@ -202,7 +183,11 @@ def kantorovich(h, p):
     with ``L = log h``, ``q = p - 1`` and ``g(x) = log(expm1(x) / x) = max(x,
     0) + _log_ratio(x)``.  The ``max`` terms sum to ``L`` times ``q``, ``p q``
     or ``-p`` (p > 1, 0 < p < 1, p < 0), so no large terms cancel, and a
-    constant beyond the float range is ``inf``.  Vectorized over ``h``.
+    constant beyond the float range is ``inf``.  Once ``|p|`` or ``|q|``
+    exceeds 2, ``q (lr(pL) - lr(qL))`` (``lr = _log_ratio``) is taken from
+    the distance ``L`` between ``|pL|`` and ``|qL|`` rather than as a
+    difference, which would cancel when ``|p|`` is large and ``h`` near 1.
+    Vectorized over ``h``.
     """
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr <= 1.0):
@@ -217,9 +202,20 @@ def kantorovich(h, p):
     q = p - 1.0
     logh = np.log(h_arr)
     lead = q if p > 1 else (p * q if p > 0 else -p)
-    lr_p, lr_q = _log_ratio(p * logh), _log_ratio(q * logh)
+    lr_p = _log_ratio(p * logh)
+    big = max(p, -q)
+    if big > 2:
+        # with a = big L and b = a - L, |q| (lr(a) - lr(b)) is the term, and
+        # lr(a) - lr(b) = log(b / a) + log(expm1(-a) / expm1(-b))
+        b = (big - 1.0) * logh
+        cross = abs(q) * (np.log1p(-1.0 / big) + np.log1p(np.exp(-b) * np.expm1(-logh) / np.expm1(-b)))
+    else:
+        cross = q * (lr_p - _log_ratio(q * logh))
+    log_k = lead * logh + cross + lr_p - _log_ratio(logh)
+    # K <= 1 for 0 < p < 1 and K >= 1 otherwise; rounding must not cross 1
+    log_k = np.minimum(log_k, 0.0) if 0 < p < 1 else np.maximum(log_k, 0.0)
     with np.errstate(over="ignore"):
-        out = np.exp(lead * logh + q * (lr_p - lr_q) + lr_p - _log_ratio(logh))
+        out = np.exp(log_k)
     return float(out) if np.isscalar(h) else out
 
 
@@ -244,12 +240,6 @@ def _ge_margin(lhs, rhs):
 
 def _scaled(pref, x):
     return np.asarray(pref)[..., None, None] * x
-
-
-def _cached(cache, key, fn):
-    if key not in cache:
-        cache[key] = fn()
-    return cache[key]
 
 
 def _bracket_margins(mid, x, r, style, lo_factor=1.0, hi_factor=1.0):
@@ -406,23 +396,21 @@ def check_implication_equivalence(
     sigma: RepFnSpec,
     tau: RepFnSpec,
     r: float,
-    t_grid=None,
-    matrix_trials: int = 40,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     tol: float = DEFAULT_CHECK_TOL,
-    seed: int = 2024,
 ) -> CheckReport:
     """Agreement test between a scalar power condition and its matrix form.
 
-    The scalar condition is ``f_sigma(t^r) >= f_tau(t)^r`` on the grid; the
-    matrix condition is ``A tau B >= I  =>  A^r sigma B^r >= I`` over
-    randomized trials (hypothesis pinned by rescaling).  The two are
-    equivalent, so the verdicts must agree: when the scalar side fails, a
-    concrete matrix violation is constructed from the worst grid point and
-    must be confirmed.
+    The scalar condition is ``f_sigma(t^r) >= f_tau(t)^r`` on 400 points t
+    geometrically spaced in [1e-3, 1e3]; the matrix condition is
+    ``A tau B >= I  =>  A^r sigma B^r >= I`` over 40 seeded trials
+    (``default_rng(2024)`` draws the seeds of A and B; even trials are 2x2,
+    odd ones 3x3, each dimension evaluated as one stack; the hypothesis is
+    pinned by rescaling).  The two are equivalent, so the verdicts must
+    agree: when the scalar side fails, a concrete matrix violation is
+    constructed from the worst grid point and must be confirmed.
     """
     _require_r(r, "ge1", "equivalence test")
-    grid = np.geomspace(1e-3, 1e3, 400) if t_grid is None else np.asarray(t_grid, float)
+    grid = np.geomspace(1e-3, 1e3, 400)
     fs = rep_eval(sigma, grid**r)
     ft = rep_eval(tau, grid) ** r
     scalar_margins = (fs - ft) / (np.abs(fs) + np.abs(ft))
@@ -430,24 +418,24 @@ def check_implication_equivalence(
     t_worst = float(grid[np.argmin(scalar_margins)])
     scalar_ok = scalar_margin >= -tol
 
-    rng = np.random.default_rng(seed)
-    worst_matrix = np.inf
-    for k in range(matrix_trials):
-        d = 2 if k % 2 == 0 else 3
-        a = random_spd(d, (0.4, 2.5), int(rng.integers(2**32))).a
-        b = random_spd(d, (0.4, 2.5), int(rng.integers(2**32))).a
-        c = _two_var_arrays(lambda t: rep_eval(tau, t), a, b)
-        lam = float(lambda_min(c))
-        a, b = a / lam, b / lam  # now A tau B >= I with equality at the bottom
+    def excess(a, b):
+        """``(lambda_min(A^r sigma B^r) - 1) / (1 + ||A^r sigma B^r||)``, batched."""
         out = _two_var_arrays(lambda t: rep_eval(sigma, t), spd_power(a, r), spd_power(b, r))
-        worst_matrix = min(worst_matrix, float(lambda_min(out) - 1.0) / (1.0 + float(op_norm(out))))
+        return (lambda_min(out) - 1.0) / (1.0 + op_norm(out))
+
+    seeds = np.random.default_rng(2024).integers(2**32, size=(40, 2))
+    worst_matrix = np.inf
+    for d, trial_seeds in ((2, seeds[0::2]), (3, seeds[1::2])):
+        pairs = random_spd_stack(d, (0.4, 2.5), trial_seeds.ravel().tolist()).reshape(-1, 2, d, d)
+        a, b = pairs[:, 0], pairs[:, 1]
+        lam = lambda_min(_two_var_arrays(lambda t: rep_eval(tau, t), a, b))[:, None, None]
+        # now A tau B >= I with equality at the bottom
+        worst_matrix = min(worst_matrix, float(excess(a / lam, b / lam).min()))
     if not scalar_ok:
         x = rep_eval(tau, t_worst)
         a = np.diag([1.0 / x, 1.0 / x])
         b = np.diag([t_worst / x, t_worst / x])
-        out = _two_var_arrays(lambda t: rep_eval(sigma, t), spd_power(a, r), spd_power(b, r))
-        lifted = float(lambda_min(out) - 1.0) / (1.0 + float(op_norm(out)))
-        worst_matrix = min(worst_matrix, lifted)
+        worst_matrix = min(worst_matrix, float(excess(a, b)))
     matrix_ok = worst_matrix >= -tol
     agree = scalar_ok == matrix_ok
     return CheckReport(
@@ -462,7 +450,7 @@ def check_implication_equivalence(
             "scalar_holds": scalar_ok,
             "matrix_holds": matrix_ok,
         },
-        witness_seed=seed,
+        witness_seed=2024,
     )
 
 
@@ -645,39 +633,54 @@ def check_log_majorization(
 # --------------------------------------------------------------------------
 
 
-def optimality_scan(
-    tau: RepFnSpec,
-    r: float,
-    mode: str,
-    search_cfg: SearchConfig = SearchConfig(),
-) -> Optional[Counterexample]:
+_SCAN_SHIFT = 1e-9  # the rank-one family's step into the open cone
+_SCAN_TOL = 1e-7  # a scan candidate violates when its margin is below -_SCAN_TOL
+
+
+def optimality_scan(tau: RepFnSpec, r: float, mode: str) -> Optional[Counterexample]:
     """Search the explicit 2x2 families for a violation outside the valid r-range.
 
-    ``prop_6_1`` scans the diagonal family (identity against diag(1, x),
-    x in (0, 1]) for a violation of the complement bracket, which exists
-    exactly when r > 1.  ``prop_6_2`` scans the rank-one family (diagonal
-    inverse scales against a rotated rank-one projector, shifted into the
-    positive cone) for a failure of power-escalation after tight rescaling,
-    which exists exactly when r < 1.  Returns the first confirmed violation
-    or None.
+    ``prop_6_1`` scans the diagonal family (identity against diag(1, x) for
+    189 x geometrically spaced in [1e-3, 1]) for a violation of the
+    complement bracket, which exists exactly when r > 1.  ``prop_6_2`` scans
+    the rank-one family (diagonal inverse scales against a rotated rank-one
+    projector, shifted by 1e-9 into the positive cone) for a failure of
+    power-escalation after tight rescaling, which exists exactly when r < 1:
+    a 21 x 21 grid of scales in [0.05, 20] times 9 angles in [0.1, 0.9], then
+    the near-identity scales ``1 +- eps``, eps in (0.05, 0.02, 0.01), at the
+    angles ``(1 + k eps) / 2`` in (0, 1) for 41 k in [-30, 30].  The grids
+    are fixed and each is one batched evaluation; the first candidate in
+    grid order with a margin below -1e-7 is returned, or None.
     """
     if not 0 < r < math.inf:
         raise BadR(f"optimality scans need a finite r > 0, got {r}")
     if mode == "prop_6_1":
-        return _scan_bracket_complement(tau, r, search_cfg)
-    if mode == "prop_6_2":
+        violated_id, (params, a, b, margins) = "6.1", _scan_bracket_complement(tau, r)
+    elif mode == "prop_6_2":
         if tau.is_left_trivial or tau.acts_right_trivial:
             raise BadMode("prop_6_2 needs a mean distinct from both trivial means")
-        return _scan_escalation(tau, r, search_cfg)
-    raise BadMode(f"unknown scan mode {mode!r}")
+        violated_id, (params, a, b, margins) = "6.3", _scan_escalation(tau, r)
+    else:
+        raise BadMode(f"unknown scan mode {mode!r}")
+    hits = np.flatnonzero(margins < -_SCAN_TOL)
+    if not hits.size:
+        return None
+    k = hits[0]
+    return Counterexample(
+        family_params=tuple(None if p is None else float(p[k]) for p in params),
+        matrices=(SpdMatrix(2, a[k]), SpdMatrix(2, b[k])),
+        r=r,
+        violated_id=violated_id,
+        violation_margin=float(margins[k]),
+        epsilon_shift=_SCAN_SHIFT if violated_id == "6.3" else None,
+    )
 
 
 def _complement_margin(tau, r, a, b):
-    """Margin of the complement bracket ``||tau_r||^{r-1} tau_r(A, B) <= A^r tau B^r`` (6.1)."""
+    """Margins of the complement bracket ``||tau_r||^{r-1} tau_r(A, B) <= A^r tau B^r`` (6.1), batched."""
     lhs = _two_var_arrays(lambda t: rep_eval(rep_transform(tau, "power_inner_outer", r), t), a, b)
     rhs = _two_var_arrays(lambda t: rep_eval(tau, t), spd_power(a, r), spd_power(b, r))
-    pref = float(op_norm(lhs)) ** (r - 1.0)
-    return float(_le_margin(pref * lhs, rhs))
+    return _le_margin(_scaled(op_norm(lhs) ** (r - 1.0), lhs), rhs)
 
 
 def _clamped(spec):
@@ -687,77 +690,55 @@ def _clamped(spec):
 
 
 def _escalation_margin(tau, r, a, b):
-    """Margin of ``A^r tau_{1/r} B^r <= I`` (6.3), the power bracket of tau."""
+    """Margins of ``A^r tau_{1/r} B^r <= I`` (6.3), the power bracket of tau, batched."""
     out = _two_var_arrays(
         _clamped(rep_transform(tau, "power_inner_outer", 1.0 / r)), spd_power(a, r), spd_power(b, r)
     )
-    return float(lambda_min(np.eye(a.shape[-1]) - out)) / (1.0 + float(op_norm(out)))
+    return lambda_min(np.eye(a.shape[-1]) - out) / (1.0 + op_norm(out))
 
 
-def _scan_bracket_complement(tau, r, search_cfg):
-    xs = np.geomspace(1e-3, 1.0, search_cfg.ratio_points * search_cfg.t_points)
-    eye = np.eye(2)
-    for x in xs:
-        b = np.diag([1.0, float(x)])
-        margin = _complement_margin(tau, r, eye, b)
-        if margin < -search_cfg.tol:
-            return Counterexample(
-                family_params=(float(x), None, None),
-                matrices=(SpdMatrix(2, eye), SpdMatrix(2, b)),
-                r=r,
-                violated_id="6.1",
-                violation_margin=margin,
-            )
-    return None
+def _scan_bracket_complement(tau, r):
+    """The 6.1 grid: its parameters, pairs and margins."""
+    x = np.geomspace(1e-3, 1.0, 189)
+    b = np.zeros((len(x), 2, 2))
+    b[:, 0, 0], b[:, 1, 1] = 1.0, x
+    a = np.broadcast_to(np.eye(2), b.shape)
+    return (x, None, None), a, b, _complement_margin(tau, r, a, b)
 
 
-def _rank_one_family(x, y, t, shift):
-    a = np.diag([1.0 / x, 1.0 / y])
+def _rank_one_family(x, y, t):
+    """The pairs ``diag(1/x, 1/y)`` and the rank-one projector at angle t plus
+    ``_SCAN_SHIFT I``, stacked over the candidate arrays."""
+    a = np.zeros((len(t), 2, 2))
+    a[:, 0, 0], a[:, 1, 1] = 1.0 / x, 1.0 / y
     s, c = np.sqrt(t), np.sqrt(1.0 - t)
-    b = np.array([[t, s * c], [s * c, 1.0 - t]]) + shift * np.eye(2)
-    return a, b
+    b = np.stack([np.stack([t, s * c], -1), np.stack([s * c, 1.0 - t], -1)], -2)
+    return a, b + _SCAN_SHIFT * np.eye(2)
 
 
-def _scan_escalation(tau, r, search_cfg):
-    ratios = np.geomspace(0.05, 20.0, search_cfg.ratio_points)
-    ts = np.linspace(0.1, 0.9, search_cfg.t_points)
-    candidates = [(float(x), float(y), float(t)) for x in ratios for y in ratios for t in ts]
-    for eps in search_cfg.eps_values:
-        for k in np.linspace(-30.0, 30.0, search_cfg.k_points):
-            t = (1.0 + k * eps) / 2.0
-            if 0.0 < t < 1.0:
-                candidates.append((1.0 + eps, 1.0 - eps, float(t)))
-    for x, y, t in candidates:
-        a, b = _rank_one_family(x, y, t, search_cfg.shift)
-        beta = float(op_norm(_two_var_arrays(_clamped(tau), a, b)))
-        a_s, b_s = a / beta, b / beta
-        margin = _escalation_margin(tau, r, a_s, b_s)
-        if margin < -search_cfg.tol:
-            return Counterexample(
-                family_params=(x, y, t),
-                matrices=(SpdMatrix(2, a_s), SpdMatrix(2, b_s)),
-                r=r,
-                violated_id="6.3",
-                violation_margin=margin,
-                epsilon_shift=search_cfg.shift,
-            )
-    return None
+def _scan_escalation(tau, r):
+    """The 6.3 grid: its parameters, pairs rescaled to ``||A tau B|| = 1`` and margins."""
+    ratios = np.geomspace(0.05, 20.0, 21)
+    grid = np.meshgrid(ratios, ratios, np.linspace(0.1, 0.9, 9), indexing="ij")
+    eps = np.repeat([0.05, 0.02, 0.01], 41)
+    near_t = (1.0 + np.tile(np.linspace(-30.0, 30.0, 41), 3) * eps) / 2.0
+    inside = (0.0 < near_t) & (near_t < 1.0)
+    x, y, t = (np.concatenate([g.ravel(), near[inside]]) for g, near in zip(grid, (1.0 + eps, 1.0 - eps, near_t)))
+    a, b = _rank_one_family(x, y, t)
+    beta = op_norm(_two_var_arrays(_clamped(tau), a, b))[:, None, None]
+    a, b = a / beta, b / beta
+    return (x, y, t), a, b, _escalation_margin(tau, r, a, b)
 
 
-def verify_counterexample(
-    cx: Counterexample,
-    tau: RepFnSpec,
-    search_cfg: SearchConfig = SearchConfig(),
-) -> bool:
+def verify_counterexample(cx: Counterexample, tau: RepFnSpec) -> bool:
     """Re-run the violated check on the stored matrices; True if it still fails."""
-    a, b = (m.a for m in cx.matrices)
-    r = cx.r
+    a, b = (m.a[None] for m in cx.matrices)
     if cx.violated_id == "6.1":
-        return _complement_margin(tau, r, a, b) < -search_cfg.tol
+        return bool(_complement_margin(tau, cx.r, a, b)[0] < -_SCAN_TOL)
     if cx.violated_id == "6.3":
-        if float(op_norm(_two_var_arrays(_clamped(tau), a, b))) > 1.0 + 1e-9:
+        if float(op_norm(_two_var_arrays(_clamped(tau), a, b))[0]) > 1.0 + 1e-9:
             return False
-        return _escalation_margin(tau, r, a, b) < -search_cfg.tol
+        return bool(_escalation_margin(tau, cx.r, a, b)[0] < -_SCAN_TOL)
     raise BadMode(f"unknown counterexample id {cx.violated_id!r}")
 
 
@@ -767,7 +748,6 @@ def find_reverse_improvement(
     dim: int = 3,
     n: int = 3,
     max_seeds: int = 200,
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ):
     """Seeded search for an instance where the Kantorovich bound beats the norm bound.
 
@@ -861,13 +841,17 @@ def _power_bracket_cell(r_range, data, r, alpha, cfg, cache):
 
 def _pair_cell(r_range, by_sigma, data, r, alpha, cfg, cache):
     """4.6-4.9: the modified bracket of the two-variable mean tau, deformed
-    by sigma (4.6/4.7) or power-bracketed alone (4.8/4.9)."""
+    by sigma (4.6/4.7) or power-bracketed alone (4.8/4.9).  Each mean is
+    solved once per group, keyed like :func:`_solve` on the transformed
+    function and the power of the inputs."""
     fn, op = (data.sigma, "power_inner") if by_sigma else (data.tau, "power_inner_outer")
 
     def mean(s, q):
         f = fn if s == 1 else rep_transform(fn, op, s)
-        rep = partial(deformed_rep, data.tau, f) if by_sigma else partial(rep_eval, f)
-        return _two_var_arrays(rep, *np.moveaxis(spd_power(data.stack, q), 1, 0))
+        if (f, q) not in cache:
+            rep = partial(deformed_rep, data.tau, f) if by_sigma else partial(rep_eval, f)
+            cache[f, q] = _two_var_arrays(rep, *np.moveaxis(spd_power(data.stack, q), 1, 0))
+        return cache[f, q]
 
     margin, sides = _modified_bracket(mean, r, r_range)
     sigma_json = None if data.sigma is None else repfn_to_json(data.sigma)
@@ -877,7 +861,7 @@ def _pair_cell(r_range, by_sigma, data, r, alpha, cfg, cache):
 def _arith_reverse_cell(data, r, alpha, cfg, cache):
     """5.3: ``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r``."""
     m, M = data.bounds
-    k = kantorovich(M / m, r) if r != 1 else 1.0
+    k = kantorovich(M / m, r)
     lhs = _weighted_sum(data.weights, spd_power(data.stack, r))
     mean = _weighted_sum(data.weights, data.stack)
     return _le_margin(lhs, k * spd_power(mean, r)), {"K": k}
@@ -889,7 +873,7 @@ def _compression_cell(data, r, alpha, cfg, cache):
     m, M = data.bounds
     a, c = data.stack[:, 0], data.c
     h1 = M / (m * data.mu)
-    k = kantorovich(h1, r) if r != 1 else 1.0
+    k = kantorovich(h1, r)
     lhs = sym(c @ spd_power(a, r) @ c)
     return _le_margin(lhs, k * spd_power(sym(c @ a @ c), r)), {"mu": data.mu, "h1": h1, "K": k}
 

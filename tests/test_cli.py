@@ -217,7 +217,8 @@ def test_search_exit_codes(tmp_path, capsys):
     assert main(["search", "--tau", arith, "--mode", "prop_6_1", "--r", "1"]) == EXIT_SEARCH_EXHAUSTED
     capsys.readouterr()
 
-    # malformed search input is rejected before any scan
+    # malformed search input is rejected before any scan; the grids are
+    # fixed, so the old grid flags are unknown options, a usage error
     for mode, extra in (
         ("prop_6_2", ["--r", "0"]),
         ("prop_6_1", ["--r", "inf"]),
@@ -229,6 +230,30 @@ def test_search_exit_codes(tmp_path, capsys):
     ):
         assert main(["search", "--tau", harm, "--mode", mode, *extra]) == EXIT_INPUT, extra
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], EXIT_INPUT),
+        (["bogus"], EXIT_INPUT),
+        (["verify"], EXIT_INPUT),
+        (["verify", "c.json", "--threads", "x"], EXIT_INPUT),
+        (["mean", "--matrices", "m.json"], EXIT_INPUT),
+        (["kantorovich", "abc", "2"], EXIT_INPUT),
+        (["search", "--tau", "t.json", "--mode", "bogus", "--r", "2"], EXIT_INPUT),
+        (["--help"], EXIT_OK),
+        (["search", "--help"], EXIT_OK),
+    ],
+)
+def test_usage_errors_exit_input(argv, code, capsys):
+    # a usage error is an input error (exit 1), never the no-convergence code 2
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert out.startswith("usage:")
+    else:
+        assert out == "" and "usage:" in err
 
 
 def test_kantorovich_command(capsys):

@@ -9,7 +9,6 @@ from opmeans.config import SolverConfig
 from opmeans.inequalities import (
     FAMILIES,
     CampaignConfig,
-    SearchConfig,
     check_ah_family,
     check_arithmetic_power_reverse,
     check_compression_reverse,
@@ -101,6 +100,25 @@ def test_kantorovich_without_overflow():
     assert kantorovich(2.0, -2000.0) == math.inf
     for p in (1e300, 1e308, -1e308):
         np.testing.assert_array_equal(kantorovich(np.array([2.0, 1e308]), p), [math.inf, math.inf])
+
+
+@pytest.mark.parametrize("h", [1 + 2**-52, 1 + 2**-40, 1 + 1e-9, 2.0, 1e10])
+def test_kantorovich_against_mpmath(h):
+    # the closed form in 60 digits; near h = 1 at large |p| the value is 1
+    # plus a correction that a difference of nearly equal logs would lose
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(60):
+        for p in (1e10, -1e10, 1e8, -1e8, 1e4, -1e4, -3.0, 0.5, 2.0, 10.0):
+            hh, pp = mp.mpf(h), mp.mpf(p)
+            hp = hh**pp
+            exact = (hp - hh) / ((pp - 1) * (hh - 1)) * ((pp - 1) / pp * (hp - 1) / (hp - hh)) ** pp
+            k = kantorovich(h, p)
+            if exact > np.finfo(float).max:
+                assert k == math.inf, p
+            else:
+                assert abs(k - exact) <= 1e-12 * exact, p
+            # K <= 1 on 0 < p < 1 and K >= 1 elsewhere, also where only rounding separates K from 1
+            assert k <= 1.0 if 0 < p < 1 else k >= 1.0, p
 
 
 # ----------------------------------------------------------- section-3 checks
@@ -479,15 +497,40 @@ def test_scan_escalation_positive_at_zero_branch():
     assert optimality_scan(arithmetic(0.5), 2.0, "prop_6_2") is None
 
 
+@pytest.mark.parametrize(
+    "tau, r, mode, params, margin",
+    [
+        (arithmetic(0.5), 2.0, "prop_6_1", [0.001, None, None], -0.10355331736992485),
+        (harmonic(0.5), 0.5, "prop_6_2", [0.05, 0.06746414238367815, 0.1], -2.7563257860417345e-05),
+        (arithmetic(0.5), 0.5, "prop_6_2", [0.05, 0.06746414238367815, 0.1], -0.00020979839984224137),
+    ],
+)
+def test_scan_first_counterexample_pinned(tau, r, mode, params, margin):
+    # the first hit in grid order, as the one-candidate-at-a-time scan found it
+    cx = optimality_scan(tau, r, mode).to_json()
+    assert cx["family_params"] == pytest.approx(params, rel=1e-15)
+    assert cx["violation_margin"] == pytest.approx(margin, rel=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["prop_6_1", "prop_6_2"])
+def test_scan_grid_margins_match_single_candidates(mode):
+    # the one batched pass gives every candidate the margin it has alone
+    from opmeans import inequalities as ineq
+
+    scan, margin = {
+        "prop_6_1": (ineq._scan_bracket_complement, ineq._complement_margin),
+        "prop_6_2": (ineq._scan_escalation, ineq._escalation_margin),
+    }[mode]
+    _, a, b, margins = scan(harmonic(0.5), 0.5)
+    for k in range(0, len(margins), 37):
+        assert margin(harmonic(0.5), 0.5, a[k : k + 1], b[k : k + 1])[0] == margins[k], k
+
+
 def test_scan_input_validated():
     for mode in ("prop_6_1", "prop_6_2"):
         for r in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(errors.BadR):
                 optimality_scan(harmonic(0.5), r, mode)
-    bad_counts = ({"ratio_points": 0}, {"t_points": -2}, {"k_points": -1})
-    for bad in bad_counts + ({"shift": math.nan}, {"tol": math.inf}, {"tol": -1.0}):
-        with pytest.raises(errors.ConfigError):
-            SearchConfig(**bad)
 
 
 def test_scan_escalation_rejects_trivial_means():
@@ -625,6 +668,19 @@ def test_run_campaign_matches_ungrouped_cells():
         assert [json.dumps(x, sort_keys=True) for x in grouped] == [
             json.dumps(x, sort_keys=True) for x in ungrouped
         ]
+
+
+def test_pair_group_solves_each_mean_once(monkeypatch):
+    # a 4.6 group needs mean(1, 1) and mean(1/r, r) for r = 1.5, 2, 3: four
+    # distinct pair means, the r = 1 cell's two ends being mean(1, 1) itself
+    from opmeans import inequalities
+
+    calls = []
+    inner = inequalities._two_var_arrays
+    monkeypatch.setattr(inequalities, "_two_var_arrays", lambda *a: calls.append(1) or inner(*a))
+    config = CampaignConfig(("4.6",), (3,), (1.0, 1.5, 2.0, 3.0), (), 20, 0, "-")
+    assert len(run_campaign(config)) == 4
+    assert len(calls) == 4
 
 
 def _forced_failure(family):
