@@ -11,6 +11,10 @@ Exit codes are part of the contract so scripts and CI can branch on them:
 ``verify`` emits JSON lines, one report per campaign cell followed by one
 summary line, buffered and written in deterministic cell order no matter
 how many worker threads run the cells.
+
+No subcommand takes a solver tolerance or iteration cap: ``mean`` solves
+at the default ``SolverConfig``, ``verify`` and ``--recheck`` at
+``inequalities.CAMPAIGN_SOLVER``, so a report is a function of its config.
 """
 
 from __future__ import annotations
@@ -49,20 +53,6 @@ def _load_json(path):
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if getattr(args, "tol", None) is not None:
-        kwargs["dt_tol"] = args.tol
-    if getattr(args, "max_iters", None) is not None:
-        kwargs["max_iters"] = args.max_iters
-    if getattr(args, "no_certify", False):
-        kwargs["certify"] = False
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"bad solver settings: {exc}") from exc
-
-
 def _emit(text, output):
     if output and output != "-":
         try:
@@ -86,9 +76,8 @@ def cmd_mean(args) -> int:
     if not isinstance(mats_json, list):
         raise ConfigError("matrices JSON must be a list of matrices or an object with one under 'matrices'")
     mats = [matrix_from_json(m) for m in mats_json]
-    cfg = _solver_config(args)
     try:
-        result = eval_mean(spec, mats, cfg)
+        result = eval_mean(spec, mats, SolverConfig(certify=not args.no_certify))
     except NoConvergence as exc:
         diag = {
             "error": "NoConvergence",
@@ -102,15 +91,14 @@ def cmd_mean(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _solver_config(args)
     if args.recheck:
-        report = recheck(_load_json(args.recheck), cfg)
+        report = recheck(_load_json(args.recheck))
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
         return EXIT_OK if report.holds else EXIT_CHECK_FAILED
     config = CampaignConfig.from_json(_load_json(args.campaign))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    results = run_campaign(config, cfg, args.threads)
+    results = run_campaign(config, args.threads)
     lines = [json.dumps(r, sort_keys=True) for r in results]
     passed = sum(1 for r in results if r.get("holds") and "error" not in r)
     errors = sum(1 for r in results if "error" in r)
@@ -158,8 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean = sub.add_parser("mean", help="compute a mean of SPD matrices")
     p_mean.add_argument("--spec", required=True, help="mean description JSON file")
     p_mean.add_argument("--matrices", required=True, help="JSON file with a list of matrices")
-    p_mean.add_argument("--tol", type=float, default=None, help="error-bound stopping tolerance")
-    p_mean.add_argument("--max-iters", type=int, default=None)
     p_mean.add_argument("--no-certify", action="store_true", help="skip the Karcher enclosure certificate")
     p_mean.add_argument("--output", default=None, help="write result here instead of stdout")
     p_mean.set_defaults(func=cmd_mean)
@@ -169,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--recheck", default=None, help="re-run one failed report line (JSON file)")
     p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--seed", type=int, default=None, help="override the campaign seed")
-    p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--max-iters", type=int, default=None)
     p_verify.add_argument("--output", default=None, help="report path (JSON lines); '-' for stdout")
     p_verify.set_defaults(func=cmd_verify)
 

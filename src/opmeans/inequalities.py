@@ -9,8 +9,9 @@ Every check is a campaign cell.  :func:`run_cell` evaluates one
 (family, dimension, r, alpha) cell over many seeded random trials in a
 single stacked solve, which is what makes 200-trial cells affordable, and
 :func:`run_campaign` runs a whole campaign grid, sharing trial data and
-solves across the r values of each (family, dimension, alpha) group.  The
-typed checks (``check_ah_family``, ``check_modified``, ``check_two_var``,
+solves across the r values of each (family, dimension, alpha) group, at
+the one fixed setting :data:`CAMPAIGN_SOLVER`.  The typed checks
+(``check_ah_family``, ``check_modified``, ``check_two_var``,
 ``check_reverse`` ...) take :class:`SpdMatrix` inputs and run the same
 margin function on a one-trial cell; :func:`recheck` builds that cell from
 a report's witness.  Both validate the trial in one place, and every report
@@ -111,6 +112,8 @@ __all__ = [
 ]
 
 DEFAULT_CHECK_TOL = 1e-9
+# the solver setting of every campaign cell, recheck and find_reverse_improvement
+CAMPAIGN_SOLVER = SolverConfig(certify=False)
 
 
 # --------------------------------------------------------------------------
@@ -760,10 +763,9 @@ def find_reverse_improvement(
         raise BadH(f"the improvement regime needs kappa0 in (1, 4), got {kappa0}")
     threshold = 1.0 / (np.sqrt(kappa0) * (2.0 - np.sqrt(kappa0)))
     uni = Weights.uniform(n)
-    quiet = SolverConfig(certify=False)
     for seed in range(max_seeds):
         mats = [random_spd(dim, (1.0, kappa0), 7_000 + 31 * seed + j) for j in range(n)]
-        x = eval_mean_stack(MultiMeanSpec.karcher(uni), _as_stack(mats), quiet).values
+        x = eval_mean_stack(MultiMeanSpec.karcher(uni), _as_stack(mats), CAMPAIGN_SOLVER).values
         kx = float(op_norm(x) / lambda_min(x))
         if kx <= threshold:
             continue
@@ -992,8 +994,7 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
         kind_rng = np.random.default_rng(_derive_seed(master_seed, family, dim, alpha, "fn"))
         w_tau = round(float(kind_rng.uniform(0.25, 0.75)), 6)
         data.tau = (arithmetic, harmonic, geometric)[int(kind_rng.integers(3))](w_tau)
-        a_sig = alpha if alpha is not None else 0.5
-        data.sigma = geometric(a_sig) if kind_rng.integers(2) == 0 else harmonic(a_sig)
+        data.sigma = geometric(alpha) if kind_rng.integers(2) == 0 else harmonic(alpha)
         return data
     raw = np.stack(
         [np.random.default_rng(_derive_seed(s, "w")).uniform(0.2, 1.0, _N) for s in seeds]
@@ -1011,7 +1012,7 @@ def _witness_cell(layout, mats, seed, weights=None, bounds=None, mu=None, tau=No
     one that a campaign could have drawn: a matrix count that fits the
     layout, one dimension, one weight per ensemble matrix (uniform when
     ``weights`` is None), ``m I <= A_j <= M I`` under ``bounds = (m, M)``
-    and ``mu I <= C^2 <= I`` for the compression.
+    with ``0 < m < M``, and ``mu I <= C^2 <= I`` for the compression.
     """
     arrays = _as_stack(mats)
     if (layout == "pair" and len(arrays) != 2) or (layout == "compress" and len(arrays) < 2):
@@ -1026,8 +1027,8 @@ def _witness_cell(layout, mats, seed, weights=None, bounds=None, mu=None, tau=No
         raise ArityMismatch(f"{len(w.values)} weights for {len(ensemble)} matrices")
     data.weights = w.asarray()[None]
     if bounds is not None:
-        if not 0 < bounds[0] <= bounds[1]:
-            raise BoundsViolated(f"bounds need 0 < m <= M, got {tuple(bounds)}")
+        if not 0 < bounds[0] < bounds[1]:
+            raise BoundsViolated(f"bounds need 0 < m < M, got {tuple(bounds)}")
         data.bounds = tuple(bounds)
         _check_bounds(ensemble, *data.bounds)
     if layout == "compress":
@@ -1095,7 +1096,7 @@ def run_cell(
     alpha: Optional[float],
     trials: int,
     master_seed: int,
-    cfg: SolverConfig = DEFAULT_CONFIG,
+    *,
     tol: float = DEFAULT_CHECK_TOL,
     data: Optional[_CellData] = None,
     cache: Optional[dict] = None,
@@ -1104,15 +1105,15 @@ def run_cell(
 
     Reports the worst trial: its normalized margin decides ``holds`` and its
     seed and matrices are embedded on failure so the instance can be
-    re-checked in isolation.  ``data`` and ``cache`` let the cells of one
-    (family, dim, alpha) group share their trial data and r-independent
-    solves; the report is the same with or without them.
+    re-checked in isolation.  Solves run at :data:`CAMPAIGN_SOLVER`.
+    ``data`` and ``cache`` let the cells of one (family, dim, alpha) group
+    share their trial data and r-independent solves; the report is the same
+    with or without them.
     """
     info = _cell_info(family, r, alpha)
     if data is None:
         data = _gen_cell_data(family, dim, alpha, trials, master_seed)
-    quiet = replace(cfg, certify=False)
-    margins, consts = info["margins"](data, r, alpha, quiet, {} if cache is None else cache)
+    margins, consts = info["margins"](data, r, alpha, CAMPAIGN_SOLVER, {} if cache is None else cache)
     return _verdict(_cell_id(family, dim, r, alpha), data, margins, consts, tol, r, alpha)
 
 
@@ -1127,14 +1128,15 @@ def _finite(value, what) -> float:
     return out
 
 
-def recheck(report_json: dict, cfg: SolverConfig = DEFAULT_CONFIG, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
+def recheck(report_json: dict, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
     """Re-run a single failed campaign report from its embedded witness.
 
     The witness, with the report's weights, bounds, ``mu`` and representing
     functions, becomes a one-trial cell of the family, validated like the
-    inputs of a typed check (a witness outside its bounds raises
-    BoundsViolated), which :func:`run_cell` evaluates.  A report that does
-    not fit the family's layout raises a typed error.
+    inputs of a typed check (bad bounds or a witness outside them raise
+    BoundsViolated), which :func:`run_cell` evaluates at the campaign's own
+    solver setting.  A report that does not fit the family's layout raises
+    a typed error.
     """
     if not isinstance(report_json, dict) or not isinstance(report_json.get("inequality_id"), str):
         raise ConfigError("a report must be a JSON object with a string 'inequality_id'")
@@ -1167,7 +1169,7 @@ def recheck(report_json: dict, cfg: SolverConfig = DEFAULT_CONFIG, tol: float = 
         inputs["tau"] = repfn_from_json(consts["tau_json"])
         inputs["sigma"] = repfn_from_json(consts["sigma_json"])
     data = _witness_cell(info["layout"], [matrix_from_json(m) for m in mats], seed, **inputs)
-    rep = run_cell(family, data.dim, r, alpha, 1, seed, cfg, tol, data=data)
+    rep = run_cell(family, data.dim, r, alpha, 1, seed, tol=tol, data=data)
     return replace(rep, inequality_id=ident)
 
 
@@ -1218,10 +1220,11 @@ class CampaignConfig:
         return cls(ids, dims, rs, alphas, trials, seed, output_path)
 
 
-def run_campaign(config: CampaignConfig, cfg: SolverConfig = DEFAULT_CONFIG, threads: int = 1) -> list:
+def run_campaign(config: CampaignConfig, threads: int = 1) -> list:
     """Run every cell of a campaign; one report dict per cell, in cell order.
 
-    Cells run family by family, then by dimension, alpha and r.  Each
+    Cells run family by family, then by dimension, alpha and r, through
+    :func:`run_cell`, so the reports depend on ``config`` alone.  Each
     (family, dim, alpha) group generates its trial data once and shares it,
     with a solve cache, over the r grid; groups run on ``threads`` worker
     threads.  A cell that raises a library error gives an error line with
@@ -1235,11 +1238,11 @@ def run_campaign(config: CampaignConfig, cfg: SolverConfig = DEFAULT_CONFIG, thr
         for alpha in (alphas if FAMILIES[family]["needs_alpha"] else (None,))
     ]
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        batches = list(pool.map(lambda g: _run_group(*g, config, cfg), groups))
+        batches = list(pool.map(lambda g: _run_group(*g, config), groups))
     return [line for batch in batches for line in batch]
 
 
-def _run_group(family, dim, alpha, config, cfg):
+def _run_group(family, dim, alpha, config):
     try:
         data = _gen_cell_data(family, dim, alpha, config.trials, config.seed)
     except OpmeansError:
@@ -1248,7 +1251,7 @@ def _run_group(family, dim, alpha, config, cfg):
     lines = []
     for r in config.r_values:
         try:
-            rep = run_cell(family, dim, r, alpha, config.trials, config.seed, cfg, data=data, cache=cache)
+            rep = run_cell(family, dim, r, alpha, config.trials, config.seed, data=data, cache=cache)
             lines.append(rep.to_json())
         except OpmeansError as exc:
             lines.append({

@@ -71,6 +71,7 @@ __all__ = [
 _MEAN_KINDS = ("arithmetic", "harmonic", "deformed", "power", "karcher", "adjoint")
 _MEAN_PARTS = {"deformed": ("base", "sigma"), "adjoint": ("inner",)}  # required sub-descriptions
 KARCHER_ALPHA = 1.0 / 64.0  # exponent t of the enclosure P_{-t} <= G <= P_t that certifies a Karcher solve
+MAX_ITERS = 20_000  # cap on the steps of one geodesic solve
 
 
 @dataclass(frozen=True)
@@ -447,7 +448,7 @@ def _geodesic_loop(frame, x0, slope, floor, cfg, what, batch):
             idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count = (x[live] for x in state)
         if iters == 0 or not all_live:
             fmap, rows = frame(idx), np.arange(len(idx))
-        if not len(idx) or iters == cfg.max_iters:
+        if not len(idx) or iters == MAX_ITERS:
             break
         iters += 1
         mix = count > 0

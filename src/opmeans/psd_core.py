@@ -364,7 +364,7 @@ def matrix_to_json(a) -> dict:
     return {"dim": int(a.shape[0]), "entries": [[float(x) for x in row] for row in a]}
 
 
-def matrix_from_json(obj, tol=DEFAULT_PD_TOL, sym_tol=DEFAULT_SYM_TOL) -> SpdMatrix:
+def matrix_from_json(obj) -> SpdMatrix:
     try:
         dim = int(obj["dim"])
         a = np.asarray(obj["entries"], dtype=float)
@@ -372,4 +372,4 @@ def matrix_from_json(obj, tol=DEFAULT_PD_TOL, sym_tol=DEFAULT_SYM_TOL) -> SpdMat
         raise NotSquare(f"matrix JSON must carry an integer 'dim' and numeric 'entries': {exc}") from exc
     if a.shape != (dim, dim):
         raise NotSquare(f"declared dim {dim} does not match entries shape {a.shape}")
-    return validate_spd(a, tol=tol, sym_tol=sym_tol)
+    return validate_spd(a)

@@ -9,6 +9,7 @@ from opmeans.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_SEARCH_EXHAUSTED,
+    build_parser,
     main,
 )
 from opmeans.inequalities import FAMILIES, check_compression_reverse, run_cell
@@ -89,11 +90,34 @@ def test_mean_incomplete_spec_is_input_error(tmp_path, capsys, spec):
     "flags", [["--tol", "-1"], ["--max-iters", "0"], ["--tol", "inf"], ["--tol", "nan"]]
 )
 def test_mean_bad_solver_flags_are_input_errors(tmp_path, capsys, flags):
+    # no subcommand takes a solver setting, so these flags are unknown
+    # options: a usage error before any input is read
     spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.5, 0.5]})
     mats = write(tmp_path, "mats.json", [matrix_json(np.eye(2)), matrix_json(2 * np.eye(2))])
-    code = main(["mean", "--spec", spec, "--matrices", mats, "--no-certify", *flags])
-    assert "ConfigError" in capsys.readouterr().err
-    assert code == EXIT_INPUT
+    for argv in (
+        ["mean", "--spec", spec, "--matrices", mats, "--no-certify", *flags],
+        ["verify", campaign(tmp_path), *flags],
+    ):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT, argv
+        assert out == "" and "usage:" in err, argv
+
+
+def test_subcommand_options_are_pinned():
+    # the options of each subcommand are part of the interface; none of them
+    # is a solver tolerance or iteration cap
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {
+        name: sorted(s for a in parser._actions for s in a.option_strings)
+        for name, parser in sub.choices.items()
+    }
+    assert options == {
+        "mean": ["--help", "--matrices", "--no-certify", "--output", "--spec", "-h"],
+        "verify": ["--help", "--output", "--recheck", "--seed", "--threads", "-h"],
+        "search": ["--help", "--mode", "--output", "--r", "--tau", "-h"],
+        "kantorovich": ["--help", "--output", "-h"],
+    }
 
 
 def test_mean_unwritable_output_is_input_error(tmp_path, capsys):
@@ -317,6 +341,14 @@ def _scaled_witness(report, factor, indices):
     return report
 
 
+def _pinned_to_m(report):
+    """``report`` with ``M`` set to ``m`` and a witness of ``m I`` inside [m, m]."""
+    m = report["constants"]["m"]
+    report["constants"]["M"] = m
+    report["matrices"] = [matrix_json(m * np.eye(2))] * len(report["matrices"])
+    return report
+
+
 @pytest.mark.parametrize(
     "report",
     [
@@ -324,6 +356,8 @@ def _scaled_witness(report, factor, indices):
         _scaled_witness(_failing_report("5.4"), 50.0, (0, 1, 2)),
         # the L5.1 compression C (the last matrix) scaled so that C^2 > I
         _scaled_witness(_failing_report("L5.1"), 1.5, (-1,)),
+        # m == M leaves no Kantorovich spread, though the witness fits
+        _pinned_to_m(_failing_report("5.4")),
     ],
 )
 def test_verify_recheck_witness_outside_bounds(tmp_path, capsys, report):

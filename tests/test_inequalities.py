@@ -302,6 +302,17 @@ def test_reverse_bounds_checked():
         check_reverse(W3, 0.5, As, 0.5, "5.4", (0.5, 2.0), QUIET)
     with pytest.raises(errors.BadR):
         check_reverse(W3, -0.5, As, 2.0, "5.4", (0.5, 2.0), QUIET)
+    # m == M leaves no spread for a Kantorovich constant, even on inputs
+    # inside the bounds: a bounds error, not BadH from inside K
+    eye = validate_spd(np.eye(2))
+    for r in (1.0, 2.0):
+        with pytest.raises(errors.BoundsViolated):
+            check_arithmetic_power_reverse(UNI3, [eye] * 3, r, (1.0, 1.0))
+        with pytest.raises(errors.BoundsViolated):
+            check_reverse(UNI3, None, [eye] * 3, r, "5.10", (1.0, 1.0), QUIET)
+    for mu in (0.5, 1.0):
+        with pytest.raises(errors.BoundsViolated):
+            check_compression_reverse(eye, eye, 2.0, 1.0, 1.0, mu)
 
 
 def test_reverse_k_at_least_one():

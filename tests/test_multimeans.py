@@ -150,11 +150,11 @@ def test_solver_config_rejects_bad_tolerances(field, value):
         SolverConfig(**{field: value})
 
 
-def test_deformed_mean_no_convergence_payload():
+def test_deformed_mean_no_convergence_payload(monkeypatch):
     As = ensemble(3, 3, 77)
-    cfg = SolverConfig(max_iters=2)
+    monkeypatch.setattr(multimeans, "MAX_ITERS", 2)
     with pytest.raises(errors.NoConvergence) as info:
-        deformed_mean(MultiMeanSpec.arithmetic(W3), geometric(0.25), As, cfg)
+        deformed_mean(MultiMeanSpec.arithmetic(W3), geometric(0.25), As)
     assert info.value.last_iterate is not None
     assert info.value.residual > 0
 
