@@ -12,9 +12,10 @@ Exit codes are part of the contract so scripts and CI can branch on them:
 summary line, buffered and written in deterministic cell order no matter
 how many worker threads run the cells.
 
-No subcommand takes a solver tolerance or iteration cap: ``mean`` solves
-at the default ``SolverConfig``, ``verify`` and ``--recheck`` at
-``inequalities.CAMPAIGN_SOLVER``, so a report is a function of its config.
+No subcommand takes a solver tolerance or iteration cap: every solve
+stops at ``multimeans.DT_TOL``, so a report is a function of its config.
+``mean`` certifies a Karcher result unless given ``--no-certify``;
+``verify`` and ``--recheck`` never certify.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import json
 import sys
 from dataclasses import replace
 
-from .config import SolverConfig
 from .errors import ConfigError, NoConvergence, OpmeansError
 from .inequalities import (
     CampaignConfig,
@@ -49,7 +49,8 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and text decoding
+    # ValueError covers JSON and text decoding, RecursionError too deep a nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -77,7 +78,7 @@ def cmd_mean(args) -> int:
         raise ConfigError("matrices JSON must be a list of matrices or an object with one under 'matrices'")
     mats = [matrix_from_json(m) for m in mats_json]
     try:
-        result = eval_mean(spec, mats, SolverConfig(certify=not args.no_certify))
+        result = eval_mean(spec, mats, certify=not args.no_certify)
     except NoConvergence as exc:
         diag = {
             "error": "NoConvergence",

@@ -9,14 +9,15 @@ Every check is a campaign cell.  :func:`run_cell` evaluates one
 (family, dimension, r, alpha) cell over many seeded random trials in a
 single stacked solve, which is what makes 200-trial cells affordable, and
 :func:`run_campaign` runs a whole campaign grid, sharing trial data and
-solves across the r values of each (family, dimension, alpha) group, at
-the one fixed setting :data:`CAMPAIGN_SOLVER`.  The typed checks
-(``check_ah_family``, ``check_modified``, ``check_two_var``,
+solves across the r values of each (family, dimension, alpha) group.  The
+typed checks (``check_ah_family``, ``check_modified``, ``check_two_var``,
 ``check_reverse`` ...) take :class:`SpdMatrix` inputs and run the same
 margin function on a one-trial cell; :func:`recheck` builds that cell from
 a report's witness.  Both validate the trial in one place, and every report
 comes from one builder, which reads each per-trial constant at the worst
-trial.
+trial.  Every solve here stops at ``multimeans.DT_TOL`` and runs
+uncertified, so cells, typed checks and ``recheck`` agree and a report is a
+function of its inputs.
 
 Family identifiers ("3.9" ... "5.10", "L5.1", "logmaj") are opaque labels
 fixed by the report wire format.  :data:`FAMILIES` is the one table that
@@ -40,7 +41,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import (
     ArityMismatch,
     BadH,
@@ -112,8 +112,6 @@ __all__ = [
 ]
 
 DEFAULT_CHECK_TOL = 1e-9
-# the solver setting of every campaign cell, recheck and find_reverse_improvement
-CAMPAIGN_SOLVER = SolverConfig(certify=False)
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +299,6 @@ def check_ah_family(
     As: Sequence[SpdMatrix],
     r: float,
     variant: str,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     tol: float = DEFAULT_CHECK_TOL,
     witness_seed: int = -1,
 ) -> CheckReport:
@@ -317,7 +314,7 @@ def check_ah_family(
     _require_r(r, FAMILIES[family]["r_range"], variant)
     data = _witness_cell("stack", As, witness_seed, _spec_weights(spec))
     use = MultiMeanSpec.adjoint(spec) if adjoint else spec
-    margins = _ah_margin(use, adjoint, compare, data, r, cfg, {})
+    margins = _ah_margin(use, adjoint, compare, data, r, {})
     return _verdict(f"{variant}:{spec.kind}", data, margins, {}, tol, r, spec.alpha)
 
 
@@ -327,7 +324,6 @@ def check_modified(
     As: Sequence[SpdMatrix],
     r: float,
     which: str,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     tol: float = DEFAULT_CHECK_TOL,
     witness_seed: int = -1,
 ) -> CheckReport:
@@ -345,7 +341,7 @@ def check_modified(
 
     def mean(s, q):
         sig = sigma if s == 1 else rep_transform(sigma, "power_inner", s)
-        return _solve(MultiMeanSpec.deformed(base, sig), q, data, cfg, {})
+        return _solve(MultiMeanSpec.deformed(base, sig), q, data, {})
 
     margins, consts = _modified_bracket(mean, r, r_range)
     return _verdict(which, data, margins, consts, tol, r, None)
@@ -358,7 +354,6 @@ def check_two_var(
     B: SpdMatrix,
     r: float,
     which: str,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     tol: float = DEFAULT_CHECK_TOL,
     witness_seed: int = -1,
 ) -> CheckReport:
@@ -369,15 +364,15 @@ def check_two_var(
     """
     if which not in FAMILIES or FAMILIES[which]["layout"] != "pair":
         raise UnknownKind(f"unknown two-variable check {which!r}")
-    return _family_check(which, r, [A, B], witness_seed, cfg, tol, tau=tau, sigma=sigma)
+    return _family_check(which, r, [A, B], witness_seed, tol, tau=tau, sigma=sigma)
 
 
-def _family_check(family, r, mats, seed, cfg, tol, **inputs) -> CheckReport:
+def _family_check(family, r, mats, seed, tol, **inputs) -> CheckReport:
     """``family``'s own cell as a typed check of the one trial ``mats``."""
     info = FAMILIES[family]
     _require_r(r, info["r_range"], family)
     data = _witness_cell(info["layout"], mats, seed, **inputs)
-    margins, consts = info["margins"](data, r, None, cfg, {})
+    margins, consts = info["margins"](data, r, None, {})
     return _verdict(family, data, margins, consts, tol, r, None)
 
 
@@ -477,7 +472,6 @@ def check_reverse(
     r: float,
     which: str,
     bounds,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     tol: float = DEFAULT_CHECK_TOL,
     witness_seed: int = -1,
 ) -> CheckReport:
@@ -494,11 +488,11 @@ def check_reverse(
         raise UnknownKind(f"unknown reverse check {which!r}")
     _require_r(r, FAMILIES[which]["r_range"], which)
     data = _witness_cell("stack", As, witness_seed, w, bounds)
-    margins, consts = _reverse_margins(which, data, alpha, r, cfg, {})
+    margins, consts = _reverse_margins(which, data, alpha, r, {})
     return _verdict(which, data, margins, consts, tol, r, alpha)
 
 
-def _reverse_margins(which, data, alpha, r, cfg, cache):
+def _reverse_margins(which, data, alpha, r, cache):
     """The reverse form ``which`` at exponent ``alpha`` on the trials of ``data``."""
     m, M = data.bounds
     kappa0 = M / m
@@ -518,8 +512,8 @@ def _reverse_margins(which, data, alpha, r, cfg, cache):
     else:
         spec = MultiMeanSpec.power(None, alpha)
         spec_r = MultiMeanSpec.power(None, alpha / r) if which == "5.9" else spec
-    x = _solve(spec, 1.0, data, cfg, cache)
-    y = _solve(spec_r, r, data, cfg, cache)
+    x = _solve(spec, 1.0, data, cache)
+    y = _solve(spec_r, r, data, cache)
     kx = op_norm(x) / lambda_min(x)
     k1 = kantorovich(kappa0 * kx, r)
     consts = {"kappa0": kappa0, "kappa_x": kx, "K1": k1}
@@ -542,7 +536,6 @@ def check_compression_reverse(
     m: float,
     M: float,
     mu: float,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     tol: float = DEFAULT_CHECK_TOL,
     witness_seed: int = -1,
 ) -> CheckReport:
@@ -550,7 +543,7 @@ def check_compression_reverse(
 
     Requires ``m I <= A <= M I`` and ``mu I <= C^2 <= I``.
     """
-    return _family_check("L5.1", r, [A, C], witness_seed, cfg, tol, bounds=(m, M), mu=mu)
+    return _family_check("L5.1", r, [A, C], witness_seed, tol, bounds=(m, M), mu=mu)
 
 
 def check_arithmetic_power_reverse(
@@ -562,7 +555,7 @@ def check_arithmetic_power_reverse(
     witness_seed: int = -1,
 ) -> CheckReport:
     """``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r`` under pinned bounds."""
-    return _family_check("5.3", r, As, witness_seed, DEFAULT_CONFIG, tol, weights=w, bounds=bounds)
+    return _family_check("5.3", r, As, witness_seed, tol, weights=w, bounds=bounds)
 
 
 # --------------------------------------------------------------------------
@@ -583,19 +576,21 @@ def lie_trotter_gap(
     spec: MultiMeanSpec,
     As: Sequence[SpdMatrix],
     p_sequence=None,
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> list:
     """Thompson gaps between ``M(A^p)^{1/p}`` and the log-Euclidean limit.
 
     The mean must sit between the weighted harmonic and arithmetic means of
     its inputs (checked first); the returned gaps, one per ``p``, shrink to
-    zero as ``p`` does.
+    zero as ``p`` does.  Each ``p`` must be finite and nonzero (BadR).
     """
     ps = [2.0**-k for k in range(7)] if p_sequence is None else list(p_sequence)
+    bad = [p for p in ps if p == 0 or not math.isfinite(p)]
+    if bad:
+        raise BadR(f"Lie-Trotter exponents must be finite and nonzero, got {bad}")
     w = _spec_weights(spec)
     stack = _as_stack(As)
     w_arr = w.asarray()
-    mean_val = eval_mean_stack(spec, stack, cfg).values
+    mean_val = eval_mean_stack(spec, stack, certify=False).values
     arith = _weighted_sum(w_arr, stack)
     harm = spd_inv(_weighted_sum(w_arr, spd_inv(stack)))
     order_tol = 1e-9
@@ -608,7 +603,7 @@ def lie_trotter_gap(
     target = spd_exp(_weighted_sum(w_arr, spd_log(stack)))
     gaps = []
     for p in ps:
-        val = eval_mean_stack(spec, spd_power(stack, p), cfg).values
+        val = eval_mean_stack(spec, spd_power(stack, p), certify=False).values
         gaps.append(float(thompson(spd_power(val, 1.0 / p), target)))
     return gaps
 
@@ -617,7 +612,6 @@ def check_log_majorization(
     w: Weights,
     As: Sequence[SpdMatrix],
     r: float,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     tol: float = DEFAULT_CHECK_TOL,
     witness_seed: int = -1,
 ) -> CheckReport:
@@ -628,7 +622,7 @@ def check_log_majorization(
     ``lambda_{N+1-i}^{r-1} lambda_i`` of the mean of the ``A_j``, with
     equality of the full products.
     """
-    return _family_check("logmaj", r, As, witness_seed, cfg, tol, weights=w)
+    return _family_check("logmaj", r, As, witness_seed, tol, weights=w)
 
 
 # --------------------------------------------------------------------------
@@ -765,7 +759,7 @@ def find_reverse_improvement(
     uni = Weights.uniform(n)
     for seed in range(max_seeds):
         mats = [random_spd(dim, (1.0, kappa0), 7_000 + 31 * seed + j) for j in range(n)]
-        x = eval_mean_stack(MultiMeanSpec.karcher(uni), _as_stack(mats), CAMPAIGN_SOLVER).values
+        x = eval_mean_stack(MultiMeanSpec.karcher(uni), _as_stack(mats), certify=False).values
         kx = float(op_norm(x) / lambda_min(x))
         if kx <= threshold:
             continue
@@ -789,7 +783,7 @@ def find_reverse_improvement(
 _N = 3  # matrices per trial ensemble in the stack and compress layouts
 
 
-def _solve(spec, r, data, cfg, cache):
+def _solve(spec, r, data, cache):
     """``spec`` on the trials' matrices raised to ``r``, solved once per group.
 
     The key is ``(spec, r)``: ``A^1`` is ``A`` itself, so the r = 1 cell finds
@@ -798,50 +792,50 @@ def _solve(spec, r, data, cfg, cache):
     """
     key = (spec, r)
     if key not in cache:
-        cache[key] = eval_mean_stack(spec, spd_power(data.stack, r), cfg, weights_override=data.weights).values
+        cache[key] = eval_mean_stack(spec, spd_power(data.stack, r), data.weights, certify=False).values
     return cache[key]
 
 
-# Margin functions of the families: ``(data, r, alpha, cfg, cache)`` to the
+# Margin functions of the families: ``(data, r, alpha, cache)`` to the
 # per-trial margins and a constants dict.  Their mean specs carry no weights,
 # so every node takes the trial weights.  ``cache`` is scoped to one (family,
 # dim, alpha) group and holds its solves (see :func:`_solve`), which the
 # shared-ensemble seed scheme makes reusable across the whole r grid.
 
 
-def _ah_margin(spec, adjoint, compare, data, r, cfg, cache):
+def _ah_margin(spec, adjoint, compare, data, r, cache):
     """3.1-3.4: ``spec(A^r)`` against ``spec(A)`` scaled by its
     ``lambda_min^{r-1}``, or by its norm to the r-1 when ``spec`` is the
     adjoint side, in the order ``compare`` tests."""
-    base = _solve(spec, 1.0, data, cfg, cache)
-    powd = _solve(spec, r, data, cfg, cache)
+    base = _solve(spec, 1.0, data, cache)
+    powd = _solve(spec, r, data, cache)
     pref = (op_norm(base) if adjoint else lambda_min(base)) ** (r - 1.0)
     return compare(powd, _scaled(pref, base))
 
 
-def _ah_power_cell(variant, data, r, alpha, cfg, cache):
+def _ah_power_cell(variant, data, r, alpha, cache):
     """3.9-3.12: the check ``variant`` of :func:`check_ah_family` for the
     power mean P_alpha, whose adjoint is P_{-alpha}."""
     _, adjoint, compare = _AH_VARIANTS[variant]
     a = -alpha if adjoint else alpha
     spec = MultiMeanSpec.power(None, a)
-    return _ah_margin(spec, adjoint, compare, data, r, cfg, cache), {"alpha_used": a}
+    return _ah_margin(spec, adjoint, compare, data, r, cache), {"alpha_used": a}
 
 
-def _ah_karcher_cell(style, data, r, alpha, cfg, cache):
+def _ah_karcher_cell(style, data, r, alpha, cache):
     """3.13/3.14: the Karcher mean at A^r bracketed by its value at A."""
     spec = MultiMeanSpec.karcher(None)
-    return _bracket_margins(_solve(spec, r, data, cfg, cache), _solve(spec, 1.0, data, cfg, cache), r, style)
+    return _bracket_margins(_solve(spec, r, data, cache), _solve(spec, 1.0, data, cache), r, style)
 
 
-def _power_bracket_cell(r_range, data, r, alpha, cfg, cache):
+def _power_bracket_cell(r_range, data, r, alpha, cache):
     """4.4/4.5: the modified bracket of the power means P_{alpha s}."""
     return _modified_bracket(
-        lambda s, q: _solve(MultiMeanSpec.power(None, alpha * s), q, data, cfg, cache), r, r_range
+        lambda s, q: _solve(MultiMeanSpec.power(None, alpha * s), q, data, cache), r, r_range
     )
 
 
-def _pair_cell(r_range, by_sigma, data, r, alpha, cfg, cache):
+def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
     """4.6-4.9: the modified bracket of the two-variable mean tau, deformed
     by sigma (4.6/4.7) or power-bracketed alone (4.8/4.9).  Each mean is
     solved once per group, keyed like :func:`_solve` on the transformed
@@ -860,7 +854,7 @@ def _pair_cell(r_range, by_sigma, data, r, alpha, cfg, cache):
     return margin, {"tau_json": repfn_to_json(data.tau), "sigma_json": sigma_json, **sides}
 
 
-def _arith_reverse_cell(data, r, alpha, cfg, cache):
+def _arith_reverse_cell(data, r, alpha, cache):
     """5.3: ``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r``."""
     m, M = data.bounds
     k = kantorovich(M / m, r)
@@ -869,7 +863,7 @@ def _arith_reverse_cell(data, r, alpha, cfg, cache):
     return _le_margin(lhs, k * spd_power(mean, r)), {"K": k}
 
 
-def _compression_cell(data, r, alpha, cfg, cache):
+def _compression_cell(data, r, alpha, cache):
     """L5.1: ``C A^r C <= K(M/(m mu), r) (C A C)^r`` for the first matrix
     ``A`` of each trial's ensemble."""
     m, M = data.bounds
@@ -880,18 +874,18 @@ def _compression_cell(data, r, alpha, cfg, cache):
     return _le_margin(lhs, k * spd_power(sym(c @ a @ c), r)), {"mu": data.mu, "h1": h1, "K": k}
 
 
-def _reverse_cell(which, negate, data, r, alpha, cfg, cache):
+def _reverse_cell(which, negate, data, r, alpha, cache):
     a_used = -alpha if negate else alpha
-    margin, consts = _reverse_margins(which, data, a_used, r, cfg, cache)
+    margin, consts = _reverse_margins(which, data, a_used, r, cache)
     return margin, {"alpha_used": a_used, **consts}
 
 
-def _logmaj_cell(data, r, alpha, cfg, cache):
+def _logmaj_cell(data, r, alpha, cache):
     """logmaj: see :func:`check_log_majorization`; the full products must
     agree to 1e-8 in log terms."""
     karch = MultiMeanSpec.karcher(None)
-    g1 = _solve(karch, 1.0, data, cfg, cache)
-    gr = _solve(karch, r, data, cfg, cache)
+    g1 = _solve(karch, 1.0, data, cache)
+    gr = _solve(karch, r, data, cache)
     lam1 = np.sort(np.linalg.eigvalsh(g1), axis=-1)[..., ::-1]  # decreasing
     lamr = np.sort(np.linalg.eigvalsh(gr), axis=-1)[..., ::-1]
     lhs_log = np.cumsum(np.log(lamr), axis=-1)
@@ -1105,7 +1099,7 @@ def run_cell(
 
     Reports the worst trial: its normalized margin decides ``holds`` and its
     seed and matrices are embedded on failure so the instance can be
-    re-checked in isolation.  Solves run at :data:`CAMPAIGN_SOLVER`.
+    re-checked in isolation.
     ``data`` and ``cache`` let the cells of one (family, dim, alpha) group
     share their trial data and r-independent solves; the report is the same
     with or without them.
@@ -1113,7 +1107,7 @@ def run_cell(
     info = _cell_info(family, r, alpha)
     if data is None:
         data = _gen_cell_data(family, dim, alpha, trials, master_seed)
-    margins, consts = info["margins"](data, r, alpha, CAMPAIGN_SOLVER, {} if cache is None else cache)
+    margins, consts = info["margins"](data, r, alpha, {} if cache is None else cache)
     return _verdict(_cell_id(family, dim, r, alpha), data, margins, consts, tol, r, alpha)
 
 
@@ -1134,8 +1128,8 @@ def recheck(report_json: dict, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
     The witness, with the report's weights, bounds, ``mu`` and representing
     functions, becomes a one-trial cell of the family, validated like the
     inputs of a typed check (bad bounds or a witness outside them raise
-    BoundsViolated), which :func:`run_cell` evaluates at the campaign's own
-    solver setting.  A report that does not fit the family's layout raises
+    BoundsViolated), which :func:`run_cell` evaluates as the campaign did.
+    A report that does not fit the family's layout raises
     a typed error.
     """
     if not isinstance(report_json, dict) or not isinstance(report_json.get("inequality_id"), str):

@@ -19,12 +19,11 @@ verification campaigns cheap; the typed API wraps the single-ensemble case.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import (
     AlphaZero,
     ArityMismatch,
@@ -72,6 +71,7 @@ _MEAN_KINDS = ("arithmetic", "harmonic", "deformed", "power", "karcher", "adjoin
 _MEAN_PARTS = {"deformed": ("base", "sigma"), "adjoint": ("inner",)}  # required sub-descriptions
 KARCHER_ALPHA = 1.0 / 64.0  # exponent t of the enclosure P_{-t} <= G <= P_t that certifies a Karcher solve
 MAX_ITERS = 20_000  # cap on the steps of one geodesic solve
+DT_TOL = 1e-11  # a solve stops once its Thompson error bound is below this
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,12 @@ def _weighted_sum(w, stack):
     return np.einsum("...n,...nij->...ij", w, stack)
 
 
-def _eval_node(spec: MultiMeanSpec, stack, cfg: SolverConfig, w_over=None):
+def _eval_node(spec: MultiMeanSpec, stack, w_over=None, tol=DT_TOL):
     """Evaluate a mean on ``stack`` of shape (..., n, d, d).
 
     Returns ``(values, iterations, bound)`` with the per-member Thompson
-    error bound of :class:`MeanResult`.
+    error bound of :class:`MeanResult`.  Iterative solves stop once the bound
+    is below ``tol``, a number or one per flattened member.
     """
     n = stack.shape[-3]
     batch = stack.shape[:-3]
@@ -225,17 +226,17 @@ def _eval_node(spec: MultiMeanSpec, stack, cfg: SolverConfig, w_over=None):
         w = _node_weights(spec, w_over, n)
         return spd_inv(_weighted_sum(w, spd_inv(stack))), 0, zeros
     if kind == "adjoint":
-        vals, iters, bound = _eval_node(spec.inner, spd_inv(stack), cfg, w_over)
+        vals, iters, bound = _eval_node(spec.inner, spd_inv(stack), w_over, tol)
         return spd_inv(vals), iters, bound
     if kind == "power" and spec.alpha < 0:
         # P_{-t} is the adjoint of P_t, and the Thompson bound is inversion invariant
         dual = MultiMeanSpec.adjoint(MultiMeanSpec.power(spec.weights, -spec.alpha))
-        return _eval_node(dual, stack, cfg, w_over)
+        return _eval_node(dual, stack, w_over, tol)
     if kind == "power":
-        return _power_loop(_node_weights(spec, w_over, n), spec.alpha, stack, cfg)
+        return _power_loop(_node_weights(spec, w_over, n), spec.alpha, stack, tol)
     if kind == "karcher":
-        return _power_loop(_node_weights(spec, w_over, n), 0.0, stack, cfg)
-    return _deformed_node(spec, stack, cfg, w_over)
+        return _power_loop(_node_weights(spec, w_over, n), 0.0, stack, tol)
+    return _deformed_node(spec, stack, w_over, tol)
 
 
 def _members(stack, w):
@@ -257,7 +258,7 @@ def _rounding_floor(a):
     return 16 * _EPS * eigs[..., -1].max(axis=-1) / eigs[..., 0].min(axis=-1)
 
 
-def _power_loop(w, p, stack, cfg):
+def _power_loop(w, p, stack, tol):
     """``P_p`` (``0 < p <= 1``) or the Karcher mean (``p = 0``) by :func:`_geodesic_loop`.
 
     The frame mean is ``sum_i w_i B_i^p`` (``exp sum_i w_i log B_i`` at ``p =
@@ -277,7 +278,7 @@ def _power_loop(w, p, stack, cfg):
         return lambda s: _power_frame(wi, p, ai, s)
 
     what = "Karcher" if p == 0 else "power-mean"
-    return _geodesic_loop(frame, _weighted_sum(w, a), p, floor, cfg, what, batch)
+    return _geodesic_loop(frame, _weighted_sum(w, a), p, floor, tol, what, batch)
 
 
 def _frame_spectra(s, a):
@@ -314,7 +315,7 @@ def _power_frame(w, p, a, s):
     return g, vm, np.abs(lb).max(axis=(-2, -1)), resid, resid + rounding
 
 
-def _deformed_node(spec, stack, cfg, w_over):
+def _deformed_node(spec, stack, w_over, tol):
     """The deformed mean ``X = base(X sigma A_1, ..., X sigma A_n)`` by :func:`_geodesic_loop`.
 
     It starts at ``base(A_1, ..., A_n)``, the fixed point when ``sigma`` acts
@@ -322,17 +323,18 @@ def _deformed_node(spec, stack, cfg, w_over):
     """
     base, sigma = spec.base, spec.sigma
     batch, a, w = _members(stack, w_over)
-    x0, _, _ = _eval_node(base, a, cfg, w)
+    tol = np.broadcast_to(tol, len(a))
+    x0, _, _ = _eval_node(base, a, w, tol)
     slope = sigma.derivative_at_one
 
     def frame(idx):
-        ai, wi = a[idx], None if w is None else w[idx]
-        return lambda s: _deformed_frame(base, sigma, slope, ai, wi, s, cfg)
+        ai, wi, ti = a[idx], None if w is None else w[idx], tol[idx]
+        return lambda s: _deformed_frame(base, sigma, slope, ai, wi, s, ti)
 
-    return _geodesic_loop(frame, x0, slope, _rounding_floor(a), cfg, "deformed-mean", batch)
+    return _geodesic_loop(frame, x0, slope, _rounding_floor(a), tol, "deformed-mean", batch)
 
 
-def _deformed_frame(base, sigma, slope, a, w, s, cfg):
+def _deformed_frame(base, sigma, slope, a, w, s, tol):
     """``(G, eigenvectors of G, max |log eig B_i|, residual, bound)`` at ``S``.
 
     The frame mean is ``M = base(f(B_1), ..., f(B_n))``: by congruence
@@ -350,9 +352,9 @@ def _deformed_frame(base, sigma, slope, a, w, s, cfg):
     eb, vb, bad = _frame_spectra(s, a)
     lo, hi = eb[..., 0].min(axis=-1), eb[..., -1].max(axis=-1)
     e0 = rep_elasticity(sigma, lo, hi)[0]
-    # an iterative base is solved well inside the outer tolerance, since its bound adds to rho
-    inner = replace(cfg, dt_tol=0.25 * cfg.dt_tol * e0.min()) if e0.min() > 0 else cfg
-    m, _, base_bound = _eval_node(base, _rebuild(vb, rep_eval(sigma, eb)), inner, w)
+    # an iterative base is solved well inside each member's tolerance, since its bound adds to rho
+    inner = np.where(e0 > 0, 0.25 * tol * e0, tol)
+    m, _, base_bound = _eval_node(base, _rebuild(vb, rep_eval(sigma, eb)), w, inner)
     em, vm = np.linalg.eigh(m)
     bad |= em[..., 0] <= 0
     em[bad] = 1.0
@@ -397,7 +399,7 @@ def _anderson(l, f, hist):
     return l + f - (gamma.swapaxes(-1, -2) @ (dl + df))[:, 0]
 
 
-def _geodesic_loop(frame, x0, slope, floor, cfg, what, batch):
+def _geodesic_loop(frame, x0, slope, floor, tol, what, batch):
     """Anderson-mixed damped geodesic solve of a mean given by its ``frame``.
 
     Each member's iterate is the eigenpair ``(lw, lv)`` of ``L = log X``,
@@ -418,10 +420,10 @@ def _geodesic_loop(frame, x0, slope, floor, cfg, what, batch):
     An Anderson point whose spectrum leaves ``[min lw - dmax, max lw +
     dmax]`` at ``x0`` is rejected unseen, since the mean lies in ``e^{+-dmax}
     x0``; so is one whose frame is not positive definite.  A member that
-    meets ``cfg.dt_tol`` is frozen, and all arithmetic is per member, so its
-    solution does not depend on its batch; one whose damping collapses is
-    accepted with its bound if its residual is within ``floor`` (the rounding
-    floor of its inputs).
+    meets ``tol`` (a number or one per member) is frozen, and all arithmetic
+    is per member, so its solution does not depend on its batch; one whose
+    damping collapses is accepted with its bound if its residual is within
+    ``floor`` (the rounding floor of its inputs).
     """
     ew, lv = np.linalg.eigh(x0)
     if np.any(ew <= 0):
@@ -438,14 +440,17 @@ def _geodesic_loop(frame, x0, slope, floor, cfg, what, batch):
     theta = np.maximum(slope, np.minimum(cap, 2.0 / (2.0 + dmax)))
     l, c = _rebuild(lv, lw).reshape(size, -1), _chart_step(lw, lv, g, v)
     f = theta[:, None] * c
-    live, iters = bound >= cfg.dt_tol, 0
+    tol = np.broadcast_to(tol, size)
+    live, iters = bound >= tol, 0
     while True:
         all_live = live.all()
         if not all_live:  # write out the members that stopped, go on with the rest
             fin = idx[~live]
             out_w[fin], out_v[fin], out_bound[fin] = lw[~live], lv[~live], bound[~live]
-            state = (idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count)
-            idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count = (x[live] for x in state)
+            state = (idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count, tol)
+            idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count, tol = (
+                x[live] for x in state
+            )
         if iters == 0 or not all_live:
             fmap, rows = frame(idx), np.arange(len(idx))
         if not len(idx) or iters == MAX_ITERS:
@@ -491,7 +496,7 @@ def _geodesic_loop(frame, x0, slope, floor, cfg, what, batch):
         count += 1
         lw, lv, l, c, f, g, v, cap = lw_t, lv_t, l_t, c_t, f_t, g_t, v_t, cap_t
         dmax, resid, bound = dmax_t, resid_t, bound_t
-        live = bound >= cfg.dt_tol
+        live = bound >= tol
         if not all_ok:
             hist[back], count[back] = 0.0, 0
             stuck = live & (cap < 1e-8)
@@ -509,29 +514,27 @@ def _geodesic_loop(frame, x0, slope, floor, cfg, what, batch):
 
 
 def eval_mean_stack(
-    spec: MultiMeanSpec,
-    stack: np.ndarray,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-    weights_override=None,
+    spec: MultiMeanSpec, stack: np.ndarray, weights_override=None, *, certify: bool = True
 ) -> StackResult:
     """Evaluate ``spec`` on stacked ensembles of shape ``(..., n, d, d)``.
 
     ``weights_override`` (shape ``(n,)`` or ``(..., n)``) substitutes the
     weight vector at every weighted node, which is how campaigns run many
-    random weightings through one batched solve.
+    random weightings through one batched solve.  Iterative solves stop at
+    ``DT_TOL``; a Karcher mean is also certified unless ``certify`` is off.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2]:
         raise DimensionMismatch(f"expected shape (..., n, d, d), got {stack.shape}")
     gap = None
-    vals, iters, step = _eval_node(spec, stack, cfg, weights_override)
-    if spec.kind == "karcher" and cfg.certify:
+    vals, iters, step = _eval_node(spec, stack, weights_override)
+    if spec.kind == "karcher" and certify:
         w = _node_weights(spec, weights_override, stack.shape[-3])
-        gap = _certify_karcher(w, stack, vals, cfg)
+        gap = _certify_karcher(w, stack, vals)
     return StackResult(values=vals, iterations=iters, residual_dt=np.asarray(step), enclosure_gap=gap)
 
 
-def _certify_karcher(w, stack, vals, cfg):
+def _certify_karcher(w, stack, vals):
     """Assert the power-mean enclosure around a Karcher solve; return its width.
 
     ``P_{-t} <= G <= P_t`` with ``t = KARCHER_ALPHA``.  Both ends come
@@ -539,7 +542,7 @@ def _certify_karcher(w, stack, vals, cfg):
     and the lower end through ``P_{-t}(A) = P_t(A^{-1})^{-1}`` on the
     inverses, stacked along a new leading axis.
     """
-    ends, _, _ = _power_loop(w, KARCHER_ALPHA, np.stack([stack, spd_inv(stack)]), cfg)
+    ends, _, _ = _power_loop(w, KARCHER_ALPHA, np.stack([stack, spd_inv(stack)]), DT_TOL)
     upper, lower = ends[0], spd_inv(ends[1])
     scale = op_norm(upper) + op_norm(vals)
     tol = 1e-9
@@ -578,9 +581,9 @@ def _wrap(result: StackResult) -> MeanResult:
     )
 
 
-def eval_mean(spec: MultiMeanSpec, As: Sequence[SpdMatrix], cfg: SolverConfig = DEFAULT_CONFIG) -> MeanResult:
-    """Evaluate any mean description on a list of SPD matrices."""
-    return _wrap(eval_mean_stack(spec, _as_stack(As), cfg))
+def eval_mean(spec: MultiMeanSpec, As: Sequence[SpdMatrix], *, certify: bool = True) -> MeanResult:
+    """Evaluate any mean description on a list of SPD matrices; see :func:`eval_mean_stack`."""
+    return _wrap(eval_mean_stack(spec, _as_stack(As), certify=certify))
 
 
 def elementary_mean(kind: str, w: Weights, As: Sequence[SpdMatrix]) -> SpdMatrix:
@@ -591,34 +594,29 @@ def elementary_mean(kind: str, w: Weights, As: Sequence[SpdMatrix]) -> SpdMatrix
     return eval_mean(spec, As).value
 
 
-def deformed_mean(
-    base: MultiMeanSpec,
-    sigma: RepFnSpec,
-    As: Sequence[SpdMatrix],
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> MeanResult:
+def deformed_mean(base: MultiMeanSpec, sigma: RepFnSpec, As: Sequence[SpdMatrix]) -> MeanResult:
     """Fixed point of ``X = base(X sigma A_1, ..., X sigma A_n)``."""
-    return _wrap(eval_mean_stack(MultiMeanSpec.deformed(base, sigma), _as_stack(As), cfg))
+    return eval_mean(MultiMeanSpec.deformed(base, sigma), As)
 
 
-def power_mean(w: Weights, alpha: float, As: Sequence[SpdMatrix], cfg: SolverConfig = DEFAULT_CONFIG) -> MeanResult:
-    return _wrap(eval_mean_stack(MultiMeanSpec.power(w, alpha), _as_stack(As), cfg))
+def power_mean(w: Weights, alpha: float, As: Sequence[SpdMatrix]) -> MeanResult:
+    return eval_mean(MultiMeanSpec.power(w, alpha), As)
 
 
-def karcher_mean(w: Weights, As: Sequence[SpdMatrix], cfg: SolverConfig = DEFAULT_CONFIG) -> MeanResult:
+def karcher_mean(w: Weights, As: Sequence[SpdMatrix], *, certify: bool = True) -> MeanResult:
     """Solve the defining equation of the multivariate geometric mean.
 
-    The returned result is certified (unless ``cfg.certify`` is off) by the
+    The returned result is certified (unless ``certify`` is off) by the
     power-mean pair at exponents ``+-KARCHER_ALPHA``, an enclosure that
     is computed by a different solver route than the solution itself;
     ``enclosure_gap`` is the Thompson width of that certificate.
     """
-    return _wrap(eval_mean_stack(MultiMeanSpec.karcher(w), _as_stack(As), cfg))
+    return eval_mean(MultiMeanSpec.karcher(w), As, certify=certify)
 
 
-def adjoint_eval(spec: MultiMeanSpec, As: Sequence[SpdMatrix], cfg: SolverConfig = DEFAULT_CONFIG) -> MeanResult:
+def adjoint_eval(spec: MultiMeanSpec, As: Sequence[SpdMatrix]) -> MeanResult:
     """Evaluate the adjoint of ``spec``: the mean of the inverses, inverted."""
-    return _wrap(eval_mean_stack(MultiMeanSpec.adjoint(spec), _as_stack(As), cfg))
+    return eval_mean(MultiMeanSpec.adjoint(spec), As)
 
 
 def comparison_bound(
@@ -627,7 +625,6 @@ def comparison_bound(
     As: Sequence[SpdMatrix],
     Y: SpdMatrix,
     direction: str,
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> LoewnerVerdict:
     """One-sided comparison of ``Y`` against the deformed mean.
 
@@ -644,7 +641,7 @@ def comparison_bound(
     yh, yih = spd_sqrt_pair(Y.a)
     blocks = congruence(yih, stack)
     f_blocks = eigh_apply(blocks, lambda t: rep_eval(sigma, t))
-    z, _, _ = _eval_node(base, f_blocks, cfg)
+    z, _, _ = _eval_node(base, f_blocks)
     fy = SpdMatrix(dim=Y.dim, entries=congruence(yh, z))
     premise = loewner_compare(Y, fy)
     ok = premise.holds_le if direction == "lower" else premise.holds_ge
@@ -653,7 +650,7 @@ def comparison_bound(
             f"premise Y {'<=' if direction == 'lower' else '>='} base(Y sigma A_j) "
             f"fails with margin {premise.margin:.3e}"
         )
-    target = deformed_mean(base, sigma, As, cfg).value
+    target = deformed_mean(base, sigma, As).value
     return loewner_compare(Y, target)
 
 

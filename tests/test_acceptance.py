@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from opmeans.cli import EXIT_OK, EXIT_SEARCH_EXHAUSTED, main as cli_main
-from opmeans.config import SolverConfig
 from opmeans.inequalities import FAMILIES, CampaignConfig, kantorovich, lie_trotter_gap, run_campaign
 from opmeans.meanfns import (
     arithmetic,
@@ -131,7 +130,6 @@ def _fixed_point_gap(base_spec, sigma, stack, x):
 
 def test_criterion_4_solver_correctness():
     start = time.perf_counter()
-    cfg = SolverConfig()
     sigmas = [geometric(0.5), harmonic(0.3), geometric(0.25), rep_transform(arithmetic(0.6), "adjoint")]
     worst_resid = 0.0
     ensembles = []
@@ -142,7 +140,7 @@ def test_criterion_4_solver_correctness():
         ensembles.append((dim, n, mats))
         base = MultiMeanSpec.arithmetic(Weights.uniform(n)) if seed % 2 else MultiMeanSpec.harmonic(Weights.uniform(n))
         sigma = sigmas[seed % 4]
-        res = deformed_mean(base, sigma, mats, cfg)
+        res = deformed_mean(base, sigma, mats)
         gap = _fixed_point_gap(base, sigma, np.stack([m.a for m in mats]), res.value.a)
         worst_resid = max(worst_resid, gap)
     assert worst_resid < 2e-11
@@ -154,7 +152,7 @@ def test_criterion_4_solver_correctness():
     worst_gap = 0.0
     for (dim, n), group in groups.items():
         stack = np.stack([[m.a for m in mats] for mats in group])
-        out = eval_mean_stack(MultiMeanSpec.karcher(Weights.uniform(n)), stack, cfg)
+        out = eval_mean_stack(MultiMeanSpec.karcher(Weights.uniform(n)), stack)
         assert out.enclosure_gap is not None  # sandwich asserted inside
         worst_gap = max(worst_gap, float(out.enclosure_gap.max()))
     assert worst_gap < 1e-2
@@ -168,7 +166,7 @@ def test_criterion_4_solver_correctness():
         w = rng.uniform(0.2, 1.0, n)
         w /= w.sum()
         mats = [validate_spd(np.diag(d)) for d in diags]
-        got = karcher_mean(Weights(tuple(w)), mats, SolverConfig(certify=False)).value.a
+        got = karcher_mean(Weights(tuple(w)), mats, certify=False).value.a
         expect = np.diag(np.exp(np.einsum("n,nd->d", w, np.log(diags))))
         worst_commuting = max(worst_commuting, float(np.abs(got - expect).max()))
     assert worst_commuting < 1e-9
@@ -244,16 +242,15 @@ def test_criterion_6_optimality_search(tmp_path, capsys):
 def test_criterion_7_substitution_structure():
     from opmeans.inequalities import check_ah_family
 
-    quiet = SolverConfig(certify=False)
     w = Weights((0.2, 0.3, 0.5))
     karch = MultiMeanSpec.karcher(w)
     checked = 0
     for seed in range(50):
         mats = [random_spd(3, (0.5, 2.0), MASTER_SEED + 1000 + 10 * seed + j) for j in range(3)]
         r = (0.25, 0.5, 0.75)[seed % 3]
-        comp = [check_ah_family(karch, mats, r, v, quiet) for v in ("3.3", "3.4")]
+        comp = [check_ah_family(karch, mats, r, v) for v in ("3.3", "3.4")]
         powered = [validate_spd(eigh_apply(m.a, lambda t: t**r)) for m in mats]
-        direct = [check_ah_family(karch, powered, 1 / r, v, quiet) for v in ("3.1", "3.2")]
+        direct = [check_ah_family(karch, powered, 1 / r, v) for v in ("3.1", "3.2")]
         assert all(c.holds for c in comp)
         assert all(d.holds for d in direct)
         checked += 1
@@ -267,14 +264,13 @@ def test_criterion_7_substitution_structure():
 
 
 def test_criterion_8_power_limit():
-    quiet = SolverConfig(certify=False)
     ps = [2.0**-k for k in range(7)]
     worst_final = 0.0
     for seed in range(20):
         dim, n = 2 + seed % 4, 2 + seed % 3
         mats = [random_spd(dim, (0.6, 1.8), MASTER_SEED + 2000 + 10 * seed + j) for j in range(n)]
         w = Weights.uniform(n)
-        gaps = lie_trotter_gap(MultiMeanSpec.power(w, 0.5), mats, ps, quiet)
+        gaps = lie_trotter_gap(MultiMeanSpec.power(w, 0.5), mats, ps)
         assert np.all(np.diff(gaps) <= 1e-9), f"gaps not shrinking at seed {seed}: {gaps}"
         worst_final = max(worst_final, gaps[-1])
     assert worst_final < 0.05
@@ -288,7 +284,6 @@ def test_criterion_8_power_limit():
 
 
 def test_criterion_9_duality():
-    quiet = SolverConfig(certify=False)
     worst_inv = 0.0
     worst_comm = 0.0
     for seed in range(10):
@@ -296,18 +291,17 @@ def test_criterion_9_duality():
         w = Weights.uniform(n)
         mats = [random_spd(3, (0.5, 2.0), MASTER_SEED + 3000 + 10 * seed + j) for j in range(n)]
         spec = MultiMeanSpec.power(w, 0.5) if seed % 2 else MultiMeanSpec.karcher(w)
-        once = adjoint_eval(spec, mats, quiet).value.a
-        twice = adjoint_eval(MultiMeanSpec.adjoint(spec), mats, quiet).value.a
-        direct = eval_mean(spec, mats, quiet).value.a
+        once = adjoint_eval(spec, mats).value.a
+        twice = adjoint_eval(MultiMeanSpec.adjoint(spec), mats).value.a
+        direct = eval_mean(spec, mats, certify=False).value.a
         worst_inv = max(worst_inv, float(np.abs(twice - direct).max() / np.abs(direct).max()))
 
         sigma = geometric(0.5) if seed % 2 else harmonic(0.4)
         base = MultiMeanSpec.arithmetic(w)
-        lhs = adjoint_eval(MultiMeanSpec.deformed(base, sigma), mats, quiet).value.a
+        lhs = adjoint_eval(MultiMeanSpec.deformed(base, sigma), mats).value.a
         rhs = eval_mean(
             MultiMeanSpec.deformed(MultiMeanSpec.harmonic(w), rep_transform(sigma, "adjoint")),
             mats,
-            quiet,
         ).value.a
         worst_comm = max(worst_comm, float(np.abs(lhs - rhs).max() / np.abs(rhs).max()))
     assert worst_inv < 1e-9

@@ -202,6 +202,23 @@ def test_verify_malformed_config_is_config_error(tmp_path, capsys, config):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["mean", "verify", "recheck"])
+def test_deeply_nested_json_is_config_error(tmp_path, capsys, command):
+    # nested far past any JSON parser's recursion limit: an input error, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text('{"kind": "adjoint", "inner": ' * 100_000 + "{}" + "}" * 100_000)
+    mats = write(tmp_path, "mats.json", [matrix_json(np.eye(2))])
+    argv = {
+        "mean": ["mean", "--spec", str(path), "--matrices", mats],
+        "verify": ["verify", str(path)],
+        "recheck": ["verify", "--recheck", str(path)],
+    }[command]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == "" and "ConfigError" in err and "recursion" in err
+
+
 def test_verify_recheck_failing_witness(tmp_path, capsys):
     a = random_spd(2, (1.0, 1.01), 27)
     c = validate_spd(np.sqrt(0.4) * np.eye(2))

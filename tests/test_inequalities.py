@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from opmeans import errors
-from opmeans.config import SolverConfig
 from opmeans.inequalities import (
     FAMILIES,
     CampaignConfig,
@@ -32,7 +31,6 @@ from opmeans.psd_core import matrix_from_json, random_spd, validate_spd
 
 W3 = Weights((0.2, 0.3, 0.5))
 UNI3 = Weights.uniform(3)
-QUIET = SolverConfig(certify=False)
 
 
 def ensemble(dim, n, base_seed, spectrum=(0.5, 2.0)):
@@ -142,10 +140,10 @@ def test_ah_family_r_range_validation():
 def test_ah_family_karcher_two_sided():
     As = ensemble(4, 3, 12)
     for variant in ("3.1", "3.2"):
-        rep = check_ah_family(MultiMeanSpec.karcher(W3), As, 2.0, variant, QUIET)
+        rep = check_ah_family(MultiMeanSpec.karcher(W3), As, 2.0, variant)
         assert rep.holds, rep.margin
     for variant in ("3.3", "3.4"):
-        rep = check_ah_family(MultiMeanSpec.karcher(W3), As, 0.5, variant, QUIET)
+        rep = check_ah_family(MultiMeanSpec.karcher(W3), As, 0.5, variant)
         assert rep.holds, rep.margin
 
 
@@ -160,7 +158,7 @@ def test_ah_family_commuting_scalar_oracle():
     As = [validate_spd(np.diag(d1)), validate_spd(np.diag(d2))]
     alpha, r = 0.5, 2.0
     spec = MultiMeanSpec.power(Weights(tuple(w)), alpha)
-    rep = check_ah_family(spec, As, r, "3.1", QUIET)
+    rep = check_ah_family(spec, As, r, "3.1")
     base = np.array([scalar_power_mean(w, alpha, [d1[i], d2[i]]) for i in range(2)])
     powd = np.array([scalar_power_mean(w, alpha, [d1[i] ** r, d2[i] ** r]) for i in range(2)])
     pref = base.min() ** (r - 1)
@@ -175,27 +173,27 @@ def test_ah_family_commuting_scalar_oracle():
 def test_modified_karcher_reduces_to_ah():
     # a geometric deformation leaves the multivariate geometric mean fixed
     As = ensemble(3, 3, 13)
-    repm = check_modified(MultiMeanSpec.karcher(W3), geometric(0.5), As, 2.0, "4.1", QUIET)
+    repm = check_modified(MultiMeanSpec.karcher(W3), geometric(0.5), As, 2.0, "4.1")
     assert repm.holds
-    direct_lo = check_ah_family(MultiMeanSpec.karcher(W3), As, 2.0, "3.1", QUIET)
-    direct_hi = check_ah_family(MultiMeanSpec.karcher(W3), As, 2.0, "3.2", QUIET)
+    direct_lo = check_ah_family(MultiMeanSpec.karcher(W3), As, 2.0, "3.1")
+    direct_hi = check_ah_family(MultiMeanSpec.karcher(W3), As, 2.0, "3.2")
     expect = min(direct_lo.margin, direct_hi.margin)
     assert repm.margin == pytest.approx(expect, rel=1e-6, abs=1e-9)
 
 
 def test_modified_power_mean_instances():
     As = ensemble(3, 3, 14)
-    rep = check_modified(MultiMeanSpec.arithmetic(W3), geometric(0.5), As, 2.0, "4.1", QUIET)
+    rep = check_modified(MultiMeanSpec.arithmetic(W3), geometric(0.5), As, 2.0, "4.1")
     assert rep.holds
-    rep = check_modified(MultiMeanSpec.arithmetic(W3), geometric(0.5), As, 0.5, "4.2", QUIET)
+    rep = check_modified(MultiMeanSpec.arithmetic(W3), geometric(0.5), As, 0.5, "4.2")
     assert rep.holds
-    rep = check_modified(MultiMeanSpec.harmonic(W3), harmonic(0.4), As, 2.0, "4.1", QUIET)
+    rep = check_modified(MultiMeanSpec.harmonic(W3), harmonic(0.4), As, 2.0, "4.1")
     assert rep.holds
 
 
 def test_modified_r_one_equal():
     As = ensemble(2, 3, 15)
-    rep = check_modified(MultiMeanSpec.arithmetic(W3), geometric(0.5), As, 1.0, "4.1", QUIET)
+    rep = check_modified(MultiMeanSpec.arithmetic(W3), geometric(0.5), As, 1.0, "4.1")
     assert rep.margin == pytest.approx(0.0, abs=1e-12)
 
 
@@ -206,9 +204,8 @@ def test_modified_power_mean_identity_across_routes():
     via_deform = eval_mean(
         MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(W3), geometric(alpha / r)),
         As,
-        QUIET,
     ).value.a
-    direct = power_mean(W3, alpha / r, As, QUIET).value.a
+    direct = power_mean(W3, alpha / r, As).value.a
     assert np.abs(via_deform - direct).max() / np.abs(direct).max() < 1e-9
 
 
@@ -289,7 +286,7 @@ def test_equivalence_r_one_reduces_to_pointwise_domination():
 def test_reverse_family_instances_hold():
     As = ensemble(3, 3, 23, spectrum=(1.0, 4.0))
     for which, alpha in [("5.4", 0.5), ("5.5", -0.5), ("5.8", 0.5), ("5.9", 0.5), ("5.10", None)]:
-        rep = check_reverse(W3, alpha, As, 2.0, which, (1.0, 4.0), QUIET)
+        rep = check_reverse(W3, alpha, As, 2.0, which, (1.0, 4.0))
         assert rep.holds, (which, rep.margin)
         assert rep.constants["kappa0"] == pytest.approx(4.0)
 
@@ -297,11 +294,11 @@ def test_reverse_family_instances_hold():
 def test_reverse_bounds_checked():
     As = ensemble(3, 3, 24, spectrum=(0.5, 2.0))
     with pytest.raises(errors.BoundsViolated):
-        check_reverse(W3, 0.5, As, 2.0, "5.4", (1.0, 1.5), QUIET)
+        check_reverse(W3, 0.5, As, 2.0, "5.4", (1.0, 1.5))
     with pytest.raises(errors.BadR):
-        check_reverse(W3, 0.5, As, 0.5, "5.4", (0.5, 2.0), QUIET)
+        check_reverse(W3, 0.5, As, 0.5, "5.4", (0.5, 2.0))
     with pytest.raises(errors.BadR):
-        check_reverse(W3, -0.5, As, 2.0, "5.4", (0.5, 2.0), QUIET)
+        check_reverse(W3, -0.5, As, 2.0, "5.4", (0.5, 2.0))
     # m == M leaves no spread for a Kantorovich constant, even on inputs
     # inside the bounds: a bounds error, not BadH from inside K
     eye = validate_spd(np.eye(2))
@@ -309,7 +306,7 @@ def test_reverse_bounds_checked():
         with pytest.raises(errors.BoundsViolated):
             check_arithmetic_power_reverse(UNI3, [eye] * 3, r, (1.0, 1.0))
         with pytest.raises(errors.BoundsViolated):
-            check_reverse(UNI3, None, [eye] * 3, r, "5.10", (1.0, 1.0), QUIET)
+            check_reverse(UNI3, None, [eye] * 3, r, "5.10", (1.0, 1.0))
     for mu in (0.5, 1.0):
         with pytest.raises(errors.BoundsViolated):
             check_compression_reverse(eye, eye, 2.0, 1.0, 1.0, mu)
@@ -318,9 +315,9 @@ def test_reverse_bounds_checked():
 def test_reverse_k_at_least_one():
     # the reverse prefactor can never beat equality at r = 1
     As = ensemble(3, 3, 25, spectrum=(1.0, 4.0))
-    rep = check_reverse(W3, None, As, 1.0, "5.10", (1.0, 4.0), QUIET)
+    rep = check_reverse(W3, None, As, 1.0, "5.10", (1.0, 4.0))
     assert rep.holds and rep.margin == pytest.approx(0.0, abs=1e-12)
-    rep2 = check_reverse(W3, None, As, 2.0, "5.10", (1.0, 4.0), QUIET)
+    rep2 = check_reverse(W3, None, As, 2.0, "5.10", (1.0, 4.0))
     assert rep2.constants["K1"] >= 1.0
 
 
@@ -329,7 +326,7 @@ def test_reverse_scalar_multiples_trivially_hold():
     # kappa(X) = 1, and the slack is exactly K >= 1
     c, eps = 2.0, 1e-3
     As = [validate_spd(c * np.eye(2)) for _ in range(3)]
-    rep = check_reverse(UNI3, 0.5, As, 2.0, "5.4", (c - eps, c + eps), QUIET)
+    rep = check_reverse(UNI3, 0.5, As, 2.0, "5.4", (c - eps, c + eps))
     assert rep.holds and rep.margin >= 0
     assert rep.constants["kappa_x"] == pytest.approx(1.0, abs=1e-12)
 
@@ -340,7 +337,7 @@ def test_reverse_aligned_narrow_inputs_are_true_negatives():
     # the stated bound genuinely fails; the check must say so
     c, eps = 2.0, 1e-3
     As = [validate_spd(np.diag([c - eps, c + eps])) for _ in range(3)]
-    rep = check_reverse(UNI3, 0.5, As, 2.0, "5.4", (c - eps, c + eps), QUIET)
+    rep = check_reverse(UNI3, 0.5, As, 2.0, "5.4", (c - eps, c + eps))
     assert not rep.holds
     assert rep.matrices is not None
 
@@ -402,13 +399,13 @@ def test_lie_trotter_commuting_is_exact():
     # the multivariate geometric mean of commuting inputs is the entrywise
     # geometric mean, which matches the limit at every p
     As = [validate_spd(np.diag([1.0, 2.0])), validate_spd(np.diag([3.0, 0.7]))]
-    gaps = lie_trotter_gap(MultiMeanSpec.karcher(Weights((0.5, 0.5))), As, cfg=QUIET)
+    gaps = lie_trotter_gap(MultiMeanSpec.karcher(Weights((0.5, 0.5))), As)
     assert max(gaps) < 1e-9
 
 
 def test_lie_trotter_gaps_shrink():
     As = ensemble(3, 3, 31, spectrum=(0.6, 1.8))
-    gaps = lie_trotter_gap(MultiMeanSpec.power(W3, 0.5), As, cfg=QUIET)
+    gaps = lie_trotter_gap(MultiMeanSpec.power(W3, 0.5), As)
     diffs = np.diff(gaps)
     assert np.all(diffs <= 1e-9)
     assert gaps[-1] < 0.05
@@ -416,8 +413,15 @@ def test_lie_trotter_gaps_shrink():
 
 def test_lie_trotter_single_input_exact():
     a = random_spd(3, (0.5, 2.0), 32)
-    gaps = lie_trotter_gap(MultiMeanSpec.power(Weights((1.0,)), 0.5), [a], cfg=QUIET)
+    gaps = lie_trotter_gap(MultiMeanSpec.power(Weights((1.0,)), 0.5), [a])
     assert max(gaps) < 1e-9
+
+
+@pytest.mark.parametrize("p", [0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_lie_trotter_rejects_bad_exponent(p):
+    As = ensemble(2, 2, 34)
+    with pytest.raises(errors.BadR):
+        lie_trotter_gap(MultiMeanSpec.power(Weights((0.5, 0.5)), 0.5), As, [1.0, p])
 
 
 def test_adjoint_side_norm_increases():
@@ -431,7 +435,7 @@ def test_adjoint_side_norm_increases():
     ).max()
     vals = []
     for p in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        mp = power_mean(W3, -0.5, [validate_spd(_mpow(a.a, p)) for a in As], QUIET).value.a
+        mp = power_mean(W3, -0.5, [validate_spd(_mpow(a.a, p)) for a in As]).value.a
         vals.append(np.linalg.eigvalsh(mp).max() ** (1 / p))
     assert np.all(np.diff(vals) >= -1e-9)
     assert vals[-1] <= np.exp(target) + 1e-6
@@ -444,7 +448,7 @@ def _mpow(a, p):
 
 def test_log_majorization_r_one_all_equal():
     As = ensemble(3, 3, 34)
-    rep = check_log_majorization(W3, As, 1.0, QUIET)
+    rep = check_log_majorization(W3, As, 1.0)
     assert rep.holds
     assert rep.constants["equality_error"] < 1e-10
 
@@ -454,7 +458,7 @@ def test_log_majorization_commuting_oracle():
     As = [validate_spd(np.diag(d1)), validate_spd(np.diag(d2))]
     w = Weights((0.5, 0.5))
     r = 0.5
-    rep = check_log_majorization(w, As, r, QUIET)
+    rep = check_log_majorization(w, As, r)
     g = np.sort([np.sqrt(d1[i] * d2[i]) for i in range(2)])[::-1]
     gr = np.sort([np.sqrt(d1[i] ** r * d2[i] ** r) for i in range(2)])[::-1]
     manual_first = (r - 1) * np.log(g[-1]) + np.log(g[0]) - np.log(gr[0])
@@ -464,7 +468,7 @@ def test_log_majorization_commuting_oracle():
 
 def test_log_majorization_random():
     As = ensemble(4, 3, 35)
-    rep = check_log_majorization(W3, As, 0.5, QUIET)
+    rep = check_log_majorization(W3, As, 0.5)
     assert rep.holds
     assert rep.constants["equality_error"] < 1e-8
 
@@ -595,11 +599,11 @@ def test_complement_implies_direct_under_substitution():
         As = ensemble(3, 3, 9000 + 10 * trial)
         r = float(rng.choice([0.25, 0.5, 0.75]))
         karch = MultiMeanSpec.karcher(W3)
-        comp_lo = check_ah_family(karch, As, r, "3.3", QUIET)
-        comp_hi = check_ah_family(karch, As, r, "3.4", QUIET)
+        comp_lo = check_ah_family(karch, As, r, "3.3")
+        comp_hi = check_ah_family(karch, As, r, "3.4")
         powered = [validate_spd(_mpow(a.a, r)) for a in As]
-        dir_lo = check_ah_family(karch, powered, 1 / r, "3.1", QUIET)
-        dir_hi = check_ah_family(karch, powered, 1 / r, "3.2", QUIET)
+        dir_lo = check_ah_family(karch, powered, 1 / r, "3.1")
+        dir_hi = check_ah_family(karch, powered, 1 / r, "3.2")
         if comp_lo.holds and comp_hi.holds:
             assert dir_lo.holds and dir_hi.holds
 
@@ -611,9 +615,9 @@ def test_power_condition_chain_for_geometric_deformations():
 
     As = ensemble(3, 3, 9500)
     for r in (1.5, 2.0):
-        rep = check_modified(MultiMeanSpec.karcher(W3), geometric(0.5), As, r, "4.1", QUIET)
+        rep = check_modified(MultiMeanSpec.karcher(W3), geometric(0.5), As, r, "4.1")
         assert rep.holds
-        rep = check_ah_family(MultiMeanSpec.power(W3, 0.5), As, r, "3.1", QUIET)
+        rep = check_ah_family(MultiMeanSpec.power(W3, 0.5), As, r, "3.1")
         assert rep.holds
     mix = arithmetic_harmonic_mix(0.25)
     assert pmi_margin(mix).worst_margin < 0
@@ -729,15 +733,15 @@ def _typed_margin(family, report):
     bounds = (c.get("m"), c.get("M"))
     if family in ("3.9", "3.10", "3.11", "3.12"):
         variant = {"3.9": "3.1", "3.10": "3.2", "3.11": "3.3", "3.12": "3.4"}[family]
-        return check_ah_family(MultiMeanSpec.power(w, alpha), mats, r, variant, QUIET).margin
+        return check_ah_family(MultiMeanSpec.power(w, alpha), mats, r, variant).margin
     if family in ("3.13", "3.14"):
         # the Karcher mean is its own adjoint, so its bracket is the pair 3.1/3.2 (3.3/3.4)
         variants = ("3.1", "3.2") if family == "3.13" else ("3.3", "3.4")
-        return min(check_ah_family(MultiMeanSpec.karcher(w), mats, r, v, QUIET).margin for v in variants)
+        return min(check_ah_family(MultiMeanSpec.karcher(w), mats, r, v).margin for v in variants)
     if family in ("4.4", "4.5"):
         # P_alpha is the arithmetic mean deformed by the weighted geometric mean
         which = "4.1" if family == "4.4" else "4.2"
-        return check_modified(MultiMeanSpec.arithmetic(w), geometric(alpha), mats, r, which, QUIET).margin
+        return check_modified(MultiMeanSpec.arithmetic(w), geometric(alpha), mats, r, which).margin
     if FAMILIES[family]["layout"] == "pair":
         tau, sigma = repfn_from_json(c["tau_json"]), repfn_from_json(c["sigma_json"])
         return check_two_var(tau, sigma, *mats, r, family).margin
@@ -746,8 +750,8 @@ def _typed_margin(family, report):
     if family == "L5.1":
         return check_compression_reverse(mats[0], mats[-1], r, *bounds, c["mu"]).margin
     if family == "logmaj":
-        return check_log_majorization(w, mats, r, QUIET).margin
-    return check_reverse(w, c["alpha_used"], mats, r, family, bounds, QUIET).margin
+        return check_log_majorization(w, mats, r).margin
+    return check_reverse(w, c["alpha_used"], mats, r, family, bounds).margin
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -758,7 +762,7 @@ def test_typed_check_returns_cell_margin_on_witness(family):
 
 def test_typed_report_carries_cell_constants():
     As = ensemble(2, 3, 60, (1.0, 3.0))
-    rep = check_reverse(W3, 0.5, As, 2.0, "5.4", (1.0, 3.0), QUIET, tol=-1.0, witness_seed=7)
+    rep = check_reverse(W3, 0.5, As, 2.0, "5.4", (1.0, 3.0), tol=-1.0, witness_seed=7)
     assert not rep.holds and rep.witness_seed == 7 and len(rep.matrices) == 3
     c = rep.constants
     assert (c["r"], c["alpha"], c["dim"], c["trials"], c["worst_trial"]) == (2.0, 0.5, 2, 1, 0)

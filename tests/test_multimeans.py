@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from opmeans import errors, multimeans
-from opmeans.config import SolverConfig
 from opmeans.inequalities import _gen_cell_data
 from opmeans.meanfns import (
     arithmetic,
@@ -14,6 +13,7 @@ from opmeans.meanfns import (
     right_trivial,
 )
 from opmeans.multimeans import (
+    DT_TOL,
     KARCHER_ALPHA,
     MeanResult,
     MultiMeanSpec,
@@ -137,17 +137,9 @@ def fixed_point_gap(base, sigma, As, x):
 def test_deformed_mean_residual_contract(base_kind, sigma):
     As = ensemble(4, 3, 1234)
     base = getattr(MultiMeanSpec, base_kind)(W3)
-    cfg = SolverConfig()
-    res = deformed_mean(base, sigma, As, cfg)
-    assert res.residual_dt <= cfg.dt_tol
-    assert fixed_point_gap(base, sigma, As, res.value.a) < 2 * cfg.dt_tol
-
-
-@pytest.mark.parametrize("field", ["dt_tol"])
-@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
-def test_solver_config_rejects_bad_tolerances(field, value):
-    with pytest.raises(ValueError):
-        SolverConfig(**{field: value})
+    res = deformed_mean(base, sigma, As)
+    assert res.residual_dt <= DT_TOL
+    assert fixed_point_gap(base, sigma, As, res.value.a) < 2 * DT_TOL
 
 
 def test_deformed_mean_no_convergence_payload(monkeypatch):
@@ -231,16 +223,15 @@ def monotone_reference(base, sigma, stack, w, tol=1e-11):
 def _check_against_monotone(stack, w, t):
     # the geodesic solve of P_t against the monotone iteration of
     # X = sum_i w_i X #_t A_i: the monotone error is at most step (1 - t) / t
-    cfg = SolverConfig()
     uni = Weights.uniform(stack.shape[-3])
     spec = MultiMeanSpec.power(uni, t)
-    fast = eval_mean_stack(spec, stack, cfg, weights_override=w)
+    fast = eval_mean_stack(spec, stack, weights_override=w)
     mono, step = monotone_reference(MultiMeanSpec.arithmetic(uni), geometric(t), stack, w)
-    fine = eval_mean_stack(spec, stack, SolverConfig(dt_tol=1e-12), weights_override=w)
-    assert np.all(fast.residual_dt < cfg.dt_tol) and np.all(fine.residual_dt < 1e-12)
+    fine, _, fine_bound = _eval_node(spec, stack, w, tol=1e-12)
+    assert np.all(fast.residual_dt < DT_TOL) and np.all(fine_bound < 1e-12)
     assert np.all(thompson(fast.values, mono) <= step * (1 - t) / t + fast.residual_dt)
     # the two reported bounds cover the distance between the solves
-    assert np.all(thompson(fast.values, fine.values) <= fast.residual_dt + fine.residual_dt)
+    assert np.all(thompson(fast.values, fine) <= fast.residual_dt + fine_bound)
 
 
 @pytest.mark.parametrize("t", [0.5, 1 / 12, 1 / 64])
@@ -286,7 +277,7 @@ def test_bound_covers_true_error_against_mpmath(t):
     stack = np.stack([np.stack([a.a for a in ensemble(2, 3, 700 + 10 * b)]) for b in range(4)])
     w = np.random.default_rng(2).dirichlet(np.ones(3), size=4)
     spec = MultiMeanSpec.karcher(UNI3) if t == 0 else MultiMeanSpec.power(UNI3, t)
-    res = eval_mean_stack(spec, stack, QUIET, weights_override=w)
+    res = eval_mean_stack(spec, stack, weights_override=w, certify=False)
     with mp.workdps(50):
         for b in range(4):
             eqs, fn = _mp_fixed_point(t, stack[b], w[b])
@@ -304,8 +295,9 @@ def test_bound_covers_true_error_against_mpmath(t):
         MultiMeanSpec.power(UNI3, -0.25),
         MultiMeanSpec.karcher(UNI3),
         MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(UNI3), harmonic(0.5)),
+        MultiMeanSpec.deformed(MultiMeanSpec.power(UNI3, 0.5), harmonic(0.5)),
     ],
-    ids=["power", "power-negative", "karcher", "deformed"],
+    ids=["power", "power-negative", "karcher", "deformed", "deformed-iterative-base"],
 )
 def test_member_solved_alone_matches_batch(spec):
     # every member iterates on its own history and is frozen once converged,
@@ -314,9 +306,9 @@ def test_member_solved_alone_matches_batch(spec):
     spreads = [(1.0, 4.0 ** (b + 1)) for b in range(8)]
     stack = np.stack([np.stack([random_spd(4, spreads[b], 40 * b + j).a for j in range(3)]) for b in range(8)])
     w = np.random.default_rng(3).dirichlet(np.ones(3), size=8)
-    batch = eval_mean_stack(spec, stack, QUIET, weights_override=w)
+    batch = eval_mean_stack(spec, stack, weights_override=w, certify=False)
     for b in range(8):
-        alone = eval_mean_stack(spec, stack[b], QUIET, weights_override=w[b])
+        alone = eval_mean_stack(spec, stack[b], weights_override=w[b], certify=False)
         assert np.array_equal(alone.values, batch.values[b]), b
         assert np.array_equal(alone.residual_dt, batch.residual_dt[b]), b
 
@@ -331,11 +323,11 @@ def test_deformed_bound_covers_tighter_solve_on_5_8_data(dim):
     stack = spd_power(data.stack, 3.0)
     arith, sigma = MultiMeanSpec.arithmetic(UNI3), harmonic(0.5)
     spec = MultiMeanSpec.deformed(arith, sigma)
-    fast = eval_mean_stack(spec, stack, QUIET, weights_override=data.weights)
-    fine = eval_mean_stack(spec, stack, SolverConfig(dt_tol=1e-13), weights_override=data.weights)
-    assert np.all(fast.residual_dt < QUIET.dt_tol)
-    assert np.all(fine.residual_dt <= 16 * np.finfo(float).eps * 8.0**3)
-    assert np.all(thompson(fast.values, fine.values) <= fast.residual_dt)
+    fast = eval_mean_stack(spec, stack, weights_override=data.weights)
+    fine, _, fine_bound = _eval_node(spec, stack, data.weights, tol=1e-13)
+    assert np.all(fast.residual_dt < DT_TOL)
+    assert np.all(fine_bound <= 16 * np.finfo(float).eps * 8.0**3)
+    assert np.all(thompson(fast.values, fine) <= fast.residual_dt)
     mono, _ = monotone_reference(arith, sigma, stack, data.weights, tol=1e-13)
     assert np.all(thompson(fast.values, mono) <= 1e-10)
 
@@ -370,8 +362,8 @@ def test_condition_ladder(alpha, top, norm):
     spec = _ladder_spec(alpha)
     for k in range(1, top + 1):
         As = [random_spd(4, (1.0, 10.0**k), 100 * k + j) for j in range(3)]
-        res = eval_mean(spec, As, QUIET)
-        assert res.residual_dt <= max(QUIET.dt_tol, norm * 16 * np.finfo(float).eps * 10.0**k), k
+        res = eval_mean(spec, As, certify=False)
+        assert res.residual_dt <= max(DT_TOL, norm * 16 * np.finfo(float).eps * 10.0**k), k
         assert res.iterations <= 500, k
         assert np.all(np.isfinite(res.value.a))
 
@@ -382,7 +374,7 @@ def test_damping_collapse_above_floor_raises(monkeypatch):
     monkeypatch.setattr(multimeans, "_rounding_floor", lambda a: np.zeros(len(a)))
     As = [random_spd(4, (1.0, 1e12), 1200 + j) for j in range(3)]
     with pytest.raises(errors.NoConvergence, match="Karcher") as info:
-        eval_mean(MultiMeanSpec.karcher(W3), As, QUIET)
+        eval_mean(MultiMeanSpec.karcher(W3), As, certify=False)
     assert np.isfinite(info.value.residual)
     assert info.value.last_iterate.shape == (4, 4)
 
@@ -396,7 +388,7 @@ def test_scaled_inputs_keep_homogeneity(alpha, scale):
     spec = _ladder_spec(alpha)
     As = ensemble(4, 3, 900)
     res = eval_mean(spec, [validate_spd(scale * a.a) for a in As])
-    assert res.residual_dt < SolverConfig().dt_tol
+    assert res.residual_dt < DT_TOL
     np.testing.assert_allclose(res.value.a / scale, eval_mean(spec, As).value.a, rtol=1e-9, atol=0)
 
 
@@ -446,8 +438,7 @@ def test_karcher_equal_inputs_zero_iterations():
 
 def test_karcher_power_mean_ordering_and_limit():
     As = ensemble(3, 3, 4000)
-    cfg = SolverConfig(certify=False)
-    g = karcher_mean(W3, As, cfg).value
+    g = karcher_mean(W3, As, certify=False).value
     prev_gap = None
     prev_upper = None
     for alpha in (1.0, 0.5, 0.25, 0.125):
@@ -478,16 +469,15 @@ def test_batched_enclosure_matches_separate_power_solves(batch):
         [np.stack([a.a for a in ensemble(3, 3, 900 + 10 * b, spectrum=(0.6, 1.8))]) for b in range(batch)]
     )
     w = W3.asarray()
-    cfg = SolverConfig()
-    vals = eval_mean_stack(MultiMeanSpec.karcher(W3), stack, QUIET).values
-    gap = _certify_karcher(w, stack, vals, cfg)
+    vals = eval_mean_stack(MultiMeanSpec.karcher(W3), stack, certify=False).values
+    gap = _certify_karcher(w, stack, vals)
     t = KARCHER_ALPHA
-    upper, _, _ = _eval_node(MultiMeanSpec.power(UNI3, t), stack, cfg, w)
-    lower, _, _ = _eval_node(MultiMeanSpec.power(UNI3, -t), stack, cfg, w)
+    upper, _, _ = _eval_node(MultiMeanSpec.power(UNI3, t), stack, w)
+    lower, _, _ = _eval_node(MultiMeanSpec.power(UNI3, -t), stack, w)
     assert gap.shape == (batch,)
     np.testing.assert_allclose(gap, thompson(lower, upper), rtol=0, atol=1e-9)
     with pytest.raises(errors.CertificationFailure):
-        _certify_karcher(w, stack, 1.05 * vals, cfg)
+        _certify_karcher(w, stack, 1.05 * vals)
 
 
 # ------------------------------------------------------------------ axioms
@@ -503,29 +493,27 @@ SPECS = [
     MultiMeanSpec.adjoint(MultiMeanSpec.power(W3, 0.5)),
 ]
 
-QUIET = SolverConfig(certify=False)
-
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + (str(s.alpha or "")))
 def test_axioms(spec):
     rng = np.random.default_rng(17)
     As = ensemble(3, 3, 5000)
-    base = eval_mean(spec, As, QUIET).value.a
+    base = eval_mean(spec, As, certify=False).value.a
     # normalization
     eyes = [validate_spd(np.eye(3))] * 3
-    np.testing.assert_allclose(eval_mean(spec, eyes, QUIET).value.a, np.eye(3), atol=1e-10)
+    np.testing.assert_allclose(eval_mean(spec, eyes, certify=False).value.a, np.eye(3), atol=1e-10)
     # homogeneity
     scaled = [validate_spd(2.5 * a.a) for a in As]
-    np.testing.assert_allclose(eval_mean(spec, scaled, QUIET).value.a, 2.5 * base, rtol=1e-9)
+    np.testing.assert_allclose(eval_mean(spec, scaled, certify=False).value.a, 2.5 * base, rtol=1e-9)
     # monotonicity under an upward perturbation
     bump = rng.standard_normal((3, 2))
     bigger = [validate_spd(As[0].a + 0.5 * bump @ bump.T)] + As[1:]
-    up = eval_mean(spec, bigger, QUIET).value.a
+    up = eval_mean(spec, bigger, certify=False).value.a
     assert np.linalg.eigvalsh(up - base).min() >= -1e-9 * np.abs(base).max()
     # congruence invariance
     s = rng.standard_normal((3, 3)) + 3 * np.eye(3)
     lhs = s.T @ base @ s
-    rhs = eval_mean(spec, [validate_spd(s.T @ a.a @ s) for a in As], QUIET).value.a
+    rhs = eval_mean(spec, [validate_spd(s.T @ a.a @ s) for a in As], certify=False).value.a
     assert np.abs(lhs - rhs).max() / np.abs(rhs).max() < 1e-8
 
 
@@ -533,8 +521,8 @@ def test_axioms(spec):
 def test_thompson_nonexpansive(spec):
     As = ensemble(3, 3, 6000)
     Bs = ensemble(3, 3, 7000)
-    da = eval_mean(spec, As, QUIET).value
-    db = eval_mean(spec, Bs, QUIET).value
+    da = eval_mean(spec, As, certify=False).value
+    db = eval_mean(spec, Bs, certify=False).value
     bound = max(thompson_distance(a, b) for a, b in zip(As, Bs))
     assert thompson_distance(da, db) <= bound + 1e-9
 
@@ -544,7 +532,7 @@ def test_harmonic_arithmetic_sandwich():
     harm = elementary_mean("harmonic", W3, As).a
     arit = elementary_mean("arithmetic", W3, As).a
     for spec in SPECS[2:6]:
-        val = eval_mean(spec, As, QUIET).value.a
+        val = eval_mean(spec, As, certify=False).value.a
         assert np.linalg.eigvalsh(val - harm).min() >= -1e-9
         assert np.linalg.eigvalsh(arit - val).min() >= -1e-9
 
@@ -556,7 +544,7 @@ def test_degenerate_single_input():
         MultiMeanSpec.karcher(Weights((1.0,))),
         MultiMeanSpec.power(Weights((1.0,)), 0.5),
     ):
-        np.testing.assert_allclose(eval_mean(spec, [a], QUIET).value.a, a.a, atol=1e-13)
+        np.testing.assert_allclose(eval_mean(spec, [a], certify=False).value.a, a.a, atol=1e-13)
 
 
 # ----------------------------------------------------------- comparison bound
@@ -611,8 +599,8 @@ def test_adjoint_involution():
     spec = MultiMeanSpec.power(W3, 0.5)
     once = MultiMeanSpec.adjoint(spec)
     twice = MultiMeanSpec.adjoint(once)
-    a = eval_mean(spec, As, QUIET).value.a
-    b = eval_mean(twice, As, QUIET).value.a
+    a = eval_mean(spec, As, certify=False).value.a
+    b = eval_mean(twice, As, certify=False).value.a
     assert np.abs(a - b).max() / np.abs(a).max() < 1e-9
 
 
