@@ -21,6 +21,7 @@ stops at ``multimeans.DT_TOL``, so a report is a function of its config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -84,6 +85,7 @@ def cmd_mean(args) -> int:
             "error": "NoConvergence",
             "message": str(exc),
             "residual": exc.residual,
+            "members": exc.members,
         }
         _emit(json.dumps(diag, indent=2) + "\n", args.output)
         return EXIT_NO_CONVERGENCE
@@ -137,6 +139,7 @@ def cmd_kantorovich(args) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache  # built on first use, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opmeans",

@@ -63,13 +63,16 @@ class NoConvergence(OpmeansError):
     """Iteration cap reached.
 
     ``last_iterate`` (ndarray or float) and ``residual`` carry diagnostics
-    for the caller; both may be None when not applicable.
+    for the caller; both may be None when not applicable.  ``members`` lists
+    the failing members of a batched solve as ``{"member", "what",
+    "bound"}`` dicts, by flattened index.
     """
 
-    def __init__(self, message, last_iterate=None, residual=None):
+    def __init__(self, message, last_iterate=None, residual=None, members=()):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
+        self.members = list(members)
 
 
 class ArityMismatch(OpmeansError):

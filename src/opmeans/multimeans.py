@@ -9,7 +9,8 @@ Karcher mean is their limit; all three run one damped geodesic iteration,
 a true Thompson error bound.  For power and Karcher means that bound also
 covers the rounding of its own evaluation.  A Karcher solve is certified by
 the power-mean enclosure ``P_{-t} <= G <= P_t``, whose ends solve a
-different equation.
+different equation in the same loop call: the loop takes one exponent per
+member.
 
 All solvers run on stacked operands of shape ``(..., n, d, d)`` and
 broadcast over the leading axes, which is what makes large randomized
@@ -155,8 +156,9 @@ class MeanResult:
     """``residual_dt`` bounds the Thompson distance from ``value`` to the mean
     (0 for closed forms).  For power and Karcher means it includes the
     rounding of its own evaluation, ``16 eps / |alpha|`` and ``16 eps sqrt d``.
-    ``iterations`` counts the iterations of the geodesic loop: damped steps
-    and Anderson points alike."""
+    ``iterations`` counts the iterations of the geodesic loop, damped steps
+    and Anderson points alike, of the mean's own members (the largest over a
+    batch), not of a certified Karcher solve's enclosure ends."""
 
     value: SpdMatrix
     iterations: int
@@ -174,7 +176,7 @@ class MeanResult:
 
 @dataclass(frozen=True)
 class StackResult:
-    """Batched outcome over the leading axes; ``residual_dt`` per member, as in :class:`MeanResult`."""
+    """Batched outcome over the leading axes, as :class:`MeanResult`; ``residual_dt`` per member."""
 
     values: np.ndarray
     iterations: int
@@ -206,9 +208,9 @@ def _weighted_sum(w, stack):
 def _eval_node(spec: MultiMeanSpec, stack, w_over=None, tol=DT_TOL):
     """Evaluate a mean on ``stack`` of shape (..., n, d, d).
 
-    Returns ``(values, iterations, bound)`` with the per-member Thompson
-    error bound of :class:`MeanResult`.  Iterative solves stop once the bound
-    is below ``tol``, a number or one per flattened member.
+    Returns ``(values, iterations, bound)``, the count (0 for a closed form)
+    and the Thompson error bound of :class:`MeanResult` per member.  Iterative
+    solves stop once the bound is below ``tol``, a number or one per member.
     """
     n = stack.shape[-3]
     batch = stack.shape[:-3]
@@ -220,11 +222,9 @@ def _eval_node(spec: MultiMeanSpec, stack, w_over=None, tol=DT_TOL):
         return stack[..., 0, :, :], 0, zeros
     kind = spec.kind
     if kind == "arithmetic":
-        w = _node_weights(spec, w_over, n)
-        return _weighted_sum(w, stack), 0, zeros
+        return _weighted_sum(_node_weights(spec, w_over, n), stack), 0, zeros
     if kind == "harmonic":
-        w = _node_weights(spec, w_over, n)
-        return spd_inv(_weighted_sum(w, spd_inv(stack))), 0, zeros
+        return spd_inv(_weighted_sum(_node_weights(spec, w_over, n), spd_inv(stack))), 0, zeros
     if kind == "adjoint":
         vals, iters, bound = _eval_node(spec.inner, spd_inv(stack), w_over, tol)
         return spd_inv(vals), iters, bound
@@ -233,9 +233,9 @@ def _eval_node(spec: MultiMeanSpec, stack, w_over=None, tol=DT_TOL):
         dual = MultiMeanSpec.adjoint(MultiMeanSpec.power(spec.weights, -spec.alpha))
         return _eval_node(dual, stack, w_over, tol)
     if kind == "power":
-        return _power_loop(_node_weights(spec, w_over, n), spec.alpha, stack, tol)
+        return _power_loop(_node_weights(spec, w_over, n), spec.alpha, stack, tol, "power-mean")
     if kind == "karcher":
-        return _power_loop(_node_weights(spec, w_over, n), 0.0, stack, tol)
+        return _power_loop(_node_weights(spec, w_over, n), 0.0, stack, tol, "Karcher")
     return _deformed_node(spec, stack, w_over, tol)
 
 
@@ -258,26 +258,29 @@ def _rounding_floor(a):
     return 16 * _EPS * eigs[..., -1].max(axis=-1) / eigs[..., 0].min(axis=-1)
 
 
-def _power_loop(w, p, stack, tol):
+def _power_loop(w, p, stack, tol, what):
     """``P_p`` (``0 < p <= 1``) or the Karcher mean (``p = 0``) by :func:`_geodesic_loop`.
 
-    The frame mean is ``sum_i w_i B_i^p`` (``exp sum_i w_i log B_i`` at ``p =
-    0``) and the step ``G = log(M) / p`` (``log M``).  For ``p > 0`` the map
-    ``f(X) = sum_i w_i X #_p A_i`` is a Thompson contraction of rate ``1 -
-    p``, so ``max |eig G| = d(X, f(X)) / p`` bounds ``d(X, X*)``.  At ``p =
-    0`` the step is Riemannian gradient descent on the 1-strongly convex
-    ``1/2 sum_i w_i delta_R(X, A_i)^2``, and ``||G||_F`` bounds ``delta_R(X,
-    G*)``, hence the Thompson error; its rounding floor carries a ``sqrt d``
-    for the Frobenius norm.
+    ``p`` is a number or one per flattened member, so one call can solve
+    Karcher members beside power-mean members.  The frame mean is ``sum_i w_i
+    B_i^p`` (``exp sum_i w_i log B_i`` at ``p = 0``) and the step ``G =
+    log(M) / p`` (``log M``).  For ``p > 0`` the map ``f(X) = sum_i w_i X #_p
+    A_i`` is a Thompson contraction of rate ``1 - p``, so ``max |eig G| = d(X,
+    f(X)) / p`` bounds ``d(X, X*)``.  At ``p = 0`` the step is Riemannian
+    gradient descent on the 1-strongly convex ``1/2 sum_i w_i delta_R(X,
+    A_i)^2``, and ``||G||_F`` bounds ``delta_R(X, G*)``, hence the Thompson
+    error; its rounding term and floor carry a ``sqrt d`` for the Frobenius
+    norm.  ``what`` names the members, as in :func:`_geodesic_loop`.
     """
     batch, a, w = _members(stack, w)
-    floor = _rounding_floor(a) * (np.sqrt(a.shape[-1]) if p == 0 else 1.0)
+    p, root_d = np.broadcast_to(p, len(a)), np.sqrt(a.shape[-1])
+    rounding = np.divide(16 * _EPS, p, out=np.full(len(a), 16 * _EPS * root_d), where=p != 0)
+    floor = _rounding_floor(a) * np.where(p == 0, root_d, 1.0)
 
     def frame(idx):
-        wi, ai = w[idx], a[idx]
-        return lambda s: _power_frame(wi, p, ai, s)
+        wi, pi, ai, ri = w[idx], p[idx], a[idx], rounding[idx]
+        return lambda s: _power_frame(wi, pi, ai, s, ri)
 
-    what = "Karcher" if p == 0 else "power-mean"
     return _geodesic_loop(frame, _weighted_sum(w, a), p, floor, tol, what, batch)
 
 
@@ -293,24 +296,26 @@ def _frame_spectra(s, a):
     return eb, vb, bad
 
 
-def _power_frame(w, p, a, s):
+def _power_frame(w, p, a, s, rounding):
     """``(G, eigenvectors of G, max |log eig B_i|, residual, bound)`` at ``S``; see :func:`_power_loop`.
 
-    The bound adds the rounding of its own evaluation, ``16 eps / p`` on
-    ``max |eig G|`` (``16 eps sqrt d`` on ``||G||_F`` at ``p = 0``).
+    ``p`` holds one exponent per member, 0 for a Karcher member.  The residual
+    is ``max |eig G|`` (``||G||_F`` for a Karcher member) and the bound adds
+    ``rounding``, that of its own evaluation: ``16 eps / p`` (``16 eps sqrt d``).
     """
     eb, vb, bad = _frame_spectra(s, a)
     lb = np.log(eb)
-    f = w[..., None] * (lb if p == 0 else np.exp(p * lb))
-    # sum_i V_i diag(f_i) V_i^T as one rebuild over the n spectra side by side
+    karcher = p == 0
+    f = np.exp(p[:, None, None] * lb)
+    f[karcher] = lb[karcher]
+    # sum_i V_i diag(w_i f_i) V_i^T as one rebuild over the n spectra side by side
     _, n, d = f.shape
+    f *= w[..., None]
     em, vm = np.linalg.eigh(_rebuild(np.swapaxes(vb, -3, -2).reshape(-1, d, n * d), f.reshape(-1, n * d)))
-    if p == 0:
-        g = em
-        resid, rounding = np.sqrt(np.sum(g * g, axis=-1)), 16 * _EPS * np.sqrt(d)
-    else:
-        g = np.log(em) / p
-        resid, rounding = np.abs(g).max(axis=-1), 16 * _EPS / p
+    k = karcher[:, None]
+    g = np.log(em, out=em.copy(), where=~k) / np.where(k, 1.0, p[:, None])
+    resid, gk = np.abs(g).max(axis=-1), g[karcher]
+    resid[karcher] = np.sqrt(np.sum(gk * gk, axis=-1))
     resid[bad] = np.inf
     return g, vm, np.abs(lb).max(axis=(-2, -1)), resid, resid + rounding
 
@@ -420,35 +425,37 @@ def _geodesic_loop(frame, x0, slope, floor, tol, what, batch):
     An Anderson point whose spectrum leaves ``[min lw - dmax, max lw +
     dmax]`` at ``x0`` is rejected unseen, since the mean lies in ``e^{+-dmax}
     x0``; so is one whose frame is not positive definite.  A member that
-    meets ``tol`` (a number or one per member) is frozen, and all arithmetic
-    is per member, so its solution does not depend on its batch; one whose
-    damping collapses is accepted with its bound if its residual is within
-    ``floor`` (the rounding floor of its inputs).
+    meets ``tol`` is frozen, and all arithmetic is per member, so its
+    solution and its iteration count (the loop's count when it froze) do not
+    depend on its batch; one whose damping collapses is accepted with its
+    bound if its residual is within ``floor`` (the rounding floor of its
+    inputs).  ``slope``, ``tol`` and ``what`` (names for :class:`NoConvergence`)
+    are one value or one per member; it returns solutions, counts and bounds per member.
     """
     ew, lv = np.linalg.eigh(x0)
+    size, d = ew.shape
     if np.any(ew <= 0):
-        raise NoConvergence(f"{what} start is not positive definite")
+        raise NoConvergence("geodesic start is not positive definite")
     lw = np.log(ew)
-    size, d = lw.shape
     idx = np.arange(size)  # the members still iterating
     g, v, dmax, resid, bound = frame(idx)(_rebuild(lv, np.exp(-0.5 * lw)))
     if not np.all(np.isfinite(resid)):
         raise NoConvergence("geodesic iterate lost positive definiteness")
-    out_w, out_v, out_bound = lw.copy(), lv.copy(), bound.copy()
+    out_w, out_v, out_bound, out_iters = lw.copy(), lv.copy(), bound.copy(), np.zeros(size, dtype=int)
     lo, hi = lw[:, 0] - dmax, lw[:, -1] + dmax  # the spectrum of log X* lies in [lo, hi]
     cap, hist, count = np.ones(size), np.zeros((size, 2, _DEPTH, d * d)), np.zeros(size, dtype=int)
+    slope, tol = np.broadcast_to(slope, size), np.broadcast_to(tol, size)
     theta = np.maximum(slope, np.minimum(cap, 2.0 / (2.0 + dmax)))
     l, c = _rebuild(lv, lw).reshape(size, -1), _chart_step(lw, lv, g, v)
     f = theta[:, None] * c
-    tol = np.broadcast_to(tol, size)
     live, iters = bound >= tol, 0
     while True:
         all_live = live.all()
         if not all_live:  # write out the members that stopped, go on with the rest
             fin = idx[~live]
-            out_w[fin], out_v[fin], out_bound[fin] = lw[~live], lv[~live], bound[~live]
-            state = (idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count, tol)
-            idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count, tol = (
+            out_w[fin], out_v[fin], out_bound[fin], out_iters[fin] = lw[~live], lv[~live], bound[~live], iters
+            state = (idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count, slope, tol)
+            idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count, slope, tol = (
                 x[live] for x in state
             )
         if iters == 0 or not all_live:
@@ -508,9 +515,12 @@ def _geodesic_loop(frame, x0, slope, floor, tol, what, batch):
         out_w[idx], out_v[idx] = lw, lv
     x = _rebuild(out_v, np.exp(out_w)).reshape(batch + (d, d))
     if len(idx):
-        msg = f"{what} iteration stopped above its tolerance after {iters} steps"
-        raise NoConvergence(msg, last_iterate=x, residual=float(bound.max()))
-    return x, iters, out_bound.reshape(batch)
+        what = np.broadcast_to(what, size)
+        members = [{"member": int(i), "what": str(what[i]), "bound": float(b)} for i, b in zip(idx, bound)]
+        named = ", ".join(f"{m['member']} ({m['what']}, bound {m['bound']:.3e})" for m in members[:5])
+        msg = f"geodesic iteration stopped above its tolerance after {iters} steps; {len(idx)} live: {named}"
+        raise NoConvergence(msg + (", ..." if len(idx) > 5 else ""), x, float(bound.max()), members)
+    return x, out_iters.reshape(batch), out_bound.reshape(batch)
 
 
 def eval_mean_stack(
@@ -522,28 +532,36 @@ def eval_mean_stack(
     weight vector at every weighted node, which is how campaigns run many
     random weightings through one batched solve.  Iterative solves stop at
     ``DT_TOL``; a Karcher mean is also certified unless ``certify`` is off.
+    That is one loop call on ``[A]`` at exponent 0 and ``[A]``, ``[A^{-1}]`` at
+    ``KARCHER_ALPHA``; members freeze on their own, so only the gap differs.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2]:
         raise DimensionMismatch(f"expected shape (..., n, d, d), got {stack.shape}")
-    gap = None
-    vals, iters, step = _eval_node(spec, stack, weights_override)
-    if spec.kind == "karcher" and certify:
-        w = _node_weights(spec, weights_override, stack.shape[-3])
-        gap = _certify_karcher(w, stack, vals)
-    return StackResult(values=vals, iterations=iters, residual_dt=np.asarray(step), enclosure_gap=gap)
+    n, certified = stack.shape[-3], spec.kind == "karcher" and certify
+    if not certified or n == 1:
+        vals, iters, bound = _eval_node(spec, stack, weights_override)
+        gap = np.zeros(np.shape(bound)) if certified else None
+    else:
+        w = _node_weights(spec, weights_override, n)
+        a = np.broadcast_to(stack, np.broadcast_shapes(stack.shape[:-3], w.shape[:-1]) + stack.shape[-3:])
+        t, size = KARCHER_ALPHA, int(np.prod(a.shape[:-3]))
+        p = np.repeat([0.0, t, t], size)
+        what = np.repeat(["Karcher", f"enclosure end P_{t}", f"enclosure end P_-{t}"], size)
+        x, iters, bound = _power_loop(w, p, np.stack([a, a, spd_inv(a)]), DT_TOL, what)
+        vals, iters, bound, gap = x[0], iters[0], bound[0], _certify_karcher(x[0], x[1], spd_inv(x[2]))
+    iters = int(np.max(iters, initial=0))
+    return StackResult(values=vals, iterations=iters, residual_dt=np.asarray(bound), enclosure_gap=gap)
 
 
-def _certify_karcher(w, stack, vals):
-    """Assert the power-mean enclosure around a Karcher solve; return its width.
+def _certify_karcher(vals, upper, lower):
+    """Assert ``lower <= vals <= upper`` for a Karcher solve and its power-mean enclosure; return its width.
 
-    ``P_{-t} <= G <= P_t`` with ``t = KARCHER_ALPHA``.  Both ends come
-    from one batched fixed-point solve at ``+t``: the upper end on ``stack``
-    and the lower end through ``P_{-t}(A) = P_t(A^{-1})^{-1}`` on the
-    inverses, stacked along a new leading axis.
+    ``P_{-t} <= G <= P_t`` with ``t = KARCHER_ALPHA``; the ends solve a
+    different equation from ``G``, in the same loop call (see
+    :func:`eval_mean_stack`), the lower one through ``P_{-t}(A) =
+    P_t(A^{-1})^{-1}``.
     """
-    ends, _, _ = _power_loop(w, KARCHER_ALPHA, np.stack([stack, spd_inv(stack)]), DT_TOL)
-    upper, lower = ends[0], spd_inv(ends[1])
     scale = op_norm(upper) + op_norm(vals)
     tol = 1e-9
     up_margin = lambda_min(upper - vals) / scale
@@ -607,8 +625,8 @@ def karcher_mean(w: Weights, As: Sequence[SpdMatrix], *, certify: bool = True) -
     """Solve the defining equation of the multivariate geometric mean.
 
     The returned result is certified (unless ``certify`` is off) by the
-    power-mean pair at exponents ``+-KARCHER_ALPHA``, an enclosure that
-    is computed by a different solver route than the solution itself;
+    power-mean pair at exponents ``+-KARCHER_ALPHA``, an enclosure whose
+    ends solve a different equation, as members of the same loop call;
     ``enclosure_gap`` is the Thompson width of that certificate.
     """
     return eval_mean(MultiMeanSpec.karcher(w), As, certify=certify)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from opmeans import multimeans
 from opmeans.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_SEARCH_EXHAUSTED,
     build_parser,
@@ -118,6 +120,48 @@ def test_subcommand_options_are_pinned():
         "search": ["--help", "--mode", "--output", "--r", "--tau", "-h"],
         "kantorovich": ["--help", "--output", "-h"],
     }
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # one parser serves every call in a process; a call gives the same exit
+    # code and output whether it comes first or after other subcommands
+    assert build_parser() is build_parser()
+    spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.5, 0.5]})
+    mats = write(tmp_path, "mats.json", [matrix_json(np.eye(2)), matrix_json(np.diag([2.0, 3.0]))])
+    calls = [
+        ["mean", "--spec", spec, "--matrices", mats],
+        ["kantorovich", "2", "2"],
+        ["mean", "--spec", spec, "--matrices", mats, "--no-certify"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, _ in first] == [EXIT_OK] * 3
+    build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == first
+
+
+def test_mean_no_convergence_payload_names_members(tmp_path, capsys, monkeypatch):
+    # a certified Karcher solve cut at 2 steps: exit 2 with a diagnostic
+    # that lists each member still live, the mean and both enclosure ends
+    monkeypatch.setattr(multimeans, "MAX_ITERS", 2)
+    spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.2, 0.3, 0.5]})
+    mats = write(tmp_path, "mats.json", [matrix_json(random_spd(3, (0.5, 2.0), 77 + j).a) for j in range(3)])
+    code = main(["mean", "--spec", spec, "--matrices", mats])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_NO_CONVERGENCE
+    assert sorted(out) == ["error", "members", "message", "residual"]
+    assert out["error"] == "NoConvergence"
+    assert [(m["member"], m["what"].split()[0]) for m in out["members"]] == [
+        (0, "Karcher"), (1, "enclosure"), (2, "enclosure")
+    ]
+    assert out["residual"] == max(m["bound"] for m in out["members"])
 
 
 def test_mean_unwritable_output_is_input_error(tmp_path, capsys):

@@ -149,6 +149,26 @@ def test_deformed_mean_no_convergence_payload(monkeypatch):
         deformed_mean(MultiMeanSpec.arithmetic(W3), geometric(0.25), As)
     assert info.value.last_iterate is not None
     assert info.value.residual > 0
+    # the one member is named, with its bound, in the exception and its message
+    assert info.value.members == [{"member": 0, "what": "deformed-mean", "bound": info.value.residual}]
+    assert "0 (deformed-mean, bound " in str(info.value)
+
+
+def test_certified_karcher_no_convergence_names_members(monkeypatch):
+    # a certified solve is one loop call over [A] at 0 and [A], [A^{-1}] at
+    # KARCHER_ALPHA; a failure says which of the three members stopped short
+    As = ensemble(3, 3, 77)
+    monkeypatch.setattr(multimeans, "MAX_ITERS", 2)
+    with pytest.raises(errors.NoConvergence) as info:
+        karcher_mean(W3, As)
+    members = info.value.members
+    assert [m["member"] for m in members] == [0, 1, 2]
+    whats = [m["what"] for m in members]
+    assert whats == ["Karcher", f"enclosure end P_{KARCHER_ALPHA}", f"enclosure end P_-{KARCHER_ALPHA}"]
+    assert all(m["bound"] >= DT_TOL for m in members)
+    assert info.value.residual == max(m["bound"] for m in members)
+    for m in members:
+        assert f"{m['member']} ({m['what']}, bound {m['bound']:.3e})" in str(info.value)
 
 
 def test_arithmetic_deformation_solves_normalized_residual_equation():
@@ -463,21 +483,57 @@ def test_karcher_certification_reports_gap():
 
 @pytest.mark.parametrize("batch", [1, 8])
 def test_batched_enclosure_matches_separate_power_solves(batch):
-    # both enclosure ends come from one solve at +t on [A, A^{-1}]; the gap
-    # must match the ends solved one at a time, P_t(A) and P_{-t}(A)
+    # both enclosure ends come from the certified solve's one loop call, P_t
+    # on [A, A^{-1}] beside the Karcher members; the gap must match the ends
+    # solved one at a time, P_t(A) and P_{-t}(A)
     stack = np.stack(
         [np.stack([a.a for a in ensemble(3, 3, 900 + 10 * b, spectrum=(0.6, 1.8))]) for b in range(batch)]
     )
     w = W3.asarray()
-    vals = eval_mean_stack(MultiMeanSpec.karcher(W3), stack, certify=False).values
-    gap = _certify_karcher(w, stack, vals)
+    res = eval_mean_stack(MultiMeanSpec.karcher(W3), stack)
     t = KARCHER_ALPHA
     upper, _, _ = _eval_node(MultiMeanSpec.power(UNI3, t), stack, w)
     lower, _, _ = _eval_node(MultiMeanSpec.power(UNI3, -t), stack, w)
+    gap = _certify_karcher(res.values, upper, lower)
     assert gap.shape == (batch,)
-    np.testing.assert_allclose(gap, thompson(lower, upper), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(res.enclosure_gap, gap, rtol=0, atol=1e-9)
     with pytest.raises(errors.CertificationFailure):
-        _certify_karcher(w, stack, 1.05 * vals)
+        _certify_karcher(1.05 * res.values, upper, lower)
+
+
+def _certify_case(case):
+    """``(stack, weights spec, weights_override)`` for test_certifying_does_not_change_the_solve."""
+    if case == "bench-seed1-s22":  # mean_certified at seed 1, ensemble 22
+        return np.stack([random_spd(3, (0.6, 1.8), 12200 + j).a for j in range(4)]), Weights.uniform(4), None
+    batch = 1 if case == "batch-1" else 8
+    stack = np.stack(
+        [np.stack([a.a for a in ensemble(3, 3, 900 + 10 * b, spectrum=(0.6, 1.8))]) for b in range(batch)]
+    )
+    if case == "batch-1" or case == "batch-8":
+        return stack, W3, None
+    w = np.random.default_rng(5).dirichlet(np.ones(3), size=8)
+    # "weights-one-ensemble": the weights alone carry the batch, over one ensemble
+    return (stack if case == "weights" else stack[0]), W3, w
+
+
+@pytest.mark.parametrize("case", ["batch-1", "batch-8", "weights", "weights-one-ensemble", "bench-seed1-s22"])
+def test_certifying_does_not_change_the_solve(case):
+    # the enclosure members run in the Karcher solve's loop call, but every
+    # member freezes on its own and counts its own iterations, so the Karcher
+    # members' values, iterations and bounds are those of the uncertified solve
+    stack, weights, w = _certify_case(case)
+    spec = MultiMeanSpec.karcher(weights)
+    cert = eval_mean_stack(spec, stack, w)
+    plain = eval_mean_stack(spec, stack, w, certify=False)
+    assert np.array_equal(cert.values, plain.values)
+    assert cert.iterations == plain.iterations
+    assert np.array_equal(cert.residual_dt, plain.residual_dt)
+    t = KARCHER_ALPHA
+    upper, up_iters, _ = _eval_node(MultiMeanSpec.power(weights, t), stack, w)
+    lower, lo_iters, _ = _eval_node(MultiMeanSpec.power(weights, -t), stack, w)
+    assert np.array_equal(cert.enclosure_gap, thompson(lower, upper))
+    if case == "bench-seed1-s22":  # an enclosure end takes longer than the mean itself
+        assert (plain.iterations, max(up_iters.max(), lo_iters.max())) == (9, 10)
 
 
 # ------------------------------------------------------------------ axioms
@@ -545,6 +601,10 @@ def test_degenerate_single_input():
         MultiMeanSpec.power(Weights((1.0,)), 0.5),
     ):
         np.testing.assert_allclose(eval_mean(spec, [a], certify=False).value.a, a.a, atol=1e-13)
+    # a certified Karcher mean of one matrix is that matrix, with nothing to solve or enclose
+    res = karcher_mean(Weights((1.0,)), [a])
+    assert np.array_equal(res.value.a, a.a)
+    assert (res.iterations, res.residual_dt, res.enclosure_gap) == (0, 0.0, 0.0)
 
 
 # ----------------------------------------------------------- comparison bound
