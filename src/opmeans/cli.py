@@ -24,7 +24,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError, NoConvergence, OpmeansError
 from .inequalities import (
@@ -99,8 +98,6 @@ def cmd_verify(args) -> int:
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
         return EXIT_OK if report.holds else EXIT_CHECK_FAILED
     config = CampaignConfig.from_json(_load_json(args.campaign))
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     results = run_campaign(config, args.threads)
     lines = [json.dumps(r, sort_keys=True) for r in results]
     passed = sum(1 for r in results if r.get("holds") and "error" not in r)
@@ -158,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("campaign", nargs="?", help="campaign config JSON file")
     p_verify.add_argument("--recheck", default=None, help="re-run one failed report line (JSON file)")
     p_verify.add_argument("--threads", type=int, default=1)
-    p_verify.add_argument("--seed", type=int, default=None, help="override the campaign seed")
     p_verify.add_argument("--output", default=None, help="report path (JSON lines); '-' for stdout")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -3,7 +3,9 @@
 Each check computes both sides of a matrix inequality, takes the smallest
 eigenvalue of the favorable difference, and normalizes it by the combined
 spectral scale of the two sides, so a margin of ``-1e-9`` means the same
-thing at every dimension and scale.  ``holds`` is ``margin >= -tol``.
+thing at every dimension and scale.  ``holds`` is ``margin >= -CHECK_TOL``
+with the one threshold :data:`CHECK_TOL`; a caller that wants another
+threshold reads ``margin``.
 
 Every check is a campaign cell.  :func:`run_cell` evaluates one
 (family, dimension, r, alpha) cell over many seeded random trials in a
@@ -12,18 +14,18 @@ single stacked solve, which is what makes 200-trial cells affordable, and
 solves across the r values of each (family, dimension, alpha) group.  The
 typed checks (``check_ah_family``, ``check_modified``, ``check_two_var``,
 ``check_reverse`` ...) take :class:`SpdMatrix` inputs and run the same
-margin function on a one-trial cell; :func:`recheck` builds that cell from
-a report's witness.  Both validate the trial in one place, and every report
-comes from one builder, which reads each per-trial constant at the worst
-trial.  Every solve here stops at ``multimeans.DT_TOL`` and runs
-uncertified, so cells, typed checks and ``recheck`` agree and a report is a
-function of its inputs.
+margin function on a one-trial cell, whose report carries ``witness_seed``
+-1; :func:`recheck` builds that cell from a report's witness.  Both
+validate the trial in one place, and every report comes from one builder,
+which reads each per-trial constant at the worst trial.  Every solve here
+stops at ``multimeans.DT_TOL`` and runs uncertified, so cells, typed checks
+and ``recheck`` agree and a report is a function of its inputs.
 
 Family identifiers ("3.9" ... "5.10", "L5.1", "logmaj") are opaque labels
 fixed by the report wire format.  :data:`FAMILIES` is the one table that
 says what each family needs: its r-range, whether it takes alpha, its data
-layout (a trial is a stack of matrices: an ensemble, the pair A, B, or an
-ensemble and a compression), the spectrum rule of the bounded families and
+layout (a trial is a stack of matrices: an ensemble, the pair A, B, or a
+matrix A and a compression C), the spectrum rule of the bounded families and
 its margin function.  The modified bracket of 4.1/4.2 and 4.4-4.9 is one
 function, :func:`_modified_bracket`, over each family's own mean.  The typed
 labels "3.1"-"3.4", "4.1" and "4.2" read their r-range from the families
@@ -111,7 +113,7 @@ __all__ = [
     "run_campaign",
 ]
 
-DEFAULT_CHECK_TOL = 1e-9
+CHECK_TOL = 1e-9  # a check holds when its margin is >= -CHECK_TOL; read at call time
 
 
 # --------------------------------------------------------------------------
@@ -299,8 +301,6 @@ def check_ah_family(
     As: Sequence[SpdMatrix],
     r: float,
     variant: str,
-    tol: float = DEFAULT_CHECK_TOL,
-    witness_seed: int = -1,
 ) -> CheckReport:
     """Power-escalation check of a mean against its scalar prefactor.
 
@@ -312,10 +312,10 @@ def check_ah_family(
         raise UnknownKind(f"unknown variant {variant!r}")
     family, adjoint, compare = _AH_VARIANTS[variant]
     _require_r(r, FAMILIES[family]["r_range"], variant)
-    data = _witness_cell("stack", As, witness_seed, _spec_weights(spec))
+    data = _witness_cell("stack", As, _spec_weights(spec))
     use = MultiMeanSpec.adjoint(spec) if adjoint else spec
     margins = _ah_margin(use, adjoint, compare, data, r, {})
-    return _verdict(f"{variant}:{spec.kind}", data, margins, {}, tol, r, spec.alpha)
+    return _verdict(f"{variant}:{spec.kind}", data, margins, {}, r, spec.alpha)
 
 
 def check_modified(
@@ -324,8 +324,6 @@ def check_modified(
     As: Sequence[SpdMatrix],
     r: float,
     which: str,
-    tol: float = DEFAULT_CHECK_TOL,
-    witness_seed: int = -1,
 ) -> CheckReport:
     """Two-sided check of the deformed mean against its power-adjusted twin.
 
@@ -337,14 +335,14 @@ def check_modified(
         raise UnknownKind(f"unknown modified check {which!r}")
     r_range = FAMILIES["4.4" if which == "4.1" else "4.5"]["r_range"]
     _require_r(r, r_range, which)
-    data = _witness_cell("stack", As, witness_seed, _spec_weights(base))
+    data = _witness_cell("stack", As, _spec_weights(base))
 
     def mean(s, q):
         sig = sigma if s == 1 else rep_transform(sigma, "power_inner", s)
         return _solve(MultiMeanSpec.deformed(base, sig), q, data, {})
 
     margins, consts = _modified_bracket(mean, r, r_range)
-    return _verdict(which, data, margins, consts, tol, r, None)
+    return _verdict(which, data, margins, consts, r, None)
 
 
 def check_two_var(
@@ -354,8 +352,6 @@ def check_two_var(
     B: SpdMatrix,
     r: float,
     which: str,
-    tol: float = DEFAULT_CHECK_TOL,
-    witness_seed: int = -1,
 ) -> CheckReport:
     """Two-variable specializations of the modified checks.
 
@@ -364,16 +360,16 @@ def check_two_var(
     """
     if which not in FAMILIES or FAMILIES[which]["layout"] != "pair":
         raise UnknownKind(f"unknown two-variable check {which!r}")
-    return _family_check(which, r, [A, B], witness_seed, tol, tau=tau, sigma=sigma)
+    return _family_check(which, r, [A, B], tau=tau, sigma=sigma)
 
 
-def _family_check(family, r, mats, seed, tol, **inputs) -> CheckReport:
+def _family_check(family, r, mats, **inputs) -> CheckReport:
     """``family``'s own cell as a typed check of the one trial ``mats``."""
     info = FAMILIES[family]
     _require_r(r, info["r_range"], family)
-    data = _witness_cell(info["layout"], mats, seed, **inputs)
+    data = _witness_cell(info["layout"], mats, **inputs)
     margins, consts = info["margins"](data, r, None, {})
-    return _verdict(family, data, margins, consts, tol, r, None)
+    return _verdict(family, data, margins, consts, r, None)
 
 
 def _modified_bracket(mean, r, r_range):
@@ -394,7 +390,6 @@ def check_implication_equivalence(
     sigma: RepFnSpec,
     tau: RepFnSpec,
     r: float,
-    tol: float = DEFAULT_CHECK_TOL,
 ) -> CheckReport:
     """Agreement test between a scalar power condition and its matrix form.
 
@@ -414,7 +409,7 @@ def check_implication_equivalence(
     scalar_margins = (fs - ft) / (np.abs(fs) + np.abs(ft))
     scalar_margin = float(scalar_margins.min())
     t_worst = float(grid[np.argmin(scalar_margins)])
-    scalar_ok = scalar_margin >= -tol
+    scalar_ok = scalar_margin >= -CHECK_TOL
 
     def excess(a, b):
         """``(lambda_min(A^r sigma B^r) - 1) / (1 + ||A^r sigma B^r||)``, batched."""
@@ -434,7 +429,7 @@ def check_implication_equivalence(
         a = np.diag([1.0 / x, 1.0 / x])
         b = np.diag([t_worst / x, t_worst / x])
         worst_matrix = min(worst_matrix, float(excess(a, b)))
-    matrix_ok = worst_matrix >= -tol
+    matrix_ok = worst_matrix >= -CHECK_TOL
     agree = scalar_ok == matrix_ok
     return CheckReport(
         inequality_id="4.6-equiv",
@@ -472,8 +467,6 @@ def check_reverse(
     r: float,
     which: str,
     bounds,
-    tol: float = DEFAULT_CHECK_TOL,
-    witness_seed: int = -1,
 ) -> CheckReport:
     """Reverse power-escalation bounds with Kantorovich prefactors.
 
@@ -487,9 +480,9 @@ def check_reverse(
     if which not in (*_REVERSE_ALPHA, "5.10"):
         raise UnknownKind(f"unknown reverse check {which!r}")
     _require_r(r, FAMILIES[which]["r_range"], which)
-    data = _witness_cell("stack", As, witness_seed, w, bounds)
+    data = _witness_cell("stack", As, w, bounds)
     margins, consts = _reverse_margins(which, data, alpha, r, {})
-    return _verdict(which, data, margins, consts, tol, r, alpha)
+    return _verdict(which, data, margins, consts, r, alpha)
 
 
 def _reverse_margins(which, data, alpha, r, cache):
@@ -536,14 +529,12 @@ def check_compression_reverse(
     m: float,
     M: float,
     mu: float,
-    tol: float = DEFAULT_CHECK_TOL,
-    witness_seed: int = -1,
 ) -> CheckReport:
     """``C A^r C <= K(M/(m mu), r) (C A C)^r`` for a contraction-like ``C``.
 
     Requires ``m I <= A <= M I`` and ``mu I <= C^2 <= I``.
     """
-    return _family_check("L5.1", r, [A, C], witness_seed, tol, bounds=(m, M), mu=mu)
+    return _family_check("L5.1", r, [A, C], bounds=(m, M), mu=mu)
 
 
 def check_arithmetic_power_reverse(
@@ -551,11 +542,9 @@ def check_arithmetic_power_reverse(
     As: Sequence[SpdMatrix],
     r: float,
     bounds,
-    tol: float = DEFAULT_CHECK_TOL,
-    witness_seed: int = -1,
 ) -> CheckReport:
     """``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r`` under pinned bounds."""
-    return _family_check("5.3", r, As, witness_seed, tol, weights=w, bounds=bounds)
+    return _family_check("5.3", r, As, weights=w, bounds=bounds)
 
 
 # --------------------------------------------------------------------------
@@ -612,8 +601,6 @@ def check_log_majorization(
     w: Weights,
     As: Sequence[SpdMatrix],
     r: float,
-    tol: float = DEFAULT_CHECK_TOL,
-    witness_seed: int = -1,
 ) -> CheckReport:
     """Partial-product domination between geometric means at powers r and 1.
 
@@ -622,7 +609,7 @@ def check_log_majorization(
     ``lambda_{N+1-i}^{r-1} lambda_i`` of the mean of the ``A_j``, with
     equality of the full products.
     """
-    return _family_check("logmaj", r, As, witness_seed, tol, weights=w)
+    return _family_check("logmaj", r, As, weights=w)
 
 
 # --------------------------------------------------------------------------
@@ -739,31 +726,26 @@ def verify_counterexample(cx: Counterexample, tau: RepFnSpec) -> bool:
     raise BadMode(f"unknown counterexample id {cx.violated_id!r}")
 
 
-def find_reverse_improvement(
-    r: float = 2.0,
-    kappa0: float = 2.0,
-    dim: int = 3,
-    n: int = 3,
-    max_seeds: int = 200,
-):
+def find_reverse_improvement():
     """Seeded search for an instance where the Kantorovich bound beats the norm bound.
 
-    Looks for an ensemble with ``1 < kappa0 < 4`` whose multivariate
-    geometric mean is spread enough that
-    ``K(kappa0 kappa(X), 2) lambda_min(X) < ||X||``; returns the instance
-    data or None.
+    Tries seeds 0-199 in order, each an ensemble of three 3x3 matrices with
+    spectra in ``[1, kappa0]``, ``kappa0 = 2``, and returns the data of the
+    first whose multivariate geometric mean X is spread enough that
+    ``K(kappa0 kappa(X), 2) lambda_min(X) < ||X||``, or None.  The prefilter
+    ``kappa(X) > 1 / (sqrt(kappa0) (2 - sqrt(kappa0)))`` is derived for
+    r = 2 and needs ``1 < kappa0 < 4``.
     """
-    if not 1.0 < kappa0 < 4.0:
-        raise BadH(f"the improvement regime needs kappa0 in (1, 4), got {kappa0}")
+    kappa0 = 2.0
     threshold = 1.0 / (np.sqrt(kappa0) * (2.0 - np.sqrt(kappa0)))
-    uni = Weights.uniform(n)
-    for seed in range(max_seeds):
-        mats = [random_spd(dim, (1.0, kappa0), 7_000 + 31 * seed + j) for j in range(n)]
+    uni = Weights.uniform(3)
+    for seed in range(200):
+        mats = [random_spd(3, (1.0, kappa0), 7_000 + 31 * seed + j) for j in range(3)]
         x = eval_mean_stack(MultiMeanSpec.karcher(uni), _as_stack(mats), certify=False).values
         kx = float(op_norm(x) / lambda_min(x))
         if kx <= threshold:
             continue
-        k = kantorovich(kappa0 * kx, r)
+        k = kantorovich(kappa0 * kx, 2.0)
         if k * float(lambda_min(x)) < float(op_norm(x)):
             return {
                 "seed": seed,
@@ -780,7 +762,7 @@ def find_reverse_improvement(
 # batched campaign cells
 # --------------------------------------------------------------------------
 
-_N = 3  # matrices per trial ensemble in the stack and compress layouts
+_N = 3  # matrices per trial ensemble in the stack layout
 
 
 def _solve(spec, r, data, cache):
@@ -864,10 +846,9 @@ def _arith_reverse_cell(data, r, alpha, cache):
 
 
 def _compression_cell(data, r, alpha, cache):
-    """L5.1: ``C A^r C <= K(M/(m mu), r) (C A C)^r`` for the first matrix
-    ``A`` of each trial's ensemble."""
+    """L5.1: ``C A^r C <= K(M/(m mu), r) (C A C)^r`` for each trial ``[A, C]``."""
     m, M = data.bounds
-    a, c = data.stack[:, 0], data.c
+    a, c = data.stack[:, 0], data.stack[:, 1]
     h1 = M / (m * data.mu)
     k = kantorovich(h1, r)
     lhs = sym(c @ spd_power(a, r) @ c)
@@ -902,8 +883,8 @@ def _family(r_range, margins, needs_alpha=True, layout="stack", spread=None):
 
     ``layout`` holds a trial as ``"stack"`` (``_N`` matrices and weights),
     ``"pair"`` (the two matrices A, B and the representing functions tau,
-    sigma) or ``"compress"`` (``_N`` matrices and weights, then a compression
-    C); the witness matrices are written in that order.  ``spread`` pins a bounded
+    sigma) or ``"compress"`` (a matrix A and a compression C); the witness
+    matrices are written in that order.  ``spread`` pins a bounded
     family's inputs to [m, M], m ~ U(0.5, 1) per cell and M/m fixed or drawn
     from a (lo, hi) range; the others use [0.5, 2.2].  The Kantorovich
     prefactors only dominate when the input spread is wide relative to the
@@ -949,7 +930,6 @@ class _CellData:
     seeds: list
     stack: np.ndarray  # (trials, matrices, dim, dim)
     weights: Optional[np.ndarray] = None
-    c: Optional[np.ndarray] = None
     bounds: tuple = (None, None)
     mu: float = 0.4  # the compress layout draws C with mu I <= C^2 <= I
     tau: Optional[RepFnSpec] = None
@@ -961,8 +941,7 @@ class _CellData:
 
     def witness(self, idx):
         """Trial ``idx``'s matrices in wire format, in the order ``recheck`` reads them."""
-        mats = list(self.stack[idx]) + ([] if self.c is None else [self.c[idx]])
-        return [matrix_to_json(m) for m in mats]
+        return [matrix_to_json(m) for m in self.stack[idx]]
 
 
 def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
@@ -980,57 +959,61 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
         m = round(float(cell_rng.uniform(0.5, 1.0)), 6)
         ratio = cell_rng.uniform(*spread) if isinstance(spread, tuple) else spread
         spectrum = bounds = (m, round(float(m * ratio), 6))
-    # a pair trial is the two matrices A, B; the others are an ensemble of _N
-    keys = "ab" if info["layout"] == "pair" else range(_N)
+    # a pair trial is the two matrices A, B, a compress trial A then C; a
+    # stack trial is an ensemble of _N
+    keys = {"stack": range(_N), "pair": "ab", "compress": (0,)}[info["layout"]]
     draws = random_spd_stack(dim, spectrum, [_derive_seed(s, k) for s in seeds for k in keys])
     data = _CellData(seeds, draws.reshape(trials, len(keys), dim, dim), bounds=bounds)
-    if info["layout"] == "pair":
+    if info["layout"] == "compress":
+        c = random_spd_stack(dim, (np.sqrt(data.mu), 0.999999), [_derive_seed(s, "c") for s in seeds])
+        data.stack = np.concatenate([data.stack, c[:, None]], axis=1)
+    elif info["layout"] == "pair":
         kind_rng = np.random.default_rng(_derive_seed(master_seed, family, dim, alpha, "fn"))
         w_tau = round(float(kind_rng.uniform(0.25, 0.75)), 6)
         data.tau = (arithmetic, harmonic, geometric)[int(kind_rng.integers(3))](w_tau)
         data.sigma = geometric(alpha) if kind_rng.integers(2) == 0 else harmonic(alpha)
-        return data
-    raw = np.stack(
-        [np.random.default_rng(_derive_seed(s, "w")).uniform(0.2, 1.0, _N) for s in seeds]
-    )
-    data.weights = raw / raw.sum(axis=1, keepdims=True)
-    if info["layout"] == "compress":
-        data.c = random_spd_stack(dim, (np.sqrt(data.mu), 0.999999), [_derive_seed(s, "c") for s in seeds])
+    else:
+        raw = np.stack(
+            [np.random.default_rng(_derive_seed(s, "w")).uniform(0.2, 1.0, _N) for s in seeds]
+        )
+        data.weights = raw / raw.sum(axis=1, keepdims=True)
     return data
 
 
-def _witness_cell(layout, mats, seed, weights=None, bounds=None, mu=None, tau=None, sigma=None) -> _CellData:
+def _witness_cell(layout, mats, weights=None, bounds=None, mu=None, tau=None, sigma=None, seed=-1) -> _CellData:
     """A one-trial cell in ``layout`` from typed inputs or a report's witness.
 
     ``mats`` are the trial's matrices in witness order.  The trial must be
     one that a campaign could have drawn: a matrix count that fits the
-    layout, one dimension, one weight per ensemble matrix (uniform when
-    ``weights`` is None), ``m I <= A_j <= M I`` under ``bounds = (m, M)``
-    with ``0 < m < M``, and ``mu I <= C^2 <= I`` for the compression.
+    layout (two for a pair or a compression), one dimension, one weight per
+    ensemble matrix (uniform when ``weights`` is None), ``m I <= A_j <= M I``
+    under ``bounds = (m, M)`` with ``0 < m < M``, and ``mu I <= C^2 <= I``
+    for the compression.  ``seed`` is the trial's seed as reported; a typed
+    check has none, -1.
     """
     arrays = _as_stack(mats)
-    if (layout == "pair" and len(arrays) != 2) or (layout == "compress" and len(arrays) < 2):
+    if layout != "stack" and len(arrays) != 2:
         raise ArityMismatch(f"{len(arrays)} matrices do not fit the {layout} layout")
-    ensemble = arrays[:-1] if layout == "compress" else arrays
-    data = _CellData([seed], ensemble[None])
+    data = _CellData([seed], arrays[None])
     if layout == "pair":
         data.tau, data.sigma = tau, sigma
         return data
-    w = Weights.uniform(len(ensemble)) if weights is None else weights
-    if len(w.values) != len(ensemble):
-        raise ArityMismatch(f"{len(w.values)} weights for {len(ensemble)} matrices")
-    data.weights = w.asarray()[None]
+    if layout == "stack":
+        w = Weights.uniform(len(arrays)) if weights is None else weights
+        if len(w.values) != len(arrays):
+            raise ArityMismatch(f"{len(w.values)} weights for {len(arrays)} matrices")
+        data.weights = w.asarray()[None]
     if bounds is not None:
         if not 0 < bounds[0] < bounds[1]:
             raise BoundsViolated(f"bounds need 0 < m < M, got {tuple(bounds)}")
         data.bounds = tuple(bounds)
-        _check_bounds(ensemble, *data.bounds)
+        _check_bounds(arrays[:1] if layout == "compress" else arrays, *data.bounds)
     if layout == "compress":
-        data.c = arrays[-1:]
+        c = arrays[1:]
         data.mu = data.mu if mu is None else mu
         if not 0 < data.mu <= 1:
             raise BoundsViolated(f"mu must lie in (0, 1], got {data.mu}")
-        _check_bounds(data.c @ data.c, data.mu, 1.0)
+        _check_bounds(c @ c, data.mu, 1.0)
     return data
 
 
@@ -1054,7 +1037,7 @@ def _at(value, idx):
     return float(value[idx]) if isinstance(value, np.ndarray) else value
 
 
-def _verdict(ident, data, margins, consts, tol, r, alpha) -> CheckReport:
+def _verdict(ident, data, margins, consts, r, alpha) -> CheckReport:
     """The report of a cell: its worst trial decides ``holds`` and gives every
     per-trial constant; a failing report embeds that trial's seed, matrices
     and weights so it can be re-checked in isolation."""
@@ -1067,7 +1050,7 @@ def _verdict(ident, data, margins, consts, tol, r, alpha) -> CheckReport:
     }
     if data.bounds[0] is not None:
         constants["m"], constants["M"] = data.bounds
-    holds = margin >= -tol
+    holds = margin >= -CHECK_TOL
     matrices = None
     if not holds:
         matrices = data.witness(worst)
@@ -1091,7 +1074,6 @@ def run_cell(
     trials: int,
     master_seed: int,
     *,
-    tol: float = DEFAULT_CHECK_TOL,
     data: Optional[_CellData] = None,
     cache: Optional[dict] = None,
 ) -> CheckReport:
@@ -1108,7 +1090,7 @@ def run_cell(
     if data is None:
         data = _gen_cell_data(family, dim, alpha, trials, master_seed)
     margins, consts = info["margins"](data, r, alpha, {} if cache is None else cache)
-    return _verdict(_cell_id(family, dim, r, alpha), data, margins, consts, tol, r, alpha)
+    return _verdict(_cell_id(family, dim, r, alpha), data, margins, consts, r, alpha)
 
 
 def _finite(value, what) -> float:
@@ -1122,7 +1104,16 @@ def _finite(value, what) -> float:
     return out
 
 
-def recheck(report_json: dict, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
+def _integer(value, what) -> int:
+    """``value`` as an int; ConfigError unless it is a number with no
+    fractional part (a boolean or a string is not)."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def recheck(report_json: dict) -> CheckReport:
     """Re-run a single failed campaign report from its embedded witness.
 
     The witness, with the report's weights, bounds, ``mu`` and representing
@@ -1162,8 +1153,8 @@ def recheck(report_json: dict, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
             raise ConfigError(f"{family} reports must carry tau_json and sigma_json")
         inputs["tau"] = repfn_from_json(consts["tau_json"])
         inputs["sigma"] = repfn_from_json(consts["sigma_json"])
-    data = _witness_cell(info["layout"], [matrix_from_json(m) for m in mats], seed, **inputs)
-    rep = run_cell(family, data.dim, r, alpha, 1, seed, tol=tol, data=data)
+    data = _witness_cell(info["layout"], [matrix_from_json(m) for m in mats], seed=seed, **inputs)
+    rep = run_cell(family, data.dim, r, alpha, 1, seed, data=data)
     return replace(rep, inequality_id=ident)
 
 
@@ -1188,11 +1179,11 @@ class CampaignConfig:
             raise ConfigError(f"a campaign config must be a JSON object, got {type(obj).__name__}")
         try:
             ids = tuple(obj["inequality_ids"])
-            dims = tuple(int(d) for d in obj["dimensions"])
+            dims = tuple(_integer(d, "dimension") for d in obj["dimensions"])
             rs = tuple(_finite(r, "r") for r in obj["r_values"])
             alphas = tuple(_finite(a, "alpha") for a in obj.get("alpha_values", []))
-            trials = int(obj.get("trials", 200))
-            seed = int(obj.get("seed", 0))
+            trials = _integer(obj.get("trials", 200), "trials")
+            seed = _integer(obj.get("seed", 0), "seed")
             output_path = str(obj.get("output_path", "-"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad campaign config: {exc}") from exc

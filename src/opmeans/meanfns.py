@@ -54,8 +54,8 @@ __all__ = [
     "deformed_rep",
     "pmi_margin",
     "condition_vi_margin",
-    "default_x_grid",
-    "default_r_grid",
+    "DEFAULT_X_GRID",
+    "DEFAULT_R_GRID",
     "repfn_to_json",
     "repfn_from_json",
 ]
@@ -385,21 +385,9 @@ def deformed_rep(tau: RepFnSpec, sigma: RepFnSpec, t):
 # --------------------------------------------------------------------------
 
 
-def default_x_grid(n: int = 200):
-    return np.geomspace(1e-3, 1e3, n)
-
-
-def default_r_grid(n: int = 50):
-    return np.linspace(1.0, 8.0, n)
-
-
-def _grid_margin(values, x_grid, r_grid) -> MarginReport:
-    idx = np.unravel_index(np.argmin(values), values.shape)
-    return MarginReport(
-        worst_margin=float(values[idx]),
-        worst_point=(float(x_grid[idx[0]]), float(r_grid[idx[1]])),
-        grid_size=int(values.size),
-    )
+DEFAULT_X_GRID = np.geomspace(1e-3, 1e3, 200)
+DEFAULT_R_GRID = np.linspace(1.0, 8.0, 50)
+DEFAULT_X_GRID.flags.writeable = DEFAULT_R_GRID.flags.writeable = False
 
 
 def pmi_margin(spec: RepFnSpec, x_grid=None, r_grid=None) -> MarginReport:
@@ -409,31 +397,33 @@ def pmi_margin(spec: RepFnSpec, x_grid=None, r_grid=None) -> MarginReport:
     increasing; a nonnegative one is evidence only, since the grid is
     finite.
     """
-    x = np.asarray(default_x_grid() if x_grid is None else x_grid, dtype=float)
-    r = np.asarray(default_r_grid() if r_grid is None else r_grid, dtype=float)
-    _check_grids(x, r)
-    fx = rep_eval(spec, x)[:, None]
-    fxr = rep_eval(spec, x[:, None] ** r[None, :])
-    return _grid_margin(fxr - fx**r, x, r)
+    return _grid_scan(spec, x_grid, r_grid, lambda fx, fxr, r: fxr - fx**r)
 
 
 def condition_vi_margin(spec: RepFnSpec, x_grid=None, r_grid=None) -> MarginReport:
     """Worst value of ``f(x^r) - r f(x) + r - 1`` on the grid."""
-    x = np.asarray(default_x_grid() if x_grid is None else x_grid, dtype=float)
-    r = np.asarray(default_r_grid() if r_grid is None else r_grid, dtype=float)
-    _check_grids(x, r)
-    fx = rep_eval(spec, x)[:, None]
-    fxr = rep_eval(spec, x[:, None] ** r[None, :])
-    return _grid_margin(fxr - r[None, :] * fx + r[None, :] - 1.0, x, r)
+    return _grid_scan(spec, x_grid, r_grid, lambda fx, fxr, r: fxr - r * fx + r - 1.0)
 
 
-def _check_grids(x, r):
+def _grid_scan(spec, x_grid, r_grid, margin) -> MarginReport:
+    """The worst of ``margin(f(x), f(x^r), r)`` over the grid of x (rows)
+    and r (columns); the grids default to :data:`DEFAULT_X_GRID` and
+    :data:`DEFAULT_R_GRID`."""
+    x = np.asarray(DEFAULT_X_GRID if x_grid is None else x_grid, dtype=float)
+    r = np.asarray(DEFAULT_R_GRID if r_grid is None else r_grid, dtype=float)
     if x.size == 0 or r.size == 0:
         raise DomainError("grids must be nonempty")
     if np.any(x <= 0):
         raise DomainError("x grid must be positive")
     if np.any(r < 1):
         raise DomainError("r grid must lie in [1, inf)")
+    values = margin(rep_eval(spec, x)[:, None], rep_eval(spec, x[:, None] ** r[None, :]), r[None, :])
+    idx = np.unravel_index(np.argmin(values), values.shape)
+    return MarginReport(
+        worst_margin=float(values[idx]),
+        worst_point=(float(x[idx[0]]), float(r[idx[1]])),
+        grid_size=int(values.size),
+    )
 
 
 # --------------------------------------------------------------------------

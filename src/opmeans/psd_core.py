@@ -60,8 +60,8 @@ __all__ = [
     "matrix_from_json",
 ]
 
-DEFAULT_PD_TOL = 1e-12
-DEFAULT_SYM_TOL = 1e-8
+PD_TOL = 1e-12
+SYM_TOL = 1e-8
 DEFAULT_ORDER_TOL = 1e-10
 
 
@@ -237,13 +237,13 @@ class LoewnerVerdict:
 # --------------------------------------------------------------------------
 
 
-def validate_spd(entries, tol=DEFAULT_PD_TOL, sym_tol=DEFAULT_SYM_TOL) -> SpdMatrix:
+def validate_spd(entries) -> SpdMatrix:
     """Validate and symmetrize a square array into an :class:`SpdMatrix`.
 
-    Asymmetry up to ``sym_tol * max|entries|`` is folded away by averaging
-    with the transpose; larger asymmetry is an error.  Positive definiteness
-    is rejected when the smallest eigenvalue is at or below
-    ``tol * spectral_scale``.
+    Asymmetry up to ``SYM_TOL * max|entries|`` is folded away by
+    averaging with the transpose; larger asymmetry is an error.  Positive
+    definiteness is rejected when the smallest eigenvalue is at or below
+    ``PD_TOL * spectral_scale``.
     """
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -252,15 +252,15 @@ def validate_spd(entries, tol=DEFAULT_PD_TOL, sym_tol=DEFAULT_SYM_TOL) -> SpdMat
         raise DomainError("matrix entries must be finite")
     scale = np.max(np.abs(a)) if a.size else 0.0
     gap = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if gap > sym_tol * max(scale, 1e-300):
+    if gap > SYM_TOL * max(scale, 1e-300):
         raise NotSymmetric(
-            f"asymmetry {gap:.3e} exceeds {sym_tol:.1e} * max|entries| = "
-            f"{sym_tol * scale:.3e}"
+            f"asymmetry {gap:.3e} exceeds {SYM_TOL:.1e} * max|entries| = "
+            f"{SYM_TOL * scale:.3e}"
         )
     s = sym(a)
     w = np.linalg.eigvalsh(s)
     spectral_scale = max(abs(w[0]), abs(w[-1]))
-    if w[0] <= tol * spectral_scale:
+    if w[0] <= PD_TOL * spectral_scale:
         raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.6e} is not positive")
     return SpdMatrix(dim=a.shape[0], entries=s)
 

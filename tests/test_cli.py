@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from opmeans import multimeans
+from opmeans import inequalities, multimeans
 from opmeans.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
@@ -116,7 +116,7 @@ def test_subcommand_options_are_pinned():
     }
     assert options == {
         "mean": ["--help", "--matrices", "--no-certify", "--output", "--spec", "-h"],
-        "verify": ["--help", "--output", "--recheck", "--seed", "--threads", "-h"],
+        "verify": ["--help", "--output", "--recheck", "--threads", "-h"],
         "search": ["--help", "--mode", "--output", "--r", "--tau", "-h"],
         "kantorovich": ["--help", "--output", "-h"],
     }
@@ -237,11 +237,21 @@ def test_verify_unknown_family_is_config_error(tmp_path, capsys):
         {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "trials": 10**20},
         {"inequality_ids": ["3.9"], "dimensions": [10**11], "r_values": [2.0]},
         {"inequality_ids": ["4.6"], "dimensions": [1], "r_values": [1.0], "trials": 10**17},
+        # sizes and seeds must be integers: no boolean, fraction or string
+        {"inequality_ids": ["3.9"], "dimensions": [2.7], "r_values": [2.0]},
+        {"inequality_ids": ["3.9"], "dimensions": [2, True], "r_values": [2.0]},
+        {"inequality_ids": ["3.9"], "dimensions": ["2"], "r_values": [2.0]},
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "trials": 2.9},
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "trials": True},
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "trials": "2"},
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "seed": 1.5},
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "seed": False},
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "seed": "1"},
     ],
 )
 def test_verify_malformed_config_is_config_error(tmp_path, capsys, config):
     path = write(tmp_path, "config.json", config)
-    code = main(["verify", path, "--seed", "3"])
+    code = main(["verify", path])
     assert "ConfigError" in capsys.readouterr().err
     assert code == EXIT_INPUT
 
@@ -329,6 +339,8 @@ def test_search_exit_codes(tmp_path, capsys):
         (["search", "--tau", "t.json", "--mode", "bogus", "--r", "2"], EXIT_INPUT),
         (["--help"], EXIT_OK),
         (["search", "--help"], EXIT_OK),
+        # the campaign seed is set in the config only
+        (["verify", "c.json", "--seed", "3"], EXIT_INPUT),
     ],
 )
 def test_usage_errors_exit_input(argv, code, capsys):
@@ -354,10 +366,13 @@ def test_kantorovich_command(capsys):
 
 
 def _failing_report(family, **changes):
-    """A campaign report line of ``family`` that embeds its witness, edited."""
+    """A campaign report line of ``family`` that embeds its witness, edited;
+    a threshold of -1 fails every cell."""
     r = 2.0 if FAMILIES[family]["r_range"] == "ge1" else 0.5
     alpha = 0.5 if FAMILIES[family]["needs_alpha"] else None
-    out = run_cell(family, 2, r, alpha, 3, 1, tol=-1.0).to_json()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inequalities, "CHECK_TOL", -1.0)
+        out = run_cell(family, 2, r, alpha, 3, 1).to_json()
     for key, value in changes.items():
         target = out["constants"] if key in out["constants"] else out
         if value is None:
@@ -385,6 +400,8 @@ def _failing_report(family, **changes):
         ("3.9", {"r": 0.5}),
         ("5.4", {"m": 0.0}),
         ("5.4", {"M": 10**400}),
+        # an L5.1 witness is [A, C]; the ensemble-and-C form is not read
+        ("L5.1", {"matrices": [matrix_json(np.eye(2))] * 4}),
     ],
 )
 def test_verify_recheck_malformed_report(tmp_path, capsys, family, changes):

@@ -1,10 +1,11 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from opmeans import errors
+from opmeans import errors, inequalities
 from opmeans.inequalities import (
     FAMILIES,
     CampaignConfig,
@@ -581,8 +582,8 @@ def test_documented_witness_pair():
 
 
 def test_find_reverse_improvement_instance():
-    inst = find_reverse_improvement(max_seeds=100)
-    assert inst is not None
+    inst = find_reverse_improvement()
+    assert inst is not None and inst["seed"] == 0
     assert 1.0 < inst["kappa0"] < 4.0
     assert inst["kappa_x"] > inst["threshold"]
     assert inst["K"] * 1.0 < inst["kappa_x"]  # K(k0*kx, 2) < kappa(X)
@@ -698,23 +699,30 @@ def test_pair_group_solves_each_mean_once(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.fixture
+def every_check_fails(monkeypatch):
+    """A threshold of -1 fails every check, so each report embeds its witness."""
+    monkeypatch.setattr(inequalities, "CHECK_TOL", -1.0)
+
+
 def _forced_failure(family):
-    """A report of ``family`` over several trials; tol = -1 fails every cell,
-    so the report embeds the worst trial's witness in the family's layout."""
+    """A failing report of ``family`` over several trials, under
+    ``every_check_fails``, embedding the worst trial's witness in the
+    family's layout."""
     r = 2.0 if FAMILIES[family]["r_range"] == "ge1" else 0.5
     alpha = 0.5 if FAMILIES[family]["needs_alpha"] else None
-    rep = run_cell(family, 2, r, alpha, 6, 5, tol=-1.0)
+    rep = run_cell(family, 2, r, alpha, 6, 5)
     assert not rep.holds and rep.matrices
     return rep
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_recheck_reproduces_every_family_witness(family):
+def test_recheck_reproduces_every_family_witness(family, every_check_fails):
     # recheck rebuilds the worst trial, so it reproduces the margin and every
     # constant the report read at that trial; no solve, matrix or scalar,
     # depends on its batch, so the margin is reproduced bit for bit
     rep = _forced_failure(family)
-    again = recheck(json.loads(json.dumps(rep.to_json())), tol=-1.0)
+    again = recheck(json.loads(json.dumps(rep.to_json())))
     assert again.margin == rep.margin
     assert again.constants["trials"] == 1 and again.constants["worst_trial"] == 0
     for key, value in rep.constants.items():
@@ -755,19 +763,44 @@ def _typed_margin(family, report):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_typed_check_returns_cell_margin_on_witness(family):
+def test_typed_check_returns_cell_margin_on_witness(family, every_check_fails):
     rep = _forced_failure(family)
     assert _typed_margin(family, rep) == pytest.approx(rep.margin, rel=1e-8, abs=1e-12)
 
 
-def test_typed_report_carries_cell_constants():
+def test_typed_report_carries_cell_constants(every_check_fails):
     As = ensemble(2, 3, 60, (1.0, 3.0))
-    rep = check_reverse(W3, 0.5, As, 2.0, "5.4", (1.0, 3.0), tol=-1.0, witness_seed=7)
-    assert not rep.holds and rep.witness_seed == 7 and len(rep.matrices) == 3
+    rep = check_reverse(W3, 0.5, As, 2.0, "5.4", (1.0, 3.0))
+    assert not rep.holds and rep.witness_seed == -1 and len(rep.matrices) == 3
     c = rep.constants
     assert (c["r"], c["alpha"], c["dim"], c["trials"], c["worst_trial"]) == (2.0, 0.5, 2, 1, 0)
     assert (c["m"], c["M"], c["weights"]) == (1.0, 3.0, [0.2, 0.3, 0.5])
     assert {"kappa0", "kappa_x", "K1", "K2_pow", "prefactor"} <= set(c)
+
+
+def test_public_checks_take_no_threshold_or_seed(monkeypatch):
+    checks = (
+        check_ah_family, check_modified, check_two_var, check_reverse, check_compression_reverse,
+        check_arithmetic_power_reverse, check_log_majorization, check_implication_equivalence,
+        run_cell, recheck,
+    )
+    for fn in checks:
+        assert not {"tol", "witness_seed"} & set(inspect.signature(fn).parameters), fn.__name__
+    assert list(inspect.signature(find_reverse_improvement).parameters) == []
+    assert list(inspect.signature(validate_spd).parameters) == ["entries"]
+    # the one threshold is read at call time: patching it flips the verdict
+    # of a typed check and of recheck on the same witness
+    monkeypatch.setattr(inequalities, "CHECK_TOL", -1.0)
+    report = run_cell("5.4", 2, 2.0, 0.5, 6, 5)
+    c, mats = report.constants, [matrix_from_json(m) for m in report.matrices]
+
+    def verdicts():
+        typed = check_reverse(Weights(c["weights"]), 0.5, mats, 2.0, "5.4", (c["m"], c["M"]))
+        return typed.holds, recheck(report.to_json()).holds
+
+    assert verdicts() == (False, False)
+    monkeypatch.undo()
+    assert verdicts() == (True, True)
 
 
 def test_family_table_is_complete():

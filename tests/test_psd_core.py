@@ -21,7 +21,7 @@ from opmeans.psd_core import (
 
 
 def test_validate_identity():
-    m = validate_spd(np.eye(2), tol=1e-12)
+    m = validate_spd(np.eye(2))
     assert m.dim == 2
     assert spectral_stats(m).lambda_min == pytest.approx(1.0)
 
