@@ -10,7 +10,7 @@ Exit codes are part of the contract so scripts and CI can branch on them:
 
 ``verify`` emits JSON lines, one report per campaign cell followed by one
 summary line, buffered and written in deterministic cell order no matter
-how many worker threads run the cells.
+how many worker processes (``--threads``) run the cells.
 
 No subcommand takes a solver tolerance or iteration cap: every solve
 stops at ``multimeans.DT_TOL``, so a report is a function of its config.
@@ -136,6 +136,16 @@ def cmd_kantorovich(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 @functools.cache  # built on first use, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -154,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an inequality verification campaign")
     p_verify.add_argument("campaign", nargs="?", help="campaign config JSON file")
     p_verify.add_argument("--recheck", default=None, help="re-run one failed report line (JSON file)")
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument(
+        "--threads", type=_positive_int, default=1,
+        help="worker processes for the campaign's cell groups (at most one per group and per core)",
+    )
     p_verify.add_argument("--output", default=None, help="report path (JSON lines); '-' for stdout")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -986,7 +987,8 @@ def _witness_cell(layout, mats, weights=None, bounds=None, mu=None, tau=None, si
     ``mats`` are the trial's matrices in witness order.  The trial must be
     one that a campaign could have drawn: a matrix count that fits the
     layout (two for a pair or a compression), one dimension, one weight per
-    ensemble matrix (uniform when ``weights`` is None), ``m I <= A_j <= M I``
+    ensemble matrix (uniform when ``weights`` is None; only an ensemble
+    takes weights), ``m I <= A_j <= M I``
     under ``bounds = (m, M)`` with ``0 < m < M``, and ``mu I <= C^2 <= I``
     for the compression.  ``seed`` is the trial's seed as reported; a typed
     check has none, -1.
@@ -994,6 +996,8 @@ def _witness_cell(layout, mats, weights=None, bounds=None, mu=None, tau=None, si
     arrays = _as_stack(mats)
     if layout != "stack" and len(arrays) != 2:
         raise ArityMismatch(f"{len(arrays)} matrices do not fit the {layout} layout")
+    if layout != "stack" and weights is not None:
+        raise ArityMismatch(f"the {layout} layout takes no weights")
     data = _CellData([seed], arrays[None])
     if layout == "pair":
         data.tau, data.sigma = tau, sigma
@@ -1094,11 +1098,14 @@ def run_cell(
 
 
 def _finite(value, what) -> float:
-    """``value`` as a float; ConfigError unless it is a finite number."""
+    """``value`` as a float; ConfigError unless it is a finite int or float
+    (a boolean or a string is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         out = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{what} must be finite, got {value!r}") from exc
     if not math.isfinite(out):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return out
@@ -1111,6 +1118,13 @@ def _integer(value, what) -> int:
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _list(value, what) -> list:
+    """``value`` itself; ConfigError unless it is a list (a string is not)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def recheck(report_json: dict) -> CheckReport:
@@ -1180,8 +1194,8 @@ class CampaignConfig:
         try:
             ids = tuple(obj["inequality_ids"])
             dims = tuple(_integer(d, "dimension") for d in obj["dimensions"])
-            rs = tuple(_finite(r, "r") for r in obj["r_values"])
-            alphas = tuple(_finite(a, "alpha") for a in obj.get("alpha_values", []))
+            rs = tuple(_finite(r, "r") for r in _list(obj["r_values"], "r_values"))
+            alphas = tuple(_finite(a, "alpha") for a in _list(obj.get("alpha_values", []), "alpha_values"))
             trials = _integer(obj.get("trials", 200), "trials")
             seed = _integer(obj.get("seed", 0), "seed")
             output_path = str(obj.get("output_path", "-"))
@@ -1211,10 +1225,14 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> list:
     Cells run family by family, then by dimension, alpha and r, through
     :func:`run_cell`, so the reports depend on ``config`` alone.  Each
     (family, dim, alpha) group generates its trial data once and shares it,
-    with a solve cache, over the r grid; groups run on ``threads`` worker
-    threads.  A cell that raises a library error gives an error line with
-    the cell's id.
+    with a solve cache, over the r grid.  Groups run on up to ``threads``
+    worker processes, never more than there are groups or cores; with one
+    worker they run in this process.  A cell that raises a library error
+    gives an error line with the cell's id; any other exception in a group
+    is raised here.
     """
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     alphas = config.alpha_values or (0.5,)
     groups = [
         (family, dim, alpha)
@@ -1222,12 +1240,37 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> list:
         for dim in config.dimensions
         for alpha in (alphas if FAMILIES[family]["needs_alpha"] else (None,))
     ]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        batches = list(pool.map(lambda g: _run_group(*g, config), groups))
+    workers = min(threads, len(groups), os.cpu_count() or 1)
+    if workers == 1:
+        batches = [_run_group(group, config) for group in groups]
+    else:
+        batches = _run_groups_in_pool(groups, config, workers)
     return [line for batch in batches for line in batch]
 
 
-def _run_group(family, dim, alpha, config):
+def _run_groups_in_pool(groups, config, workers):
+    """``_run_group`` over ``groups`` on ``workers`` processes; batches in group order.
+
+    The largest dimensions go first, so the last groups to finish are small
+    ones.  Workers are forked where the platform can: they inherit the
+    imported library and the warnings filters instead of importing afresh,
+    which the library allows because it starts no threads of its own.  The
+    pool is imported here, not at module level, because loading it costs
+    every ``import opmeans.cli`` about 15 ms.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    order = sorted(range(len(groups)), key=lambda i: -groups[i][1])
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method)) as pool:
+        # map re-raises a group's exception here and cancels the groups not started
+        batches = dict(zip(order, pool.map(_run_group, [groups[i] for i in order], repeat(config))))
+    return [batches[i] for i in range(len(groups))]
+
+
+def _run_group(group, config):
+    family, dim, alpha = group
     try:
         data = _gen_cell_data(family, dim, alpha, config.trials, config.seed)
     except OpmeansError:

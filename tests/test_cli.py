@@ -247,6 +247,13 @@ def test_verify_unknown_family_is_config_error(tmp_path, capsys):
         {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "seed": 1.5},
         {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "seed": False},
         {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "seed": "1"},
+        # r and alpha values are a list of numbers: no string, boolean or bare number
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": "23"},
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [True]},
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": ["2"]},
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "alpha_values": "1"},
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "alpha_values": [True, 0.5]},
+        {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "alpha_values": ["0.5"]},
     ],
 )
 def test_verify_malformed_config_is_config_error(tmp_path, capsys, config):
@@ -341,6 +348,9 @@ def test_search_exit_codes(tmp_path, capsys):
         (["search", "--help"], EXIT_OK),
         # the campaign seed is set in the config only
         (["verify", "c.json", "--seed", "3"], EXIT_INPUT),
+        # a campaign needs at least one worker process
+        (["verify", "c.json", "--threads", "0"], EXIT_INPUT),
+        (["verify", "c.json", "--threads", "-3"], EXIT_INPUT),
     ],
 )
 def test_usage_errors_exit_input(argv, code, capsys):
@@ -408,6 +418,27 @@ def test_verify_recheck_malformed_report(tmp_path, capsys, family, changes):
     path = write(tmp_path, "report.json", _failing_report(family, **changes))
     code = main(["verify", "--recheck", path])
     assert capsys.readouterr().err.startswith("error: ")
+    assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "family, changes",
+    [
+        ("3.9", {"r": "2"}),
+        ("3.9", {"r": True}),
+        ("3.9", {"alpha": "0.5"}),
+        ("3.9", {"alpha": True}),
+        ("5.4", {"m": "1"}),
+        ("5.4", {"M": True}),
+        ("L5.1", {"mu": "0.4"}),
+        ("L5.1", {"mu": False}),
+    ],
+)
+def test_verify_recheck_constants_are_numbers(tmp_path, capsys, family, changes):
+    # a report's r, alpha, m, M and mu are JSON numbers, never a string or a boolean
+    path = write(tmp_path, "report.json", _failing_report(family, **changes))
+    code = main(["verify", "--recheck", path])
+    assert "ConfigError" in capsys.readouterr().err
     assert code == EXIT_INPUT
 
 

@@ -1,6 +1,9 @@
 import inspect
 import json
 import math
+import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -668,22 +671,102 @@ def test_recheck_roundtrip_on_failure():
 
 
 def test_run_campaign_matches_ungrouped_cells():
-    # grouped, cached and threaded campaign lines against independent cells,
-    # each generating its own data with no cache
+    # grouped, cached campaign lines on 1, 2 and 4 workers against
+    # independent cells, each generating its own data with no cache; the
+    # pool takes the dimension-3 groups first, out of cell order
     for r_range, rs in (("ge1", (1.0, 1.5, 3.0)), ("le1", (0.25, 0.75, 1.0))):
         ids = tuple(f for f in FAMILIES if FAMILIES[f]["r_range"] == r_range)
         config = CampaignConfig(ids, (2, 3), rs, (0.25, 1.0), 8, 17, "-")
-        grouped = run_campaign(config, threads=2)
         ungrouped = [
-            run_cell(f, dim, r, alpha, 8, 17).to_json()
+            json.dumps(run_cell(f, dim, r, alpha, 8, 17).to_json(), sort_keys=True)
             for f in ids
             for dim in (2, 3)
             for alpha in ((0.25, 1.0) if FAMILIES[f]["needs_alpha"] else (None,))
             for r in rs
         ]
-        assert [json.dumps(x, sort_keys=True) for x in grouped] == [
-            json.dumps(x, sort_keys=True) for x in ungrouped
-        ]
+        for threads in (1, 2, 4):
+            grouped = run_campaign(config, threads=threads)
+            assert [json.dumps(x, sort_keys=True) for x in grouped] == ungrouped, threads
+
+
+class _InlinePool:
+    """Stands in for the process pool: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_run_campaign_caps_workers(monkeypatch):
+    # never more workers than groups or cores, and one worker runs no pool;
+    # checked on a stand-in, so no process starts
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    config = CampaignConfig(("3.9",), (2, 3, 4), (2.0,), (0.25, 0.5), 2, 0, "-")  # six groups
+    expect = run_campaign(config)
+    for cores, threads, size in ((4, 10**6, 4), (64, 10**6, 6), (64, 3, 3), (None, 10**6, None), (64, 1, None)):
+        monkeypatch.setattr(inequalities.os, "cpu_count", lambda: cores)
+        _InlinePool.sizes.clear()
+        assert run_campaign(config, threads=threads) == expect
+        assert _InlinePool.sizes == ([] if size is None else [size]), (cores, threads)
+
+
+@pytest.mark.parametrize("threads", [0, -3, True, 2.0])
+def test_run_campaign_rejects_bad_thread_count(threads):
+    config = CampaignConfig(("3.9",), (2,), (2.0,), (0.5,), 2, 0, "-")
+    with pytest.raises(errors.ConfigError, match="threads"):
+        run_campaign(config, threads=threads)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched family reaches the workers only by fork",
+)
+
+
+def _failing_group_campaign(monkeypatch, margins):
+    """A two-family grid whose 5.3 groups run ``margins``."""
+    monkeypatch.setitem(FAMILIES["5.3"], "margins", margins)
+    return CampaignConfig(("3.9", "5.3"), (2, 3), (2.0,), (0.5,), 4, 1, "-")
+
+
+@needs_fork
+def test_worker_warning_surfaces_as_its_exception(monkeypatch):
+    # a warnings filter set in the parent holds in the workers
+    def warns(data, r, alpha, cache):
+        warnings.warn(f"overflow in process {os.getpid()}", RuntimeWarning)
+        return np.zeros(1), {}
+
+    config = _failing_group_campaign(monkeypatch, warns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow in process") as caught:
+            run_campaign(config, threads=2)
+    raised_in = int(str(caught.value).rsplit(" ", 1)[1])
+    assert (raised_in != os.getpid()) == ((os.cpu_count() or 1) > 1)
+
+
+@needs_fork
+def test_worker_exception_keeps_its_type(monkeypatch):
+    # not a library error, so no error line: it is raised, and the pool shuts down
+    def fails(data, r, alpha, cache):
+        raise ZeroDivisionError("group failed")
+
+    config = _failing_group_campaign(monkeypatch, fails)
+    for threads in (1, 2):
+        with pytest.raises(ZeroDivisionError, match="group failed"):
+            run_campaign(config, threads=threads)
 
 
 def test_pair_group_solves_each_mean_once(monkeypatch):
@@ -730,6 +813,16 @@ def test_recheck_reproduces_every_family_witness(family, every_check_fails):
             assert again.constants[key] == pytest.approx(value, rel=1e-8, abs=1e-12), key
         elif key not in ("trials", "worst_trial"):
             assert again.constants[key] == value, key
+
+
+@pytest.mark.parametrize("family", ["4.6", "L5.1"])
+def test_recheck_rejects_weights_outside_an_ensemble(family, every_check_fails):
+    # a pair or a compression trial has no weights, so a report carrying
+    # them does not come from the family's campaign
+    report = _forced_failure(family).to_json()
+    report["constants"]["weights"] = [0.2, 0.3, 0.5]
+    with pytest.raises(errors.ArityMismatch, match="takes no weights"):
+        recheck(report)
 
 
 def _typed_margin(family, report):
