@@ -64,8 +64,10 @@ class NoConvergence(OpmeansError):
 
     ``last_iterate`` (ndarray or float) and ``residual`` carry diagnostics
     for the caller; both may be None when not applicable.  ``members`` lists
-    the failing members of a batched solve as ``{"member", "what",
-    "bound"}`` dicts, by flattened index.
+    the failing members of a batched solve as ``{"member", "what", "bound",
+    "residual"}`` dicts, by flattened index: ``bound`` is the member's
+    Thompson error bound and ``residual`` the residual ``rho`` that decides
+    its steps, both at the last iterate.
     """
 
     def __init__(self, message, last_iterate=None, residual=None, members=()):

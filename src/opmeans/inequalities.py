@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import repeat
 from typing import Optional, Sequence
@@ -75,6 +75,7 @@ from .multimeans import (
     eval_mean_stack,
 )
 from .psd_core import (
+    Spectral,
     SpdMatrix,
     lambda_min,
     loewner_compare,
@@ -87,6 +88,8 @@ from .psd_core import (
     spd_inv,
     spd_log,
     spd_power,
+    spd_sqrt_pair,
+    spectral_ends,
     sym,
     thompson,
 )
@@ -253,16 +256,19 @@ def _bracket_margins(mid, x, r, style, lo_factor=1.0, hi_factor=1.0):
     norm on the upper (the r >= 1 displays); ``'complement'`` swaps them
     (the 0 < r <= 1 displays, and the reverse forms with K^{-1} below and
     K above).  ``lo_factor``/``hi_factor`` multiply the prefactors
-    (Kantorovich constants in the reverse forms).
+    (Kantorovich constants in the reverse forms).  The sides are
+    :func:`_ge_margin` and :func:`_le_margin`, with ``x`` and ``mid``
+    decomposed once each.
     """
-    lam = lambda_min(x)
-    nrm = op_norm(x)
+    lam, nrm = spectral_ends(x)
     if style == "direct":
         lo_pref, hi_pref = lo_factor * lam ** (r - 1.0), hi_factor * nrm ** (r - 1.0)
     else:
         lo_pref, hi_pref = lo_factor * nrm ** (r - 1.0), hi_factor * lam ** (r - 1.0)
-    lo = _ge_margin(mid, _scaled(lo_pref, x))
-    hi = _le_margin(mid, _scaled(hi_pref, x))
+    mid_norm = op_norm(mid)
+    lo_side, hi_side = _scaled(lo_pref, x), _scaled(hi_pref, x)
+    lo = lambda_min(mid - lo_side) / (mid_norm + op_norm(lo_side))
+    hi = lambda_min(hi_side - mid) / (mid_norm + op_norm(hi_side))
     return np.minimum(lo, hi), {"lower_margin": lo, "upper_margin": hi}
 
 
@@ -508,16 +514,17 @@ def _reverse_margins(which, data, alpha, r, cache):
         spec_r = MultiMeanSpec.power(None, alpha / r) if which == "5.9" else spec
     x = _solve(spec, 1.0, data, cache)
     y = _solve(spec_r, r, data, cache)
-    kx = op_norm(x) / lambda_min(x)
+    lam_x, nrm_x = spectral_ends(x)
+    kx = nrm_x / lam_x
     k1 = kantorovich(kappa0 * kx, r)
     consts = {"kappa0": kappa0, "kappa_x": kx, "K1": k1}
     if which == "5.4":
         k2 = kantorovich((kappa0 * kx) ** alpha, r) ** (1.0 / alpha)
-        pref = k1 * k2 * lambda_min(x) ** (r - 1.0)
+        pref = k1 * k2 * lam_x ** (r - 1.0)
         return _le_margin(y, _scaled(pref, x)), {**consts, "K2_pow": k2, "prefactor": pref}
     if which == "5.5":
         k2 = kantorovich((kappa0 * kx) ** (-alpha), r) ** (1.0 / alpha)
-        pref = k2 / k1 * op_norm(x) ** (r - 1.0)
+        pref = k2 / k1 * nrm_x ** (r - 1.0)
         return _ge_margin(y, _scaled(pref, x)), {**consts, "K2_pow": k2, "prefactor": pref}
     margin, sides = _bracket_margins(y, x, r, "complement", lo_factor=1.0 / k1, hi_factor=k1)
     return margin, {**consts, **sides}
@@ -775,7 +782,7 @@ def _solve(spec, r, data, cache):
     """
     key = (spec, r)
     if key not in cache:
-        cache[key] = eval_mean_stack(spec, spd_power(data.stack, r), data.weights, certify=False).values
+        cache[key] = eval_mean_stack(spec, data.power(r), data.weights, certify=False).values
     return cache[key]
 
 
@@ -783,7 +790,9 @@ def _solve(spec, r, data, cache):
 # per-trial margins and a constants dict.  Their mean specs carry no weights,
 # so every node takes the trial weights.  ``cache`` is scoped to one (family,
 # dim, alpha) group and holds its solves (see :func:`_solve`), which the
-# shared-ensemble seed scheme makes reusable across the whole r grid.
+# shared-ensemble seed scheme makes reusable across the whole r grid; the
+# group's ``data`` keeps what is derived from the trial matrices alone, such
+# as their decompositions (see :meth:`_CellData.once`).
 
 
 def _ah_margin(spec, adjoint, compare, data, r, cache):
@@ -829,7 +838,8 @@ def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
         f = fn if s == 1 else rep_transform(fn, op, s)
         if (f, q) not in cache:
             rep = partial(deformed_rep, data.tau, f) if by_sigma else partial(rep_eval, f)
-            cache[f, q] = _two_var_arrays(rep, *np.moveaxis(spd_power(data.stack, q), 1, 0))
+            a, b = np.moveaxis(data.power(q), 1, 0)
+            cache[f, q] = _two_var_arrays(rep, a, b, data.once(("roots", q), partial(spd_sqrt_pair, a)))
         return cache[f, q]
 
     margin, sides = _modified_bracket(mean, r, r_range)
@@ -841,9 +851,9 @@ def _arith_reverse_cell(data, r, alpha, cache):
     """5.3: ``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r``."""
     m, M = data.bounds
     k = kantorovich(M / m, r)
-    lhs = _weighted_sum(data.weights, spd_power(data.stack, r))
-    mean = _weighted_sum(data.weights, data.stack)
-    return _le_margin(lhs, k * spd_power(mean, r)), {"K": k}
+    lhs = _weighted_sum(data.weights, data.power(r))
+    mean = data.once("mean", lambda: Spectral(_weighted_sum(data.weights, data.stack)))
+    return _le_margin(lhs, k * mean.power(r)), {"K": k}
 
 
 def _compression_cell(data, r, alpha, cache):
@@ -852,8 +862,9 @@ def _compression_cell(data, r, alpha, cache):
     a, c = data.stack[:, 0], data.stack[:, 1]
     h1 = M / (m * data.mu)
     k = kantorovich(h1, r)
-    lhs = sym(c @ spd_power(a, r) @ c)
-    return _le_margin(lhs, k * spd_power(sym(c @ a @ c), r)), {"mu": data.mu, "h1": h1, "K": k}
+    lhs = sym(c @ data.once("A", lambda: Spectral(a)).power(r) @ c)
+    cac = data.once("CAC", lambda: Spectral(sym(c @ a @ c)))
+    return _le_margin(lhs, k * cac.power(r)), {"mu": data.mu, "h1": h1, "K": k}
 
 
 def _reverse_cell(which, negate, data, r, alpha, cache):
@@ -935,10 +946,26 @@ class _CellData:
     mu: float = 0.4  # the compress layout draws C with mu I <= C^2 <= I
     tau: Optional[RepFnSpec] = None
     sigma: Optional[RepFnSpec] = None
+    derived: dict = field(default_factory=dict, init=False, repr=False)  # see once()
 
     @property
     def dim(self) -> int:
         return int(self.stack.shape[-1])
+
+    def once(self, key, make):
+        """``make()`` on the first call with ``key``, the same value after.
+
+        The cells of a group share their data, so what is derived here from
+        the trial matrices (a decomposition, a square-root pair) is derived
+        once for the whole r grid.
+        """
+        if key not in self.derived:
+            self.derived[key] = make()
+        return self.derived[key]
+
+    def power(self, r):
+        """Every trial matrix raised to ``r``, all r from one decomposition."""
+        return self.once("stack", lambda: Spectral(self.stack)).power(r)
 
     def witness(self, idx):
         """Trial ``idx``'s matrices in wire format, in the order ``recheck`` reads them."""

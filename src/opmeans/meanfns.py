@@ -8,8 +8,8 @@ A normalized operator monotone function ``f`` on ``(0, inf)`` with
 This module keeps ``f`` symbolic: a catalog entry (trivial, weighted
 arithmetic / harmonic / geometric, or a convex combination) plus an ordered
 stack of transforms (adjoint, transpose, inner / outer power maps).  A spec
-evaluates vectorized over numpy arrays, so matrix functional calculus and
-dense scalar grids share one code path.
+compiles once to one vectorized evaluator over numpy arrays, so matrix
+functional calculus and dense scalar grids share one code path.
 
 The scalar solver :func:`deformed_rep` computes the representing function
 of the deformed mean ``tau_sigma`` (the unique fixed point of
@@ -21,7 +21,7 @@ deformed means are evaluated on matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -107,6 +107,15 @@ class RepFnSpec:
                 raise DomainError("convex combination weights must be nonnegative and sum to 1")
 
     @cached_property
+    def evaluator(self):
+        """The function compiled to a closure over arrays of ``t > 0``, unchecked; see :func:`_compile`."""
+        return _compile(self)
+
+    def __getstate__(self):
+        # the compiled evaluator is a closure, so it is left out and rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k != "evaluator"}
+
+    @cached_property
     def derivative_at_one(self) -> float:
         """``f'(1)``, which is the elasticity at 1 since ``f(1) = 1``."""
         return float(rep_elasticity(self, 1.0, 1.0)[0])
@@ -183,42 +192,61 @@ def arithmetic_harmonic_mix(weight_on_arithmetic: float = 0.25) -> RepFnSpec:
 # --------------------------------------------------------------------------
 
 
-def _eval_base(spec: RepFnSpec, t):
-    kind = spec.kind
+def _compile(spec: RepFnSpec):
+    """``spec``'s representing function as one closure, built once per spec.
+
+    The catalog entry is the innermost function and each transform wraps the
+    one before it, so the last transform is applied outermost.  The closure
+    checks nothing: :func:`rep_eval` checks the domain before it calls it.
+    """
+    kind, params = spec.kind, spec.params
     if kind == "left_trivial":
-        return np.ones_like(t)
-    if kind == "right_trivial":
-        return t
-    if kind == "arithmetic":
-        w = spec.params[0]
-        return 1.0 - w + w * t
-    if kind == "harmonic":
-        a = spec.params[0]
-        return 1.0 / (1.0 - a + a / t)
-    if kind == "geometric":
-        a = spec.params[0]
-        return t**a
-    # convex
+        fn = np.ones_like
+    elif kind == "right_trivial":
+        fn = _identity
+    elif kind == "arithmetic":
+        fn = partial(_arithmetic, 1.0 - params[0], params[0])
+    elif kind == "harmonic":
+        fn = partial(_harmonic, 1.0 - params[0], params[0])
+    elif kind == "geometric":
+        fn = partial(_geometric, params[0])
+    else:
+        fn = partial(_convex, tuple((w, sub.evaluator) for w, sub in params))
+    for tr in spec.transforms:
+        fn = partial(_TRANSFORMS[tr.op], fn, tr.r)
+    return fn
+
+
+def _identity(t):
+    return t
+
+
+def _arithmetic(c, w, t):  # 1 - w + w t, with c = 1 - w
+    return c + w * t
+
+
+def _harmonic(c, a, t):  # (1 - a + a / t)^{-1}, with c = 1 - a
+    return 1.0 / (c + a / t)
+
+
+def _geometric(a, t):
+    return t**a
+
+
+def _convex(terms, t):
     out = np.zeros_like(t)
-    for w, sub in spec.params:
-        out += w * _eval_transformed(sub, sub.transforms, t)
+    for w, fn in terms:
+        out += w * fn(t)
     return out
 
 
-def _eval_transformed(spec: RepFnSpec, stack, t):
-    if not stack:
-        return _eval_base(spec, t)
-    head, tr = stack[:-1], stack[-1]
-    if tr.op == "adjoint":
-        return 1.0 / _eval_transformed(spec, head, 1.0 / t)
-    if tr.op == "transpose":
-        return t * _eval_transformed(spec, head, 1.0 / t)
-    if tr.op == "power_inner":
-        return _eval_transformed(spec, head, t**tr.r)
-    if tr.op == "power_inner_outer":
-        return _eval_transformed(spec, head, t**tr.r) ** (1.0 / tr.r)
-    # power_outer
-    return _eval_transformed(spec, head, t) ** tr.r
+_TRANSFORMS = {
+    "adjoint": lambda f, r, t: 1.0 / f(1.0 / t),
+    "transpose": lambda f, r, t: t * f(1.0 / t),
+    "power_inner": lambda f, r, t: f(t**r),
+    "power_inner_outer": lambda f, r, t: f(t**r) ** (1.0 / r),
+    "power_outer": lambda f, r, t: f(t) ** r,
+}
 
 
 def rep_eval(spec: RepFnSpec, t):
@@ -226,7 +254,7 @@ def rep_eval(spec: RepFnSpec, t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise DomainError("representing functions are defined on (0, inf)")
-    out = _eval_transformed(spec, spec.transforms, arr)
+    out = spec.evaluator(arr)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
@@ -280,8 +308,8 @@ def _base_elasticity(spec, lo, hi):
         bounds = [_elasticity(sub, sub.transforms, lo, hi) for _, sub in terms]
         e_lo = np.min([b[0] for b in bounds], axis=0)
         e_hi = np.max([b[1] for b in bounds], axis=0)
-        f_lo = [w * _eval_transformed(sub, sub.transforms, lo) for w, sub in terms]
-        f_hi = [w * _eval_transformed(sub, sub.transforms, hi) for w, sub in terms]
+        f_lo = [w * sub.evaluator(lo) for w, sub in terms]
+        f_hi = [w * sub.evaluator(hi) for w, sub in terms]
         avg_lo = sum(f * b[0] for f, b in zip(f_lo, bounds)) / sum(f_hi)
         avg_hi = sum(f * b[1] for f, b in zip(f_hi, bounds)) / sum(f_lo)
         # valid where every term is increasing on [lo, hi], as operator means are, and exact at a point
@@ -305,8 +333,12 @@ def rep_transform(spec: RepFnSpec, op: str, r: float | None = None) -> RepFnSpec
 # --------------------------------------------------------------------------
 
 
-def _two_var_arrays(fn, a, b):
-    a_half, a_invh = spd_sqrt_pair(a)
+def _two_var_arrays(fn, a, b, roots=None):
+    """``a sigma b`` for the representing function ``fn`` of ``sigma``, batched.
+
+    ``roots`` is ``spd_sqrt_pair(a)`` when the caller already holds it.
+    """
+    a_half, a_invh = spd_sqrt_pair(a) if roots is None else roots
     w = sym(a_invh @ b @ a_invh)
     return sym(a_half @ eigh_apply(w, fn) @ a_half)
 
@@ -337,10 +369,10 @@ _BISECT_RTOL = 4.0 * np.finfo(float).eps
 
 def _deformed_residual(tau, sigma, t, x):
     # F(x)/x - 1 where F(x) = (x sigma 1) tau (x sigma t); zero exactly at
-    # the deformed mean's value.
-    u = rep_eval(sigma, 1.0 / x)
-    v = rep_eval(sigma, t / x)
-    return u * rep_eval(tau, v / u) - 1.0
+    # the deformed mean's value.  tau and sigma are evaluators of arrays.
+    u = sigma(1.0 / x)
+    v = sigma(t / x)
+    return u * tau(v / u) - 1.0
 
 
 def deformed_rep(tau: RepFnSpec, sigma: RepFnSpec, t):
@@ -354,25 +386,32 @@ def deformed_rep(tau: RepFnSpec, sigma: RepFnSpec, t):
     the rounding of the residual, whatever the batch around it; that root is
     ``tau(t)`` when ``sigma`` acts as the right trivial mean.  The count is
     at most about ``52 + log2(max(t, 1/t))`` halvings.  Vectorized over ``t``.
+
+    The bracket ends are evaluated through :func:`rep_eval`, which checks
+    every argument of ``sigma`` and ``tau`` there; the halvings call the
+    compiled evaluators unchecked.  Representing functions are increasing,
+    so arguments that lie in ``(0, inf)`` at both ends lie there in between.
     """
     if sigma.is_left_trivial:
         raise SigmaIsLeftTrivial("deformation by the left trivial mean is undefined")
     scalar_in = np.isscalar(t) or np.asarray(t).ndim == 0
     tt = np.asarray(t, dtype=float).ravel()
-    if np.any(tt <= 0):
+    if np.any(tt <= 0) or not np.all(np.isfinite(tt)):
         raise DomainError("deformed representing functions are defined on (0, inf)")
 
     # the bracket is guaranteed for operator means; the guard catches a residual that breaks it
     lo, hi = np.minimum(1.0, tt), np.maximum(1.0, tt)
-    if np.any(_deformed_residual(tau, sigma, tt, lo) < -1e-12) or np.any(
-        _deformed_residual(tau, sigma, tt, hi) > 1e-12
+    checked_tau, checked_sigma = partial(rep_eval, tau), partial(rep_eval, sigma)
+    if np.any(_deformed_residual(checked_tau, checked_sigma, tt, lo) < -1e-12) or np.any(
+        _deformed_residual(checked_tau, checked_sigma, tt, hi) > 1e-12
     ):
         raise NoConvergence("residual bracket invalid for bisection", last_iterate=0.5 * (lo + hi), residual=None)
+    tau_fn, sigma_fn = tau.evaluator, sigma.evaluator
     live = np.flatnonzero(hi - lo > _BISECT_RTOL * hi)
     while live.size:
         l, h = lo[live], hi[live]
         mid = 0.5 * (l + h)
-        up = _deformed_residual(tau, sigma, tt[live], mid) >= 0
+        up = _deformed_residual(tau_fn, sigma_fn, tt[live], mid) >= 0
         l, h = np.where(up, mid, l), np.where(up, h, mid)
         lo[live], hi[live] = l, h
         live = live[h - l > _BISECT_RTOL * h]

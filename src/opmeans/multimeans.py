@@ -516,7 +516,10 @@ def _geodesic_loop(frame, x0, slope, floor, tol, what, batch):
     x = _rebuild(out_v, np.exp(out_w)).reshape(batch + (d, d))
     if len(idx):
         what = np.broadcast_to(what, size)
-        members = [{"member": int(i), "what": str(what[i]), "bound": float(b)} for i, b in zip(idx, bound)]
+        members = [
+            {"member": int(i), "what": str(what[i]), "bound": float(b), "residual": float(rho)}
+            for i, b, rho in zip(idx, bound, resid)
+        ]
         named = ", ".join(f"{m['member']} ({m['what']}, bound {m['bound']:.3e})" for m in members[:5])
         msg = f"geodesic iteration stopped above its tolerance after {iters} steps; {len(idx)} live: {named}"
         raise NoConvergence(msg + (", ..." if len(idx) > 5 else ""), x, float(bound.max()), members)

@@ -10,16 +10,19 @@ carry the tolerance semantics.
 Eigendecomposition is the single primitive behind every matrix function
 here: the matrices are small (dimension of order tens) and symmetric
 eigensolvers are backward stable, so there is no reason to special-case
-exp/log/sqrt.  Batched ``eigh`` is the only LAPACK primitive behind them;
-the spectral rebuilds ``U f(L) U^T`` and the congruences ``s^T a s`` are
-batched matmul, which on stacks of small matrices is several times faster
-than the equivalent ``einsum`` contractions.
+exp/log/sqrt.  A :class:`Spectral` keeps the decomposition of its matrices,
+so several functions of them cost one ``eigh``.  Batched ``eigh`` is the
+only LAPACK primitive behind them; the spectral rebuilds ``U f(L) U^T`` and
+the congruences ``s^T a s`` are batched matmul, which on stacks of small
+matrices is several times faster than the equivalent ``einsum``
+contractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +51,7 @@ __all__ = [
     "congruence",
     "sym",
     "eigh_apply",
+    "Spectral",
     "spd_power",
     "spd_inv",
     "spd_sqrt_pair",
@@ -56,6 +60,7 @@ __all__ = [
     "thompson",
     "lambda_min",
     "op_norm",
+    "spectral_ends",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -88,12 +93,7 @@ def eigh_apply(a, fn):
     Returns ``U fn(L) U^T`` from ``a = U L U^T``; the result is exactly
     symmetric by construction.
     """
-    w, v = _eigh(a)
-    fw = np.asarray(fn(w), dtype=float)
-    if not np.all(np.isfinite(fw)):
-        bad = w[~np.isfinite(fw)]
-        raise DomainError(f"function undefined at eigenvalue(s) {bad[:4]}")
-    return _rebuild(v, fw)
+    return Spectral(a).apply(fn)
 
 
 def _rebuild(v, fw):
@@ -101,11 +101,37 @@ def _rebuild(v, fw):
     return sym((v * fw[..., None, :]) @ np.swapaxes(v, -1, -2))
 
 
+class Spectral:
+    """Symmetric matrices ``a`` (batched) whose eigendecomposition is taken
+    once, by the first function of them that needs it, and reused by every
+    later one."""
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float)
+
+    @cached_property
+    def eig(self):
+        return _eigh(self.a)
+
+    def apply(self, fn):
+        """:func:`eigh_apply` of ``a`` and ``fn``."""
+        w, v = self.eig
+        fw = np.asarray(fn(w), dtype=float)
+        if not np.all(np.isfinite(fw)):
+            bad = w[~np.isfinite(fw)]
+            raise DomainError(f"function undefined at eigenvalue(s) {bad[:4]}")
+        return _rebuild(v, fw)
+
+    def power(self, r):
+        """:func:`spd_power` of ``a`` and ``r``."""
+        if r == 1:
+            return sym(self.a)
+        return self.apply(lambda w: _checked_pow(w, r))
+
+
 def spd_power(a, r):
     """``a**r`` through the spectrum; ``a`` must be positive definite."""
-    if r == 1:
-        return sym(np.asarray(a, dtype=float))
-    return eigh_apply(a, lambda w: _checked_pow(w, r))
+    return Spectral(a).power(r)
 
 
 def _checked_pow(w, r):
@@ -115,7 +141,14 @@ def _checked_pow(w, r):
 
 
 def spd_inv(a):
-    return eigh_apply(a, lambda w: 1.0 / w)
+    """``a^{-1}`` through the spectrum; DomainError names a nonpositive eigenvalue."""
+    return eigh_apply(a, _checked_inv)
+
+
+def _checked_inv(w):
+    if np.any(w <= 0):
+        raise DomainError(f"inverse of nonpositive eigenvalue {w.min()}")
+    return 1.0 / w
 
 
 def spd_sqrt_pair(a):
@@ -148,7 +181,16 @@ def lambda_min(a):
 
 def op_norm(a):
     """Spectral norm of symmetric ``a`` (batched)."""
+    return _norm(np.linalg.eigvalsh(a))
+
+
+def spectral_ends(a):
+    """``(lambda_min(a), op_norm(a))`` of symmetric ``a`` from one ``eigvalsh`` (batched)."""
     w = np.linalg.eigvalsh(a)
+    return w[..., 0], _norm(w)
+
+
+def _norm(w):
     return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
 

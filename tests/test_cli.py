@@ -162,6 +162,8 @@ def test_mean_no_convergence_payload_names_members(tmp_path, capsys, monkeypatch
         (0, "Karcher"), (1, "enclosure"), (2, "enclosure")
     ]
     assert out["residual"] == max(m["bound"] for m in out["members"])
+    # each member's bound is its residual plus the rounding of its evaluation
+    assert all(0 < m["residual"] < m["bound"] for m in out["members"])
 
 
 def test_mean_unwritable_output_is_input_error(tmp_path, capsys):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opmeans import errors, inequalities
+from opmeans import errors, inequalities, psd_core
 from opmeans.inequalities import (
     FAMILIES,
     CampaignConfig,
@@ -31,7 +31,7 @@ from opmeans.inequalities import (
 )
 from opmeans.meanfns import arithmetic, geometric, harmonic, left_trivial, rep_eval, repfn_from_json
 from opmeans.multimeans import MultiMeanSpec, Weights, eval_mean, power_mean
-from opmeans.psd_core import matrix_from_json, random_spd, validate_spd
+from opmeans.psd_core import matrix_from_json, random_spd, spd_power, sym, validate_spd
 
 W3 = Weights((0.2, 0.3, 0.5))
 UNI3 = Weights.uniform(3)
@@ -780,6 +780,59 @@ def test_pair_group_solves_each_mean_once(monkeypatch):
     config = CampaignConfig(("4.6",), (3,), (1.0, 1.5, 2.0, 3.0), (), 20, 0, "-")
     assert len(run_campaign(config)) == 4
     assert len(calls) == 4
+
+
+def _eigh_inputs(monkeypatch):
+    """Copies of the arrays psd_core decomposes from now on."""
+    seen = []
+    inner = psd_core._eigh
+    monkeypatch.setattr(psd_core, "_eigh", lambda a: seen.append(np.array(a)) or inner(a))
+    return seen
+
+
+def _times_decomposed(seen, target):
+    return sum(x.shape == target.shape and np.array_equal(x, target) for x in seen)
+
+
+@pytest.mark.parametrize(
+    "family, rs", [("3.13", (1.0, 1.5, 2.0, 3.0)), ("4.7", (0.25, 0.5, 0.75, 1.0)), ("L5.1", (1.0, 1.5, 2.0, 3.0))]
+)
+def test_group_decomposes_its_trial_matrices_once(monkeypatch, family, rs):
+    # every A^r of the r grid comes from one decomposition per group: the
+    # ensemble (3.13), the pair (4.7), and L5.1's A and C A C
+    alpha = 0.5 if FAMILIES[family]["needs_alpha"] else None
+    data = inequalities._gen_cell_data(family, 3, alpha, 10, 4)
+    a, c = data.stack[:, 0], data.stack[:, 1]
+    targets = [a, sym(c @ a @ c)] if family == "L5.1" else [data.stack]
+    seen = _eigh_inputs(monkeypatch)
+    lines = run_campaign(CampaignConfig((family,), (3,), rs, (0.5,), 10, 4, "-"))
+    assert len(lines) == len(rs) and all(line["holds"] for line in lines)
+    assert [_times_decomposed(seen, t) for t in targets] == [1] * len(targets)
+
+
+def test_pair_group_takes_each_square_root_pair_once(monkeypatch):
+    # a 4.7 group evaluates pair means at A^q for q = 0.25, 0.5, 0.75 and 1;
+    # the square-root pair of each A^q is taken once, though four cells use A
+    rs = (0.25, 0.5, 0.75, 1.0)
+    stack = inequalities._gen_cell_data("4.7", 3, 0.5, 10, 4).stack
+    powers = [spd_power(stack, q)[:, 0] for q in rs]
+    seen = _eigh_inputs(monkeypatch)
+    run_campaign(CampaignConfig(("4.7",), (3,), rs, (0.5,), 10, 4, "-"))
+    assert [_times_decomposed(seen, p) for p in powers] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("style", ["direct", "complement"])
+def test_bracket_margins_decompose_each_matrix_once(monkeypatch, style):
+    # x and mid once each, then each side and its difference from mid
+    x = np.stack([random_spd(3, (0.5, 2.0), 90 + k).a for k in range(5)])
+    mid = np.stack([random_spd(3, (0.5, 2.0), 95 + k).a for k in range(5)])
+    seen = []
+    inner = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(np.array(a)) or inner(a))
+    inequalities._bracket_margins(mid, x, 2.0, style, lo_factor=0.5, hi_factor=2.0)
+    assert len(seen) == 6
+    assert _times_decomposed(seen, x) == _times_decomposed(seen, mid) == 1
+    assert not any(np.array_equal(p, q) for i, p in enumerate(seen) for q in seen[:i])
 
 
 @pytest.fixture

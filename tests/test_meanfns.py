@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,6 +263,12 @@ def test_deformed_rep_special_cases():
         deformed_rep(arithmetic(0.3), left_trivial(), 2.0)
 
 
+@pytest.mark.parametrize("t", [np.inf, np.nan, 0.0, -1.0])
+def test_deformed_rep_domain(t):
+    with pytest.raises(errors.DomainError):
+        deformed_rep(arithmetic(0.3), harmonic(0.5), np.array([2.0, t]))
+
+
 def test_deformed_rep_derivative_matches_base():
     # the deformation preserves the derivative at 1
     tau, sigma = arithmetic(0.35), harmonic(0.6)
@@ -349,6 +357,53 @@ def test_json_roundtrip():
     for spec in catalog():
         back = repfn_from_json(repfn_to_json(spec))
         np.testing.assert_allclose(rep_eval(back, GRID), rep_eval(spec, GRID), rtol=1e-14)
+
+
+def _reference(spec, t):
+    """The representing function read off its definition, transform by transform."""
+    def base(x):
+        kind, p = spec.kind, spec.params
+        if kind == "convex":
+            out = np.zeros_like(x)
+            for w, sub in p:
+                out += w * _reference(sub, x)
+            return out
+        return {
+            "left_trivial": lambda: np.ones_like(x),
+            "right_trivial": lambda: x,
+            "arithmetic": lambda: 1.0 - p[0] + p[0] * x,
+            "harmonic": lambda: 1.0 / (1.0 - p[0] + p[0] / x),
+            "geometric": lambda: x ** p[0],
+        }[kind]()
+
+    def apply(transforms, x):
+        if not transforms:
+            return base(x)
+        head, tr = transforms[:-1], transforms[-1]
+        return {
+            "adjoint": lambda: 1.0 / apply(head, 1.0 / x),
+            "transpose": lambda: x * apply(head, 1.0 / x),
+            "power_inner": lambda: apply(head, x**tr.r),
+            "power_inner_outer": lambda: apply(head, x**tr.r) ** (1.0 / tr.r),
+            "power_outer": lambda: apply(head, x) ** tr.r,
+        }[tr.op]()
+
+    return apply(spec.transforms, t)
+
+
+def test_compiled_evaluator_matches_definition_bit_for_bit():
+    nested = convex_combo([(0.4, rep_transform(harmonic(0.3), "transpose")), (0.6, arithmetic_harmonic_mix())])
+    stacked = rep_transform(rep_transform(rep_transform(nested, "power_inner", 3.0), "adjoint"), "power_outer", 0.5)
+    for spec in catalog() + [nested, stacked]:
+        np.testing.assert_array_equal(rep_eval(spec, GRID), _reference(spec, GRID))
+
+
+def test_spec_pickles_after_evaluation():
+    spec = rep_transform(arithmetic_harmonic_mix(), "adjoint")
+    before = rep_eval(spec, GRID)
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec
+    np.testing.assert_array_equal(rep_eval(back, GRID), before)
 
 
 def test_json_unknown_kind():

@@ -149,8 +149,11 @@ def test_deformed_mean_no_convergence_payload(monkeypatch):
         deformed_mean(MultiMeanSpec.arithmetic(W3), geometric(0.25), As)
     assert info.value.last_iterate is not None
     assert info.value.residual > 0
-    # the one member is named, with its bound, in the exception and its message
-    assert info.value.members == [{"member": 0, "what": "deformed-mean", "bound": info.value.residual}]
+    # the one member is named, with its bound and residual, in the exception
+    # and its message; the bound is rho / e with an elasticity e <= 1
+    (member,) = info.value.members
+    assert member == {"member": 0, "what": "deformed-mean", "bound": info.value.residual, "residual": member["residual"]}
+    assert 0 < member["residual"] <= member["bound"]
     assert "0 (deformed-mean, bound " in str(info.value)
 
 

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from opmeans import errors
+from opmeans import errors, psd_core
 from opmeans.psd_core import (
     Relation,
+    Spectral,
     congruence,
     eigh_apply,
     loewner_compare,
@@ -12,7 +15,10 @@ from opmeans.psd_core import (
     matrix_to_json,
     random_spd,
     random_spd_stack,
+    spectral_ends,
     spectral_stats,
+    spd_inv,
+    spd_power,
     spd_sqrt_pair,
     sym,
     thompson_distance,
@@ -192,6 +198,35 @@ def test_arithmetic_mean_nonexpansive_in_thompson():
 def test_power_one_is_exact():
     a = random_spd(4, (0.5, 2.0), 77)
     np.testing.assert_allclose(matrix_function(a, lambda x: x**1.0), a.a, atol=1e-13)
+
+
+def test_spd_inv_names_a_nonpositive_eigenvalue():
+    # a typed error, raised before the division could warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(errors.DomainError, match="nonpositive eigenvalue 0.0"):
+            spd_inv(np.diag([1.0, 0.0]))
+        with pytest.raises(errors.DomainError, match="nonpositive eigenvalue -2.0"):
+            spd_inv(np.diag([-2.0, 3.0]))
+
+
+def test_spectral_powers_share_one_decomposition(monkeypatch):
+    # every power of a Spectral is spd_power's, bit for bit, from one eigh
+    a = np.stack([random_spd(3, (0.5, 2.0), 40 + k).a for k in range(4)])
+    calls = []
+    inner = psd_core._eigh
+    monkeypatch.setattr(psd_core, "_eigh", lambda x: calls.append(1) or inner(x))
+    spectral = Spectral(a)
+    for r in (1.0, 0.5, 2.0, -1.5, 3.0):
+        np.testing.assert_array_equal(spectral.power(r), spd_power(a, r))
+    assert len(calls) == 1 + 4  # the Spectral's own, and spd_power's for each r != 1
+
+
+def test_spectral_ends_match_lambda_min_and_norm():
+    a = np.stack([random_spd(3, (0.5, 2.0), 60 + k).a for k in range(3)]) - 1.0 * np.eye(3)
+    lam, nrm = spectral_ends(a)
+    np.testing.assert_array_equal(lam, psd_core.lambda_min(a))
+    np.testing.assert_array_equal(nrm, psd_core.op_norm(a))
 
 
 def test_matrix_json_roundtrip():
