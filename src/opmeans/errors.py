@@ -41,6 +41,10 @@ class BadInterval(OpmeansError):
     pass
 
 
+class BadSeed(OpmeansError):
+    """A random seed that is not an integer in ``[0, 2**64)``."""
+
+
 # ------------------------------------------------------ representing functions
 
 

@@ -57,6 +57,7 @@ from .errors import (
 )
 from .meanfns import (
     RepFnSpec,
+    _pair_frame,
     _two_var_arrays,
     arithmetic,
     deformed_rep,
@@ -77,6 +78,7 @@ from .multimeans import (
 from .psd_core import (
     Spectral,
     SpdMatrix,
+    _generators,
     lambda_min,
     loewner_compare,
     matrix_from_json,
@@ -88,7 +90,6 @@ from .psd_core import (
     spd_inv,
     spd_log,
     spd_power,
-    spd_sqrt_pair,
     spectral_ends,
     sym,
     thompson,
@@ -249,7 +250,7 @@ def _scaled(pref, x):
     return np.asarray(pref)[..., None, None] * x
 
 
-def _bracket_margins(mid, x, r, style, lo_factor=1.0, hi_factor=1.0):
+def _bracket_margins(mid, x, r, style, lo_factor=1.0, hi_factor=1.0, ends=None):
     """Margin of ``lo_pref*x <= mid <= hi_pref*x`` and its two sides.
 
     ``style='direct'`` places ``lambda_min^{r-1}`` on the lower side and the
@@ -258,9 +259,10 @@ def _bracket_margins(mid, x, r, style, lo_factor=1.0, hi_factor=1.0):
     K above).  ``lo_factor``/``hi_factor`` multiply the prefactors
     (Kantorovich constants in the reverse forms).  The sides are
     :func:`_ge_margin` and :func:`_le_margin`, with ``x`` and ``mid``
-    decomposed once each.
+    decomposed once each; ``ends`` is ``spectral_ends(x)`` when the caller
+    already holds it.
     """
-    lam, nrm = spectral_ends(x)
+    lam, nrm = spectral_ends(x) if ends is None else ends
     if style == "direct":
         lo_pref, hi_pref = lo_factor * lam ** (r - 1.0), hi_factor * nrm ** (r - 1.0)
     else:
@@ -526,7 +528,7 @@ def _reverse_margins(which, data, alpha, r, cache):
         k2 = kantorovich((kappa0 * kx) ** (-alpha), r) ** (1.0 / alpha)
         pref = k2 / k1 * nrm_x ** (r - 1.0)
         return _ge_margin(y, _scaled(pref, x)), {**consts, "K2_pow": k2, "prefactor": pref}
-    margin, sides = _bracket_margins(y, x, r, "complement", lo_factor=1.0 / k1, hi_factor=k1)
+    margin, sides = _bracket_margins(y, x, r, "complement", 1.0 / k1, k1, (lam_x, nrm_x))
     return margin, {**consts, **sides}
 
 
@@ -831,7 +833,8 @@ def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
     """4.6-4.9: the modified bracket of the two-variable mean tau, deformed
     by sigma (4.6/4.7) or power-bracketed alone (4.8/4.9).  Each mean is
     solved once per group, keyed like :func:`_solve` on the transformed
-    function and the power of the inputs."""
+    function and the power ``q`` of the inputs, and the means at one ``q``
+    share its :func:`_pair_frame`."""
     fn, op = (data.sigma, "power_inner") if by_sigma else (data.tau, "power_inner_outer")
 
     def mean(s, q):
@@ -839,7 +842,7 @@ def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
         if (f, q) not in cache:
             rep = partial(deformed_rep, data.tau, f) if by_sigma else partial(rep_eval, f)
             a, b = np.moveaxis(data.power(q), 1, 0)
-            cache[f, q] = _two_var_arrays(rep, a, b, data.once(("roots", q), partial(spd_sqrt_pair, a)))
+            cache[f, q] = _two_var_arrays(rep, a, b, data.once(("frame", q), partial(_pair_frame, a, b)))
         return cache[f, q]
 
     margin, sides = _modified_bracket(mean, r, r_range)
@@ -983,7 +986,7 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
     seeds = [_derive_seed(master_seed, family, dim, alpha, t) for t in range(trials)]
     spectrum, bounds, spread = (0.5, 2.2), (None, None), info["spread"]
     if spread is not None:
-        cell_rng = np.random.default_rng(_derive_seed(master_seed, family, dim, alpha, "cell"))
+        (cell_rng,) = _generators([_derive_seed(master_seed, family, dim, alpha, "cell")])
         m = round(float(cell_rng.uniform(0.5, 1.0)), 6)
         ratio = cell_rng.uniform(*spread) if isinstance(spread, tuple) else spread
         spectrum = bounds = (m, round(float(m * ratio), 6))
@@ -996,14 +999,12 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
         c = random_spd_stack(dim, (np.sqrt(data.mu), 0.999999), [_derive_seed(s, "c") for s in seeds])
         data.stack = np.concatenate([data.stack, c[:, None]], axis=1)
     elif info["layout"] == "pair":
-        kind_rng = np.random.default_rng(_derive_seed(master_seed, family, dim, alpha, "fn"))
+        (kind_rng,) = _generators([_derive_seed(master_seed, family, dim, alpha, "fn")])
         w_tau = round(float(kind_rng.uniform(0.25, 0.75)), 6)
         data.tau = (arithmetic, harmonic, geometric)[int(kind_rng.integers(3))](w_tau)
         data.sigma = geometric(alpha) if kind_rng.integers(2) == 0 else harmonic(alpha)
     else:
-        raw = np.stack(
-            [np.random.default_rng(_derive_seed(s, "w")).uniform(0.2, 1.0, _N) for s in seeds]
-        )
+        raw = np.stack([rng.uniform(0.2, 1.0, _N) for rng in _generators([_derive_seed(s, "w") for s in seeds])])
         data.weights = raw / raw.sum(axis=1, keepdims=True)
     return data
 

@@ -33,7 +33,7 @@ from .errors import (
     SigmaIsLeftTrivial,
     UnknownKind,
 )
-from .psd_core import SpdMatrix, eigh_apply, spd_sqrt_pair, sym
+from .psd_core import Spectral, SpdMatrix, spd_sqrt_pair, sym
 
 __all__ = [
     "RepFnSpec",
@@ -333,14 +333,21 @@ def rep_transform(spec: RepFnSpec, op: str, r: float | None = None) -> RepFnSpec
 # --------------------------------------------------------------------------
 
 
-def _two_var_arrays(fn, a, b, roots=None):
+def _pair_frame(a, b):
+    """``(a^{1/2}, Spectral(a^{-1/2} b a^{-1/2}))``: what every mean of the
+    pair ``(a, b)`` is built from, batched."""
+    a_half, a_invh = spd_sqrt_pair(a)
+    return a_half, Spectral(sym(a_invh @ b @ a_invh))
+
+
+def _two_var_arrays(fn, a, b, frame=None):
     """``a sigma b`` for the representing function ``fn`` of ``sigma``, batched.
 
-    ``roots`` is ``spd_sqrt_pair(a)`` when the caller already holds it.
+    ``frame`` is ``_pair_frame(a, b)`` when the caller already holds it, so
+    the means of one pair share its decompositions.
     """
-    a_half, a_invh = spd_sqrt_pair(a) if roots is None else roots
-    w = sym(a_invh @ b @ a_invh)
-    return sym(a_half @ eigh_apply(w, fn) @ a_half)
+    a_half, w = _pair_frame(a, b) if frame is None else frame
+    return sym(a_half @ w.apply(fn) @ a_half)
 
 
 def two_var_mean(spec: RepFnSpec, A: SpdMatrix, B: SpdMatrix) -> SpdMatrix:
@@ -407,14 +414,15 @@ def deformed_rep(tau: RepFnSpec, sigma: RepFnSpec, t):
     ):
         raise NoConvergence("residual bracket invalid for bisection", last_iterate=0.5 * (lo + hi), residual=None)
     tau_fn, sigma_fn = tau.evaluator, sigma.evaluator
-    live = np.flatnonzero(hi - lo > _BISECT_RTOL * hi)
-    while live.size:
-        l, h = lo[live], hi[live]
-        mid = 0.5 * (l + h)
-        up = _deformed_residual(tau_fn, sigma_fn, tt[live], mid) >= 0
-        l, h = np.where(up, mid, l), np.where(up, h, mid)
-        lo[live], hi[live] = l, h
-        live = live[h - l > _BISECT_RTOL * h]
+    # every halving evaluates the whole batch and moves the live ends only,
+    # so a stopped element keeps its bits
+    live = hi - lo > _BISECT_RTOL * hi
+    while live.any():
+        mid = 0.5 * (lo + hi)
+        up = _deformed_residual(tau_fn, sigma_fn, tt, mid) >= 0
+        np.copyto(lo, mid, where=live & up)
+        np.copyto(hi, mid, where=live & ~up)
+        live &= hi - lo > _BISECT_RTOL * hi
     x = 0.5 * (lo + hi)
     return float(x[0]) if scalar_in else x.reshape(np.shape(t))
 

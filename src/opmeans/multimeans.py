@@ -30,6 +30,7 @@ from .errors import (
     ArityMismatch,
     CertificationFailure,
     DimensionMismatch,
+    DomainError,
     HypothesisFails,
     InvalidWeights,
     MissingParameter,
@@ -253,9 +254,16 @@ _EYE = np.eye(_DEPTH)
 
 
 def _rounding_floor(a):
-    """``16 eps kappa`` per member, ``kappa`` the spectral spread of its inputs."""
+    """``16 eps kappa`` per member, ``kappa`` the spectral spread of its inputs.
+
+    DomainError names the first member with an input eigenvalue ``<= 0``.
+    """
     eigs = np.linalg.eigvalsh(a)
-    return 16 * _EPS * eigs[..., -1].max(axis=-1) / eigs[..., 0].min(axis=-1)
+    low = eigs[..., 0].min(axis=-1)
+    if np.any(low <= 0):
+        k = int(np.argmax(low <= 0))
+        raise DomainError(f"member {k} has an input with eigenvalue {low[k]:.6g} <= 0")
+    return 16 * _EPS * eigs[..., -1].max(axis=-1) / low
 
 
 def _power_loop(w, p, stack, tol, what):

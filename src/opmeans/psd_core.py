@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     BadInterval,
+    BadSeed,
     DimensionMismatch,
     DomainError,
     EigenFailure,
@@ -372,28 +373,127 @@ def random_spd(dim: int, spectrum, seed: int) -> SpdMatrix:
 def random_spd_stack(dim: int, spectrum, seeds) -> np.ndarray:
     """``random_spd(dim, spectrum, s).a`` for every seed ``s``, stacked.
 
-    Each seed's generator draws as in the one-seed case; the orthogonal
-    factors then come from one batched QR (with the sign fix that makes them
-    Haar and independent of LAPACK's sign conventions) and one rebuild, which
-    give the same bits as the per-seed calls.
+    Each seed's draws come from :func:`_generators`, so they are those of
+    ``np.random.default_rng(s)``; the orthogonal factors then come from one
+    batched QR (with the sign fix that makes them Haar and independent of
+    LAPACK's sign conventions) and one rebuild, which give the same bits as
+    the per-seed calls.
     """
     m, M = spectrum
     if not (0 < m < M):
         raise BadInterval(f"need 0 < m < M, got [{m}, {M}]")
     if dim < 1:
         raise BadInterval(f"dimension must be positive, got {dim}")
-    rngs = [np.random.default_rng(s) for s in seeds]
+    seeds = list(seeds)
     if dim == 1:
-        return np.array([rng.uniform(m, M) for rng in rngs]).reshape(-1, 1, 1)
-    eigs = np.empty((len(rngs), dim))
+        return np.array([rng.uniform(m, M) for rng in _generators(seeds)]).reshape(-1, 1, 1)
+    eigs = np.empty((len(seeds), dim))
     eigs[:, 0], eigs[:, -1] = m, M
-    g = np.empty((len(rngs), dim, dim))
-    for k, rng in enumerate(rngs):
+    g = np.empty((len(seeds), dim, dim))
+    for k, rng in enumerate(_generators(seeds)):
         eigs[k, 1:-1] = rng.uniform(m, M, size=dim - 2)
         g[k] = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     return sym((q * eigs[:, None, :]) @ np.swapaxes(q, -1, -2))
+
+
+# --------------------------------------------------------------------------
+# seeding: default_rng(s) without a SeedSequence per seed
+# --------------------------------------------------------------------------
+
+# numpy.random.SeedSequence's hash and PCG64's seeding, which NEP 19 keeps
+# fixed across numpy releases
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_consts(init, mult, calls):
+    """``h_0 .. h_calls`` as a column, ``h_0 = init`` and ``h_{k+1} = h_k mult
+    mod 2**32``: the k-th hashmix call xors with ``h_k`` and multiplies by
+    ``h_{k+1}``."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+def _pool_mix_consts(h):
+    """For each source pool word, the constants of its three hashmix calls,
+    one per other word in order, as columns over the pool (0 on its own row)."""
+    out = []
+    for src in range(4):
+        xor, mul = np.zeros((4, 1), np.uint32), np.zeros((4, 1), np.uint32)
+        dst, first = [j for j in range(4) if j != src], 4 + 3 * src
+        xor[dst], mul[dst] = h[first : first + 3], h[first + 1 : first + 4]
+        out.append((xor, mul))
+    return out
+
+
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # INIT_A, MULT_A: the pool
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # INIT_B, MULT_B: generate_state
+_POOL_MIX = _pool_mix_consts(_HASH_A)
+
+
+def _hashmix(v, xor, mul):
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _seed_array(seeds):
+    for s in seeds:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 0 <= int(s) < 2**64:
+            raise BadSeed(f"seed {s!r} is not an integer in [0, 2**64)")
+    return np.array([int(s) for s in seeds], dtype=np.uint64)
+
+
+def _seed_state_words(seeds):
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed, as rows.
+
+    numpy's loops in uint32 arithmetic, each step taken for the whole batch
+    at once.  A seed below 2**64 is at most two 32-bit entropy words, fewer
+    than the pool's four, and a missing word hashes as 0, so the pool is the
+    hashmix of (low, high, 0, 0).  Each pool word in turn is then hashed and
+    mixed into the three others (one step for all three, since none of them
+    feeds another), and the output hash reads the pool twice round, pairing
+    its 32-bit words little-endian.
+    """
+    s = _seed_array(seeds)
+    pool = np.zeros((4, len(s)), dtype=np.uint32)
+    pool[0], pool[1] = s & _MASK32, s >> 32
+    pool = _hashmix(pool, _HASH_A[:4], _HASH_A[1:5])
+    for src, (xor, mul) in enumerate(_POOL_MIX):
+        mixed = _MIX_L * pool - _MIX_R * _hashmix(pool[src], xor, mul)
+        mixed ^= mixed >> 16
+        mixed[src] = pool[src]
+        pool = mixed
+    out = _hashmix(np.concatenate([pool, pool]), _HASH_B[:8], _HASH_B[1:]).astype(np.uint64)
+    return (out[0::2] | out[1::2] << 32).T
+
+
+def _generators(seeds):
+    """One ``np.random.Generator``, reseeded before each seed of ``seeds``.
+
+    Step k yields it in the state ``np.random.default_rng(seeds[k])`` starts
+    in, so it draws the same bits; take each step's draws before the next.
+    A seed must be an integer (Python or numpy, not bool) in ``[0, 2**64)``;
+    :class:`BadSeed` names the first that is not.
+    """
+    words = _seed_state_words(seeds).tolist()
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for s_hi, s_lo, i_hi, i_lo in words:
+        # PCG64's srandom: inc = 2 initseq + 1, one step from 0, add initstate, one step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 # --------------------------------------------------------------------------

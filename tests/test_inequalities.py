@@ -835,6 +835,44 @@ def test_bracket_margins_decompose_each_matrix_once(monkeypatch, style):
     assert not any(np.array_equal(p, q) for i, p in enumerate(seen) for q in seen[:i])
 
 
+def test_reverse_cell_decomposes_its_mean_once(monkeypatch):
+    # a 5.9 cell: the two solves' inputs, x once for kappa_x and its bracket,
+    # then mid and each side with its difference from mid
+    data = inequalities._gen_cell_data("5.9", 3, 0.5, 10, 4)
+    seen = []
+    inner = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(np.array(a)) or inner(a))
+    assert run_cell("5.9", 3, 2.0, 0.5, 10, 4, data=data).holds
+    assert len(seen) == 8
+    assert not any(np.array_equal(p, q) for i, p in enumerate(seen) for q in seen[:i])
+
+
+def test_pair_group_decomposes_each_w_once(monkeypatch):
+    # a 4.7 group solves 7 means on W = A^{-q/2} B^q A^{-q/2} for 4 q; each
+    # W is decomposed once, though the four means at q = 1 share it
+    rs = (0.25, 0.5, 0.75, 1.0)
+    stack = inequalities._gen_cell_data("4.7", 3, 0.5, 10, 4).stack
+    ws = []
+    for q in rs:
+        _, a_invh = psd_core.spd_sqrt_pair(spd_power(stack, q)[:, 0])
+        ws.append(sym(a_invh @ spd_power(stack, q)[:, 1] @ a_invh))
+    seen = _eigh_inputs(monkeypatch)
+    run_campaign(CampaignConfig(("4.7",), (3,), rs, (0.5,), 10, 4, "-"))
+    assert [_times_decomposed(seen, w) for w in ws] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("family", ["3.13", "4.7", "L5.1", "5.9"])
+def test_cell_data_draws_through_one_seeding_path(monkeypatch, family):
+    # trial matrices, weights and the cell's constants all come from
+    # psd_core._generators, never from a generator built per seed
+    def per_seed(seed=None):
+        raise AssertionError("a per-seed default_rng")
+
+    alpha = 0.5 if FAMILIES[family]["needs_alpha"] else None
+    monkeypatch.setattr(np.random, "default_rng", per_seed)
+    assert len(inequalities._gen_cell_data(family, 3, alpha, 6, 11).stack) == 6
+
+
 @pytest.fixture
 def every_check_fails(monkeypatch):
     """A threshold of -1 fails every check, so each report embeds its witness."""

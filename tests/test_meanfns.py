@@ -321,6 +321,19 @@ def test_deformed_rep_batch_independent(tau, sigma):
     np.testing.assert_array_equal(batch, alone)
 
 
+def test_deformed_rep_batch_keeps_each_bisection_bits():
+    # elements stop after different numbers of halvings (t = 1 never starts,
+    # t next to 1 stops early, far t runs longest); each keeps the bits of
+    # its own bisection
+    t = np.exp(np.random.default_rng(5).uniform(-12.0, 12.0, 44))
+    t = np.concatenate([t, [1.0, 1.0 + 2e-16, 1.0 - 1e-16, 1.0 + 1e-12, 1e-9, 1e9]])
+    tau, sigma = arithmetic(0.4), harmonic(0.3)
+    batch = deformed_rep(tau, sigma, t)
+    assert len(t) == 50 and batch[44] == 1.0
+    for k, x in enumerate(t):
+        assert batch[k] == deformed_rep(tau, sigma, x), k
+
+
 # --------------------------------------------------------------- margin scans
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -413,6 +415,17 @@ def test_scaled_inputs_keep_homogeneity(alpha, scale):
     res = eval_mean(spec, [validate_spd(scale * a.a) for a in As])
     assert res.residual_dt < DT_TOL
     np.testing.assert_allclose(res.value.a / scale, eval_mean(spec, As).value.a, rtol=1e-9, atol=0)
+
+
+def test_singular_input_names_its_member_and_eigenvalue():
+    # a typed error before the rounding floor could divide by zero
+    good, bad = np.stack([np.eye(2)] * 2), np.stack([np.eye(2), np.diag([1.0, 0.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(errors.DomainError, match=r"member 1 .* eigenvalue 0 <= 0"):
+            eval_mean_stack(MultiMeanSpec.power(None, 0.5), np.stack([good, bad]), np.full((2, 2), 0.5))
+        with pytest.raises(errors.DomainError, match=r"member 2 .* eigenvalue -0.5 <= 0"):
+            multimeans._rounding_floor(np.stack([good, good, -0.5 * bad]))
 
 
 def test_power_mean_alpha_zero_rejected():

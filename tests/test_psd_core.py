@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -170,14 +171,36 @@ def _random_spd_loop(dim, spectrum, seeds):
     return np.array(out)
 
 
+# the ends of the seed range and of its one- and two-word halves, as Python
+# and numpy integers
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+EDGE_SEEDS += [np.uint64(2**64 - 1), np.int64(7), np.uint32(2**32 - 1)]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 5, 8])
 def test_random_spd_stack_matches_per_seed_draws(dim):
-    seeds = [int(s) for s in np.random.default_rng(dim).integers(0, 2**63, 50)]
+    seeds = [int(s) for s in np.random.default_rng(dim).integers(0, 2**63, 50)] + EDGE_SEEDS
     stack = random_spd_stack(dim, (0.5, 2.2), seeds)
     assert np.array_equal(stack, _random_spd_loop(dim, (0.5, 2.2), seeds))
     assert np.array_equal(random_spd(dim, (0.5, 2.2), seeds[3]).a, stack[3])
+    # the campaign's other seeded draws: ensemble weights and the cell's constants
+    draws = [(rng.uniform(0.2, 1.0, dim), rng.uniform(), rng.integers(3)) for rng in psd_core._generators(seeds)]
+    for s, (w, u, k) in zip(seeds, draws):
+        ref = np.random.default_rng(s)
+        assert np.array_equal(w, ref.uniform(0.2, 1.0, dim)) and u == ref.uniform() and k == ref.integers(3)
     with pytest.raises(errors.BadInterval):
         random_spd_stack(dim, (1.0, 1.0), seeds)
+
+
+@pytest.mark.parametrize(
+    "seed", [-1, 2**64, True, np.bool_(False), 1.0, np.float64(2.0), "3", None], ids=repr
+)
+def test_random_spd_stack_names_a_bad_seed(seed):
+    # negative, too large, boolean or not an integer: a typed error naming it
+    with pytest.raises(errors.BadSeed, match=re.escape(repr(seed))):
+        random_spd_stack(3, (0.5, 2.2), [5, seed])
+    with pytest.raises(errors.BadSeed, match=re.escape(repr(seed))):
+        random_spd(1, (0.5, 2.2), seed)
 
 
 def test_arithmetic_mean_nonexpansive_in_thompson():
