@@ -10,8 +10,9 @@ threshold reads ``margin``.
 Every check is a campaign cell.  :func:`run_cell` evaluates one
 (family, dimension, r, alpha) cell over many seeded random trials in a
 single stacked solve, which is what makes 200-trial cells affordable, and
-:func:`run_campaign` runs a whole campaign grid, sharing trial data and
-solves across the r values of each (family, dimension, alpha) group.  The
+:func:`run_campaign` runs a whole campaign grid, sharing trial data across
+the r values of each (family, dimension, alpha) group and, through one memo
+per group (:func:`_once`), every solve and decomposition made from it.  The
 typed checks (``check_ah_family``, ``check_modified``, ``check_two_var``,
 ``check_reverse`` ...) take :class:`SpdMatrix` inputs and run the same
 margin function on a one-trial cell, whose report carries ``witness_seed``
@@ -26,10 +27,10 @@ fixed by the report wire format.  :data:`FAMILIES` is the one table that
 says what each family needs: its r-range, whether it takes alpha, its data
 layout (a trial is a stack of matrices: an ensemble, the pair A, B, or a
 matrix A and a compression C), the spectrum rule of the bounded families and
-its margin function.  The modified bracket of 4.1/4.2 and 4.4-4.9 is one
-function, :func:`_modified_bracket`, over each family's own mean.  The typed
-labels "3.1"-"3.4", "4.1" and "4.2" read their r-range from the families
-3.9-3.12, 4.4 and 4.5.
+its margin function.  The modified bracket of 3.13/3.14, 4.1/4.2 and
+4.4-4.9 is one function, :func:`_modified_bracket`, over each family's own
+mean.  The typed labels "3.1"-"3.4", "4.1" and "4.2" read their r-range
+from the families 3.9-3.12, 4.4 and 4.5.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
 from typing import Optional, Sequence
@@ -57,7 +58,6 @@ from .errors import (
 )
 from .meanfns import (
     RepFnSpec,
-    _pair_frame,
     _two_var_arrays,
     arithmetic,
     deformed_rep,
@@ -84,6 +84,7 @@ from .psd_core import (
     matrix_from_json,
     matrix_to_json,
     op_norm,
+    pair_frame,
     random_spd,
     random_spd_stack,
     spd_exp,
@@ -119,6 +120,7 @@ __all__ = [
 ]
 
 CHECK_TOL = 1e-9  # a check holds when its margin is >= -CHECK_TOL; read at call time
+_BOUNDS_TOL = 1e-8  # relative slack of the bounds on a typed check's inputs
 
 
 # --------------------------------------------------------------------------
@@ -250,23 +252,20 @@ def _scaled(pref, x):
     return np.asarray(pref)[..., None, None] * x
 
 
-def _bracket_margins(mid, x, r, style, lo_factor=1.0, hi_factor=1.0, ends=None):
+def _bracket_margins(mid, x, r, style, k=1.0, ends=None):
     """Margin of ``lo_pref*x <= mid <= hi_pref*x`` and its two sides.
 
     ``style='direct'`` places ``lambda_min^{r-1}`` on the lower side and the
     norm on the upper (the r >= 1 displays); ``'complement'`` swaps them
-    (the 0 < r <= 1 displays, and the reverse forms with K^{-1} below and
-    K above).  ``lo_factor``/``hi_factor`` multiply the prefactors
-    (Kantorovich constants in the reverse forms).  The sides are
-    :func:`_ge_margin` and :func:`_le_margin`, with ``x`` and ``mid``
-    decomposed once each; ``ends`` is ``spectral_ends(x)`` when the caller
-    already holds it.
+    (the 0 < r <= 1 displays, and the reverse forms).  The lower prefactor
+    is divided by ``k`` and the upper one multiplied by it (the Kantorovich
+    constant of the reverse forms).  The sides are :func:`_ge_margin` and
+    :func:`_le_margin`, with ``x`` and ``mid`` decomposed once each; ``ends``
+    is ``spectral_ends(x)`` when the caller already holds it.
     """
     lam, nrm = spectral_ends(x) if ends is None else ends
-    if style == "direct":
-        lo_pref, hi_pref = lo_factor * lam ** (r - 1.0), hi_factor * nrm ** (r - 1.0)
-    else:
-        lo_pref, hi_pref = lo_factor * nrm ** (r - 1.0), hi_factor * lam ** (r - 1.0)
+    lo_end, hi_end = (lam, nrm) if style == "direct" else (nrm, lam)
+    lo_pref, hi_pref = (1.0 / k) * lo_end ** (r - 1.0), k * hi_end ** (r - 1.0)
     mid_norm = op_norm(mid)
     lo_side, hi_side = _scaled(lo_pref, x), _scaled(hi_pref, x)
     lo = lambda_min(mid - lo_side) / (mid_norm + op_norm(lo_side))
@@ -282,10 +281,10 @@ def _require_r(r, r_range, what):
         raise BadR(f"{what} needs 0 < r <= 1, got {r}")
 
 
-def _check_bounds(stack, m, M, tol=1e-8):
+def _check_bounds(stack, m, M):
     lam = np.linalg.eigvalsh(stack)
-    scale = max(abs(m), abs(M))
-    if np.any(lam[..., 0] < m - tol * scale) or np.any(lam[..., -1] > M + tol * scale):
+    slack = _BOUNDS_TOL * max(abs(m), abs(M))
+    if np.any(lam[..., 0] < m - slack) or np.any(lam[..., -1] > M + slack):
         raise BoundsViolated(
             f"inputs escape [{m}, {M}]: spectrum spans "
             f"[{lam[..., 0].min():.6g}, {lam[..., -1].max():.6g}]"
@@ -321,7 +320,7 @@ def check_ah_family(
         raise UnknownKind(f"unknown variant {variant!r}")
     family, adjoint, compare = _AH_VARIANTS[variant]
     _require_r(r, FAMILIES[family]["r_range"], variant)
-    data = _witness_cell("stack", As, _spec_weights(spec))
+    data = _witness_cell(family, As, _spec_weights(spec))
     use = MultiMeanSpec.adjoint(spec) if adjoint else spec
     margins = _ah_margin(use, adjoint, compare, data, r, {})
     return _verdict(f"{variant}:{spec.kind}", data, margins, {}, r, spec.alpha)
@@ -342,13 +341,14 @@ def check_modified(
     """
     if which not in ("4.1", "4.2"):
         raise UnknownKind(f"unknown modified check {which!r}")
-    r_range = FAMILIES["4.4" if which == "4.1" else "4.5"]["r_range"]
+    family = "4.4" if which == "4.1" else "4.5"
+    r_range = FAMILIES[family]["r_range"]
     _require_r(r, r_range, which)
-    data = _witness_cell("stack", As, _spec_weights(base))
+    data = _witness_cell(family, As, _spec_weights(base))
+    cache = {}
 
     def mean(s, q):
-        sig = sigma if s == 1 else rep_transform(sigma, "power_inner", s)
-        return _solve(MultiMeanSpec.deformed(base, sig), q, data, {})
+        return _solve(MultiMeanSpec.deformed(base, rep_transform(sigma, "power_inner", s)), q, data, cache)
 
     margins, consts = _modified_bracket(mean, r, r_range)
     return _verdict(which, data, margins, consts, r, None)
@@ -376,7 +376,7 @@ def _family_check(family, r, mats, **inputs) -> CheckReport:
     """``family``'s own cell as a typed check of the one trial ``mats``."""
     info = FAMILIES[family]
     _require_r(r, info["r_range"], family)
-    data = _witness_cell(info["layout"], mats, **inputs)
+    data = _witness_cell(family, mats, **inputs)
     margins, consts = info["margins"](data, r, None, {})
     return _verdict(family, data, margins, consts, r, None)
 
@@ -385,7 +385,7 @@ def _modified_bracket(mean, r, r_range):
     """Margins of the modified power bracket of a family of means.
 
     ``mean(s, q)`` is the family's mean with its parameter transformed by
-    ``s`` (``s = 1``: untransformed) on the inputs raised to ``q``.  For
+    ``s`` (at ``s = 1``, the identity) on the inputs raised to ``q``.  For
     r >= 1 ``mean(1/r, r)`` is bracketed by ``mean(1, 1)`` with the direct
     prefactors; for 0 < r <= 1 ``mean(1, r)`` by ``mean(r, 1)`` with the
     complement ones.
@@ -489,7 +489,7 @@ def check_reverse(
     if which not in (*_REVERSE_ALPHA, "5.10"):
         raise UnknownKind(f"unknown reverse check {which!r}")
     _require_r(r, FAMILIES[which]["r_range"], which)
-    data = _witness_cell("stack", As, w, bounds)
+    data = _witness_cell(which, As, w, bounds)
     margins, consts = _reverse_margins(which, data, alpha, r, {})
     return _verdict(which, data, margins, consts, r, alpha)
 
@@ -509,8 +509,7 @@ def _reverse_margins(which, data, alpha, r, cache):
         sigma = harmonic(alpha) if alpha > 0 else rep_transform(harmonic(-alpha), "adjoint")
         base = MultiMeanSpec.arithmetic(None)
         spec = MultiMeanSpec.deformed(base, sigma)
-        # at r = 1 the transform is the identity, so the spec is the one solved at A itself
-        spec_r = spec if r == 1 else MultiMeanSpec.deformed(base, rep_transform(sigma, "power_inner", 1.0 / r))
+        spec_r = MultiMeanSpec.deformed(base, rep_transform(sigma, "power_inner", 1.0 / r))
     else:
         spec = MultiMeanSpec.power(None, alpha)
         spec_r = MultiMeanSpec.power(None, alpha / r) if which == "5.9" else spec
@@ -528,7 +527,7 @@ def _reverse_margins(which, data, alpha, r, cache):
         k2 = kantorovich((kappa0 * kx) ** (-alpha), r) ** (1.0 / alpha)
         pref = k2 / k1 * nrm_x ** (r - 1.0)
         return _ge_margin(y, _scaled(pref, x)), {**consts, "K2_pow": k2, "prefactor": pref}
-    margin, sides = _bracket_margins(y, x, r, "complement", 1.0 / k1, k1, (lam_x, nrm_x))
+    margin, sides = _bracket_margins(y, x, r, "complement", k1, (lam_x, nrm_x))
     return margin, {**consts, **sides}
 
 
@@ -775,6 +774,19 @@ def find_reverse_improvement():
 _N = 3  # matrices per trial ensemble in the stack layout
 
 
+def _once(cache, key, make):
+    """``make()`` on the first call with ``key``, ``cache[key]`` after: the one
+    memo of what a (family, dim, alpha) group reuses over its r grid."""
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
+
+
+def _trial_power(data, r, cache):
+    """Every trial matrix raised to ``r``, all r from one decomposition per group."""
+    return _once(cache, "stack", lambda: Spectral(data.stack)).power(r)
+
+
 def _solve(spec, r, data, cache):
     """``spec`` on the trials' matrices raised to ``r``, solved once per group.
 
@@ -782,19 +794,15 @@ def _solve(spec, r, data, cache):
     the means that every other cell of its group solves on the trials' own
     matrices.
     """
-    key = (spec, r)
-    if key not in cache:
-        cache[key] = eval_mean_stack(spec, data.power(r), data.weights, certify=False).values
-    return cache[key]
+    return _once(cache, (spec, r), lambda: eval_mean_stack(
+        spec, _trial_power(data, r, cache), data.weights, certify=False).values)
 
 
 # Margin functions of the families: ``(data, r, alpha, cache)`` to the
 # per-trial margins and a constants dict.  Their mean specs carry no weights,
-# so every node takes the trial weights.  ``cache`` is scoped to one (family,
-# dim, alpha) group and holds its solves (see :func:`_solve`), which the
-# shared-ensemble seed scheme makes reusable across the whole r grid; the
-# group's ``data`` keeps what is derived from the trial matrices alone, such
-# as their decompositions (see :meth:`_CellData.once`).
+# so every node takes the trial weights.  ``cache`` is the group's memo (see
+# :func:`_once`), which the shared-ensemble seed scheme makes reusable across
+# the whole r grid.
 
 
 def _ah_margin(spec, adjoint, compare, data, r, cache):
@@ -816,17 +824,15 @@ def _ah_power_cell(variant, data, r, alpha, cache):
     return _ah_margin(spec, adjoint, compare, data, r, cache), {"alpha_used": a}
 
 
-def _ah_karcher_cell(style, data, r, alpha, cache):
-    """3.13/3.14: the Karcher mean at A^r bracketed by its value at A."""
-    spec = MultiMeanSpec.karcher(None)
-    return _bracket_margins(_solve(spec, r, data, cache), _solve(spec, 1.0, data, cache), r, style)
-
-
 def _power_bracket_cell(r_range, data, r, alpha, cache):
-    """4.4/4.5: the modified bracket of the power means P_{alpha s}."""
-    return _modified_bracket(
-        lambda s, q: _solve(MultiMeanSpec.power(None, alpha * s), q, data, cache), r, r_range
-    )
+    """4.4/4.5: the modified bracket of the power means P_{alpha s}; 3.13/3.14
+    (no alpha): that of the Karcher mean, which has no exponent to transform."""
+
+    def mean(s, q):
+        spec = MultiMeanSpec.karcher(None) if alpha is None else MultiMeanSpec.power(None, alpha * s)
+        return _solve(spec, q, data, cache)
+
+    return _modified_bracket(mean, r, r_range)
 
 
 def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
@@ -834,16 +840,18 @@ def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
     by sigma (4.6/4.7) or power-bracketed alone (4.8/4.9).  Each mean is
     solved once per group, keyed like :func:`_solve` on the transformed
     function and the power ``q`` of the inputs, and the means at one ``q``
-    share its :func:`_pair_frame`."""
+    share its :func:`~opmeans.psd_core.pair_frame`."""
     fn, op = (data.sigma, "power_inner") if by_sigma else (data.tau, "power_inner_outer")
 
     def mean(s, q):
-        f = fn if s == 1 else rep_transform(fn, op, s)
-        if (f, q) not in cache:
+        f = rep_transform(fn, op, s)
+
+        def solve():
             rep = partial(deformed_rep, data.tau, f) if by_sigma else partial(rep_eval, f)
-            a, b = np.moveaxis(data.power(q), 1, 0)
-            cache[f, q] = _two_var_arrays(rep, a, b, data.once(("frame", q), partial(_pair_frame, a, b)))
-        return cache[f, q]
+            a, b = np.moveaxis(_trial_power(data, q, cache), 1, 0)
+            return _two_var_arrays(rep, a, b, _once(cache, ("frame", q), partial(pair_frame, a, b)))
+
+        return _once(cache, (f, q), solve)
 
     margin, sides = _modified_bracket(mean, r, r_range)
     sigma_json = None if data.sigma is None else repfn_to_json(data.sigma)
@@ -854,8 +862,8 @@ def _arith_reverse_cell(data, r, alpha, cache):
     """5.3: ``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r``."""
     m, M = data.bounds
     k = kantorovich(M / m, r)
-    lhs = _weighted_sum(data.weights, data.power(r))
-    mean = data.once("mean", lambda: Spectral(_weighted_sum(data.weights, data.stack)))
+    lhs = _weighted_sum(data.weights, _trial_power(data, r, cache))
+    mean = _once(cache, "mean", lambda: Spectral(_weighted_sum(data.weights, data.stack)))
     return _le_margin(lhs, k * mean.power(r)), {"K": k}
 
 
@@ -865,8 +873,8 @@ def _compression_cell(data, r, alpha, cache):
     a, c = data.stack[:, 0], data.stack[:, 1]
     h1 = M / (m * data.mu)
     k = kantorovich(h1, r)
-    lhs = sym(c @ data.once("A", lambda: Spectral(a)).power(r) @ c)
-    cac = data.once("CAC", lambda: Spectral(sym(c @ a @ c)))
+    lhs = sym(c @ _once(cache, "A", lambda: Spectral(a)).power(r) @ c)
+    cac = _once(cache, "CAC", lambda: Spectral(sym(c @ a @ c)))
     return _le_margin(lhs, k * cac.power(r)), {"mu": data.mu, "h1": h1, "K": k}
 
 
@@ -916,8 +924,8 @@ FAMILIES = {
     "3.10": _family("ge1", partial(_ah_power_cell, "3.2")),
     "3.11": _family("le1", partial(_ah_power_cell, "3.3")),
     "3.12": _family("le1", partial(_ah_power_cell, "3.4")),
-    "3.13": _family("ge1", partial(_ah_karcher_cell, "direct"), needs_alpha=False),
-    "3.14": _family("le1", partial(_ah_karcher_cell, "complement"), needs_alpha=False),
+    "3.13": _family("ge1", partial(_power_bracket_cell, "ge1"), needs_alpha=False),
+    "3.14": _family("le1", partial(_power_bracket_cell, "le1"), needs_alpha=False),
     "4.4": _family("ge1", partial(_power_bracket_cell, "ge1")),
     "4.5": _family("le1", partial(_power_bracket_cell, "le1")),
     "4.6": _family("ge1", partial(_pair_cell, "ge1", True), layout="pair"),
@@ -949,30 +957,10 @@ class _CellData:
     mu: float = 0.4  # the compress layout draws C with mu I <= C^2 <= I
     tau: Optional[RepFnSpec] = None
     sigma: Optional[RepFnSpec] = None
-    derived: dict = field(default_factory=dict, init=False, repr=False)  # see once()
 
     @property
     def dim(self) -> int:
         return int(self.stack.shape[-1])
-
-    def once(self, key, make):
-        """``make()`` on the first call with ``key``, the same value after.
-
-        The cells of a group share their data, so what is derived here from
-        the trial matrices (a decomposition, a square-root pair) is derived
-        once for the whole r grid.
-        """
-        if key not in self.derived:
-            self.derived[key] = make()
-        return self.derived[key]
-
-    def power(self, r):
-        """Every trial matrix raised to ``r``, all r from one decomposition."""
-        return self.once("stack", lambda: Spectral(self.stack)).power(r)
-
-    def witness(self, idx):
-        """Trial ``idx``'s matrices in wire format, in the order ``recheck`` reads them."""
-        return [matrix_to_json(m) for m in self.stack[idx]]
 
 
 def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
@@ -1009,18 +997,21 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
     return data
 
 
-def _witness_cell(layout, mats, weights=None, bounds=None, mu=None, tau=None, sigma=None, seed=-1) -> _CellData:
-    """A one-trial cell in ``layout`` from typed inputs or a report's witness.
+def _witness_cell(family, mats, weights=None, bounds=None, mu=None, tau=None, sigma=None, seed=-1) -> _CellData:
+    """A one-trial cell of ``family`` from typed inputs or a report's witness.
 
     ``mats`` are the trial's matrices in witness order.  The trial must be
     one that a campaign could have drawn: a matrix count that fits the
-    layout (two for a pair or a compression), one dimension, one weight per
-    ensemble matrix (uniform when ``weights`` is None; only an ensemble
-    takes weights), ``m I <= A_j <= M I``
-    under ``bounds = (m, M)`` with ``0 < m < M``, and ``mu I <= C^2 <= I``
-    for the compression.  ``seed`` is the trial's seed as reported; a typed
-    check has none, -1.
+    family's layout (two for a pair or a compression), one dimension, one
+    weight per ensemble matrix (uniform when ``weights`` is None; only an
+    ensemble takes weights), and ``mu I <= C^2 <= I`` for the compression.
+    A bounded family (one with a ``spread``) needs ``bounds = (m, M)``, two
+    finite numbers with ``0 < m < M`` and ``m I <= A_j <= M I``; any other
+    family takes none (BoundsViolated).  ``seed`` is the trial's seed as
+    reported; a typed check has none, -1.
     """
+    info = FAMILIES[family]
+    layout = info["layout"]
     arrays = _as_stack(mats)
     if layout != "stack" and len(arrays) != 2:
         raise ArityMismatch(f"{len(arrays)} matrices do not fit the {layout} layout")
@@ -1035,11 +1026,11 @@ def _witness_cell(layout, mats, weights=None, bounds=None, mu=None, tau=None, si
         if len(w.values) != len(arrays):
             raise ArityMismatch(f"{len(w.values)} weights for {len(arrays)} matrices")
         data.weights = w.asarray()[None]
-    if bounds is not None:
-        if not 0 < bounds[0] < bounds[1]:
-            raise BoundsViolated(f"bounds need 0 < m < M, got {tuple(bounds)}")
-        data.bounds = tuple(bounds)
+    if info["spread"] is not None:
+        data.bounds = _pinned_bounds(bounds)
         _check_bounds(arrays[:1] if layout == "compress" else arrays, *data.bounds)
+    elif bounds is not None:
+        raise BoundsViolated(f"family {family} takes no bounds, got {bounds!r}")
     if layout == "compress":
         c = arrays[1:]
         data.mu = data.mu if mu is None else mu
@@ -1047,6 +1038,17 @@ def _witness_cell(layout, mats, weights=None, bounds=None, mu=None, tau=None, si
             raise BoundsViolated(f"mu must lie in (0, 1], got {data.mu}")
         _check_bounds(c @ c, data.mu, 1.0)
     return data
+
+
+def _pinned_bounds(bounds) -> tuple:
+    """``bounds`` as ``(m, M)``; BoundsViolated unless two finite numbers with ``0 < m < M``."""
+    try:
+        m, M = bounds
+        if 0 < m < M < math.inf:
+            return m, M
+    except (TypeError, ValueError):
+        pass
+    raise BoundsViolated(f"bounds need two finite numbers 0 < m < M, got {bounds!r}")
 
 
 def _cell_info(family, r, alpha) -> dict:
@@ -1085,7 +1087,7 @@ def _verdict(ident, data, margins, consts, r, alpha) -> CheckReport:
     holds = margin >= -CHECK_TOL
     matrices = None
     if not holds:
-        matrices = data.witness(worst)
+        matrices = [matrix_to_json(m) for m in data.stack[worst]]  # in the order recheck reads them
         if data.weights is not None:
             constants["weights"] = [float(x) for x in data.weights[worst]]
     return CheckReport(
@@ -1121,7 +1123,8 @@ def run_cell(
     info = _cell_info(family, r, alpha)
     if data is None:
         data = _gen_cell_data(family, dim, alpha, trials, master_seed)
-    margins, consts = info["margins"](data, r, alpha, {} if cache is None else cache)
+    used = alpha if info["needs_alpha"] else None  # a family that takes no alpha gets none
+    margins, consts = info["margins"](data, r, used, {} if cache is None else cache)
     return _verdict(_cell_id(family, dim, r, alpha), data, margins, consts, r, alpha)
 
 
@@ -1195,7 +1198,7 @@ def recheck(report_json: dict) -> CheckReport:
             raise ConfigError(f"{family} reports must carry tau_json and sigma_json")
         inputs["tau"] = repfn_from_json(consts["tau_json"])
         inputs["sigma"] = repfn_from_json(consts["sigma_json"])
-    data = _witness_cell(info["layout"], [matrix_from_json(m) for m in mats], seed=seed, **inputs)
+    data = _witness_cell(family, [matrix_from_json(m) for m in mats], seed=seed, **inputs)
     rep = run_cell(family, data.dim, r, alpha, 1, seed, data=data)
     return replace(rep, inequality_id=ident)
 
@@ -1220,8 +1223,8 @@ class CampaignConfig:
         if not isinstance(obj, dict):
             raise ConfigError(f"a campaign config must be a JSON object, got {type(obj).__name__}")
         try:
-            ids = tuple(obj["inequality_ids"])
-            dims = tuple(_integer(d, "dimension") for d in obj["dimensions"])
+            ids = tuple(_list(obj["inequality_ids"], "inequality_ids"))
+            dims = tuple(_integer(d, "dimension") for d in _list(obj["dimensions"], "dimensions"))
             rs = tuple(_finite(r, "r") for r in _list(obj["r_values"], "r_values"))
             alphas = tuple(_finite(a, "alpha") for a in _list(obj.get("alpha_values", []), "alpha_values"))
             trials = _integer(obj.get("trials", 200), "trials")

@@ -33,7 +33,7 @@ from .errors import (
     SigmaIsLeftTrivial,
     UnknownKind,
 )
-from .psd_core import Spectral, SpdMatrix, spd_sqrt_pair, sym
+from .psd_core import SpdMatrix, pair_frame, sym
 
 __all__ = [
     "RepFnSpec",
@@ -61,7 +61,8 @@ __all__ = [
 ]
 
 _KINDS = ("left_trivial", "right_trivial", "arithmetic", "harmonic", "geometric", "convex")
-_TRANSFORM_OPS = ("adjoint", "transpose", "power_inner", "power_inner_outer", "power_outer")
+_POWER_OPS = ("power_inner", "power_inner_outer", "power_outer")
+_TRANSFORM_OPS = ("adjoint", "transpose", *_POWER_OPS)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class Transform:
     def __post_init__(self):
         if self.op not in _TRANSFORM_OPS:
             raise UnknownKind(f"unknown transform {self.op!r}")
-        if self.op in ("power_inner", "power_inner_outer", "power_outer"):
+        if self.op in _POWER_OPS:
             if self.r is None:
                 raise MissingParameter(f"transform {self.op!r} needs a parameter r")
             if not 0 < self.r < np.inf:
@@ -324,8 +325,14 @@ def _base_elasticity(spec, lo, hi):
 
 
 def rep_transform(spec: RepFnSpec, op: str, r: float | None = None) -> RepFnSpec:
-    """Append a transform to the stack; derivative cache resets with the new object."""
-    return RepFnSpec(spec.kind, spec.params, spec.transforms + (Transform(op, r),))
+    """Append a transform to the stack; derivative cache resets with the new object.
+
+    A power map at ``r = 1`` is the identity: it is validated, and ``spec`` itself returned.
+    """
+    tr = Transform(op, r)
+    if op in _POWER_OPS and r == 1:
+        return spec
+    return RepFnSpec(spec.kind, spec.params, spec.transforms + (tr,))
 
 
 # --------------------------------------------------------------------------
@@ -333,20 +340,13 @@ def rep_transform(spec: RepFnSpec, op: str, r: float | None = None) -> RepFnSpec
 # --------------------------------------------------------------------------
 
 
-def _pair_frame(a, b):
-    """``(a^{1/2}, Spectral(a^{-1/2} b a^{-1/2}))``: what every mean of the
-    pair ``(a, b)`` is built from, batched."""
-    a_half, a_invh = spd_sqrt_pair(a)
-    return a_half, Spectral(sym(a_invh @ b @ a_invh))
-
-
 def _two_var_arrays(fn, a, b, frame=None):
     """``a sigma b`` for the representing function ``fn`` of ``sigma``, batched.
 
-    ``frame`` is ``_pair_frame(a, b)`` when the caller already holds it, so
+    ``frame`` is ``pair_frame(a, b)`` when the caller already holds it, so
     the means of one pair share its decompositions.
     """
-    a_half, w = _pair_frame(a, b) if frame is None else frame
+    a_half, w = pair_frame(a, b) if frame is None else frame
     return sym(a_half @ w.apply(fn) @ a_half)
 
 

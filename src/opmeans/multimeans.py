@@ -44,12 +44,11 @@ from .psd_core import (
     SpdMatrix,
     _rebuild,
     congruence,
-    eigh_apply,
     lambda_min,
     loewner_compare,
     op_norm,
+    pair_frame,
     spd_inv,
-    spd_sqrt_pair,
     thompson,
 )
 
@@ -667,9 +666,8 @@ def comparison_bound(
     stack = _as_stack(As)
     if Y.dim != stack.shape[-1]:
         raise DimensionMismatch(f"Y has dimension {Y.dim}, inputs {stack.shape[-1]}")
-    yh, yih = spd_sqrt_pair(Y.a)
-    blocks = congruence(yih, stack)
-    f_blocks = eigh_apply(blocks, lambda t: rep_eval(sigma, t))
+    yh, blocks = pair_frame(Y.a, stack)
+    f_blocks = blocks.apply(lambda t: rep_eval(sigma, t))
     z, _, _ = _eval_node(base, f_blocks)
     fy = SpdMatrix(dim=Y.dim, entries=congruence(yh, z))
     premise = loewner_compare(Y, fy)

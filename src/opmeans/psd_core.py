@@ -10,12 +10,13 @@ carry the tolerance semantics.
 Eigendecomposition is the single primitive behind every matrix function
 here: the matrices are small (dimension of order tens) and symmetric
 eigensolvers are backward stable, so there is no reason to special-case
-exp/log/sqrt.  A :class:`Spectral` keeps the decomposition of its matrices,
-so several functions of them cost one ``eigh``.  Batched ``eigh`` is the
-only LAPACK primitive behind them; the spectral rebuilds ``U f(L) U^T`` and
-the congruences ``s^T a s`` are batched matmul, which on stacks of small
-matrices is several times faster than the equivalent ``einsum``
-contractions.
+exp/log/sqrt.  Every matrix function goes through a :class:`Spectral`,
+which keeps the decomposition of its matrices, so several functions of them
+cost one ``eigh``.  The pair congruence ``a^{-1/2} b a^{-1/2}`` behind every
+two-variable mean and the Thompson distance is formed in :func:`pair_frame`
+alone.  Batched ``eigh`` is the only LAPACK primitive; the spectral rebuilds
+``U f(L) U^T`` and the congruences ``s^T a s`` are batched matmul, several
+times faster than ``einsum`` on stacks of small matrices.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "spd_power",
     "spd_inv",
     "spd_sqrt_pair",
+    "pair_frame",
     "spd_log",
     "spd_exp",
     "thompson",
@@ -124,10 +126,24 @@ class Spectral:
         return _rebuild(v, fw)
 
     def power(self, r):
-        """:func:`spd_power` of ``a`` and ``r``."""
+        """:func:`spd_power` of ``a`` and ``r``; a whole power needs no positive eigenvalues."""
         if r == 1:
             return sym(self.a)
-        return self.apply(lambda w: _checked_pow(w, r))
+        whole = r >= 0 and float(r).is_integer()
+        return self.apply(lambda w: np.power(w if whole else _positive(w, f"power {r}"), r))
+
+    def sqrt_pair(self):
+        """:func:`spd_sqrt_pair` of ``a``."""
+        w, v = self.eig
+        s = np.sqrt(_positive(w, "square root"))
+        return _rebuild(v, s), _rebuild(v, 1.0 / s)
+
+
+def _positive(w, what):
+    """Eigenvalues ``w`` as they are; DomainError naming the smallest unless all are positive."""
+    if np.any(w <= 0):
+        raise DomainError(f"{what} of nonpositive eigenvalue {w.min()}")
+    return w
 
 
 def spd_power(a, r):
@@ -135,40 +151,25 @@ def spd_power(a, r):
     return Spectral(a).power(r)
 
 
-def _checked_pow(w, r):
-    if np.any(w <= 0) and (r < 0 or r != int(r)):
-        raise DomainError(f"nonpositive eigenvalue {w.min()} under power {r}")
-    return np.power(w, r)
-
-
 def spd_inv(a):
     """``a^{-1}`` through the spectrum; DomainError names a nonpositive eigenvalue."""
-    return eigh_apply(a, _checked_inv)
-
-
-def _checked_inv(w):
-    if np.any(w <= 0):
-        raise DomainError(f"inverse of nonpositive eigenvalue {w.min()}")
-    return 1.0 / w
+    return eigh_apply(a, lambda w: 1.0 / _positive(w, "inverse"))
 
 
 def spd_sqrt_pair(a):
     """Return ``(a**0.5, a**-0.5)`` from a single decomposition."""
-    w, v = _eigh(a)
-    if np.any(w <= 0):
-        raise DomainError(f"matrix not positive definite (min eigenvalue {w.min()})")
-    s = np.sqrt(w)
-    return _rebuild(v, s), _rebuild(v, 1.0 / s)
+    return Spectral(a).sqrt_pair()
+
+
+def pair_frame(a, b):
+    """``(a^{1/2}, Spectral(a^{-1/2} b a^{-1/2}))``: what every mean of the
+    pair ``(a, b)`` and their Thompson distance are built from, batched."""
+    a_half, a_invh = spd_sqrt_pair(a)
+    return a_half, Spectral(sym(a_invh @ b @ a_invh))
 
 
 def spd_log(a):
-    return eigh_apply(a, _checked_log)
-
-
-def _checked_log(w):
-    if np.any(w <= 0):
-        raise DomainError(f"log of nonpositive eigenvalue {w.min()}")
-    return np.log(w)
+    return eigh_apply(a, lambda w: np.log(_positive(w, "log")))
 
 
 def spd_exp(a):
@@ -197,12 +198,8 @@ def _norm(w):
 
 def thompson(a, b):
     """Thompson distance ``max |log eig(a^{-1/2} b a^{-1/2})|`` (batched)."""
-    _, a_invh = spd_sqrt_pair(a)
-    w = np.linalg.eigvalsh(congruence(a_invh, b))
-    if np.any(w <= 0):
-        raise DomainError("thompson distance needs positive definite operands")
-    lw = np.log(w)
-    return np.maximum(np.abs(lw[..., 0]), np.abs(lw[..., -1]))
+    w = np.linalg.eigvalsh(pair_frame(a, b)[1].a)
+    return _norm(np.log(_positive(w, "thompson distance")))
 
 
 def congruence(s, a):
@@ -289,12 +286,12 @@ def validate_spd(entries) -> SpdMatrix:
     ``PD_TOL * spectral_scale``.
     """
     a = np.asarray(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected a square 2-d array, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise NotSquare(f"expected a nonempty square 2-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    gap = np.max(np.abs(a - a.T)) if a.size else 0.0
+    scale = np.max(np.abs(a))
+    gap = np.max(np.abs(a - a.T))
     if gap > SYM_TOL * max(scale, 1e-300):
         raise NotSymmetric(
             f"asymmetry {gap:.3e} exceeds {SYM_TOL:.1e} * max|entries| = "

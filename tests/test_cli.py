@@ -256,6 +256,12 @@ def test_verify_unknown_family_is_config_error(tmp_path, capsys):
         {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "alpha_values": "1"},
         {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "alpha_values": [True, 0.5]},
         {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], "alpha_values": ["0.5"]},
+        # so are the ids and dimensions: a string or an object is not a list
+        {"inequality_ids": "3.9", "dimensions": [2], "r_values": [2.0]},
+        {"inequality_ids": "logmaj", "dimensions": [2], "r_values": [0.5]},
+        {"inequality_ids": {"3.9": 1}, "dimensions": [2], "r_values": [2.0]},
+        {"inequality_ids": ["3.9"], "dimensions": {"2": 1}, "r_values": [2.0]},
+        {"inequality_ids": ["3.9"], "dimensions": 2, "r_values": [2.0]},
     ],
 )
 def test_verify_malformed_config_is_config_error(tmp_path, capsys, config):

@@ -316,6 +316,38 @@ def test_reverse_bounds_checked():
             check_compression_reverse(eye, eye, 2.0, 1.0, 1.0, mu)
 
 
+def test_bounded_checks_need_a_finite_pair_of_bounds():
+    # missing or malformed bounds are a typed error, never a TypeError or IndexError
+    As = ensemble(3, 3, 24, spectrum=(0.5, 2.0))
+    a, c = validate_spd(np.eye(2)), validate_spd(np.sqrt(0.5) * np.eye(2))
+    for call in (
+        lambda: check_reverse(W3, 0.5, As, 2.0, "5.4", None),
+        lambda: check_arithmetic_power_reverse(W3, As, 2.0, None),
+        lambda: check_arithmetic_power_reverse(W3, As, 2.0, (1.0,)),
+        lambda: check_reverse(W3, 0.5, As, 2.0, "5.9", (0.5, 2.0, 3.0)),
+        lambda: check_reverse(W3, 0.5, As, 2.0, "5.9", (0.5, np.inf)),
+        lambda: check_reverse(W3, 0.5, As, 2.0, "5.9", (np.nan, 2.0)),
+        lambda: check_compression_reverse(a, c, 2.0, None, 1.01, 0.4),
+    ):
+        with pytest.raises(errors.BoundsViolated):
+            call()
+
+
+def test_unbounded_families_take_no_bounds():
+    As = ensemble(3, 3, 24, spectrum=(0.5, 2.0))
+    with pytest.raises(errors.BoundsViolated, match="takes no bounds"):
+        inequalities._witness_cell("3.13", As, bounds=(0.5, 2.0))
+    assert inequalities._witness_cell("3.13", As).bounds == (None, None)
+
+
+def test_families_without_alpha_ignore_one():
+    # 3.13/3.14 bracket the Karcher mean, whatever alpha a caller passes
+    for family, r in (("3.13", 2.0), ("3.14", 0.5)):
+        data = inequalities._gen_cell_data(family, 2, None, 4, 3)
+        given = run_cell(family, 2, r, 0.5, 4, 3, data=data)
+        assert given.margin == run_cell(family, 2, r, None, 4, 3, data=data).margin
+
+
 def test_reverse_k_at_least_one():
     # the reverse prefactor can never beat equality at r = 1
     As = ensemble(3, 3, 25, spectrum=(1.0, 4.0))
@@ -729,6 +761,16 @@ def test_run_campaign_rejects_bad_thread_count(threads):
         run_campaign(config, threads=threads)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("inequality_ids", "logmaj"), ("inequality_ids", {"3.9": 1}), ("dimensions", {2: 1})]
+)
+def test_campaign_ids_and_dimensions_must_be_lists(field, value):
+    # a string is not read letter by letter, nor an object by its keys
+    obj = {"inequality_ids": ["3.9"], "dimensions": [2], "r_values": [2.0], field: value}
+    with pytest.raises(errors.ConfigError, match=f"{field} must be a list"):
+        CampaignConfig.from_json(obj)
+
+
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched family reaches the workers only by fork",
@@ -829,7 +871,7 @@ def test_bracket_margins_decompose_each_matrix_once(monkeypatch, style):
     seen = []
     inner = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(np.array(a)) or inner(a))
-    inequalities._bracket_margins(mid, x, 2.0, style, lo_factor=0.5, hi_factor=2.0)
+    inequalities._bracket_margins(mid, x, 2.0, style, k=2.0)
     assert len(seen) == 6
     assert _times_decomposed(seen, x) == _times_decomposed(seen, mid) == 1
     assert not any(np.array_equal(p, q) for i, p in enumerate(seen) for q in seen[:i])

@@ -149,6 +149,20 @@ def test_transform_validation():
         rep_eval(arithmetic(0.5), -1.0)
 
 
+def test_power_map_at_one_is_the_spec_itself():
+    # a power map at r = 1 is the identity: validated, then the same spec
+    # (so the same key and the same bits), with no identity transform
+    for spec in catalog():
+        for op in ("power_inner", "power_inner_outer", "power_outer"):
+            assert rep_transform(spec, op, 1.0) is spec
+            assert rep_transform(spec, op, 1) is spec
+    base = harmonic(0.5)
+    assert rep_transform(base, "adjoint", 1.0).transforms == (meanfns.Transform("adjoint", 1.0),)
+    assert repfn_to_json(rep_transform(base, "power_inner", 1.0))["transforms"] == []
+    with pytest.raises(errors.UnknownKind):
+        rep_transform(base, "squash", 1.0)
+
+
 def test_convex_combo_weights_checked():
     with pytest.raises(errors.DomainError):
         convex_combo([(0.5, arithmetic(0.5)), (0.6, harmonic(0.5))])

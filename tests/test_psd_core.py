@@ -50,6 +50,9 @@ def test_validate_two_by_two_eigenvalues():
 def test_validate_shape_and_symmetry_errors():
     with pytest.raises(errors.NotSquare):
         validate_spd(np.ones((2, 3)))
+    for empty in (np.zeros((0, 0)), []):
+        with pytest.raises(errors.NotSquare, match="nonempty"):
+            validate_spd(empty)
     with pytest.raises(errors.NotSymmetric):
         validate_spd([[1.0, 0.5], [0.0, 1.0]])
     # tiny asymmetry is folded away
@@ -231,6 +234,36 @@ def test_spd_inv_names_a_nonpositive_eigenvalue():
             spd_inv(np.diag([1.0, 0.0]))
         with pytest.raises(errors.DomainError, match="nonpositive eigenvalue -2.0"):
             spd_inv(np.diag([-2.0, 3.0]))
+
+
+def test_positive_definite_functions_name_a_nonpositive_eigenvalue():
+    # one check for every function that needs positive eigenvalues
+    indefinite = np.diag([-2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (
+            lambda: spd_sqrt_pair(indefinite),
+            lambda: psd_core.spd_log(indefinite),
+            lambda: spd_power(indefinite, -0.5),
+            lambda: spd_power(indefinite, 0.5),
+            lambda: psd_core.thompson(np.eye(2), indefinite),
+            lambda: psd_core.thompson(indefinite, np.eye(2)),
+        ):
+            with pytest.raises(errors.DomainError, match="nonpositive eigenvalue -2.0"):
+                call()
+    # a whole power is defined at every eigenvalue
+    np.testing.assert_allclose(spd_power(indefinite, 2.0), np.diag([4.0, 9.0]))
+
+
+def test_pair_frame_is_the_pair_congruence():
+    a = np.stack([random_spd(3, (0.5, 2.0), 70 + k).a for k in range(4)])
+    b = np.stack([random_spd(3, (0.5, 2.0), 80 + k).a for k in range(4)])
+    a_half, w = psd_core.pair_frame(a, b)
+    half, inv_half = spd_sqrt_pair(a)
+    np.testing.assert_array_equal(a_half, half)
+    np.testing.assert_array_equal(w.a, sym(inv_half @ b @ inv_half))
+    lw = np.log(np.linalg.eigvalsh(w.a))
+    np.testing.assert_array_equal(psd_core.thompson(a, b), np.maximum(-lw[:, 0], lw[:, -1]))
 
 
 def test_spectral_powers_share_one_decomposition(monkeypatch):
