@@ -58,6 +58,7 @@ from .errors import (
 )
 from .meanfns import (
     RepFnSpec,
+    _frame_mean,
     _two_var_arrays,
     arithmetic,
     deformed_rep,
@@ -240,12 +241,15 @@ def _log_ratio(x):
 # --------------------------------------------------------------------------
 
 
-def _le_margin(lhs, rhs):
-    return lambda_min(rhs - lhs) / (op_norm(lhs) + op_norm(rhs))
+def _le_margin(lhs, rhs, rhs_norm):
+    """Margin of ``lhs <= rhs``; ``rhs_norm`` is ``op_norm(rhs)``, which the
+    caller knows when ``rhs`` is a positive multiple of a decomposed matrix."""
+    return lambda_min(rhs - lhs) / (op_norm(lhs) + rhs_norm)
 
 
-def _ge_margin(lhs, rhs):
-    return lambda_min(lhs - rhs) / (op_norm(lhs) + op_norm(rhs))
+def _ge_margin(lhs, rhs, rhs_norm):
+    """Margin of ``lhs >= rhs``, ``rhs_norm`` as in :func:`_le_margin`."""
+    return lambda_min(lhs - rhs) / (op_norm(lhs) + rhs_norm)
 
 
 def _scaled(pref, x):
@@ -260,16 +264,16 @@ def _bracket_margins(mid, x, r, style, k=1.0, ends=None):
     (the 0 < r <= 1 displays, and the reverse forms).  The lower prefactor
     is divided by ``k`` and the upper one multiplied by it (the Kantorovich
     constant of the reverse forms).  The sides are :func:`_ge_margin` and
-    :func:`_le_margin`, with ``x`` and ``mid`` decomposed once each; ``ends``
-    is ``spectral_ends(x)`` when the caller already holds it.
+    :func:`_le_margin`, with ``x`` and ``mid`` decomposed once each and each
+    side's norm its prefactor times ``x``'s; ``ends`` is ``spectral_ends(x)``
+    when the caller already holds it.
     """
     lam, nrm = spectral_ends(x) if ends is None else ends
     lo_end, hi_end = (lam, nrm) if style == "direct" else (nrm, lam)
     lo_pref, hi_pref = (1.0 / k) * lo_end ** (r - 1.0), k * hi_end ** (r - 1.0)
     mid_norm = op_norm(mid)
-    lo_side, hi_side = _scaled(lo_pref, x), _scaled(hi_pref, x)
-    lo = lambda_min(mid - lo_side) / (mid_norm + op_norm(lo_side))
-    hi = lambda_min(hi_side - mid) / (mid_norm + op_norm(hi_side))
+    lo = lambda_min(mid - _scaled(lo_pref, x)) / (mid_norm + lo_pref * nrm)
+    hi = lambda_min(_scaled(hi_pref, x) - mid) / (mid_norm + hi_pref * nrm)
     return np.minimum(lo, hi), {"lower_margin": lo, "upper_margin": hi}
 
 
@@ -350,7 +354,7 @@ def check_modified(
     def mean(s, q):
         return _solve(MultiMeanSpec.deformed(base, rep_transform(sigma, "power_inner", s)), q, data, cache)
 
-    margins, consts = _modified_bracket(mean, r, r_range)
+    margins, consts = _modified_bracket(mean, r, r_range, cache)
     return _verdict(which, data, margins, consts, r, None)
 
 
@@ -381,17 +385,18 @@ def _family_check(family, r, mats, **inputs) -> CheckReport:
     return _verdict(family, data, margins, consts, r, None)
 
 
-def _modified_bracket(mean, r, r_range):
+def _modified_bracket(mean, r, r_range, cache):
     """Margins of the modified power bracket of a family of means.
 
     ``mean(s, q)`` is the family's mean with its parameter transformed by
     ``s`` (at ``s = 1``, the identity) on the inputs raised to ``q``.  For
-    r >= 1 ``mean(1/r, r)`` is bracketed by ``mean(1, 1)`` with the direct
-    prefactors; for 0 < r <= 1 ``mean(1, r)`` by ``mean(r, 1)`` with the
-    complement ones.
+    r >= 1 ``mean(1/r, r)`` is bracketed by the group's base ``mean(1, 1)``
+    with the direct prefactors; for 0 < r <= 1 ``mean(1, r)`` by
+    ``mean(r, 1)`` with the complement ones.
     """
     if r_range == "ge1":
-        return _bracket_margins(mean(1.0 / r, r), mean(1.0, 1.0), r, "direct")
+        x = mean(1.0, 1.0)
+        return _bracket_margins(mean(1.0 / r, r), x, r, "direct", ends=_base_ends(x, cache))
     return _bracket_margins(mean(1.0, r), mean(r, 1.0), r, "complement")
 
 
@@ -515,18 +520,18 @@ def _reverse_margins(which, data, alpha, r, cache):
         spec_r = MultiMeanSpec.power(None, alpha / r) if which == "5.9" else spec
     x = _solve(spec, 1.0, data, cache)
     y = _solve(spec_r, r, data, cache)
-    lam_x, nrm_x = spectral_ends(x)
+    lam_x, nrm_x = _base_ends(x, cache)
     kx = nrm_x / lam_x
     k1 = kantorovich(kappa0 * kx, r)
     consts = {"kappa0": kappa0, "kappa_x": kx, "K1": k1}
     if which == "5.4":
         k2 = kantorovich((kappa0 * kx) ** alpha, r) ** (1.0 / alpha)
         pref = k1 * k2 * lam_x ** (r - 1.0)
-        return _le_margin(y, _scaled(pref, x)), {**consts, "K2_pow": k2, "prefactor": pref}
+        return _le_margin(y, _scaled(pref, x), pref * nrm_x), {**consts, "K2_pow": k2, "prefactor": pref}
     if which == "5.5":
         k2 = kantorovich((kappa0 * kx) ** (-alpha), r) ** (1.0 / alpha)
         pref = k2 / k1 * nrm_x ** (r - 1.0)
-        return _ge_margin(y, _scaled(pref, x)), {**consts, "K2_pow": k2, "prefactor": pref}
+        return _ge_margin(y, _scaled(pref, x), pref * nrm_x), {**consts, "K2_pow": k2, "prefactor": pref}
     margin, sides = _bracket_margins(y, x, r, "complement", k1, (lam_x, nrm_x))
     return margin, {**consts, **sides}
 
@@ -673,7 +678,7 @@ def _complement_margin(tau, r, a, b):
     """Margins of the complement bracket ``||tau_r||^{r-1} tau_r(A, B) <= A^r tau B^r`` (6.1), batched."""
     lhs = _two_var_arrays(lambda t: rep_eval(rep_transform(tau, "power_inner_outer", r), t), a, b)
     rhs = _two_var_arrays(lambda t: rep_eval(tau, t), spd_power(a, r), spd_power(b, r))
-    return _le_margin(_scaled(op_norm(lhs) ** (r - 1.0), lhs), rhs)
+    return _le_margin(_scaled(op_norm(lhs) ** (r - 1.0), lhs), rhs, op_norm(rhs))
 
 
 def _clamped(spec):
@@ -782,9 +787,16 @@ def _once(cache, key, make):
     return cache[key]
 
 
-def _trial_power(data, r, cache):
-    """Every trial matrix raised to ``r``, all r from one decomposition per group."""
-    return _once(cache, "stack", lambda: Spectral(data.stack)).power(r)
+def _trials(data, cache):
+    """The :class:`Spectral` of the trial stack: the group's one decomposition
+    of its trial matrices, from which every power of them is taken."""
+    return _once(cache, "stack", lambda: Spectral(data.stack))
+
+
+def _base_ends(x, cache):
+    """``spectral_ends(x)`` of the group's r-independent base ``x`` (a mean of
+    the trials' own matrices), taken once per group."""
+    return _once(cache, "base ends", lambda: spectral_ends(x))
 
 
 def _solve(spec, r, data, cache):
@@ -795,7 +807,7 @@ def _solve(spec, r, data, cache):
     matrices.
     """
     return _once(cache, (spec, r), lambda: eval_mean_stack(
-        spec, _trial_power(data, r, cache), data.weights, certify=False).values)
+        spec, _trials(data, cache).power(r), data.weights, certify=False).values)
 
 
 # Margin functions of the families: ``(data, r, alpha, cache)`` to the
@@ -811,8 +823,9 @@ def _ah_margin(spec, adjoint, compare, data, r, cache):
     adjoint side, in the order ``compare`` tests."""
     base = _solve(spec, 1.0, data, cache)
     powd = _solve(spec, r, data, cache)
-    pref = (op_norm(base) if adjoint else lambda_min(base)) ** (r - 1.0)
-    return compare(powd, _scaled(pref, base))
+    lam, nrm = _base_ends(base, cache)
+    pref = (nrm if adjoint else lam) ** (r - 1.0)
+    return compare(powd, _scaled(pref, base), pref * nrm)
 
 
 def _ah_power_cell(variant, data, r, alpha, cache):
@@ -832,7 +845,7 @@ def _power_bracket_cell(r_range, data, r, alpha, cache):
         spec = MultiMeanSpec.karcher(None) if alpha is None else MultiMeanSpec.power(None, alpha * s)
         return _solve(spec, q, data, cache)
 
-    return _modified_bracket(mean, r, r_range)
+    return _modified_bracket(mean, r, r_range, cache)
 
 
 def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
@@ -840,20 +853,24 @@ def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
     by sigma (4.6/4.7) or power-bracketed alone (4.8/4.9).  Each mean is
     solved once per group, keyed like :func:`_solve` on the transformed
     function and the power ``q`` of the inputs, and the means at one ``q``
-    share its :func:`~opmeans.psd_core.pair_frame`."""
+    share its :func:`~opmeans.psd_core.pair_frame`, whose base ``A^q`` is
+    raised from the group's decomposition of the trials, not decomposed."""
     fn, op = (data.sigma, "power_inner") if by_sigma else (data.tau, "power_inner_outer")
+
+    def frame(q):
+        trials = _trials(data, cache)
+        return pair_frame(trials[:, 0].raised(q), trials[:, 1].power(q))
 
     def mean(s, q):
         f = rep_transform(fn, op, s)
 
         def solve():
             rep = partial(deformed_rep, data.tau, f) if by_sigma else partial(rep_eval, f)
-            a, b = np.moveaxis(_trial_power(data, q, cache), 1, 0)
-            return _two_var_arrays(rep, a, b, _once(cache, ("frame", q), partial(pair_frame, a, b)))
+            return _frame_mean(rep, _once(cache, ("frame", q), partial(frame, q)))
 
         return _once(cache, (f, q), solve)
 
-    margin, sides = _modified_bracket(mean, r, r_range)
+    margin, sides = _modified_bracket(mean, r, r_range, cache)
     sigma_json = None if data.sigma is None else repfn_to_json(data.sigma)
     return margin, {"tau_json": repfn_to_json(data.tau), "sigma_json": sigma_json, **sides}
 
@@ -862,9 +879,9 @@ def _arith_reverse_cell(data, r, alpha, cache):
     """5.3: ``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r``."""
     m, M = data.bounds
     k = kantorovich(M / m, r)
-    lhs = _weighted_sum(data.weights, _trial_power(data, r, cache))
-    mean = _once(cache, "mean", lambda: Spectral(_weighted_sum(data.weights, data.stack)))
-    return _le_margin(lhs, k * mean.power(r)), {"K": k}
+    lhs = _weighted_sum(data.weights, _trials(data, cache).power(r))
+    mean_r = _once(cache, "mean", lambda: Spectral(_weighted_sum(data.weights, data.stack))).raised(r)
+    return _le_margin(lhs, k * mean_r.a, k * mean_r.norm), {"K": k}
 
 
 def _compression_cell(data, r, alpha, cache):
@@ -874,8 +891,8 @@ def _compression_cell(data, r, alpha, cache):
     h1 = M / (m * data.mu)
     k = kantorovich(h1, r)
     lhs = sym(c @ _once(cache, "A", lambda: Spectral(a)).power(r) @ c)
-    cac = _once(cache, "CAC", lambda: Spectral(sym(c @ a @ c)))
-    return _le_margin(lhs, k * cac.power(r)), {"mu": data.mu, "h1": h1, "K": k}
+    cac_r = _once(cache, "CAC", lambda: Spectral(sym(c @ a @ c))).raised(r)
+    return _le_margin(lhs, k * cac_r.a, k * cac_r.norm), {"mu": data.mu, "h1": h1, "K": k}
 
 
 def _reverse_cell(which, negate, data, r, alpha, cache):

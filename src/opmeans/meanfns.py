@@ -33,7 +33,7 @@ from .errors import (
     SigmaIsLeftTrivial,
     UnknownKind,
 )
-from .psd_core import SpdMatrix, pair_frame, sym
+from .psd_core import Spectral, SpdMatrix, pair_frame, sym
 
 __all__ = [
     "RepFnSpec",
@@ -340,13 +340,16 @@ def rep_transform(spec: RepFnSpec, op: str, r: float | None = None) -> RepFnSpec
 # --------------------------------------------------------------------------
 
 
-def _two_var_arrays(fn, a, b, frame=None):
-    """``a sigma b`` for the representing function ``fn`` of ``sigma``, batched.
+def _two_var_arrays(fn, a, b):
+    """``a sigma b`` for the representing function ``fn`` of ``sigma``, batched."""
+    return _frame_mean(fn, pair_frame(Spectral(a), b))
 
-    ``frame`` is ``pair_frame(a, b)`` when the caller already holds it, so
-    the means of one pair share its decompositions.
-    """
-    a_half, w = pair_frame(a, b) if frame is None else frame
+
+def _frame_mean(fn, frame):
+    """``a^{1/2} fn(W) a^{1/2}``: the mean with representing function ``fn``
+    of the pair whose :func:`~opmeans.psd_core.pair_frame` is ``frame``, so
+    the means of one pair share its decompositions."""
+    a_half, w = frame
     return sym(a_half @ w.apply(fn) @ a_half)
 
 

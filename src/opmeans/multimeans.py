@@ -41,6 +41,7 @@ from .errors import (
 from .meanfns import RepFnSpec, rep_elasticity, rep_eval, repfn_from_json, repfn_to_json
 from .psd_core import (
     LoewnerVerdict,
+    Spectral,
     SpdMatrix,
     _rebuild,
     congruence,
@@ -666,7 +667,7 @@ def comparison_bound(
     stack = _as_stack(As)
     if Y.dim != stack.shape[-1]:
         raise DimensionMismatch(f"Y has dimension {Y.dim}, inputs {stack.shape[-1]}")
-    yh, blocks = pair_frame(Y.a, stack)
+    yh, blocks = pair_frame(Spectral(Y.a), stack)
     f_blocks = blocks.apply(lambda t: rep_eval(sigma, t))
     z, _, _ = _eval_node(base, f_blocks)
     fy = SpdMatrix(dim=Y.dim, entries=congruence(yh, z))

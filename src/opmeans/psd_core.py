@@ -12,7 +12,8 @@ here: the matrices are small (dimension of order tens) and symmetric
 eigensolvers are backward stable, so there is no reason to special-case
 exp/log/sqrt.  Every matrix function goes through a :class:`Spectral`,
 which keeps the decomposition of its matrices, so several functions of them
-cost one ``eigh``.  The pair congruence ``a^{-1/2} b a^{-1/2}`` behind every
+cost one ``eigh``; a power of them is a Spectral raised from that
+decomposition (:meth:`Spectral.raised`), never decomposed again.  The pair congruence ``a^{-1/2} b a^{-1/2}`` behind every
 two-variable mean and the Thompson distance is formed in :func:`pair_frame`
 alone.  Batched ``eigh`` is the only LAPACK primitive; the spectral rebuilds
 ``U f(L) U^T`` and the congruences ``s^T a s`` are batched matmul, several
@@ -105,38 +106,84 @@ def _rebuild(v, fw):
 
 
 class Spectral:
-    """Symmetric matrices ``a`` (batched) whose eigendecomposition is taken
-    once, by the first function of them that needs it, and reused by every
-    later one."""
+    """Symmetric matrices ``a`` (batched) whose eigendecomposition ``eig`` is
+    taken once, by the first function of them that needs it, and reused by
+    every later one.
+
+    A power of them (:meth:`raised`) and a slice over their leading axes
+    (``spectral[idx]``) are Spectrals made from that decomposition, so they
+    are never decomposed again; each rebuilds its own ``a`` only if read.
+    """
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
+
+    @classmethod
+    def _known(cls, eig, make_a):
+        """The Spectral whose decomposition ``eig`` is known; ``a`` is ``make_a()``."""
+        out = cls.__new__(cls)
+        out.eig, out._make_a = eig, make_a
+        return out
+
+    @cached_property
+    def a(self):
+        return self._make_a()
 
     @cached_property
     def eig(self):
         return _eigh(self.a)
 
+    def __getitem__(self, idx):
+        """The Spectral of ``a[idx]``, ``idx`` indexing the leading axes."""
+        w, v = self.eig
+        return Spectral._known((w[idx], v[idx]), lambda: self.a[idx])
+
     def apply(self, fn):
         """:func:`eigh_apply` of ``a`` and ``fn``."""
         w, v = self.eig
-        fw = np.asarray(fn(w), dtype=float)
-        if not np.all(np.isfinite(fw)):
-            bad = w[~np.isfinite(fw)]
-            raise DomainError(f"function undefined at eigenvalue(s) {bad[:4]}")
-        return _rebuild(v, fw)
+        return _rebuild(v, _values(fn, w))
 
     def power(self, r):
         """:func:`spd_power` of ``a`` and ``r``; a whole power needs no positive eigenvalues."""
         if r == 1:
             return sym(self.a)
-        whole = r >= 0 and float(r).is_integer()
-        return self.apply(lambda w: np.power(w if whole else _positive(w, f"power {r}"), r))
+        return self.apply(_power_fn(r))
+
+    def raised(self, r):
+        """The Spectral of ``power(r)``: eigenvalues ``w**r`` and the same
+        vectors, in ascending order.  Its ``a`` is ``power(r)`` itself."""
+        w, v = self.eig
+        wr = _values(_power_fn(r), w)
+        if r < 0:
+            wr, v = wr[..., ::-1], v[..., ::-1]
+        return Spectral._known((wr, v), lambda: self.power(r))
+
+    @property
+    def norm(self):
+        """Spectral norm of ``a``, from its eigenvalues."""
+        return _norm(self.eig[0])
 
     def sqrt_pair(self):
         """:func:`spd_sqrt_pair` of ``a``."""
         w, v = self.eig
         s = np.sqrt(_positive(w, "square root"))
         return _rebuild(v, s), _rebuild(v, 1.0 / s)
+
+
+def _values(fn, w):
+    """``fn(w)``; DomainError naming the eigenvalues where it is not finite."""
+    fw = np.asarray(fn(w), dtype=float)
+    if not np.all(np.isfinite(fw)):
+        bad = w[~np.isfinite(fw)]
+        raise DomainError(f"function undefined at eigenvalue(s) {bad[:4]}")
+    return fw
+
+
+def _power_fn(r):
+    """``w -> w**r``; a whole power is defined at every eigenvalue, any other
+    needs them positive."""
+    whole = r >= 0 and float(r).is_integer()
+    return lambda w: np.power(w if whole else _positive(w, f"power {r}"), r)
 
 
 def _positive(w, what):
@@ -161,10 +208,12 @@ def spd_sqrt_pair(a):
     return Spectral(a).sqrt_pair()
 
 
-def pair_frame(a, b):
-    """``(a^{1/2}, Spectral(a^{-1/2} b a^{-1/2}))``: what every mean of the
-    pair ``(a, b)`` and their Thompson distance are built from, batched."""
-    a_half, a_invh = spd_sqrt_pair(a)
+def pair_frame(base, b):
+    """``(a^{1/2}, Spectral(a^{-1/2} b a^{-1/2}))`` for ``base = Spectral(a)``:
+    what every mean of the pair ``(a, b)`` and their Thompson distance are
+    built from, batched.  The square-root pair comes from ``base``'s
+    decomposition, so a base raised from one already taken costs none."""
+    a_half, a_invh = base.sqrt_pair()
     return a_half, Spectral(sym(a_invh @ b @ a_invh))
 
 
@@ -198,7 +247,7 @@ def _norm(w):
 
 def thompson(a, b):
     """Thompson distance ``max |log eig(a^{-1/2} b a^{-1/2})|`` (batched)."""
-    w = np.linalg.eigvalsh(pair_frame(a, b)[1].a)
+    w = np.linalg.eigvalsh(pair_frame(Spectral(a), b)[1].a)
     return _norm(np.log(_positive(w, "thompson distance")))
 
 
@@ -283,7 +332,8 @@ def validate_spd(entries) -> SpdMatrix:
     Asymmetry up to ``SYM_TOL * max|entries|`` is folded away by
     averaging with the transpose; larger asymmetry is an error.  Positive
     definiteness is rejected when the smallest eigenvalue is at or below
-    ``PD_TOL * spectral_scale``.
+    ``PD_TOL * spectral_scale``, and a spectrum past the floating-point range
+    raises DomainError.
     """
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -297,11 +347,18 @@ def validate_spd(entries) -> SpdMatrix:
             f"asymmetry {gap:.3e} exceeds {SYM_TOL:.1e} * max|entries| = "
             f"{SYM_TOL * scale:.3e}"
         )
-    s = sym(a)
+    # halved before adding, which cannot overflow, and is sym(a) bit for bit
+    # wherever that does not
+    s = 0.5 * a + 0.5 * a.T
     w = np.linalg.eigvalsh(s)
+    if not np.all(np.isfinite(w)):
+        raise DomainError(f"spectrum {w[0]:.6e} .. {w[-1]:.6e} exceeds the floating-point range")
     spectral_scale = max(abs(w[0]), abs(w[-1]))
     if w[0] <= PD_TOL * spectral_scale:
-        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.6e} is not positive")
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue {w[0]:.6e} is at or below {PD_TOL:.0e} * spectral scale "
+            f"{spectral_scale:.6e}"
+        )
     return SpdMatrix(dim=a.shape[0], entries=s)
 
 

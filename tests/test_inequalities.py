@@ -29,9 +29,18 @@ from opmeans.inequalities import (
     run_cell,
     verify_counterexample,
 )
-from opmeans.meanfns import arithmetic, geometric, harmonic, left_trivial, rep_eval, repfn_from_json
-from opmeans.multimeans import MultiMeanSpec, Weights, eval_mean, power_mean
-from opmeans.psd_core import matrix_from_json, random_spd, spd_power, sym, validate_spd
+from opmeans.meanfns import (
+    arithmetic,
+    deformed_rep,
+    geometric,
+    harmonic,
+    left_trivial,
+    rep_eval,
+    rep_transform,
+    repfn_from_json,
+)
+from opmeans.multimeans import MultiMeanSpec, Weights, eval_mean, eval_mean_stack, power_mean
+from opmeans.psd_core import Spectral, matrix_from_json, random_spd, spd_power, sym, validate_spd
 
 W3 = Weights((0.2, 0.3, 0.5))
 UNI3 = Weights.uniform(3)
@@ -817,8 +826,8 @@ def test_pair_group_solves_each_mean_once(monkeypatch):
     from opmeans import inequalities
 
     calls = []
-    inner = inequalities._two_var_arrays
-    monkeypatch.setattr(inequalities, "_two_var_arrays", lambda *a: calls.append(1) or inner(*a))
+    inner = inequalities._frame_mean
+    monkeypatch.setattr(inequalities, "_frame_mean", lambda *a: calls.append(1) or inner(*a))
     config = CampaignConfig(("4.6",), (3,), (1.0, 1.5, 2.0, 3.0), (), 20, 0, "-")
     assert len(run_campaign(config)) == 4
     assert len(calls) == 4
@@ -854,53 +863,141 @@ def test_group_decomposes_its_trial_matrices_once(monkeypatch, family, rs):
 
 def test_pair_group_takes_each_square_root_pair_once(monkeypatch):
     # a 4.7 group evaluates pair means at A^q for q = 0.25, 0.5, 0.75 and 1;
-    # the square-root pair of each A^q is taken once, though four cells use A
+    # the square-root pair of each A^q comes from the one decomposition of
+    # the trial stack, so no A^q is decomposed: eigh sees the stack and one
+    # W per q, nothing else
     rs = (0.25, 0.5, 0.75, 1.0)
     stack = inequalities._gen_cell_data("4.7", 3, 0.5, 10, 4).stack
     powers = [spd_power(stack, q)[:, 0] for q in rs]
     seen = _eigh_inputs(monkeypatch)
     run_campaign(CampaignConfig(("4.7",), (3,), rs, (0.5,), 10, 4, "-"))
-    assert [_times_decomposed(seen, p) for p in powers] == [1, 1, 1, 1]
+    assert [_times_decomposed(seen, p) for p in powers] == [0, 0, 0, 0]
+    assert _times_decomposed(seen, stack) == 1
+    assert len(seen) == 1 + len(rs)
 
 
 @pytest.mark.parametrize("style", ["direct", "complement"])
 def test_bracket_margins_decompose_each_matrix_once(monkeypatch, style):
-    # x and mid once each, then each side and its difference from mid
+    # x and mid once each, then each side's difference from mid; a side is a
+    # positive multiple of x, so its norm is the multiple of x's
     x = np.stack([random_spd(3, (0.5, 2.0), 90 + k).a for k in range(5)])
     mid = np.stack([random_spd(3, (0.5, 2.0), 95 + k).a for k in range(5)])
     seen = []
     inner = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(np.array(a)) or inner(a))
     inequalities._bracket_margins(mid, x, 2.0, style, k=2.0)
-    assert len(seen) == 6
+    assert len(seen) == 4
     assert _times_decomposed(seen, x) == _times_decomposed(seen, mid) == 1
     assert not any(np.array_equal(p, q) for i, p in enumerate(seen) for q in seen[:i])
 
 
 def test_reverse_cell_decomposes_its_mean_once(monkeypatch):
     # a 5.9 cell: the two solves' inputs, x once for kappa_x and its bracket,
-    # then mid and each side with its difference from mid
+    # then mid and each side's difference from mid, the sides' norms being
+    # multiples of x's
     data = inequalities._gen_cell_data("5.9", 3, 0.5, 10, 4)
     seen = []
     inner = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(np.array(a)) or inner(a))
     assert run_cell("5.9", 3, 2.0, 0.5, 10, 4, data=data).holds
-    assert len(seen) == 8
+    assert len(seen) == 6
     assert not any(np.array_equal(p, q) for i, p in enumerate(seen) for q in seen[:i])
 
 
 def test_pair_group_decomposes_each_w_once(monkeypatch):
     # a 4.7 group solves 7 means on W = A^{-q/2} B^q A^{-q/2} for 4 q; each
-    # W is decomposed once, though the four means at q = 1 share it
+    # W is decomposed once, though the four means at q = 1 share it, and
+    # A^{-q/2} is raised from the decomposition of the trial stack
     rs = (0.25, 0.5, 0.75, 1.0)
-    stack = inequalities._gen_cell_data("4.7", 3, 0.5, 10, 4).stack
+    trials = Spectral(inequalities._gen_cell_data("4.7", 3, 0.5, 10, 4).stack)
     ws = []
     for q in rs:
-        _, a_invh = psd_core.spd_sqrt_pair(spd_power(stack, q)[:, 0])
-        ws.append(sym(a_invh @ spd_power(stack, q)[:, 1] @ a_invh))
+        _, a_invh = trials[:, 0].raised(q).sqrt_pair()
+        ws.append(sym(a_invh @ trials[:, 1].power(q) @ a_invh))
     seen = _eigh_inputs(monkeypatch)
     run_campaign(CampaignConfig(("4.7",), (3,), rs, (0.5,), 10, 4, "-"))
     assert [_times_decomposed(seen, w) for w in ws] == [1, 1, 1, 1]
+
+
+# The margins of the route before pair frames were raised from the trial
+# decomposition and scaled sides took their norm from the matrix they scale:
+# every power and every side decomposed afresh, nothing memoized.
+
+
+def _old_bracket(mid, x, r, style, k=1.0):
+    lam, nrm = psd_core.lambda_min(x), psd_core.op_norm(x)
+    lo_end, hi_end = (lam, nrm) if style == "direct" else (nrm, lam)
+    lo_side = ((1.0 / k) * lo_end ** (r - 1.0))[:, None, None] * x
+    hi_side = (k * hi_end ** (r - 1.0))[:, None, None] * x
+    lo = psd_core.lambda_min(mid - lo_side) / (psd_core.op_norm(mid) + psd_core.op_norm(lo_side))
+    hi = psd_core.lambda_min(hi_side - mid) / (psd_core.op_norm(mid) + psd_core.op_norm(hi_side))
+    return np.minimum(lo, hi), lo, hi
+
+
+def _old_le(lhs, rhs):
+    return psd_core.lambda_min(rhs - lhs) / (psd_core.op_norm(lhs) + psd_core.op_norm(rhs))
+
+
+def _old_pair_margins(data, r, r_range):
+    a, b = data.stack[:, 0], data.stack[:, 1]
+
+    def mean(s, q):
+        half, inv_half = psd_core.spd_sqrt_pair(spd_power(a, q))
+        w = sym(inv_half @ spd_power(b, q) @ inv_half)
+        f = rep_transform(data.sigma, "power_inner", s)
+        return sym(half @ psd_core.eigh_apply(w, lambda t: deformed_rep(data.tau, f, t)) @ half)
+
+    if r_range == "ge1":
+        return _old_bracket(mean(1.0 / r, r), mean(1.0, 1.0), r, "direct")
+    return _old_bracket(mean(1.0, r), mean(r, 1.0), r, "complement")
+
+
+def _old_solve(spec, data, q):
+    return eval_mean_stack(spec, spd_power(data.stack, q), data.weights, certify=False).values
+
+
+def _old_cell_margins(family, data, r, alpha):
+    if family in ("4.6", "4.7"):
+        return _old_pair_margins(data, r, FAMILIES[family]["r_range"])
+    if family == "3.9":
+        spec = MultiMeanSpec.power(None, alpha)
+        base, powd = _old_solve(spec, data, 1.0), _old_solve(spec, data, r)
+        side = (psd_core.lambda_min(base) ** (r - 1.0))[:, None, None] * base
+        return (psd_core.lambda_min(powd - side) / (psd_core.op_norm(powd) + psd_core.op_norm(side)),)
+    m, M = data.bounds
+    if family == "5.3":
+        w = data.weights[:, :, None, None]
+        lhs = (w * spd_power(data.stack, r)).sum(axis=1)
+        return (_old_le(lhs, kantorovich(M / m, r) * spd_power((w * data.stack).sum(axis=1), r)),)
+    # 5.9
+    x = _old_solve(MultiMeanSpec.power(None, alpha), data, 1.0)
+    y = _old_solve(MultiMeanSpec.power(None, alpha / r), data, r)
+    k1 = kantorovich(M / m * psd_core.op_norm(x) / psd_core.lambda_min(x), r)
+    return _old_bracket(y, x, r, "complement", k1)
+
+
+@pytest.mark.parametrize(
+    "family, rs",
+    [("4.6", (1.0, 1.5, 2.0, 3.0)), ("4.7", (0.25, 0.5, 0.75, 1.0)), ("5.9", (2.0,)), ("5.3", (2.0,)), ("3.9", (2.0,))],
+    ids=["4.6", "4.7", "5.9", "5.3", "3.9"],
+)
+def test_cells_agree_with_the_route_that_decomposes_every_matrix(family, rs):
+    # a group's cells, with their memo, against margins recomputed with no
+    # cache, every A^q's square-root pair and every scaled side's norm from
+    # its own decomposition
+    alpha = 0.5 if FAMILIES[family]["needs_alpha"] else None
+    data = inequalities._gen_cell_data(family, 3, alpha, 20, 11)
+    cache = {}
+    for r in rs:
+        report = run_cell(family, 3, r, alpha, 20, 11, data=data, cache=cache)
+        old = _old_cell_margins(family, data, r, alpha)
+        worst = int(np.argmin(old[0]))
+        assert report.constants["worst_trial"] == worst
+        assert report.margin == pytest.approx(old[0][worst], rel=0, abs=1e-13)
+        assert report.holds == (old[0][worst] >= -inequalities.CHECK_TOL)
+        if len(old) == 3:
+            assert report.constants["lower_margin"] == pytest.approx(old[1][worst], rel=0, abs=1e-13)
+            assert report.constants["upper_margin"] == pytest.approx(old[2][worst], rel=0, abs=1e-13)
 
 
 @pytest.mark.parametrize("family", ["3.13", "4.7", "L5.1", "5.9"])

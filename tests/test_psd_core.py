@@ -60,6 +60,23 @@ def test_validate_shape_and_symmetry_errors():
     assert np.allclose(m.a, m.a.T)
 
 
+def test_validate_keeps_entries_near_the_float_range_finite():
+    # symmetrizing halves before adding, so in-range entries cannot overflow:
+    # the diagonal matrix is valid as given, and the singular one, whose
+    # largest eigenvalue 2e308 is past the range, is a typed error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = np.diag([1e308, 1e308])
+        np.testing.assert_array_equal(validate_spd(big).a, big)
+        with pytest.raises(errors.DomainError, match="floating-point range"):
+            validate_spd(np.full((2, 2), 1e308))
+
+
+def test_validate_names_the_relative_threshold():
+    with pytest.raises(errors.NotPositiveDefinite, match=r"1\.000000e-200 is at or below 1e-12 \* spectral scale 1\.0"):
+        validate_spd(np.diag([1e-200, 1.0]))
+
+
 def test_matrix_function_identity_and_diag():
     a = random_spd(4, (0.5, 2.0), 3)
     out = matrix_function(a, lambda x: x)
@@ -258,7 +275,7 @@ def test_positive_definite_functions_name_a_nonpositive_eigenvalue():
 def test_pair_frame_is_the_pair_congruence():
     a = np.stack([random_spd(3, (0.5, 2.0), 70 + k).a for k in range(4)])
     b = np.stack([random_spd(3, (0.5, 2.0), 80 + k).a for k in range(4)])
-    a_half, w = psd_core.pair_frame(a, b)
+    a_half, w = psd_core.pair_frame(Spectral(a), b)
     half, inv_half = spd_sqrt_pair(a)
     np.testing.assert_array_equal(a_half, half)
     np.testing.assert_array_equal(w.a, sym(inv_half @ b @ inv_half))
