@@ -191,8 +191,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify" and not args.campaign and not args.recheck:
-            parser.error("verify needs a campaign file or --recheck")
+        if args.command == "verify" and bool(args.campaign) == bool(args.recheck):
+            parser.error("verify takes either a campaign file or --recheck")
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_INPUT if exc.code else EXIT_OK
     try:

@@ -2,10 +2,10 @@
 
 Each check computes both sides of a matrix inequality, takes the smallest
 eigenvalue of the favorable difference, and normalizes it by the combined
-spectral scale of the two sides, so a margin of ``-1e-9`` means the same
-thing at every dimension and scale.  ``holds`` is ``margin >= -CHECK_TOL``
-with the one threshold :data:`CHECK_TOL`; a caller that wants another
-threshold reads ``margin``.
+spectral scale of the two sides (``psd_core.order_margin``), so a margin
+of ``-1e-9`` means the same thing at every dimension and scale.  ``holds``
+is ``margin >= -CHECK_TOL`` with the one threshold ``psd_core.CHECK_TOL``;
+a caller that wants another threshold reads ``margin``.
 
 Every check is a campaign cell.  :func:`run_cell` evaluates one
 (family, dimension, r, alpha) cell over many seeded random trials in a
@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import repeat
 from typing import Optional, Sequence
@@ -77,14 +77,15 @@ from .multimeans import (
     eval_mean_stack,
 )
 from .psd_core import (
+    CHECK_TOL,
     Spectral,
     SpdMatrix,
     _generators,
     lambda_min,
-    loewner_compare,
     matrix_from_json,
     matrix_to_json,
     op_norm,
+    order_margin,
     pair_frame,
     random_spd,
     random_spd_stack,
@@ -120,7 +121,6 @@ __all__ = [
     "run_campaign",
 ]
 
-CHECK_TOL = 1e-9  # a check holds when its margin is >= -CHECK_TOL; read at call time
 _BOUNDS_TOL = 1e-8  # relative slack of the bounds on a typed check's inputs
 
 
@@ -241,17 +241,6 @@ def _log_ratio(x):
 # --------------------------------------------------------------------------
 
 
-def _le_margin(lhs, rhs, rhs_norm):
-    """Margin of ``lhs <= rhs``; ``rhs_norm`` is ``op_norm(rhs)``, which the
-    caller knows when ``rhs`` is a positive multiple of a decomposed matrix."""
-    return lambda_min(rhs - lhs) / (op_norm(lhs) + rhs_norm)
-
-
-def _ge_margin(lhs, rhs, rhs_norm):
-    """Margin of ``lhs >= rhs``, ``rhs_norm`` as in :func:`_le_margin`."""
-    return lambda_min(lhs - rhs) / (op_norm(lhs) + rhs_norm)
-
-
 def _scaled(pref, x):
     return np.asarray(pref)[..., None, None] * x
 
@@ -263,17 +252,17 @@ def _bracket_margins(mid, x, r, style, k=1.0, ends=None):
     norm on the upper (the r >= 1 displays); ``'complement'`` swaps them
     (the 0 < r <= 1 displays, and the reverse forms).  The lower prefactor
     is divided by ``k`` and the upper one multiplied by it (the Kantorovich
-    constant of the reverse forms).  The sides are :func:`_ge_margin` and
-    :func:`_le_margin`, with ``x`` and ``mid`` decomposed once each and each
-    side's norm its prefactor times ``x``'s; ``ends`` is ``spectral_ends(x)``
-    when the caller already holds it.
+    constant of the reverse forms).  The sides are :func:`order_margin`s,
+    with ``x`` and ``mid`` decomposed once each and each side's norm its
+    prefactor times ``x``'s; ``ends`` is ``spectral_ends(x)`` when the caller
+    already holds it.
     """
     lam, nrm = spectral_ends(x) if ends is None else ends
     lo_end, hi_end = (lam, nrm) if style == "direct" else (nrm, lam)
     lo_pref, hi_pref = (1.0 / k) * lo_end ** (r - 1.0), k * hi_end ** (r - 1.0)
     mid_norm = op_norm(mid)
-    lo = lambda_min(mid - _scaled(lo_pref, x)) / (mid_norm + lo_pref * nrm)
-    hi = lambda_min(_scaled(hi_pref, x) - mid) / (mid_norm + hi_pref * nrm)
+    lo = order_margin(_scaled(lo_pref, x), mid, lo_pref * nrm, mid_norm)
+    hi = order_margin(mid, _scaled(hi_pref, x), mid_norm, hi_pref * nrm)
     return np.minimum(lo, hi), {"lower_margin": lo, "upper_margin": hi}
 
 
@@ -299,12 +288,12 @@ def _check_bounds(stack, m, M):
 # section-3 and section-4 checks
 # --------------------------------------------------------------------------
 
-# variant: (its campaign family, adjoint mean with the norm prefactor, comparison)
+# variant: (its campaign family, adjoint mean with the norm prefactor, M(A^r) <= its side)
 _AH_VARIANTS = {
-    "3.1": ("3.9", False, _ge_margin),
-    "3.2": ("3.10", True, _le_margin),
-    "3.3": ("3.11", False, _le_margin),
-    "3.4": ("3.12", True, _ge_margin),
+    "3.1": ("3.9", False, False),
+    "3.2": ("3.10", True, True),
+    "3.3": ("3.11", False, True),
+    "3.4": ("3.12", True, False),
 }
 
 
@@ -322,11 +311,11 @@ def check_ah_family(
     """
     if variant not in _AH_VARIANTS:
         raise UnknownKind(f"unknown variant {variant!r}")
-    family, adjoint, compare = _AH_VARIANTS[variant]
+    family, adjoint, below = _AH_VARIANTS[variant]
     _require_r(r, FAMILIES[family]["r_range"], variant)
     data = _witness_cell(family, As, _spec_weights(spec))
     use = MultiMeanSpec.adjoint(spec) if adjoint else spec
-    margins = _ah_margin(use, adjoint, compare, data, r, {})
+    margins = _ah_margin(use, adjoint, below, data, r, {})
     return _verdict(f"{variant}:{spec.kind}", data, margins, {}, r, spec.alpha)
 
 
@@ -426,9 +415,9 @@ def check_implication_equivalence(
     scalar_ok = scalar_margin >= -CHECK_TOL
 
     def excess(a, b):
-        """``(lambda_min(A^r sigma B^r) - 1) / (1 + ||A^r sigma B^r||)``, batched."""
+        """Margin of ``I <= A^r sigma B^r``, batched."""
         out = _two_var_arrays(lambda t: rep_eval(sigma, t), spd_power(a, r), spd_power(b, r))
-        return (lambda_min(out) - 1.0) / (1.0 + op_norm(out))
+        return order_margin(np.eye(a.shape[-1]), out, 1.0)
 
     seeds = np.random.default_rng(2024).integers(2**32, size=(40, 2))
     worst_matrix = np.inf
@@ -527,11 +516,12 @@ def _reverse_margins(which, data, alpha, r, cache):
     if which == "5.4":
         k2 = kantorovich((kappa0 * kx) ** alpha, r) ** (1.0 / alpha)
         pref = k1 * k2 * lam_x ** (r - 1.0)
-        return _le_margin(y, _scaled(pref, x), pref * nrm_x), {**consts, "K2_pow": k2, "prefactor": pref}
+        margin = order_margin(y, _scaled(pref, x), hi_norm=pref * nrm_x)
+        return margin, {**consts, "K2_pow": k2, "prefactor": pref}
     if which == "5.5":
         k2 = kantorovich((kappa0 * kx) ** (-alpha), r) ** (1.0 / alpha)
         pref = k2 / k1 * nrm_x ** (r - 1.0)
-        return _ge_margin(y, _scaled(pref, x), pref * nrm_x), {**consts, "K2_pow": k2, "prefactor": pref}
+        return order_margin(_scaled(pref, x), y, pref * nrm_x), {**consts, "K2_pow": k2, "prefactor": pref}
     margin, sides = _bracket_margins(y, x, r, "complement", k1, (lam_x, nrm_x))
     return margin, {**consts, **sides}
 
@@ -596,13 +586,10 @@ def lie_trotter_gap(
     mean_val = eval_mean_stack(spec, stack, certify=False).values
     arith = _weighted_sum(w_arr, stack)
     harm = spd_inv(_weighted_sum(w_arr, spd_inv(stack)))
-    order_tol = 1e-9
-    lo = loewner_compare(SpdMatrix(stack.shape[-1], harm), SpdMatrix(stack.shape[-1], mean_val), order_tol)
-    hi = loewner_compare(SpdMatrix(stack.shape[-1], mean_val), SpdMatrix(stack.shape[-1], arith), order_tol)
-    if not (lo.holds_le and hi.holds_le):
-        raise SandwichFails(
-            f"mean escapes the harmonic-arithmetic sandwich (margins {lo.margin:.3e}, {hi.margin:.3e})"
-        )
+    mean_norm = op_norm(mean_val)
+    lo, hi = order_margin(harm, mean_val, hi_norm=mean_norm), order_margin(mean_val, arith, mean_norm)
+    if min(lo, hi) < -CHECK_TOL:
+        raise SandwichFails(f"mean escapes the harmonic-arithmetic sandwich (margins {lo:.3e}, {hi:.3e})")
     target = spd_exp(_weighted_sum(w_arr, spd_log(stack)))
     gaps = []
     for p in ps:
@@ -678,7 +665,7 @@ def _complement_margin(tau, r, a, b):
     """Margins of the complement bracket ``||tau_r||^{r-1} tau_r(A, B) <= A^r tau B^r`` (6.1), batched."""
     lhs = _two_var_arrays(lambda t: rep_eval(rep_transform(tau, "power_inner_outer", r), t), a, b)
     rhs = _two_var_arrays(lambda t: rep_eval(tau, t), spd_power(a, r), spd_power(b, r))
-    return _le_margin(_scaled(op_norm(lhs) ** (r - 1.0), lhs), rhs, op_norm(rhs))
+    return order_margin(_scaled(op_norm(lhs) ** (r - 1.0), lhs), rhs)
 
 
 def _clamped(spec):
@@ -692,7 +679,7 @@ def _escalation_margin(tau, r, a, b):
     out = _two_var_arrays(
         _clamped(rep_transform(tau, "power_inner_outer", 1.0 / r)), spd_power(a, r), spd_power(b, r)
     )
-    return lambda_min(np.eye(a.shape[-1]) - out) / (1.0 + op_norm(out))
+    return order_margin(out, np.eye(a.shape[-1]), hi_norm=1.0)
 
 
 def _scan_bracket_complement(tau, r):
@@ -817,24 +804,25 @@ def _solve(spec, r, data, cache):
 # the whole r grid.
 
 
-def _ah_margin(spec, adjoint, compare, data, r, cache):
+def _ah_margin(spec, adjoint, below, data, r, cache):
     """3.1-3.4: ``spec(A^r)`` against ``spec(A)`` scaled by its
     ``lambda_min^{r-1}``, or by its norm to the r-1 when ``spec`` is the
-    adjoint side, in the order ``compare`` tests."""
+    adjoint side; below that side when ``below``, above it otherwise."""
     base = _solve(spec, 1.0, data, cache)
     powd = _solve(spec, r, data, cache)
     lam, nrm = _base_ends(base, cache)
     pref = (nrm if adjoint else lam) ** (r - 1.0)
-    return compare(powd, _scaled(pref, base), pref * nrm)
+    side, side_norm = _scaled(pref, base), pref * nrm
+    return order_margin(powd, side, hi_norm=side_norm) if below else order_margin(side, powd, side_norm)
 
 
 def _ah_power_cell(variant, data, r, alpha, cache):
     """3.9-3.12: the check ``variant`` of :func:`check_ah_family` for the
     power mean P_alpha, whose adjoint is P_{-alpha}."""
-    _, adjoint, compare = _AH_VARIANTS[variant]
+    _, adjoint, below = _AH_VARIANTS[variant]
     a = -alpha if adjoint else alpha
     spec = MultiMeanSpec.power(None, a)
-    return _ah_margin(spec, adjoint, compare, data, r, cache), {"alpha_used": a}
+    return _ah_margin(spec, adjoint, below, data, r, cache), {"alpha_used": a}
 
 
 def _power_bracket_cell(r_range, data, r, alpha, cache):
@@ -881,7 +869,7 @@ def _arith_reverse_cell(data, r, alpha, cache):
     k = kantorovich(M / m, r)
     lhs = _weighted_sum(data.weights, _trials(data, cache).power(r))
     mean_r = _once(cache, "mean", lambda: Spectral(_weighted_sum(data.weights, data.stack))).raised(r)
-    return _le_margin(lhs, k * mean_r.a, k * mean_r.norm), {"K": k}
+    return order_margin(lhs, k * mean_r.a, hi_norm=k * mean_r.norm), {"K": k}
 
 
 def _compression_cell(data, r, alpha, cache):
@@ -892,7 +880,7 @@ def _compression_cell(data, r, alpha, cache):
     k = kantorovich(h1, r)
     lhs = sym(c @ _once(cache, "A", lambda: Spectral(a)).power(r) @ c)
     cac_r = _once(cache, "CAC", lambda: Spectral(sym(c @ a @ c))).raised(r)
-    return _le_margin(lhs, k * cac_r.a, k * cac_r.norm), {"mu": data.mu, "h1": h1, "K": k}
+    return order_margin(lhs, k * cac_r.a, hi_norm=k * cac_r.norm), {"mu": data.mu, "h1": h1, "K": k}
 
 
 def _reverse_cell(which, negate, data, r, alpha, cache):
@@ -1239,6 +1227,9 @@ class CampaignConfig:
     def from_json(cls, obj) -> "CampaignConfig":
         if not isinstance(obj, dict):
             raise ConfigError(f"a campaign config must be a JSON object, got {type(obj).__name__}")
+        extra = sorted(set(obj) - {f.name for f in fields(cls)})
+        if extra:
+            raise ConfigError(f"unknown campaign config keys: {extra}")
         try:
             ids = tuple(_list(obj["inequality_ids"], "inequality_ids"))
             dims = tuple(_integer(d, "dimension") for d in _list(obj["dimensions"], "dimensions"))

@@ -48,6 +48,7 @@ __all__ = [
     "matrix_function",
     "thompson_distance",
     "loewner_compare",
+    "order_margin",
     "spectral_stats",
     "random_spd",
     "random_spd_stack",
@@ -71,7 +72,7 @@ __all__ = [
 
 PD_TOL = 1e-12
 SYM_TOL = 1e-8
-DEFAULT_ORDER_TOL = 1e-10
+CHECK_TOL = 1e-9  # an order claim holds when its order_margin is >= -CHECK_TOL; read at call time
 
 
 # --------------------------------------------------------------------------
@@ -80,8 +81,9 @@ DEFAULT_ORDER_TOL = 1e-10
 
 
 def sym(a):
-    """Symmetric part ``(a + a^T)/2`` over the trailing two axes."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    """Symmetric part ``(a + a^T)/2`` over the trailing two axes, finite for finite ``a``."""
+    h = 0.5 * a
+    return h + np.swapaxes(h, -1, -2)
 
 
 def _eigh(a):
@@ -235,6 +237,14 @@ def op_norm(a):
     return _norm(np.linalg.eigvalsh(a))
 
 
+def order_margin(lo, hi, lo_norm=None, hi_norm=None):
+    """Margin of ``lo <= hi``, ``lambda_min(hi - lo) / (||lo|| + ||hi||)``, batched; pass the
+    norms the caller already holds.  Halving them before adding is exact and cannot overflow."""
+    lo_norm = op_norm(lo) if lo_norm is None else lo_norm
+    hi_norm = op_norm(hi) if hi_norm is None else hi_norm
+    return 0.5 * lambda_min(hi - lo) / (0.5 * lo_norm + 0.5 * hi_norm)
+
+
 def spectral_ends(a):
     """``(lambda_min(a), op_norm(a))`` of symmetric ``a`` from one ``eigvalsh`` (batched)."""
     w = np.linalg.eigvalsh(a)
@@ -347,9 +357,7 @@ def validate_spd(entries) -> SpdMatrix:
             f"asymmetry {gap:.3e} exceeds {SYM_TOL:.1e} * max|entries| = "
             f"{SYM_TOL * scale:.3e}"
         )
-    # halved before adding, which cannot overflow, and is sym(a) bit for bit
-    # wherever that does not
-    s = 0.5 * a + 0.5 * a.T
+    s = sym(a)
     w = np.linalg.eigvalsh(s)
     if not np.all(np.isfinite(w)):
         raise DomainError(f"spectrum {w[0]:.6e} .. {w[-1]:.6e} exceeds the floating-point range")
@@ -377,23 +385,15 @@ def thompson_distance(A: SpdMatrix, B: SpdMatrix) -> float:
     return float(thompson(A.a, B.a))
 
 
-def loewner_compare(A: SpdMatrix, B: SpdMatrix, tol=DEFAULT_ORDER_TOL) -> LoewnerVerdict:
-    """Compare in the positive semidefinite order with relative slack.
-
-    ``A <= B`` is accepted when ``lambda_min(B - A) >= -tol * (|A| + |B|)``
-    in spectral norm, which keeps the verdict invariant under rescaling of
-    both operands.
-    """
+def loewner_compare(A: SpdMatrix, B: SpdMatrix) -> LoewnerVerdict:
+    """Compare in the positive semidefinite order: ``A <= B`` holds when its
+    :func:`order_margin` is at least ``-CHECK_TOL``, a verdict invariant under scaling."""
     if A.dim != B.dim:
         raise DimensionMismatch(f"dimensions differ: {A.dim} vs {B.dim}")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    slack = tol * float(op_norm(A.a) + op_norm(B.a))
-    diff = B.a - A.a
-    lo = float(lambda_min(diff))
-    hi = float(lambda_min(-diff))
-    le = lo >= -slack
-    ge = hi >= -slack
+    na, nb = op_norm(A.a), op_norm(B.a)
+    le = order_margin(A.a, B.a, na, nb) >= -CHECK_TOL
+    ge = order_margin(B.a, A.a, nb, na) >= -CHECK_TOL
+    lo, hi = float(lambda_min(B.a - A.a)), float(lambda_min(A.a - B.a))
     if le and ge:
         return LoewnerVerdict(Relation.EQUAL, min(lo, hi))
     if le:

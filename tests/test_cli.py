@@ -222,6 +222,31 @@ def test_verify_bad_r_range_gives_error_entries(tmp_path, capsys):
     ]
 
 
+def test_verify_data_generation_error_gives_one_line_per_cell(tmp_path, capsys):
+    # alpha 2 is outside the pair family's representing functions: the group's
+    # data cannot be drawn, and each of its cells reports that
+    cfg = campaign(tmp_path, inequality_ids=["4.6"], alpha_values=[2.0])
+    out = str(tmp_path / "bad.jsonl")
+    code = main(["verify", cfg, "--output", out])
+    capsys.readouterr()
+    assert code == EXIT_INPUT
+    lines = [json.loads(line) for line in open(out)]
+    assert [(entry["inequality_id"], entry["error"]) for entry in lines[:-1]] == [
+        (f"4.6[dim={d},r={r},alpha=2.0]", "DomainError") for d in (2, 3) for r in (1.0, 2.0)
+    ]
+    assert lines[-1]["summary"] == {"total": 4, "passed": 0, "failed": 0, "errors": 4}
+
+
+def test_verify_config_names_an_unknown_key(tmp_path, capsys):
+    # a misspelt key is an error, not a campaign run at the defaults
+    path = write(tmp_path, "config.json", {"inequality_ids": ["5.3"], "dimensions": [2],
+                                          "r_values": [2.0], "trails": 5, "sead": 3})
+    code = main(["verify", path])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == "" and "ConfigError: unknown campaign config keys: ['sead', 'trails']" in err
+
+
 def test_verify_unknown_family_is_config_error(tmp_path, capsys):
     cfg = campaign(tmp_path, inequality_ids=["nope"])
     code = main(["verify", cfg])
@@ -308,6 +333,32 @@ def test_verify_recheck_failing_witness(tmp_path, capsys):
     assert out["holds"] is False
 
 
+def test_verify_recheck_no_convergence_exits_2(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "fail.json", _failing_report("3.13"))
+    monkeypatch.setattr(multimeans, "MAX_ITERS", 1)
+    code = main(["verify", "--recheck", path])
+    out, err = capsys.readouterr()
+    assert code == EXIT_NO_CONVERGENCE
+    assert out == "" and err.startswith("error: geodesic iteration stopped")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "karcher", "weights": [0.5, 0.5], "alpha": 0.3,
+         "sigma": {"kind": "harmonic", "params": {"alpha": 0.5}}},
+        {"kind": "adjoint", "weights": [0.5, 0.5], "inner": {"kind": "arithmetic", "weights": [0.5, 0.5]}},
+    ],
+)
+def test_mean_spec_with_a_field_of_another_kind_is_input_error(tmp_path, capsys, spec):
+    spec_path = write(tmp_path, "spec.json", spec)
+    mats = write(tmp_path, "mats.json", [matrix_json(np.eye(2)), matrix_json(2 * np.eye(2))])
+    code = main(["mean", "--spec", spec_path, "--matrices", mats])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == "" and "ConfigError" in err
+
+
 def test_search_exit_codes(tmp_path, capsys):
     arith = write(tmp_path, "arith.json", {"kind": "arithmetic", "params": {"w": 0.5}})
     harm = write(tmp_path, "harm.json", {"kind": "harmonic", "params": {"alpha": 0.5}})
@@ -359,6 +410,8 @@ def test_search_exit_codes(tmp_path, capsys):
         # a campaign needs at least one worker process
         (["verify", "c.json", "--threads", "0"], EXIT_INPUT),
         (["verify", "c.json", "--threads", "-3"], EXIT_INPUT),
+        # a campaign or one report to recheck, not both
+        (["verify", "c.json", "--recheck", "r.json"], EXIT_INPUT),
     ],
 )
 def test_usage_errors_exit_input(argv, code, capsys):

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import warnings
 
 import numpy as np
@@ -467,6 +468,36 @@ def test_lie_trotter_rejects_bad_exponent(p):
     As = ensemble(2, 2, 34)
     with pytest.raises(errors.BadR):
         lie_trotter_gap(MultiMeanSpec.power(Weights((0.5, 0.5)), 0.5), As, [1.0, p])
+
+
+def test_sandwich_failure_reports_normalized_margins(monkeypatch):
+    # a threshold of -1 fails every sandwich; the margins it reports are
+    # normalized, so they read the same at every scale
+    monkeypatch.setattr(inequalities, "CHECK_TOL", -1.0)
+    As = ensemble(3, 3, 31, spectrum=(0.6, 1.8))
+    margins = []
+    for scale in (1.0, 2.0**300):
+        with pytest.raises(errors.SandwichFails) as info:
+            lie_trotter_gap(MultiMeanSpec.power(W3, 0.5), [validate_spd(scale * a.a) for a in As])
+        margins.append([float(m) for m in re.findall(r"-?\d\.\d+e[-+]\d+", str(info.value))])
+    assert len(margins[0]) == 2 and all(0 <= m < 1 for m in margins[0])
+    np.testing.assert_allclose(margins[1], margins[0], rtol=1e-2)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda As: check_ah_family(MultiMeanSpec.karcher(UNI3), As, 2.0, "3.9"),
+        lambda As: check_modified(MultiMeanSpec.karcher(UNI3), geometric(0.5), As, 2.0, "4.4"),
+        lambda As: check_two_var(geometric(0.5), None, As[0], As[1], 2.0, "5.3"),
+        lambda As: check_reverse(UNI3, 0.5, As, 2.0, "5.3", (0.5, 2.0)),
+    ],
+    ids=["ah_family", "modified", "two_var", "reverse"],
+)
+def test_typed_checks_reject_a_label_they_do_not_check(check):
+    # each label is a campaign family, not one of the check's own labels
+    with pytest.raises(errors.UnknownKind, match="unknown"):
+        check(ensemble(2, 3, 60))
 
 
 def test_adjoint_side_norm_increases():

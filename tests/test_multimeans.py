@@ -417,6 +417,29 @@ def test_scaled_inputs_keep_homogeneity(alpha, scale):
     np.testing.assert_allclose(res.value.a / scale, eval_mean(spec, As).value.a, rtol=1e-9, atol=0)
 
 
+@pytest.mark.parametrize(
+    "spec, certify",
+    [
+        (MultiMeanSpec.karcher(Weights((0.5, 0.5))), True),
+        (MultiMeanSpec.karcher(Weights((0.5, 0.5))), False),
+        (MultiMeanSpec.power(Weights((0.5, 0.5)), 0.5), True),
+        (MultiMeanSpec.power(Weights((0.5, 0.5)), -0.5), True),
+        (MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(Weights((0.5, 0.5))), harmonic(0.5)), True),
+    ],
+)
+def test_mean_of_matrices_at_the_float_range_is_finite(spec, certify):
+    # every spectral rebuild symmetrizes by halving before adding, so a mean
+    # of two copies of a matrix near the float range is that matrix
+    big = validate_spd(np.diag([1e308, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = eval_mean(spec, [big, big], certify=certify)
+        assert np.all(np.isfinite(res.value.a))
+        assert thompson_distance(res.value, big) <= res.residual_dt
+    if spec.kind == "karcher" and certify:
+        assert np.isfinite(res.enclosure_gap)
+
+
 def test_singular_input_names_its_member_and_eigenvalue():
     # a typed error before the rounding floor could divide by zero
     good, bad = np.stack([np.eye(2)] * 2), np.stack([np.eye(2), np.diag([1.0, 0.0])])
@@ -701,6 +724,22 @@ def test_deformed_adjoint_commutation():
 
 
 # ---------------------------------------------------------------- wire format
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [
+        ("karcher", {"weights": W3, "alpha": 0.3, "sigma": harmonic(0.5)}),
+        ("arithmetic", {"weights": W3, "alpha": 0.5}),
+        ("harmonic", {"inner": MultiMeanSpec.arithmetic(W3)}),
+        ("power", {"weights": W3, "alpha": 0.5, "base": MultiMeanSpec.arithmetic(W3)}),
+        ("deformed", {"weights": W3, "base": MultiMeanSpec.arithmetic(W3), "sigma": harmonic(0.5)}),
+        ("adjoint", {"alpha": 0.5, "inner": MultiMeanSpec.arithmetic(W3)}),
+    ],
+)
+def test_mean_spec_takes_only_the_fields_of_its_kind(kind, fields):
+    with pytest.raises(errors.ConfigError, match=f"{kind} mean takes no"):
+        MultiMeanSpec(kind, **fields)
 
 
 def test_meanspec_json_roundtrip():

@@ -14,6 +14,8 @@ from opmeans.psd_core import (
     matrix_from_json,
     matrix_function,
     matrix_to_json,
+    op_norm,
+    order_margin,
     random_spd,
     random_spd_stack,
     spectral_ends,
@@ -142,6 +144,9 @@ def test_loewner_compare_cases():
     a = random_spd(3, (0.5, 2.0), 8)
     v = loewner_compare(a, a)
     assert v.relation is Relation.EQUAL and v.margin == pytest.approx(0.0, abs=1e-14)
+    # decided by order_margin against CHECK_TOL = 1e-9, which this gap is within
+    v = loewner_compare(validate_spd((1 + 1e-9) * np.eye(2)), validate_spd(np.eye(2)))
+    assert v.relation is Relation.EQUAL and v.margin == pytest.approx(-1e-9, rel=1e-6)
 
 
 def test_loewner_swap_consistency():
@@ -152,6 +157,26 @@ def test_loewner_swap_consistency():
         ba = loewner_compare(b, a)
         assert ab.holds_le == ba.holds_ge
         assert ab.holds_ge == ba.holds_le
+
+
+def test_order_margin_is_the_normalized_smallest_eigenvalue():
+    lo = random_spd_stack(3, (0.5, 2.0), range(4))
+    hi = random_spd_stack(3, (0.5, 2.0), range(10, 14))
+    rule = np.linalg.eigvalsh(hi - lo)[:, 0] / (op_norm(lo) + op_norm(hi))
+    np.testing.assert_array_equal(order_margin(lo, hi), rule)
+    np.testing.assert_array_equal(order_margin(lo, hi, op_norm(lo), op_norm(hi)), rule)
+    # the norms are halved before adding, so a sum past the float range is no inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert order_margin(1e308 * np.eye(2), 1.5e308 * np.eye(2)) == pytest.approx(0.2, rel=1e-15)
+
+
+def test_sym_halves_before_adding():
+    a = np.random.default_rng(5).standard_normal((4, 3, 3))
+    np.testing.assert_array_equal(sym(a), 0.5 * (a + np.swapaxes(a, -1, -2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        np.testing.assert_array_equal(sym(np.full((2, 2), 1e308)), np.full((2, 2), 1e308))
 
 
 def test_spectral_stats_diag():
