@@ -4,39 +4,34 @@ Each check computes both sides of a matrix inequality, takes the smallest
 eigenvalue of the favorable difference, and normalizes it by the combined
 spectral scale of the two sides (``psd_core.order_margin``), so a margin
 of ``-1e-9`` means the same thing at every dimension and scale.  ``holds``
-is ``margin >= -CHECK_TOL`` with the one threshold ``psd_core.CHECK_TOL``;
-a caller that wants another threshold reads ``margin``.
-
-Every check is a campaign cell.  :func:`run_cell` evaluates one
-(family, dimension, r, alpha) cell over many seeded random trials in a
-single stacked solve, which is what makes 200-trial cells affordable, and
-:func:`run_campaign` runs a whole campaign grid, sharing trial data across
-the r values of each (family, dimension, alpha) group and, through one memo
-per group (:func:`_once`), every solve and decomposition made from it.  The
-typed checks (``check_ah_family``, ``check_modified``, ``check_two_var``,
-``check_reverse`` ...) take :class:`SpdMatrix` inputs and run the same
-margin function on a one-trial cell, whose report carries ``witness_seed``
--1; :func:`recheck` builds that cell from a report's witness.  Both
-validate the trial in one place, and every report comes from one builder,
-which reads each per-trial constant at the worst trial.  Every solve here
-stops at ``multimeans.DT_TOL`` and runs uncertified, so cells, typed checks
-and ``recheck`` agree and a report is a function of its inputs.
+is ``margin >= -CHECK_TOL`` with the one threshold ``psd_core.CHECK_TOL``.
 
 Family identifiers ("3.9" ... "5.10", "L5.1", "logmaj") are opaque labels
-fixed by the report wire format.  :data:`FAMILIES` is the one table that
-says what each family needs: its r-range, whether it takes alpha, its data
-layout (a trial is a stack of matrices: an ensemble, the pair A, B, or a
-matrix A and a compression C), the spectrum rule of the bounded families and
-its margin function.  The modified bracket of 3.13/3.14, 4.1/4.2 and
-4.4-4.9 is one function, :func:`_modified_bracket`, over each family's own
-mean.  The typed labels "3.1"-"3.4", "4.1" and "4.2" read their r-range
-from the families 3.9-3.12, 4.4 and 4.5.
+fixed by the report wire format.  :data:`FAMILIES` gives each its r-range,
+its mean, built from alpha, with that mean's exponent and alpha domain, its
+data layout, the spectrum rule of the bounded families, and its margin
+function, one form over the mean: one-sided (3.9-3.12, 5.4/5.5), the
+modified bracket (3.13/3.14, 4.4-4.9) and its Kantorovich reverse
+(5.8-5.10), or the own forms of 5.3, L5.1 and logmaj.
+
+:func:`run_cell` evaluates one (family, dimension, r, alpha) cell over
+seeded trials in one stacked solve; :func:`run_campaign` runs a grid,
+sharing trial data and, through one memo per (family, dimension, alpha)
+group (:func:`_once`), every solve and decomposition over its r values.
+:func:`recheck` runs the cell of a report's witness, and a typed check
+(``check_ah_family``, ``check_reverse`` ...) its family's cell on one trial
+of :class:`SpdMatrix` inputs, handing in its own mean where it takes one;
+one label map names the families of "3.1"-"4.2".  All three share the
+validation, the family's margin function and the report builder, which
+reads each per-trial constant at the worst trial.  Every solve stops at
+``multimeans.DT_TOL`` uncertified, so a report is a function of its inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -154,9 +149,7 @@ class CheckReport:
 def _plain(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
-    if isinstance(v, np.ndarray):
-        return [_plain(x) for x in v]
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, (np.ndarray, list, tuple)):
         return [_plain(x) for x in v]
     return v
 
@@ -249,13 +242,12 @@ def _bracket_margins(mid, x, r, style, k=1.0, ends=None):
     """Margin of ``lo_pref*x <= mid <= hi_pref*x`` and its two sides.
 
     ``style='direct'`` places ``lambda_min^{r-1}`` on the lower side and the
-    norm on the upper (the r >= 1 displays); ``'complement'`` swaps them
-    (the 0 < r <= 1 displays, and the reverse forms).  The lower prefactor
-    is divided by ``k`` and the upper one multiplied by it (the Kantorovich
-    constant of the reverse forms).  The sides are :func:`order_margin`s,
-    with ``x`` and ``mid`` decomposed once each and each side's norm its
-    prefactor times ``x``'s; ``ends`` is ``spectral_ends(x)`` when the caller
-    already holds it.
+    norm on the upper (the r >= 1 displays); ``'complement'`` swaps them (the
+    0 < r <= 1 displays and the reverse forms, whose Kantorovich constant
+    ``k`` divides the lower prefactor and multiplies the upper).  The sides
+    are :func:`order_margin`s, with ``x`` and ``mid`` decomposed once each and
+    each side's norm its prefactor times ``x``'s, from ``ends``, the caller's
+    ``spectral_ends(x)`` if it holds them.
     """
     lam, nrm = spectral_ends(x) if ends is None else ends
     lo_end, hi_end = (lam, nrm) if style == "direct" else (nrm, lam)
@@ -282,273 +274,6 @@ def _check_bounds(stack, m, M):
             f"inputs escape [{m}, {M}]: spectrum spans "
             f"[{lam[..., 0].min():.6g}, {lam[..., -1].max():.6g}]"
         )
-
-
-# --------------------------------------------------------------------------
-# section-3 and section-4 checks
-# --------------------------------------------------------------------------
-
-# variant: (its campaign family, adjoint mean with the norm prefactor, M(A^r) <= its side)
-_AH_VARIANTS = {
-    "3.1": ("3.9", False, False),
-    "3.2": ("3.10", True, True),
-    "3.3": ("3.11", False, True),
-    "3.4": ("3.12", True, False),
-}
-
-
-def check_ah_family(
-    spec: MultiMeanSpec,
-    As: Sequence[SpdMatrix],
-    r: float,
-    variant: str,
-) -> CheckReport:
-    """Power-escalation check of a mean against its scalar prefactor.
-
-    Variants: "3.1" ``M(A^r) >= lambda_min^{r-1}(M(A)) M(A)`` for r >= 1 and
-    "3.3" its complement for r <= 1; "3.2"/"3.4" the same pair for the
-    adjoint mean with the norm prefactor and reversed order.
-    """
-    if variant not in _AH_VARIANTS:
-        raise UnknownKind(f"unknown variant {variant!r}")
-    family, adjoint, below = _AH_VARIANTS[variant]
-    _require_r(r, FAMILIES[family]["r_range"], variant)
-    data = _witness_cell(family, As, _spec_weights(spec))
-    use = MultiMeanSpec.adjoint(spec) if adjoint else spec
-    margins = _ah_margin(use, adjoint, below, data, r, {})
-    return _verdict(f"{variant}:{spec.kind}", data, margins, {}, r, spec.alpha)
-
-
-def check_modified(
-    base: MultiMeanSpec,
-    sigma: RepFnSpec,
-    As: Sequence[SpdMatrix],
-    r: float,
-    which: str,
-) -> CheckReport:
-    """Two-sided check of the deformed mean against its power-adjusted twin.
-
-    "4.1" (r >= 1) brackets ``M_{sigma_{1/r}}(A^r)`` by ``M_sigma(A)`` with
-    the lambda_min / norm prefactors; "4.2" (0 < r <= 1) brackets
-    ``M_sigma(A^r)`` by ``M_{sigma_r}(A)`` with the prefactors swapped.
-    """
-    if which not in ("4.1", "4.2"):
-        raise UnknownKind(f"unknown modified check {which!r}")
-    family = "4.4" if which == "4.1" else "4.5"
-    r_range = FAMILIES[family]["r_range"]
-    _require_r(r, r_range, which)
-    data = _witness_cell(family, As, _spec_weights(base))
-    cache = {}
-
-    def mean(s, q):
-        return _solve(MultiMeanSpec.deformed(base, rep_transform(sigma, "power_inner", s)), q, data, cache)
-
-    margins, consts = _modified_bracket(mean, r, r_range, cache)
-    return _verdict(which, data, margins, consts, r, None)
-
-
-def check_two_var(
-    tau: RepFnSpec,
-    sigma: Optional[RepFnSpec],
-    A: SpdMatrix,
-    B: SpdMatrix,
-    r: float,
-    which: str,
-) -> CheckReport:
-    """Two-variable specializations of the modified checks.
-
-    "4.6"/"4.7" use the deformation of ``tau`` by ``sigma``; "4.8"/"4.9"
-    use the power-bracket transform of ``tau`` alone (``sigma`` ignored).
-    """
-    if which not in FAMILIES or FAMILIES[which]["layout"] != "pair":
-        raise UnknownKind(f"unknown two-variable check {which!r}")
-    return _family_check(which, r, [A, B], tau=tau, sigma=sigma)
-
-
-def _family_check(family, r, mats, **inputs) -> CheckReport:
-    """``family``'s own cell as a typed check of the one trial ``mats``."""
-    info = FAMILIES[family]
-    _require_r(r, info["r_range"], family)
-    data = _witness_cell(family, mats, **inputs)
-    margins, consts = info["margins"](data, r, None, {})
-    return _verdict(family, data, margins, consts, r, None)
-
-
-def _modified_bracket(mean, r, r_range, cache):
-    """Margins of the modified power bracket of a family of means.
-
-    ``mean(s, q)`` is the family's mean with its parameter transformed by
-    ``s`` (at ``s = 1``, the identity) on the inputs raised to ``q``.  For
-    r >= 1 ``mean(1/r, r)`` is bracketed by the group's base ``mean(1, 1)``
-    with the direct prefactors; for 0 < r <= 1 ``mean(1, r)`` by
-    ``mean(r, 1)`` with the complement ones.
-    """
-    if r_range == "ge1":
-        x = mean(1.0, 1.0)
-        return _bracket_margins(mean(1.0 / r, r), x, r, "direct", ends=_base_ends(x, cache))
-    return _bracket_margins(mean(1.0, r), mean(r, 1.0), r, "complement")
-
-
-def check_implication_equivalence(
-    sigma: RepFnSpec,
-    tau: RepFnSpec,
-    r: float,
-) -> CheckReport:
-    """Agreement test between a scalar power condition and its matrix form.
-
-    The scalar condition is ``f_sigma(t^r) >= f_tau(t)^r`` on 400 points t
-    geometrically spaced in [1e-3, 1e3]; the matrix condition is
-    ``A tau B >= I  =>  A^r sigma B^r >= I`` over 40 seeded trials
-    (``default_rng(2024)`` draws the seeds of A and B; even trials are 2x2,
-    odd ones 3x3, each dimension evaluated as one stack; the hypothesis is
-    pinned by rescaling).  The two are equivalent, so the verdicts must
-    agree: when the scalar side fails, a concrete matrix violation is
-    constructed from the worst grid point and must be confirmed.
-    """
-    _require_r(r, "ge1", "equivalence test")
-    grid = np.geomspace(1e-3, 1e3, 400)
-    fs = rep_eval(sigma, grid**r)
-    ft = rep_eval(tau, grid) ** r
-    scalar_margins = (fs - ft) / (np.abs(fs) + np.abs(ft))
-    scalar_margin = float(scalar_margins.min())
-    t_worst = float(grid[np.argmin(scalar_margins)])
-    scalar_ok = scalar_margin >= -CHECK_TOL
-
-    def excess(a, b):
-        """Margin of ``I <= A^r sigma B^r``, batched."""
-        out = _two_var_arrays(lambda t: rep_eval(sigma, t), spd_power(a, r), spd_power(b, r))
-        return order_margin(np.eye(a.shape[-1]), out, 1.0)
-
-    seeds = np.random.default_rng(2024).integers(2**32, size=(40, 2))
-    worst_matrix = np.inf
-    for d, trial_seeds in ((2, seeds[0::2]), (3, seeds[1::2])):
-        pairs = random_spd_stack(d, (0.4, 2.5), trial_seeds.ravel().tolist()).reshape(-1, 2, d, d)
-        a, b = pairs[:, 0], pairs[:, 1]
-        lam = lambda_min(_two_var_arrays(lambda t: rep_eval(tau, t), a, b))[:, None, None]
-        # now A tau B >= I with equality at the bottom
-        worst_matrix = min(worst_matrix, float(excess(a / lam, b / lam).min()))
-    if not scalar_ok:
-        x = rep_eval(tau, t_worst)
-        a = np.diag([1.0 / x, 1.0 / x])
-        b = np.diag([t_worst / x, t_worst / x])
-        worst_matrix = min(worst_matrix, float(excess(a, b)))
-    matrix_ok = worst_matrix >= -CHECK_TOL
-    agree = scalar_ok == matrix_ok
-    return CheckReport(
-        inequality_id="4.6-equiv",
-        holds=agree,
-        margin=scalar_margin,
-        constants={
-            "r": r,
-            "scalar_margin": scalar_margin,
-            "matrix_margin": float(worst_matrix),
-            "worst_t": t_worst,
-            "scalar_holds": scalar_ok,
-            "matrix_holds": matrix_ok,
-        },
-        witness_seed=2024,
-    )
-
-
-# --------------------------------------------------------------------------
-# reverse (Kantorovich) checks
-# --------------------------------------------------------------------------
-
-# reverse form: the alpha it admits, as a test and as text
-_REVERSE_ALPHA = {
-    "5.4": (lambda a: 0 < a <= 1, "(0, 1]"),
-    "5.5": (lambda a: -1 <= a < 0, "[-1, 0)"),
-    "5.8": (lambda a: a != 0 and -1 <= a <= 1, "[-1,1] minus 0"),
-    "5.9": (lambda a: a != 0 and -1 <= a <= 1, "[-1,1] minus 0"),
-}
-
-
-def check_reverse(
-    w: Weights,
-    alpha: Optional[float],
-    As: Sequence[SpdMatrix],
-    r: float,
-    which: str,
-    bounds,
-) -> CheckReport:
-    """Reverse power-escalation bounds with Kantorovich prefactors.
-
-    Inputs must satisfy ``m I <= A_j <= M I`` for the supplied bounds; the
-    condition number of the relevant mean feeds the constant.  "5.4"/"5.5"
-    are the one-sided power-mean forms (alpha > 0 / alpha < 0), "5.9" the
-    two-sided power-mean form, "5.8" the general deformed-mean form (here
-    with a harmonic deformation of the arithmetic mean), "5.10" the
-    two-sided multivariate geometric form (alpha ignored).
-    """
-    if which not in (*_REVERSE_ALPHA, "5.10"):
-        raise UnknownKind(f"unknown reverse check {which!r}")
-    _require_r(r, FAMILIES[which]["r_range"], which)
-    data = _witness_cell(which, As, w, bounds)
-    margins, consts = _reverse_margins(which, data, alpha, r, {})
-    return _verdict(which, data, margins, consts, r, alpha)
-
-
-def _reverse_margins(which, data, alpha, r, cache):
-    """The reverse form ``which`` at exponent ``alpha`` on the trials of ``data``."""
-    m, M = data.bounds
-    kappa0 = M / m
-    if which in _REVERSE_ALPHA:
-        admits, domain = _REVERSE_ALPHA[which]
-        if alpha is None or not admits(alpha):
-            raise BadR(f"{which} needs alpha in {domain}, got {alpha}")
-    if which == "5.10":
-        spec = spec_r = MultiMeanSpec.karcher(None)
-    elif which == "5.8":
-        # the deformed-mean form, with a harmonic deformation of the arithmetic mean
-        sigma = harmonic(alpha) if alpha > 0 else rep_transform(harmonic(-alpha), "adjoint")
-        base = MultiMeanSpec.arithmetic(None)
-        spec = MultiMeanSpec.deformed(base, sigma)
-        spec_r = MultiMeanSpec.deformed(base, rep_transform(sigma, "power_inner", 1.0 / r))
-    else:
-        spec = MultiMeanSpec.power(None, alpha)
-        spec_r = MultiMeanSpec.power(None, alpha / r) if which == "5.9" else spec
-    x = _solve(spec, 1.0, data, cache)
-    y = _solve(spec_r, r, data, cache)
-    lam_x, nrm_x = _base_ends(x, cache)
-    kx = nrm_x / lam_x
-    k1 = kantorovich(kappa0 * kx, r)
-    consts = {"kappa0": kappa0, "kappa_x": kx, "K1": k1}
-    if which == "5.4":
-        k2 = kantorovich((kappa0 * kx) ** alpha, r) ** (1.0 / alpha)
-        pref = k1 * k2 * lam_x ** (r - 1.0)
-        margin = order_margin(y, _scaled(pref, x), hi_norm=pref * nrm_x)
-        return margin, {**consts, "K2_pow": k2, "prefactor": pref}
-    if which == "5.5":
-        k2 = kantorovich((kappa0 * kx) ** (-alpha), r) ** (1.0 / alpha)
-        pref = k2 / k1 * nrm_x ** (r - 1.0)
-        return order_margin(_scaled(pref, x), y, pref * nrm_x), {**consts, "K2_pow": k2, "prefactor": pref}
-    margin, sides = _bracket_margins(y, x, r, "complement", k1, (lam_x, nrm_x))
-    return margin, {**consts, **sides}
-
-
-def check_compression_reverse(
-    A: SpdMatrix,
-    C: SpdMatrix,
-    r: float,
-    m: float,
-    M: float,
-    mu: float,
-) -> CheckReport:
-    """``C A^r C <= K(M/(m mu), r) (C A C)^r`` for a contraction-like ``C``.
-
-    Requires ``m I <= A <= M I`` and ``mu I <= C^2 <= I``.
-    """
-    return _family_check("L5.1", r, [A, C], bounds=(m, M), mu=mu)
-
-
-def check_arithmetic_power_reverse(
-    w: Weights,
-    As: Sequence[SpdMatrix],
-    r: float,
-    bounds,
-) -> CheckReport:
-    """``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r`` under pinned bounds."""
-    return _family_check("5.3", r, As, weights=w, bounds=bounds)
 
 
 # --------------------------------------------------------------------------
@@ -596,21 +321,6 @@ def lie_trotter_gap(
         val = eval_mean_stack(spec, spd_power(stack, p), certify=False).values
         gaps.append(float(thompson(spd_power(val, 1.0 / p), target)))
     return gaps
-
-
-def check_log_majorization(
-    w: Weights,
-    As: Sequence[SpdMatrix],
-    r: float,
-) -> CheckReport:
-    """Partial-product domination between geometric means at powers r and 1.
-
-    For ``0 < r <= 1`` the sorted spectrum of the multivariate geometric
-    mean of the ``A_j^r`` is log-majorized by
-    ``lambda_{N+1-i}^{r-1} lambda_i`` of the mean of the ``A_j``, with
-    equality of the full products.
-    """
-    return _family_check("logmaj", r, As, weights=w)
 
 
 # --------------------------------------------------------------------------
@@ -787,53 +497,80 @@ def _base_ends(x, cache):
 
 
 def _solve(spec, r, data, cache):
-    """``spec`` on the trials' matrices raised to ``r``, solved once per group.
-
-    The key is ``(spec, r)``: ``A^1`` is ``A`` itself, so the r = 1 cell finds
-    the means that every other cell of its group solves on the trials' own
-    matrices.
-    """
+    """``spec`` on the trials' matrices raised to ``r``, solved once per group
+    under the key ``(spec, r)``: ``A^1`` is ``A`` itself, so the r = 1 cell
+    finds the means every other cell solves on the trials' own matrices."""
     return _once(cache, (spec, r), lambda: eval_mean_stack(
         spec, _trials(data, cache).power(r), data.weights, certify=False).values)
 
 
 # Margin functions of the families: ``(data, r, alpha, cache)`` to the
-# per-trial margins and a constants dict.  Their mean specs carry no weights,
-# so every node takes the trial weights.  ``cache`` is the group's memo (see
-# :func:`_once`), which the shared-ensemble seed scheme makes reusable across
-# the whole r grid.
+# per-trial margins and a constants dict.  ``data.mean`` is the family's mean
+# and ``alpha`` the exponent it takes.  The trial weights override any a
+# mean's nodes carry.  ``cache`` is the group's memo (see :func:`_once`),
+# which the shared-ensemble seed scheme makes reusable across the r grid.
 
 
-def _ah_margin(spec, adjoint, below, data, r, cache):
-    """3.1-3.4: ``spec(A^r)`` against ``spec(A)`` scaled by its
-    ``lambda_min^{r-1}``, or by its norm to the r-1 when ``spec`` is the
-    adjoint side; below that side when ``below``, above it otherwise."""
-    base = _solve(spec, 1.0, data, cache)
-    powd = _solve(spec, r, data, cache)
-    lam, nrm = _base_ends(base, cache)
-    pref = (nrm if adjoint else lam) ** (r - 1.0)
-    side, side_norm = _scaled(pref, base), pref * nrm
-    return order_margin(powd, side, hi_norm=side_norm) if below else order_margin(side, powd, side_norm)
+def _transformed(spec, s):
+    """``spec`` with its parameter transformed by ``s``: P_alpha becomes
+    P_{alpha s} and a mean deformed by sigma one deformed by sigma_s (sigma
+    itself at ``s = 1``); a Karcher mean has none."""
+    if spec.kind == "power":
+        return MultiMeanSpec.power(spec.weights, spec.alpha * s)
+    if spec.kind == "deformed":
+        return MultiMeanSpec.deformed(spec.base, rep_transform(spec.sigma, "power_inner", s))
+    return spec
 
 
-def _ah_power_cell(variant, data, r, alpha, cache):
-    """3.9-3.12: the check ``variant`` of :func:`check_ah_family` for the
-    power mean P_alpha, whose adjoint is P_{-alpha}."""
-    _, adjoint, below = _AH_VARIANTS[variant]
-    a = -alpha if adjoint else alpha
-    spec = MultiMeanSpec.power(None, a)
-    return _ah_margin(spec, adjoint, below, data, r, cache), {"alpha_used": a}
+def _kantorovich_consts(data, r, ends):
+    """``kappa0 = M/m``, the spread ``kappa_x`` of the base ``M(A)`` from its
+    ``spectral_ends``, and ``K1 = K(kappa0 kappa_x, r)``."""
+    kappa0, kx = data.bounds[1] / data.bounds[0], ends[1] / ends[0]
+    return {"kappa0": kappa0, "kappa_x": kx, "K1": kantorovich(kappa0 * kx, r)}
 
 
-def _power_bracket_cell(r_range, data, r, alpha, cache):
-    """4.4/4.5: the modified bracket of the power means P_{alpha s}; 3.13/3.14
-    (no alpha): that of the Karcher mean, which has no exponent to transform."""
+def _one_sided(end, below, data, r, alpha, cache):
+    """3.9-3.12, 5.4/5.5: ``M(A^r)`` below (or above) ``k end^{r-1} M(A)``,
+    ``end`` the lambda_min or the norm of ``M(A)``.  ``k`` is 1, or for the
+    reverse forms, whose inputs are bounded, ``K1 K2`` (alpha > 0) or
+    ``K2 / K1`` (alpha < 0) with ``K2 = K((kappa0 kappa_x)^|alpha|, r)^{1/alpha}``."""
+    x, y = (_solve(data.mean, q, data, cache) for q in (1.0, r))
+    lam, nrm = _base_ends(x, cache)
+    k, consts, reverse = 1.0, {}, data.bounds[0] is not None
+    if reverse:
+        consts = _kantorovich_consts(data, r, (lam, nrm))
+        k1, h = consts["K1"], consts["kappa0"] * consts["kappa_x"]
+        k2 = kantorovich(h ** abs(alpha), r) ** (1.0 / alpha)
+        k, consts["K2_pow"] = (k1 * k2 if alpha > 0 else k2 / k1), k2
+    pref = k * (nrm if end == "norm" else lam) ** (r - 1.0)
+    side, side_norm = _scaled(pref, x), pref * nrm
+    margin = order_margin(y, side, hi_norm=side_norm) if below else order_margin(side, y, side_norm)
+    return margin, ({**consts, "prefactor": pref} if reverse else consts)
 
-    def mean(s, q):
-        spec = MultiMeanSpec.karcher(None) if alpha is None else MultiMeanSpec.power(None, alpha * s)
-        return _solve(spec, q, data, cache)
 
-    return _modified_bracket(mean, r, r_range, cache)
+def _bracket(r_range, data, r, alpha, cache, mean=None):
+    """3.13/3.14, 4.4/4.5 and 4.6-4.9: the modified power bracket of a family
+    of means; 5.8-5.10, whose inputs are bounded: its Kantorovich reverse.
+
+    ``mean(s, q)``, by default :func:`_transformed` of the cell's mean, is the
+    family's mean with its parameter transformed by ``s`` (at ``s = 1``, the
+    identity) on the inputs raised to ``q``.  For r >= 1 ``mean(1/r, r)`` is
+    bracketed by the group's base ``mean(1, 1)`` with the direct prefactors,
+    or the complement ones widened by K1 for the reverse forms; for
+    0 < r <= 1 ``mean(1, r)`` by ``mean(r, 1)`` with the complement ones.
+    """
+    if mean is None:
+        def mean(s, q):
+            return _solve(_transformed(data.mean, s), q, data, cache)
+    if r_range == "le1":
+        return _bracket_margins(mean(1.0, r), mean(r, 1.0), r, "complement")
+    x = mean(1.0, 1.0)
+    ends = _base_ends(x, cache)
+    reverse = data.bounds[0] is not None
+    consts = _kantorovich_consts(data, r, ends) if reverse else {}
+    margin, sides = _bracket_margins(mean(1.0 / r, r), x, r, "complement" if reverse else "direct",
+                                     consts.get("K1", 1.0), ends)
+    return margin, {**consts, **sides}
 
 
 def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
@@ -858,7 +595,7 @@ def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
 
         return _once(cache, (f, q), solve)
 
-    margin, sides = _modified_bracket(mean, r, r_range, cache)
+    margin, sides = _bracket(r_range, data, r, alpha, cache, mean)
     sigma_json = None if data.sigma is None else repfn_to_json(data.sigma)
     return margin, {"tau_json": repfn_to_json(data.tau), "sigma_json": sigma_json, **sides}
 
@@ -883,18 +620,10 @@ def _compression_cell(data, r, alpha, cache):
     return order_margin(lhs, k * cac_r.a, hi_norm=k * cac_r.norm), {"mu": data.mu, "h1": h1, "K": k}
 
 
-def _reverse_cell(which, negate, data, r, alpha, cache):
-    a_used = -alpha if negate else alpha
-    margin, consts = _reverse_margins(which, data, a_used, r, cache)
-    return margin, {"alpha_used": a_used, **consts}
-
-
 def _logmaj_cell(data, r, alpha, cache):
     """logmaj: see :func:`check_log_majorization`; the full products must
     agree to 1e-8 in log terms."""
-    karch = MultiMeanSpec.karcher(None)
-    g1 = _solve(karch, 1.0, data, cache)
-    gr = _solve(karch, r, data, cache)
+    g1, gr = (_solve(data.mean, q, data, cache) for q in (1.0, r))
     lam1 = np.sort(np.linalg.eigvalsh(g1), axis=-1)[..., ::-1]  # decreasing
     lamr = np.sort(np.linalg.eigvalsh(gr), axis=-1)[..., ::-1]
     lhs_log = np.cumsum(np.log(lamr), axis=-1)
@@ -906,45 +635,76 @@ def _logmaj_cell(data, r, alpha, cache):
     return margin, {"equality_error": eq_err, "worst_partial": worst_partial}
 
 
-def _family(r_range, margins, needs_alpha=True, layout="stack", spread=None):
+# Mean rules: the exponent a family's mean takes to that mean.  Their specs
+# carry no weights, so every node takes the trial weights.
+_power = partial(MultiMeanSpec.power, None)
+
+
+def _adjoint_power(alpha):
+    """P_alpha for alpha < 0 as the adjoint of P_{-alpha}, the spec "3.2"/"3.4"
+    solve when handed P_{-alpha}."""
+    return MultiMeanSpec.adjoint(MultiMeanSpec.power(None, -alpha))
+
+
+def _harmonic_deformed(alpha):
+    """5.8: the arithmetic mean deformed by harmonic(|alpha|), adjointed for alpha < 0."""
+    sigma = harmonic(alpha) if alpha > 0 else rep_transform(harmonic(-alpha), "adjoint")
+    return MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(None), sigma)
+
+
+def _karcher(alpha):
+    return MultiMeanSpec.karcher(None)
+
+
+# an admissible alpha_used, as a test and as text
+_POSITIVE = (lambda a: 0 < a <= 1, "(0, 1]")
+_NEGATIVE = (lambda a: -1 <= a < 0, "[-1, 0)")
+_NONZERO = (lambda a: a != 0 and -1 <= a <= 1, "[-1,1] minus 0")
+
+
+def _family(r_range, margins, mean=None, needs_alpha=True, layout="stack", spread=None, domain=None, used=None):
     """One campaign family.
 
-    ``layout`` holds a trial as ``"stack"`` (``_N`` matrices and weights),
-    ``"pair"`` (the two matrices A, B and the representing functions tau,
-    sigma) or ``"compress"`` (a matrix A and a compression C); the witness
-    matrices are written in that order.  ``spread`` pins a bounded
-    family's inputs to [m, M], m ~ U(0.5, 1) per cell and M/m fixed or drawn
-    from a (lo, hi) range; the others use [0.5, 2.2].  The Kantorovich
-    prefactors only dominate when the input spread is wide relative to the
-    spread of the mean (narrow pinned spectra can genuinely violate the
-    stated reverse bounds, as aligned commuting inputs do), so each spread
-    is one where the family's constant suffices against the aligned worst case.
+    ``used`` maps a cell's alpha to the exponent the family's ``mean`` rule
+    takes, reported as ``alpha_used`` (None: the alpha itself, unreported),
+    and ``domain`` is that exponent's admissible set.  ``layout`` holds a
+    trial as ``"stack"`` (``_N`` matrices and weights), ``"pair"`` (A, B and
+    the representing functions tau, sigma) or ``"compress"`` (A and a
+    compression C), in witness order.  ``spread`` pins a bounded family's
+    inputs to [m, M], m ~ U(0.5, 1) per cell and M/m fixed or drawn from a
+    (lo, hi) range; the others use [0.5, 2.2].  Narrow pinned spectra can
+    genuinely violate the stated reverse bounds (aligned commuting inputs
+    do), so each spread is one where the family's Kantorovich constant
+    suffices against the aligned worst case.
     """
-    return {"r_range": r_range, "needs_alpha": needs_alpha, "layout": layout,
-            "spread": spread, "margins": margins}
+    return {"r_range": r_range, "needs_alpha": needs_alpha, "layout": layout, "spread": spread,
+            "margins": margins, "mean": mean, "alpha_domain": domain, "alpha_used": used}
 
 
 FAMILIES = {
-    "3.9": _family("ge1", partial(_ah_power_cell, "3.1")),
-    "3.10": _family("ge1", partial(_ah_power_cell, "3.2")),
-    "3.11": _family("le1", partial(_ah_power_cell, "3.3")),
-    "3.12": _family("le1", partial(_ah_power_cell, "3.4")),
-    "3.13": _family("ge1", partial(_power_bracket_cell, "ge1"), needs_alpha=False),
-    "3.14": _family("le1", partial(_power_bracket_cell, "le1"), needs_alpha=False),
-    "4.4": _family("ge1", partial(_power_bracket_cell, "ge1")),
-    "4.5": _family("le1", partial(_power_bracket_cell, "le1")),
+    "3.9": _family("ge1", partial(_one_sided, "lambda", False), _power, used=operator.pos),
+    "3.10": _family("ge1", partial(_one_sided, "norm", True), _adjoint_power, used=operator.neg),
+    "3.11": _family("le1", partial(_one_sided, "lambda", True), _power, used=operator.pos),
+    "3.12": _family("le1", partial(_one_sided, "norm", False), _adjoint_power, used=operator.neg),
+    "3.13": _family("ge1", partial(_bracket, "ge1"), _karcher, needs_alpha=False),
+    "3.14": _family("le1", partial(_bracket, "le1"), _karcher, needs_alpha=False),
+    "4.4": _family("ge1", partial(_bracket, "ge1"), _power),
+    "4.5": _family("le1", partial(_bracket, "le1"), _power),
     "4.6": _family("ge1", partial(_pair_cell, "ge1", True), layout="pair"),
     "4.7": _family("le1", partial(_pair_cell, "le1", True), layout="pair"),
     "4.8": _family("ge1", partial(_pair_cell, "ge1", False), layout="pair"),
     "4.9": _family("le1", partial(_pair_cell, "le1", False), layout="pair"),
     "5.3": _family("ge1", _arith_reverse_cell, needs_alpha=False, spread=(1.6, 3.4)),
     "L5.1": _family("ge1", _compression_cell, needs_alpha=False, layout="compress", spread=10.0),
-    "5.4": _family("ge1", partial(_reverse_cell, "5.4", False), spread=8.0),
-    "5.5": _family("ge1", partial(_reverse_cell, "5.5", True), spread=8.0),
-    "5.8": _family("ge1", partial(_reverse_cell, "5.8", False), spread=8.0),
-    "5.9": _family("ge1", partial(_reverse_cell, "5.9", False), spread=8.0),
-    "5.10": _family("ge1", partial(_reverse_cell, "5.10", False), needs_alpha=False, spread=8.0),
-    "logmaj": _family("le1", _logmaj_cell, needs_alpha=False),
+    "5.4": _family("ge1", partial(_one_sided, "lambda", True), _power, used=operator.pos, spread=8.0,
+                   domain=_POSITIVE),
+    "5.5": _family("ge1", partial(_one_sided, "norm", False), _adjoint_power, used=operator.neg, spread=8.0,
+                   domain=_NEGATIVE),
+    "5.8": _family("ge1", partial(_bracket, "ge1"), _harmonic_deformed, used=operator.pos, spread=8.0,
+                   domain=_NONZERO),
+    "5.9": _family("ge1", partial(_bracket, "ge1"), _power, used=operator.pos, spread=8.0, domain=_NONZERO),
+    "5.10": _family("ge1", partial(_bracket, "ge1"), _karcher, used=operator.pos, needs_alpha=False, spread=8.0),
+    "logmaj": _family("le1", _logmaj_cell, _karcher, needs_alpha=False),
 }
 
 
@@ -962,6 +722,7 @@ class _CellData:
     mu: float = 0.4  # the compress layout draws C with mu I <= C^2 <= I
     tau: Optional[RepFnSpec] = None
     sigma: Optional[RepFnSpec] = None
+    mean: Optional[MultiMeanSpec] = None  # the family's mean, from its rule or a typed check
 
     @property
     def dim(self) -> int:
@@ -1002,18 +763,18 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
     return data
 
 
-def _witness_cell(family, mats, weights=None, bounds=None, mu=None, tau=None, sigma=None, seed=-1) -> _CellData:
+def _witness_cell(family, mats, weights=None, bounds=None, mu=None, tau=None, sigma=None, mean=None,
+                  seed=-1) -> _CellData:
     """A one-trial cell of ``family`` from typed inputs or a report's witness.
 
-    ``mats`` are the trial's matrices in witness order.  The trial must be
-    one that a campaign could have drawn: a matrix count that fits the
-    family's layout (two for a pair or a compression), one dimension, one
-    weight per ensemble matrix (uniform when ``weights`` is None; only an
-    ensemble takes weights), and ``mu I <= C^2 <= I`` for the compression.
-    A bounded family (one with a ``spread``) needs ``bounds = (m, M)``, two
-    finite numbers with ``0 < m < M`` and ``m I <= A_j <= M I``; any other
-    family takes none (BoundsViolated).  ``seed`` is the trial's seed as
-    reported; a typed check has none, -1.
+    ``mats``, the trial's matrices in witness order, must be a trial that a
+    campaign could have drawn: a matrix count that fits the layout (two for
+    a pair or a compression), one dimension, one weight per ensemble matrix
+    (uniform when ``weights`` is None; only an ensemble takes weights), and
+    ``mu I <= C^2 <= I`` for the compression.  A bounded family needs
+    ``bounds = (m, M)``, two finite numbers with ``0 < m < M`` and
+    ``m I <= A_j <= M I``; any other takes none (BoundsViolated).  ``seed``
+    is the trial's seed as reported, -1 for a typed check.
     """
     info = FAMILIES[family]
     layout = info["layout"]
@@ -1022,7 +783,7 @@ def _witness_cell(family, mats, weights=None, bounds=None, mu=None, tau=None, si
         raise ArityMismatch(f"{len(arrays)} matrices do not fit the {layout} layout")
     if layout != "stack" and weights is not None:
         raise ArityMismatch(f"the {layout} layout takes no weights")
-    data = _CellData([seed], arrays[None])
+    data = _CellData([seed], arrays[None], mean=mean)
     if layout == "pair":
         data.tau, data.sigma = tau, sigma
         return data
@@ -1056,15 +817,24 @@ def _pinned_bounds(bounds) -> tuple:
     raise BoundsViolated(f"bounds need two finite numbers 0 < m < M, got {bounds!r}")
 
 
-def _cell_info(family, r, alpha) -> dict:
-    """The family's table entry, after checking r and alpha against it."""
+def _cell_info(family, r, alpha, label=None) -> tuple:
+    """The family's entry and the exponent its mean takes, after checking r
+    and that exponent against the entry: a cell's ``alpha`` as the family
+    uses it, or what the typed check ``label`` hands in."""
     if family not in FAMILIES:
         raise UnknownKind(f"unknown family {family!r}")
     info = FAMILIES[family]
-    if info["needs_alpha"] and alpha is None:
-        raise BadR(f"family {family} needs an alpha value")
-    _require_r(r, info["r_range"], f"family {family}")
-    return info
+    if label is None:
+        if info["needs_alpha"] and alpha is None:
+            raise BadR(f"family {family} needs an alpha value")
+        # the exponent a cell's mean takes; a family that takes no alpha gets none
+        alpha = (info["alpha_used"] or operator.pos)(alpha) if info["needs_alpha"] else None
+    _require_r(r, info["r_range"], label or f"family {family}")
+    if info["alpha_domain"] is not None:
+        admits, domain = info["alpha_domain"]
+        if alpha is None or not admits(alpha):
+            raise BadR(f"{family} needs alpha in {domain}, got {alpha}")
+    return info, alpha
 
 
 def _cell_id(family, dim, r, alpha) -> str:
@@ -1118,18 +888,17 @@ def run_cell(
 ) -> CheckReport:
     """Evaluate one (family, dim, r, alpha) campaign cell over seeded trials.
 
-    Reports the worst trial: its normalized margin decides ``holds`` and its
-    seed and matrices are embedded on failure so the instance can be
-    re-checked in isolation.
-    ``data`` and ``cache`` let the cells of one (family, dim, alpha) group
-    share their trial data and r-independent solves; the report is the same
-    with or without them.
+    The worst trial decides ``holds``, and a failing report embeds its seed
+    and matrices for :func:`recheck`.  ``data`` and ``cache`` let the cells of
+    one (family, dim, alpha) group share their trial data and r-independent
+    solves; the report is the same with or without them.
     """
-    info = _cell_info(family, r, alpha)
-    if data is None:
-        data = _gen_cell_data(family, dim, alpha, trials, master_seed)
-    used = alpha if info["needs_alpha"] else None  # a family that takes no alpha gets none
+    info, used = _cell_info(family, r, alpha)
+    data = _gen_cell_data(family, dim, alpha, trials, master_seed) if data is None else data
+    data = replace(data, mean=info["mean"] and info["mean"](used))  # the family's rule, for cells and recheck
     margins, consts = info["margins"](data, r, used, {} if cache is None else cache)
+    if info["alpha_used"] is not None:
+        consts = {"alpha_used": used, **consts}
     return _verdict(_cell_id(family, dim, r, alpha), data, margins, consts, r, alpha)
 
 
@@ -1167,11 +936,10 @@ def recheck(report_json: dict) -> CheckReport:
     """Re-run a single failed campaign report from its embedded witness.
 
     The witness, with the report's weights, bounds, ``mu`` and representing
-    functions, becomes a one-trial cell of the family, validated like the
-    inputs of a typed check (bad bounds or a witness outside them raise
-    BoundsViolated), which :func:`run_cell` evaluates as the campaign did.
-    A report that does not fit the family's layout raises
-    a typed error.
+    functions, becomes a one-trial cell of the family, validated like a typed
+    check's inputs (a report that does not fit the family's layout, or a
+    witness outside its bounds, is a typed error), which :func:`run_cell`
+    evaluates as the campaign did.
     """
     if not isinstance(report_json, dict) or not isinstance(report_json.get("inequality_id"), str):
         raise ConfigError("a report must be a JSON object with a string 'inequality_id'")
@@ -1187,7 +955,7 @@ def recheck(report_json: dict) -> CheckReport:
         raise ConfigError(f"witness_seed must be an integer, got {seed!r}")
     r = _finite(consts["r"], "r")
     alpha = None if consts.get("alpha") is None else _finite(consts["alpha"], "alpha")
-    info = _cell_info(family, r, alpha)
+    info, _ = _cell_info(family, r, alpha)
     mats = report_json.get("matrices")
     if not mats or not isinstance(mats, list):
         raise UnknownKind("report carries no embedded witness matrices")
@@ -1201,11 +969,214 @@ def recheck(report_json: dict) -> CheckReport:
     if info["layout"] == "pair":
         if "tau_json" not in consts or "sigma_json" not in consts:
             raise ConfigError(f"{family} reports must carry tau_json and sigma_json")
-        inputs["tau"] = repfn_from_json(consts["tau_json"])
-        inputs["sigma"] = repfn_from_json(consts["sigma_json"])
+        inputs["tau"], inputs["sigma"] = (repfn_from_json(consts[k]) for k in ("tau_json", "sigma_json"))
     data = _witness_cell(family, [matrix_from_json(m) for m in mats], seed=seed, **inputs)
     rep = run_cell(family, data.dim, r, alpha, 1, seed, data=data)
     return replace(rep, inequality_id=ident)
+
+
+# --------------------------------------------------------------------------
+# typed checks
+# --------------------------------------------------------------------------
+
+_LABELS = {"3.1": "3.9", "3.2": "3.10", "3.3": "3.11", "3.4": "3.12", "4.1": "4.4", "4.2": "4.5"}
+
+
+def _labelled(label, labels, what) -> str:
+    """The family that ``label``, one of the check's ``labels``, checks: by
+    :data:`_LABELS` if it is not a family id itself."""
+    if label not in labels:
+        raise UnknownKind(f"unknown {what} {label!r}")
+    return _LABELS.get(label, label)
+
+
+def check_ah_family(
+    spec: MultiMeanSpec,
+    As: Sequence[SpdMatrix],
+    r: float,
+    variant: str,
+) -> CheckReport:
+    """Power-escalation check of a mean against its scalar prefactor.
+
+    Variants: "3.1" ``M(A^r) >= lambda_min^{r-1}(M(A)) M(A)`` for r >= 1 and
+    "3.3" its complement for r <= 1; "3.2"/"3.4" the same pair for the
+    adjoint mean with the norm prefactor and reversed order.
+    """
+    return _family_check(_labelled(variant, ("3.1", "3.2", "3.3", "3.4"), "variant"), r, As, spec.alpha,
+                         variant, f"{variant}:{spec.kind}", weights=_spec_weights(spec), mean=spec)
+
+
+def check_modified(
+    base: MultiMeanSpec,
+    sigma: RepFnSpec,
+    As: Sequence[SpdMatrix],
+    r: float,
+    which: str,
+) -> CheckReport:
+    """Two-sided check of the deformed mean against its power-adjusted twin.
+
+    "4.1" (r >= 1) brackets ``M_{sigma_{1/r}}(A^r)`` by ``M_sigma(A)`` with
+    the lambda_min / norm prefactors; "4.2" (0 < r <= 1) brackets
+    ``M_sigma(A^r)`` by ``M_{sigma_r}(A)`` with the prefactors swapped.
+    """
+    return _family_check(_labelled(which, ("4.1", "4.2"), "modified check"), r, As, label=which,
+                         weights=_spec_weights(base), mean=MultiMeanSpec.deformed(base, sigma))
+
+
+def check_two_var(
+    tau: RepFnSpec,
+    sigma: Optional[RepFnSpec],
+    A: SpdMatrix,
+    B: SpdMatrix,
+    r: float,
+    which: str,
+) -> CheckReport:
+    """Two-variable specializations of the modified checks.
+
+    "4.6"/"4.7" use the deformation of ``tau`` by ``sigma``; "4.8"/"4.9"
+    use the power-bracket transform of ``tau`` alone (``sigma`` ignored).
+    """
+    return _family_check(_labelled(which, ("4.6", "4.7", "4.8", "4.9"), "two-variable check"), r, [A, B],
+                         tau=tau, sigma=sigma)
+
+
+def check_reverse(
+    w: Weights,
+    alpha: Optional[float],
+    As: Sequence[SpdMatrix],
+    r: float,
+    which: str,
+    bounds,
+) -> CheckReport:
+    """Reverse power-escalation bounds with Kantorovich prefactors.
+
+    Inputs must satisfy ``m I <= A_j <= M I`` for the supplied bounds; the
+    condition number of the relevant mean feeds the constant.  "5.4"/"5.5"
+    are the one-sided power-mean forms (alpha > 0 / alpha < 0), "5.9" the
+    two-sided power-mean form, "5.8" the general deformed-mean form (here
+    with a harmonic deformation of the arithmetic mean), "5.10" the
+    two-sided multivariate geometric form (alpha ignored).
+    """
+    return _family_check(_labelled(which, ("5.4", "5.5", "5.8", "5.9", "5.10"), "reverse check"), r, As, alpha,
+                         weights=w, bounds=bounds)
+
+
+def check_compression_reverse(
+    A: SpdMatrix,
+    C: SpdMatrix,
+    r: float,
+    m: float,
+    M: float,
+    mu: float,
+) -> CheckReport:
+    """``C A^r C <= K(M/(m mu), r) (C A C)^r`` for a contraction-like ``C``.
+
+    Requires ``m I <= A <= M I`` and ``mu I <= C^2 <= I``.
+    """
+    return _family_check("L5.1", r, [A, C], bounds=(m, M), mu=mu)
+
+
+def check_arithmetic_power_reverse(
+    w: Weights,
+    As: Sequence[SpdMatrix],
+    r: float,
+    bounds,
+) -> CheckReport:
+    """``sum w_j A_j^r <= K(M/m, r) (sum w_j A_j)^r`` under pinned bounds."""
+    return _family_check("5.3", r, As, weights=w, bounds=bounds)
+
+
+def check_log_majorization(
+    w: Weights,
+    As: Sequence[SpdMatrix],
+    r: float,
+) -> CheckReport:
+    """Partial-product domination between geometric means at powers r and 1.
+
+    For ``0 < r <= 1`` the sorted spectrum of the multivariate geometric
+    mean of the ``A_j^r`` is log-majorized by
+    ``lambda_{N+1-i}^{r-1} lambda_i`` of the mean of the ``A_j``, with
+    equality of the full products.
+    """
+    return _family_check("logmaj", r, As, weights=w)
+
+
+def _family_check(family, r, mats, alpha=None, label=None, ident=None, **inputs) -> CheckReport:
+    """``family``'s cell on the one trial ``mats`` as the typed check ``label``,
+    with the validation, margin function and report of :func:`run_cell`.
+    ``alpha``, the one reported, is the exponent the family's mean takes,
+    unless the check hands in its own ``mean``; an adjoint family takes the
+    adjoint of that mean, as its rule takes that of P_{-alpha}."""
+    label = label or family
+    info, _ = _cell_info(family, r, alpha, label)
+    if "mean" not in inputs:
+        inputs["mean"] = info["mean"] and info["mean"](alpha)
+    elif info["mean"] is _adjoint_power:
+        inputs["mean"] = MultiMeanSpec.adjoint(inputs["mean"])
+    data = _witness_cell(family, mats, **inputs)
+    margins, consts = info["margins"](data, r, alpha, {})
+    return _verdict(ident or label, data, margins, consts, r, alpha)
+
+
+def check_implication_equivalence(
+    sigma: RepFnSpec,
+    tau: RepFnSpec,
+    r: float,
+) -> CheckReport:
+    """Agreement test between a scalar power condition and its matrix form.
+
+    The scalar condition is ``f_sigma(t^r) >= f_tau(t)^r`` on 400 points t
+    geometrically spaced in [1e-3, 1e3]; the matrix condition is
+    ``A tau B >= I  =>  A^r sigma B^r >= I`` over 40 seeded trials
+    (``default_rng(2024)`` draws the seeds of A and B; even trials are 2x2,
+    odd ones 3x3, each dimension evaluated as one stack; the hypothesis is
+    pinned by rescaling).  The two are equivalent, so the verdicts must
+    agree: when the scalar side fails, a concrete matrix violation is
+    constructed from the worst grid point and must be confirmed.
+    """
+    _require_r(r, "ge1", "equivalence test")
+    grid = np.geomspace(1e-3, 1e3, 400)
+    fs = rep_eval(sigma, grid**r)
+    ft = rep_eval(tau, grid) ** r
+    scalar_margins = (fs - ft) / (np.abs(fs) + np.abs(ft))
+    scalar_margin = float(scalar_margins.min())
+    t_worst = float(grid[np.argmin(scalar_margins)])
+    scalar_ok = scalar_margin >= -CHECK_TOL
+
+    def excess(a, b):
+        """Margin of ``I <= A^r sigma B^r``, batched."""
+        out = _two_var_arrays(lambda t: rep_eval(sigma, t), spd_power(a, r), spd_power(b, r))
+        return order_margin(np.eye(a.shape[-1]), out, 1.0)
+
+    seeds = np.random.default_rng(2024).integers(2**32, size=(40, 2))
+    worst_matrix = np.inf
+    for d, trial_seeds in ((2, seeds[0::2]), (3, seeds[1::2])):
+        pairs = random_spd_stack(d, (0.4, 2.5), trial_seeds.ravel().tolist()).reshape(-1, 2, d, d)
+        a, b = pairs[:, 0], pairs[:, 1]
+        lam = lambda_min(_two_var_arrays(lambda t: rep_eval(tau, t), a, b))[:, None, None]
+        # now A tau B >= I with equality at the bottom
+        worst_matrix = min(worst_matrix, float(excess(a / lam, b / lam).min()))
+    if not scalar_ok:
+        x = rep_eval(tau, t_worst)
+        a = np.diag([1.0 / x, 1.0 / x])
+        b = np.diag([t_worst / x, t_worst / x])
+        worst_matrix = min(worst_matrix, float(excess(a, b)))
+    matrix_ok = worst_matrix >= -CHECK_TOL
+    agree = scalar_ok == matrix_ok
+    return CheckReport(
+        inequality_id="4.6-equiv",
+        holds=agree,
+        margin=scalar_margin,
+        constants={
+            "r": r,
+            "scalar_margin": scalar_margin,
+            "matrix_margin": float(worst_matrix),
+            "worst_t": t_worst,
+            "scalar_holds": scalar_ok,
+            "matrix_holds": matrix_ok,
+        },
+        witness_seed=2024,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1265,10 +1236,9 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> list:
     :func:`run_cell`, so the reports depend on ``config`` alone.  Each
     (family, dim, alpha) group generates its trial data once and shares it,
     with a solve cache, over the r grid.  Groups run on up to ``threads``
-    worker processes, never more than there are groups or cores; with one
-    worker they run in this process.  A cell that raises a library error
-    gives an error line with the cell's id; any other exception in a group
-    is raised here.
+    worker processes, never more than there are groups or cores, or in this
+    process.  A library error in a cell gives an error line with the cell's
+    id; any other exception in a group is raised here.
     """
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")

@@ -715,6 +715,9 @@ def meanspec_from_json(obj) -> MultiMeanSpec:
         kind = obj["kind"]
     except (KeyError, TypeError) as exc:
         raise UnknownKind(f"mean JSON must carry 'kind': {exc}") from exc
+    extra = sorted(set(obj) - {f.name for f in fields(MultiMeanSpec)})
+    if extra:
+        raise ConfigError(f"unknown mean description keys: {extra}")
     weights = Weights(obj["weights"]) if "weights" in obj else None
     return MultiMeanSpec(
         kind=kind,

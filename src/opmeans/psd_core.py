@@ -351,10 +351,10 @@ def validate_spd(entries) -> SpdMatrix:
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     scale = np.max(np.abs(a))
-    gap = np.max(np.abs(a - a.T))
-    if gap > SYM_TOL * max(scale, 1e-300):
+    half_gap = np.max(np.abs(0.5 * a - 0.5 * a.T))  # halved, like the threshold, so it cannot overflow
+    if half_gap > 0.5 * SYM_TOL * max(scale, 1e-300):
         raise NotSymmetric(
-            f"asymmetry {gap:.3e} exceeds {SYM_TOL:.1e} * max|entries| = "
+            f"asymmetry {2.0 * float(half_gap):.3e} exceeds {SYM_TOL:.1e} * max|entries| = "
             f"{SYM_TOL * scale:.3e}"
         )
     s = sym(a)

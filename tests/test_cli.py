@@ -359,6 +359,15 @@ def test_mean_spec_with_a_field_of_another_kind_is_input_error(tmp_path, capsys,
     assert out == "" and "ConfigError" in err
 
 
+def test_mean_spec_with_an_unknown_key_is_input_error(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.5, 0.5], "foo": 1})
+    mats = write(tmp_path, "mats.json", [matrix_json(np.eye(2)), matrix_json(2 * np.eye(2))])
+    code = main(["mean", "--spec", spec, "--matrices", mats])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == "" and "ConfigError: unknown mean description keys: ['foo']" in err
+
+
 def test_search_exit_codes(tmp_path, capsys):
     arith = write(tmp_path, "arith.json", {"kind": "arithmetic", "params": {"w": 0.5}})
     harm = write(tmp_path, "harm.json", {"kind": "harmonic", "params": {"alpha": 0.5}})

@@ -1086,24 +1086,23 @@ def test_recheck_rejects_weights_outside_an_ensemble(family, every_check_fails):
         recheck(report)
 
 
+_TYPED_LABEL = {family: label for label, family in inequalities._LABELS.items()}
+
+
 def _typed_margin(family, report):
     """The typed form of ``family`` on a cell report's witness, weights and bounds."""
     c = report.constants
     mats = [matrix_from_json(m) for m in report.matrices]
-    r, alpha = c["r"], c["alpha"]
+    r, alpha, label = c["r"], c["alpha"], _TYPED_LABEL.get(family)
     w = Weights(c["weights"]) if "weights" in c else None
     bounds = (c.get("m"), c.get("M"))
     if family in ("3.9", "3.10", "3.11", "3.12"):
-        variant = {"3.9": "3.1", "3.10": "3.2", "3.11": "3.3", "3.12": "3.4"}[family]
-        return check_ah_family(MultiMeanSpec.power(w, alpha), mats, r, variant).margin
+        return check_ah_family(MultiMeanSpec.power(w, alpha), mats, r, label).margin
     if family in ("3.13", "3.14"):
-        # the Karcher mean is its own adjoint, so its bracket is the pair 3.1/3.2 (3.3/3.4)
         variants = ("3.1", "3.2") if family == "3.13" else ("3.3", "3.4")
         return min(check_ah_family(MultiMeanSpec.karcher(w), mats, r, v).margin for v in variants)
     if family in ("4.4", "4.5"):
-        # P_alpha is the arithmetic mean deformed by the weighted geometric mean
-        which = "4.1" if family == "4.4" else "4.2"
-        return check_modified(MultiMeanSpec.arithmetic(w), geometric(alpha), mats, r, which).margin
+        return check_modified(MultiMeanSpec.arithmetic(w), geometric(alpha), mats, r, label).margin
     if FAMILIES[family]["layout"] == "pair":
         tau, sigma = repfn_from_json(c["tau_json"]), repfn_from_json(c["sigma_json"])
         return check_two_var(tau, sigma, *mats, r, family).margin
@@ -1116,10 +1115,48 @@ def _typed_margin(family, report):
     return check_reverse(w, c["alpha_used"], mats, r, family, bounds).margin
 
 
+# Typed forms that solve a different mean, equal to the cell's only in exact
+# arithmetic: 3.13/3.14 as the smaller of 3.1/3.2 (3.3/3.4) over the Karcher
+# mean and its adjoint, and 4.4/4.5 with P_alpha as the arithmetic mean
+# deformed by the weighted geometric mean.  Every other typed form hands the
+# cell's own mean to its margin function, so it returns the cell's bits.
+_EQUAL_IN_EXACT_ARITHMETIC = ("3.13", "3.14", "4.4", "4.5")
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_typed_check_returns_cell_margin_on_witness(family, every_check_fails):
     rep = _forced_failure(family)
-    assert _typed_margin(family, rep) == pytest.approx(rep.margin, rel=1e-8, abs=1e-12)
+    if family in _EQUAL_IN_EXACT_ARITHMETIC:
+        assert _typed_margin(family, rep) == pytest.approx(rep.margin, rel=1e-8, abs=1e-12)
+    else:
+        assert _typed_margin(family, rep) == rep.margin
+
+
+@pytest.mark.parametrize("family", ["3.9", "3.10", "3.11", "3.12", "4.4", "4.5", "5.4", "5.5", "5.8", "5.9"])
+def test_out_of_domain_alpha_is_one_error_at_every_entry_point(family, every_check_fails):
+    # the reverse forms check alpha_used against their FAMILIES domain; the
+    # others take a power mean, whose own domain is checked where it is built
+    report = _forced_failure(family).to_json()
+    c, alpha = report["constants"], 2.0
+    c["alpha"] = alpha
+    mats, w, r = [matrix_from_json(m) for m in report["matrices"]], Weights(c["weights"]), c["r"]
+    label = _TYPED_LABEL.get(family)
+
+    def typed():
+        if family.startswith("3."):
+            return check_ah_family(MultiMeanSpec.power(w, alpha), mats, r, label)
+        if family.startswith("4."):
+            # check_modified takes its mean whole: here the deformation of P_alpha
+            return check_modified(MultiMeanSpec.power(w, alpha), geometric(0.5), mats, r, label)
+        return check_reverse(w, FAMILIES[family]["alpha_used"](alpha), mats, r, family, (c["m"], c["M"]))
+
+    seen = []
+    for call in (lambda: run_cell(family, 2, r, alpha, 6, 5), lambda: recheck(report), typed):
+        with pytest.raises(errors.OpmeansError) as info:
+            call()
+        seen.append((type(info.value), str(info.value)))
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][0] is (errors.AlphaZero if family[0] in "34" else errors.BadR)
 
 
 def test_typed_report_carries_cell_constants(every_check_fails):

@@ -751,6 +751,20 @@ def test_meanspec_json_roundtrip():
         meanspec_from_json({"kind": "median"})
 
 
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        ({"kind": "karcher", "weights": [0.5, 0.5], "foo": 1}, "foo"),
+        ({"kind": "adjoint", "inner": {"kind": "arithmetic", "weights": [1.0], "wieghts": [1.0]}}, "wieghts"),
+    ],
+)
+def test_mean_spec_json_names_an_unknown_key(obj, key):
+    # a key that is no field of a mean description is an error, at the top
+    # and in a nested description, as in a campaign config
+    with pytest.raises(errors.ConfigError, match=rf"unknown mean description keys: \['{key}'\]"):
+        meanspec_from_json(obj)
+
+
 def test_mean_result_serialization():
     a = random_spd(2, (0.5, 2.0), 1)
     res = MeanResult(value=a, iterations=3, residual_dt=1e-12, enclosure_gap=None)

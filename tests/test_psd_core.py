@@ -62,6 +62,19 @@ def test_validate_shape_and_symmetry_errors():
     assert np.allclose(m.a, m.a.T)
 
 
+def test_validate_asymmetry_test_is_overflow_safe():
+    # the asymmetry and its threshold are both halved: entries near the float
+    # range give NotSymmetric, not an overflow, and the threshold stays at
+    # SYM_TOL * max|entries|
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(errors.NotSymmetric):
+            validate_spd([[1e308, 1e308], [-1e308, 1e308]])
+        with pytest.raises(errors.NotSymmetric, match="asymmetry 2.000e-08"):
+            validate_spd([[1.0, 2e-8], [0.0, 1.0]])
+        assert validate_spd([[1.0, 0.99e-8], [0.0, 1.0]]).dim == 2
+
+
 def test_validate_keeps_entries_near_the_float_range_finite():
     # symmetrizing halves before adding, so in-range entries cannot overflow:
     # the diagonal matrix is valid as given, and the singular one, whose
