@@ -76,6 +76,7 @@ from .psd_core import (
     Spectral,
     SpdMatrix,
     _generators,
+    _spd_draws,
     lambda_min,
     matrix_from_json,
     matrix_to_json,
@@ -373,8 +374,9 @@ def optimality_scan(tau: RepFnSpec, r: float, mode: str) -> Optional[Counterexam
 
 def _complement_margin(tau, r, a, b):
     """Margins of the complement bracket ``||tau_r||^{r-1} tau_r(A, B) <= A^r tau B^r`` (6.1), batched."""
-    lhs = _two_var_arrays(lambda t: rep_eval(rep_transform(tau, "power_inner_outer", r), t), a, b)
-    rhs = _two_var_arrays(lambda t: rep_eval(tau, t), spd_power(a, r), spd_power(b, r))
+    base = Spectral(a)
+    lhs = _frame_mean(partial(rep_eval, rep_transform(tau, "power_inner_outer", r)), pair_frame(base, b))
+    rhs = _frame_mean(partial(rep_eval, tau), pair_frame(base.raised(r), spd_power(b, r)))
     return order_margin(_scaled(op_norm(lhs) ** (r - 1.0), lhs), rhs)
 
 
@@ -709,8 +711,19 @@ FAMILIES = {
 
 
 def _derive_seed(*parts) -> int:
-    key = "|".join(str(p) for p in parts).encode()
-    return int.from_bytes(hashlib.blake2s(key, digest_size=8).digest(), "big") % (2**63)
+    return _derive_seeds(parts[:-1], parts[-1:])[0]
+
+
+def _derive_seeds(prefix, suffixes) -> list:
+    """``_derive_seed(*prefix, x)`` for each ``x`` of ``suffixes``: the
+    blake2s of the shared prefix is taken once and copied for each."""
+    head = hashlib.blake2s("".join(f"{p}|" for p in prefix).encode(), digest_size=8)
+    out = []
+    for x in suffixes:
+        h = head.copy()
+        h.update(str(x).encode())
+        out.append(int.from_bytes(h.digest(), "big") % (2**63))
+    return out
 
 
 @dataclass
@@ -734,31 +747,41 @@ def _gen_cell_data(family, dim, alpha, trials, master_seed) -> _CellData:
 
     The seed scheme deliberately excludes r, so every r-value of a family
     reuses the same ensembles; that is what lets structural cross-checks
-    (and solver caches) line up across r.
+    (and solver caches) line up across r.  Every draw of the group comes
+    from one :func:`~opmeans.psd_core._generators` call, in the order the
+    seeds are listed: the cell's constants, the trials' matrices, then the
+    compressions, the weights or the pair's means.
     """
     info = FAMILIES[family]
-    seeds = [_derive_seed(master_seed, family, dim, alpha, t) for t in range(trials)]
-    spectrum, bounds, spread = (0.5, 2.2), (None, None), info["spread"]
-    if spread is not None:
-        (cell_rng,) = _generators([_derive_seed(master_seed, family, dim, alpha, "cell")])
+    layout, spread = info["layout"], info["spread"]
+    cell = (master_seed, family, dim, alpha)
+    seeds = _derive_seeds(cell, range(trials))
+    # a pair trial is the two matrices A, B, a compress trial A then C; a
+    # stack trial is an ensemble of _N and its weights
+    keys = {"stack": [*range(_N), "w"], "pair": ["a", "b"], "compress": [0, "c"]}[layout]
+    per_trial = [_derive_seeds((s,), keys) for s in seeds]
+    n = 2 if layout == "pair" else len(keys) - 1  # matrices a trial draws from the cell's spectrum
+    head = [] if spread is None else [_derive_seed(*cell, "cell")]
+    tail = [_derive_seed(*cell, "fn")] if layout == "pair" else [row[-1] for row in per_trial]
+    rngs = _generators(head + [x for row in per_trial for x in row[:n]] + tail)
+    spectrum, bounds = (0.5, 2.2), (None, None)
+    if head:
+        cell_rng = next(rngs)
         m = round(float(cell_rng.uniform(0.5, 1.0)), 6)
         ratio = cell_rng.uniform(*spread) if isinstance(spread, tuple) else spread
         spectrum = bounds = (m, round(float(m * ratio), 6))
-    # a pair trial is the two matrices A, B, a compress trial A then C; a
-    # stack trial is an ensemble of _N
-    keys = {"stack": range(_N), "pair": "ab", "compress": (0,)}[info["layout"]]
-    draws = random_spd_stack(dim, spectrum, [_derive_seed(s, k) for s in seeds for k in keys])
-    data = _CellData(seeds, draws.reshape(trials, len(keys), dim, dim), bounds=bounds)
-    if info["layout"] == "compress":
-        c = random_spd_stack(dim, (np.sqrt(data.mu), 0.999999), [_derive_seed(s, "c") for s in seeds])
+    draws = _spd_draws(dim, spectrum, rngs, trials * n)
+    data = _CellData(seeds, draws.reshape(trials, n, dim, dim), bounds=bounds)
+    if layout == "compress":
+        c = _spd_draws(dim, (np.sqrt(data.mu), 0.999999), rngs, trials)
         data.stack = np.concatenate([data.stack, c[:, None]], axis=1)
-    elif info["layout"] == "pair":
-        (kind_rng,) = _generators([_derive_seed(master_seed, family, dim, alpha, "fn")])
+    elif layout == "pair":
+        kind_rng = next(rngs)
         w_tau = round(float(kind_rng.uniform(0.25, 0.75)), 6)
         data.tau = (arithmetic, harmonic, geometric)[int(kind_rng.integers(3))](w_tau)
         data.sigma = geometric(alpha) if kind_rng.integers(2) == 0 else harmonic(alpha)
     else:
-        raw = np.stack([rng.uniform(0.2, 1.0, _N) for rng in _generators([_derive_seed(s, "w") for s in seeds])])
+        raw = np.stack([rng.uniform(0.2, 1.0, _N) for rng in rngs])
         data.weights = raw / raw.sum(axis=1, keepdims=True)
     return data
 
@@ -1143,24 +1166,25 @@ def check_implication_equivalence(
     t_worst = float(grid[np.argmin(scalar_margins)])
     scalar_ok = scalar_margin >= -CHECK_TOL
 
-    def excess(a, b):
-        """Margin of ``I <= A^r sigma B^r``, batched."""
-        out = _two_var_arrays(lambda t: rep_eval(sigma, t), spd_power(a, r), spd_power(b, r))
-        return order_margin(np.eye(a.shape[-1]), out, 1.0)
+    def excess(base, b, c=1.0):
+        """Margin of ``I <= (A/c)^r sigma (B/c)^r``, batched, for ``base =
+        Spectral(A)``; sigma is a mean, so that is ``c^-r (A^r sigma B^r)``."""
+        out = _frame_mean(partial(rep_eval, sigma), pair_frame(base.raised(r), spd_power(b, r)))
+        return order_margin(np.eye(b.shape[-1]), c**-r * out, 1.0)
 
     seeds = np.random.default_rng(2024).integers(2**32, size=(40, 2))
     worst_matrix = np.inf
     for d, trial_seeds in ((2, seeds[0::2]), (3, seeds[1::2])):
         pairs = random_spd_stack(d, (0.4, 2.5), trial_seeds.ravel().tolist()).reshape(-1, 2, d, d)
-        a, b = pairs[:, 0], pairs[:, 1]
-        lam = lambda_min(_two_var_arrays(lambda t: rep_eval(tau, t), a, b))[:, None, None]
-        # now A tau B >= I with equality at the bottom
-        worst_matrix = min(worst_matrix, float(excess(a / lam, b / lam).min()))
+        base, b = Spectral(pairs[:, 0]), pairs[:, 1]
+        lam = lambda_min(_frame_mean(partial(rep_eval, tau), pair_frame(base, b)))[:, None, None]
+        # (A/lam) tau (B/lam) >= I with equality at the bottom
+        worst_matrix = min(worst_matrix, float(excess(base, b, lam).min()))
     if not scalar_ok:
         x = rep_eval(tau, t_worst)
         a = np.diag([1.0 / x, 1.0 / x])
         b = np.diag([t_worst / x, t_worst / x])
-        worst_matrix = min(worst_matrix, float(excess(a, b)))
+        worst_matrix = min(worst_matrix, float(excess(Spectral(a), b)))
     matrix_ok = worst_matrix >= -CHECK_TOL
     agree = scalar_ok == matrix_ok
     return CheckReport(

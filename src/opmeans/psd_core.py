@@ -428,25 +428,39 @@ def random_spd_stack(dim: int, spectrum, seeds) -> np.ndarray:
     """``random_spd(dim, spectrum, s).a`` for every seed ``s``, stacked.
 
     Each seed's draws come from :func:`_generators`, so they are those of
-    ``np.random.default_rng(s)``; the orthogonal factors then come from one
-    batched QR (with the sign fix that makes them Haar and independent of
-    LAPACK's sign conventions) and one rebuild, which give the same bits as
-    the per-seed calls.
+    ``np.random.default_rng(s)``; see :func:`_spd_draws`.
+    """
+    seeds = list(seeds)
+    return _spd_draws(dim, spectrum, _generators(seeds), len(seeds))
+
+
+def _spd_draws(dim: int, spectrum, rngs, n: int) -> np.ndarray:
+    """``n`` matrices as :func:`random_spd` draws them, one from each of the
+    next ``n`` generators of the iterator ``rngs`` (which it takes no more of).
+
+    Each generator fills its row of uniforms and its normal block in place;
+    one affine map ``m + (M - m) u`` then gives every eigenvalue, the bits of
+    ``rng.uniform(m, M)``.  The orthogonal factors come from one batched QR
+    (with the sign fix that makes them Haar and independent of LAPACK's sign
+    conventions) and one rebuild, which give the same bits as the per-seed
+    calls.
     """
     m, M = spectrum
     if not (0 < m < M):
         raise BadInterval(f"need 0 < m < M, got [{m}, {M}]")
     if dim < 1:
         raise BadInterval(f"dimension must be positive, got {dim}")
-    seeds = list(seeds)
+    u = np.empty((n, 1 if dim == 1 else dim - 2))
+    g = np.empty((n, dim, dim))
+    for k, rng in zip(range(n), rngs):
+        rng.random(out=u[k])
+        if dim > 1:
+            rng.standard_normal(out=g[k])
+    u = m + (M - m) * u
     if dim == 1:
-        return np.array([rng.uniform(m, M) for rng in _generators(seeds)]).reshape(-1, 1, 1)
-    eigs = np.empty((len(seeds), dim))
-    eigs[:, 0], eigs[:, -1] = m, M
-    g = np.empty((len(seeds), dim, dim))
-    for k, rng in enumerate(_generators(seeds)):
-        eigs[k, 1:-1] = rng.uniform(m, M, size=dim - 2)
-        g[k] = rng.standard_normal((dim, dim))
+        return u.reshape(-1, 1, 1)
+    eigs = np.empty((n, dim))
+    eigs[:, 0], eigs[:, 1:-1], eigs[:, -1] = m, u, M
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     return sym((q * eigs[:, None, :]) @ np.swapaxes(q, -1, -2))

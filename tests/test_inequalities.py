@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -1041,6 +1042,50 @@ def test_cell_data_draws_through_one_seeding_path(monkeypatch, family):
     alpha = 0.5 if FAMILIES[family]["needs_alpha"] else None
     monkeypatch.setattr(np.random, "default_rng", per_seed)
     assert len(inequalities._gen_cell_data(family, 3, alpha, 6, 11).stack) == 6
+
+
+def test_cell_seeds_are_blake2s_of_joined_parts():
+    # the shared prefix is hashed once and copied: the seeds are unchanged
+    def plain(*parts):
+        key = "|".join(str(p) for p in parts).encode()
+        return int.from_bytes(hashlib.blake2s(key, digest_size=8).digest(), "big") % 2**63
+
+    prefix = (20260810, "4.6", 5, 0.5)
+    assert inequalities._derive_seeds(prefix, [*range(30), "cell", "fn"]) == [
+        plain(*prefix, x) for x in [*range(30), "cell", "fn"]
+    ]
+    assert inequalities._derive_seed(7, "w") == plain(7, "w")
+
+
+@pytest.mark.parametrize("family", ["3.13", "4.7", "L5.1", "5.3"])
+def test_cell_data_takes_one_generator_call(monkeypatch, family):
+    # a stack, pair, compress and bounded-stack group each reseed from one
+    # batched call, with the cell's constants and the pair's means folded in
+    calls = []
+
+    def counted(seeds):
+        calls.append(len(seeds))
+        return psd_core._generators(seeds)
+
+    monkeypatch.setattr(inequalities, "_generators", counted)
+    info = FAMILIES[family]
+    inequalities._gen_cell_data(family, 3, 0.5 if info["needs_alpha"] else None, 6, 11)
+    per_trial = {"stack": 4, "pair": 2, "compress": 2}[info["layout"]]  # matrices, then weights or C
+    per_cell = (info["spread"] is not None) + (info["layout"] == "pair")  # the bounds, tau and sigma
+    assert calls == [6 * per_trial + per_cell]
+
+
+def test_scan_and_equivalence_raise_powers_from_held_decompositions(monkeypatch):
+    # the 6.1 scan decomposes A, the pair frame, B^r and the powered pair's
+    # frame once each; the equivalence test does so per dimension
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    optimality_scan(arithmetic(0.5), 2.0, "prop_6_1")
+    assert len(calls) == 4
+    calls.clear()
+    check_implication_equivalence(geometric(0.5), geometric(0.5), 2.0)
+    assert len(calls) == 8
 
 
 @pytest.fixture

@@ -348,6 +348,108 @@ def test_deformed_rep_batch_keeps_each_bisection_bits():
         assert batch[k] == deformed_rep(tau, sigma, x), k
 
 
+# the 4.6/4.7 pair cells deform tau (arithmetic, harmonic or geometric) by
+# sigma (geometric or harmonic) raised inside by s = 1/r on the r >= 1 grid
+# and s = r on the r <= 1 grid
+PAIR_TAUS = [arithmetic(0.3), harmonic(0.6), geometric(0.45)]
+PAIR_SIGMAS = [geometric(0.25), harmonic(0.5)]
+PAIR_EXPONENTS = [1.0, 1 / 1.5, 1 / 2, 1 / 3, 0.25, 0.75]
+ROOT_TOL = 64 * np.finfo(float).eps  # the rounding of the residual, not the 4-eps bracket, sets this
+
+
+def _mp_rep(spec, mp):
+    """``spec``'s representing function in mpmath, for the kinds the pair cells use."""
+    (p,) = (mp.mpf(q) for q in spec.params)
+    fn = {
+        "arithmetic": lambda t: 1 - p + p * t,
+        "harmonic": lambda t: 1 / (1 - p + p / t),
+        "geometric": lambda t: t**p,
+    }[spec.kind]
+    for tr in spec.transforms:
+        assert tr.op == "power_inner"
+        fn = (lambda f, r: lambda t: f(t**r))(fn, mp.mpf(tr.r))
+    return fn
+
+
+@pytest.mark.parametrize("tau", PAIR_TAUS, ids=lambda f: f.kind)
+@pytest.mark.parametrize("sigma", PAIR_SIGMAS, ids=lambda f: f.kind)
+def test_deformed_rep_against_50_digit_root(tau, sigma):
+    # every value within ROOT_TOL (relative) of the root of the residual
+    # solved in 50 digits, at t in [1e-3, 1e3] and at 1e-9 and 1e9
+    mp = pytest.importorskip("mpmath").mp
+    t = np.concatenate([np.geomspace(1e-3, 1e3, 9), [1e-9, 1e9]])
+    with mp.workdps(50):
+        for s in PAIR_EXPONENTS:
+            sig = rep_transform(sigma, "power_inner", s)
+            f_tau, f_sig = _mp_rep(tau, mp), _mp_rep(sig, mp)
+            got = deformed_rep(tau, sig, t)
+            for tk, x in zip(t, got):
+                tk = mp.mpf(tk)
+                root = mp.findroot(
+                    lambda y: f_sig(1 / y) * f_tau(f_sig(tk / y) / f_sig(1 / y)) - 1,
+                    (min(tk, 1), max(tk, 1)),
+                    solver="anderson",
+                )
+                assert abs(x - root) <= ROOT_TOL * root, (s, float(tk), x, float(root))
+
+
+def _residual_counts(monkeypatch, tau, sigma, t, residual=meanfns._deformed_residual):
+    """How often ``deformed_rep`` evaluates ``residual`` at each of the distinct ``t``."""
+    counts = np.zeros(t.size, dtype=int)
+
+    def counted(tau_fn, sigma_fn, tk, x):
+        np.add.at(counts, np.searchsorted(t, tk), 1)
+        return residual(tau_fn, sigma_fn, tk, x)
+
+    monkeypatch.setattr(meanfns, "_deformed_residual", counted)
+    deformed_rep(tau, sigma, t)
+    monkeypatch.undo()
+    return counts
+
+
+def _bisection_halvings(tau, sigma, t, residual=meanfns._deformed_residual):
+    """The halvings bisection takes on each bracket before it is 4 eps wide relative to its right end."""
+    lo, hi = np.minimum(1.0, t), np.maximum(1.0, t)
+    halvings = np.zeros(t.size, dtype=int)
+    live = hi - lo > meanfns._ROOT_RTOL * hi
+    while live.any():
+        mid = 0.5 * (lo + hi)
+        up = residual(tau.evaluator, sigma.evaluator, t, mid) >= 0
+        np.copyto(lo, mid, where=live & up)
+        np.copyto(hi, mid, where=live & ~up)
+        halvings += live
+        live &= hi - lo > meanfns._ROOT_RTOL * hi
+    return halvings
+
+
+FAR_T = np.unique(np.concatenate([np.geomspace(1e-9, 1e-3, 7), np.geomspace(1e3, 1e9, 7), [1 - 1e-12, 1 + 1e-12]]))
+
+
+@pytest.mark.parametrize("tau", [arithmetic(0.5), harmonic(0.4), geometric(0.7)], ids=lambda f: f.kind)
+def test_deformed_rep_evaluations_within_bisection_plus_n0(monkeypatch, tau):
+    # a flat residual (sigma = t^0.01) at far t: no element takes more steps
+    # than bisection's halvings plus ITP's n0, beyond the two bracket ends,
+    # and most take far fewer
+    sigma = geometric(0.01)
+    steps = _residual_counts(monkeypatch, tau, sigma, FAR_T) - 2
+    halvings = _bisection_halvings(tau, sigma, FAR_T)
+    assert np.all(steps <= halvings + meanfns._ITP_N0), np.stack([FAR_T, steps, halvings])
+    assert np.median(steps) <= np.median(halvings) / 3
+
+
+def test_deformed_rep_projection_bounds_a_residual_false_position_cannot_use(monkeypatch):
+    # a residual that is a step, 1e-300 left of t^0.3 and -1 right of it,
+    # puts every false-position point at the left end: the projection alone
+    # keeps each element within bisection's halvings plus n0
+    def step(tau_fn, sigma_fn, t, x):
+        return np.where(x <= t**0.3, 1e-300, -1.0)
+
+    tau, sigma = arithmetic(0.5), geometric(0.5)
+    steps = _residual_counts(monkeypatch, tau, sigma, FAR_T, step) - 2
+    halvings = _bisection_halvings(tau, sigma, FAR_T, step)
+    assert np.all(steps <= halvings + meanfns._ITP_N0), np.stack([FAR_T, steps, halvings])
+
+
 # --------------------------------------------------------------- margin scans
 
 
