@@ -387,11 +387,15 @@ def _clamped(spec):
 
 
 def _escalation_margin(tau, r, a, b):
-    """Margins of ``A^r tau_{1/r} B^r <= I`` (6.3), the power bracket of tau, batched."""
-    out = _two_var_arrays(
-        _clamped(rep_transform(tau, "power_inner_outer", 1.0 / r)), spd_power(a, r), spd_power(b, r)
-    )
-    return order_margin(out, np.eye(a.shape[-1]), hi_norm=1.0)
+    """Margins of ``A^r tau_{1/r} B^r <= I`` (6.3), the power bracket of tau, batched.
+
+    ``a`` is the stack of ``A`` or its :class:`Spectral`, from which ``A^r``
+    is raised.
+    """
+    base = a if isinstance(a, Spectral) else Spectral(a)
+    fn = _clamped(rep_transform(tau, "power_inner_outer", 1.0 / r))
+    out = _frame_mean(fn, pair_frame(base.raised(r), spd_power(b, r)))
+    return order_margin(out, np.eye(b.shape[-1]), hi_norm=1.0)
 
 
 def _scan_bracket_complement(tau, r):
@@ -422,9 +426,12 @@ def _scan_escalation(tau, r):
     inside = (0.0 < near_t) & (near_t < 1.0)
     x, y, t = (np.concatenate([g.ravel(), near[inside]]) for g, near in zip(grid, (1.0 + eps, 1.0 - eps, near_t)))
     a, b = _rank_one_family(x, y, t)
-    beta = op_norm(_two_var_arrays(_clamped(tau), a, b))[:, None, None]
-    a, b = a / beta, b / beta
-    return (x, y, t), a, b, _escalation_margin(tau, r, a, b)
+    base = Spectral(a)
+    beta = op_norm(_frame_mean(_clamped(tau), pair_frame(base, b)))
+    # A / beta keeps A's eigenvectors, so its powers are raised from A's decomposition
+    scaled = base.scaled(beta)
+    b = b / beta[:, None, None]
+    return (x, y, t), scaled.a, b, _escalation_margin(tau, r, scaled, b)
 
 
 def verify_counterexample(cx: Counterexample, tau: RepFnSpec) -> bool:

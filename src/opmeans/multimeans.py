@@ -5,9 +5,14 @@ the unique fixed point of ``X = M(X sigma A_1, ..., X sigma A_n)`` (Lim and
 Palfia, *Matrix power means and the Karcher mean*, JFA 262 (2012)).  Power
 means are the deformations of the arithmetic mean by ``t^p``, and the
 Karcher mean is their limit; all three run one damped geodesic iteration,
-:func:`_geodesic_loop`, Anderson-mixed in the chart ``log X``, that stops on
-a true Thompson error bound.  For power and Karcher means that bound also
-covers the rounding of its own evaluation.  A Karcher solve is certified by
+:func:`_geodesic_loop`, that stops on a true Thompson error bound.  A
+deformed mean steps towards the mean of its frame, Anderson-mixed in the
+chart ``log X``.  Power and Karcher means take Riemannian Newton steps:
+the direction solves the frame residual's linearization, a Daleckii-Krein
+kernel on the spectra the frame already holds, by matrix-free conjugate
+gradients (:func:`_power_frame`), and takes 3-5 iterations where the
+gradient step took 10-26.  Their bound also covers the rounding of its own
+evaluation.  A Karcher solve is certified by
 the power-mean enclosure ``P_{-t} <= G <= P_t``, whose ends solve a
 different equation in the same loop call: the loop takes one exponent per
 member.
@@ -165,9 +170,9 @@ class MeanResult:
     """``residual_dt`` bounds the Thompson distance from ``value`` to the mean
     (0 for closed forms).  For power and Karcher means it includes the
     rounding of its own evaluation, ``16 eps / |alpha|`` and ``16 eps sqrt d``.
-    ``iterations`` counts the iterations of the geodesic loop, damped steps
-    and Anderson points alike, of the mean's own members (the largest over a
-    batch), not of a certified Karcher solve's enclosure ends."""
+    ``iterations`` counts the iterations of the geodesic loop, damped and
+    Newton steps and Anderson points alike, of the mean's own members (the
+    largest over a batch), not of a certified Karcher solve's enclosure ends."""
 
     value: SpdMatrix
     iterations: int
@@ -275,29 +280,35 @@ def _rounding_floor(a):
 
 
 def _power_loop(w, p, stack, tol, what):
-    """``P_p`` (``0 < p <= 1``) or the Karcher mean (``p = 0``) by :func:`_geodesic_loop`.
+    """``P_p`` (``0 < p <= 1``) or the Karcher mean (``p = 0``) by Newton steps in :func:`_geodesic_loop`.
 
     ``p`` is a number or one per flattened member, so one call can solve
-    Karcher members beside power-mean members.  The frame mean is ``sum_i w_i
-    B_i^p`` (``exp sum_i w_i log B_i`` at ``p = 0``) and the step ``G =
-    log(M) / p`` (``log M``).  For ``p > 0`` the map ``f(X) = sum_i w_i X #_p
-    A_i`` is a Thompson contraction of rate ``1 - p``, so ``max |eig G| = d(X,
-    f(X)) / p`` bounds ``d(X, X*)``.  At ``p = 0`` the step is Riemannian
-    gradient descent on the 1-strongly convex ``1/2 sum_i w_i delta_R(X,
-    A_i)^2``, and ``||G||_F`` bounds ``delta_R(X, G*)``, hence the Thompson
-    error; its rounding term and floor carry a ``sqrt d`` for the Frobenius
-    norm.  ``what`` names the members, as in :func:`_geodesic_loop`.
+    Karcher members beside power-mean members.  At ``S = X^{-1/2}`` the
+    frame residual is ``F = sum_i w_i phi(B_i)`` with ``phi(t) = (t^p - 1) /
+    p`` (``log t`` at ``p = 0``), zero exactly at the mean, and the step is
+    the Newton direction of :func:`_power_frame`.  Both kinds report ``rho =
+    ||F||_F``.  At ``p = 0``, ``F`` is the Riemannian gradient of the
+    1-strongly convex ``1/2 sum_i w_i delta_R(X, A_i)^2``, so ``rho`` bounds
+    ``delta_R(X, G*)``, hence the Thompson error.  For ``p > 0``, ``f(X) =
+    sum_i w_i X #_p A_i`` is a Thompson contraction of rate ``1 - p`` and
+    ``f(X)`` is ``X^{1/2} M X^{1/2}`` with ``M = I + p F``; with ``e = p rho
+    >= ||M - I||``, ``d(X, f(X)) = max |log eig M| <= -log(1 - e)``, so
+    ``-log(1 - e) / p`` bounds ``d(X, X*)`` (infinite for ``e >= 1``).  The
+    bounds add the rounding of their own evaluation, ``16 eps sqrt d``
+    (``16 eps / p``), and the floor is ``sqrt d`` times that of the inputs,
+    the scale of a Frobenius residual.  ``what`` names the members, as in
+    :func:`_geodesic_loop`.
     """
     batch, a, w = _members(stack, w)
     p, root_d = np.broadcast_to(p, len(a)), np.sqrt(a.shape[-1])
     rounding = np.divide(16 * _EPS, p, out=np.full(len(a), 16 * _EPS * root_d), where=p != 0)
-    floor = _rounding_floor(a) * np.where(p == 0, root_d, 1.0)
+    tol = np.broadcast_to(tol, len(a))
 
     def frame(idx):
-        wi, pi, ai, ri = w[idx], p[idx], a[idx], rounding[idx]
-        return lambda s: _power_frame(wi, pi, ai, s, ri)
+        wi, pi, ai, ri, ti = w[idx], p[idx], a[idx], rounding[idx], tol[idx]
+        return lambda s: _power_frame(wi, pi, ai, s, ri, ti)
 
-    return _geodesic_loop(frame, _weighted_sum(w, a), p, floor, tol, what, batch)
+    return _geodesic_loop(frame, _weighted_sum(w, a), None, _rounding_floor(a) * root_d, tol, what, batch)
 
 
 def _frame_spectra(s, a):
@@ -312,28 +323,97 @@ def _frame_spectra(s, a):
     return eb, vb, bad
 
 
-def _power_frame(w, p, a, s, rounding):
-    """``(G, eigenvectors of G, max |log eig B_i|, residual, bound)`` at ``S``; see :func:`_power_loop`.
+def _power_frame(w, p, a, s, rounding, tol):
+    """``(D, eigenvectors of D, max |log eig B_i|, residual, bound)`` at ``S``; see :func:`_power_loop`.
 
-    ``p`` holds one exponent per member, 0 for a Karcher member.  The residual
-    is ``max |eig G|`` (``||G||_F`` for a Karcher member) and the bound adds
-    ``rounding``, that of its own evaluation: ``16 eps / p`` (``16 eps sqrt d``).
+    ``p`` holds one exponent per member, 0 for a Karcher member.  ``D`` is
+    the Newton direction: ``X' = R e^D R`` (``R = X^{1/2}``) moves each
+    ``B_i`` to ``e^{-D/2} B_i e^{-D/2}`` to first order, so ``F`` becomes
+    ``F - H[D]`` with ``H[D] = sum_i w_i V_i ((V_i^T D V_i) o K_i) V_i^T``,
+    ``B_i = V_i diag(lam) V_i^T`` and ``K_i[j, k]`` the divided difference
+    of ``phi`` at ``(lam_j, lam_k)`` times ``(lam_j + lam_k) / 2`` (see
+    :func:`_newton_kernel`).  ``H`` is symmetric positive definite, and
+    :func:`_newton_step` solves ``H[D] = F`` by conjugate gradients.
+    Members whose bound is already below ``tol`` freeze, so their step is
+    not solved (``D = 0``).
     """
     eb, vb, bad = _frame_spectra(s, a)
     lb = np.log(eb)
-    karcher = p == 0
-    f = np.exp(p[:, None, None] * lb)
-    f[karcher] = lb[karcher]
-    # sum_i V_i diag(w_i f_i) V_i^T as one rebuild over the n spectra side by side
+    pc = p[:, None, None]
+    f = np.divide(np.expm1(pc * lb), pc, out=lb.copy(), where=pc != 0)
+    # F = sum_i V_i diag(w_i phi_i) V_i^T as one rebuild over the n spectra side by side
     _, n, d = f.shape
-    f *= w[..., None]
-    em, vm = np.linalg.eigh(_rebuild(np.swapaxes(vb, -3, -2).reshape(-1, d, n * d), f.reshape(-1, n * d)))
-    k = karcher[:, None]
-    g = np.log(em, out=em.copy(), where=~k) / np.where(k, 1.0, p[:, None])
-    resid, gk = np.abs(g).max(axis=-1), g[karcher]
-    resid[karcher] = np.sqrt(np.sum(gk * gk, axis=-1))
+    res = _rebuild(np.swapaxes(vb, -3, -2).reshape(-1, d, n * d), (f * w[..., None]).reshape(-1, n * d))
+    resid = np.sqrt(np.sum(res * res, axis=(-2, -1)))
     resid[bad] = np.inf
-    return g, vm, np.abs(lb).max(axis=(-2, -1)), resid, resid + rounding
+    karcher = p == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(karcher, resid, -np.log1p(-np.minimum(p * resid, 1.0)) / np.where(karcher, 1.0, p))
+    bound += rounding
+    g, v = np.zeros((len(f), d)), np.broadcast_to(np.eye(d), (len(f), d, d)).copy()
+    step = bound >= tol
+    if step.any():
+        kern = _newton_kernel(p[step], lb[step]) * w[step][..., None, None]
+        g[step], v[step] = np.linalg.eigh(_newton_step(res[step], resid[step], vb[step], kern))
+    return g, v, np.abs(lb).max(axis=(-2, -1)), resid, bound
+
+
+def _newton_kernel(p, lb):
+    """``K_i[j, k] = (lam_j + lam_k) / 2 * (phi(lam_j) - phi(lam_k)) / (lam_j - lam_k)`` from ``log lam``.
+
+    With ``h = (log lam_j - log lam_k) / 2`` it is ``h / tanh h`` for
+    ``phi = log`` and ``(lam_j lam_k)^{p/2} sinh(p h) / (p tanh h)`` for
+    ``phi(t) = (t^p - 1) / p``: no cancellation as ``lam_j -> lam_k``, where
+    it tends to ``1`` and ``lam^p``.
+    """
+    h = 0.5 * (lb[..., :, None] - lb[..., None, :])
+    ph = p[:, None, None, None] * h
+    num = h * np.divide(np.sinh(ph), ph, out=np.ones_like(ph), where=ph != 0)
+    half = np.exp(0.5 * p[:, None, None] * lb)[..., None]
+    ratio = np.divide(num, np.tanh(h), out=np.ones_like(h), where=h != 0)
+    return ratio * half * half.swapaxes(-1, -2)
+
+
+def _newton_apply(vb, kern, x):
+    """``H[x] = sum_i V_i ((V_i^T x V_i) o kern_i) V_i^T`` per member, ``V_i = vb[:, i]``."""
+    vbt = vb.swapaxes(-1, -2)
+    t = vbt @ x[:, None] @ vb
+    t *= kern
+    return (vb @ t @ vbt).sum(axis=1)
+
+
+_CG_FORCING = 0.1  # largest relative residual of a Newton direction
+
+
+def _newton_step(f, fnorm, vb, kern):
+    """Solve ``H[D] = F`` per member by conjugate gradients from ``D = F``; see :func:`_power_frame`.
+
+    ``kern`` holds ``w_i K_i``.  Each member stops at its own relative
+    residual ``min(0.1, ||F||_F)``, the forcing term of an inexact Newton
+    method that keeps its convergence quadratic (Eisenstat and Walker, SIAM
+    J. Sci. Comput. 17 (1996)), or after ``d (d + 1) / 2`` steps, the
+    dimension of the symmetric matrices.  One application of ``H`` takes
+    four batched ``d x d`` products per input; ``H`` is never formed.  A
+    finished member leaves the batch, so its bits do not depend on it.
+    """
+    d = f.shape[-1]
+    x, r = f.copy(), f - _newton_apply(vb, kern, f)
+    p, rr = r.copy(), np.sum(r * r, axis=(-2, -1))
+    stop = (np.minimum(_CG_FORCING, fnorm) * fnorm) ** 2
+    idx = np.arange(len(f))
+    for _ in range(d * (d + 1) // 2):
+        live = rr > stop
+        if not live.all():
+            idx, p, r, rr, stop, vb, kern = (y[live] for y in (idx, p, r, rr, stop, vb, kern))
+        if not len(idx):
+            break
+        hp = _newton_apply(vb, kern, p)
+        alpha = (rr / np.sum(p * hp, axis=(-2, -1)))[:, None, None]
+        x[idx] += alpha * p
+        r -= alpha * hp
+        rr, rr_old = np.sum(r * r, axis=(-2, -1)), rr
+        p = r + (rr / rr_old)[:, None, None] * p
+    return x
 
 
 def _deformed_node(spec, stack, w_over, tol):
@@ -421,32 +501,40 @@ def _anderson(l, f, hist):
 
 
 def _geodesic_loop(frame, x0, slope, floor, tol, what, batch):
-    """Anderson-mixed damped geodesic solve of a mean given by its ``frame``.
+    """Damped geodesic solve of a mean given by its ``frame``.
 
     Each member's iterate is the eigenpair ``(lw, lv)`` of ``L = log X``,
     starting at ``x0``.  ``frame(members)`` gives the map that returns, at
     ``S = X^{-1/2}`` and with ``B_i = S A_i S``, the step ``G`` (its
     eigenvectors, ``max |log eig B_i|``), a residual that decides the steps
     and the error bound that stops them.  The damped step is ``X <- R
-    exp(theta G) R`` with ``R = X^{1/2}``, i.e. ``X <- X #_{theta/slope}
-    f(X)`` for the mean's monotone map ``f``; ``theta = max(slope, min(cap,
-    2 / (2 + dmax)))`` follows its curvature, and at ``theta = slope`` the
-    step is ``f`` itself.  In the chart it reads ``F = theta C``
-    (:func:`_chart_step`).  A member with a history of ``L`` and ``F``
-    differences tries the Anderson point (Walker and Ni, SIAM J. Numer.
-    Anal. 49 (2011), depth ``_DEPTH``) instead of the damped step.  Both
-    candidates go through one ``eigh``, and one is accepted only if it lowers
-    the residual.  A rejected Anderson point drops the member's history, a
-    rejected damped step halves its cap, an accepted step raises it by 1.25.
+    exp(theta G) R`` with ``R = X^{1/2}``.
+
+    ``slope`` None marks a Newton frame (:func:`_power_frame`): ``G`` is a
+    Newton direction, ``theta`` is the member's cap, a full step at cap 1,
+    and no Anderson history is kept.  Otherwise the step is ``X <- X
+    #_{theta/slope} f(X)`` for the mean's monotone map ``f``; ``theta =
+    max(slope, min(cap, 2 / (2 + dmax)))`` follows its curvature, and at
+    ``theta = slope`` the step is ``f`` itself.  In the chart it reads ``F
+    = theta C`` (:func:`_chart_step`).  A member with a history of ``L`` and
+    ``F`` differences tries the Anderson point (Walker and Ni, SIAM J.
+    Numer. Anal. 49 (2011), depth ``_DEPTH``) instead of the damped step.
+
+    Every candidate goes through one ``eigh``, and it is accepted only if it
+    lowers the residual.  A rejected Anderson point drops the member's
+    history, a rejected damped or Newton step halves its cap, an accepted
+    step raises it by 1.25.
     An Anderson point whose spectrum leaves ``[min lw - dmax, max lw +
     dmax]`` at ``x0`` is rejected unseen, since the mean lies in ``e^{+-dmax}
     x0``; so is one whose frame is not positive definite.  A member that
     meets ``tol`` is frozen, and all arithmetic is per member, so its
     solution and its iteration count (the loop's count when it froze) do not
-    depend on its batch; one whose damping collapses is accepted with its
-    bound if its residual is within ``floor`` (the rounding floor of its
-    inputs).  ``slope``, ``tol`` and ``what`` (names for :class:`NoConvergence`)
-    are one value or one per member; it returns solutions, counts and bounds per member.
+    depend on its batch.  A member whose step is rejected while its residual
+    is within ``floor`` (the rounding floor of its inputs) is frozen with its
+    bound, since its residual is rounding noise; one whose damping collapses
+    above it stops the loop.  ``slope``, ``tol`` and ``what`` (names for
+    :class:`NoConvergence`) are one value or one per member; it returns
+    solutions, counts and bounds per member.
     """
     ew, lv = np.linalg.eigh(x0)
     size, d = ew.shape
@@ -459,11 +547,16 @@ def _geodesic_loop(frame, x0, slope, floor, tol, what, batch):
         raise NoConvergence("geodesic iterate lost positive definiteness")
     out_w, out_v, out_bound, out_iters = lw.copy(), lv.copy(), bound.copy(), np.zeros(size, dtype=int)
     lo, hi = lw[:, 0] - dmax, lw[:, -1] + dmax  # the spectrum of log X* lies in [lo, hi]
-    cap, hist, count = np.ones(size), np.zeros((size, 2, _DEPTH, d * d)), np.zeros(size, dtype=int)
-    slope, tol = np.broadcast_to(slope, size), np.broadcast_to(tol, size)
-    theta = np.maximum(slope, np.minimum(cap, 2.0 / (2.0 + dmax)))
-    l, c = _rebuild(lv, lw).reshape(size, -1), _chart_step(lw, lv, g, v)
-    f = theta[:, None] * c
+    newton, cap, count = slope is None, np.ones(size), np.zeros(size, dtype=int)
+    slope, tol = np.broadcast_to(0.0 if newton else slope, size), np.broadcast_to(tol, size)
+    if newton:  # no Anderson history: the chart state is empty
+        theta, l = cap, np.zeros((size, 0))
+        c = f = l
+    else:
+        theta = np.maximum(slope, np.minimum(cap, 2.0 / (2.0 + dmax)))
+        l, c = _rebuild(lv, lw).reshape(size, -1), _chart_step(lw, lv, g, v)
+        f = theta[:, None] * c
+    hist = np.zeros((size, 2, _DEPTH, l.shape[1]))
     live, iters = bound >= tol, 0
     while True:
         all_live = live.all()
@@ -501,10 +594,13 @@ def _geodesic_loop(frame, x0, slope, floor, tol, what, batch):
         ok = sane & (resid_t <= resid)
         all_ok = ok.all()
         cap_t = np.minimum(1.0, 1.25 * cap)
-        l_t = cand.reshape(len(idx), -1)
-        if not all_mix:
-            l_t[plain] = _rebuild(lv_t[plain], lw_t[plain]).reshape(-1, d * d)
-        c_t = _chart_step(lw_t, lv_t, g_t, v_t)
+        if newton:
+            l_t = c_t = l
+        else:
+            l_t = cand.reshape(len(idx), -1)
+            if not all_mix:
+                l_t[plain] = _rebuild(lv_t[plain], lw_t[plain]).reshape(-1, d * d)
+            c_t = _chart_step(lw_t, lv_t, g_t, v_t)
         if not all_ok:
             back = ~ok
             cap_t[back] = np.where(mix[back], 1.0, 0.5) * cap[back]
@@ -513,21 +609,24 @@ def _geodesic_loop(frame, x0, slope, floor, tol, what, batch):
                 (dmax_t, dmax), (resid_t, resid), (bound_t, bound),
             ):
                 new[back] = old[back]
-        theta = np.maximum(slope, np.minimum(cap_t, 2.0 / (2.0 + dmax_t)))
-        f_t = theta[:, None] * c_t
-        slot = count % _DEPTH
-        hist[rows, 0, slot], hist[rows, 1, slot] = l_t - l, f_t - f
-        count += 1
-        lw, lv, l, c, f, g, v, cap = lw_t, lv_t, l_t, c_t, f_t, g_t, v_t, cap_t
+        if newton:
+            theta = cap_t
+        else:
+            theta = np.maximum(slope, np.minimum(cap_t, 2.0 / (2.0 + dmax_t)))
+            f_t = theta[:, None] * c_t
+            slot = count % _DEPTH
+            hist[rows, 0, slot], hist[rows, 1, slot] = l_t - l, f_t - f
+            count += 1
+            l, c, f = l_t, c_t, f_t
+        lw, lv, g, v, cap = lw_t, lv_t, g_t, v_t, cap_t
         dmax, resid, bound = dmax_t, resid_t, bound_t
         live = bound >= tol
         if not all_ok:
             hist[back], count[back] = 0.0, 0
-            stuck = live & (cap < 1e-8)
-            if stuck.any():
-                if not np.all((resid[stuck] <= floor[idx[stuck]]) & np.isfinite(bound[stuck])):
-                    break
-                live &= ~stuck
+            # past a rejected step, a residual within the floor is rounding noise: accept the bound
+            live &= ~(back & (resid <= floor[idx]) & np.isfinite(bound))
+            if np.any(live & (cap < 1e-8)):
+                break
     if len(idx):
         out_w[idx], out_v[idx] = lw, lv
     x = _rebuild(out_v, np.exp(out_w)).reshape(batch + (d, d))

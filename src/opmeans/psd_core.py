@@ -112,9 +112,10 @@ class Spectral:
     taken once, by the first function of them that needs it, and reused by
     every later one.
 
-    A power of them (:meth:`raised`) and a slice over their leading axes
-    (``spectral[idx]``) are Spectrals made from that decomposition, so they
-    are never decomposed again; each rebuilds its own ``a`` only if read.
+    A power of them (:meth:`raised`), a positive multiple (:meth:`scaled`)
+    and a slice over their leading axes (``spectral[idx]``) are Spectrals
+    made from that decomposition, so they are never decomposed again; each
+    rebuilds its own ``a`` only if read.
     """
 
     def __init__(self, a):
@@ -159,6 +160,12 @@ class Spectral:
         if r < 0:
             wr, v = wr[..., ::-1], v[..., ::-1]
         return Spectral._known((wr, v), lambda: self.power(r))
+
+    def scaled(self, c):
+        """The Spectral of ``a / c`` for ``c > 0``, one number per matrix:
+        eigenvalues ``w / c`` and the same vectors."""
+        w, v = self.eig
+        return Spectral._known((w / c[..., None], v), lambda: self.a / c[..., None, None])
 
     @property
     def norm(self):

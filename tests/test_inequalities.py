@@ -1077,12 +1077,18 @@ def test_cell_data_takes_one_generator_call(monkeypatch, family):
 
 def test_scan_and_equivalence_raise_powers_from_held_decompositions(monkeypatch):
     # the 6.1 scan decomposes A, the pair frame, B^r and the powered pair's
-    # frame once each; the equivalence test does so per dimension
+    # frame once each; the equivalence test does so per dimension.  The 6.3
+    # scan decomposes A and the pair frame for its rescaling beta, then B^r
+    # and the powered pair's frame, A^r being raised from A's decomposition
+    # scaled by 1 / beta: four calls on its whole candidate stack
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     optimality_scan(arithmetic(0.5), 2.0, "prop_6_1")
     assert len(calls) == 4
+    calls.clear()
+    optimality_scan(harmonic(0.5), 0.5, "prop_6_2")
+    assert len(calls) == 4 and len(set(calls)) == 1
     calls.clear()
     check_implication_equivalence(geometric(0.5), geometric(0.5), 2.0)
     assert len(calls) == 8
