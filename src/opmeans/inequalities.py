@@ -68,6 +68,7 @@ from .multimeans import (
     MultiMeanSpec,
     Weights,
     _as_stack,
+    _spec_weights,
     _weighted_sum,
     eval_mean_stack,
 )
@@ -280,15 +281,6 @@ def _check_bounds(stack, m, M):
 # --------------------------------------------------------------------------
 # limits and spectra
 # --------------------------------------------------------------------------
-
-
-def _spec_weights(spec: MultiMeanSpec) -> Weights:
-    node = spec
-    while node is not None:
-        if node.weights is not None:
-            return node.weights
-        node = node.base if node.base is not None else node.inner
-    raise UnknownKind("mean description carries no weights")
 
 
 def lie_trotter_gap(

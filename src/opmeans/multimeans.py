@@ -4,18 +4,18 @@ The deformed mean of a base mean ``M`` by a two-variable mean ``sigma`` is
 the unique fixed point of ``X = M(X sigma A_1, ..., X sigma A_n)`` (Lim and
 Palfia, *Matrix power means and the Karcher mean*, JFA 262 (2012)).  Power
 means are the deformations of the arithmetic mean by ``t^p``, and the
-Karcher mean is their limit; all three run one damped geodesic iteration,
-:func:`_geodesic_loop`, that stops on a true Thompson error bound.  A
-deformed mean steps towards the mean of its frame, Anderson-mixed in the
-chart ``log X``.  Power and Karcher means take Riemannian Newton steps:
-the direction solves the frame residual's linearization, a Daleckii-Krein
-kernel on the spectra the frame already holds, by matrix-free conjugate
-gradients (:func:`_power_frame`), and takes 3-5 iterations where the
-gradient step took 10-26.  Their bound also covers the rounding of its own
-evaluation.  A Karcher solve is certified by
-the power-mean enclosure ``P_{-t} <= G <= P_t``, whose ends solve a
-different equation in the same loop call: the loop takes one exponent per
-member.
+Karcher mean is their limit.  Every iterative mean compiles to one residual
+(:func:`_residual`): in the frame ``B_i = X^{-1/2} A_i X^{-1/2}`` of its
+value it solves ``sum_i w_i phi_p(g(B_i)) = 0``, with ``phi_p(v) = (v^p -
+1) / p`` (``log v`` at ``p = 0``) and ``g`` a chain of representing
+functions, empty for power and Karcher means.  One damped Riemannian Newton
+iteration, :func:`_geodesic_loop`, solves every kind: the direction solves
+the residual's linearization, a Daleckii-Krein kernel on the spectra the
+frame already holds, by matrix-free conjugate gradients (:func:`_frame`),
+and the solve stops on a true Thompson error bound that also covers the
+rounding of its own evaluation.  A Karcher solve is certified by the
+power-mean enclosure ``P_{-t} <= G <= P_t``, whose ends solve a different
+equation in the same loop call: the loop takes one exponent per member.
 
 All solvers run on stacked operands of shape ``(..., n, d, d)`` and
 broadcast over the leading axes, which is what makes large randomized
@@ -44,7 +44,7 @@ from .errors import (
     SigmaIsLeftTrivial,
     UnknownKind,
 )
-from .meanfns import RepFnSpec, rep_elasticity, rep_eval, repfn_from_json, repfn_to_json
+from .meanfns import RepFnSpec, rep_elasticity, rep_eval, rep_transform, repfn_from_json, repfn_to_json
 from .psd_core import (
     CHECK_TOL,
     LoewnerVerdict,
@@ -168,11 +168,12 @@ class MultiMeanSpec:
 @dataclass(frozen=True)
 class MeanResult:
     """``residual_dt`` bounds the Thompson distance from ``value`` to the mean
-    (0 for closed forms).  For power and Karcher means it includes the
-    rounding of its own evaluation, ``16 eps / |alpha|`` and ``16 eps sqrt d``.
-    ``iterations`` counts the iterations of the geodesic loop, damped and
-    Newton steps and Anderson points alike, of the mean's own members (the
-    largest over a batch), not of a certified Karcher solve's enclosure ends."""
+    (0 for closed forms).  It includes the rounding of its own evaluation,
+    ``16 eps / |p|`` and ``16 eps sqrt d`` at ``p = 0``, over the elasticity
+    bound of a deformed mean's chain (see :func:`_solve`).  ``iterations``
+    counts the Newton steps of the geodesic loop, accepted or not, of the
+    mean's own members (the largest over a batch), not of a certified Karcher
+    solve's enclosure ends."""
 
     value: SpdMatrix
     iterations: int
@@ -203,13 +204,23 @@ class StackResult:
 # --------------------------------------------------------------------------
 
 
+def _spec_weights(spec: MultiMeanSpec) -> Weights:
+    """The weights of ``spec``'s weighted node, found down its bases and inner means."""
+    node = spec
+    while node.weights is None:
+        node = node.base or node.inner
+        if node is None:
+            raise UnknownKind("mean description carries no weights")
+    return node.weights
+
+
 def _node_weights(spec: MultiMeanSpec, w_over, n: int):
-    if w_over is not None:
-        w = np.asarray(w_over, dtype=float)
-    elif spec.weights is not None:
-        w = spec.weights.asarray()
-    else:
-        raise InvalidWeights(f"mean kind {spec.kind!r} needs weights")
+    if w_over is None:
+        try:
+            w_over = _spec_weights(spec).values
+        except UnknownKind:
+            raise InvalidWeights(f"mean kind {spec.kind!r} needs weights") from None
+    w = np.asarray(w_over, dtype=float)
     if w.shape[-1] != n:
         raise ArityMismatch(f"{w.shape[-1]} weights for {n} matrices")
     return w
@@ -246,24 +257,35 @@ def _eval_node(spec: MultiMeanSpec, stack, w_over=None, tol=DT_TOL):
         # P_{-t} is the adjoint of P_t, and the Thompson bound is inversion invariant
         dual = MultiMeanSpec.adjoint(MultiMeanSpec.power(spec.weights, -spec.alpha))
         return _eval_node(dual, stack, w_over, tol)
-    if kind == "power":
-        return _power_loop(_node_weights(spec, w_over, n), spec.alpha, stack, tol, "power-mean")
-    if kind == "karcher":
-        return _power_loop(_node_weights(spec, w_over, n), 0.0, stack, tol, "Karcher")
-    return _deformed_node(spec, stack, w_over, tol)
+    p, fs = _residual(spec)
+    what = {"power": "power-mean", "karcher": "Karcher"}.get(kind, "deformed-mean")
+    return _solve(_node_weights(spec, w_over, n), p, fs, stack, tol, what)
 
 
-def _members(stack, w):
-    """``stack`` and the weights ``w`` (None: the spec's own) on one batch, flattened to members."""
-    n, d = stack.shape[-3:-1]
-    batch = np.broadcast_shapes(stack.shape[:-3], () if w is None else np.shape(w)[:-1])
-    a = np.broadcast_to(stack, batch + (n, d, d)).reshape(-1, n, d, d)
-    return batch, a, None if w is None else np.broadcast_to(w, batch + (n,)).reshape(-1, n)
+def _residual(spec: MultiMeanSpec):
+    """``(p, fs)``: the mean solves ``sum_i w_i phi_p(g(B_i)) = 0`` in the frame of its value.
+
+    Here ``B_i = X^{-1/2} A_i X^{-1/2}``, ``phi_p(v) = (v^p - 1) / p``
+    (``log v`` at ``p = 0``) and ``g`` applies the representing functions
+    ``fs`` first to last.  ``P_p(C_1, ..., C_n) = I`` exactly when ``sum_i
+    w_i phi_p(C_i) = 0``, which covers the arithmetic (``p = 1``), harmonic
+    (``-1``), power and Karcher (``0``) means.  By congruence invariance
+    ``deformed(base, sigma)`` is fixed at ``X`` exactly when ``base(sigma(B_1),
+    ...) = I``, so ``sigma`` goes in front of its base's chain.  Since
+    ``X^{-1} sigma A^{-1} = (X sigma* A)^{-1}`` for the adjoint ``sigma*(t) =
+    1 / sigma(1 / t)``, an adjoint negates ``p`` and takes each function's
+    adjoint.
+    """
+    if spec.kind == "deformed":
+        p, fs = _residual(spec.base)
+        return p, (spec.sigma, *fs)
+    if spec.kind == "adjoint":
+        p, fs = _residual(spec.inner)
+        return 0.0 - p, tuple(rep_transform(f, "adjoint") for f in fs)
+    return {"arithmetic": 1.0, "harmonic": -1.0, "karcher": 0.0}.get(spec.kind, spec.alpha), ()
 
 
 _EPS = np.finfo(float).eps
-_DEPTH = 5  # Anderson history kept per member
-_EYE = np.eye(_DEPTH)
 
 
 def _rounding_floor(a):
@@ -279,98 +301,132 @@ def _rounding_floor(a):
     return 16 * _EPS * eigs[..., -1].max(axis=-1) / low
 
 
-def _power_loop(w, p, stack, tol, what):
-    """``P_p`` (``0 < p <= 1``) or the Karcher mean (``p = 0``) by Newton steps in :func:`_geodesic_loop`.
+def _solve(w, p, fs, stack, tol, what):
+    """The mean of residual ``(p, fs)`` (:func:`_residual`) by Newton steps in :func:`_geodesic_loop`.
 
     ``p`` is a number or one per flattened member, so one call can solve
-    Karcher members beside power-mean members.  At ``S = X^{-1/2}`` the
-    frame residual is ``F = sum_i w_i phi(B_i)`` with ``phi(t) = (t^p - 1) /
-    p`` (``log t`` at ``p = 0``), zero exactly at the mean, and the step is
-    the Newton direction of :func:`_power_frame`.  Both kinds report ``rho =
-    ||F||_F``.  At ``p = 0``, ``F`` is the Riemannian gradient of the
-    1-strongly convex ``1/2 sum_i w_i delta_R(X, A_i)^2``, so ``rho`` bounds
-    ``delta_R(X, G*)``, hence the Thompson error.  For ``p > 0``, ``f(X) =
-    sum_i w_i X #_p A_i`` is a Thompson contraction of rate ``1 - p`` and
-    ``f(X)`` is ``X^{1/2} M X^{1/2}`` with ``M = I + p F``; with ``e = p rho
-    >= ||M - I||``, ``d(X, f(X)) = max |log eig M| <= -log(1 - e)``, so
-    ``-log(1 - e) / p`` bounds ``d(X, X*)`` (infinite for ``e >= 1``).  The
-    bounds add the rounding of their own evaluation, ``16 eps sqrt d``
-    (``16 eps / p``), and the floor is ``sqrt d`` times that of the inputs,
-    the scale of a Frobenius residual.  ``what`` names the members, as in
-    :func:`_geodesic_loop`.
+    Karcher members beside power-mean members; the chain ``g`` of ``fs`` is
+    shared.  The solve starts at the weighted arithmetic mean.  At ``S =
+    X^{-1/2}`` the frame residual is ``F = sum_i w_i phi_p(g(B_i))``, and
+    every member reports ``rho = ||F||_F``.  With an empty chain: at ``p =
+    0``, ``F`` is the Riemannian gradient of the 1-strongly convex ``1/2
+    sum_i w_i delta_R(X, A_i)^2``, so ``rho`` bounds ``delta_R(X, G*)``,
+    hence the Thompson error.  For ``p != 0``, ``f(X) = sum_i w_i X #_p A_i``
+    is a Thompson contraction of rate ``1 - |p|`` (for ``p < 0`` through the
+    adjoint) and ``f(X) = X^{1/2} M X^{1/2}`` with ``M = I + p F``; with ``e
+    = |p| rho >= ||M - I||``, ``d(X, f(X)) = max |log eig M| <= -log(1 -
+    e)``, so ``rho_p = -log(1 - e) / |p|`` bounds ``d(X, X*)`` (infinite for
+    ``e >= 1``).  Either adds the rounding of its own evaluation, ``16 eps
+    sqrt d`` (``16 eps / |p|``).  With a chain, ``f(X) = sum_i w_i X #_p (X
+    sigma_g A_i)`` moves by the same step and contracts at rate ``1 - |p|
+    e``, ``e`` the least elasticity ``t g'(t) / g(t)`` over the spectra of
+    the ``B_i`` (Lim and Palfia's contraction at ``X = I``), so ``d(X, X*)
+    <= rho_p / e``, at ``p = 0`` too as the limit.  Over the ball of radius
+    ``R = 2 rho_p / e_0`` around ``X`` (``e_0`` on the spectra at ``X``)
+    those spectra widen by at most ``e^{+-R}``; with ``e`` taken there,
+    ``rho_p / e <= R`` keeps ``f`` in the ball, so ``X*`` lies in it.  Where
+    ``e < e_0 / 2`` the bound is infinite.  The floor is ``sqrt d`` times
+    that of the inputs, the scale of a Frobenius residual.  ``what`` names
+    the members, as in :func:`_geodesic_loop`.
     """
-    batch, a, w = _members(stack, w)
-    p, root_d = np.broadcast_to(p, len(a)), np.sqrt(a.shape[-1])
-    rounding = np.divide(16 * _EPS, p, out=np.full(len(a), 16 * _EPS * root_d), where=p != 0)
+    n, d = stack.shape[-3:-1]
+    batch = np.broadcast_shapes(stack.shape[:-3], np.shape(w)[:-1])
+    a = np.broadcast_to(stack, batch + (n, d, d)).reshape(-1, n, d, d)
+    w = np.broadcast_to(w, batch + (n,)).reshape(-1, n)
+    p, root_d = np.broadcast_to(p, len(a)), np.sqrt(d)
+    rounding = np.divide(16 * _EPS, np.abs(p), out=np.full(len(a), 16 * _EPS * root_d), where=p != 0)
     tol = np.broadcast_to(tol, len(a))
 
     def frame(idx):
         wi, pi, ai, ri, ti = w[idx], p[idx], a[idx], rounding[idx], tol[idx]
-        return lambda s: _power_frame(wi, pi, ai, s, ri, ti)
+        return lambda s: _frame(wi, pi, fs, ai, s, ri, ti)
 
-    return _geodesic_loop(frame, _weighted_sum(w, a), None, _rounding_floor(a) * root_d, tol, what, batch)
+    return _geodesic_loop(frame, _weighted_sum(w, a), _rounding_floor(a) * root_d, tol, what, batch)
 
 
-def _frame_spectra(s, a):
-    """Spectra of ``B_i = S A_i S`` (``S`` symmetric), and the members where one is not positive.
+def _chain(fs, lo, hi):
+    """``(g(lo), g(hi), e)`` for the chain ``g`` of increasing functions ``fs``.
 
-    Those members' spectra are replaced by ones, so that their frame stays
-    finite; the frame reports an infinite residual for them.
+    ``e`` bounds the elasticity of ``g`` over ``[lo, hi]`` from below, exactly
+    where ``lo = hi``: elasticities multiply under composition, and each
+    function's is bounded over the image of the interval under those before it.
+    """
+    e = np.ones(np.shape(lo))
+    for f in fs:
+        e = e * rep_elasticity(f, lo, hi)[0]
+        lo, hi = f.evaluator(lo), f.evaluator(hi)
+    return lo, hi, e
+
+
+def _frame(w, p, fs, a, s, rounding, tol):
+    """``(D, eigenvectors of D, residual, bound)`` at ``S``; see :func:`_solve`.
+
+    ``p`` holds one exponent per member.  ``D`` is the Newton direction:
+    ``X' = R e^D R`` (``R = X^{1/2}``) moves each ``B_i`` to ``e^{-D/2} B_i
+    e^{-D/2}`` to first order, so ``F`` becomes ``F - H[D]`` with ``H[D] =
+    sum_i w_i V_i ((V_i^T D V_i) o K_i) V_i^T``, ``B_i = V_i diag(lam) V_i^T``
+    and ``K_i[j, k]`` the divided difference of ``phi_p o g`` at ``(lam_j,
+    lam_k)`` times ``(lam_j + lam_k) / 2`` (see :func:`_newton_kernel`).
+    ``phi_p o g`` is increasing, so ``K_i > 0`` and ``H`` is symmetric
+    positive definite; :func:`_newton_step` solves ``H[D] = F`` by conjugate
+    gradients.  Members whose bound is already below ``tol`` freeze, so their
+    step is not solved (``D = 0``).  A member whose ``B_i`` are not all
+    positive definite reports an infinite residual.
     """
     eb, vb = np.linalg.eigh(congruence(s[:, None], a))
     bad = eb[..., 0].min(axis=-1) <= 0
-    eb[bad] = 1.0
-    return eb, vb, bad
-
-
-def _power_frame(w, p, a, s, rounding, tol):
-    """``(D, eigenvectors of D, max |log eig B_i|, residual, bound)`` at ``S``; see :func:`_power_loop`.
-
-    ``p`` holds one exponent per member, 0 for a Karcher member.  ``D`` is
-    the Newton direction: ``X' = R e^D R`` (``R = X^{1/2}``) moves each
-    ``B_i`` to ``e^{-D/2} B_i e^{-D/2}`` to first order, so ``F`` becomes
-    ``F - H[D]`` with ``H[D] = sum_i w_i V_i ((V_i^T D V_i) o K_i) V_i^T``,
-    ``B_i = V_i diag(lam) V_i^T`` and ``K_i[j, k]`` the divided difference
-    of ``phi`` at ``(lam_j, lam_k)`` times ``(lam_j + lam_k) / 2`` (see
-    :func:`_newton_kernel`).  ``H`` is symmetric positive definite, and
-    :func:`_newton_step` solves ``H[D] = F`` by conjugate gradients.
-    Members whose bound is already below ``tol`` freeze, so their step is
-    not solved (``D = 0``).
-    """
-    eb, vb, bad = _frame_spectra(s, a)
+    eb[bad] = 1.0  # keeps the frame finite
     lb = np.log(eb)
+    if fs:
+        gb, _, el = _chain(fs, eb, eb)
+        lg = np.log(gb)
+    else:
+        lg = lb
     pc = p[:, None, None]
-    f = np.divide(np.expm1(pc * lb), pc, out=lb.copy(), where=pc != 0)
+    f = np.divide(np.expm1(pc * lg), pc, out=lg.copy(), where=pc != 0)
     # F = sum_i V_i diag(w_i phi_i) V_i^T as one rebuild over the n spectra side by side
     _, n, d = f.shape
     res = _rebuild(np.swapaxes(vb, -3, -2).reshape(-1, d, n * d), (f * w[..., None]).reshape(-1, n * d))
     resid = np.sqrt(np.sum(res * res, axis=(-2, -1)))
     resid[bad] = np.inf
-    karcher = p == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.where(karcher, resid, -np.log1p(-np.minimum(p * resid, 1.0)) / np.where(karcher, 1.0, p))
-    bound += rounding
+    q = np.abs(p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = np.where(q == 0, resid, -np.log1p(-np.minimum(q * resid, 1.0)) / np.where(q == 0, 1.0, q))
+        bound += rounding
+        if fs:  # the empty chain's elasticity is 1
+            lo, hi = eb[..., 0].min(axis=-1), eb[..., -1].max(axis=-1)
+            e0 = _chain(fs, lo, hi)[2]
+            widen = np.exp(np.minimum(2.0 * bound / e0, 700.0))
+            e = _chain(fs, lo / widen, hi * widen)[2]
+            bound = np.where((e > 0) & (e >= 0.5 * e0), bound / e, np.inf)
     g, v = np.zeros((len(f), d)), np.broadcast_to(np.eye(d), (len(f), d, d)).copy()
     step = bound >= tol
     if step.any():
-        kern = _newton_kernel(p[step], lb[step]) * w[step][..., None, None]
+        chain = (lg[step], el[step]) if fs else ()
+        kern = _newton_kernel(p[step], lb[step], *chain) * w[step][..., None, None]
         g[step], v[step] = np.linalg.eigh(_newton_step(res[step], resid[step], vb[step], kern))
-    return g, v, np.abs(lb).max(axis=(-2, -1)), resid, bound
+    return g, v, resid, bound
 
 
-def _newton_kernel(p, lb):
-    """``K_i[j, k] = (lam_j + lam_k) / 2 * (phi(lam_j) - phi(lam_k)) / (lam_j - lam_k)`` from ``log lam``.
+def _newton_kernel(p, lb, lg=None, el=None):
+    """``K_i[j, k] = (lam_j + lam_k) / 2 * (psi(lam_j) - psi(lam_k)) / (lam_j - lam_k)``, ``psi = phi_p o g``.
 
-    With ``h = (log lam_j - log lam_k) / 2`` it is ``h / tanh h`` for
-    ``phi = log`` and ``(lam_j lam_k)^{p/2} sinh(p h) / (p tanh h)`` for
-    ``phi(t) = (t^p - 1) / p``: no cancellation as ``lam_j -> lam_k``, where
-    it tends to ``1`` and ``lam^p``.
+    It takes ``log lam``, ``log g(lam)`` and the elasticity ``el`` of ``g``
+    at ``lam``; both are None for the empty chain, where ``g(lam) = lam`` and
+    the elasticity is 1.  With ``h`` and ``h'`` half the gaps of ``log lam``
+    and ``log g(lam)`` it is ``(g_j g_k)^{p/2} sinh(p h') / (p tanh h)``
+    (``h' / tanh h`` at ``p = 0``): no cancellation as ``lam_j -> lam_k``,
+    where it tends to ``g^p`` times the elasticity.
     """
     h = 0.5 * (lb[..., :, None] - lb[..., None, :])
-    ph = p[:, None, None, None] * h
-    num = h * np.divide(np.sinh(ph), ph, out=np.ones_like(ph), where=ph != 0)
-    half = np.exp(0.5 * p[:, None, None] * lb)[..., None]
-    ratio = np.divide(num, np.tanh(h), out=np.ones_like(h), where=h != 0)
+    if lg is None:  # the empty chain skips two passes over the kernel's d x d arrays
+        lg, hg, lim = lb, h, np.ones_like(h)
+    else:
+        hg, lim = 0.5 * (lg[..., :, None] - lg[..., None, :]), el[..., :, None] * np.ones_like(h)
+    ph = p[:, None, None, None] * hg
+    num = hg * np.divide(np.sinh(ph), ph, out=np.ones_like(ph), where=ph != 0)
+    half = np.exp(0.5 * p[:, None, None] * lg)[..., None]
+    ratio = np.divide(num, np.tanh(h), out=lim, where=h != 0)
     return ratio * half * half.swapaxes(-1, -2)
 
 
@@ -386,7 +442,7 @@ _CG_FORCING = 0.1  # largest relative residual of a Newton direction
 
 
 def _newton_step(f, fnorm, vb, kern):
-    """Solve ``H[D] = F`` per member by conjugate gradients from ``D = F``; see :func:`_power_frame`.
+    """Solve ``H[D] = F`` per member by conjugate gradients from ``D = F``; see :func:`_frame`.
 
     ``kern`` holds ``w_i K_i``.  Each member stops at its own relative
     residual ``min(0.1, ||F||_F)``, the forcing term of an inexact Newton
@@ -416,123 +472,25 @@ def _newton_step(f, fnorm, vb, kern):
     return x
 
 
-def _deformed_node(spec, stack, w_over, tol):
-    """The deformed mean ``X = base(X sigma A_1, ..., X sigma A_n)`` by :func:`_geodesic_loop`.
-
-    It starts at ``base(A_1, ..., A_n)``, the fixed point when ``sigma`` acts
-    as the right trivial mean.  See :func:`_deformed_frame`.
-    """
-    base, sigma = spec.base, spec.sigma
-    batch, a, w = _members(stack, w_over)
-    tol = np.broadcast_to(tol, len(a))
-    x0, _, _ = _eval_node(base, a, w, tol)
-    slope = sigma.derivative_at_one
-
-    def frame(idx):
-        ai, wi, ti = a[idx], None if w is None else w[idx], tol[idx]
-        return lambda s: _deformed_frame(base, sigma, slope, ai, wi, s, ti)
-
-    return _geodesic_loop(frame, x0, slope, _rounding_floor(a), tol, "deformed-mean", batch)
-
-
-def _deformed_frame(base, sigma, slope, a, w, s, tol):
-    """``(G, eigenvectors of G, max |log eig B_i|, residual, bound)`` at ``S``.
-
-    The frame mean is ``M = base(f(B_1), ..., f(B_n))``: by congruence
-    invariance, ``f(X) = base(X sigma A_i)`` seen from ``X``, so ``rho = max
-    |log eig M|`` (plus the base's own bound when it is iterative) bounds
-    ``d(X, f(X))``, and ``G = log(M) / sigma'(1)``.  ``X -> X sigma A`` is
-    Thompson-Lipschitz with rate ``1 - e``, ``e`` the least elasticity ``t
-    f'(t) / f(t)`` over the spectrum of ``X^{-1/2} A X^{-1/2}``.  Over the
-    ball of radius ``R = 2 rho / e_0`` around ``X`` (``e_0`` taken on the
-    spectra of the ``B_i``) those spectra widen by at most ``e^{+-R}``; with
-    ``e`` taken there, ``rho / e <= R`` makes ``f`` map the ball into itself,
-    so ``X*`` lies in it and ``d(X, X*) <= rho / e``.  Where that fails the
-    bound is infinite, and the residual ``rho`` decides the steps.
-    """
-    eb, vb, bad = _frame_spectra(s, a)
-    lo, hi = eb[..., 0].min(axis=-1), eb[..., -1].max(axis=-1)
-    e0 = rep_elasticity(sigma, lo, hi)[0]
-    # an iterative base is solved well inside each member's tolerance, since its bound adds to rho
-    inner = np.where(e0 > 0, 0.25 * tol * e0, tol)
-    m, _, base_bound = _eval_node(base, _rebuild(vb, rep_eval(sigma, eb)), w, inner)
-    em, vm = np.linalg.eigh(m)
-    bad |= em[..., 0] <= 0
-    em[bad] = 1.0
-    lm = np.log(em)
-    rho = np.abs(lm).max(axis=-1) + base_bound
-    rho[bad] = np.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        widen = np.exp(np.minimum(2.0 * rho / e0, 700.0))
-        e = rep_elasticity(sigma, lo / widen, hi * widen)[0]
-        bound = np.where((e > 0) & (e >= 0.5 * e0), rho / e, np.inf)
-    return lm / slope, vm, np.abs(np.log(eb)).max(axis=(-2, -1)), rho, bound
-
-
-def _chart_step(lw, lv, g, v):
-    """The step ``X -> R exp(G) R`` to first order in the chart ``L = log X``, flattened.
-
-    ``X = lv diag(exp lw) lv^T``, ``R = X^{1/2}`` and ``G = v diag(g) v^T``.
-    The Daleckii-Krein formula for the derivative of ``log`` at ``X`` gives
-    ``lv [(lv^T G lv) o phi(lw_i - lw_j)] lv^T`` with ``phi(x) = (x / 2) /
-    sinh(x / 2)``, no decomposition needed.
-    """
-    lvt = lv.swapaxes(-1, -2)
-    h = lvt @ v
-    half = 0.5 * (lw[:, :, None] - lw[:, None, :])  # |half| < 710 for spectra of normal floats
-    phi = np.divide(half, np.sinh(half), out=np.ones_like(half), where=half != 0)
-    return (lv @ ((h * g[:, None, :]) @ h.swapaxes(-1, -2) * phi) @ lvt).reshape(len(lw), -1)
-
-
-def _anderson(l, f, hist):
-    """Type-II Anderson point ``L + F - (dL + dF) gamma`` per member, flattened.
-
-    ``l`` and ``f`` are ``(k, d*d)``; ``hist`` holds the differences ``dL``
-    and ``dF`` between past iterates, ``(k, 2, _DEPTH, d*d)`` with unused
-    columns zero.  ``gamma`` minimises ``||F - dF gamma||`` through the Gram
-    matrix, regularised relative to its trace, so a zero column gets a zero
-    coefficient.
-    """
-    dl, df = hist[:, 0], hist[:, 1]
-    gram = df @ df.swapaxes(-1, -2)
-    reg = 1e-10 * (df * df).sum(axis=(-2, -1)) + np.finfo(float).tiny
-    gamma = np.linalg.solve(gram + reg[:, None, None] * _EYE, df @ f[:, :, None])
-    return l + f - (gamma.swapaxes(-1, -2) @ (dl + df))[:, 0]
-
-
-def _geodesic_loop(frame, x0, slope, floor, tol, what, batch):
-    """Damped geodesic solve of a mean given by its ``frame``.
+def _geodesic_loop(frame, x0, floor, tol, what, batch):
+    """Damped Riemannian Newton solve of a mean given by its ``frame``.
 
     Each member's iterate is the eigenpair ``(lw, lv)`` of ``L = log X``,
     starting at ``x0``.  ``frame(members)`` gives the map that returns, at
-    ``S = X^{-1/2}`` and with ``B_i = S A_i S``, the step ``G`` (its
-    eigenvectors, ``max |log eig B_i|``), a residual that decides the steps
-    and the error bound that stops them.  The damped step is ``X <- R
-    exp(theta G) R`` with ``R = X^{1/2}``.
-
-    ``slope`` None marks a Newton frame (:func:`_power_frame`): ``G`` is a
-    Newton direction, ``theta`` is the member's cap, a full step at cap 1,
-    and no Anderson history is kept.  Otherwise the step is ``X <- X
-    #_{theta/slope} f(X)`` for the mean's monotone map ``f``; ``theta =
-    max(slope, min(cap, 2 / (2 + dmax)))`` follows its curvature, and at
-    ``theta = slope`` the step is ``f`` itself.  In the chart it reads ``F
-    = theta C`` (:func:`_chart_step`).  A member with a history of ``L`` and
-    ``F`` differences tries the Anderson point (Walker and Ni, SIAM J.
-    Numer. Anal. 49 (2011), depth ``_DEPTH``) instead of the damped step.
+    ``S = X^{-1/2}`` and with ``B_i = S A_i S``, the Newton direction ``D``
+    (its eigenpairs), a residual that decides the steps and the error bound
+    that stops them (:func:`_frame`).  The step is ``X <- R exp(theta D) R``
+    with ``R = X^{1/2}`` and ``theta`` the member's cap: a full step at 1,
+    halved when the step is rejected, raised by 1.25 when it is accepted.
 
     Every candidate goes through one ``eigh``, and it is accepted only if it
-    lowers the residual.  A rejected Anderson point drops the member's
-    history, a rejected damped or Newton step halves its cap, an accepted
-    step raises it by 1.25.
-    An Anderson point whose spectrum leaves ``[min lw - dmax, max lw +
-    dmax]`` at ``x0`` is rejected unseen, since the mean lies in ``e^{+-dmax}
-    x0``; so is one whose frame is not positive definite.  A member that
+    is positive definite and does not raise the residual.  A member that
     meets ``tol`` is frozen, and all arithmetic is per member, so its
     solution and its iteration count (the loop's count when it froze) do not
     depend on its batch.  A member whose step is rejected while its residual
     is within ``floor`` (the rounding floor of its inputs) is frozen with its
     bound, since its residual is rounding noise; one whose damping collapses
-    above it stops the loop.  ``slope``, ``tol`` and ``what`` (names for
+    above it stops the loop.  ``tol`` and ``what`` (names for
     :class:`NoConvergence`) are one value or one per member; it returns
     solutions, counts and bounds per member.
     """
@@ -542,87 +500,41 @@ def _geodesic_loop(frame, x0, slope, floor, tol, what, batch):
         raise NoConvergence("geodesic start is not positive definite")
     lw = np.log(ew)
     idx = np.arange(size)  # the members still iterating
-    g, v, dmax, resid, bound = frame(idx)(_rebuild(lv, np.exp(-0.5 * lw)))
+    g, v, resid, bound = frame(idx)(_rebuild(lv, np.exp(-0.5 * lw)))
     if not np.all(np.isfinite(resid)):
         raise NoConvergence("geodesic iterate lost positive definiteness")
     out_w, out_v, out_bound, out_iters = lw.copy(), lv.copy(), bound.copy(), np.zeros(size, dtype=int)
-    lo, hi = lw[:, 0] - dmax, lw[:, -1] + dmax  # the spectrum of log X* lies in [lo, hi]
-    newton, cap, count = slope is None, np.ones(size), np.zeros(size, dtype=int)
-    slope, tol = np.broadcast_to(0.0 if newton else slope, size), np.broadcast_to(tol, size)
-    if newton:  # no Anderson history: the chart state is empty
-        theta, l = cap, np.zeros((size, 0))
-        c = f = l
-    else:
-        theta = np.maximum(slope, np.minimum(cap, 2.0 / (2.0 + dmax)))
-        l, c = _rebuild(lv, lw).reshape(size, -1), _chart_step(lw, lv, g, v)
-        f = theta[:, None] * c
-    hist = np.zeros((size, 2, _DEPTH, l.shape[1]))
+    cap, tol = np.ones(size), np.broadcast_to(tol, size)
     live, iters = bound >= tol, 0
     while True:
         all_live = live.all()
         if not all_live:  # write out the members that stopped, go on with the rest
             fin = idx[~live]
             out_w[fin], out_v[fin], out_bound[fin], out_iters[fin] = lw[~live], lv[~live], bound[~live], iters
-            state = (idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count, slope, tol)
-            idx, lw, lv, l, c, f, g, v, dmax, resid, bound, lo, hi, cap, theta, hist, count, slope, tol = (
-                x[live] for x in state
+            idx, lw, lv, g, v, resid, bound, cap, tol = (
+                x[live] for x in (idx, lw, lv, g, v, resid, bound, cap, tol)
             )
         if iters == 0 or not all_live:
-            fmap, rows = frame(idx), np.arange(len(idx))
+            fmap = frame(idx)
         if not len(idx) or iters == MAX_ITERS:
             break
         iters += 1
-        mix = count > 0
-        # the all-mix, all-sane and all-ok forks skip masked copies: 17-21% of mean_certified's time
-        all_mix = mix.all()
-        if all_mix:
-            cand = _anderson(l, f, hist).reshape(-1, d, d)
-        else:
-            k = _rebuild(lv, np.exp(0.5 * lw)) @ (v * np.exp(0.5 * theta[:, None] * g)[:, None, :])
-            cand = k @ k.swapaxes(-1, -2)
-            if mix.any():
-                cand[mix] = _anderson(l[mix], f[mix], hist[mix]).reshape(-1, d, d)
-        lw_t, lv_t = np.linalg.eigh(cand)
-        sane = (lw_t[:, 0] >= lo) & (lw_t[:, -1] <= hi)
-        if not all_mix:  # damped candidates are X, not log X
-            plain = ~mix
-            sane[plain] = lw_t[plain, 0] > 0
-            lw_t[plain] = np.log(np.where(sane[plain, None], lw_t[plain], 1.0))
+        k = _rebuild(lv, np.exp(0.5 * lw)) @ (v * np.exp(0.5 * cap[:, None] * g)[:, None, :])
+        lw_t, lv_t = np.linalg.eigh(k @ k.swapaxes(-1, -2))
+        sane = lw_t[:, 0] > 0
+        lw_t = np.log(np.where(sane[:, None], lw_t, 1.0))
         if not sane.all():  # evaluate the frame at the current point instead
             lw_t[~sane], lv_t[~sane] = lw[~sane], lv[~sane]
-        g_t, v_t, dmax_t, resid_t, bound_t = fmap(_rebuild(lv_t, np.exp(-0.5 * lw_t)))
-        ok = sane & (resid_t <= resid)
-        all_ok = ok.all()
+        g_t, v_t, resid_t, bound_t = fmap(_rebuild(lv_t, np.exp(-0.5 * lw_t)))
+        back = ~(sane & (resid_t <= resid))
         cap_t = np.minimum(1.0, 1.25 * cap)
-        if newton:
-            l_t = c_t = l
-        else:
-            l_t = cand.reshape(len(idx), -1)
-            if not all_mix:
-                l_t[plain] = _rebuild(lv_t[plain], lw_t[plain]).reshape(-1, d * d)
-            c_t = _chart_step(lw_t, lv_t, g_t, v_t)
-        if not all_ok:
-            back = ~ok
-            cap_t[back] = np.where(mix[back], 1.0, 0.5) * cap[back]
-            for new, old in (
-                (lw_t, lw), (lv_t, lv), (l_t, l), (c_t, c), (g_t, g), (v_t, v),
-                (dmax_t, dmax), (resid_t, resid), (bound_t, bound),
-            ):
+        if back.any():
+            cap_t[back] = 0.5 * cap[back]
+            for new, old in ((lw_t, lw), (lv_t, lv), (g_t, g), (v_t, v), (resid_t, resid), (bound_t, bound)):
                 new[back] = old[back]
-        if newton:
-            theta = cap_t
-        else:
-            theta = np.maximum(slope, np.minimum(cap_t, 2.0 / (2.0 + dmax_t)))
-            f_t = theta[:, None] * c_t
-            slot = count % _DEPTH
-            hist[rows, 0, slot], hist[rows, 1, slot] = l_t - l, f_t - f
-            count += 1
-            l, c, f = l_t, c_t, f_t
-        lw, lv, g, v, cap = lw_t, lv_t, g_t, v_t, cap_t
-        dmax, resid, bound = dmax_t, resid_t, bound_t
+        lw, lv, g, v, cap, resid, bound = lw_t, lv_t, g_t, v_t, cap_t, resid_t, bound_t
         live = bound >= tol
-        if not all_ok:
-            hist[back], count[back] = 0.0, 0
+        if back.any():
             # past a rejected step, a residual within the floor is rounding noise: accept the bound
             live &= ~(back & (resid <= floor[idx]) & np.isfinite(bound))
             if np.any(live & (cap < 1e-8)):
@@ -667,7 +579,7 @@ def eval_mean_stack(
         t, size = KARCHER_ALPHA, int(np.prod(a.shape[:-3]))
         p = np.repeat([0.0, t, t], size)
         what = np.repeat(["Karcher", f"enclosure end P_{t}", f"enclosure end P_-{t}"], size)
-        x, iters, bound = _power_loop(w, p, np.stack([a, a, spd_inv(a)]), DT_TOL, what)
+        x, iters, bound = _solve(w, p, (), np.stack([a, a, spd_inv(a)]), DT_TOL, what)
         vals, iters, bound, gap = x[0], iters[0], bound[0], _certify_karcher(x[0], x[1], spd_inv(x[2]))
     iters = int(np.max(iters, initial=0))
     return StackResult(values=vals, iterations=iters, residual_dt=np.asarray(bound), enclosure_gap=gap)

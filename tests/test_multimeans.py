@@ -10,6 +10,7 @@ from opmeans.meanfns import (
     geometric,
     harmonic,
     left_trivial,
+    rep_elasticity,
     rep_eval,
     rep_transform,
     right_trivial,
@@ -198,6 +199,36 @@ def test_nested_deformation():
     assert fixed_point_gap_nested(inner, harmonic(0.5), As, outer.value.a) < 5e-11
 
 
+@pytest.mark.parametrize(
+    "base",
+    [
+        MultiMeanSpec.karcher(W3),
+        MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(W3), geometric(0.5)),
+        MultiMeanSpec.adjoint(MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(W3), harmonic(0.4))),
+        MultiMeanSpec.power(W3, -0.5),
+    ],
+    ids=["karcher-base", "nested-deformed-base", "adjoint-deformed-base", "negative-power-base"],
+)
+def test_deformed_mean_over_an_iterative_base_is_one_loop_call(base, monkeypatch):
+    # the deformed mean and its base compile to one residual, so the solve is
+    # one geodesic loop call: no solve of the base for the start or per frame.
+    # The gap recomputes the base on its own, where an adjoint or a negative
+    # power goes through the inverses
+    As = ensemble(3, 3, 77)
+    calls, loop = [], multimeans._geodesic_loop
+
+    def counted(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(multimeans, "_geodesic_loop", counted)
+    res = deformed_mean(base, harmonic(0.5), As)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert res.residual_dt <= DT_TOL
+    assert fixed_point_gap_nested(base, harmonic(0.5), As, res.value.a) < 5e-11
+
+
 def fixed_point_gap_nested(base, sigma, As, x):
     xh, xih = spd_sqrt_pair(x)
     blocks = sym(np.einsum("ij,njk,kl->nil", xih, np.stack([a.a for a in As]), xih))
@@ -267,12 +298,13 @@ def test_power_mean_matches_monotone_route(t, dim):
     _check_against_monotone(stack, w, t)
 
 
-@pytest.mark.parametrize("p", [0.0, 1 / 64, 0.5])
+@pytest.mark.parametrize("p", [0.0, 1 / 64, 0.5, "deformed"])
 def test_newton_operator_is_the_derivative_of_the_frame_residual(p):
-    # H[D] = -d/dt F(t) at t = 0 for F(t) = sum_i w_i phi(e^{-tD/2} B_i e^{-tD/2}),
+    # H[D] = -d/dt F(t) at t = 0 for F(t) = sum_i w_i phi(g(e^{-tD/2} B_i e^{-tD/2})),
     # phi = log at p = 0 and (u^p - 1) / p otherwise, against a central
-    # difference; B_0 has a repeated eigenvalue, where the kernel takes its
-    # lam_j = lam_k limit
+    # difference; g is the identity, or for "deformed" the chain of 5.8's
+    # mean (p = 1, g = harmonic(1/2)); B_0 has a repeated eigenvalue, where
+    # the kernel takes its lam_j = lam_k limit (the elasticity of g)
     rng = np.random.default_rng(11)
     q = np.linalg.qr(rng.standard_normal((3, 3, 3)))[0]
     lam = np.array([[2.0, 2.0, 0.5], [0.3, 1.0, 4.0], [0.7, 1.5, 3.0]])
@@ -280,28 +312,37 @@ def test_newton_operator_is_the_derivative_of_the_frame_residual(p):
     w = np.array([0.2, 0.3, 0.5])
     g = rng.standard_normal((3, 3))
     delta = g + g.T
+    sigma = harmonic(0.5) if p == "deformed" else right_trivial()
+    p = 1.0 if p == "deformed" else p
     phi = np.log if p == 0 else (lambda u: np.expm1(p * np.log(u)) / p)
 
     def resid(t):
         e = eigh_apply(-0.5 * t * delta, np.exp)
-        return np.einsum("n,nij->ij", w, eigh_apply(sym(e @ b @ e), phi))
+        return np.einsum("n,nij->ij", w, eigh_apply(sym(e @ b @ e), lambda u: phi(rep_eval(sigma, u))))
 
     h = 1e-5
     fd = -(resid(h) - resid(-h)) / (2 * h)
-    kern = multimeans._newton_kernel(np.array([p]), np.log(lam)[None]) * w[None, :, None, None]
+    lg, el = np.log(rep_eval(sigma, lam))[None], rep_elasticity(sigma, lam, lam)[0][None]
+    kern = multimeans._newton_kernel(np.array([p]), np.log(lam)[None], lg, el) * w[None, :, None, None]
     got = multimeans._newton_apply(q[None], kern, delta[None])[0]
     np.testing.assert_allclose(got, fd, rtol=0, atol=1e-8 * np.abs(fd).max())
 
 
 @pytest.mark.parametrize(
-    "family, spec", [("3.13", MultiMeanSpec.karcher(None)), ("4.4", MultiMeanSpec.power(None, 0.5))]
+    "family, spec",
+    [
+        ("3.13", MultiMeanSpec.karcher(None)),
+        ("4.4", MultiMeanSpec.power(None, 0.5)),
+        ("5.8", MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(None), harmonic(0.5))),
+    ],
 )
 def test_newton_solves_cell_means_in_few_iterations(family, spec):
     # a 200-trial group at d = 5 raised to r = 3: every member meets DT_TOL
-    # within 6 Newton iterations (the damped gradient loop took up to 21)
-    data = _gen_cell_data(family, 5, 0.5 if spec.kind == "power" else None, 200, 0)
+    # within 6 Newton iterations, 8 for 5.8's deformed mean (measured: 7;
+    # the damped gradient loop took up to 21, the Anderson-mixed one 45)
+    data = _gen_cell_data(family, 5, None if spec.kind == "karcher" else 0.5, 200, 0)
     res = eval_mean_stack(spec, spd_power(data.stack, 3.0), data.weights, certify=False)
-    assert res.iterations <= 6
+    assert res.iterations <= (8 if spec.kind == "deformed" else 6)
     assert np.all(res.residual_dt < DT_TOL)
 
 
@@ -312,9 +353,10 @@ def test_power_mean_matches_monotone_route_at_condition_512():
     _check_against_monotone(spd_power(data.stack, 3.0), data.weights, 1 / 12)
 
 
-def _mp_fixed_point(t, mats, w):
-    # the 2x2 power mean P_t (Karcher at t = 0) to 50 digits: Newton on the
-    # three entries of sum_i w_i f(X^{-1/2} A_i X^{-1/2}) = f(I), f = t-th power or log
+def _mp_fixed_point(t, mats, w, g=None):
+    # the 2x2 mean of residual sum_i w_i phi_t(g(X^{-1/2} A_i X^{-1/2})) = 0
+    # to 50 digits (g None: the power mean P_t, Karcher at t = 0): Newton on
+    # the three entries of sum_i w_i f(g(B_i)) = f(I), f = t-th power or log
     from mpmath import mp
 
     def fn(a, f):
@@ -323,27 +365,37 @@ def _mp_fixed_point(t, mats, w):
 
     mats = [mp.matrix(a.tolist()) for a in mats]
     power = mp.log if t == 0 else (lambda u: u**t)
+    chain = power if g is None else (lambda u: power(g(u)))
 
     def eqs(x00, x01, x11):
         xih = fn(mp.matrix([[x00, x01], [x01, x11]]), lambda u: 1 / mp.sqrt(u))
-        m = sum((mp.mpf(float(wi)) * fn(xih * a * xih, power) for wi, a in zip(w, mats)), -power(1) * mp.eye(2))
+        m = sum((mp.mpf(float(wi)) * fn(xih * a * xih, chain) for wi, a in zip(w, mats)), -power(1) * mp.eye(2))
         return [m[0, 0], m[0, 1], m[1, 1]]
 
     return eqs, fn
 
 
-@pytest.mark.parametrize("t", [0.5, 1 / 12, 1 / 64, 0.0])
+@pytest.mark.parametrize("t", [0.5, 1 / 12, 1 / 64, 0.0, "deformed"])
 def test_bound_covers_true_error_against_mpmath(t):
     # d = 2 ensembles of test_power_mean_matches_monotone_route: the Thompson
-    # distance to a 50-digit solution stays within residual_dt, with no slack
+    # distance to a 50-digit solution stays within residual_dt, with no slack;
+    # "deformed" is 5.8's mean, the arithmetic mean deformed by harmonic(1/2),
+    # whose residual is sum_i w_i (g(B_i) - 1) with g(u) = 1 / (1/2 + 1/(2u))
     mp = pytest.importorskip("mpmath").mp
     stack = np.stack([np.stack([a.a for a in ensemble(2, 3, 700 + 10 * b)]) for b in range(4)])
     w = np.random.default_rng(2).dirichlet(np.ones(3), size=4)
-    spec = MultiMeanSpec.karcher(UNI3) if t == 0 else MultiMeanSpec.power(UNI3, t)
+    g = None
+    if t == "deformed":
+        spec, t = MultiMeanSpec.deformed(MultiMeanSpec.arithmetic(UNI3), harmonic(0.5)), 1
+
+        def g(u):
+            return 1 / (mp.mpf(1) / 2 + 1 / (2 * u))
+    else:
+        spec = MultiMeanSpec.karcher(UNI3) if t == 0 else MultiMeanSpec.power(UNI3, t)
     res = eval_mean_stack(spec, stack, weights_override=w, certify=False)
     with mp.workdps(50):
         for b in range(4):
-            eqs, fn = _mp_fixed_point(t, stack[b], w[b])
+            eqs, fn = _mp_fixed_point(t, stack[b], w[b], g)
             x = res.values[b]
             star = mp.findroot(eqs, (x[0, 0], x[0, 1], x[1, 1]))
             sih = fn(mp.matrix([[star[0], star[1]], [star[1], star[2]]]), lambda u: 1 / mp.sqrt(u))
@@ -415,21 +467,23 @@ def _ladder_spec(alpha):
         # its Frobenius bound
         pytest.param(None, 8, 2.0, id="None-8"),
         pytest.param(None, 12, 2.0, id="None-12"),
-        pytest.param("deformed", 7, 1.0, id="deformed-7"),
+        # the deformed row stops at 1e11: at 1e12 its residual falls below
+        # the floor, but its bound is infinite (e < e_0 / 2), so it raises
+        pytest.param("deformed", 11, 1.0, id="deformed-11"),
     ],
 )
 def test_condition_ladder(alpha, top, norm):
     # 4x4 inputs with spectra [1, 10^k]: every solve returns a finite bound,
     # at the tolerance or within norm times the rounding floor 16 eps kappa.
-    # Power and Karcher solves take Newton steps: at most 7 iterations up to
-    # 1e5 and 14 above it were measured, so 8 and 20 are allowed (the damped
-    # gradient loop took up to 70).  The deformed loop may take 500.
+    # Every solve takes Newton steps: at most 7 iterations up to 1e5 and 14
+    # above it were measured, so 8 and 20 are allowed (the damped gradient
+    # loop took up to 70, the Anderson-mixed deformed loop up to 257)
     spec = _ladder_spec(alpha)
     for k in range(1, top + 1):
         As = [random_spd(4, (1.0, 10.0**k), 100 * k + j) for j in range(3)]
         res = eval_mean(spec, As, certify=False)
         assert res.residual_dt <= max(DT_TOL, norm * 16 * np.finfo(float).eps * 10.0**k), k
-        assert res.iterations <= (500 if alpha == "deformed" else 8 if k <= 5 else 20), k
+        assert res.iterations <= (8 if k <= 5 else 20), k
         assert np.all(np.isfinite(res.value.a))
 
 
@@ -469,9 +523,8 @@ def test_damping_collapse_above_floor_raises(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.5, -0.25, 1 / 64, None, "deformed"])
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
 def test_scaled_inputs_keep_homogeneity(alpha, scale):
-    # the solves start at the weighted arithmetic mean (the base mean of the
-    # inputs for a deformed mean), so a scalar factor on the inputs (here near
-    # the ends of the float range) passes through
+    # every solve starts at the weighted arithmetic mean, so a scalar factor
+    # on the inputs (here near the ends of the float range) passes through
     spec = _ladder_spec(alpha)
     As = ensemble(4, 3, 900)
     res = eval_mean(spec, [validate_spd(scale * a.a) for a in As])
