@@ -9,13 +9,14 @@ Karcher mean is their limit.  Every iterative mean compiles to one residual
 value it solves ``sum_i w_i phi_p(g(B_i)) = 0``, with ``phi_p(v) = (v^p -
 1) / p`` (``log v`` at ``p = 0``) and ``g`` a chain of representing
 functions, empty for power and Karcher means.  One damped Riemannian Newton
-iteration, :func:`_geodesic_loop`, solves every kind: the direction solves
-the residual's linearization, a Daleckii-Krein kernel on the spectra the
-frame already holds, by matrix-free conjugate gradients (:func:`_frame`),
-and the solve stops on a true Thompson error bound that also covers the
-rounding of its own evaluation.  A Karcher solve is certified by the
-power-mean enclosure ``P_{-t} <= G <= P_t``, whose ends solve a different
-equation in the same loop call: the loop takes one exponent per member.
+iteration on a triangular factor of ``X^{-1}`` (:func:`_geodesic_loop`)
+solves every kind: the direction solves the residual's linearization, a
+Daleckii-Krein kernel on the spectra the frame already holds, by
+matrix-free conjugate gradients (:func:`_frame`), and the solve stops on a
+true Thompson error bound that also covers the rounding of its own
+evaluation.  A Karcher solve is certified by the power-mean enclosure
+``P_{-t} <= G <= P_t``, whose ends solve a different equation in the same
+loop call: the loop takes one exponent per member.
 
 All solvers run on stacked operands of shape ``(..., n, d, d)`` and
 broadcast over the leading axes, which is what makes large randomized
@@ -57,6 +58,7 @@ from .psd_core import (
     order_margin,
     pair_frame,
     spd_inv,
+    sym,
     thompson,
 )
 
@@ -306,8 +308,8 @@ def _solve(w, p, fs, stack, tol, what):
 
     ``p`` is a number or one per flattened member, so one call can solve
     Karcher members beside power-mean members; the chain ``g`` of ``fs`` is
-    shared.  The solve starts at the weighted arithmetic mean.  At ``S =
-    X^{-1/2}`` the frame residual is ``F = sum_i w_i phi_p(g(B_i))``, and
+    shared.  The solve starts at the weighted arithmetic mean.  At ``S S^T =
+    X^{-1}`` the frame residual is ``F = sum_i w_i phi_p(g(B_i))``, and
     every member reports ``rho = ||F||_F``.  With an empty chain: at ``p =
     0``, ``F`` is the Riemannian gradient of the 1-strongly convex ``1/2
     sum_i w_i delta_R(X, A_i)^2``, so ``rho`` bounds ``delta_R(X, G*)``,
@@ -361,9 +363,9 @@ def _chain(fs, lo, hi):
 def _frame(w, p, fs, a, s, rounding, tol):
     """``(D, eigenvectors of D, residual, bound)`` at ``S``; see :func:`_solve`.
 
-    ``p`` holds one exponent per member.  ``D`` is the Newton direction:
-    ``X' = R e^D R`` (``R = X^{1/2}``) moves each ``B_i`` to ``e^{-D/2} B_i
-    e^{-D/2}`` to first order, so ``F`` becomes ``F - H[D]`` with ``H[D] =
+    ``p`` holds one exponent per member.  ``D`` is the Newton direction: ``S
+    <- S e^{-D/2}`` moves each ``B_i = S^T A_i S`` to ``e^{-D/2} B_i
+    e^{-D/2}``, so to first order ``F`` becomes ``F - H[D]`` with ``H[D] =
     sum_i w_i V_i ((V_i^T D V_i) o K_i) V_i^T``, ``B_i = V_i diag(lam) V_i^T``
     and ``K_i[j, k]`` the divided difference of ``phi_p o g`` at ``(lam_j,
     lam_k)`` times ``(lam_j + lam_k) / 2`` (see :func:`_newton_kernel`).
@@ -475,73 +477,71 @@ def _newton_step(f, fnorm, vb, kern):
 def _geodesic_loop(frame, x0, floor, tol, what, batch):
     """Damped Riemannian Newton solve of a mean given by its ``frame``.
 
-    Each member's iterate is the eigenpair ``(lw, lv)`` of ``L = log X``,
-    starting at ``x0``.  ``frame(members)`` gives the map that returns, at
-    ``S = X^{-1/2}`` and with ``B_i = S A_i S``, the Newton direction ``D``
-    (its eigenpairs), a residual that decides the steps and the error bound
-    that stops them (:func:`_frame`).  The step is ``X <- R exp(theta D) R``
-    with ``R = X^{1/2}`` and ``theta`` the member's cap: a full step at 1,
-    halved when the step is rejected, raised by 1.25 when it is accepted.
+    Each member's iterate ``X`` is carried as a triangular ``S`` with ``S
+    S^T = X^{-1}``, from ``L^{-T}`` for the Cholesky factor ``x0 = L L^T``.
+    ``frame(members)`` maps ``S`` to the eigenpairs of the Newton direction
+    ``D``, a residual that decides the steps and the error bound that stops
+    them, in the frame ``B_i = S^T A_i S`` (:func:`_frame`), whose spectra
+    are those of ``X^{-1/2} A_i X^{-1/2}`` as ``S = X^{-1/2} Q``, ``Q``
+    orthogonal.  The step ``S <- S V exp(-theta Lambda / 2)``, ``D = V
+    diag(Lambda) V^T``, is ``X <- X^{1/2} exp(theta Q D Q^T) X^{1/2}`` at
+    the member's cap ``theta``: 1 at first, halved when the step is
+    rejected, raised by 1.25 when accepted.  A QR of ``S^T`` makes ``S``
+    triangular again (a Cholesky factor of ``S S^T`` squares its condition).
 
-    Every candidate goes through one ``eigh``, and it is accepted only if it
-    is positive definite and does not raise the residual.  A member that
-    meets ``tol`` is frozen, and all arithmetic is per member, so its
-    solution and its iteration count (the loop's count when it froze) do not
-    depend on its batch.  A member whose step is rejected while its residual
-    is within ``floor`` (the rounding floor of its inputs) is frozen with its
-    bound, since its residual is rounding noise; one whose damping collapses
-    above it stops the loop.  ``tol`` and ``what`` (names for
-    :class:`NoConvergence`) are one value or one per member; it returns
-    solutions, counts and bounds per member.
+    A candidate is accepted only if it does not raise the residual, which is
+    infinite unless its ``B_i`` are positive definite.  A member that meets
+    ``tol`` is frozen, and all arithmetic is per member, so its solution and
+    its iteration count (the loop's count when it froze) do not depend on its
+    batch.  A member whose step is rejected while its residual is within
+    ``floor`` (the rounding floor of its inputs) is frozen with its bound,
+    since its residual is rounding noise; one whose damping collapses above it
+    stops the loop.  ``tol`` and ``what`` (names for :class:`NoConvergence`)
+    are one value or one per member; it returns solutions ``K^T K`` (``K =
+    S^{-1}``), counts and bounds per member.
     """
-    ew, lv = np.linalg.eigh(x0)
-    size, d = ew.shape
-    if np.any(ew <= 0):
-        raise NoConvergence("geodesic start is not positive definite")
-    lw = np.log(ew)
+    try:
+        s = np.linalg.inv(np.linalg.cholesky(x0)).swapaxes(-1, -2)
+    except np.linalg.LinAlgError:
+        raise NoConvergence("geodesic start is not positive definite") from None
+    size, d = s.shape[:2]
     idx = np.arange(size)  # the members still iterating
-    g, v, resid, bound = frame(idx)(_rebuild(lv, np.exp(-0.5 * lw)))
+    g, v, resid, bound = frame(idx)(s)
     if not np.all(np.isfinite(resid)):
         raise NoConvergence("geodesic iterate lost positive definiteness")
-    out_w, out_v, out_bound, out_iters = lw.copy(), lv.copy(), bound.copy(), np.zeros(size, dtype=int)
+    out_s, out_bound, out_iters = s.copy(), bound.copy(), np.zeros(size, dtype=int)
     cap, tol = np.ones(size), np.broadcast_to(tol, size)
     live, iters = bound >= tol, 0
     while True:
         all_live = live.all()
         if not all_live:  # write out the members that stopped, go on with the rest
             fin = idx[~live]
-            out_w[fin], out_v[fin], out_bound[fin], out_iters[fin] = lw[~live], lv[~live], bound[~live], iters
-            idx, lw, lv, g, v, resid, bound, cap, tol = (
-                x[live] for x in (idx, lw, lv, g, v, resid, bound, cap, tol)
-            )
+            out_s[fin], out_bound[fin], out_iters[fin] = s[~live], bound[~live], iters
+            idx, s, g, v, resid, bound, cap, tol = (x[live] for x in (idx, s, g, v, resid, bound, cap, tol))
         if iters == 0 or not all_live:
             fmap = frame(idx)
         if not len(idx) or iters == MAX_ITERS:
             break
         iters += 1
-        k = _rebuild(lv, np.exp(0.5 * lw)) @ (v * np.exp(0.5 * cap[:, None] * g)[:, None, :])
-        lw_t, lv_t = np.linalg.eigh(k @ k.swapaxes(-1, -2))
-        sane = lw_t[:, 0] > 0
-        lw_t = np.log(np.where(sane[:, None], lw_t, 1.0))
-        if not sane.all():  # evaluate the frame at the current point instead
-            lw_t[~sane], lv_t[~sane] = lw[~sane], lv[~sane]
-        g_t, v_t, resid_t, bound_t = fmap(_rebuild(lv_t, np.exp(-0.5 * lw_t)))
-        back = ~(sane & (resid_t <= resid))
+        s_t = s @ (v * np.exp(-0.5 * cap[:, None] * g)[:, None, :])
+        s_t = np.linalg.qr(s_t.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+        g_t, v_t, resid_t, bound_t = fmap(s_t)
+        back = ~(resid_t <= resid)
         cap_t = np.minimum(1.0, 1.25 * cap)
         if back.any():
             cap_t[back] = 0.5 * cap[back]
-            for new, old in ((lw_t, lw), (lv_t, lv), (g_t, g), (v_t, v), (resid_t, resid), (bound_t, bound)):
+            for new, old in ((s_t, s), (g_t, g), (v_t, v), (resid_t, resid), (bound_t, bound)):
                 new[back] = old[back]
-        lw, lv, g, v, cap, resid, bound = lw_t, lv_t, g_t, v_t, cap_t, resid_t, bound_t
+        s, g, v, cap, resid, bound = s_t, g_t, v_t, cap_t, resid_t, bound_t
         live = bound >= tol
         if back.any():
             # past a rejected step, a residual within the floor is rounding noise: accept the bound
             live &= ~(back & (resid <= floor[idx]) & np.isfinite(bound))
             if np.any(live & (cap < 1e-8)):
                 break
-    if len(idx):
-        out_w[idx], out_v[idx] = lw, lv
-    x = _rebuild(out_v, np.exp(out_w)).reshape(batch + (d, d))
+    out_s[idx] = s
+    k = np.linalg.inv(out_s)
+    x = sym(k.swapaxes(-1, -2) @ k).reshape(batch + (d, d))
     if len(idx):
         what = np.broadcast_to(what, size)
         members = [

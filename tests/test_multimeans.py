@@ -459,23 +459,23 @@ def _ladder_spec(alpha):
 @pytest.mark.parametrize(
     "alpha,top,norm",
     [
-        pytest.param(0.5, 8, 1.0, id="0.5-8"),
-        pytest.param(-0.25, 6, 1.0, id="-0.25-6"),
-        pytest.param(1 / 64, 8, 1.0, id="0.015625-8"),
+        pytest.param(0.5, 12, 1.0, id="0.5-12"),
+        pytest.param(-0.25, 12, 1.0, id="-0.25-12"),
+        pytest.param(1 / 64, 12, 1.0, id="0.015625-12"),
         pytest.param(None, 4, 1.0, id="None-4"),
         # the Karcher floor is sqrt(d) = 2 times 16 eps kappa, the scale of
         # its Frobenius bound
         pytest.param(None, 8, 2.0, id="None-8"),
         pytest.param(None, 12, 2.0, id="None-12"),
-        # the deformed row stops at 1e11: at 1e12 its residual falls below
-        # the floor, but its bound is infinite (e < e_0 / 2), so it raises
-        pytest.param("deformed", 11, 1.0, id="deformed-11"),
+        # at 1e12 the eigenpair-carried iterate ended this row with an
+        # infinite bound (e < e_0 / 2); the triangular factor reaches it
+        pytest.param("deformed", 12, 1.0, id="deformed-12"),
     ],
 )
 def test_condition_ladder(alpha, top, norm):
     # 4x4 inputs with spectra [1, 10^k]: every solve returns a finite bound,
     # at the tolerance or within norm times the rounding floor 16 eps kappa.
-    # Every solve takes Newton steps: at most 7 iterations up to 1e5 and 14
+    # Every solve takes Newton steps: at most 7 iterations up to 1e5 and 18
     # above it were measured, so 8 and 20 are allowed (the damped gradient
     # loop took up to 70, the Anderson-mixed deformed loop up to 257)
     spec = _ladder_spec(alpha)
@@ -485,6 +485,45 @@ def test_condition_ladder(alpha, top, norm):
         assert res.residual_dt <= max(DT_TOL, norm * 16 * np.finfo(float).eps * 10.0**k), k
         assert res.iterations <= (8 if k <= 5 else 20), k
         assert np.all(np.isfinite(res.value.a))
+
+
+@pytest.mark.parametrize(
+    "spec, spread, seed, certify",
+    [
+        pytest.param(MultiMeanSpec.power(W3, -0.25), 1e12, 6200, False, id="power-negative-1e12"),
+        pytest.param(MultiMeanSpec.karcher(W3), 5e11, 7010, True, id="karcher-certified-5e11"),
+        pytest.param(DEFORMED, 5e11, 7000, False, id="deformed-5e11"),
+    ],
+)
+def test_wide_spread_solves_return_within_their_floor(spec, spread, seed, certify):
+    # each raised when the loop carried the eigenpair of log X: the start
+    # frame of P_{-1/4} lost positive definiteness, the certificate's lower
+    # end stalled above its floor, and the deformed bound stayed infinite
+    As = [random_spd(4, (1.0, spread), seed + j) for j in range(3)]
+    res = eval_mean(spec, As, certify=certify)
+    assert res.residual_dt <= max(DT_TOL, 2 * 16 * np.finfo(float).eps * spread)
+    assert res.iterations <= 20
+    assert np.isfinite(res.enclosure_gap) if certify else res.enclosure_gap is None
+
+
+def test_karcher_solve_decomposes_n_plus_1_matrices_per_member_iteration(monkeypatch):
+    # the frame decomposes the n matrices B_i and the Newton direction D; the
+    # iterate is a triangular factor, so neither the start nor a candidate
+    # takes an eigh (the eigenpair-carried loop took n + 2 per iteration)
+    data = _gen_cell_data("3.13", 5, None, 200, 0)
+    n = data.stack.shape[-3]
+    sizes, inner = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(np.prod(np.shape(a)[:-2])) or inner(a))
+    _, iters, _ = _eval_node(MultiMeanSpec.karcher(None), data.stack, data.weights)
+    assert iters.sum() > 0
+    assert sum(sizes) <= (n + 1) * (iters.sum() + iters.size)
+
+
+def test_indefinite_start_raises_no_convergence():
+    # the start is a Cholesky factorization; its failure is typed
+    x0 = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+    with pytest.raises(errors.NoConvergence, match="geodesic start is not positive definite"):
+        multimeans._geodesic_loop(None, x0, np.zeros(1), DT_TOL, "Karcher", (1,))
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0])
