@@ -171,11 +171,11 @@ class MultiMeanSpec:
 class MeanResult:
     """``residual_dt`` bounds the Thompson distance from ``value`` to the mean
     (0 for closed forms).  It includes the rounding of its own evaluation,
-    ``16 eps / |p|`` and ``16 eps sqrt d`` at ``p = 0``, over the elasticity
-    bound of a deformed mean's chain (see :func:`_solve`).  ``iterations``
-    counts the Newton steps of the geodesic loop, accepted or not, of the
-    mean's own members (the largest over a batch), not of a certified Karcher
-    solve's enclosure ends."""
+    ``16 eps / p`` (``p >= 0``, see :func:`_residual`) and ``16 eps sqrt d``
+    at ``p = 0``, over the elasticity bound of a deformed mean's chain (see
+    :func:`_solve`).  ``iterations`` counts the Newton steps of the geodesic
+    loop, accepted or not, of the mean's own members (the largest over a
+    batch), not of a certified Karcher solve's enclosure ends."""
 
     value: SpdMatrix
     iterations: int
@@ -232,59 +232,52 @@ def _weighted_sum(w, stack):
     return np.einsum("...n,...nij->...ij", w, stack)
 
 
-def _eval_node(spec: MultiMeanSpec, stack, w_over=None, tol=DT_TOL):
+def _eval_node(spec: MultiMeanSpec, stack, w_over=None):
     """Evaluate a mean on ``stack`` of shape (..., n, d, d).
 
     Returns ``(values, iterations, bound)``, the count (0 for a closed form)
-    and the Thompson error bound of :class:`MeanResult` per member.  Iterative
-    solves stop once the bound is below ``tol``, a number or one per member.
+    and the Thompson error bound of :class:`MeanResult` per member, through
+    the normal form of :func:`_residual`; the bound is inversion invariant.
     """
     n = stack.shape[-3]
-    batch = stack.shape[:-3]
-    zeros = np.zeros(batch)
-    if spec.weights is not None and w_over is None and len(spec.weights.values) != n:
-        raise ArityMismatch(f"{len(spec.weights.values)} weights for {n} matrices")
+    w = _node_weights(spec, w_over, n)
+    zeros = np.zeros(stack.shape[:-3])
     if n == 1:
         # forced by normalization plus congruence invariance
         return stack[..., 0, :, :], 0, zeros
-    kind = spec.kind
-    if kind == "arithmetic":
-        return _weighted_sum(_node_weights(spec, w_over, n), stack), 0, zeros
-    if kind == "harmonic":
-        return spd_inv(_weighted_sum(_node_weights(spec, w_over, n), spd_inv(stack))), 0, zeros
-    if kind == "adjoint":
-        vals, iters, bound = _eval_node(spec.inner, spd_inv(stack), w_over, tol)
-        return spd_inv(vals), iters, bound
-    if kind == "power" and spec.alpha < 0:
-        # P_{-t} is the adjoint of P_t, and the Thompson bound is inversion invariant
-        dual = MultiMeanSpec.adjoint(MultiMeanSpec.power(spec.weights, -spec.alpha))
-        return _eval_node(dual, stack, w_over, tol)
-    p, fs = _residual(spec)
-    what = {"power": "power-mean", "karcher": "Karcher"}.get(kind, "deformed-mean")
-    return _solve(_node_weights(spec, w_over, n), p, fs, stack, tol, what)
+    inv, p, fs = _residual(spec)
+    a = spd_inv(stack) if inv else stack
+    if p == 1 and not fs:
+        vals, iters, bound = _weighted_sum(w, a), 0, zeros
+    else:
+        what = "deformed-mean" if fs else "Karcher" if p == 0 else "power-mean"
+        vals, iters, bound = _solve(w, p, fs, a, what)
+    return (spd_inv(vals) if inv else vals), iters, bound
 
 
 def _residual(spec: MultiMeanSpec):
-    """``(p, fs)``: the mean solves ``sum_i w_i phi_p(g(B_i)) = 0`` in the frame of its value.
+    """``(inv, p, fs)``, ``p >= 0``: the mean (of the inverses, inverted if ``inv``)
+    solves ``sum_i w_i phi_p(g(B_i)) = 0`` in the frame of its value.
 
     Here ``B_i = X^{-1/2} A_i X^{-1/2}``, ``phi_p(v) = (v^p - 1) / p``
     (``log v`` at ``p = 0``) and ``g`` applies the representing functions
     ``fs`` first to last.  ``P_p(C_1, ..., C_n) = I`` exactly when ``sum_i
-    w_i phi_p(C_i) = 0``, which covers the arithmetic (``p = 1``), harmonic
-    (``-1``), power and Karcher (``0``) means.  By congruence invariance
-    ``deformed(base, sigma)`` is fixed at ``X`` exactly when ``base(sigma(B_1),
-    ...) = I``, so ``sigma`` goes in front of its base's chain.  Since
-    ``X^{-1} sigma A^{-1} = (X sigma* A)^{-1}`` for the adjoint ``sigma*(t) =
-    1 / sigma(1 / t)``, an adjoint negates ``p`` and takes each function's
-    adjoint.
+    w_i phi_p(C_i) = 0``, which covers the arithmetic (``p = 1``), power and
+    Karcher (``0``) means; as ``P_{-p}(A) = P_p(A^{-1})^{-1}``, the harmonic
+    mean and ``P_{-p}`` set ``inv``, and an adjoint flips it.  By congruence
+    invariance ``deformed(base, sigma)`` is fixed at ``X`` exactly when
+    ``base(sigma(B_1), ...) = I``, so ``sigma`` goes in front of its base's
+    chain; over an inverted base its adjoint ``sigma*(t) = 1 / sigma(1 / t)``
+    does, as ``sigma(B)^{-1} = sigma*(B^{-1})``.
     """
-    if spec.kind == "deformed":
-        p, fs = _residual(spec.base)
-        return p, (spec.sigma, *fs)
     if spec.kind == "adjoint":
-        p, fs = _residual(spec.inner)
-        return 0.0 - p, tuple(rep_transform(f, "adjoint") for f in fs)
-    return {"arithmetic": 1.0, "harmonic": -1.0, "karcher": 0.0}.get(spec.kind, spec.alpha), ()
+        inv, p, fs = _residual(spec.inner)
+        return not inv, p, fs
+    if spec.kind == "deformed":
+        inv, p, fs = _residual(spec.base)
+        return inv, p, (rep_transform(spec.sigma, "adjoint") if inv else spec.sigma, *fs)
+    p = {"arithmetic": 1.0, "harmonic": -1.0, "karcher": 0.0}.get(spec.kind, spec.alpha)
+    return p < 0, abs(p), ()
 
 
 _EPS = np.finfo(float).eps
@@ -303,24 +296,24 @@ def _rounding_floor(a):
     return 16 * _EPS * eigs[..., -1].max(axis=-1) / low
 
 
-def _solve(w, p, fs, stack, tol, what):
+def _solve(w, p, fs, stack, what):
     """The mean of residual ``(p, fs)`` (:func:`_residual`) by Newton steps in :func:`_geodesic_loop`.
 
-    ``p`` is a number or one per flattened member, so one call can solve
+    ``p >= 0`` is a number or one per flattened member, so one call can solve
     Karcher members beside power-mean members; the chain ``g`` of ``fs`` is
-    shared.  The solve starts at the weighted arithmetic mean.  At ``S S^T =
-    X^{-1}`` the frame residual is ``F = sum_i w_i phi_p(g(B_i))``, and
-    every member reports ``rho = ||F||_F``.  With an empty chain: at ``p =
-    0``, ``F`` is the Riemannian gradient of the 1-strongly convex ``1/2
-    sum_i w_i delta_R(X, A_i)^2``, so ``rho`` bounds ``delta_R(X, G*)``,
-    hence the Thompson error.  For ``p != 0``, ``f(X) = sum_i w_i X #_p A_i``
-    is a Thompson contraction of rate ``1 - |p|`` (for ``p < 0`` through the
-    adjoint) and ``f(X) = X^{1/2} M X^{1/2}`` with ``M = I + p F``; with ``e
-    = |p| rho >= ||M - I||``, ``d(X, f(X)) = max |log eig M| <= -log(1 -
-    e)``, so ``rho_p = -log(1 - e) / |p|`` bounds ``d(X, X*)`` (infinite for
+    shared.  The solve starts at the weighted arithmetic mean and stops once
+    the bound is below ``DT_TOL``.  At ``S S^T = X^{-1}`` the frame residual
+    is ``F = sum_i w_i phi_p(g(B_i))``, and every member reports ``rho =
+    ||F||_F``.  With an empty chain: at ``p = 0``, ``F`` is the Riemannian
+    gradient of the 1-strongly convex ``1/2 sum_i w_i delta_R(X, A_i)^2``,
+    so ``rho`` bounds ``delta_R(X, G*)``, hence the Thompson error.  For ``p
+    > 0``, ``f(X) = sum_i w_i X #_p A_i`` is a Thompson contraction of rate
+    ``1 - p`` and ``f(X) = X^{1/2} M X^{1/2}`` with ``M = I + p F``; with
+    ``e = p rho >= ||M - I||``, ``d(X, f(X)) = max |log eig M| <= -log(1 -
+    e)``, so ``rho_p = -log(1 - e) / p`` bounds ``d(X, X*)`` (infinite for
     ``e >= 1``).  Either adds the rounding of its own evaluation, ``16 eps
-    sqrt d`` (``16 eps / |p|``).  With a chain, ``f(X) = sum_i w_i X #_p (X
-    sigma_g A_i)`` moves by the same step and contracts at rate ``1 - |p|
+    sqrt d`` (``16 eps / p``).  With a chain, ``f(X) = sum_i w_i X #_p (X
+    sigma_g A_i)`` moves by the same step and contracts at rate ``1 - p
     e``, ``e`` the least elasticity ``t g'(t) / g(t)`` over the spectra of
     the ``B_i`` (Lim and Palfia's contraction at ``X = I``), so ``d(X, X*)
     <= rho_p / e``, at ``p = 0`` too as the limit.  Over the ball of radius
@@ -336,14 +329,13 @@ def _solve(w, p, fs, stack, tol, what):
     a = np.broadcast_to(stack, batch + (n, d, d)).reshape(-1, n, d, d)
     w = np.broadcast_to(w, batch + (n,)).reshape(-1, n)
     p, root_d = np.broadcast_to(p, len(a)), np.sqrt(d)
-    rounding = np.divide(16 * _EPS, np.abs(p), out=np.full(len(a), 16 * _EPS * root_d), where=p != 0)
-    tol = np.broadcast_to(tol, len(a))
+    rounding = np.divide(16 * _EPS, p, out=np.full(len(a), 16 * _EPS * root_d), where=p != 0)
 
     def frame(idx):
-        wi, pi, ai, ri, ti = w[idx], p[idx], a[idx], rounding[idx], tol[idx]
-        return lambda s: _frame(wi, pi, fs, ai, s, ri, ti)
+        wi, pi, ai, ri = w[idx], p[idx], a[idx], rounding[idx]
+        return lambda s: _frame(wi, pi, fs, ai, s, ri)
 
-    return _geodesic_loop(frame, _weighted_sum(w, a), _rounding_floor(a) * root_d, tol, what, batch)
+    return _geodesic_loop(frame, _weighted_sum(w, a), _rounding_floor(a) * root_d, what, batch)
 
 
 def _chain(fs, lo, hi):
@@ -360,7 +352,7 @@ def _chain(fs, lo, hi):
     return lo, hi, e
 
 
-def _frame(w, p, fs, a, s, rounding, tol):
+def _frame(w, p, fs, a, s, rounding):
     """``(D, eigenvectors of D, residual, bound)`` at ``S``; see :func:`_solve`.
 
     ``p`` holds one exponent per member.  ``D`` is the Newton direction: ``S
@@ -371,11 +363,14 @@ def _frame(w, p, fs, a, s, rounding, tol):
     lam_k)`` times ``(lam_j + lam_k) / 2`` (see :func:`_newton_kernel`).
     ``phi_p o g`` is increasing, so ``K_i > 0`` and ``H`` is symmetric
     positive definite; :func:`_newton_step` solves ``H[D] = F`` by conjugate
-    gradients.  Members whose bound is already below ``tol`` freeze, so their
-    step is not solved (``D = 0``).  A member whose ``B_i`` are not all
-    positive definite reports an infinite residual.
+    gradients.  Members whose bound is already below ``DT_TOL`` freeze, so
+    their step is not solved (``D = 0``).  A member whose ``B_i`` are not all
+    finite and positive definite reports an infinite residual.
     """
-    eb, vb = np.linalg.eigh(congruence(s[:, None], a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = congruence(s[:, None], a)
+    b[~np.isfinite(b).all(axis=(-3, -2, -1))] = 0.0  # a frame that overflows is not positive definite
+    eb, vb = np.linalg.eigh(b)
     bad = eb[..., 0].min(axis=-1) <= 0
     eb[bad] = 1.0  # keeps the frame finite
     lb = np.log(eb)
@@ -391,9 +386,8 @@ def _frame(w, p, fs, a, s, rounding, tol):
     res = _rebuild(np.swapaxes(vb, -3, -2).reshape(-1, d, n * d), (f * w[..., None]).reshape(-1, n * d))
     resid = np.sqrt(np.sum(res * res, axis=(-2, -1)))
     resid[bad] = np.inf
-    q = np.abs(p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = np.where(q == 0, resid, -np.log1p(-np.minimum(q * resid, 1.0)) / np.where(q == 0, 1.0, q))
+        bound = np.where(p == 0, resid, -np.log1p(-np.minimum(p * resid, 1.0)) / np.where(p == 0, 1.0, p))
         bound += rounding
         if fs:  # the empty chain's elasticity is 1
             lo, hi = eb[..., 0].min(axis=-1), eb[..., -1].max(axis=-1)
@@ -402,7 +396,7 @@ def _frame(w, p, fs, a, s, rounding, tol):
             e = _chain(fs, lo / widen, hi * widen)[2]
             bound = np.where((e > 0) & (e >= 0.5 * e0), bound / e, np.inf)
     g, v = np.zeros((len(f), d)), np.broadcast_to(np.eye(d), (len(f), d, d)).copy()
-    step = bound >= tol
+    step = bound >= DT_TOL
     if step.any():
         chain = (lg[step], el[step]) if fs else ()
         kern = _newton_kernel(p[step], lb[step], *chain) * w[step][..., None, None]
@@ -474,7 +468,7 @@ def _newton_step(f, fnorm, vb, kern):
     return x
 
 
-def _geodesic_loop(frame, x0, floor, tol, what, batch):
+def _geodesic_loop(frame, x0, floor, what, batch):
     """Damped Riemannian Newton solve of a mean given by its ``frame``.
 
     Each member's iterate ``X`` is carried as a triangular ``S`` with ``S
@@ -489,16 +483,16 @@ def _geodesic_loop(frame, x0, floor, tol, what, batch):
     rejected, raised by 1.25 when accepted.  A QR of ``S^T`` makes ``S``
     triangular again (a Cholesky factor of ``S S^T`` squares its condition).
 
-    A candidate is accepted only if it does not raise the residual, which is
-    infinite unless its ``B_i`` are positive definite.  A member that meets
-    ``tol`` is frozen, and all arithmetic is per member, so its solution and
-    its iteration count (the loop's count when it froze) do not depend on its
-    batch.  A member whose step is rejected while its residual is within
-    ``floor`` (the rounding floor of its inputs) is frozen with its bound,
-    since its residual is rounding noise; one whose damping collapses above it
-    stops the loop.  ``tol`` and ``what`` (names for :class:`NoConvergence`)
-    are one value or one per member; it returns solutions ``K^T K`` (``K =
-    S^{-1}``), counts and bounds per member.
+    A candidate is accepted only if it does not raise the residual, which
+    is infinite unless its ``B_i`` are finite and positive definite.  A member
+    that meets ``DT_TOL`` is frozen, and all arithmetic is per member, so its
+    solution and its iteration count (the loop's count when it froze) do not
+    depend on its batch.  A member whose step is rejected while its residual
+    is within ``floor`` (the rounding floor of its inputs) is frozen with its
+    bound, since its residual is rounding noise; a damping collapse above it
+    or a ``LinAlgError`` stops the loop with :class:`NoConvergence`, naming
+    the live members by ``what`` (one value or one per member).  It returns
+    solutions ``K^T K`` (``K = S^{-1}``), counts and bounds per member.
     """
     try:
         s = np.linalg.inv(np.linalg.cholesky(x0)).swapaxes(-1, -2)
@@ -510,35 +504,39 @@ def _geodesic_loop(frame, x0, floor, tol, what, batch):
     if not np.all(np.isfinite(resid)):
         raise NoConvergence("geodesic iterate lost positive definiteness")
     out_s, out_bound, out_iters = s.copy(), bound.copy(), np.zeros(size, dtype=int)
-    cap, tol = np.ones(size), np.broadcast_to(tol, size)
-    live, iters = bound >= tol, 0
-    while True:
-        all_live = live.all()
-        if not all_live:  # write out the members that stopped, go on with the rest
-            fin = idx[~live]
-            out_s[fin], out_bound[fin], out_iters[fin] = s[~live], bound[~live], iters
-            idx, s, g, v, resid, bound, cap, tol = (x[live] for x in (idx, s, g, v, resid, bound, cap, tol))
-        if iters == 0 or not all_live:
-            fmap = frame(idx)
-        if not len(idx) or iters == MAX_ITERS:
-            break
-        iters += 1
-        s_t = s @ (v * np.exp(-0.5 * cap[:, None] * g)[:, None, :])
-        s_t = np.linalg.qr(s_t.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-        g_t, v_t, resid_t, bound_t = fmap(s_t)
-        back = ~(resid_t <= resid)
-        cap_t = np.minimum(1.0, 1.25 * cap)
-        if back.any():
-            cap_t[back] = 0.5 * cap[back]
-            for new, old in ((s_t, s), (g_t, g), (v_t, v), (resid_t, resid), (bound_t, bound)):
-                new[back] = old[back]
-        s, g, v, cap, resid, bound = s_t, g_t, v_t, cap_t, resid_t, bound_t
-        live = bound >= tol
-        if back.any():
-            # past a rejected step, a residual within the floor is rounding noise: accept the bound
-            live &= ~(back & (resid <= floor[idx]) & np.isfinite(bound))
-            if np.any(live & (cap < 1e-8)):
+    cap = np.ones(size)
+    live, iters, halt = bound >= DT_TOL, 0, "stopped above its tolerance"
+    try:
+        while True:
+            all_live = live.all()
+            if not all_live:  # write out the members that stopped, go on with the rest
+                fin = idx[~live]
+                out_s[fin], out_bound[fin], out_iters[fin] = s[~live], bound[~live], iters
+                idx, s, g, v, resid, bound, cap = (x[live] for x in (idx, s, g, v, resid, bound, cap))
+            if iters == 0 or not all_live:
+                fmap = frame(idx)
+            if not len(idx) or iters == MAX_ITERS:
                 break
+            iters += 1
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step's frame rejects it
+                s_t = s @ (v * np.exp(-0.5 * cap[:, None] * g)[:, None, :])
+            s_t = np.linalg.qr(s_t.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+            g_t, v_t, resid_t, bound_t = fmap(s_t)
+            back = ~(resid_t <= resid)
+            cap_t = np.minimum(1.0, 1.25 * cap)
+            if back.any():
+                cap_t[back] = 0.5 * cap[back]
+                for new, old in ((s_t, s), (g_t, g), (v_t, v), (resid_t, resid), (bound_t, bound)):
+                    new[back] = old[back]
+            s, g, v, cap, resid, bound = s_t, g_t, v_t, cap_t, resid_t, bound_t
+            live = bound >= DT_TOL
+            if back.any():
+                # past a rejected step, a residual within the floor is rounding noise: accept the bound
+                live &= ~(back & (resid <= floor[idx]) & np.isfinite(bound))
+                if np.any(live & (cap < 1e-8)):
+                    break
+    except np.linalg.LinAlgError as exc:  # the live members keep their last accepted iterate
+        halt = f"failed ({exc})"
     out_s[idx] = s
     k = np.linalg.inv(out_s)
     x = sym(k.swapaxes(-1, -2) @ k).reshape(batch + (d, d))
@@ -549,7 +547,7 @@ def _geodesic_loop(frame, x0, floor, tol, what, batch):
             for i, b, rho in zip(idx, bound, resid)
         ]
         named = ", ".join(f"{m['member']} ({m['what']}, bound {m['bound']:.3e})" for m in members[:5])
-        msg = f"geodesic iteration stopped above its tolerance after {iters} steps; {len(idx)} live: {named}"
+        msg = f"geodesic iteration {halt} after {iters} steps; {len(idx)} live: {named}"
         raise NoConvergence(msg + (", ..." if len(idx) > 5 else ""), x, float(bound.max()), members)
     return x, out_iters.reshape(batch), out_bound.reshape(batch)
 
@@ -579,7 +577,7 @@ def eval_mean_stack(
         t, size = KARCHER_ALPHA, int(np.prod(a.shape[:-3]))
         p = np.repeat([0.0, t, t], size)
         what = np.repeat(["Karcher", f"enclosure end P_{t}", f"enclosure end P_-{t}"], size)
-        x, iters, bound = _solve(w, p, (), np.stack([a, a, spd_inv(a)]), DT_TOL, what)
+        x, iters, bound = _solve(w, p, (), np.stack([a, a, spd_inv(a)]), what)
         vals, iters, bound, gap = x[0], iters[0], bound[0], _certify_karcher(x[0], x[1], spd_inv(x[2]))
     iters = int(np.max(iters, initial=0))
     return StackResult(values=vals, iterations=iters, residual_dt=np.asarray(bound), enclosure_gap=gap)
@@ -638,8 +636,7 @@ def elementary_mean(kind: str, w: Weights, As: Sequence[SpdMatrix]) -> SpdMatrix
     """Weighted arithmetic or harmonic mean (closed forms)."""
     if kind not in ("arithmetic", "harmonic"):
         raise UnknownKind(f"elementary mean must be arithmetic or harmonic, got {kind!r}")
-    spec = MultiMeanSpec.arithmetic(w) if kind == "arithmetic" else MultiMeanSpec.harmonic(w)
-    return eval_mean(spec, As).value
+    return eval_mean(MultiMeanSpec(kind, weights=w), As).value
 
 
 def deformed_mean(base: MultiMeanSpec, sigma: RepFnSpec, As: Sequence[SpdMatrix]) -> MeanResult:

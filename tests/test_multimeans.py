@@ -241,9 +241,19 @@ def fixed_point_gap_nested(base, sigma, As, x):
 
 
 def test_power_mean_alpha_one_is_arithmetic():
+    # P_1 is the weighted sum itself, with no Newton step
     As = ensemble(3, 3, 200)
     res = power_mean(W3, 1.0, As)
-    np.testing.assert_allclose(res.value.a, elementary_mean("arithmetic", W3, As).a, atol=1e-10)
+    assert np.array_equal(res.value.a, elementary_mean("arithmetic", W3, As).a)
+    assert (res.iterations, res.residual_dt) == (0, 0.0)
+
+
+def test_power_mean_alpha_minus_one_is_harmonic():
+    # P_{-1} is P_1 of the inverses, inverted: the harmonic closed form
+    As = ensemble(3, 3, 200)
+    res = power_mean(W3, -1.0, As)
+    assert np.array_equal(res.value.a, elementary_mean("harmonic", W3, As).a)
+    assert (res.iterations, res.residual_dt) == (0, 0.0)
 
 
 def test_power_mean_scalar_formula():
@@ -283,7 +293,9 @@ def _check_against_monotone(stack, w, t):
     spec = MultiMeanSpec.power(uni, t)
     fast = eval_mean_stack(spec, stack, weights_override=w)
     mono, step = monotone_reference(MultiMeanSpec.arithmetic(uni), geometric(t), stack, w)
-    fine, _, fine_bound = _eval_node(spec, stack, w, tol=1e-12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimeans, "DT_TOL", 1e-12)
+        fine, _, fine_bound = _eval_node(spec, stack, w)
     assert np.all(fast.residual_dt < DT_TOL) and np.all(fine_bound < 1e-12)
     assert np.all(thompson(fast.values, mono) <= step * (1 - t) / t + fast.residual_dt)
     # the two reported bounds cover the distance between the solves
@@ -439,7 +451,9 @@ def test_deformed_bound_covers_tighter_solve_on_5_8_data(dim):
     arith, sigma = MultiMeanSpec.arithmetic(UNI3), harmonic(0.5)
     spec = MultiMeanSpec.deformed(arith, sigma)
     fast = eval_mean_stack(spec, stack, weights_override=data.weights)
-    fine, _, fine_bound = _eval_node(spec, stack, data.weights, tol=1e-13)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimeans, "DT_TOL", 1e-13)
+        fine, _, fine_bound = _eval_node(spec, stack, data.weights)
     assert np.all(fast.residual_dt < DT_TOL)
     assert np.all(fine_bound <= 16 * np.finfo(float).eps * 8.0**3)
     assert np.all(thompson(fast.values, fine) <= fast.residual_dt)
@@ -523,7 +537,7 @@ def test_indefinite_start_raises_no_convergence():
     # the start is a Cholesky factorization; its failure is typed
     x0 = np.array([[[1.0, 2.0], [2.0, 1.0]]])
     with pytest.raises(errors.NoConvergence, match="geodesic start is not positive definite"):
-        multimeans._geodesic_loop(None, x0, np.zeros(1), DT_TOL, "Karcher", (1,))
+        multimeans._geodesic_loop(None, x0, np.zeros(1), "Karcher", (1,))
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0])
@@ -546,6 +560,64 @@ def test_karcher_on_wide_spectra_returns_within_its_floor(r, monkeypatch):
     root_d = np.sqrt(2.0)
     floor = multimeans._rounding_floor(stack) * root_d + 16 * np.finfo(float).eps * root_d
     assert np.all(res.residual_dt <= np.maximum(DT_TOL, floor))
+
+
+def test_deformed_mean_over_the_harmonic_base_is_the_harmonic_mean():
+    # harmonic(1/2) deforms the harmonic mean to itself; the solve runs on the
+    # inverses at p = 1 and at spread 1e6 returns within its bound of it
+    As = [random_spd(4, (1.0, 1e6), 600 + j) for j in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = deformed_mean(MultiMeanSpec.harmonic(W3), harmonic(0.5), As)
+    assert thompson(res.value.a, elementary_mean("harmonic", W3, As).a) <= res.residual_dt
+
+
+def test_overflowing_newton_step_is_rejected():
+    # at spread 1e8 the Newton direction of harmonic(1/10) over the arithmetic
+    # mean overflows the step's exponential: the candidate is rejected, no
+    # warning is raised, and the solve either returns or names its member
+    As = [random_spd(4, (1.0, 1e8), 58020 + j) for j in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            res = deformed_mean(MultiMeanSpec.arithmetic(W3), harmonic(0.1), As)
+        except errors.NoConvergence as exc:
+            assert [m["what"] for m in exc.members] == ["deformed-mean"]
+            assert np.all(np.isfinite(exc.last_iterate))
+        else:
+            assert np.isfinite(res.residual_dt)
+
+
+def test_linalg_error_in_the_loop_names_the_live_members(monkeypatch):
+    calls, step = [], multimeans._newton_step
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return step(*args)
+
+    monkeypatch.setattr(multimeans, "_newton_step", failing)
+    with pytest.raises(errors.NoConvergence, match=r"failed \(Eigenvalues did not converge\) after 1 steps") as info:
+        eval_mean(MultiMeanSpec.karcher(W3), ensemble(3, 3, 77), certify=False)
+    assert [m["what"] for m in info.value.members] == ["Karcher"]
+    assert np.all(np.isfinite(info.value.last_iterate))
+
+
+@pytest.mark.parametrize(
+    "spec, what",
+    [
+        (MultiMeanSpec.adjoint(MultiMeanSpec.karcher(W3)), "Karcher"),
+        (MultiMeanSpec.power(W3, -0.5), "power-mean"),
+        (MultiMeanSpec.adjoint(DEFORMED), "deformed-mean"),
+    ],
+    ids=["adjoint-karcher", "negative-power", "adjoint-deformed"],
+)
+def test_no_convergence_names_members_by_their_normal_form(spec, what, monkeypatch):
+    monkeypatch.setattr(multimeans, "MAX_ITERS", 1)
+    with pytest.raises(errors.NoConvergence) as info:
+        eval_mean(spec, ensemble(3, 3, 77), certify=False)
+    assert [m["what"] for m in info.value.members] == [what]
 
 
 def test_damping_collapse_above_floor_raises(monkeypatch):
@@ -800,6 +872,18 @@ def test_degenerate_single_input():
     assert (res.iterations, res.residual_dt, res.enclosure_gap) == (0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [MultiMeanSpec.arithmetic(W3), MultiMeanSpec.adjoint(MultiMeanSpec.power(W3, 0.5)), DEFORMED],
+    ids=["arithmetic", "adjoint", "deformed"],
+)
+def test_one_matrix_against_three_weights_is_an_arity_error(spec):
+    # the weights of a node under an adjoint or a deformation are checked
+    # before the one-matrix shortcut, as those of a weighted node are
+    with pytest.raises(errors.ArityMismatch, match="3 weights for 1 matrices"):
+        eval_mean(spec, [random_spd(3, (0.5, 2.0), 123)], certify=False)
+
+
 # ----------------------------------------------------------- comparison bound
 
 
@@ -848,13 +932,13 @@ def test_adjoint_of_arithmetic_is_harmonic_mean():
 
 
 def test_adjoint_involution():
+    # two adjoints flip the normal form's inversion back: the same solve, bit for bit
     As = ensemble(3, 3, 47)
-    spec = MultiMeanSpec.power(W3, 0.5)
-    once = MultiMeanSpec.adjoint(spec)
-    twice = MultiMeanSpec.adjoint(once)
-    a = eval_mean(spec, As, certify=False).value.a
-    b = eval_mean(twice, As, certify=False).value.a
-    assert np.abs(a - b).max() / np.abs(a).max() < 1e-9
+    for spec in (MultiMeanSpec.power(W3, 0.5), MultiMeanSpec.karcher(W3), DEFORMED):
+        twice = MultiMeanSpec.adjoint(MultiMeanSpec.adjoint(spec))
+        a, b = (eval_mean(m, As, certify=False) for m in (spec, twice))
+        assert np.array_equal(a.value.a, b.value.a), spec.kind
+        assert (a.iterations, a.residual_dt) == (b.iterations, b.residual_dt), spec.kind
 
 
 def test_power_mean_adjoint_identity():
