@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .errors import ConfigError, NoConvergence, OpmeansError
@@ -54,6 +55,10 @@ def _load_json(path):
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _strict(x):
+    return x if x is None or math.isfinite(x) else None  # strict JSON has no Infinity or NaN: null
+
+
 def _emit(text, output):
     if output and output != "-":
         try:
@@ -83,8 +88,9 @@ def cmd_mean(args) -> int:
         diag = {
             "error": "NoConvergence",
             "message": str(exc),
-            "residual": exc.residual,
-            "members": exc.members,
+            "residual": _strict(exc.residual),
+            "members": [{**m, "bound": _strict(m["bound"]), "residual": _strict(m["residual"])}
+                        for m in exc.members],
         }
         _emit(json.dumps(diag, indent=2) + "\n", args.output)
         return EXIT_NO_CONVERGENCE

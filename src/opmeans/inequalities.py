@@ -10,9 +10,9 @@ Family identifiers ("3.9" ... "5.10", "L5.1", "logmaj") are opaque labels
 fixed by the report wire format.  :data:`FAMILIES` gives each its r-range,
 its mean, built from alpha, with that mean's exponent and alpha domain, its
 data layout, the spectrum rule of the bounded families, and its margin
-function, one form over the mean: one-sided (3.9-3.12, 5.4/5.5), the
-modified bracket (3.13/3.14, 4.4-4.9) and its Kantorovich reverse
-(5.8-5.10), or the own forms of 5.3, L5.1 and logmaj.
+function, one form over the mean: the power bracket, one side of it
+(3.9-3.12, 5.4/5.5) or both, modified (3.13/3.14, 4.4-4.9) or in its
+Kantorovich reverse (5.8-5.10), or the own forms of 5.3, L5.1 and logmaj.
 
 :func:`run_cell` evaluates one (family, dimension, r, alpha) cell over
 seeded trials in one stacked solve; :func:`run_campaign` runs a grid,
@@ -240,23 +240,32 @@ def _scaled(pref, x):
     return np.asarray(pref)[..., None, None] * x
 
 
-def _bracket_margins(mid, x, r, style, k=1.0, ends=None):
-    """Margin of ``lo_pref*x <= mid <= hi_pref*x`` and its two sides.
+def _bracket_margins(mid, x, r, style, k=1.0, ends=None, side=None):
+    """Margin of ``lo_pref*x <= mid <= hi_pref*x`` and its two sides, or of its one ``side``.
 
     ``style='direct'`` places ``lambda_min^{r-1}`` on the lower side and the
     norm on the upper (the r >= 1 displays); ``'complement'`` swaps them (the
-    0 < r <= 1 displays and the reverse forms, whose Kantorovich constant
-    ``k`` divides the lower prefactor and multiplies the upper).  The sides
-    are :func:`order_margin`s, with ``x`` and ``mid`` decomposed once each and
-    each side's norm its prefactor times ``x``'s, from ``ends``, the caller's
-    ``spectral_ends(x)`` if it holds them.
+    0 < r <= 1 displays and the reverse forms).  ``k`` widens the bracket: a
+    Kantorovich constant that divides the lower prefactor and multiplies the
+    upper, or the multiplier of the one ``side`` ("lower" or "upper").  The
+    sides are :func:`order_margin`s, with ``x`` and ``mid`` decomposed once
+    each and each side's norm its prefactor times ``x``'s, from ``ends``, the
+    caller's ``spectral_ends(x)`` if it holds them.  The margin comes with
+    the sides' margins, or with the one side's prefactor.
     """
     lam, nrm = spectral_ends(x) if ends is None else ends
     lo_end, hi_end = (lam, nrm) if style == "direct" else (nrm, lam)
-    lo_pref, hi_pref = (1.0 / k) * lo_end ** (r - 1.0), k * hi_end ** (r - 1.0)
     mid_norm = op_norm(mid)
-    lo = order_margin(_scaled(lo_pref, x), mid, lo_pref * nrm, mid_norm)
-    hi = order_margin(mid, _scaled(hi_pref, x), mid_norm, hi_pref * nrm)
+
+    def margin(lower, pref):
+        if lower:
+            return order_margin(_scaled(pref, x), mid, pref * nrm, mid_norm)
+        return order_margin(mid, _scaled(pref, x), mid_norm, pref * nrm)
+
+    if side:
+        pref = k * (lo_end if side == "lower" else hi_end) ** (r - 1.0)
+        return margin(side == "lower", pref), {"prefactor": pref}
+    lo, hi = margin(True, (1.0 / k) * lo_end ** (r - 1.0)), margin(False, k * hi_end ** (r - 1.0))
     return np.minimum(lo, hi), {"lower_margin": lo, "upper_margin": hi}
 
 
@@ -491,12 +500,6 @@ def _trials(data, cache):
     return _once(cache, "stack", lambda: Spectral(data.stack))
 
 
-def _base_ends(x, cache):
-    """``spectral_ends(x)`` of the group's r-independent base ``x`` (a mean of
-    the trials' own matrices), taken once per group."""
-    return _once(cache, "base ends", lambda: spectral_ends(x))
-
-
 def _solve(spec, r, data, cache):
     """``spec`` on the trials' matrices raised to ``r``, solved once per group
     under the key ``(spec, r)``: ``A^1`` is ``A`` itself, so the r = 1 cell
@@ -523,35 +526,10 @@ def _transformed(spec, s):
     return spec
 
 
-def _kantorovich_consts(data, r, ends):
-    """``kappa0 = M/m``, the spread ``kappa_x`` of the base ``M(A)`` from its
-    ``spectral_ends``, and ``K1 = K(kappa0 kappa_x, r)``."""
-    kappa0, kx = data.bounds[1] / data.bounds[0], ends[1] / ends[0]
-    return {"kappa0": kappa0, "kappa_x": kx, "K1": kantorovich(kappa0 * kx, r)}
-
-
-def _one_sided(end, below, data, r, alpha, cache):
-    """3.9-3.12, 5.4/5.5: ``M(A^r)`` below (or above) ``k end^{r-1} M(A)``,
-    ``end`` the lambda_min or the norm of ``M(A)``.  ``k`` is 1, or for the
-    reverse forms, whose inputs are bounded, ``K1 K2`` (alpha > 0) or
-    ``K2 / K1`` (alpha < 0) with ``K2 = K((kappa0 kappa_x)^|alpha|, r)^{1/alpha}``."""
-    x, y = (_solve(data.mean, q, data, cache) for q in (1.0, r))
-    lam, nrm = _base_ends(x, cache)
-    k, consts, reverse = 1.0, {}, data.bounds[0] is not None
-    if reverse:
-        consts = _kantorovich_consts(data, r, (lam, nrm))
-        k1, h = consts["K1"], consts["kappa0"] * consts["kappa_x"]
-        k2 = kantorovich(h ** abs(alpha), r) ** (1.0 / alpha)
-        k, consts["K2_pow"] = (k1 * k2 if alpha > 0 else k2 / k1), k2
-    pref = k * (nrm if end == "norm" else lam) ** (r - 1.0)
-    side, side_norm = _scaled(pref, x), pref * nrm
-    margin = order_margin(y, side, hi_norm=side_norm) if below else order_margin(side, y, side_norm)
-    return margin, ({**consts, "prefactor": pref} if reverse else consts)
-
-
-def _bracket(r_range, data, r, alpha, cache, mean=None):
-    """3.13/3.14, 4.4/4.5 and 4.6-4.9: the modified power bracket of a family
-    of means; 5.8-5.10, whose inputs are bounded: its Kantorovich reverse.
+def _bracket(r_range, data, r, alpha, cache, mean=None, side=None):
+    """The power bracket of a family of means: modified (3.13/3.14, 4.4-4.9),
+    in its Kantorovich reverse (5.8-5.10, whose inputs are bounded), or one
+    ``side`` of it, "lower" or "upper" (3.9-3.12, 5.4/5.5).
 
     ``mean(s, q)``, by default :func:`_transformed` of the cell's mean, is the
     family's mean with its parameter transformed by ``s`` (at ``s = 1``, the
@@ -559,19 +537,28 @@ def _bracket(r_range, data, r, alpha, cache, mean=None):
     bracketed by the group's base ``mean(1, 1)`` with the direct prefactors,
     or the complement ones widened by K1 for the reverse forms; for
     0 < r <= 1 ``mean(1, r)`` by ``mean(r, 1)`` with the complement ones.
+    A side bounds ``mean(1, r)`` by the base with its r-range's prefactor,
+    widened for the reverse forms by ``K1 K2`` (alpha > 0) or ``K2 / K1``
+    (alpha < 0), ``K2 = K((kappa0 kappa_x)^|alpha|, r)^{1/alpha}``.
     """
     if mean is None:
         def mean(s, q):
             return _solve(_transformed(data.mean, s), q, data, cache)
-    if r_range == "le1":
+    if r_range == "le1" and not side:
         return _bracket_margins(mean(1.0, r), mean(r, 1.0), r, "complement")
     x = mean(1.0, 1.0)
-    ends = _base_ends(x, cache)
-    reverse = data.bounds[0] is not None
-    consts = _kantorovich_consts(data, r, ends) if reverse else {}
-    margin, sides = _bracket_margins(mean(1.0 / r, r), x, r, "complement" if reverse else "direct",
-                                     consts.get("K1", 1.0), ends)
-    return margin, {**consts, **sides}
+    lam, nrm = ends = _once(cache, "base ends", lambda: spectral_ends(x))
+    consts, k, reverse = {}, 1.0, data.bounds[0] is not None
+    if reverse:
+        kappa0, kx = data.bounds[1] / data.bounds[0], nrm / lam
+        k = kantorovich(kappa0 * kx, r)
+        consts = {"kappa0": kappa0, "kappa_x": kx, "K1": k}
+        if side:
+            k2 = consts["K2_pow"] = kantorovich((kappa0 * kx) ** abs(alpha), r) ** (1.0 / alpha)
+            k = k * k2 if alpha > 0 else k2 / k
+    style = "complement" if reverse or r_range == "le1" else "direct"
+    margin, sides = _bracket_margins(mean(1.0, r) if side else mean(1.0 / r, r), x, r, style, k, ends, side)
+    return margin, {} if side and not reverse else {**consts, **sides}
 
 
 def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
@@ -683,10 +670,10 @@ def _family(r_range, margins, mean=None, needs_alpha=True, layout="stack", sprea
 
 
 FAMILIES = {
-    "3.9": _family("ge1", partial(_one_sided, "lambda", False), _power, used=operator.pos),
-    "3.10": _family("ge1", partial(_one_sided, "norm", True), _adjoint_power, used=operator.neg),
-    "3.11": _family("le1", partial(_one_sided, "lambda", True), _power, used=operator.pos),
-    "3.12": _family("le1", partial(_one_sided, "norm", False), _adjoint_power, used=operator.neg),
+    "3.9": _family("ge1", partial(_bracket, "ge1", side="lower"), _power, used=operator.pos),
+    "3.10": _family("ge1", partial(_bracket, "ge1", side="upper"), _adjoint_power, used=operator.neg),
+    "3.11": _family("le1", partial(_bracket, "le1", side="upper"), _power, used=operator.pos),
+    "3.12": _family("le1", partial(_bracket, "le1", side="lower"), _adjoint_power, used=operator.neg),
     "3.13": _family("ge1", partial(_bracket, "ge1"), _karcher, needs_alpha=False),
     "3.14": _family("le1", partial(_bracket, "le1"), _karcher, needs_alpha=False),
     "4.4": _family("ge1", partial(_bracket, "ge1"), _power),
@@ -697,10 +684,10 @@ FAMILIES = {
     "4.9": _family("le1", partial(_pair_cell, "le1", False), layout="pair"),
     "5.3": _family("ge1", _arith_reverse_cell, needs_alpha=False, spread=(1.6, 3.4)),
     "L5.1": _family("ge1", _compression_cell, needs_alpha=False, layout="compress", spread=10.0),
-    "5.4": _family("ge1", partial(_one_sided, "lambda", True), _power, used=operator.pos, spread=8.0,
+    "5.4": _family("ge1", partial(_bracket, "ge1", side="upper"), _power, used=operator.pos, spread=8.0,
                    domain=_POSITIVE),
-    "5.5": _family("ge1", partial(_one_sided, "norm", False), _adjoint_power, used=operator.neg, spread=8.0,
-                   domain=_NEGATIVE),
+    "5.5": _family("ge1", partial(_bracket, "ge1", side="lower"), _adjoint_power, used=operator.neg,
+                   spread=8.0, domain=_NEGATIVE),
     "5.8": _family("ge1", partial(_bracket, "ge1"), _harmonic_deformed, used=operator.pos, spread=8.0,
                    domain=_NONZERO),
     "5.9": _family("ge1", partial(_bracket, "ge1"), _power, used=operator.pos, spread=8.0, domain=_NONZERO),
@@ -1024,8 +1011,10 @@ def check_ah_family(
     "3.3" its complement for r <= 1; "3.2"/"3.4" the same pair for the
     adjoint mean with the norm prefactor and reversed order.
     """
-    return _family_check(_labelled(variant, ("3.1", "3.2", "3.3", "3.4"), "variant"), r, As, spec.alpha,
-                         variant, f"{variant}:{spec.kind}", weights=_spec_weights(spec), mean=spec)
+    family = _labelled(variant, ("3.1", "3.2", "3.3", "3.4"), "variant")
+    mean = MultiMeanSpec.adjoint(spec) if variant in ("3.2", "3.4") else spec
+    return _family_check(family, r, As, spec.alpha, variant, f"{variant}:{spec.kind}",
+                         weights=_spec_weights(spec), mean=mean)
 
 
 def check_modified(
@@ -1127,14 +1116,11 @@ def _family_check(family, r, mats, alpha=None, label=None, ident=None, **inputs)
     """``family``'s cell on the one trial ``mats`` as the typed check ``label``,
     with the validation, margin function and report of :func:`run_cell`.
     ``alpha``, the one reported, is the exponent the family's mean takes,
-    unless the check hands in its own ``mean``; an adjoint family takes the
-    adjoint of that mean, as its rule takes that of P_{-alpha}."""
+    unless the check hands in its own ``mean``."""
     label = label or family
     info, _ = _cell_info(family, r, alpha, label)
     if "mean" not in inputs:
         inputs["mean"] = info["mean"] and info["mean"](alpha)
-    elif info["mean"] is _adjoint_power:
-        inputs["mean"] = MultiMeanSpec.adjoint(inputs["mean"])
     data = _witness_cell(family, mats, **inputs)
     margins, consts = info["margins"](data, r, alpha, {})
     return _verdict(ident or label, data, margins, consts, r, alpha)

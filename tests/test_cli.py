@@ -166,6 +166,25 @@ def test_mean_no_convergence_payload_names_members(tmp_path, capsys, monkeypatch
     assert all(0 < m["residual"] < m["bound"] for m in out["members"])
 
 
+def _no_constants(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_mean_no_convergence_payload_is_strict_json(tmp_path, capsys):
+    # harmonic(1/10) over the arithmetic mean at spread 1e8 ends with an
+    # infinite bound: the diagnostic writes it as null, not as Infinity
+    base = {"kind": "arithmetic", "weights": [0.2, 0.3, 0.5]}
+    sigma = {"kind": "harmonic", "params": {"alpha": 0.1}}
+    spec = write(tmp_path, "spec.json", {"kind": "deformed", "base": base, "sigma": sigma})
+    mats = write(tmp_path, "mats.json", [matrix_json(random_spd(4, (1.0, 1e8), 58020 + j).a)
+                                         for j in range(3)])
+    code = main(["mean", "--spec", spec, "--matrices", mats])
+    out = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert code == EXIT_NO_CONVERGENCE
+    assert out["residual"] is None
+    assert [m["bound"] for m in out["members"]] == [None]
+
+
 def test_mean_unwritable_output_is_input_error(tmp_path, capsys):
     spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.5, 0.5]})
     mats = write(tmp_path, "mats.json", [matrix_json(np.eye(2)), matrix_json(2 * np.eye(2))])

@@ -1111,6 +1111,45 @@ def _forced_failure(family):
     return rep
 
 
+# the constants of each family's failing report beyond the r, alpha, dim,
+# trials and worst_trial of every report
+_REPORT_KEYS = {
+    "3.9": "alpha_used weights",
+    "3.10": "alpha_used weights",
+    "3.11": "alpha_used weights",
+    "3.12": "alpha_used weights",
+    "3.13": "lower_margin upper_margin weights",
+    "3.14": "lower_margin upper_margin weights",
+    "4.4": "lower_margin upper_margin weights",
+    "4.5": "lower_margin upper_margin weights",
+    "4.6": "lower_margin sigma_json tau_json upper_margin",
+    "4.7": "lower_margin sigma_json tau_json upper_margin",
+    "4.8": "lower_margin sigma_json tau_json upper_margin",
+    "4.9": "lower_margin sigma_json tau_json upper_margin",
+    "5.3": "K M m weights",
+    "L5.1": "K M h1 m mu",
+    "5.4": "K1 K2_pow M alpha_used kappa0 kappa_x m prefactor weights",
+    "5.5": "K1 K2_pow M alpha_used kappa0 kappa_x m prefactor weights",
+    "5.8": "K1 M alpha_used kappa0 kappa_x lower_margin m upper_margin weights",
+    "5.9": "K1 M alpha_used kappa0 kappa_x lower_margin m upper_margin weights",
+    "5.10": "K1 M alpha_used kappa0 kappa_x lower_margin m upper_margin weights",
+    "logmaj": "equality_error weights worst_partial",
+}
+
+
+def test_every_family_reports_its_constant_keys(every_check_fails):
+    # a small campaign per r-range, every cell failing so that stack
+    # families report their witness weights
+    assert set(_REPORT_KEYS) == set(FAMILIES)
+    lines = []
+    for r_range, r in (("ge1", 2.0), ("le1", 0.5)):
+        ids = tuple(f for f in sorted(FAMILIES) if FAMILIES[f]["r_range"] == r_range)
+        lines += run_campaign(CampaignConfig(ids, (2,), (r,), (0.5,), 4, 5, "-"))
+    keys = {line["inequality_id"].split("[")[0]: set(line["constants"]) for line in lines}
+    every = {"r", "alpha", "dim", "trials", "worst_trial"}
+    assert keys == {f: every | set(extra.split()) for f, extra in _REPORT_KEYS.items()}
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_recheck_reproduces_every_family_witness(family, every_check_fails):
     # recheck rebuilds the worst trial, so it reproduces the margin and every

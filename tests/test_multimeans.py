@@ -588,6 +588,26 @@ def test_overflowing_newton_step_is_rejected():
             assert np.isfinite(res.residual_dt)
 
 
+@pytest.mark.parametrize("base, spread, seed", [
+    (MultiMeanSpec.arithmetic(W3), 1e4, 54070),
+    (MultiMeanSpec.power(W3, 0.5), 1e8, 58070),
+    (MultiMeanSpec.karcher(W3), 1e12, 62010),
+])
+def test_chain_that_leaves_the_positive_reals_loses_its_member(base, spread, seed):
+    # a candidate's tiny eigenvalue overflows harmonic(1/10)'s evaluator to
+    # g = 0: the member is lost like a non-PD frame, so the step is rejected
+    # without a warning and the solve returns or names its member
+    As = [random_spd(4, (1.0, spread), seed + j) for j in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            res = deformed_mean(base, harmonic(0.1), As)
+        except errors.NoConvergence as exc:
+            assert [m["member"] for m in exc.members] == [0]
+        else:
+            assert np.isfinite(res.residual_dt)
+
+
 def test_linalg_error_in_the_loop_names_the_live_members(monkeypatch):
     calls, step = [], multimeans._newton_step
 
