@@ -87,7 +87,6 @@ from .psd_core import (
     random_spd,
     random_spd_stack,
     spd_exp,
-    spd_inv,
     spd_log,
     spd_power,
     spectral_ends,
@@ -309,15 +308,13 @@ def lie_trotter_gap(
         raise BadR(f"Lie-Trotter exponents must be finite and nonzero, got {bad}")
     w = _spec_weights(spec)
     stack = _as_stack(As)
-    w_arr = w.asarray()
-    mean_val = eval_mean_stack(spec, stack, certify=False).values
-    arith = _weighted_sum(w_arr, stack)
-    harm = spd_inv(_weighted_sum(w_arr, spd_inv(stack)))
+    mean_val, harm, arith = (eval_mean_stack(m, stack, certify=False).values
+                             for m in (spec, MultiMeanSpec.harmonic(w), MultiMeanSpec.arithmetic(w)))
     mean_norm = op_norm(mean_val)
     lo, hi = order_margin(harm, mean_val, hi_norm=mean_norm), order_margin(mean_val, arith, mean_norm)
     if min(lo, hi) < -CHECK_TOL:
         raise SandwichFails(f"mean escapes the harmonic-arithmetic sandwich (margins {lo:.3e}, {hi:.3e})")
-    target = spd_exp(_weighted_sum(w_arr, spd_log(stack)))
+    target = spd_exp(_weighted_sum(w.asarray(), spd_log(stack)))
     gaps = []
     for p in ps:
         val = eval_mean_stack(spec, spd_power(stack, p), certify=False).values
@@ -378,7 +375,7 @@ def _complement_margin(tau, r, a, b):
     base = Spectral(a)
     lhs = _frame_mean(partial(rep_eval, rep_transform(tau, "power_inner_outer", r)), pair_frame(base, b))
     rhs = _frame_mean(partial(rep_eval, tau), pair_frame(base.raised(r), spd_power(b, r)))
-    return order_margin(_scaled(op_norm(lhs) ** (r - 1.0), lhs), rhs)
+    return _bracket_margins(rhs, lhs, r, "complement", side="lower")[0]
 
 
 def _clamped(spec):
@@ -526,7 +523,7 @@ def _transformed(spec, s):
     return spec
 
 
-def _bracket(r_range, data, r, alpha, cache, mean=None, side=None):
+def _bracket(data, r, alpha, cache, mean=None, side=None):
     """The power bracket of a family of means: modified (3.13/3.14, 4.4-4.9),
     in its Kantorovich reverse (5.8-5.10, whose inputs are bounded), or one
     ``side`` of it, "lower" or "upper" (3.9-3.12, 5.4/5.5).
@@ -535,16 +532,18 @@ def _bracket(r_range, data, r, alpha, cache, mean=None, side=None):
     family's mean with its parameter transformed by ``s`` (at ``s = 1``, the
     identity) on the inputs raised to ``q``.  For r >= 1 ``mean(1/r, r)`` is
     bracketed by the group's base ``mean(1, 1)`` with the direct prefactors,
-    or the complement ones widened by K1 for the reverse forms; for
-    0 < r <= 1 ``mean(1, r)`` by ``mean(r, 1)`` with the complement ones.
-    A side bounds ``mean(1, r)`` by the base with its r-range's prefactor,
-    widened for the reverse forms by ``K1 K2`` (alpha > 0) or ``K2 / K1``
-    (alpha < 0), ``K2 = K((kappa0 kappa_x)^|alpha|, r)^{1/alpha}``.
+    or the complement ones widened by K1 for the reverse forms; for r < 1
+    ``mean(1, r)`` by ``mean(r, 1)`` with the complement ones.  At r = 1 the
+    two forms agree to the bit: every prefactor is ``end^0 = 1`` and every
+    mean ``mean(1, 1)``.  A side bounds ``mean(1, r)`` by the base with the
+    prefactor of its form, widened for the reverse forms by ``K1 K2``
+    (alpha > 0) or ``K2 / K1`` (alpha < 0), ``K2 = K((kappa0
+    kappa_x)^|alpha|, r)^{1/alpha}``.
     """
     if mean is None:
         def mean(s, q):
             return _solve(_transformed(data.mean, s), q, data, cache)
-    if r_range == "le1" and not side:
+    if r < 1 and not side:
         return _bracket_margins(mean(1.0, r), mean(r, 1.0), r, "complement")
     x = mean(1.0, 1.0)
     lam, nrm = ends = _once(cache, "base ends", lambda: spectral_ends(x))
@@ -556,12 +555,12 @@ def _bracket(r_range, data, r, alpha, cache, mean=None, side=None):
         if side:
             k2 = consts["K2_pow"] = kantorovich((kappa0 * kx) ** abs(alpha), r) ** (1.0 / alpha)
             k = k * k2 if alpha > 0 else k2 / k
-    style = "complement" if reverse or r_range == "le1" else "direct"
+    style = "complement" if reverse or r < 1 else "direct"
     margin, sides = _bracket_margins(mean(1.0, r) if side else mean(1.0 / r, r), x, r, style, k, ends, side)
     return margin, {} if side and not reverse else {**consts, **sides}
 
 
-def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
+def _pair_cell(by_sigma, data, r, alpha, cache):
     """4.6-4.9: the modified bracket of the two-variable mean tau, deformed
     by sigma (4.6/4.7) or power-bracketed alone (4.8/4.9).  Each mean is
     solved once per group, keyed like :func:`_solve` on the transformed
@@ -583,7 +582,7 @@ def _pair_cell(r_range, by_sigma, data, r, alpha, cache):
 
         return _once(cache, (f, q), solve)
 
-    margin, sides = _bracket(r_range, data, r, alpha, cache, mean)
+    margin, sides = _bracket(data, r, alpha, cache, mean)
     sigma_json = None if data.sigma is None else repfn_to_json(data.sigma)
     return margin, {"tau_json": repfn_to_json(data.tau), "sigma_json": sigma_json, **sides}
 
@@ -670,28 +669,27 @@ def _family(r_range, margins, mean=None, needs_alpha=True, layout="stack", sprea
 
 
 FAMILIES = {
-    "3.9": _family("ge1", partial(_bracket, "ge1", side="lower"), _power, used=operator.pos),
-    "3.10": _family("ge1", partial(_bracket, "ge1", side="upper"), _adjoint_power, used=operator.neg),
-    "3.11": _family("le1", partial(_bracket, "le1", side="upper"), _power, used=operator.pos),
-    "3.12": _family("le1", partial(_bracket, "le1", side="lower"), _adjoint_power, used=operator.neg),
-    "3.13": _family("ge1", partial(_bracket, "ge1"), _karcher, needs_alpha=False),
-    "3.14": _family("le1", partial(_bracket, "le1"), _karcher, needs_alpha=False),
-    "4.4": _family("ge1", partial(_bracket, "ge1"), _power),
-    "4.5": _family("le1", partial(_bracket, "le1"), _power),
-    "4.6": _family("ge1", partial(_pair_cell, "ge1", True), layout="pair"),
-    "4.7": _family("le1", partial(_pair_cell, "le1", True), layout="pair"),
-    "4.8": _family("ge1", partial(_pair_cell, "ge1", False), layout="pair"),
-    "4.9": _family("le1", partial(_pair_cell, "le1", False), layout="pair"),
+    "3.9": _family("ge1", partial(_bracket, side="lower"), _power, used=operator.pos),
+    "3.10": _family("ge1", partial(_bracket, side="upper"), _adjoint_power, used=operator.neg),
+    "3.11": _family("le1", partial(_bracket, side="upper"), _power, used=operator.pos),
+    "3.12": _family("le1", partial(_bracket, side="lower"), _adjoint_power, used=operator.neg),
+    "3.13": _family("ge1", _bracket, _karcher, needs_alpha=False),
+    "3.14": _family("le1", _bracket, _karcher, needs_alpha=False),
+    "4.4": _family("ge1", _bracket, _power),
+    "4.5": _family("le1", _bracket, _power),
+    "4.6": _family("ge1", partial(_pair_cell, True), layout="pair"),
+    "4.7": _family("le1", partial(_pair_cell, True), layout="pair"),
+    "4.8": _family("ge1", partial(_pair_cell, False), layout="pair"),
+    "4.9": _family("le1", partial(_pair_cell, False), layout="pair"),
     "5.3": _family("ge1", _arith_reverse_cell, needs_alpha=False, spread=(1.6, 3.4)),
     "L5.1": _family("ge1", _compression_cell, needs_alpha=False, layout="compress", spread=10.0),
-    "5.4": _family("ge1", partial(_bracket, "ge1", side="upper"), _power, used=operator.pos, spread=8.0,
+    "5.4": _family("ge1", partial(_bracket, side="upper"), _power, used=operator.pos, spread=8.0,
                    domain=_POSITIVE),
-    "5.5": _family("ge1", partial(_bracket, "ge1", side="lower"), _adjoint_power, used=operator.neg,
+    "5.5": _family("ge1", partial(_bracket, side="lower"), _adjoint_power, used=operator.neg,
                    spread=8.0, domain=_NEGATIVE),
-    "5.8": _family("ge1", partial(_bracket, "ge1"), _harmonic_deformed, used=operator.pos, spread=8.0,
-                   domain=_NONZERO),
-    "5.9": _family("ge1", partial(_bracket, "ge1"), _power, used=operator.pos, spread=8.0, domain=_NONZERO),
-    "5.10": _family("ge1", partial(_bracket, "ge1"), _karcher, used=operator.pos, needs_alpha=False, spread=8.0),
+    "5.8": _family("ge1", _bracket, _harmonic_deformed, used=operator.pos, spread=8.0, domain=_NONZERO),
+    "5.9": _family("ge1", _bracket, _power, used=operator.pos, spread=8.0, domain=_NONZERO),
+    "5.10": _family("ge1", _bracket, _karcher, used=operator.pos, needs_alpha=False, spread=8.0),
     "logmaj": _family("le1", _logmaj_cell, _karcher, needs_alpha=False),
 }
 

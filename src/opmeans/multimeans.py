@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     AlphaZero,
     ArityMismatch,
+    BadMode,
     CertificationFailure,
     ConfigError,
     DimensionMismatch,
@@ -173,7 +174,7 @@ class MeanResult:
     (0 for closed forms).  It includes the rounding of its own evaluation,
     ``16 eps / p`` (``p >= 0``, see :func:`_residual`) and ``16 eps sqrt d``
     at ``p = 0``, over the elasticity bound of a deformed mean's chain (see
-    :func:`_solve`).  ``iterations`` counts the Newton steps of the geodesic
+    :func:`_frame`).  ``iterations`` counts the Newton steps of the geodesic
     loop, accepted or not, of the mean's own members (the largest over a
     batch), not of a certified Karcher solve's enclosure ends."""
 
@@ -251,7 +252,7 @@ def _eval_node(spec: MultiMeanSpec, stack, w_over=None):
         vals, iters, bound = _weighted_sum(w, a), 0, zeros
     else:
         what = "deformed-mean" if fs else "Karcher" if p == 0 else "power-mean"
-        vals, iters, bound = _solve(w, p, fs, a, what)
+        vals, iters, bound = _geodesic_loop(w, p, fs, a, what)
     return (spd_inv(vals) if inv else vals), iters, bound
 
 
@@ -296,48 +297,6 @@ def _rounding_floor(a):
     return 16 * _EPS * eigs[..., -1].max(axis=-1) / low
 
 
-def _solve(w, p, fs, stack, what):
-    """The mean of residual ``(p, fs)`` (:func:`_residual`) by Newton steps in :func:`_geodesic_loop`.
-
-    ``p >= 0`` is a number or one per flattened member, so one call can solve
-    Karcher members beside power-mean members; the chain ``g`` of ``fs`` is
-    shared.  The solve starts at the weighted arithmetic mean and stops once
-    the bound is below ``DT_TOL``.  At ``S S^T = X^{-1}`` the frame residual
-    is ``F = sum_i w_i phi_p(g(B_i))``, and every member reports ``rho =
-    ||F||_F``.  With an empty chain: at ``p = 0``, ``F`` is the Riemannian
-    gradient of the 1-strongly convex ``1/2 sum_i w_i delta_R(X, A_i)^2``,
-    so ``rho`` bounds ``delta_R(X, G*)``, hence the Thompson error.  For ``p
-    > 0``, ``f(X) = sum_i w_i X #_p A_i`` is a Thompson contraction of rate
-    ``1 - p`` and ``f(X) = X^{1/2} M X^{1/2}`` with ``M = I + p F``; with
-    ``e = p rho >= ||M - I||``, ``d(X, f(X)) = max |log eig M| <= -log(1 -
-    e)``, so ``rho_p = -log(1 - e) / p`` bounds ``d(X, X*)`` (infinite for
-    ``e >= 1``).  Either adds the rounding of its own evaluation, ``16 eps
-    sqrt d`` (``16 eps / p``).  With a chain, ``f(X) = sum_i w_i X #_p (X
-    sigma_g A_i)`` moves by the same step and contracts at rate ``1 - p
-    e``, ``e`` the least elasticity ``t g'(t) / g(t)`` over the spectra of
-    the ``B_i`` (Lim and Palfia's contraction at ``X = I``), so ``d(X, X*)
-    <= rho_p / e``, at ``p = 0`` too as the limit.  Over the ball of radius
-    ``R = 2 rho_p / e_0`` around ``X`` (``e_0`` on the spectra at ``X``)
-    those spectra widen by at most ``e^{+-R}``; with ``e`` taken there,
-    ``rho_p / e <= R`` keeps ``f`` in the ball, so ``X*`` lies in it.  Where
-    ``e < e_0 / 2`` the bound is infinite.  The floor is ``sqrt d`` times
-    that of the inputs, the scale of a Frobenius residual.  ``what`` names
-    the members, as in :func:`_geodesic_loop`.
-    """
-    n, d = stack.shape[-3:-1]
-    batch = np.broadcast_shapes(stack.shape[:-3], np.shape(w)[:-1])
-    a = np.broadcast_to(stack, batch + (n, d, d)).reshape(-1, n, d, d)
-    w = np.broadcast_to(w, batch + (n,)).reshape(-1, n)
-    p, root_d = np.broadcast_to(p, len(a)), np.sqrt(d)
-    rounding = np.divide(16 * _EPS, p, out=np.full(len(a), 16 * _EPS * root_d), where=p != 0)
-
-    def frame(idx):
-        wi, pi, ai, ri = w[idx], p[idx], a[idx], rounding[idx]
-        return lambda s: _frame(wi, pi, fs, ai, s, ri)
-
-    return _geodesic_loop(frame, _weighted_sum(w, a), _rounding_floor(a) * root_d, what, batch)
-
-
 def _chain(fs, lo, hi):
     """``(g(lo), g(hi), e)`` for the chain ``g`` of increasing functions ``fs``.
 
@@ -353,20 +312,40 @@ def _chain(fs, lo, hi):
 
 
 def _frame(w, p, fs, a, s, rounding):
-    """``(D, eigenvectors of D, residual, bound)`` at ``S``; see :func:`_solve`.
+    """``(D, eigenvectors of D, residual, bound)`` at ``S``, per member of :func:`_geodesic_loop`.
 
-    ``p`` holds one exponent per member.  ``D`` is the Newton direction: ``S
-    <- S e^{-D/2}`` moves each ``B_i = S^T A_i S`` to ``e^{-D/2} B_i
-    e^{-D/2}``, so to first order ``F`` becomes ``F - H[D]`` with ``H[D] =
-    sum_i w_i V_i ((V_i^T D V_i) o K_i) V_i^T``, ``B_i = V_i diag(lam) V_i^T``
-    and ``K_i[j, k]`` the divided difference of ``phi_p o g`` at ``(lam_j,
-    lam_k)`` times ``(lam_j + lam_k) / 2`` (see :func:`_newton_kernel`).
-    ``phi_p o g`` is increasing, so ``K_i > 0`` and ``H`` is symmetric
-    positive definite; :func:`_newton_step` solves ``H[D] = F`` by conjugate
-    gradients.  Members whose bound is already below ``DT_TOL`` freeze, so
-    their step is not solved (``D = 0``).  A member whose ``B_i`` are not all
-    finite and positive definite, or whose chain maps an eigenvalue out of
-    ``(0, inf)``, reports an infinite residual.
+    ``p`` holds one exponent per member.  At ``S S^T = X^{-1}`` the frame
+    residual is ``F = sum_i w_i phi_p(g(B_i))`` (:func:`_residual`), and
+    every member reports ``rho = ||F||_F``.  With an empty chain: at ``p =
+    0``, ``F`` is the Riemannian gradient of the 1-strongly convex ``1/2
+    sum_i w_i delta_R(X, A_i)^2``, so ``rho`` bounds ``delta_R(X, G*)``,
+    hence the Thompson error.  For ``p > 0``, ``f(X) = sum_i w_i X #_p A_i``
+    is a Thompson contraction of rate ``1 - p`` and ``f(X) = X^{1/2} M
+    X^{1/2}`` with ``M = I + p F``; with ``e = p rho >= ||M - I||``, ``d(X,
+    f(X)) = max |log eig M| <= -log(1 - e)``, so ``rho_p = -log(1 - e) / p``
+    bounds ``d(X, X*)`` (infinite for ``e >= 1``).  Either adds
+    ``rounding``, that of its own evaluation.  With a chain, ``f(X) = sum_i
+    w_i X #_p (X sigma_g A_i)`` moves by the same step and contracts at rate
+    ``1 - p e``, ``e`` the least elasticity ``t g'(t) / g(t)`` over the
+    spectra of the ``B_i`` (Lim and Palfia's contraction at ``X = I``), so
+    ``d(X, X*) <= rho_p / e``, at ``p = 0`` too as the limit.  Over the ball
+    of radius ``R = 2 rho_p / e_0`` around ``X`` (``e_0`` on the spectra at
+    ``X``) those spectra widen by at most ``e^{+-R}``; with ``e`` taken
+    there, ``rho_p / e <= R`` keeps ``f`` in the ball, so ``X*`` lies in it.
+    Where ``e < e_0 / 2`` the bound is infinite.
+
+    ``D`` is the Newton direction: ``S <- S e^{-D/2}`` moves each ``B_i =
+    S^T A_i S`` to ``e^{-D/2} B_i e^{-D/2}``, so to first order ``F``
+    becomes ``F - H[D]`` with ``H[D] = sum_i w_i V_i ((V_i^T D V_i) o K_i)
+    V_i^T``, ``B_i = V_i diag(lam) V_i^T`` and ``K_i[j, k]`` the divided
+    difference of ``phi_p o g`` at ``(lam_j, lam_k)`` times ``(lam_j +
+    lam_k) / 2`` (see :func:`_newton_kernel`).  ``phi_p o g`` is
+    increasing, so ``K_i > 0`` and ``H`` is symmetric positive definite;
+    :func:`_newton_step` solves ``H[D] = F`` by conjugate gradients.
+    Members whose bound is already below ``DT_TOL`` freeze, so their step is
+    not solved (``D = 0``).  A member whose ``B_i`` are not all finite and
+    positive definite, or whose chain maps an eigenvalue out of ``(0,
+    inf)``, reports an infinite residual.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         b = congruence(s[:, None], a)
@@ -473,16 +452,20 @@ def _newton_step(f, fnorm, vb, kern):
     return x
 
 
-def _geodesic_loop(frame, x0, floor, what, batch):
-    """Damped Riemannian Newton solve of a mean given by its ``frame``.
+def _geodesic_loop(w, p, fs, stack, what):
+    """The mean of residual ``(p, fs)`` (:func:`_residual`) on ``stack`` by damped Riemannian Newton steps.
 
-    Each member's iterate ``X`` is carried as a triangular ``S`` with ``S
-    S^T = X^{-1}``, from ``L^{-T}`` for the Cholesky factor ``x0 = L L^T``.
-    ``frame(members)`` maps ``S`` to the eigenpairs of the Newton direction
-    ``D``, a residual that decides the steps and the error bound that stops
-    them, in the frame ``B_i = S^T A_i S`` (:func:`_frame`), whose spectra
-    are those of ``X^{-1/2} A_i X^{-1/2}`` as ``S = X^{-1/2} Q``, ``Q``
-    orthogonal.  The step ``S <- S V exp(-theta Lambda / 2)``, ``D = V
+    ``p >= 0`` is a number or one per flattened member, so one call can solve
+    Karcher members beside power-mean members; the chain ``g`` of ``fs`` is
+    shared.  Each member's iterate ``X`` is carried as a triangular ``S``
+    with ``S S^T = X^{-1}``, from ``L^{-T}`` for the Cholesky factor ``L
+    L^T`` of the weighted arithmetic mean.  :func:`_frame` maps ``S`` to the
+    eigenpairs of the Newton direction ``D``, a residual that decides the
+    steps and the error bound that stops them, in the frame ``B_i = S^T A_i
+    S``, whose spectra are those of ``X^{-1/2} A_i X^{-1/2}`` as ``S =
+    X^{-1/2} Q``, ``Q`` orthogonal.  The bound includes the rounding of its
+    own evaluation, ``16 eps sqrt d`` at ``p = 0`` and ``16 eps / p``
+    otherwise.  The step ``S <- S V exp(-theta Lambda / 2)``, ``D = V
     diag(Lambda) V^T``, is ``X <- X^{1/2} exp(theta Q D Q^T) X^{1/2}`` at
     the member's cap ``theta``: 1 at first, halved when the step is
     rejected, raised by 1.25 when accepted.  A QR of ``S^T`` makes ``S``
@@ -490,22 +473,29 @@ def _geodesic_loop(frame, x0, floor, what, batch):
 
     A candidate is accepted only if it does not raise the residual, which
     is infinite unless its ``B_i`` are finite and positive definite.  A member
-    that meets ``DT_TOL`` is frozen, and all arithmetic is per member, so its
-    solution and its iteration count (the loop's count when it froze) do not
-    depend on its batch.  A member whose step is rejected while its residual
-    is within ``floor`` (the rounding floor of its inputs) is frozen with its
-    bound, since its residual is rounding noise; a damping collapse above it
-    or a ``LinAlgError`` stops the loop with :class:`NoConvergence`, naming
-    the live members by ``what`` (one value or one per member).  It returns
+    whose bound is below ``DT_TOL`` is frozen, and all arithmetic is per
+    member, so its solution and its iteration count (the loop's count when it
+    froze) do not depend on its batch.  A member whose step is rejected while
+    its residual is within its floor, ``sqrt d`` times the rounding floor of
+    its inputs (the scale of a Frobenius residual), is frozen with its bound,
+    since its residual is rounding noise; a damping collapse above it or a
+    ``LinAlgError`` stops the loop with :class:`NoConvergence`, naming the
+    live members by ``what`` (one value or one per member).  It returns
     solutions ``K^T K`` (``K = S^{-1}``), counts and bounds per member.
     """
+    n, d = stack.shape[-3:-1]
+    batch = np.broadcast_shapes(stack.shape[:-3], np.shape(w)[:-1])
+    a = np.broadcast_to(stack, batch + (n, d, d)).reshape(-1, n, d, d)
+    w = np.broadcast_to(w, batch + (n,)).reshape(-1, n)
+    size, root_d, p = len(a), np.sqrt(d), np.broadcast_to(p, len(a))
+    rounding = np.divide(16 * _EPS, p, out=np.full(size, 16 * _EPS * root_d), where=p != 0)
+    floor = _rounding_floor(a) * root_d
     try:
-        s = np.linalg.inv(np.linalg.cholesky(x0)).swapaxes(-1, -2)
+        s = np.linalg.inv(np.linalg.cholesky(_weighted_sum(w, a))).swapaxes(-1, -2)
     except np.linalg.LinAlgError:
         raise NoConvergence("geodesic start is not positive definite") from None
-    size, d = s.shape[:2]
     idx = np.arange(size)  # the members still iterating
-    g, v, resid, bound = frame(idx)(s)
+    g, v, resid, bound = _frame(w, p, fs, a, s, rounding)
     if not np.all(np.isfinite(resid)):
         raise NoConvergence("geodesic iterate lost positive definiteness")
     out_s, out_bound, out_iters = s.copy(), bound.copy(), np.zeros(size, dtype=int)
@@ -517,16 +507,15 @@ def _geodesic_loop(frame, x0, floor, what, batch):
             if not all_live:  # write out the members that stopped, go on with the rest
                 fin = idx[~live]
                 out_s[fin], out_bound[fin], out_iters[fin] = s[~live], bound[~live], iters
-                idx, s, g, v, resid, bound, cap = (x[live] for x in (idx, s, g, v, resid, bound, cap))
-            if iters == 0 or not all_live:
-                fmap = frame(idx)
+                idx, s, g, v, resid, bound, cap, w, p, a, rounding, floor = (
+                    x[live] for x in (idx, s, g, v, resid, bound, cap, w, p, a, rounding, floor))
             if not len(idx) or iters == MAX_ITERS:
                 break
             iters += 1
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step's frame rejects it
                 s_t = s @ (v * np.exp(-0.5 * cap[:, None] * g)[:, None, :])
             s_t = np.linalg.qr(s_t.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-            g_t, v_t, resid_t, bound_t = fmap(s_t)
+            g_t, v_t, resid_t, bound_t = _frame(w, p, fs, a, s_t, rounding)
             back = ~(resid_t <= resid)
             cap_t = np.minimum(1.0, 1.25 * cap)
             if back.any():
@@ -537,7 +526,7 @@ def _geodesic_loop(frame, x0, floor, what, batch):
             live = bound >= DT_TOL
             if back.any():
                 # past a rejected step, a residual within the floor is rounding noise: accept the bound
-                live &= ~(back & (resid <= floor[idx]) & np.isfinite(bound))
+                live &= ~(back & (resid <= floor) & np.isfinite(bound))
                 if np.any(live & (cap < 1e-8)):
                     break
     except np.linalg.LinAlgError as exc:  # the live members keep their last accepted iterate
@@ -582,7 +571,7 @@ def eval_mean_stack(
         t, size = KARCHER_ALPHA, int(np.prod(a.shape[:-3]))
         p = np.repeat([0.0, t, t], size)
         what = np.repeat(["Karcher", f"enclosure end P_{t}", f"enclosure end P_-{t}"], size)
-        x, iters, bound = _solve(w, p, (), np.stack([a, a, spd_inv(a)]), what)
+        x, iters, bound = _geodesic_loop(w, p, (), np.stack([a, a, spd_inv(a)]), what)
         vals, iters, bound, gap = x[0], iters[0], bound[0], _certify_karcher(x[0], x[1], spd_inv(x[2]))
     iters = int(np.max(iters, initial=0))
     return StackResult(values=vals, iterations=iters, residual_dt=np.asarray(bound), enclosure_gap=gap)
@@ -684,7 +673,7 @@ def comparison_bound(
     not an inequality violation.
     """
     if direction not in ("lower", "upper"):
-        raise ValueError("direction must be 'lower' or 'upper'")
+        raise BadMode(f"direction must be 'lower' or 'upper', got {direction!r}")
     stack = _as_stack(As)
     if Y.dim != stack.shape[-1]:
         raise DimensionMismatch(f"Y has dimension {Y.dim}, inputs {stack.shape[-1]}")

@@ -565,6 +565,32 @@ def test_verify_recheck_witness_outside_bounds(tmp_path, capsys, report):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "command, doc, error",
+    [
+        ("verify", {"trials": 0}, "ConfigError"),
+        ("verify", {"inequality_ids": []}, "ConfigError"),
+        ("verify", {"dimensions": []}, "ConfigError"),
+        ("verify", {"r_values": []}, "ConfigError"),
+        ("verify", {"dimensions": [0]}, "ConfigError"),
+        ("recheck", _failing_report("3.9", inequality_id="9.9[dim=2,r=2.0]"), "UnknownKind"),
+        ("recheck", _failing_report("3.9", witness_seed="7"), "ConfigError"),
+        ("recheck", _failing_report("3.9", matrices=None), "UnknownKind"),
+        ("recheck", _failing_report("L5.1", mu=1.5), "BoundsViolated"),
+        ("recheck", _failing_report("4.4", alpha=None), "BadR"),
+    ],
+)
+def test_input_checks_exit_1_naming_their_error(tmp_path, capsys, command, doc, error):
+    # campaign overrides for verify, whole reports for --recheck
+    if command == "verify":
+        argv = ["verify", campaign(tmp_path, **doc)]
+    else:
+        argv = ["verify", "--recheck", write(tmp_path, "report.json", doc)]
+    code = main(argv)
+    assert f"error: {error}: " in capsys.readouterr().err
+    assert code == EXIT_INPUT
+
+
 # ------------------------------------------------------------------ fuzzing
 
 # Integers stay small: a campaign's trials and dimensions are sizes, and a large

@@ -533,11 +533,13 @@ def test_karcher_solve_decomposes_n_plus_1_matrices_per_member_iteration(monkeyp
     assert sum(sizes) <= (n + 1) * (iters.sum() + iters.size)
 
 
-def test_indefinite_start_raises_no_convergence():
-    # the start is a Cholesky factorization; its failure is typed
-    x0 = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+def test_indefinite_start_raises_no_convergence(monkeypatch):
+    # the start is a Cholesky factorization; its failure is typed.  The
+    # rounding floor, which rejects an indefinite input first, is bypassed
+    monkeypatch.setattr(multimeans, "_rounding_floor", lambda a: np.zeros(len(a)))
+    x = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(errors.NoConvergence, match="geodesic start is not positive definite"):
-        multimeans._geodesic_loop(None, x0, np.zeros(1), "Karcher", (1,))
+        multimeans._geodesic_loop(np.array([0.5, 0.5]), 0.0, (), np.stack([x, x]), "Karcher")
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0])
@@ -940,6 +942,15 @@ def test_comparison_bound_hypothesis_fails():
     y = validate_spd(1.5 * res.value.a)
     with pytest.raises(errors.HypothesisFails):
         comparison_bound(base, geometric(0.5), As, y, "lower")
+
+
+def test_comparison_bound_bad_inputs_are_library_errors():
+    As = ensemble(3, 3, 46)
+    base = MultiMeanSpec.arithmetic(W3)
+    with pytest.raises(errors.BadMode, match="'sideways'"):
+        comparison_bound(base, geometric(0.5), As, As[0], "sideways")
+    with pytest.raises(errors.DimensionMismatch, match="Y has dimension 2, inputs 3"):
+        comparison_bound(base, geometric(0.5), As, validate_spd(np.eye(2)), "lower")
 
 
 # ---------------------------------------------------------------- adjoints
