@@ -312,7 +312,7 @@ def _chain(fs, lo, hi):
 
 
 def _frame(w, p, fs, a, s, rounding):
-    """``(D, eigenvectors of D, residual, bound)`` at ``S``, per member of :func:`_geodesic_loop`.
+    """``(D, residual, bound)`` at ``S``, per member of :func:`_geodesic_loop`; ``D`` is the Newton direction.
 
     ``p`` holds one exponent per member.  At ``S S^T = X^{-1}`` the frame
     residual is ``F = sum_i w_i phi_p(g(B_i))`` (:func:`_residual`), and
@@ -334,8 +334,9 @@ def _frame(w, p, fs, a, s, rounding):
     there, ``rho_p / e <= R`` keeps ``f`` in the ball, so ``X*`` lies in it.
     Where ``e < e_0 / 2`` the bound is infinite.
 
-    ``D`` is the Newton direction: ``S <- S e^{-D/2}`` moves each ``B_i =
-    S^T A_i S`` to ``e^{-D/2} B_i e^{-D/2}``, so to first order ``F``
+    ``D`` is returned as a matrix; the loop decomposes it only for a large
+    step.  ``S <- S e^{-D/2}`` moves each ``B_i = S^T A_i S`` to ``e^{-D/2}
+    B_i e^{-D/2}``, so to first order ``F``
     becomes ``F - H[D]`` with ``H[D] = sum_i w_i V_i ((V_i^T D V_i) o K_i)
     V_i^T``, ``B_i = V_i diag(lam) V_i^T`` and ``K_i[j, k]`` the divided
     difference of ``phi_p o g`` at ``(lam_j, lam_k)`` times ``(lam_j +
@@ -379,13 +380,13 @@ def _frame(w, p, fs, a, s, rounding):
             widen = np.exp(np.minimum(2.0 * bound / e0, 700.0))
             e = _chain(fs, lo / widen, hi * widen)[2]
             bound = np.where((e > 0) & (e >= 0.5 * e0), bound / e, np.inf)
-    g, v = np.zeros((len(f), d)), np.broadcast_to(np.eye(d), (len(f), d, d)).copy()
+    direction = np.zeros((len(f), d, d))
     step = bound >= DT_TOL
     if step.any():
         chain = (lg[step], el[step]) if fs else ()
         kern = _newton_kernel(p[step], lb[step], *chain) * w[step][..., None, None]
-        g[step], v[step] = np.linalg.eigh(_newton_step(res[step], resid[step], vb[step], kern))
-    return g, v, resid, bound
+        direction[step] = _newton_step(res[step], resid[step], vb[step], kern)
+    return direction, resid, bound
 
 
 def _newton_kernel(p, lb, lg=None, el=None):
@@ -452,24 +453,50 @@ def _newton_step(f, fnorm, vb, kern):
     return x
 
 
+def _retraction(t):
+    """The lower Cholesky factor ``C`` of ``I - t + t^2 / 2 = (I + (I - t)^2) / 2`` per symmetric ``t``.
+
+    Its eigenvalues are at least 1/2, so ``C`` always exists, and ``C C^T``
+    differs from ``e^{-t}`` by at most ``e^{||t||} - 1 - ||t|| - ||t||^2 /
+    2`` in the spectral norm, the remainder of the exponential series.
+    """
+    m = np.eye(t.shape[-1]) - t
+    return np.linalg.cholesky(0.5 * (np.eye(t.shape[-1]) + m @ m))
+
+
 def _geodesic_loop(w, p, fs, stack, what):
     """The mean of residual ``(p, fs)`` (:func:`_residual`) on ``stack`` by damped Riemannian Newton steps.
 
     ``p >= 0`` is a number or one per flattened member, so one call can solve
     Karcher members beside power-mean members; the chain ``g`` of ``fs`` is
-    shared.  Each member's iterate ``X`` is carried as a triangular ``S``
-    with ``S S^T = X^{-1}``, from ``L^{-T}`` for the Cholesky factor ``L
-    L^T`` of the weighted arithmetic mean.  :func:`_frame` maps ``S`` to the
-    eigenpairs of the Newton direction ``D``, a residual that decides the
-    steps and the error bound that stops them, in the frame ``B_i = S^T A_i
-    S``, whose spectra are those of ``X^{-1/2} A_i X^{-1/2}`` as ``S =
-    X^{-1/2} Q``, ``Q`` orthogonal.  The bound includes the rounding of its
-    own evaluation, ``16 eps sqrt d`` at ``p = 0`` and ``16 eps / p``
-    otherwise.  The step ``S <- S V exp(-theta Lambda / 2)``, ``D = V
-    diag(Lambda) V^T``, is ``X <- X^{1/2} exp(theta Q D Q^T) X^{1/2}`` at
-    the member's cap ``theta``: 1 at first, halved when the step is
-    rejected, raised by 1.25 when accepted.  A QR of ``S^T`` makes ``S``
-    triangular again (a Cholesky factor of ``S S^T`` squares its condition).
+    shared.  Each member's iterate ``X`` is carried as a lower triangular
+    ``S`` with ``S S^T = X^{-1}``, from ``J L^{-T} J`` for the Cholesky
+    factor ``L L^T = J X_0 J`` of the weighted arithmetic mean ``X_0``, ``J``
+    the reversal permutation.  :func:`_frame` maps ``S`` to the Newton
+    direction ``D``, a residual that decides the steps and the error bound
+    that stops them, in the frame ``B_i = S^T A_i S``, whose spectra are
+    those of ``X^{-1/2} A_i X^{-1/2}`` as ``S = X^{-1/2} Q``, ``Q``
+    orthogonal.  The bound includes the rounding of its own evaluation,
+    ``16 eps sqrt d`` at ``p = 0`` and ``16 eps / p`` otherwise.  A step
+    moves ``X`` to ``X^{1/2} exp(theta Q D Q^T) X^{1/2}``, or to second order
+    so, at the member's cap ``theta``: 1 at first, halved when the step is
+    rejected, raised by 1.25 when accepted.  A small step, ``||theta D||_F
+    <= tau``, is ``S <- S C`` with ``C C^T = I - theta D + theta^2 D^2 / 2``
+    (:func:`_retraction`): a second-order retraction, under which Newton
+    keeps its local quadratic rate (Absil, Mahony and Sepulchre,
+    *Optimization Algorithms on Matrix Manifolds*, 2008, ch. 6), that
+    decomposes no ``D`` and leaves ``S C`` lower triangular.  A large step is
+    the exponential one, ``S <- S V exp(-theta Lambda / 2)`` for ``D = V
+    diag(Lambda) V^T``, and a QR of ``S^T`` makes ``S`` lower triangular
+    again (a Cholesky factor of ``S S^T`` squares its condition).  The
+    retraction departs from the exponential step by about ``||theta D||^3 /
+    6``, that is by ``eta`` times the step ``||theta D||`` for ``tau =
+    sqrt(6 eta)``, with ``eta = min(_CG_FORCING, ||F||_F)`` the member's
+    forcing term (:func:`_newton_step`): no more than the relative error
+    that its Newton direction is already allowed.  So ``tau`` is at most
+    ``sqrt(6 _CG_FORCING)``, about 0.775, and shrinks with the residual; a
+    large direction at a small residual, where the Newton operator is near
+    singular, takes the exponential step.
 
     A candidate is accepted only if it does not raise the residual, which
     is infinite unless its ``B_i`` are finite and positive definite.  A member
@@ -491,11 +518,12 @@ def _geodesic_loop(w, p, fs, stack, what):
     rounding = np.divide(16 * _EPS, p, out=np.full(size, 16 * _EPS * root_d), where=p != 0)
     floor = _rounding_floor(a) * root_d
     try:
-        s = np.linalg.inv(np.linalg.cholesky(_weighted_sum(w, a))).swapaxes(-1, -2)
+        low = np.linalg.cholesky(_weighted_sum(w, a)[..., ::-1, ::-1])
     except np.linalg.LinAlgError:
         raise NoConvergence("geodesic start is not positive definite") from None
+    s = np.linalg.inv(low).swapaxes(-1, -2)[..., ::-1, ::-1]
     idx = np.arange(size)  # the members still iterating
-    g, v, resid, bound = _frame(w, p, fs, a, s, rounding)
+    direction, resid, bound = _frame(w, p, fs, a, s, rounding)
     if not np.all(np.isfinite(resid)):
         raise NoConvergence("geodesic iterate lost positive definiteness")
     out_s, out_bound, out_iters = s.copy(), bound.copy(), np.zeros(size, dtype=int)
@@ -507,22 +535,32 @@ def _geodesic_loop(w, p, fs, stack, what):
             if not all_live:  # write out the members that stopped, go on with the rest
                 fin = idx[~live]
                 out_s[fin], out_bound[fin], out_iters[fin] = s[~live], bound[~live], iters
-                idx, s, g, v, resid, bound, cap, w, p, a, rounding, floor = (
-                    x[live] for x in (idx, s, g, v, resid, bound, cap, w, p, a, rounding, floor))
+                idx, s, direction, resid, bound, cap, w, p, a, rounding, floor = (
+                    x[live] for x in (idx, s, direction, resid, bound, cap, w, p, a, rounding, floor))
             if not len(idx) or iters == MAX_ITERS:
                 break
             iters += 1
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step's frame rejects it
-                s_t = s @ (v * np.exp(-0.5 * cap[:, None] * g)[:, None, :])
-            s_t = np.linalg.qr(s_t.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-            g_t, v_t, resid_t, bound_t = _frame(w, p, fs, a, s_t, rounding)
-            back = ~(resid_t <= resid)
+            t = cap[:, None, None] * direction
+            with np.errstate(over="ignore"):  # a direction too large to square takes the exponential step
+                small = np.sum(t * t, axis=(-2, -1)) <= 6 * np.minimum(_CG_FORCING, resid)  # ||theta D||_F <= tau
+            large = ~small
+            s_t = np.empty_like(s)
+            if small.any():
+                s_t[small] = s[small] @ _retraction(t[small])
+            if large.any():
+                lam, v = np.linalg.eigh(direction[large])
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step's frame rejects it
+                    s_l = s[large] @ (v * np.exp(-0.5 * cap[large, None] * lam)[:, None, :])
+                s_t[large] = np.linalg.qr(s_l.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+            direction_t, resid_t, bound_t = _frame(w, p, fs, a, s_t, rounding)
+            # a step below rounding leaves S as it was: rejected, so the damping collapses instead of cycling
+            back = ~(resid_t <= resid) | (s_t == s).all(axis=(-2, -1))
             cap_t = np.minimum(1.0, 1.25 * cap)
             if back.any():
                 cap_t[back] = 0.5 * cap[back]
-                for new, old in ((s_t, s), (g_t, g), (v_t, v), (resid_t, resid), (bound_t, bound)):
+                for new, old in ((s_t, s), (direction_t, direction), (resid_t, resid), (bound_t, bound)):
                     new[back] = old[back]
-            s, g, v, cap, resid, bound = s_t, g_t, v_t, cap_t, resid_t, bound_t
+            s, direction, cap, resid, bound = s_t, direction_t, cap_t, resid_t, bound_t
             live = bound >= DT_TOL
             if back.any():
                 # past a rejected step, a residual within the floor is rounding noise: accept the bound

@@ -507,12 +507,16 @@ def test_condition_ladder(alpha, top, norm):
         pytest.param(MultiMeanSpec.power(W3, -0.25), 1e12, 6200, False, id="power-negative-1e12"),
         pytest.param(MultiMeanSpec.karcher(W3), 5e11, 7010, True, id="karcher-certified-5e11"),
         pytest.param(DEFORMED, 5e11, 7000, False, id="deformed-5e11"),
+        pytest.param(DEFORMED, 1e12, 102240, False, id="deformed-1e12"),
     ],
 )
 def test_wide_spread_solves_return_within_their_floor(spec, spread, seed, certify):
-    # each raised when the loop carried the eigenpair of log X: the start
-    # frame of P_{-1/4} lost positive definiteness, the certificate's lower
-    # end stalled above its floor, and the deformed bound stayed infinite
+    # the first three raised when the loop carried the eigenpair of log X:
+    # the start frame of P_{-1/4} lost positive definiteness, the
+    # certificate's lower end stalled above its floor, and the deformed bound
+    # stayed infinite.  The last raised with an infinite bound after 69 steps
+    # while every step was exponential; with the retraction for small steps
+    # it returns in 15
     As = [random_spd(4, (1.0, spread), seed + j) for j in range(3)]
     res = eval_mean(spec, As, certify=certify)
     assert res.residual_dt <= max(DT_TOL, 2 * 16 * np.finfo(float).eps * spread)
@@ -520,17 +524,94 @@ def test_wide_spread_solves_return_within_their_floor(spec, spread, seed, certif
     assert np.isfinite(res.enclosure_gap) if certify else res.enclosure_gap is None
 
 
-def test_karcher_solve_decomposes_n_plus_1_matrices_per_member_iteration(monkeypatch):
-    # the frame decomposes the n matrices B_i and the Newton direction D; the
-    # iterate is a triangular factor, so neither the start nor a candidate
-    # takes an eigh (the eigenpair-carried loop took n + 2 per iteration)
+def test_karcher_solve_decomposes_n_matrices_per_member_iteration_and_takes_no_qr(monkeypatch):
+    # the frame decomposes the n matrices B_i; on this data every Newton step
+    # is small, so the retraction steps with no eigh of D and no QR (the
+    # exponential step took n + 1 matrices and one QR per member-iteration,
+    # the eigenpair-carried loop n + 2)
     data = _gen_cell_data("3.13", 5, None, 200, 0)
     n = data.stack.shape[-3]
-    sizes, inner = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(np.prod(np.shape(a)[:-2])) or inner(a))
+    sizes, qrs = [], []
+    eigh, qr = np.linalg.eigh, np.linalg.qr
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(np.prod(np.shape(a)[:-2])) or eigh(a))
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": qrs.append(np.prod(np.shape(a)[:-2])) or qr(a, mode))
     _, iters, _ = _eval_node(MultiMeanSpec.karcher(None), data.stack, data.weights)
     assert iters.sum() > 0
-    assert sum(sizes) <= (n + 1) * (iters.sum() + iters.size)
+    assert sum(sizes) <= n * (iters.sum() + iters.size)
+    assert sum(qrs) == 0
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_retraction_agrees_with_the_exponential_to_second_order(d):
+    # C C^T = I - t + t^2 / 2 differs from e^{-t} by at most the exponential
+    # series' remainder past its quadratic term, for symmetric t up to the
+    # largest step that takes the retraction; C is lower triangular
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((40, d, d))
+    t = g + g.swapaxes(-1, -2)
+    tau = np.sqrt(6 * multimeans._CG_FORCING)
+    t *= (tau * np.geomspace(1e-3, 1.0, 40) / np.linalg.norm(t, axis=(-2, -1)))[:, None, None]
+    c = multimeans._retraction(t)
+    assert np.array_equal(c, np.tril(c))
+    norm = np.linalg.norm(t, ord=2, axis=(-2, -1))
+    remainder = np.expm1(norm) - norm - norm * norm / 2
+    err = np.linalg.norm(c @ c.swapaxes(-1, -2) - eigh_apply(-t, np.exp), ord=2, axis=(-2, -1))
+    assert np.all(err <= remainder + 8 * d * np.finfo(float).eps)
+
+
+def test_mixed_batch_of_large_and_small_steps_matches_each_member_alone(monkeypatch):
+    # a member at spread 1e8 takes exponential steps, which QR the stepped
+    # factor; one at spread 2 takes only retraction steps, which do not.
+    # Solved side by side, each keeps the bits and the count of its own solve
+    wide = np.stack([random_spd(4, (1.0, 1e8), 800 + j).a for j in range(3)])
+    narrow = np.stack([random_spd(4, (1.0, 2.0), 810 + j).a for j in range(3)])
+    qrs, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": qrs.append(len(a)) or qr(a, mode))
+
+    def solve(stack):
+        qrs.clear()
+        return (*multimeans._geodesic_loop(W3.asarray(), 0.0, (), stack, "Karcher"), sum(qrs))
+
+    both = solve(np.stack([wide, narrow]))
+    alone = [solve(wide[None]), solve(narrow[None])]
+    assert alone[0][3] > 0 and alone[1][3] == 0 and alone[1][1][0] > 0
+    for b in range(2):
+        for got, want in zip(both[:3], alone[b][:3]):
+            assert np.array_equal(got[b], want[0]), b
+
+
+def test_step_below_rounding_is_rejected(monkeypatch):
+    # at spread 1e10 harmonic(1/4) over the arithmetic mean reaches a residual
+    # of 5.7e-10 with an infinite bound; a retraction of theta D below
+    # rounding leaves S unchanged, so its residual does not rise.  Taken as
+    # accepted, the cap grew back and the loop cycled to MAX_ITERS; rejected,
+    # the damping collapses and the member is named
+    monkeypatch.setattr(multimeans, "MAX_ITERS", 1000)
+    As = [random_spd(4, (1.0, 1e10), 60090 + j) for j in range(3)]
+    with pytest.raises(errors.NoConvergence, match=r"stopped above its tolerance after \d{2,3} steps") as info:
+        deformed_mean(MultiMeanSpec.arithmetic(W3), harmonic(0.25), As)
+    assert [m["member"] for m in info.value.members] == [0]
+
+
+@pytest.mark.parametrize("base", [
+    MultiMeanSpec.arithmetic(W3), MultiMeanSpec.power(W3, 0.5), MultiMeanSpec.karcher(W3),
+], ids=["arithmetic", "power-0.5", "karcher"])
+@pytest.mark.parametrize("sigma", [harmonic, geometric])
+def test_deformed_sweep_returns_a_finite_bound_or_names_its_member(sigma, base):
+    # deformations by harmonic(alpha) and geometric(alpha), alpha in {0.1,
+    # 0.25, 0.5, 1}, on 4x4 inputs with spectra [1, 10^k]: a solve returns a
+    # finite bound or raises NoConvergence naming its member; no LinAlgError
+    # escapes, and RuntimeWarnings are errors in this suite
+    for alpha in (0.1, 0.25, 0.5, 1.0):
+        spec = MultiMeanSpec.deformed(base, sigma(alpha))
+        for k in (2, 5, 8):
+            As = [random_spd(4, (1.0, 10.0**k), 50000 + 1000 * k + j) for j in range(3)]
+            try:
+                res = eval_mean(spec, As)
+            except errors.NoConvergence as exc:
+                assert [(m["member"], m["what"]) for m in exc.members] == [(0, "deformed-mean")], (alpha, k)
+            else:
+                assert np.isfinite(res.residual_dt), (alpha, k)
 
 
 def test_indefinite_start_raises_no_convergence(monkeypatch):
