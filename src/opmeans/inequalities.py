@@ -47,6 +47,7 @@ from .errors import (
     BadR,
     BoundsViolated,
     ConfigError,
+    NoConvergence,
     OpmeansError,
     SandwichFails,
     UnknownKind,
@@ -500,9 +501,11 @@ def _trials(data, cache):
 def _solve(spec, r, data, cache):
     """``spec`` on the trials' matrices raised to ``r``, solved once per group
     under the key ``(spec, r)``: ``A^1`` is ``A`` itself, so the r = 1 cell
-    finds the means every other cell solves on the trials' own matrices."""
+    finds the means every other cell solves on the trials' own matrices.
+    The solve takes ``A^r`` as raised from the group's decomposition, so it
+    reads its rounding floor and, for an inverted mean, ``A^{-r}`` from it."""
     return _once(cache, (spec, r), lambda: eval_mean_stack(
-        spec, _trials(data, cache).power(r), data.weights, certify=False).values)
+        spec, _trials(data, cache).raised(r), data.weights, certify=False).values)
 
 
 # Margin functions of the families: ``(data, r, alpha, cache)`` to the
@@ -1286,6 +1289,13 @@ def _run_groups_in_pool(groups, config, workers):
 
 
 def _run_group(group, config):
+    """The report lines of one (family, dim, alpha) group over the r grid.
+
+    A library error in a cell gives an error line.  When a solve stops with
+    :class:`NoConvergence`, its line names the failing trials by index and
+    seed: a campaign solve runs over the group's trials, so a member's index
+    is its trial's.
+    """
     family, dim, alpha = group
     try:
         data = _gen_cell_data(family, dim, alpha, config.trials, config.seed)
@@ -1298,10 +1308,14 @@ def _run_group(group, config):
             rep = run_cell(family, dim, r, alpha, config.trials, config.seed, data=data, cache=cache)
             lines.append(rep.to_json())
         except OpmeansError as exc:
-            lines.append({
+            line = {
                 "inequality_id": _cell_id(family, dim, r, alpha),
                 "holds": False,
                 "error": type(exc).__name__,
                 "message": str(exc),
-            })
+            }
+            if isinstance(exc, NoConvergence) and exc.members:
+                line["failing_trials"] = [
+                    {"trial": m["member"], "seed": int(data.seeds[m["member"]])} for m in exc.members]
+            lines.append(line)
     return lines

@@ -234,26 +234,33 @@ def _weighted_sum(w, stack):
 
 
 def _eval_node(spec: MultiMeanSpec, stack, w_over=None):
-    """Evaluate a mean on ``stack`` of shape (..., n, d, d).
+    """Evaluate a mean on ``stack`` of shape (..., n, d, d), an array or the :class:`Spectral` of one.
 
     Returns ``(values, iterations, bound)``, the count (0 for a closed form)
     and the Thompson error bound of :class:`MeanResult` per member, through
     the normal form of :func:`_residual`; the bound is inversion invariant.
+    A solve reads its inputs' decomposition, the Spectral's own or one taken
+    of a plain array: an inverted node takes the inverses as a rebuild from
+    it (``Spectral.raised(-1)``), and a loop solve takes its rounding floor
+    from its eigenvalues (:func:`_rounding_floor`; the spread of the
+    inverses is that of the inputs).  The loop hands back each node's own
+    value (:func:`_geodesic_loop`), so the solved mean is not decomposed
+    again; only the closed-form harmonic mean inverts its weighted sum.
     """
+    stack = stack if isinstance(stack, Spectral) else Spectral(stack)  # decomposed only when read
     n = stack.shape[-3]
     w = _node_weights(spec, w_over, n)
     zeros = np.zeros(stack.shape[:-3])
     if n == 1:
         # forced by normalization plus congruence invariance
-        return stack[..., 0, :, :], 0, zeros
+        return stack.a[..., 0, :, :], 0, zeros
     inv, p, fs = _residual(spec)
-    a = spd_inv(stack) if inv else stack
     if p == 1 and not fs:
-        vals, iters, bound = _weighted_sum(w, a), 0, zeros
-    else:
-        what = "deformed-mean" if fs else "Karcher" if p == 0 else "power-mean"
-        vals, iters, bound = _geodesic_loop(w, p, fs, a, what)
-    return (spd_inv(vals) if inv else vals), iters, bound
+        vals = _weighted_sum(w, (stack.raised(-1) if inv else stack).a)
+        return (spd_inv(vals) if inv else vals), 0, zeros
+    floor = _rounding_floor(stack)  # before the inverses: it names a nonpositive input
+    what = "deformed-mean" if fs else "Karcher" if p == 0 else "power-mean"
+    return _geodesic_loop(w, p, fs, (stack.raised(-1) if inv else stack).a, what, inv, floor)
 
 
 def _residual(spec: MultiMeanSpec):
@@ -285,16 +292,19 @@ _EPS = np.finfo(float).eps
 
 
 def _rounding_floor(a):
-    """``16 eps kappa`` per member, ``kappa`` the spectral spread of its inputs.
+    """``16 eps kappa`` per member of ``a`` (..., n, d, d), ``kappa`` the spectral spread of its inputs.
 
-    DomainError names the first member with an input eigenvalue ``<= 0``.
+    The eigenvalues are read from the decomposition of a :class:`Spectral`
+    (taken if it is not yet held); only a plain array is decomposed, by
+    ``eigvalsh``.  DomainError names the first member, by flattened index,
+    with an input eigenvalue ``<= 0``.
     """
-    eigs = np.linalg.eigvalsh(a)
-    low = eigs[..., 0].min(axis=-1)
+    eigs = a.eig[0] if isinstance(a, Spectral) else np.linalg.eigvalsh(a)
+    low, high = eigs.min(axis=(-2, -1)), eigs.max(axis=(-2, -1))
     if np.any(low <= 0):
         k = int(np.argmax(low <= 0))
-        raise DomainError(f"member {k} has an input with eigenvalue {low[k]:.6g} <= 0")
-    return 16 * _EPS * eigs[..., -1].max(axis=-1) / low
+        raise DomainError(f"member {k} has an input with eigenvalue {low.flat[k]:.6g} <= 0")
+    return 16 * _EPS * high / low
 
 
 def _chain(fs, lo, hi):
@@ -464,7 +474,7 @@ def _retraction(t):
     return np.linalg.cholesky(0.5 * (np.eye(t.shape[-1]) + m @ m))
 
 
-def _geodesic_loop(w, p, fs, stack, what):
+def _geodesic_loop(w, p, fs, stack, what, inv=False, floor=None):
     """The mean of residual ``(p, fs)`` (:func:`_residual`) on ``stack`` by damped Riemannian Newton steps.
 
     ``p >= 0`` is a number or one per flattened member, so one call can solve
@@ -507,16 +517,25 @@ def _geodesic_loop(w, p, fs, stack, what):
     its inputs (the scale of a Frobenius residual), is frozen with its bound,
     since its residual is rounding noise; a damping collapse above it or a
     ``LinAlgError`` stops the loop with :class:`NoConvergence`, naming the
-    live members by ``what`` (one value or one per member).  It returns
-    solutions ``K^T K`` (``K = S^{-1}``), counts and bounds per member.
+    live members by ``what`` (one value or one per member).
+
+    It returns values, counts and bounds per member.  A member's value is
+    that of the node it solves for: ``X = K^T K`` (``K = S^{-1}``), or
+    ``S S^T = X^{-1}`` itself where ``inv`` (a number or one per member)
+    marks a node solved on the inverses of its inputs, whose mean is the
+    inverse of ``X``.  :class:`NoConvergence` carries the same values at
+    the last accepted iterates.  ``floor`` is the rounding floor of
+    :func:`_rounding_floor` per member of ``stack``, by default taken from
+    ``stack`` itself.
     """
     n, d = stack.shape[-3:-1]
     batch = np.broadcast_shapes(stack.shape[:-3], np.shape(w)[:-1])
+    floor = _rounding_floor(stack) if floor is None else floor
     a = np.broadcast_to(stack, batch + (n, d, d)).reshape(-1, n, d, d)
     w = np.broadcast_to(w, batch + (n,)).reshape(-1, n)
     size, root_d, p = len(a), np.sqrt(d), np.broadcast_to(p, len(a))
     rounding = np.divide(16 * _EPS, p, out=np.full(size, 16 * _EPS * root_d), where=p != 0)
-    floor = _rounding_floor(a) * root_d
+    floor = np.broadcast_to(floor, batch).reshape(-1) * root_d
     try:
         low = np.linalg.cholesky(_weighted_sum(w, a)[..., ::-1, ::-1])
     except np.linalg.LinAlgError:
@@ -570,8 +589,7 @@ def _geodesic_loop(w, p, fs, stack, what):
     except np.linalg.LinAlgError as exc:  # the live members keep their last accepted iterate
         halt = f"failed ({exc})"
     out_s[idx] = s
-    k = np.linalg.inv(out_s)
-    x = sym(k.swapaxes(-1, -2) @ k).reshape(batch + (d, d))
+    x = _node_values(out_s, np.broadcast_to(inv, size)).reshape(batch + (d, d))
     if len(idx):
         what = np.broadcast_to(what, size)
         members = [
@@ -584,33 +602,50 @@ def _geodesic_loop(w, p, fs, stack, what):
     return x, out_iters.reshape(batch), out_bound.reshape(batch)
 
 
+def _node_values(s, inv):
+    """Per factor ``S S^T = X^{-1}``: ``X = K^T K`` (``K = S^{-1}``), or ``S S^T`` itself where ``inv``."""
+    x, direct = np.empty_like(s), ~inv
+    k, si = np.linalg.inv(s[direct]), s[inv]
+    x[direct], x[inv] = k.swapaxes(-1, -2) @ k, si @ si.swapaxes(-1, -2)
+    return sym(x)
+
+
 def eval_mean_stack(
-    spec: MultiMeanSpec, stack: np.ndarray, weights_override=None, *, certify: bool = True
+    spec: MultiMeanSpec, stack, weights_override=None, *, certify: bool = True
 ) -> StackResult:
     """Evaluate ``spec`` on stacked ensembles of shape ``(..., n, d, d)``.
 
-    ``weights_override`` (shape ``(n,)`` or ``(..., n)``) substitutes the
-    weight vector at every weighted node, which is how campaigns run many
-    random weightings through one batched solve.  Iterative solves stop at
-    ``DT_TOL``; a Karcher mean is also certified unless ``certify`` is off.
-    That is one loop call on ``[A]`` at exponent 0 and ``[A]``, ``[A^{-1}]`` at
-    ``KARCHER_ALPHA``; members freeze on their own, so only the gap differs.
+    ``stack`` is an array or the :class:`Spectral` of one, whose held
+    decomposition the solve then reads instead of taking one (see
+    :func:`_eval_node`).  ``weights_override`` (shape ``(n,)`` or ``(...,
+    n)``) substitutes the weight vector at every weighted node, which is how
+    campaigns run many random weightings through one batched solve.
+    Iterative solves stop at ``DT_TOL``; a Karcher mean is also certified
+    unless ``certify`` is off.  That is one loop call on ``[A]`` at exponent
+    0 and ``[A]``, ``[A^{-1}]`` at ``KARCHER_ALPHA``; members freeze on their
+    own, so only the gap differs.  One decomposition of the inputs gives the
+    inverses, the rounding floor of all three member groups (the same floor
+    as the uncertified solve's) and so, read from the loop's factor, the
+    lower end ``P_{-t}(A)``.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2]:
-        raise DimensionMismatch(f"expected shape (..., n, d, d), got {stack.shape}")
-    n, certified = stack.shape[-3], spec.kind == "karcher" and certify
+    stack = stack if isinstance(stack, Spectral) else Spectral(stack)
+    shape = stack.shape
+    if len(shape) < 3 or shape[-1] != shape[-2]:
+        raise DimensionMismatch(f"expected shape (..., n, d, d), got {shape}")
+    n, certified = shape[-3], spec.kind == "karcher" and certify
     if not certified or n == 1:
         vals, iters, bound = _eval_node(spec, stack, weights_override)
         gap = np.zeros(np.shape(bound)) if certified else None
     else:
         w = _node_weights(spec, weights_override, n)
-        a = np.broadcast_to(stack, np.broadcast_shapes(stack.shape[:-3], w.shape[:-1]) + stack.shape[-3:])
-        t, size = KARCHER_ALPHA, int(np.prod(a.shape[:-3]))
-        p = np.repeat([0.0, t, t], size)
+        batch = np.broadcast_shapes(shape[:-3], w.shape[:-1])
+        floor = np.broadcast_to(_rounding_floor(stack), (3, *batch))  # before the inverses, as in _eval_node
+        a, a_inv = (np.broadcast_to(x.a, batch + shape[-3:]) for x in (stack, stack.raised(-1)))
+        t, size = KARCHER_ALPHA, int(np.prod(batch))
+        p, inv = np.repeat([0.0, t, t], size), np.repeat([False, False, True], size)
         what = np.repeat(["Karcher", f"enclosure end P_{t}", f"enclosure end P_-{t}"], size)
-        x, iters, bound = _geodesic_loop(w, p, (), np.stack([a, a, spd_inv(a)]), what)
-        vals, iters, bound, gap = x[0], iters[0], bound[0], _certify_karcher(x[0], x[1], spd_inv(x[2]))
+        x, iters, bound = _geodesic_loop(w, p, (), np.stack([a, a, a_inv]), what, inv, floor)
+        vals, iters, bound, gap = x[0], iters[0], bound[0], _certify_karcher(*x)
     iters = int(np.max(iters, initial=0))
     return StackResult(values=vals, iterations=iters, residual_dt=np.asarray(bound), enclosure_gap=gap)
 

@@ -12,8 +12,9 @@ here: the matrices are small (dimension of order tens) and symmetric
 eigensolvers are backward stable, so there is no reason to special-case
 exp/log/sqrt.  Every matrix function goes through a :class:`Spectral`,
 which keeps the decomposition of its matrices, so several functions of them
-cost one ``eigh``; a power of them is a Spectral raised from that
-decomposition (:meth:`Spectral.raised`), never decomposed again.  The pair congruence ``a^{-1/2} b a^{-1/2}`` behind every
+cost one ``eigh``; a power of them, their inverse included, is a Spectral
+raised from that decomposition (:meth:`Spectral.raised`), never decomposed
+again.  The pair congruence ``a^{-1/2} b a^{-1/2}`` behind every
 two-variable mean and the Thompson distance is formed in :func:`pair_frame`
 alone.  Batched ``eigh`` is the only LAPACK primitive; the spectral rebuilds
 ``U f(L) U^T`` and the congruences ``s^T a s`` are batched matmul, several
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -136,6 +137,12 @@ class Spectral:
     def eig(self):
         return _eigh(self.a)
 
+    @property
+    def shape(self):
+        """The shape of ``a``, read from ``a`` or the eigenvectors, whichever
+        is held: it neither rebuilds ``a`` nor decomposes it."""
+        return (self.__dict__["a"] if "a" in self.__dict__ else self.eig[1]).shape
+
     def __getitem__(self, idx):
         """The Spectral of ``a[idx]``, ``idx`` indexing the leading axes."""
         w, v = self.eig
@@ -154,12 +161,14 @@ class Spectral:
 
     def raised(self, r):
         """The Spectral of ``power(r)``: eigenvalues ``w**r`` and the same
-        vectors, in ascending order.  Its ``a`` is ``power(r)`` itself."""
+        vectors, in ascending order.  Its ``a`` is ``power(r)`` itself,
+        rebuilt from those eigenvalues."""
         w, v = self.eig
         wr = _values(_power_fn(r), w)
+        make_a = partial(self.power, r) if r == 1 else partial(_rebuild, v, wr)
         if r < 0:
             wr, v = wr[..., ::-1], v[..., ::-1]
-        return Spectral._known((wr, v), lambda: self.power(r))
+        return Spectral._known((wr, v), make_a)
 
     def scaled(self, c):
         """The Spectral of ``a / c`` for ``c > 0``, one number per matrix:

@@ -840,6 +840,22 @@ def test_worker_warning_surfaces_as_its_exception(monkeypatch):
     assert (raised_in != os.getpid()) == ((os.cpu_count() or 1) > 1)
 
 
+def test_no_convergence_error_line_names_its_failing_trials(monkeypatch):
+    # a 3.10 group's first solve stops after one step: its error line names
+    # each failing member by its trial index and that trial's seed, the
+    # ones a report of the cell would read
+    from opmeans import multimeans
+
+    monkeypatch.setattr(multimeans, "MAX_ITERS", 1)
+    (line,) = run_campaign(CampaignConfig(("3.10",), (3,), (2.0,), (0.5,), 6, 5, "-"))
+    assert line["error"] == "NoConvergence" and not line["holds"]
+    seeds = inequalities._gen_cell_data("3.10", 3, 0.5, 6, 5).seeds
+    trials = [entry["trial"] for entry in line["failing_trials"]]
+    assert trials and trials == sorted(set(trials)) and set(trials) <= set(range(6))
+    assert line["failing_trials"] == [{"trial": i, "seed": seeds[i]} for i in trials]
+    assert json.loads(json.dumps(line)) == line
+
+
 @needs_fork
 def test_worker_exception_keeps_its_type(monkeypatch):
     # not a library error, so no error line: it is raised, and the pool shuts down
@@ -893,6 +909,23 @@ def test_group_decomposes_its_trial_matrices_once(monkeypatch, family, rs):
     assert [_times_decomposed(seen, t) for t in targets] == [1] * len(targets)
 
 
+def test_adjoint_group_inverts_without_decomposing(monkeypatch):
+    # a 3.10 group solves P_{-alpha} as P_alpha of the inverses, inverted:
+    # each A^{-r} is a rebuild from the group's one decomposition of the trial
+    # stack and each mean is read from the loop's factor, so psd_core
+    # decomposes the stack and nothing else, and the solves' rounding floors
+    # take no eigvalsh of their inputs
+    rs = (1.0, 1.5, 2.0, 3.0)
+    stack = inequalities._gen_cell_data("3.10", 3, 0.5, 10, 4).stack
+    seen, eigvalsh_seen = _eigh_inputs(monkeypatch), []
+    inner = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_seen.append(np.shape(a)) or inner(a))
+    lines = run_campaign(CampaignConfig(("3.10",), (3,), rs, (0.5,), 10, 4, "-"))
+    assert len(lines) == len(rs) and all(line["holds"] for line in lines)
+    assert len(seen) == 1 and _times_decomposed(seen, stack) == 1
+    assert stack.shape not in eigvalsh_seen
+
+
 def test_pair_group_takes_each_square_root_pair_once(monkeypatch):
     # a 4.7 group evaluates pair means at A^q for q = 0.25, 0.5, 0.75 and 1;
     # the square-root pair of each A^q comes from the one decomposition of
@@ -924,15 +957,16 @@ def test_bracket_margins_decompose_each_matrix_once(monkeypatch, style):
 
 
 def test_reverse_cell_decomposes_its_mean_once(monkeypatch):
-    # a 5.9 cell: the two solves' inputs, x once for kappa_x and its bracket,
-    # then mid and each side's difference from mid, the sides' norms being
-    # multiples of x's
+    # a 5.9 cell: x once for kappa_x and its bracket, then mid and each
+    # side's difference from mid, the sides' norms being multiples of x's.
+    # The two solves read their inputs' rounding floor from the group's
+    # decomposition of the trials, so they take no eigvalsh
     data = inequalities._gen_cell_data("5.9", 3, 0.5, 10, 4)
     seen = []
     inner = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(np.array(a)) or inner(a))
     assert run_cell("5.9", 3, 2.0, 0.5, 10, 4, data=data).holds
-    assert len(seen) == 6
+    assert len(seen) == 4
     assert not any(np.array_equal(p, q) for i, p in enumerate(seen) for q in seen[:i])
 
 
@@ -1100,13 +1134,13 @@ def every_check_fails(monkeypatch):
     monkeypatch.setattr(inequalities, "CHECK_TOL", -1.0)
 
 
-def _forced_failure(family):
+def _forced_failure(family, dim=2):
     """A failing report of ``family`` over several trials, under
     ``every_check_fails``, embedding the worst trial's witness in the
     family's layout."""
     r = 2.0 if FAMILIES[family]["r_range"] == "ge1" else 0.5
     alpha = 0.5 if FAMILIES[family]["needs_alpha"] else None
-    rep = run_cell(family, 2, r, alpha, 6, 5)
+    rep = run_cell(family, dim, r, alpha, 6, 5)
     assert not rep.holds and rep.matrices
     return rep
 
@@ -1150,12 +1184,16 @@ def test_every_family_reports_its_constant_keys(every_check_fails):
     assert keys == {f: every | set(extra.split()) for f, extra in _REPORT_KEYS.items()}
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_recheck_reproduces_every_family_witness(family, every_check_fails):
+@pytest.mark.parametrize("family, dim", [
+    pytest.param(family, dim, id=family if dim == 2 else f"{family}-d{dim}")
+    for dim in (2, 5) for family in sorted(FAMILIES)
+])
+def test_recheck_reproduces_every_family_witness(family, dim, every_check_fails):
     # recheck rebuilds the worst trial, so it reproduces the margin and every
     # constant the report read at that trial; no solve, matrix or scalar,
-    # depends on its batch, so the margin is reproduced bit for bit
-    rep = _forced_failure(family)
+    # depends on its batch, so the margin is reproduced bit for bit, the
+    # adjoint families' inverses being rebuilt from the trial's decomposition
+    rep = _forced_failure(family, dim)
     again = recheck(json.loads(json.dumps(rep.to_json())))
     assert again.margin == rep.margin
     assert again.constants["trials"] == 1 and again.constants["worst_trial"] == 0

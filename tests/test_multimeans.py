@@ -36,6 +36,7 @@ from opmeans.multimeans import (
 )
 from opmeans.psd_core import (
     Relation,
+    Spectral,
     eigh_apply,
     random_spd,
     spd_power,
@@ -528,14 +529,17 @@ def test_karcher_solve_decomposes_n_matrices_per_member_iteration_and_takes_no_q
     # the frame decomposes the n matrices B_i; on this data every Newton step
     # is small, so the retraction steps with no eigh of D and no QR (the
     # exponential step took n + 1 matrices and one QR per member-iteration,
-    # the eigenpair-carried loop n + 2)
+    # the eigenpair-carried loop n + 2).  The inputs come with their
+    # decomposition, as a campaign group's do, so the floor takes none
     data = _gen_cell_data("3.13", 5, None, 200, 0)
-    n = data.stack.shape[-3]
+    n, trials = data.stack.shape[-3], Spectral(data.stack)
+    trials.eig
     sizes, qrs = [], []
-    eigh, qr = np.linalg.eigh, np.linalg.qr
+    eigh, eigvalsh, qr = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.qr
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(np.prod(np.shape(a)[:-2])) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(np.prod(np.shape(a)[:-2])) or eigvalsh(a))
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": qrs.append(np.prod(np.shape(a)[:-2])) or qr(a, mode))
-    _, iters, _ = _eval_node(MultiMeanSpec.karcher(None), data.stack, data.weights)
+    _, iters, _ = _eval_node(MultiMeanSpec.karcher(None), trials, data.weights)
     assert iters.sum() > 0
     assert sum(sizes) <= n * (iters.sum() + iters.size)
     assert sum(qrs) == 0
@@ -617,7 +621,7 @@ def test_deformed_sweep_returns_a_finite_bound_or_names_its_member(sigma, base):
 def test_indefinite_start_raises_no_convergence(monkeypatch):
     # the start is a Cholesky factorization; its failure is typed.  The
     # rounding floor, which rejects an indefinite input first, is bypassed
-    monkeypatch.setattr(multimeans, "_rounding_floor", lambda a: np.zeros(len(a)))
+    monkeypatch.setattr(multimeans, "_rounding_floor", lambda a: 0.0)
     x = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(errors.NoConvergence, match="geodesic start is not positive definite"):
         multimeans._geodesic_loop(np.array([0.5, 0.5]), 0.0, (), np.stack([x, x]), "Karcher")
@@ -723,10 +727,28 @@ def test_no_convergence_names_members_by_their_normal_form(spec, what, monkeypat
     assert [m["what"] for m in info.value.members] == [what]
 
 
+@pytest.mark.parametrize("t", [0.5, 0.25])
+def test_no_convergence_hands_back_the_node_estimate(t, monkeypatch):
+    # P_{-t}(A) solves P_t on the inverses; stopped after one step, it hands
+    # back its own estimate of P_{-t}(A), the inverse of that of P_t(A^{-1})
+    # on the same inverses, and so near the mean, not near its inverse
+    stack = np.stack([a.a for a in ensemble(3, 3, 77)])
+    spec = MultiMeanSpec.power(W3, -t)
+    mean = eval_mean_stack(spec, stack).values
+    monkeypatch.setattr(multimeans, "MAX_ITERS", 1)
+    with pytest.raises(errors.NoConvergence) as neg:
+        eval_mean_stack(spec, stack)
+    with pytest.raises(errors.NoConvergence) as pos:
+        eval_mean_stack(MultiMeanSpec.power(W3, t), Spectral(stack).raised(-1).a)
+    x = neg.value.last_iterate
+    np.testing.assert_allclose(x, np.linalg.inv(pos.value.last_iterate), rtol=0, atol=1e-13 * np.abs(x).max())
+    assert thompson(x, mean) < 0.1 < thompson(np.linalg.inv(x), mean)
+
+
 def test_damping_collapse_above_floor_raises(monkeypatch):
     # with a zero rounding floor, a member whose damping collapses at spread
     # 1e12 is stuck above its floor, so the loop stops and reports it
-    monkeypatch.setattr(multimeans, "_rounding_floor", lambda a: np.zeros(len(a)))
+    monkeypatch.setattr(multimeans, "_rounding_floor", lambda a: 0.0)
     As = [random_spd(4, (1.0, 1e12), 1200 + j) for j in range(3)]
     with pytest.raises(errors.NoConvergence, match="Karcher") as info:
         eval_mean(MultiMeanSpec.karcher(W3), As, certify=False)
