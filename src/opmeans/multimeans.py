@@ -239,13 +239,11 @@ def _eval_node(spec: MultiMeanSpec, stack, w_over=None):
     Returns ``(values, iterations, bound)``, the count (0 for a closed form)
     and the Thompson error bound of :class:`MeanResult` per member, through
     the normal form of :func:`_residual`; the bound is inversion invariant.
-    A solve reads its inputs' decomposition, the Spectral's own or one taken
-    of a plain array: an inverted node takes the inverses as a rebuild from
-    it (``Spectral.raised(-1)``), and a loop solve takes its rounding floor
-    from its eigenvalues (:func:`_rounding_floor`; the spread of the
-    inverses is that of the inputs).  The loop hands back each node's own
-    value (:func:`_geodesic_loop`), so the solved mean is not decomposed
-    again; only the closed-form harmonic mean inverts its weighted sum.
+    A loop solve reads its inputs' decomposition, the Spectral's own or one
+    taken of a plain array, for its rounding floor and the inverses of an
+    inverted node, and hands back each node's own value
+    (:func:`_geodesic_loop`), so the solved mean is not decomposed again;
+    only the closed-form harmonic mean inverts its weighted sum.
     """
     stack = stack if isinstance(stack, Spectral) else Spectral(stack)  # decomposed only when read
     n = stack.shape[-3]
@@ -258,9 +256,8 @@ def _eval_node(spec: MultiMeanSpec, stack, w_over=None):
     if p == 1 and not fs:
         vals = _weighted_sum(w, (stack.raised(-1) if inv else stack).a)
         return (spd_inv(vals) if inv else vals), 0, zeros
-    floor = _rounding_floor(stack)  # before the inverses: it names a nonpositive input
     what = "deformed-mean" if fs else "Karcher" if p == 0 else "power-mean"
-    return _geodesic_loop(w, p, fs, (stack.raised(-1) if inv else stack).a, what, inv, floor)
+    return _geodesic_loop(w, p, fs, stack, what, inv)
 
 
 def _residual(spec: MultiMeanSpec):
@@ -292,15 +289,14 @@ _EPS = np.finfo(float).eps
 
 
 def _rounding_floor(a):
-    """``16 eps kappa`` per member of ``a`` (..., n, d, d), ``kappa`` the spectral spread of its inputs.
+    """``16 eps kappa`` per member of the :class:`Spectral` ``a`` (..., n, d, d), ``kappa`` the spectral spread of its inputs.
 
-    The eigenvalues are read from the decomposition of a :class:`Spectral`
-    (taken if it is not yet held); only a plain array is decomposed, by
-    ``eigvalsh``.  DomainError names the first member, by flattened index,
-    with an input eigenvalue ``<= 0``.
+    The eigenvalues are read from ``a``'s decomposition, taken if it is not
+    yet held.  DomainError names the first member, by flattened index, with
+    an input eigenvalue ``<= 0``.
     """
-    eigs = a.eig[0] if isinstance(a, Spectral) else np.linalg.eigvalsh(a)
-    low, high = eigs.min(axis=(-2, -1)), eigs.max(axis=(-2, -1))
+    eigs = a.eig[0]  # ascending, a raised Spectral's too
+    low, high = eigs[..., 0].min(axis=-1), eigs[..., -1].max(axis=-1)
     if np.any(low <= 0):
         k = int(np.argmax(low <= 0))
         raise DomainError(f"member {k} has an input with eigenvalue {low.flat[k]:.6g} <= 0")
@@ -474,12 +470,19 @@ def _retraction(t):
     return np.linalg.cholesky(0.5 * (np.eye(t.shape[-1]) + m @ m))
 
 
-def _geodesic_loop(w, p, fs, stack, what, inv=False, floor=None):
-    """The mean of residual ``(p, fs)`` (:func:`_residual`) on ``stack`` by damped Riemannian Newton steps.
+def _geodesic_loop(w, p, fs, stack, what, inv):
+    """The mean of residual ``(inv, p, fs)`` (:func:`_residual`) on the :class:`Spectral` ``stack`` by damped Riemannian Newton steps.
 
-    ``p >= 0`` is a number or one per flattened member, so one call can solve
-    Karcher members beside power-mean members; the chain ``g`` of ``fs`` is
-    shared.  Each member's iterate ``X`` is carried as a lower triangular
+    ``p >= 0``, ``inv`` and ``what`` are each a number, or one per group: one
+    call then solves every group's node on the same inputs, so Karcher
+    members go beside power-mean members, group by group; the chain ``g`` of
+    ``fs`` is shared.  The rounding floor is read from ``stack``'s
+    decomposition (:func:`_rounding_floor`) before any inverse is taken, so
+    a nonpositive input raises DomainError first; a group marked ``inv``
+    solves on the inverses ``A_i^{-1}``, raised from that decomposition
+    (:meth:`Spectral.raised`), whose spreads are those of the inputs.
+
+    Each member's iterate ``X`` is carried as a lower triangular
     ``S`` with ``S S^T = X^{-1}``, from ``J L^{-T} J`` for the Cholesky
     factor ``L L^T = J X_0 J`` of the weighted arithmetic mean ``X_0``, ``J``
     the reversal permutation.  :func:`_frame` maps ``S`` to the Newton
@@ -517,25 +520,27 @@ def _geodesic_loop(w, p, fs, stack, what, inv=False, floor=None):
     its inputs (the scale of a Frobenius residual), is frozen with its bound,
     since its residual is rounding noise; a damping collapse above it or a
     ``LinAlgError`` stops the loop with :class:`NoConvergence`, naming the
-    live members by ``what`` (one value or one per member).
+    live members by ``what``.
 
-    It returns values, counts and bounds per member.  A member's value is
-    that of the node it solves for: ``X = K^T K`` (``K = S^{-1}``), or
-    ``S S^T = X^{-1}`` itself where ``inv`` (a number or one per member)
-    marks a node solved on the inverses of its inputs, whose mean is the
-    inverse of ``X``.  :class:`NoConvergence` carries the same values at
-    the last accepted iterates.  ``floor`` is the rounding floor of
-    :func:`_rounding_floor` per member of ``stack``, by default taken from
-    ``stack`` itself.
+    It returns values, counts and bounds per member, shaped by the groups
+    (the shape of ``p``) followed by the batch that ``stack`` and ``w``
+    broadcast to; members are numbered in that order.  A member's value is
+    that of its node: ``X = K^T K`` (``K = S^{-1}``), or ``S S^T = X^{-1}``
+    itself in an ``inv`` group, whose mean is the inverse of ``X``.
+    :class:`NoConvergence` carries the same values at the last accepted
+    iterates.
     """
     n, d = stack.shape[-3:-1]
-    batch = np.broadcast_shapes(stack.shape[:-3], np.shape(w)[:-1])
-    floor = _rounding_floor(stack) if floor is None else floor
-    a = np.broadcast_to(stack, batch + (n, d, d)).reshape(-1, n, d, d)
-    w = np.broadcast_to(w, batch + (n,)).reshape(-1, n)
-    size, root_d, p = len(a), np.sqrt(d), np.broadcast_to(p, len(a))
+    groups, batch = np.shape(p), np.broadcast_shapes(stack.shape[:-3], np.shape(w)[:-1])
+    floor = _rounding_floor(stack)  # before the inverses: it names a nonpositive input
+    inv = np.ravel(inv)
+    a = np.concatenate([np.broadcast_to((stack.raised(-1) if i else stack).a, batch + (n, d, d)) for i in inv])
+    a, w = a.reshape(-1, n, d, d), np.broadcast_to(w, groups + batch + (n,)).reshape(-1, n)
+    size, root_d = len(a), np.sqrt(d)
+    per_group = size // len(inv)
+    p = np.repeat(p, per_group)
     rounding = np.divide(16 * _EPS, p, out=np.full(size, 16 * _EPS * root_d), where=p != 0)
-    floor = np.broadcast_to(floor, batch).reshape(-1) * root_d
+    floor = np.broadcast_to(floor, groups + batch).reshape(-1) * root_d
     try:
         low = np.linalg.cholesky(_weighted_sum(w, a)[..., ::-1, ::-1])
     except np.linalg.LinAlgError:
@@ -589,9 +594,10 @@ def _geodesic_loop(w, p, fs, stack, what, inv=False, floor=None):
     except np.linalg.LinAlgError as exc:  # the live members keep their last accepted iterate
         halt = f"failed ({exc})"
     out_s[idx] = s
-    x = _node_values(out_s, np.broadcast_to(inv, size)).reshape(batch + (d, d))
+    x = np.concatenate([_node_value(s, i) for s, i in zip(out_s.reshape(len(inv), -1, d, d), inv)])
+    x = x.reshape(groups + batch + (d, d))
     if len(idx):
-        what = np.broadcast_to(what, size)
+        what = np.repeat(what, per_group)
         members = [
             {"member": int(i), "what": str(what[i]), "bound": float(b), "residual": float(rho)}
             for i, b, rho in zip(idx, bound, resid)
@@ -599,15 +605,15 @@ def _geodesic_loop(w, p, fs, stack, what, inv=False, floor=None):
         named = ", ".join(f"{m['member']} ({m['what']}, bound {m['bound']:.3e})" for m in members[:5])
         msg = f"geodesic iteration {halt} after {iters} steps; {len(idx)} live: {named}"
         raise NoConvergence(msg + (", ..." if len(idx) > 5 else ""), x, float(bound.max()), members)
-    return x, out_iters.reshape(batch), out_bound.reshape(batch)
+    return x, out_iters.reshape(groups + batch), out_bound.reshape(groups + batch)
 
 
-def _node_values(s, inv):
-    """Per factor ``S S^T = X^{-1}``: ``X = K^T K`` (``K = S^{-1}``), or ``S S^T`` itself where ``inv``."""
-    x, direct = np.empty_like(s), ~inv
-    k, si = np.linalg.inv(s[direct]), s[inv]
-    x[direct], x[inv] = k.swapaxes(-1, -2) @ k, si @ si.swapaxes(-1, -2)
-    return sym(x)
+def _node_value(s, inv):
+    """A node's value from factors ``S S^T = X^{-1}``: ``X = K^T K`` (``K = S^{-1}``), or ``S S^T`` itself if ``inv``."""
+    if inv:
+        return sym(s @ s.swapaxes(-1, -2))
+    k = np.linalg.inv(s)
+    return sym(k.swapaxes(-1, -2) @ k)
 
 
 def eval_mean_stack(
@@ -622,11 +628,9 @@ def eval_mean_stack(
     campaigns run many random weightings through one batched solve.
     Iterative solves stop at ``DT_TOL``; a Karcher mean is also certified
     unless ``certify`` is off.  That is one loop call on ``[A]`` at exponent
-    0 and ``[A]``, ``[A^{-1}]`` at ``KARCHER_ALPHA``; members freeze on their
-    own, so only the gap differs.  One decomposition of the inputs gives the
-    inverses, the rounding floor of all three member groups (the same floor
-    as the uncertified solve's) and so, read from the loop's factor, the
-    lower end ``P_{-t}(A)``.
+    0 and ``[A]``, ``[A^{-1}]`` at ``KARCHER_ALPHA``, three groups over the
+    inputs' one decomposition; members freeze on their own and take the
+    uncertified solve's rounding floor, so only the gap differs.
     """
     stack = stack if isinstance(stack, Spectral) else Spectral(stack)
     shape = stack.shape
@@ -637,14 +641,9 @@ def eval_mean_stack(
         vals, iters, bound = _eval_node(spec, stack, weights_override)
         gap = np.zeros(np.shape(bound)) if certified else None
     else:
-        w = _node_weights(spec, weights_override, n)
-        batch = np.broadcast_shapes(shape[:-3], w.shape[:-1])
-        floor = np.broadcast_to(_rounding_floor(stack), (3, *batch))  # before the inverses, as in _eval_node
-        a, a_inv = (np.broadcast_to(x.a, batch + shape[-3:]) for x in (stack, stack.raised(-1)))
-        t, size = KARCHER_ALPHA, int(np.prod(batch))
-        p, inv = np.repeat([0.0, t, t], size), np.repeat([False, False, True], size)
-        what = np.repeat(["Karcher", f"enclosure end P_{t}", f"enclosure end P_-{t}"], size)
-        x, iters, bound = _geodesic_loop(w, p, (), np.stack([a, a, a_inv]), what, inv, floor)
+        t, w = KARCHER_ALPHA, _node_weights(spec, weights_override, n)
+        what = ["Karcher", f"enclosure end P_{t}", f"enclosure end P_-{t}"]
+        x, iters, bound = _geodesic_loop(w, (0.0, t, t), (), stack, what, (False, False, True))
         vals, iters, bound, gap = x[0], iters[0], bound[0], _certify_karcher(*x)
     iters = int(np.max(iters, initial=0))
     return StackResult(values=vals, iterations=iters, residual_dt=np.asarray(bound), enclosure_gap=gap)

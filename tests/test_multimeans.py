@@ -525,24 +525,41 @@ def test_wide_spread_solves_return_within_their_floor(spec, spread, seed, certif
     assert np.isfinite(res.enclosure_gap) if certify else res.enclosure_gap is None
 
 
+def _karcher_3_13_decompositions(held, monkeypatch):
+    """``(n, iterations, matrices decomposed, matrices QR'd)`` of an uncertified
+    Karcher solve on 3.13's trials at d = 5, handed over as a Spectral with
+    its decomposition held or as a plain array."""
+    data = _gen_cell_data("3.13", 5, None, 200, 0)
+    trials = Spectral(data.stack)
+    if held:
+        trials.eig
+    sizes, qrs = [], []
+    eigh, eigvalsh, qr = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.qr
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(np.prod(np.shape(a)[:-2])) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(np.prod(np.shape(a)[:-2])) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": qrs.append(np.prod(np.shape(a)[:-2])) or qr(a, mode))
+    _, iters, _ = _eval_node(MultiMeanSpec.karcher(None), trials if held else data.stack, data.weights)
+    assert iters.sum() > 0
+    return data.stack.shape[-3], iters, sum(sizes), sum(qrs)
+
+
 def test_karcher_solve_decomposes_n_matrices_per_member_iteration_and_takes_no_qr(monkeypatch):
     # the frame decomposes the n matrices B_i; on this data every Newton step
     # is small, so the retraction steps with no eigh of D and no QR (the
     # exponential step took n + 1 matrices and one QR per member-iteration,
     # the eigenpair-carried loop n + 2).  The inputs come with their
     # decomposition, as a campaign group's do, so the floor takes none
-    data = _gen_cell_data("3.13", 5, None, 200, 0)
-    n, trials = data.stack.shape[-3], Spectral(data.stack)
-    trials.eig
-    sizes, qrs = [], []
-    eigh, eigvalsh, qr = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.qr
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(np.prod(np.shape(a)[:-2])) or eigh(a))
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(np.prod(np.shape(a)[:-2])) or eigvalsh(a))
-    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": qrs.append(np.prod(np.shape(a)[:-2])) or qr(a, mode))
-    _, iters, _ = _eval_node(MultiMeanSpec.karcher(None), trials, data.weights)
-    assert iters.sum() > 0
-    assert sum(sizes) <= n * (iters.sum() + iters.size)
-    assert sum(qrs) == 0
+    n, iters, decomposed, qrd = _karcher_3_13_decompositions(True, monkeypatch)
+    assert decomposed <= n * (iters.sum() + iters.size)
+    assert qrd == 0
+
+
+def test_karcher_solve_on_a_plain_array_decomposes_its_inputs_for_the_floor(monkeypatch):
+    # a plain array has no decomposition to read the rounding floor from, so
+    # the solve takes one of its n inputs per member on top of the frames'
+    n, iters, decomposed, qrd = _karcher_3_13_decompositions(False, monkeypatch)
+    assert decomposed <= n * (iters.sum() + 2 * iters.size)
+    assert qrd == 0
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
@@ -574,7 +591,7 @@ def test_mixed_batch_of_large_and_small_steps_matches_each_member_alone(monkeypa
 
     def solve(stack):
         qrs.clear()
-        return (*multimeans._geodesic_loop(W3.asarray(), 0.0, (), stack, "Karcher"), sum(qrs))
+        return (*multimeans._geodesic_loop(W3.asarray(), 0.0, (), Spectral(stack), "Karcher", False), sum(qrs))
 
     both = solve(np.stack([wide, narrow]))
     alone = [solve(wide[None]), solve(narrow[None])]
@@ -624,7 +641,7 @@ def test_indefinite_start_raises_no_convergence(monkeypatch):
     monkeypatch.setattr(multimeans, "_rounding_floor", lambda a: 0.0)
     x = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(errors.NoConvergence, match="geodesic start is not positive definite"):
-        multimeans._geodesic_loop(np.array([0.5, 0.5]), 0.0, (), np.stack([x, x]), "Karcher")
+        multimeans._geodesic_loop(np.array([0.5, 0.5]), 0.0, (), Spectral(np.stack([x, x])), "Karcher", False)
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0])
@@ -645,7 +662,7 @@ def test_karcher_on_wide_spectra_returns_within_its_floor(r, monkeypatch):
     res = eval_mean_stack(MultiMeanSpec.karcher(None), stack, data.weights, certify=False)
     assert res.iterations <= 20
     root_d = np.sqrt(2.0)
-    floor = multimeans._rounding_floor(stack) * root_d + 16 * np.finfo(float).eps * root_d
+    floor = multimeans._rounding_floor(Spectral(stack)) * root_d + 16 * np.finfo(float).eps * root_d
     assert np.all(res.residual_dt <= np.maximum(DT_TOL, floor))
 
 
@@ -799,7 +816,7 @@ def test_singular_input_names_its_member_and_eigenvalue():
         with pytest.raises(errors.DomainError, match=r"member 1 .* eigenvalue 0 <= 0"):
             eval_mean_stack(MultiMeanSpec.power(None, 0.5), np.stack([good, bad]), np.full((2, 2), 0.5))
         with pytest.raises(errors.DomainError, match=r"member 2 .* eigenvalue -0.5 <= 0"):
-            multimeans._rounding_floor(np.stack([good, good, -0.5 * bad]))
+            multimeans._rounding_floor(Spectral(np.stack([good, good, -0.5 * bad])))
 
 
 def test_power_mean_alpha_zero_rejected():
