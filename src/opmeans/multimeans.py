@@ -25,6 +25,7 @@ verification campaigns cheap; the typed API wraps the single-ensemble case.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -240,10 +241,11 @@ def _eval_node(spec: MultiMeanSpec, stack, w_over=None):
     and the Thompson error bound of :class:`MeanResult` per member, through
     the normal form of :func:`_residual`; the bound is inversion invariant.
     A loop solve reads its inputs' decomposition, the Spectral's own or one
-    taken of a plain array, for its rounding floor and the inverses of an
-    inverted node, and hands back each node's own value
-    (:func:`_geodesic_loop`), so the solved mean is not decomposed again;
-    only the closed-form harmonic mean inverts its weighted sum.
+    taken of a plain array, for its rounding floor, the inverses of an
+    inverted node and those its start's harmonic mean sums, and hands back
+    each node's own value (:func:`_geodesic_loop`), so the solved mean is
+    not decomposed again; only the closed-form harmonic mean inverts its
+    weighted sum.
     """
     stack = stack if isinstance(stack, Spectral) else Spectral(stack)  # decomposed only when read
     n = stack.shape[-3]
@@ -470,6 +472,46 @@ def _retraction(t):
     return np.linalg.cholesky(0.5 * (np.eye(t.shape[-1]) + m @ m))
 
 
+def _second_order_start(low, hinv, p):
+    """Lower Cholesky factors of ``J X_0 J`` per member, ``X_0 = A_w #_s H_w`` with ``s = (1 - p) / 2``.
+
+    ``low`` is that of ``J A_w J`` and ``hinv`` is ``H_w^{-1} = sum_i w_i
+    A_i^{-1}``.  With ``K = J low^T J``, so that ``K^T K = A_w``, and ``K
+    H_w^{-1} K^T = U diag(lam) U^T``, ``X_0 = K^T U diag(lam^{-s}) U^T K``
+    by the congruence invariance of ``#_s``; ``H_w <= A_w`` gives ``lam >=
+    1``, so ``lam`` is clamped there against rounding.  ``X_0`` agrees with
+    ``P_p`` to second order about equal inputs, is ``A # H`` for the Karcher
+    mean (``p = 0``), and is exact for a uniform two-matrix one.  A member
+    whose ``X_0`` is not finite or not numerically positive definite keeps
+    ``low``.
+    """
+    kt = low[..., ::-1, ::-1]  # K^T
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = congruence(kt, hinv)
+        lost = ~np.isfinite(m).all(axis=(-2, -1))
+        m[lost] = np.eye(low.shape[-1])  # eigh raises on a member that is not finite
+        lam, u = np.linalg.eigh(m)
+        y = kt @ (u * (np.maximum(lam, 1.0) ** (-0.25 * (1.0 - p))[:, None])[:, None, :])
+        x0 = (y @ y.swapaxes(-1, -2))[..., ::-1, ::-1]
+        try:
+            out = np.linalg.cholesky(x0)
+        except np.linalg.LinAlgError:  # one member's X_0 failed: the batch goes member by member
+            out = low.copy()
+            for k, x in enumerate(x0):
+                try:
+                    out[k] = np.linalg.cholesky(x)
+                except np.linalg.LinAlgError:
+                    pass
+    lost |= ~np.isfinite(out).all(axis=(-2, -1))
+    out[lost] = low[lost]
+    return out
+
+
+def _inverse_factor(low):
+    """``S = J L^{-T} J``, lower triangular with ``S S^T = X^{-1}``, for the Cholesky factor ``L L^T = J X J``."""
+    return np.linalg.inv(low).swapaxes(-1, -2)[..., ::-1, ::-1]
+
+
 def _geodesic_loop(w, p, fs, stack, what, inv):
     """The mean of residual ``(inv, p, fs)`` (:func:`_residual`) on the :class:`Spectral` ``stack`` by damped Riemannian Newton steps.
 
@@ -484,13 +526,23 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
 
     Each member's iterate ``X`` is carried as a lower triangular
     ``S`` with ``S S^T = X^{-1}``, from ``J L^{-T} J`` for the Cholesky
-    factor ``L L^T = J X_0 J`` of the weighted arithmetic mean ``X_0``, ``J``
-    the reversal permutation.  :func:`_frame` maps ``S`` to the Newton
-    direction ``D``, a residual that decides the steps and the error bound
-    that stops them, in the frame ``B_i = S^T A_i S``, whose spectra are
-    those of ``X^{-1/2} A_i X^{-1/2}`` as ``S = X^{-1/2} Q``, ``Q``
-    orthogonal.  The bound includes the rounding of its own evaluation,
-    ``16 eps sqrt d`` at ``p = 0`` and ``16 eps / p`` otherwise.  A step
+    factor ``L L^T = J X_0 J`` of its start ``X_0``, ``J`` the reversal
+    permutation.  That of the weighted arithmetic mean ``A_w`` is taken
+    first, and its failure raises :class:`NoConvergence` before any inverse
+    is formed.  With an empty chain ``X_0`` is the second-order mean ``A_w
+    #_{(1-p)/2} H_w`` (:func:`_second_order_start`), ``H_w`` the weighted
+    harmonic mean, whose inverse is summed from the inputs of the opposite
+    ``inv``; those and the inverses are each rebuilt once from ``stack``'s
+    decomposition.  A member whose ``X_0`` cannot be formed or whose first
+    frame is not positive definite starts at ``A_w``, as every member with a
+    chain does: its second-order term would need ``g''(1)``.
+
+    :func:`_frame` maps ``S`` to the Newton direction ``D``, a residual that
+    decides the steps and the error bound that stops them, in the frame
+    ``B_i = S^T A_i S``, whose spectra are those of ``X^{-1/2} A_i
+    X^{-1/2}`` as ``S = X^{-1/2} Q``, ``Q`` orthogonal.  The bound includes
+    the rounding of its own evaluation, ``16 eps sqrt d`` at ``p = 0`` and
+    ``16 eps / p`` otherwise.  A step
     moves ``X`` to ``X^{1/2} exp(theta Q D Q^T) X^{1/2}``, or to second order
     so, at the member's cap ``theta``: 1 at first, halved when the step is
     rejected, raised by 1.25 when accepted.  A small step, ``||theta D||_F
@@ -534,8 +586,13 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
     groups, batch = np.shape(p), np.broadcast_shapes(stack.shape[:-3], np.shape(w)[:-1])
     floor = _rounding_floor(stack)  # before the inverses: it names a nonpositive input
     inv = np.ravel(inv)
-    a = np.concatenate([np.broadcast_to((stack.raised(-1) if i else stack).a, batch + (n, d, d)) for i in inv])
-    a, w = a.reshape(-1, n, d, d), np.broadcast_to(w, groups + batch + (n,)).reshape(-1, n)
+    inverses = functools.cache(lambda: stack.raised(-1))  # raised when first read, rebuilt once
+
+    def inputs(flags):  # per group, the inputs or, where flagged, their inverses
+        return np.concatenate([np.broadcast_to((inverses() if f else stack).a, batch + (n, d, d)) for f in flags])
+
+    a = inputs(inv).reshape(-1, n, d, d)
+    w = np.broadcast_to(w, groups + batch + (n,)).reshape(-1, n)
     size, root_d = len(a), np.sqrt(d)
     per_group = size // len(inv)
     p = np.repeat(p, per_group)
@@ -545,9 +602,22 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
         low = np.linalg.cholesky(_weighted_sum(w, a)[..., ::-1, ::-1])
     except np.linalg.LinAlgError:
         raise NoConvergence("geodesic start is not positive definite") from None
-    s = np.linalg.inv(low).swapaxes(-1, -2)[..., ::-1, ::-1]
+    start = low
+    if not fs:
+        try:
+            with np.errstate(over="ignore"):
+                hinv = _weighted_sum(w, inputs(~inv).reshape(-1, n, d, d))
+        except DomainError:  # an inverse past the float range: every member starts at A_w
+            pass
+        else:
+            start = _second_order_start(low, hinv, p)
+    s = _inverse_factor(start)
     idx = np.arange(size)  # the members still iterating
     direction, resid, bound = _frame(w, p, fs, a, s, rounding)
+    lost = ~np.isfinite(resid) & (start != low).any(axis=(-2, -1))
+    if lost.any():  # a start whose frame is not positive definite falls back to A_w
+        s[lost] = _inverse_factor(low[lost])
+        direction[lost], resid[lost], bound[lost] = _frame(w[lost], p[lost], fs, a[lost], s[lost], rounding[lost])
     if not np.all(np.isfinite(resid)):
         raise NoConvergence("geodesic iterate lost positive definiteness")
     out_s, out_bound, out_iters = s.copy(), bound.copy(), np.zeros(size, dtype=int)

@@ -5,11 +5,14 @@ criterion.  The randomized campaigns are seeded, so every run checks the
 same instances.
 """
 
+import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import report_diff
 
 from opmeans.cli import EXIT_OK, EXIT_SEARCH_EXHAUSTED, main as cli_main
 from opmeans.inequalities import FAMILIES, CampaignConfig, kantorovich, lie_trotter_gap, run_campaign
@@ -25,6 +28,7 @@ from opmeans.meanfns import (
     rep_transform,
 )
 from opmeans.multimeans import (
+    DT_TOL,
     MultiMeanSpec,
     Weights,
     adjoint_eval,
@@ -183,7 +187,10 @@ def test_criterion_4_solver_correctness():
 # --------------------------------------------------------------------------
 
 
-def test_criterion_5_inequality_campaign():
+GOLDEN_CRITERION_5 = Path(__file__).with_name("data") / "criterion5.jsonl"
+
+
+def test_criterion_5_inequality_campaign(tmp_path):
     # the campaign config takes one r grid, so the r >= 1 and 0 < r <= 1
     # families run as two campaigns
     workers = max(2, min(8, os.cpu_count() or 2))
@@ -194,6 +201,19 @@ def test_criterion_5_inequality_campaign():
         results += run_campaign(config, threads=workers)
     failing = [r for r in results if not r["holds"]]
     assert not failing, f"{len(failing)} cells failed, first: {failing[0]}"
+    # the committed report pins every cell: verdicts, error lines and worst
+    # trials exactly, margins to 1e-12 relative or DT_TOL absolute, and the
+    # r = 1 margins, where both sides are one mean, to exactly 0.  A change
+    # that moves it regenerates the file from the report written here
+    got = tmp_path / GOLDEN_CRITERION_5.name
+    got.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in results))
+    diff = report_diff.compare(report_diff.load(GOLDEN_CRITERION_5), report_diff.load(got))
+    hint = f"{diff.summary()}; see python tests/report_diff.py {GOLDEN_CRITERION_5} {got}"
+    assert not diff.breaks, hint
+    moved = [(c, x, y) for c, key, x, y in diff.moves
+             if key == "margin" and not (abs(y - x) <= 1e-12 * abs(x) or abs(y - x) <= DT_TOL)]
+    assert not moved, f"{len(moved)} margins moved, first {moved[0]}; {hint}"
+    assert all(r["margin"] == 0.0 for r in results if r["constants"]["r"] == 1.0)
     worst = min(results, key=lambda r: r["margin"])
     report(5, f"{len(results)} campaign cells x {TRIALS} trials all hold; worst margin "
               f"{worst['margin']:.3e} at {worst['inequality_id']}")
@@ -205,8 +225,6 @@ def test_criterion_5_inequality_campaign():
 
 
 def test_criterion_6_optimality_search(tmp_path, capsys):
-    import json
-
     arith = tmp_path / "arith.json"
     arith.write_text(json.dumps({"kind": "arithmetic", "params": {"w": 0.5}}))
     harm = tmp_path / "harm.json"
