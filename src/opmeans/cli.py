@@ -36,8 +36,8 @@ from .inequalities import (
     verify_counterexample,
 )
 from .meanfns import repfn_from_json
-from .multimeans import eval_mean, meanspec_from_json
-from .psd_core import matrix_from_json
+from .multimeans import MeanResult, eval_mean_stack, meanspec_from_json
+from .psd_core import spectral_from_json
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -81,9 +81,9 @@ def cmd_mean(args) -> int:
     mats_json = raw.get("matrices") if isinstance(raw, dict) else raw
     if not isinstance(mats_json, list):
         raise ConfigError("matrices JSON must be a list of matrices or an object with one under 'matrices'")
-    mats = [matrix_from_json(m) for m in mats_json]
+    stack = spectral_from_json(mats_json)  # validated by one eigh, which the solve reads
     try:
-        result = eval_mean(spec, mats, certify=not args.no_certify)
+        result = MeanResult.of(eval_mean_stack(spec, stack, certify=not args.no_certify))
     except NoConvergence as exc:
         diag = {
             "error": "NoConvergence",

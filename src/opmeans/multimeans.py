@@ -56,10 +56,9 @@ from .psd_core import (
     _rebuild,
     congruence,
     loewner_compare,
-    op_norm,
-    order_margin,
     pair_frame,
     spd_inv,
+    spectral_ends,
     sym,
     thompson,
 )
@@ -183,6 +182,17 @@ class MeanResult:
     iterations: int
     residual_dt: float
     enclosure_gap: Optional[float] = None
+
+    @classmethod
+    def of(cls, result: "StackResult") -> "MeanResult":
+        """The result of a one-ensemble :func:`eval_mean_stack` solve."""
+        gap = result.enclosure_gap
+        return cls(
+            value=SpdMatrix(dim=result.values.shape[-1], entries=result.values),
+            iterations=int(result.iterations),
+            residual_dt=float(np.max(result.residual_dt)),
+            enclosure_gap=None if gap is None else float(np.max(gap)),
+        )
 
     def to_json(self):
         return {
@@ -472,7 +482,7 @@ def _retraction(t):
     return np.linalg.cholesky(0.5 * (np.eye(t.shape[-1]) + m @ m))
 
 
-def _second_order_start(low, hinv, p):
+def _second_order_start(low, hinv, p, w_min):
     """Lower Cholesky factors of ``J X_0 J`` per member, ``X_0 = A_w #_s H_w`` with ``s = (1 - p) / 2``.
 
     ``low`` is that of ``J A_w J`` and ``hinv`` is ``H_w^{-1} = sum_i w_i
@@ -480,18 +490,59 @@ def _second_order_start(low, hinv, p):
     H_w^{-1} K^T = U diag(lam) U^T``, ``X_0 = K^T U diag(lam^{-s}) U^T K``
     by the congruence invariance of ``#_s``; ``H_w <= A_w`` gives ``lam >=
     1``, so ``lam`` is clamped there against rounding.  ``X_0`` agrees with
-    ``P_p`` to second order about equal inputs, is ``A # H`` for the Karcher
-    mean (``p = 0``), and is exact for a uniform two-matrix one.  A member
-    whose ``X_0`` is not finite or not numerically positive definite keeps
-    ``low``.
+    ``P_p`` to second order about equal inputs and is ``A # H`` for the
+    Karcher mean (``p = 0``).
+
+    For ``p > 0`` the factor ``lam^{-s}`` is also clamped below at
+    ``c = w_min^{1/p}``, ``w_min`` the least weight, so that ``c A_w <= X_0
+    <= A_w``, where ``P_p`` lies too: the fixed point ``X = sum_i w_i X #_p
+    A_i`` is at least each of its terms, so ``X >= w_j X^{1/2} (X^{-1/2}
+    A_j X^{-1/2})^p X^{1/2}``, that is ``X^{-1/2} A_j X^{-1/2} <= w_j^{-1/p}
+    I``, and ``X >= w_j^{1/p} A_j >= c A_j`` for every ``j``; their weighted
+    sum is ``X >= c A_w``.  At wide spreads ``lam^{-s}`` would otherwise
+    start the solve up to ``s log(spread)`` from ``A_w``, past that interval.
     """
     kt = low[..., ::-1, ::-1]  # K^T
     with np.errstate(over="ignore", invalid="ignore"):
         m = congruence(kt, hinv)
+    root_c = np.where(p > 0, w_min ** (0.5 / np.where(p > 0, p, 1.0)), 0.0)[:, None]
+    return _spectral_start(
+        low, kt, m, lambda lam: np.maximum(np.maximum(lam, 1.0) ** (-0.25 * (1.0 - p))[:, None], root_c)
+    )
+
+
+def _two_matrix_start(low, roots, b, w, p):
+    """Lower Cholesky factors of ``J X_0 J`` per member, ``X_0`` the exact mean of its two inputs.
+
+    ``roots`` holds ``A_1^{1/2}`` and ``A_1^{-1/2}`` per member and ``b``
+    its ``A_2``.  ``P_p(A_1, A_2) = A_1^{1/2} f(C) A_1^{1/2}`` with ``C =
+    A_1^{-1/2} A_2 A_1^{-1/2}`` and ``f(x) = (w_1 + w_2 x^p)^{1/p}``,
+    ``x^{w_2}`` at ``p = 0`` (Lim and Palfia, JFA 262 (2012)): by congruence
+    invariance it is ``P_p(I, C)``, whose terms commute, so ``X = w_1
+    X^{1-p} + w_2 X^{1-p} C^p``.
+    """
+    half, inv_half = roots
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = congruence(inv_half, b)
+    w1, w2, pc = w[:, :1], w[:, 1:], p[:, None]
+    return _spectral_start(
+        low, half, m,
+        lambda lam: np.where(pc == 0, lam ** (0.5 * w2), (w1 + w2 * lam**pc) ** (0.5 / np.where(pc == 0, 1.0, pc))),
+    )
+
+
+def _spectral_start(low, g, m, root_f):
+    """Lower Cholesky factors of ``J X_0 J`` per member, ``X_0 = g U diag(root_f(lam))^2 U^T g^T``.
+
+    Here ``m = U diag(lam) U^T``, one ``d x d`` ``eigh`` per member.  A
+    member whose ``X_0`` is not finite or not numerically positive definite
+    keeps ``low``, the factor of ``J A_w J``.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lost = ~np.isfinite(m).all(axis=(-2, -1))
         m[lost] = np.eye(low.shape[-1])  # eigh raises on a member that is not finite
         lam, u = np.linalg.eigh(m)
-        y = kt @ (u * (np.maximum(lam, 1.0) ** (-0.25 * (1.0 - p))[:, None])[:, None, :])
+        y = g @ (u * root_f(lam)[:, None, :])
         x0 = (y @ y.swapaxes(-1, -2))[..., ::-1, ::-1]
         try:
             out = np.linalg.cholesky(x0)
@@ -529,13 +580,17 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
     factor ``L L^T = J X_0 J`` of its start ``X_0``, ``J`` the reversal
     permutation.  That of the weighted arithmetic mean ``A_w`` is taken
     first, and its failure raises :class:`NoConvergence` before any inverse
-    is formed.  With an empty chain ``X_0`` is the second-order mean ``A_w
-    #_{(1-p)/2} H_w`` (:func:`_second_order_start`), ``H_w`` the weighted
-    harmonic mean, whose inverse is summed from the inputs of the opposite
-    ``inv``; those and the inverses are each rebuilt once from ``stack``'s
-    decomposition.  A member whose ``X_0`` cannot be formed or whose first
-    frame is not positive definite starts at ``A_w``, as every member with a
-    chain does: its second-order term would need ``g''(1)``.
+    is formed.  With an empty chain over two inputs ``X_0`` is their exact
+    mean (:func:`_two_matrix_start`), from the square roots of the first
+    input rebuilt from ``stack``'s decomposition, so the first frame stops
+    the solve wherever rounding allows.  With an empty chain over more ``X_0`` is the second-order mean
+    ``A_w #_{(1-p)/2} H_w`` (:func:`_second_order_start`), ``H_w`` the
+    weighted harmonic mean, whose inverse is summed from the inputs of the
+    opposite ``inv``; those and the inverses are each rebuilt once from
+    ``stack``'s decomposition.  Either takes one ``d x d`` ``eigh`` per
+    member.  A member whose ``X_0`` cannot be formed or whose first frame is
+    not positive definite starts at ``A_w``, as every member with a chain
+    does: its second-order term would need ``g''(1)``.
 
     :func:`_frame` maps ``S`` to the Newton direction ``D``, a residual that
     decides the steps and the error bound that stops them, in the frame
@@ -591,6 +646,16 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
     def inputs(flags):  # per group, the inputs or, where flagged, their inverses
         return np.concatenate([np.broadcast_to((inverses() if f else stack).a, batch + (n, d, d)) for f in flags])
 
+    def first_roots(flags):  # per member, the square root of its first input and that root's inverse
+        eig_w, eig_v = stack.eig
+        root, v = np.sqrt(eig_w[..., 0, :]), eig_v[..., 0, :, :]
+        half, inv_half = _rebuild(v, root), _rebuild(v, 1.0 / root)
+
+        def per_member(x, x_inv):  # where flagged, the input is an inverse: its roots swap
+            return np.concatenate([np.broadcast_to(x_inv if f else x, batch + (d, d)) for f in flags]).reshape(-1, d, d)
+
+        return per_member(half, inv_half), per_member(inv_half, half)
+
     a = inputs(inv).reshape(-1, n, d, d)
     w = np.broadcast_to(w, groups + batch + (n,)).reshape(-1, n)
     size, root_d = len(a), np.sqrt(d)
@@ -603,14 +668,16 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
     except np.linalg.LinAlgError:
         raise NoConvergence("geodesic start is not positive definite") from None
     start = low
-    if not fs:
+    if not fs and n == 2:
+        start = _two_matrix_start(low, first_roots(inv), a[:, 1], w, p)
+    elif not fs:
         try:
             with np.errstate(over="ignore"):
                 hinv = _weighted_sum(w, inputs(~inv).reshape(-1, n, d, d))
         except DomainError:  # an inverse past the float range: every member starts at A_w
             pass
         else:
-            start = _second_order_start(low, hinv, p)
+            start = _second_order_start(low, hinv, p, w.min(axis=-1))
     s = _inverse_factor(start)
     idx = np.arange(size)  # the members still iterating
     direction, resid, bound = _frame(w, p, fs, a, s, rounding)
@@ -725,11 +792,13 @@ def _certify_karcher(vals, upper, lower):
     ``P_{-t} <= G <= P_t`` with ``t = KARCHER_ALPHA``; the ends solve a
     different equation from ``G``, in the same loop call (see
     :func:`eval_mean_stack`), the lower one through ``P_{-t}(A) =
-    P_t(A^{-1})^{-1}``.
+    P_t(A^{-1})^{-1}``.  The margins are those of ``order_margin`` for
+    ``vals <= upper`` and ``lower <= vals``, and the width is the Thompson
+    distance.
     """
-    vals_norm = op_norm(vals)
-    up_margin = order_margin(vals, upper, vals_norm)
-    lo_margin = order_margin(lower, vals, hi_norm=vals_norm)
+    # one eigvalsh for both differences and the three norms, the bits of five
+    lam, norm = spectral_ends(np.stack([upper - vals, vals - lower, vals, upper, lower]))
+    up_margin, lo_margin = 0.5 * lam[:2] / (0.5 * norm[2] + 0.5 * norm[3:])  # order_margin's formula
     if np.any(up_margin < -CHECK_TOL) or np.any(lo_margin < -CHECK_TOL):
         raise CertificationFailure(
             "Karcher solve escaped its power-mean enclosure "
@@ -753,19 +822,9 @@ def _as_stack(As: Sequence[SpdMatrix]):
     return np.stack([m.a for m in As])
 
 
-def _wrap(result: StackResult) -> MeanResult:
-    gap = result.enclosure_gap
-    return MeanResult(
-        value=SpdMatrix(dim=result.values.shape[-1], entries=result.values),
-        iterations=int(result.iterations),
-        residual_dt=float(np.max(result.residual_dt)),
-        enclosure_gap=None if gap is None else float(np.max(gap)),
-    )
-
-
 def eval_mean(spec: MultiMeanSpec, As: Sequence[SpdMatrix], *, certify: bool = True) -> MeanResult:
     """Evaluate any mean description on a list of SPD matrices; see :func:`eval_mean_stack`."""
-    return _wrap(eval_mean_stack(spec, _as_stack(As), certify=certify))
+    return MeanResult.of(eval_mean_stack(spec, _as_stack(As), certify=certify))
 
 
 def elementary_mean(kind: str, w: Weights, As: Sequence[SpdMatrix]) -> SpdMatrix:

@@ -30,6 +30,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import (
+    ArityMismatch,
     BadInterval,
     BadSeed,
     DimensionMismatch,
@@ -69,6 +70,7 @@ __all__ = [
     "spectral_ends",
     "matrix_to_json",
     "matrix_from_json",
+    "spectral_from_json",
 ]
 
 PD_TOL = 1e-12
@@ -199,9 +201,18 @@ def _values(fn, w):
 
 def _power_fn(r):
     """``w -> w**r``; a whole power is defined at every eigenvalue, any other
-    needs them positive."""
+    needs them positive.  DomainError names the eigenvalues where it
+    overflows, as ``w**-1`` does below about 5.6e-309."""
     whole = r >= 0 and float(r).is_integer()
-    return lambda w: np.power(w if whole else _positive(w, f"power {r}"), r)
+
+    def power(w):
+        with np.errstate(over="ignore"):
+            wr = np.power(w if whole else _positive(w, f"power {r}"), r)
+        if not np.all(np.isfinite(wr)):
+            raise DomainError(f"power {r} overflows at eigenvalue(s) {w[~np.isfinite(wr)][:4]}")
+        return wr
+
+    return power
 
 
 def _positive(w, what):
@@ -359,31 +370,61 @@ def validate_spd(entries) -> SpdMatrix:
     averaging with the transpose; larger asymmetry is an error.  Positive
     definiteness is rejected when the smallest eigenvalue is at or below
     ``PD_TOL * spectral_scale``, and a spectrum past the floating-point range
-    raises DomainError.
+    raises DomainError.  It is the one-matrix case of :func:`_validated`.
     """
-    a = np.asarray(entries, dtype=float)
+    a = _square(np.asarray(entries, dtype=float))
+    return SpdMatrix(dim=a.shape[0], entries=_validated(a[None]).a[0])
+
+
+def _square(a):
+    """``a``; NotSquare unless it is a nonempty square 2-d array."""
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise NotSquare(f"expected a nonempty square 2-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must be finite")
-    scale = np.max(np.abs(a))
-    half_gap = np.max(np.abs(0.5 * a - 0.5 * a.T))  # halved, like the threshold, so it cannot overflow
-    if half_gap > 0.5 * SYM_TOL * max(scale, 1e-300):
+    return a
+
+
+def _validated(a) -> Spectral:
+    """The :class:`Spectral` of the symmetric parts of the stack ``a`` (n, d, d),
+    ``n, d >= 1``, with its decomposition held, once every matrix passes
+    :func:`validate_spd`'s checks.
+
+    The finiteness and asymmetry checks run over the whole stack, then one
+    batched ``eigh`` gives the positive-definite verdict and the
+    decomposition that a solve reads.  The first failing matrix raises the
+    error :func:`validate_spd` gives it alone, so an earlier matrix's fault
+    comes before a later one's.
+    """
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # a matrix that is not finite fails first
+        scale = np.abs(a).max(axis=(-2, -1))
+        # halved, like the threshold, so it cannot overflow
+        half_gap = np.abs(0.5 * a - 0.5 * np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
+    asym = half_gap > 0.5 * SYM_TOL * np.maximum(scale, 1e-300)
+    bad = ~finite | asym
+    if bad.any():
+        k = int(np.argmax(bad))
+        if k:
+            _validated(a[:k])
+        if not finite[k]:
+            raise DomainError("matrix entries must be finite")
         raise NotSymmetric(
-            f"asymmetry {2.0 * float(half_gap):.3e} exceeds {SYM_TOL:.1e} * max|entries| = "
-            f"{SYM_TOL * scale:.3e}"
+            f"asymmetry {2.0 * float(half_gap[k]):.3e} exceeds {SYM_TOL:.1e} * max|entries| = "
+            f"{SYM_TOL * scale[k]:.3e}"
         )
     s = sym(a)
-    w = np.linalg.eigvalsh(s)
-    if not np.all(np.isfinite(w)):
-        raise DomainError(f"spectrum {w[0]:.6e} .. {w[-1]:.6e} exceeds the floating-point range")
-    spectral_scale = max(abs(w[0]), abs(w[-1]))
-    if w[0] <= PD_TOL * spectral_scale:
+    w, v = _eigh(s)
+    low, high = w[:, 0], w[:, -1]
+    spectral_scale = np.maximum(np.abs(low), np.abs(high))
+    bad = ~np.isfinite(w).all(axis=-1) | (low <= PD_TOL * spectral_scale)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not np.all(np.isfinite(w[k])):
+            raise DomainError(f"spectrum {low[k]:.6e} .. {high[k]:.6e} exceeds the floating-point range")
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {w[0]:.6e} is at or below {PD_TOL:.0e} * spectral scale "
-            f"{spectral_scale:.6e}"
+            f"smallest eigenvalue {low[k]:.6e} is at or below {PD_TOL:.0e} * spectral scale "
+            f"{spectral_scale[k]:.6e}"
         )
-    return SpdMatrix(dim=a.shape[0], entries=s)
+    return Spectral._known((w, v), lambda: s)
 
 
 def matrix_function(A: SpdMatrix, f) -> np.ndarray:
@@ -590,7 +631,8 @@ def matrix_to_json(a) -> dict:
     return {"dim": int(a.shape[0]), "entries": [[float(x) for x in row] for row in a]}
 
 
-def matrix_from_json(obj) -> SpdMatrix:
+def _entries_from_json(obj):
+    """The entries of one JSON matrix as a (dim, dim) array, unvalidated."""
     try:
         dim = int(obj["dim"])
         a = np.asarray(obj["entries"], dtype=float)
@@ -598,4 +640,22 @@ def matrix_from_json(obj) -> SpdMatrix:
         raise NotSquare(f"matrix JSON must carry an integer 'dim' and numeric 'entries': {exc}") from exc
     if a.shape != (dim, dim):
         raise NotSquare(f"declared dim {dim} does not match entries shape {a.shape}")
-    return validate_spd(a)
+    return _square(a)
+
+
+def matrix_from_json(obj) -> SpdMatrix:
+    return validate_spd(_entries_from_json(obj))
+
+
+def spectral_from_json(objs) -> Spectral:
+    """The validated stack (n, d, d) of the JSON matrices ``objs``, a list, as a
+    :class:`Spectral` with its decomposition held: each matrix gets the error
+    :func:`matrix_from_json` gives it, from one ``eigh`` for them all."""
+    mats = [_entries_from_json(obj) for obj in objs]
+    if not mats:
+        raise ArityMismatch("need at least one matrix")
+    dim = len(mats[0])
+    for a in mats:
+        if len(a) != dim:
+            raise DimensionMismatch(f"mixed dimensions {dim} and {len(a)}")
+    return _validated(np.stack(mats))

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opmeans import inequalities, multimeans
+from opmeans.errors import OpmeansError
 from opmeans.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
@@ -15,7 +17,7 @@ from opmeans.cli import (
     main,
 )
 from opmeans.inequalities import FAMILIES, check_compression_reverse, run_cell
-from opmeans.psd_core import random_spd, validate_spd
+from opmeans.psd_core import matrix_from_json, random_spd, validate_spd
 
 
 def write(tmp_path, name, obj):
@@ -192,6 +194,72 @@ def test_mean_unwritable_output_is_input_error(tmp_path, capsys):
     code = main(["mean", "--spec", spec, "--matrices", mats, "--output", out])
     assert "ConfigError" in capsys.readouterr().err
     assert code == EXIT_INPUT
+
+
+# one fault of each kind that matrix_from_json and validate_spd reject
+_FAULTY_MATRICES = {
+    "not-square": {"dim": 2, "entries": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+    "dim-not-integer": {"dim": "two", "entries": [[1.0, 0.0], [0.0, 1.0]]},
+    "declared-dim-mismatch": {"dim": 3, "entries": [[1.0, 0.0], [0.0, 1.0]]},
+    "empty": {"dim": 0, "entries": []},
+    "not-finite": {"dim": 2, "entries": [[float("inf"), 0.0], [0.0, 1.0]]},
+    "nan": {"dim": 2, "entries": [[1.0, float("nan")], [float("nan"), 1.0]]},
+    "asymmetric": {"dim": 2, "entries": [[1.0, 0.5], [0.0, 1.0]]},
+    "asymmetric-past-threshold": {"dim": 2, "entries": [[1.0, 2e-8], [0.0, 1.0]]},
+    "asymmetric-at-float-range": {"dim": 2, "entries": [[1e308, 1e308], [-1e308, 1e308]]},
+    "indefinite": {"dim": 2, "entries": [[1.0, 0.0], [0.0, -1.0]]},
+    "below-relative-threshold": {"dim": 2, "entries": [[1e-200, 0.0], [0.0, 1.0]]},
+    "spectrum-overflow": {"dim": 2, "entries": [[1e308, 1e308], [1e308, 1e308]]},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTY_MATRICES))
+def test_mean_names_a_faulty_matrix_in_a_stack_as_alone(tmp_path, capsys, fault):
+    # the inputs are validated as one stack, yet a fault at index 1 of three
+    # gives the error type and message matrix_from_json gives that matrix
+    with pytest.raises(OpmeansError) as alone:
+        matrix_from_json(_FAULTY_MATRICES[fault])
+    spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.2, 0.3, 0.5]})
+    faulty = [matrix_json(np.eye(2)), _FAULTY_MATRICES[fault], matrix_json(np.diag([1.0, 2.0]))]
+    mats = write(tmp_path, "mats.json", faulty)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["mean", "--spec", spec, "--matrices", mats])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: {type(alone.value).__name__}: {alone.value}\n"
+
+
+def test_mean_of_mixed_dimensions_is_input_error(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.2, 0.3, 0.5]})
+    mats = write(tmp_path, "mats.json", [matrix_json(np.eye(2)), matrix_json(np.eye(3)), matrix_json(np.eye(2))])
+    code = main(["mean", "--spec", spec, "--matrices", mats])
+    assert capsys.readouterr().err == "error: DimensionMismatch: mixed dimensions 2 and 3\n"
+    assert code == EXIT_INPUT
+
+
+def test_mean_decomposes_its_inputs_once(tmp_path, capsys, monkeypatch):
+    # the validation's one eigh of the n inputs is the decomposition the
+    # solve reads: no eigvalsh before the solve, and the certificate takes
+    # at most two (its margins and norms, and the Thompson gap)
+    inputs = np.stack([random_spd(4, (0.5, 2.0), 90 + j).a for j in range(3)])
+    spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.2, 0.3, 0.5]})
+    mats = write(tmp_path, "mats.json", [matrix_json(a) for a in inputs])
+    calls = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    loop, certify = multimeans._geodesic_loop, multimeans._certify_karcher
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(("eigh", np.array(a))) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(("eigvalsh", np.array(a))) or eigvalsh(a))
+    monkeypatch.setattr(multimeans, "_geodesic_loop", lambda *args: (loop(*args), calls.append(("solved", None)))[0])
+    monkeypatch.setattr(multimeans, "_certify_karcher", lambda *args: calls.append(("certify", None)) or certify(*args))
+    assert main(["mean", "--spec", spec, "--matrices", mats]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["iterations"] > 0
+    names = [name for name, _ in calls]
+    assert names.index("solved") + 1 == names.index("certify")
+    of_inputs = [k for k, (name, a) in enumerate(calls) if name == "eigh" and np.array_equal(a, inputs)]
+    assert of_inputs == [0]
+    assert "eigvalsh" not in names[: names.index("solved")]
+    assert 1 <= names.count("eigvalsh") <= 2
 
 
 def campaign(tmp_path, **overrides):

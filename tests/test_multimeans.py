@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opmeans import errors, inequalities, multimeans
+from opmeans import errors, inequalities, meanfns, multimeans
 from opmeans.inequalities import _gen_cell_data
 from opmeans.meanfns import (
     arithmetic,
@@ -654,7 +654,7 @@ def _starts(stack, w, p):
     low = np.linalg.cholesky(multimeans._weighted_sum(w, stack)[..., ::-1, ::-1])
     hinv = multimeans._weighted_sum(w, np.linalg.inv(stack))
     out = []
-    for factor in (low, multimeans._second_order_start(low, hinv, p)):
+    for factor in (low, multimeans._second_order_start(low, hinv, p, w.min(axis=-1))):
         x = (factor @ factor.swapaxes(-1, -2))[..., ::-1, ::-1]
         out.append((np.linalg.inv(factor).swapaxes(-1, -2)[..., ::-1, ::-1], x))
     return out
@@ -709,7 +709,7 @@ def test_start_that_fails_falls_back_to_the_arithmetic_mean(case, monkeypatch):
     else:
         spec, stack = MultiMeanSpec.power(W3, -0.5), np.stack([random_spd(4, (1.0, 1e16), 777 + j).a for j in range(3)])
     got = eval_mean_stack(spec, stack, certify=False)
-    monkeypatch.setattr(multimeans, "_second_order_start", lambda low, hinv, p: low)
+    monkeypatch.setattr(multimeans, "_second_order_start", lambda low, hinv, p, w_min: low)
     want = eval_mean_stack(spec, stack, certify=False)
     assert np.array_equal(got.values, want.values)
     assert (got.iterations, got.residual_dt) == (want.iterations, want.residual_dt)
@@ -727,6 +727,50 @@ def test_uniform_two_matrix_karcher_mean_is_its_start(d):
     assert res.iterations == 0
     assert np.isfinite(res.enclosure_gap)
     assert np.abs(res.value.a - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.9, -0.9, 0.5, -0.5, KARCHER_ALPHA, -KARCHER_ALPHA])
+def test_two_matrix_solve_starts_at_its_exact_mean(p):
+    # P_p(A, B) = A^{1/2} (w_1 + w_2 C^p)^{1/p} A^{1/2}, C = A^{-1/2} B
+    # A^{-1/2}, and G = A #_{w_2} B: the loop starts there, so the solve and
+    # a certified Karcher solve's enclosure ends take no Newton step
+    w = (0.3, 0.7)
+    for d in (2, 5):
+        stack = np.stack([random_spd(d, (0.5, 2.0), 4200 + 10 * d + j).a for j in range(2)])
+        spec = MultiMeanSpec.karcher(Weights(w)) if p == 0 else MultiMeanSpec.power(Weights(w), p)
+        res = eval_mean_stack(spec, stack)
+        fn = (lambda x: x ** w[1]) if p == 0 else (lambda x: (w[0] + w[1] * x**p) ** (1 / p))
+        want = meanfns._two_var_arrays(fn, stack[0], stack[1])
+        assert res.iterations == 0
+        assert np.all(res.residual_dt < DT_TOL)
+        assert thompson(res.values, want) < 1e-13
+    t = KARCHER_ALPHA
+    ends = multimeans._geodesic_loop(np.array(w), (0.0, t, t), (), Spectral(stack), "K", (False, False, True))
+    assert not ends[1].any()
+
+
+def test_second_order_start_is_clamped_at_the_power_mean_lower_bound(monkeypatch):
+    # for p > 0, P_p >= w_min^{1/p} A_w.  At spread 1e14, A_w #_s H_w
+    # lies up to s log(spread) below A_w, past that bound; the start is
+    # clamped to it, and the solves then take fewer Newton steps
+    w = W3.asarray()[None]
+    clamped = multimeans._second_order_start
+    stacks = [np.stack([random_spd(4, (1.0, 1e14), 31000 + 100 * s + j).a for j in range(3)]) for s in range(4)]
+    for stack in stacks:
+        aw = multimeans._weighted_sum(w, stack[None])
+        for p in (0.9, 0.5, 0.25):
+            bound = 0.2 ** (1 / p) * aw
+            x0 = _starts(stack[None], w, np.array([p]))[1][1]
+            assert order_margin(bound, x0)[0] >= -1e-15
+            assert order_margin(bound, eval_mean_stack(MultiMeanSpec.power(W3, p), stack).values) >= 0
+
+    def steps():
+        return sum(eval_mean_stack(MultiMeanSpec.power(W3, p), stack).iterations
+                   for stack in stacks for p in (0.9, 0.5, 0.25, -0.9, -0.5, -0.25))
+
+    with_clamp = steps()
+    monkeypatch.setattr(multimeans, "_second_order_start", lambda low, hinv, p, w_min: clamped(low, hinv, p, 0 * w_min))
+    assert with_clamp < steps()
 
 
 # the certified Karcher iterations of mean_certified's 56 ensembles at seed 0

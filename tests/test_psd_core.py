@@ -340,6 +340,40 @@ def test_spectral_ends_match_lambda_min_and_norm():
     np.testing.assert_array_equal(nrm, psd_core.op_norm(a))
 
 
+def test_power_that_overflows_is_a_typed_domain_error():
+    # the inverse of an eigenvalue below about 5.6e-309 is past the float
+    # range: a DomainError that says so, not a warning and "undefined"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(errors.DomainError, match=r"power -1 overflows at eigenvalue\(s\) \[1\.e-310 1\.e-309\]"):
+            Spectral(np.diag([1e-310, 1e-309])).raised(-1)
+        with pytest.raises(errors.DomainError, match="power 2 overflows"):
+            spd_power(np.diag([1e200, 1.0]), 2)
+        np.testing.assert_allclose(Spectral(np.diag([1e-300, 1.0])).raised(-1).eig[0], [1.0, 1e300], rtol=1e-15)
+
+
+def test_stacked_validation_names_the_first_faulty_matrix():
+    # one pass over the stack, but the error is the first faulty matrix's,
+    # whichever check finds each fault: a matrix that is not positive
+    # definite at index 1 comes before an asymmetric one at index 2
+    good, indefinite, asym = np.eye(2), np.diag([1.0, -1.0]), np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(errors.NotPositiveDefinite):
+        psd_core.spectral_from_json([matrix_to_json(a) for a in (good, indefinite, asym)])
+    with pytest.raises(errors.NotSymmetric):
+        psd_core.spectral_from_json([matrix_to_json(a) for a in (good, asym, indefinite)])
+
+
+def test_stacked_validation_holds_the_decomposition_of_the_symmetric_parts():
+    mats = [random_spd(3, (0.5, 2.0), 30 + k).a for k in range(3)]
+    mats[1] = mats[1] + np.triu(np.full((3, 3), 1e-10), 1)  # asymmetry folded away
+    stack = psd_core.spectral_from_json([matrix_to_json(a) for a in mats])
+    want = np.stack([validate_spd(a).a for a in mats])
+    np.testing.assert_array_equal(stack.a, want)
+    w, v = np.linalg.eigh(want)
+    np.testing.assert_array_equal(stack.eig[0], w)
+    np.testing.assert_array_equal(stack.eig[1], v)
+
+
 def test_matrix_json_roundtrip():
     a = random_spd(3, (0.5, 2.0), 5)
     back = matrix_from_json(matrix_to_json(a.a))
