@@ -54,6 +54,7 @@ from .psd_core import (
     Spectral,
     SpdMatrix,
     _rebuild,
+    _stack_of,
     congruence,
     loewner_compare,
     pair_frame,
@@ -93,6 +94,8 @@ class Weights:
 
     def __post_init__(self):
         try:
+            if any(isinstance(v, (bool, np.bool_, str)) for v in self.values):  # float() reads them as numbers
+                raise TypeError(f"got {self.values!r}")
             vals = tuple(float(v) for v in self.values)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidWeights(f"weights must be a list of numbers: {exc}") from exc
@@ -483,17 +486,18 @@ def _retraction(t):
 
 
 def _second_order_start(low, hinv, p, w_min):
-    """Lower Cholesky factors of ``J X_0 J`` per member, ``X_0 = A_w #_s H_w`` with ``s = (1 - p) / 2``.
+    """``(m, h)`` of the spectral step from ``A_w`` to ``X_0 = A_w #_s H_w``, ``s = (1 - p) / 2``, per member.
 
-    ``low`` is that of ``J A_w J`` and ``hinv`` is ``H_w^{-1} = sum_i w_i
-    A_i^{-1}``.  With ``K = J low^T J``, so that ``K^T K = A_w``, and ``K
-    H_w^{-1} K^T = U diag(lam) U^T``, ``X_0 = K^T U diag(lam^{-s}) U^T K``
-    by the congruence invariance of ``#_s``; ``H_w <= A_w`` gives ``lam >=
-    1``, so ``lam`` is clamped there against rounding.  ``X_0`` agrees with
-    ``P_p`` to second order about equal inputs and is ``A # H`` for the
-    Karcher mean (``p = 0``).
+    ``low`` is the Cholesky factor of ``J A_w J`` and ``hinv`` is ``H_w^{-1}
+    = sum_i w_i A_i^{-1}``.  With ``K = J low^T J``, so that ``K^T K = A_w``
+    and ``S_0 = K^{-1}``, and ``m = K H_w^{-1} K^T = U diag(lam) U^T``,
+    ``X_0^{-1} = S_0 U diag(lam^s) U^T S_0^T`` by the congruence invariance
+    of ``#_s``, a step with ``h = lam^{s/2}`` (:func:`_spectral_step`);
+    ``H_w <= A_w`` gives ``lam >= 1``, so ``lam`` is clamped there against
+    rounding.  ``X_0`` agrees with ``P_p`` to second order about equal
+    inputs and is ``A # H`` for the Karcher mean (``p = 0``).
 
-    For ``p > 0`` the factor ``lam^{-s}`` is also clamped below at
+    For ``p > 0`` the factor ``lam^{-s}`` of ``X_0`` is also clamped below at
     ``c = w_min^{1/p}``, ``w_min`` the least weight, so that ``c A_w <= X_0
     <= A_w``, where ``P_p`` lies too: the fixed point ``X = sum_i w_i X #_p
     A_i`` is at least each of its terms, so ``X >= w_j X^{1/2} (X^{-1/2}
@@ -502,60 +506,48 @@ def _second_order_start(low, hinv, p, w_min):
     sum is ``X >= c A_w``.  At wide spreads ``lam^{-s}`` would otherwise
     start the solve up to ``s log(spread)`` from ``A_w``, past that interval.
     """
-    kt = low[..., ::-1, ::-1]  # K^T
     with np.errstate(over="ignore", invalid="ignore"):
-        m = congruence(kt, hinv)
+        m = congruence(low[..., ::-1, ::-1], hinv)  # low[..., ::-1, ::-1] is K^T
     root_c = np.where(p > 0, w_min ** (0.5 / np.where(p > 0, p, 1.0)), 0.0)[:, None]
-    return _spectral_start(
-        low, kt, m, lambda lam: np.maximum(np.maximum(lam, 1.0) ** (-0.25 * (1.0 - p))[:, None], root_c)
-    )
+    return m, lambda lam: 1.0 / np.maximum(np.maximum(lam, 1.0) ** (-0.25 * (1.0 - p))[:, None], root_c)
 
 
-def _two_matrix_start(low, roots, b, w, p):
-    """Lower Cholesky factors of ``J X_0 J`` per member, ``X_0`` the exact mean of its two inputs.
+def _two_matrix_start(s0, a1, w, p):
+    """``(m, h)`` of the spectral step from ``A_w`` to the exact mean of two inputs, per member.
 
-    ``roots`` holds ``A_1^{1/2}`` and ``A_1^{-1/2}`` per member and ``b``
-    its ``A_2``.  ``P_p(A_1, A_2) = A_1^{1/2} f(C) A_1^{1/2}`` with ``C =
-    A_1^{-1/2} A_2 A_1^{-1/2}`` and ``f(x) = (w_1 + w_2 x^p)^{1/p}``,
-    ``x^{w_2}`` at ``p = 0`` (Lim and Palfia, JFA 262 (2012)): by congruence
-    invariance it is ``P_p(I, C)``, whose terms commute, so ``X = w_1
-    X^{1-p} + w_2 X^{1-p} C^p``.
+    ``S_0 S_0^T = A_w^{-1}`` and ``a1`` is ``A_1``.  In ``A_w``'s frame
+    ``B_i = S_0^T A_i S_0`` the inputs commute, as ``w_1 B_1 + w_2 B_2 =
+    I``: with ``m = B_1 = U diag(mu) U^T``, ``B_2 = U diag(nu) U^T`` for
+    ``nu = (1 - w_1 mu) / w_2``, so their mean is ``U diag((w_1 mu^p + w_2
+    nu^p)^{1/p}) U^T``, ``mu^{w_1} nu^{w_2}`` at ``p = 0`` (Lim and Palfia,
+    JFA 262 (2012)), and ``X_0^{-1} = S_0 U diag(h^2) U^T S_0^T`` for ``h``
+    that mean's eigenvalues to the power ``-1/2``.  At ``w_2 = 0`` the mean
+    is ``A_1``, which any ``nu`` gives.
     """
-    half, inv_half = roots
     with np.errstate(over="ignore", invalid="ignore"):
-        m = congruence(inv_half, b)
+        m = congruence(s0, a1)
     w1, w2, pc = w[:, :1], w[:, 1:], p[:, None]
-    return _spectral_start(
-        low, half, m,
-        lambda lam: np.where(pc == 0, lam ** (0.5 * w2), (w1 + w2 * lam**pc) ** (0.5 / np.where(pc == 0, 1.0, pc))),
-    )
+
+    def h(mu):
+        nu = np.divide(1.0 - w1 * mu, w2, out=np.ones_like(mu), where=w2 > 0)
+        at_zero = mu ** (-0.5 * w1) * nu ** (-0.5 * w2)
+        return np.where(pc == 0, at_zero, (w1 * mu**pc + w2 * nu**pc) ** (-0.5 / np.where(pc == 0, 1.0, pc)))
+
+    return m, h
 
 
-def _spectral_start(low, g, m, root_f):
-    """Lower Cholesky factors of ``J X_0 J`` per member, ``X_0 = g U diag(root_f(lam))^2 U^T g^T``.
+def _spectral_step(g, m, h):
+    """``S``, lower triangular with ``S S^T = g U diag(h(lam))^2 U^T g^T`` per member, for ``m = U diag(lam) U^T``.
 
-    Here ``m = U diag(lam) U^T``, one ``d x d`` ``eigh`` per member.  A
-    member whose ``X_0`` is not finite or not numerically positive definite
-    keeps ``low``, the factor of ``J A_w J``.
+    One batched ``d x d`` ``eigh`` of ``m``; a QR of the product's
+    transpose makes ``S`` triangular (a Cholesky factor of ``S S^T`` would
+    square its condition).  A product that overflows is left for the frame
+    to reject.
     """
+    lam, u = np.linalg.eigh(m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lost = ~np.isfinite(m).all(axis=(-2, -1))
-        m[lost] = np.eye(low.shape[-1])  # eigh raises on a member that is not finite
-        lam, u = np.linalg.eigh(m)
-        y = g @ (u * root_f(lam)[:, None, :])
-        x0 = (y @ y.swapaxes(-1, -2))[..., ::-1, ::-1]
-        try:
-            out = np.linalg.cholesky(x0)
-        except np.linalg.LinAlgError:  # one member's X_0 failed: the batch goes member by member
-            out = low.copy()
-            for k, x in enumerate(x0):
-                try:
-                    out[k] = np.linalg.cholesky(x)
-                except np.linalg.LinAlgError:
-                    pass
-    lost |= ~np.isfinite(out).all(axis=(-2, -1))
-    out[lost] = low[lost]
-    return out
+        y = g @ (u * h(lam)[:, None, :])
+    return np.linalg.qr(y.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
 
 
 def _inverse_factor(low):
@@ -575,22 +567,23 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
     solves on the inverses ``A_i^{-1}``, raised from that decomposition
     (:meth:`Spectral.raised`), whose spreads are those of the inputs.
 
-    Each member's iterate ``X`` is carried as a lower triangular
-    ``S`` with ``S S^T = X^{-1}``, from ``J L^{-T} J`` for the Cholesky
-    factor ``L L^T = J X_0 J`` of its start ``X_0``, ``J`` the reversal
-    permutation.  That of the weighted arithmetic mean ``A_w`` is taken
-    first, and its failure raises :class:`NoConvergence` before any inverse
-    is formed.  With an empty chain over two inputs ``X_0`` is their exact
-    mean (:func:`_two_matrix_start`), from the square roots of the first
-    input rebuilt from ``stack``'s decomposition, so the first frame stops
-    the solve wherever rounding allows.  With an empty chain over more ``X_0`` is the second-order mean
-    ``A_w #_{(1-p)/2} H_w`` (:func:`_second_order_start`), ``H_w`` the
-    weighted harmonic mean, whose inverse is summed from the inputs of the
-    opposite ``inv``; those and the inverses are each rebuilt once from
-    ``stack``'s decomposition.  Either takes one ``d x d`` ``eigh`` per
-    member.  A member whose ``X_0`` cannot be formed or whose first frame is
-    not positive definite starts at ``A_w``, as every member with a chain
-    does: its second-order term would need ``g''(1)``.
+    Each member's iterate ``X`` is carried as a lower triangular ``S`` with
+    ``S S^T = X^{-1}``.  That of the weighted arithmetic mean ``A_w``, ``S_0
+    = J L^{-T} J`` for the Cholesky factor ``L L^T = J A_w J`` (``J`` the
+    reversal permutation), is taken first, and its failure raises
+    :class:`NoConvergence` before any inverse is formed.  With an empty
+    chain every member then takes one spectral step from ``S_0``
+    (:func:`_spectral_step`: one ``d x d`` ``eigh`` and one QR) to its start
+    ``X_0``.  Over two inputs ``X_0`` is their exact mean
+    (:func:`_two_matrix_start`), as the inputs commute in ``A_w``'s frame,
+    so the first frame stops the solve wherever rounding allows.  Over more
+    ``X_0`` is the second-order mean ``A_w #_{(1-p)/2} H_w``
+    (:func:`_second_order_start`), ``H_w`` the weighted harmonic mean, whose
+    inverse is summed from the inputs of the opposite ``inv``, rebuilt once
+    from ``stack``'s decomposition.  A member whose start is not finite or
+    whose first frame is not positive definite goes back to ``S_0``, and
+    every member with a chain starts there: its second-order term would
+    need ``g''(1)``.
 
     :func:`_frame` maps ``S`` to the Newton direction ``D``, a residual that
     decides the steps and the error bound that stops them, in the frame
@@ -607,8 +600,7 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
     *Optimization Algorithms on Matrix Manifolds*, 2008, ch. 6), that
     decomposes no ``D`` and leaves ``S C`` lower triangular.  A large step is
     the exponential one, ``S <- S V exp(-theta Lambda / 2)`` for ``D = V
-    diag(Lambda) V^T``, and a QR of ``S^T`` makes ``S`` lower triangular
-    again (a Cholesky factor of ``S S^T`` squares its condition).  The
+    diag(Lambda) V^T``, the same spectral step as the start's.  The
     retraction departs from the exponential step by about ``||theta D||^3 /
     6``, that is by ``eta`` times the step ``||theta D||`` for ``tau =
     sqrt(6 eta)``, with ``eta = min(_CG_FORCING, ||F||_F)`` the member's
@@ -646,16 +638,6 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
     def inputs(flags):  # per group, the inputs or, where flagged, their inverses
         return np.concatenate([np.broadcast_to((inverses() if f else stack).a, batch + (n, d, d)) for f in flags])
 
-    def first_roots(flags):  # per member, the square root of its first input and that root's inverse
-        eig_w, eig_v = stack.eig
-        root, v = np.sqrt(eig_w[..., 0, :]), eig_v[..., 0, :, :]
-        half, inv_half = _rebuild(v, root), _rebuild(v, 1.0 / root)
-
-        def per_member(x, x_inv):  # where flagged, the input is an inverse: its roots swap
-            return np.concatenate([np.broadcast_to(x_inv if f else x, batch + (d, d)) for f in flags]).reshape(-1, d, d)
-
-        return per_member(half, inv_half), per_member(inv_half, half)
-
     a = inputs(inv).reshape(-1, n, d, d)
     w = np.broadcast_to(w, groups + batch + (n,)).reshape(-1, n)
     size, root_d = len(a), np.sqrt(d)
@@ -667,23 +649,25 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
         low = np.linalg.cholesky(_weighted_sum(w, a)[..., ::-1, ::-1])
     except np.linalg.LinAlgError:
         raise NoConvergence("geodesic start is not positive definite") from None
-    start = low
-    if not fs and n == 2:
-        start = _two_matrix_start(low, first_roots(inv), a[:, 1], w, p)
-    elif not fs:
+    s = s0 = _inverse_factor(low)
+    if not fs:  # a chain's second-order term would need g''(1)
         try:
-            with np.errstate(over="ignore"):
-                hinv = _weighted_sum(w, inputs(~inv).reshape(-1, n, d, d))
+            if n == 2:
+                m, h = _two_matrix_start(s0, a[:, 0], w, p)
+            else:
+                with np.errstate(over="ignore"):
+                    hinv = _weighted_sum(w, inputs(~inv).reshape(-1, n, d, d))
+                m, h = _second_order_start(low, hinv, p, w.min(axis=-1))
         except DomainError:  # an inverse past the float range: every member starts at A_w
             pass
         else:
-            start = _second_order_start(low, hinv, p, w.min(axis=-1))
-    s = _inverse_factor(start)
+            m[~np.isfinite(m).all(axis=(-2, -1))] = np.eye(d)  # eigh raises on a member that is not finite
+            s = _spectral_step(s0, m, h)
     idx = np.arange(size)  # the members still iterating
     direction, resid, bound = _frame(w, p, fs, a, s, rounding)
-    lost = ~np.isfinite(resid) & (start != low).any(axis=(-2, -1))
+    lost = ~np.isfinite(resid) & (s != s0).any(axis=(-2, -1))
     if lost.any():  # a start whose frame is not positive definite falls back to A_w
-        s[lost] = _inverse_factor(low[lost])
+        s[lost] = s0[lost]
         direction[lost], resid[lost], bound[lost] = _frame(w[lost], p[lost], fs, a[lost], s[lost], rounding[lost])
     if not np.all(np.isfinite(resid)):
         raise NoConvergence("geodesic iterate lost positive definiteness")
@@ -709,10 +693,8 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
             if small.any():
                 s_t[small] = s[small] @ _retraction(t[small])
             if large.any():
-                lam, v = np.linalg.eigh(direction[large])
-                with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step's frame rejects it
-                    s_l = s[large] @ (v * np.exp(-0.5 * cap[large, None] * lam)[:, None, :])
-                s_t[large] = np.linalg.qr(s_l.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+                c = cap[large, None]
+                s_t[large] = _spectral_step(s[large], direction[large], lambda lam: np.exp(-0.5 * c * lam))
             direction_t, resid_t, bound_t = _frame(w, p, fs, a, s_t, rounding)
             # a step below rounding leaves S as it was: rejected, so the damping collapses instead of cycling
             back = ~(resid_t <= resid) | (s_t == s).all(axis=(-2, -1))
@@ -813,13 +795,7 @@ def _certify_karcher(vals, upper, lower):
 
 
 def _as_stack(As: Sequence[SpdMatrix]):
-    if not As:
-        raise ArityMismatch("need at least one matrix")
-    dim = As[0].dim
-    for m in As:
-        if m.dim != dim:
-            raise DimensionMismatch(f"mixed dimensions {dim} and {m.dim}")
-    return np.stack([m.a for m in As])
+    return _stack_of([m.a for m in As])
 
 
 def eval_mean(spec: MultiMeanSpec, As: Sequence[SpdMatrix], *, certify: bool = True) -> MeanResult:

@@ -647,15 +647,19 @@ def matrix_from_json(obj) -> SpdMatrix:
     return validate_spd(_entries_from_json(obj))
 
 
-def spectral_from_json(objs) -> Spectral:
-    """The validated stack (n, d, d) of the JSON matrices ``objs``, a list, as a
-    :class:`Spectral` with its decomposition held: each matrix gets the error
-    :func:`matrix_from_json` gives it, from one ``eigh`` for them all."""
-    mats = [_entries_from_json(obj) for obj in objs]
+def _stack_of(mats):
+    """The list ``mats`` of square arrays, one or more of one size, stacked to (n, d, d)."""
     if not mats:
         raise ArityMismatch("need at least one matrix")
     dim = len(mats[0])
     for a in mats:
         if len(a) != dim:
             raise DimensionMismatch(f"mixed dimensions {dim} and {len(a)}")
-    return _validated(np.stack(mats))
+    return np.stack(mats)
+
+
+def spectral_from_json(objs) -> Spectral:
+    """The validated stack (n, d, d) of the JSON matrices ``objs``, a list, as a
+    :class:`Spectral` with its decomposition held: each matrix gets the error
+    :func:`matrix_from_json` gives it, from one ``eigh`` for them all."""
+    return _validated(_stack_of([_entries_from_json(obj) for obj in objs]))

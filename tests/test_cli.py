@@ -90,6 +90,17 @@ def test_mean_incomplete_spec_is_input_error(tmp_path, capsys, spec):
     assert "MissingParameter" in err
 
 
+@pytest.mark.parametrize("weights", [[True, False], ["0.5", "0.5"]])
+def test_mean_weights_that_are_not_numbers_are_input_errors(tmp_path, capsys, weights):
+    # Python reads true as 1 and "0.5" as 0.5; the wire format takes numbers only
+    spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": weights})
+    mats = write(tmp_path, "mats.json", [matrix_json(np.eye(2)), matrix_json(2 * np.eye(2))])
+    code = main(["mean", "--spec", spec, "--matrices", mats])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == "" and "InvalidWeights: weights must be a list of numbers" in err
+
+
 @pytest.mark.parametrize(
     "flags", [["--tol", "-1"], ["--max-iters", "0"], ["--tol", "inf"], ["--tol", "nan"]]
 )
@@ -646,6 +657,8 @@ def test_verify_recheck_witness_outside_bounds(tmp_path, capsys, report):
         ("recheck", _failing_report("3.9", matrices=None), "UnknownKind"),
         ("recheck", _failing_report("L5.1", mu=1.5), "BoundsViolated"),
         ("recheck", _failing_report("4.4", alpha=None), "BadR"),
+        ("recheck", _failing_report("3.13", weights=[True, False, False]), "InvalidWeights"),
+        ("recheck", _failing_report("3.13", weights=["0.25", "0.25", "0.5"]), "InvalidWeights"),
     ],
 )
 def test_input_checks_exit_1_naming_their_error(tmp_path, capsys, command, doc, error):
