@@ -53,6 +53,7 @@ from .psd_core import (
     LoewnerVerdict,
     Spectral,
     SpdMatrix,
+    _positive,
     _rebuild,
     _stack_of,
     congruence,
@@ -61,7 +62,6 @@ from .psd_core import (
     spd_inv,
     spectral_ends,
     sym,
-    thompson,
 )
 
 __all__ = [
@@ -272,7 +272,7 @@ def _eval_node(spec: MultiMeanSpec, stack, w_over=None):
         vals = _weighted_sum(w, (stack.raised(-1) if inv else stack).a)
         return (spd_inv(vals) if inv else vals), 0, zeros
     what = "deformed-mean" if fs else "Karcher" if p == 0 else "power-mean"
-    return _geodesic_loop(w, p, fs, stack, what, inv)
+    return _geodesic_loop(w, p, fs, stack, what, inv)[:3]
 
 
 def _residual(spec: MultiMeanSpec):
@@ -363,7 +363,9 @@ def _frame(w, p, fs, a, s, rounding):
     difference of ``phi_p o g`` at ``(lam_j, lam_k)`` times ``(lam_j +
     lam_k) / 2`` (see :func:`_newton_kernel`).  ``phi_p o g`` is
     increasing, so ``K_i > 0`` and ``H`` is symmetric positive definite;
-    :func:`_newton_step` solves ``H[D] = F`` by conjugate gradients.
+    :func:`_newton_step` solves ``H[D] = F`` by conjugate gradients, to the
+    member's relative residual ``eta`` (:func:`_forcing`), which ``rounding``
+    floors.
     Members whose bound is already below ``DT_TOL`` freeze, so their step is
     not solved (``D = 0``).  A member whose ``B_i`` are not all finite and
     positive definite, or whose chain maps an eigenvalue out of ``(0,
@@ -406,7 +408,8 @@ def _frame(w, p, fs, a, s, rounding):
     if step.any():
         chain = (lg[step], el[step]) if fs else ()
         kern = _newton_kernel(p[step], lb[step], *chain) * w[step][..., None, None]
-        direction[step] = _newton_step(res[step], resid[step], vb[step], kern)
+        eta = _forcing(resid[step], rounding[step], 1.0 if fs else 1.25)
+        direction[step] = _newton_step(res[step], eta * resid[step], vb[step], kern)
     return direction, resid, bound
 
 
@@ -443,21 +446,41 @@ def _newton_apply(vb, kern, x):
 _CG_FORCING = 0.1  # largest relative residual of a Newton direction
 
 
-def _newton_step(f, fnorm, vb, kern):
+def _forcing(rho, rounding, q):
+    """The relative residual ``eta = min(0.1, max(min(0.1, rho)^q, r / rho))`` at which a member's CG stops.
+
+    ``rho = ||F||_F`` and ``r`` is the rounding term of the member's bound,
+    ``16 eps / p`` or ``16 eps sqrt d`` at ``p = 0`` (:func:`_geodesic_loop`).
+    A forcing term ``eta = O(rho^q)`` keeps an inexact Newton method's
+    convergence superlinear for ``q > 0`` and quadratic for ``q = 1``
+    (Eisenstat and Walker, SIAM J. Sci. Comput. 17 (1996)).  ``q = 5/4``
+    for an empty chain: its first step then lands about where an exact one
+    would, so the mean_certified ensembles of three or more inputs take two
+    steps, where ``q = 1`` left 12 of the 56 at seed 0 with three.  ``q =
+    1`` for a chain: at ``5/4`` a deformed solve at spread 1e12 lost its
+    damping and raised after 113 steps, where it returns after 15.  Solving
+    the direction to a relative error below ``r / rho``, finer than the
+    rounding of the residual it solves for, gains nothing, so that floors
+    ``eta``.
+    """
+    with np.errstate(divide="ignore"):
+        return np.minimum(_CG_FORCING, np.maximum(np.minimum(_CG_FORCING, rho) ** q, rounding / rho))
+
+
+def _newton_step(f, stop, vb, kern):
     """Solve ``H[D] = F`` per member by conjugate gradients from ``D = F``; see :func:`_frame`.
 
-    ``kern`` holds ``w_i K_i``.  Each member stops at its own relative
-    residual ``min(0.1, ||F||_F)``, the forcing term of an inexact Newton
-    method that keeps its convergence quadratic (Eisenstat and Walker, SIAM
-    J. Sci. Comput. 17 (1996)), or after ``d (d + 1) / 2`` steps, the
-    dimension of the symmetric matrices.  One application of ``H`` takes
-    four batched ``d x d`` products per input; ``H`` is never formed.  A
-    finished member leaves the batch, so its bits do not depend on it.
+    ``kern`` holds ``w_i K_i``.  Each member stops once its residual is at
+    most ``stop``, its forcing term times ``||F||_F`` (:func:`_forcing`),
+    or after ``d (d + 1) / 2`` steps, the dimension of the symmetric
+    matrices.  One application of ``H`` takes four batched ``d x d``
+    products per input; ``H`` is never formed.  A finished member leaves
+    the batch, so its bits do not depend on it.
     """
     d = f.shape[-1]
     x, r = f.copy(), f - _newton_apply(vb, kern, f)
     p, rr = r.copy(), np.sum(r * r, axis=(-2, -1))
-    stop = (np.minimum(_CG_FORCING, fnorm) * fnorm) ** 2
+    stop = stop * stop
     idx = np.arange(len(f))
     for _ in range(d * (d + 1) // 2):
         live = rr > stop
@@ -602,13 +625,16 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
     the exponential one, ``S <- S V exp(-theta Lambda / 2)`` for ``D = V
     diag(Lambda) V^T``, the same spectral step as the start's.  The
     retraction departs from the exponential step by about ``||theta D||^3 /
-    6``, that is by ``eta`` times the step ``||theta D||`` for ``tau =
-    sqrt(6 eta)``, with ``eta = min(_CG_FORCING, ||F||_F)`` the member's
-    forcing term (:func:`_newton_step`): no more than the relative error
-    that its Newton direction is already allowed.  So ``tau`` is at most
-    ``sqrt(6 _CG_FORCING)``, about 0.775, and shrinks with the residual; a
-    large direction at a small residual, where the Newton operator is near
-    singular, takes the exponential step.
+    6``, that is by at most ``e`` times the step ``||theta D||`` for ``tau
+    = sqrt(6 e)``, ``e = min(_CG_FORCING, ||F||_F)``: a relative error
+    ``O(||F||_F)``, the quadratic forcing term, which keeps Newton's rate
+    quadratic.  It may exceed the member's own forcing term
+    (:func:`_forcing`), ``e^{5/4}`` with an empty chain, but near the
+    solution ``||D||`` is about ``||F||_F``, so the departure, ``O(||F||^3)``,
+    falls below that direction's error, ``O(||F||^{9/4})``.  So ``tau`` is
+    at most ``sqrt(6 _CG_FORCING)``, about 0.775, and shrinks with the
+    residual; a large direction at a small residual, where the Newton
+    operator is near singular, takes the exponential step.
 
     A candidate is accepted only if it does not raise the residual, which
     is infinite unless its ``B_i`` are finite and positive definite.  A member
@@ -621,13 +647,13 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
     ``LinAlgError`` stops the loop with :class:`NoConvergence`, naming the
     live members by ``what``.
 
-    It returns values, counts and bounds per member, shaped by the groups
-    (the shape of ``p``) followed by the batch that ``stack`` and ``w``
-    broadcast to; members are numbered in that order.  A member's value is
-    that of its node: ``X = K^T K`` (``K = S^{-1}``), or ``S S^T = X^{-1}``
-    itself in an ``inv`` group, whose mean is the inverse of ``X``.
-    :class:`NoConvergence` carries the same values at the last accepted
-    iterates.
+    It returns values, counts, bounds and factors ``S`` per member, shaped
+    by the groups (the shape of ``p``) followed by the batch that ``stack``
+    and ``w`` broadcast to; members are numbered in that order.  A member's
+    value is that of its node (:func:`_node_value`): ``X = K^T K`` (``K =
+    S^{-1}``), or ``S S^T = X^{-1}`` itself in an ``inv`` group, whose mean
+    is the inverse of ``X``.  :class:`NoConvergence` carries the same values
+    at the last accepted iterates.
     """
     n, d = stack.shape[-3:-1]
     groups, batch = np.shape(p), np.broadcast_shapes(stack.shape[:-3], np.shape(w)[:-1])
@@ -713,8 +739,7 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
     except np.linalg.LinAlgError as exc:  # the live members keep their last accepted iterate
         halt = f"failed ({exc})"
     out_s[idx] = s
-    x = np.concatenate([_node_value(s, i) for s, i in zip(out_s.reshape(len(inv), -1, d, d), inv)])
-    x = x.reshape(groups + batch + (d, d))
+    x = _node_value(out_s.reshape(len(inv), -1, d, d), inv).reshape(groups + batch + (d, d))
     if len(idx):
         what = np.repeat(what, per_group)
         members = [
@@ -724,15 +749,21 @@ def _geodesic_loop(w, p, fs, stack, what, inv):
         named = ", ".join(f"{m['member']} ({m['what']}, bound {m['bound']:.3e})" for m in members[:5])
         msg = f"geodesic iteration {halt} after {iters} steps; {len(idx)} live: {named}"
         raise NoConvergence(msg + (", ..." if len(idx) > 5 else ""), x, float(bound.max()), members)
-    return x, out_iters.reshape(groups + batch), out_bound.reshape(groups + batch)
+    return x, out_iters.reshape(groups + batch), out_bound.reshape(groups + batch), out_s.reshape(x.shape)
 
 
 def _node_value(s, inv):
-    """A node's value from factors ``S S^T = X^{-1}``: ``X = K^T K`` (``K = S^{-1}``), or ``S S^T`` itself if ``inv``."""
-    if inv:
-        return sym(s @ s.swapaxes(-1, -2))
-    k = np.linalg.inv(s)
-    return sym(k.swapaxes(-1, -2) @ k)
+    """Node values from factors ``S S^T = X^{-1}``, stacked by group on ``s``'s first axis and flagged by ``inv``.
+
+    ``X = K^T K`` (``K = S^{-1}``), one batched inverse over every group not
+    flagged, or ``S S^T`` itself where ``inv`` is set.
+    """
+    inv = np.broadcast_to(inv, s.shape[:1])
+    x = np.empty_like(s)
+    k = np.linalg.inv(s[~inv])
+    x[~inv] = k.swapaxes(-1, -2) @ k
+    x[inv] = s[inv] @ s[inv].swapaxes(-1, -2)
+    return sym(x)
 
 
 def eval_mean_stack(
@@ -762,31 +793,48 @@ def eval_mean_stack(
     else:
         t, w = KARCHER_ALPHA, _node_weights(spec, weights_override, n)
         what = ["Karcher", f"enclosure end P_{t}", f"enclosure end P_-{t}"]
-        x, iters, bound = _geodesic_loop(w, (0.0, t, t), (), stack, what, (False, False, True))
-        vals, iters, bound, gap = x[0], iters[0], bound[0], _certify_karcher(*x)
+        x, iters, bound, s = _geodesic_loop(w, (0.0, t, t), (), stack, what, (False, False, True))
+        vals, iters, gap = x[0], iters[0], _certify_karcher(*x, s[1], bound)
+        bound = bound[0]
     iters = int(np.max(iters, initial=0))
     return StackResult(values=vals, iterations=iters, residual_dt=np.asarray(bound), enclosure_gap=gap)
 
 
-def _certify_karcher(vals, upper, lower):
+def _certify_karcher(vals, upper, lower, s_upper, bounds):
     """Assert ``lower <= vals <= upper`` for a Karcher solve and its power-mean enclosure; return its width.
 
     ``P_{-t} <= G <= P_t`` with ``t = KARCHER_ALPHA``; the ends solve a
     different equation from ``G``, in the same loop call (see
     :func:`eval_mean_stack`), the lower one through ``P_{-t}(A) =
     P_t(A^{-1})^{-1}``.  The margins are those of ``order_margin`` for
-    ``vals <= upper`` and ``lower <= vals``, and the width is the Thompson
-    distance.
+    ``vals <= upper`` and ``lower <= vals``.  ``bounds`` stacks the solves'
+    Thompson error bounds of ``vals``, ``upper`` and ``lower`` as the loop
+    returns them (zeros for exact values).  Those errors alone can
+    make a margin negative.  With ``d(G, G*) <= delta_G`` and ``d(U, U*) <=
+    delta_U``, where ``d(X, Y) <= delta`` means ``e^{-delta} Y <= X <=
+    e^{delta} Y``, the true order ``G* <= U*`` gives ``G <= e^{delta_G} G*
+    <= e^{delta_G} U* <= e^{delta} U`` for ``delta = delta_G + delta_U``,
+    so ``U - G >= -expm1(delta) U``; likewise ``L* <= G*`` gives ``G - L
+    >= -expm1(delta) G`` for ``delta = delta_G + delta_L``.  The least
+    eigenvalue of either difference is then at least ``-expm1(delta)``
+    times the sum of its two sides' norms, the margin's denominator, so a
+    true enclosure has margins of at least ``-expm1(delta)``, and only a
+    margin below ``-(CHECK_TOL + expm1(delta))`` escapes it.
+
+    The width is the Thompson distance ``max |log eig(S^T P_{-t} S)|``
+    for ``S S^T = P_t^{-1}``, the factor ``s_upper`` that the loop holds.
     """
-    # one eigvalsh for both differences and the three norms, the bits of five
-    lam, norm = spectral_ends(np.stack([upper - vals, vals - lower, vals, upper, lower]))
-    up_margin, lo_margin = 0.5 * lam[:2] / (0.5 * norm[2] + 0.5 * norm[3:])  # order_margin's formula
-    if np.any(up_margin < -CHECK_TOL) or np.any(lo_margin < -CHECK_TOL):
+    # one eigvalsh for both differences, the three norms and the gap, the bits of six
+    lam, norm = spectral_ends(np.stack([upper - vals, vals - lower, vals, upper, lower, congruence(s_upper, lower)]))
+    margins = 0.5 * lam[:2] / (0.5 * norm[2] + 0.5 * norm[3:5])  # order_margin's formula
+    with np.errstate(over="ignore"):
+        slack = CHECK_TOL + np.expm1(bounds[0] + bounds[1:])
+    if np.any(margins < -slack):
         raise CertificationFailure(
             "Karcher solve escaped its power-mean enclosure "
-            f"(margins {float(np.min(up_margin)):.3e}, {float(np.min(lo_margin)):.3e})"
+            f"(margins {float(np.min(margins[0])):.3e}, {float(np.min(margins[1])):.3e})"
         )
-    return thompson(lower, upper)
+    return np.maximum(np.log(norm[5]), -np.log(_positive(lam[5], "thompson distance")))
 
 
 # --------------------------------------------------------------------------

@@ -161,9 +161,9 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
 
 
 def test_mean_no_convergence_payload_names_members(tmp_path, capsys, monkeypatch):
-    # a certified Karcher solve cut at 2 steps: exit 2 with a diagnostic
-    # that lists each member still live, the mean and both enclosure ends
-    monkeypatch.setattr(multimeans, "MAX_ITERS", 2)
+    # a certified Karcher solve cut at 1 step (it converges in 2): exit 2 with
+    # a diagnostic that lists each member still live, the mean and both enclosure ends
+    monkeypatch.setattr(multimeans, "MAX_ITERS", 1)
     spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.2, 0.3, 0.5]})
     mats = write(tmp_path, "mats.json", [matrix_json(random_spd(3, (0.5, 2.0), 77 + j).a) for j in range(3)])
     code = main(["mean", "--spec", spec, "--matrices", mats])
@@ -252,7 +252,8 @@ def test_mean_of_mixed_dimensions_is_input_error(tmp_path, capsys):
 def test_mean_decomposes_its_inputs_once(tmp_path, capsys, monkeypatch):
     # the validation's one eigh of the n inputs is the decomposition the
     # solve reads: no eigvalsh before the solve, and the certificate takes
-    # at most two (its margins and norms, and the Thompson gap)
+    # one eigvalsh (its margins, norms and gap, the gap read from the loop's
+    # factor of P_t) and no eigh
     inputs = np.stack([random_spd(4, (0.5, 2.0), 90 + j).a for j in range(3)])
     spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.2, 0.3, 0.5]})
     mats = write(tmp_path, "mats.json", [matrix_json(a) for a in inputs])
@@ -270,7 +271,20 @@ def test_mean_decomposes_its_inputs_once(tmp_path, capsys, monkeypatch):
     of_inputs = [k for k, (name, a) in enumerate(calls) if name == "eigh" and np.array_equal(a, inputs)]
     assert of_inputs == [0]
     assert "eigvalsh" not in names[: names.index("solved")]
-    assert 1 <= names.count("eigvalsh") <= 2
+    assert names.count("eigvalsh") == 1
+    assert "eigh" not in names[names.index("solved"):]
+
+
+def test_mean_certifies_two_inputs_at_spread_1e10(tmp_path, capsys):
+    # the lower margin is about -4e-8, inside what the mean's and the end's
+    # bounds (about 5e-6 and 9e-7) allow; held to CHECK_TOL alone, this
+    # exited 1 with "escaped its power-mean enclosure"
+    spec = write(tmp_path, "spec.json", {"kind": "karcher", "weights": [0.3, 0.7]})
+    mats = write(tmp_path, "mats.json", [random_spd(4, (1.0, 1e10), 32900 + j).to_json() for j in range(2)])
+    code = main(["mean", "--spec", spec, "--matrices", mats])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert np.isfinite(out["enclosure_gap"])
 
 
 def campaign(tmp_path, **overrides):

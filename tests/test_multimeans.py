@@ -36,6 +36,7 @@ from opmeans.multimeans import (
     power_mean,
 )
 from opmeans.psd_core import (
+    CHECK_TOL,
     Relation,
     Spectral,
     eigh_apply,
@@ -169,7 +170,7 @@ def test_certified_karcher_no_convergence_names_members(monkeypatch):
     # a certified solve is one loop call over [A] at 0 and [A], [A^{-1}] at
     # KARCHER_ALPHA; a failure says which of the three members stopped short
     As = ensemble(3, 3, 77)
-    monkeypatch.setattr(multimeans, "MAX_ITERS", 2)
+    monkeypatch.setattr(multimeans, "MAX_ITERS", 1)  # all three converge in two steps
     with pytest.raises(errors.NoConvergence) as info:
         karcher_mean(W3, As)
     members = info.value.members
@@ -603,9 +604,9 @@ def test_mixed_batch_of_large_and_small_steps_matches_each_member_alone(monkeypa
 
     both = solve(np.stack([wide, narrow]))
     alone = [solve(wide[None]), solve(narrow[None])]
-    assert alone[0][3] > 1 and alone[1][3] == 1 and alone[1][1][0] > 0
+    assert alone[0][-1] > 1 and alone[1][-1] == 1 and alone[1][1][0] > 0
     for b in range(2):
-        for got, want in zip(both[:3], alone[b][:3]):
+        for got, want in zip(both[:-1], alone[b][:-1]):  # values, counts, bounds and factors
             assert np.array_equal(got[b], want[0]), b
 
 
@@ -813,11 +814,9 @@ def test_second_order_start_is_clamped_at_the_power_mean_lower_bound(monkeypatch
 
 # the certified Karcher iterations of mean_certified's 56 ensembles at seed 0
 # (dim 2 + s % 7, n 2 + s % 4, spectra [0.6, 1.8]): from A_w they summed to
-# 155, from A_w #_{1/2} H_w to 96, and every two-matrix ensemble takes none
-MEAN_CERTIFIED_SEED0_ITERATIONS = (
-    [0, 3, 2, 2, 0, 3, 2, 2, 0, 3, 2, 2, 0, 3, 2, 2, 0, 3, 2, 2, 0, 2, 3, 2, 0, 2, 2, 2]
-    + [0, 2, 2, 3, 0, 3, 3, 2, 0, 3, 2, 2, 0, 3, 2, 2, 0, 2, 2, 3, 0, 2, 2, 2, 0, 2, 2, 2]
-)
+# 155, from A_w #_{1/2} H_w to 96, and with the superlinear CG forcing to 84:
+# every two-matrix ensemble takes none, every other two
+MEAN_CERTIFIED_SEED0_ITERATIONS = [0, 2, 2, 2] * 14
 
 
 def test_mean_certified_ensembles_take_their_pinned_iterations():
@@ -827,7 +826,7 @@ def test_mean_certified_ensembles_take_their_pinned_iterations():
         stack = np.stack([random_spd(dim, (0.6, 1.8), 100 * s + j).a for j in range(n)])
         got.append(eval_mean_stack(MultiMeanSpec.karcher(Weights.uniform(n)), stack).iterations)
     assert got == MEAN_CERTIFIED_SEED0_ITERATIONS
-    assert sum(got) == 96
+    assert sum(got) == 84
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0])
@@ -1087,11 +1086,54 @@ def test_batched_enclosure_matches_separate_power_solves(batch):
     t = KARCHER_ALPHA
     upper, _, _ = _eval_node(MultiMeanSpec.power(UNI3, t), stack, w)
     lower, _, _ = _eval_node(MultiMeanSpec.power(UNI3, -t), stack, w)
-    gap = _certify_karcher(res.values, upper, lower)
+    s_upper = np.linalg.inv(np.linalg.cholesky(upper)).swapaxes(-1, -2)  # S S^T = upper^{-1}
+    exact = np.zeros((3, batch))
+    gap = _certify_karcher(res.values, upper, lower, s_upper, exact)
     assert gap.shape == (batch,)
     np.testing.assert_allclose(res.enclosure_gap, gap, rtol=0, atol=1e-9)
     with pytest.raises(errors.CertificationFailure):
-        _certify_karcher(1.05 * res.values, upper, lower)
+        _certify_karcher(1.05 * res.values, upper, lower, s_upper, exact)
+
+
+@pytest.mark.parametrize("spread, seed", [(1e10, 32900), (1e14, 31100)])
+def test_certificate_allows_the_ends_their_error_bounds(spread, seed):
+    # two inputs at wide spread, weights (0.3, 0.7): the mean and its lower
+    # end return with bounds near 1e-6 (1e10) or 1e-2 (1e14), and the lower
+    # margin is negative by less than those bounds allow.  Held to CHECK_TOL
+    # alone, both raised CertificationFailure
+    stack = np.stack([random_spd(4, (1.0, spread), seed + j).a for j in range(2)])
+    res = eval_mean_stack(MultiMeanSpec.karcher(Weights((0.3, 0.7))), stack)
+    assert np.isfinite(res.enclosure_gap)
+    w, t = np.array([0.3, 0.7]), KARCHER_ALPHA
+    x, _, bound, s = multimeans._geodesic_loop(w, (0.0, t, t), (), Spectral(stack), "K", (False, False, True))
+    assert _certify_karcher(*x, s[1], bound) == res.enclosure_gap
+    with pytest.raises(errors.CertificationFailure):
+        _certify_karcher(*x, s[1], 0 * bound)
+    # an end moved past the mean along its top eigenvector, by twice the
+    # margin its bounds allow, still raises
+    lam, v = np.linalg.eigh(x[0])
+    allowed = CHECK_TOL + np.expm1(bound[0] + bound[1:].max())
+    push = 4 * allowed * lam[-1] * np.outer(v[:, -1], v[:, -1])
+    for ends in ((x[0] - push, x[2]), (x[1], x[0] + push)):
+        with pytest.raises(errors.CertificationFailure):
+            _certify_karcher(x[0], *ends, s[1], bound)
+
+
+def test_forcing_is_floored_at_rounding_and_keeps_the_chains_rule():
+    # eta = min(0.1, max(min(0.1, rho)^q, r / rho)): never below the
+    # rounding term's share r / rho, at most 0.1, and at q = 1 (members with
+    # a chain) min(0.1, rho) wherever the floor does not bind
+    rho = np.geomspace(1e-16, 1e2, 200)
+    for r in (16 * np.finfo(float).eps, 16 * np.finfo(float).eps * 64, 1e-9):
+        for q in (1.0, 1.25):
+            eta = multimeans._forcing(rho, np.full_like(rho, r), q)
+            assert np.all(eta <= 0.1)
+            assert np.all(eta >= np.minimum(0.1, r / rho))
+            assert np.all(eta <= np.maximum(np.minimum(0.1, rho), r / rho))
+        eta = multimeans._forcing(rho, np.full_like(rho, r), 1.0)
+        free = r / rho <= np.minimum(0.1, rho)
+        assert free.any() and not free.all()
+        assert np.array_equal(eta[free], np.minimum(0.1, rho[free]))
 
 
 def _certify_case(case):
@@ -1124,7 +1166,9 @@ def test_certifying_does_not_change_the_solve(case):
     t = KARCHER_ALPHA
     upper, up_iters, _ = _eval_node(MultiMeanSpec.power(weights, t), stack, w)
     lower, lo_iters, _ = _eval_node(MultiMeanSpec.power(weights, -t), stack, w)
-    assert np.array_equal(cert.enclosure_gap, thompson(lower, upper))
+    # the gap is read from the loop's factor of P_t, so it agrees with the
+    # Thompson distance of the two ends to rounding, not bit for bit
+    np.testing.assert_allclose(cert.enclosure_gap, thompson(lower, upper), rtol=0, atol=1e-13)
     if case == "bench-seed1-s22":  # from A_w #_s H_w the mean and its enclosure ends take two Newton steps each
         assert (plain.iterations, max(up_iters.max(), lo_iters.max())) == (2, 2)
 
