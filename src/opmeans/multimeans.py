@@ -247,34 +247,6 @@ def _weighted_sum(w, stack):
     return np.einsum("...n,...nij->...ij", w, stack)
 
 
-def _eval_node(spec: MultiMeanSpec, stack, w_over=None):
-    """Evaluate a mean on ``stack`` of shape (..., n, d, d), an array or the :class:`Spectral` of one.
-
-    Returns ``(values, iterations, bound)``, the count (0 for a closed form)
-    and the Thompson error bound of :class:`MeanResult` per member, through
-    the normal form of :func:`_residual`; the bound is inversion invariant.
-    A loop solve reads its inputs' decomposition, the Spectral's own or one
-    taken of a plain array, for its rounding floor, the inverses of an
-    inverted node and those its start's harmonic mean sums, and hands back
-    each node's own value (:func:`_geodesic_loop`), so the solved mean is
-    not decomposed again; only the closed-form harmonic mean inverts its
-    weighted sum.
-    """
-    stack = stack if isinstance(stack, Spectral) else Spectral(stack)  # decomposed only when read
-    n = stack.shape[-3]
-    w = _node_weights(spec, w_over, n)
-    zeros = np.zeros(stack.shape[:-3])
-    if n == 1:
-        # forced by normalization plus congruence invariance
-        return stack.a[..., 0, :, :], 0, zeros
-    inv, p, fs = _residual(spec)
-    if p == 1 and not fs:
-        vals = _weighted_sum(w, (stack.raised(-1) if inv else stack).a)
-        return (spd_inv(vals) if inv else vals), 0, zeros
-    what = "deformed-mean" if fs else "Karcher" if p == 0 else "power-mean"
-    return _geodesic_loop(w, p, fs, stack, what, inv)[:3]
-
-
 def _residual(spec: MultiMeanSpec):
     """``(inv, p, fs)``, ``p >= 0``: the mean (of the inverses, inverted if ``inv``)
     solves ``sum_i w_i phi_p(g(B_i)) = 0`` in the frame of its value.
@@ -769,35 +741,48 @@ def _node_value(s, inv):
 def eval_mean_stack(
     spec: MultiMeanSpec, stack, weights_override=None, *, certify: bool = True
 ) -> StackResult:
-    """Evaluate ``spec`` on stacked ensembles of shape ``(..., n, d, d)``.
+    """Evaluate ``spec`` on stacked ensembles of shape ``(..., n, d, d)``, an array or the :class:`Spectral` of one.
 
-    ``stack`` is an array or the :class:`Spectral` of one, whose held
-    decomposition the solve then reads instead of taking one (see
-    :func:`_eval_node`).  ``weights_override`` (shape ``(n,)`` or ``(...,
-    n)``) substitutes the weight vector at every weighted node, which is how
-    campaigns run many random weightings through one batched solve.
-    Iterative solves stop at ``DT_TOL``; a Karcher mean is also certified
-    unless ``certify`` is off.  That is one loop call on ``[A]`` at exponent
-    0 and ``[A]``, ``[A^{-1}]`` at ``KARCHER_ALPHA``, three groups over the
-    inputs' one decomposition; members freeze on their own and take the
-    uncertified solve's rounding floor, so only the gap differs.
+    ``weights_override`` (shape ``(n,)`` or ``(..., n)``) substitutes the
+    weight vector at every weighted node, which is how campaigns run many
+    random weightings through one batched solve.  A closed form takes no
+    iteration and has bound 0; any other mean is solved through the normal
+    form of :func:`_residual`, whose bound is inversion invariant, by one
+    :func:`_geodesic_loop` call that stops at ``DT_TOL``.  The loop reads
+    the inputs' decomposition, the Spectral's own or one taken of a plain
+    array, for its rounding floor, the inverses of an inverted node and
+    those its start's harmonic mean sums, and hands back each node's own
+    value, so the solved mean is not decomposed again; only the closed-form
+    harmonic mean inverts its weighted sum.
+
+    A Karcher mean is also certified unless ``certify`` is off: the same
+    call then solves ``[A]`` at exponent 0 beside its enclosure ends, ``[A]``
+    and ``[A^{-1}]`` at ``KARCHER_ALPHA``, three groups over the inputs' one
+    decomposition; members freeze on their own and take the uncertified
+    solve's rounding floor, so only the gap differs.
     """
-    stack = stack if isinstance(stack, Spectral) else Spectral(stack)
+    stack = stack if isinstance(stack, Spectral) else Spectral(stack)  # decomposed only when read
     shape = stack.shape
     if len(shape) < 3 or shape[-1] != shape[-2]:
         raise DimensionMismatch(f"expected shape (..., n, d, d), got {shape}")
     n, certified = shape[-3], spec.kind == "karcher" and certify
-    if not certified or n == 1:
-        vals, iters, bound = _eval_node(spec, stack, weights_override)
-        gap = np.zeros(np.shape(bound)) if certified else None
-    else:
-        t, w = KARCHER_ALPHA, _node_weights(spec, weights_override, n)
-        what = ["Karcher", f"enclosure end P_{t}", f"enclosure end P_-{t}"]
-        x, iters, bound, s = _geodesic_loop(w, (0.0, t, t), (), stack, what, (False, False, True))
-        vals, iters, gap = x[0], iters[0], _certify_karcher(*x, s[1], bound)
-        bound = bound[0]
-    iters = int(np.max(iters, initial=0))
-    return StackResult(values=vals, iterations=iters, residual_dt=np.asarray(bound), enclosure_gap=gap)
+    w = _node_weights(spec, weights_override, n)
+    zeros = np.zeros(shape[:-3])
+    if n == 1:  # forced by normalization plus congruence invariance
+        return StackResult(stack.a[..., 0, :, :], 0, zeros, zeros if certified else None)
+    inv, p, fs = _residual(spec)
+    if p == 1 and not fs:
+        vals = _weighted_sum(w, (stack.raised(-1) if inv else stack).a)
+        return StackResult(spd_inv(vals) if inv else vals, 0, zeros)
+    what = "deformed-mean" if fs else "Karcher" if p == 0 else "power-mean"
+    if certified:
+        t = KARCHER_ALPHA
+        p, inv, what = (p, t, t), (inv, False, True), [what, f"enclosure end P_{t}", f"enclosure end P_-{t}"]
+    x, iters, bound, s = _geodesic_loop(w, p, fs, stack, what, inv)
+    if not certified:
+        return StackResult(x, int(np.max(iters, initial=0)), bound)
+    gap = _certify_karcher(*x, s[1], bound)
+    return StackResult(x[0], int(np.max(iters[0], initial=0)), np.asarray(bound[0]), gap)
 
 
 def _certify_karcher(vals, upper, lower, s_upper, bounds):
@@ -904,7 +889,7 @@ def comparison_bound(
         raise DimensionMismatch(f"Y has dimension {Y.dim}, inputs {stack.shape[-1]}")
     yh, blocks = pair_frame(Spectral(Y.a), stack)
     f_blocks = blocks.apply(lambda t: rep_eval(sigma, t))
-    z, _, _ = _eval_node(base, f_blocks)
+    z = eval_mean_stack(base, f_blocks, certify=False).values
     fy = SpdMatrix(dim=Y.dim, entries=congruence(yh, z))
     premise = loewner_compare(Y, fy)
     ok = premise.holds_le if direction == "lower" else premise.holds_ge

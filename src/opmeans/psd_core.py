@@ -447,10 +447,10 @@ def loewner_compare(A: SpdMatrix, B: SpdMatrix) -> LoewnerVerdict:
     :func:`order_margin` is at least ``-CHECK_TOL``, a verdict invariant under scaling."""
     if A.dim != B.dim:
         raise DimensionMismatch(f"dimensions differ: {A.dim} vs {B.dim}")
-    na, nb = op_norm(A.a), op_norm(B.a)
-    le = order_margin(A.a, B.a, na, nb) >= -CHECK_TOL
-    ge = order_margin(B.a, A.a, nb, na) >= -CHECK_TOL
-    lo, hi = float(lambda_min(B.a - A.a)), float(lambda_min(A.a - B.a))
+    lo, hi = lambda_min(B.a - A.a), lambda_min(A.a - B.a)
+    scale = 0.5 * op_norm(A.a) + 0.5 * op_norm(B.a)  # order_margin's formula, each difference decomposed once
+    le, ge = 0.5 * lo / scale >= -CHECK_TOL, 0.5 * hi / scale >= -CHECK_TOL
+    lo, hi = float(lo), float(hi)
     if le and ge:
         return LoewnerVerdict(Relation.EQUAL, min(lo, hi))
     if le:

@@ -287,6 +287,98 @@ def test_mean_certifies_two_inputs_at_spread_1e10(tmp_path, capsys):
     assert np.isfinite(out["enclosure_gap"])
 
 
+# two 2x2 inputs that do not commute
+_PAIR = [matrix_json(np.diag([2.0, 1.0])), matrix_json(np.array([[1.0, 0.5], [0.5, 1.0]]))]
+
+
+def run_mean(tmp_path, spec, mats, *flags):
+    """``opmeans mean`` on the mean description ``spec`` and the matrix list ``mats``."""
+    spec, mats = write(tmp_path, "spec.json", spec), write(tmp_path, "mats.json", mats)
+    return main(["mean", "--spec", spec, "--matrices", mats, *flags])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "karcher", "weights": [0.5, 0.5]},
+        {"kind": "karcher", "weights": [0.3, 0.7]},
+        {"kind": "power", "weights": [0.3, 0.7], "alpha": 0.5},
+    ],
+    ids=["karcher-uniform", "karcher-0.3-0.7", "power-0.3-0.7"],
+)
+def test_mean_of_two_matrices_takes_no_newton_step(tmp_path, capsys, spec):
+    # a two-matrix solve starts at its exact mean, formed in the frame of the
+    # weighted arithmetic mean, where the two inputs commute
+    code = run_mean(tmp_path, spec, _PAIR)
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and out["iterations"] == 0
+    assert np.isfinite(out["residual_dt"])
+    assert np.isfinite(out["enclosure_gap"]) if spec["kind"] == "karcher" else out["enclosure_gap"] is None
+
+
+def test_certifying_a_mean_changes_only_its_gap(tmp_path, capsys):
+    outs = []
+    for flags in ([], ["--no-certify"]):
+        assert run_mean(tmp_path, {"kind": "karcher", "weights": [0.5, 0.5]}, _PAIR, *flags) == EXIT_OK
+        outs.append(json.loads(capsys.readouterr().out))
+    certified, plain = outs
+    assert certified.pop("enclosure_gap") is not None and plain.pop("enclosure_gap") is None
+    assert certified == plain and sorted(plain) == ["iterations", "residual_dt", "value"]
+
+
+def _spread_json(spread, seed):
+    """Three 4x4 inputs with spectra in ``[1, spread]``, seeded ``seed + j``."""
+    return [random_spd(4, (1.0, spread), seed + j).to_json() for j in range(3)]
+
+
+_W3 = [0.2, 0.3, 0.5]
+_HARMONIC_HALF = {"kind": "harmonic", "params": {"alpha": 0.5}}
+
+
+@pytest.mark.parametrize(
+    "spec, mats, cap",
+    [
+        pytest.param({"kind": "karcher", "weights": _W3},
+                     [matrix_json(x @ x.T + np.eye(5)) for x in np.random.default_rng(5).standard_normal((3, 5, 5))],
+                     6, id="karcher-5x5"),
+        pytest.param({"kind": "deformed", "base": {"kind": "arithmetic", "weights": _W3}, "sigma": _HARMONIC_HALF},
+                     _spread_json(1e10, 1000), 20, id="deformed-1e10"),
+        # harmonic(1/2) deforms the harmonic mean to itself, solved on the inverses at p = 1
+        pytest.param({"kind": "deformed", "base": {"kind": "harmonic", "weights": _W3}, "sigma": _HARMONIC_HALF},
+                     _spread_json(1e6, 600), None, id="harmonic-base-1e6"),
+        # a chain that maps a candidate's tiny eigenvalue to 0 loses that candidate
+        pytest.param({"kind": "deformed", "base": {"kind": "arithmetic", "weights": _W3},
+                      "sigma": {"kind": "harmonic", "params": {"alpha": 0.1}}},
+                     _spread_json(1e4, 54070), None, id="chain-loses-a-candidate"),
+        pytest.param({"kind": "karcher", "weights": [0.5, 0.5]},
+                     [matrix_json(np.diag([1e308, 1e308]))] * 2, None, id="float-range"),
+    ],
+)
+def test_mean_ends_with_finite_bounds(tmp_path, capsys, spec, mats, cap):
+    # exit 0 with strict JSON out, so every bound is finite, within the step
+    # cap; a RuntimeWarning fails the test (pyproject.toml)
+    code = run_mean(tmp_path, spec, mats)
+    out = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert code == EXIT_OK
+    assert cap is None or out["iterations"] <= cap
+    assert (out["enclosure_gap"] is None) == (spec["kind"] != "karcher")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "karcher", "weights": [0.5, 0.5]}, {"kind": "power", "weights": [0.5, 0.5], "alpha": -0.5}],
+    ids=["karcher", "power-negative-half"],
+)
+def test_mean_needing_inverses_past_the_float_range_is_domain_error(tmp_path, capsys, spec):
+    # eigenvalues below about 5.6e-309 have inverses past the float range,
+    # which the certified Karcher mean and P_{-1/2} need
+    tiny = [{"dim": 2, "entries": [[1e-310, 0], [0, 1e-309]]}, {"dim": 2, "entries": [[2e-310, 0], [0, 1e-309]]}]
+    code = run_mean(tmp_path, spec, tiny)
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: DomainError: ")
+
+
 def campaign(tmp_path, **overrides):
     base = {
         "inequality_ids": ["3.13", "3.9"],
@@ -314,6 +406,19 @@ def test_verify_deterministic_across_threads(tmp_path, capsys):
     assert lines[-1]["summary"]["failed"] == 0
     # one line per cell: 3.13 has no alpha grid, 3.9 has one alpha value
     assert lines[-1]["summary"]["total"] == 2 * 2 * 2
+
+
+@pytest.mark.parametrize("ids, r_values", [(["4.6"], [1.5, 2.0]), (["4.7"], [0.5, 0.75])], ids=["4.6", "4.7"])
+def test_verify_deformed_pair_families_hold(tmp_path, capsys, ids, r_values):
+    # the deformed pair families, whose means come from the ITP solve of
+    # deformed_rep: 4.6 on r >= 1 and 4.7 on r <= 1, every cell holding
+    cfg = campaign(tmp_path, inequality_ids=ids, r_values=r_values, trials=20, seed=2)
+    out = str(tmp_path / "report.jsonl")
+    assert main(["verify", cfg, "--output", out]) == EXIT_OK
+    capsys.readouterr()
+    lines = [json.loads(line) for line in open(out)]
+    assert lines[-1]["summary"] == {"total": 4, "passed": 4, "failed": 0, "errors": 0}
+    assert all(line["holds"] for line in lines[:-1])
 
 
 def test_verify_bad_r_range_gives_error_entries(tmp_path, capsys):
@@ -673,14 +778,24 @@ def test_verify_recheck_witness_outside_bounds(tmp_path, capsys, report):
         ("recheck", _failing_report("4.4", alpha=None), "BadR"),
         ("recheck", _failing_report("3.13", weights=[True, False, False]), "InvalidWeights"),
         ("recheck", _failing_report("3.13", weights=["0.25", "0.25", "0.5"]), "InvalidWeights"),
+        ("verify", {"r_values": [float("inf")]}, "ConfigError"),
+        ("mean", {"kind": "karcher"}, "InvalidWeights"),
+        ("search", {"params": {"alpha": 0.5}}, "UnknownKind"),
+        ("search", {"kind": "harmonic", "params": {"alpha": "half"}}, "MissingParameter"),
     ],
 )
 def test_input_checks_exit_1_naming_their_error(tmp_path, capsys, command, doc, error):
-    # campaign overrides for verify, whole reports for --recheck
+    # campaign overrides for verify; whole documents for the others: a report
+    # to recheck, a mean description, a representing function to search
     if command == "verify":
         argv = ["verify", campaign(tmp_path, **doc)]
     else:
-        argv = ["verify", "--recheck", write(tmp_path, "report.json", doc)]
+        path = write(tmp_path, "doc.json", doc)
+        argv = {
+            "recheck": ["verify", "--recheck", path],
+            "mean": ["mean", "--spec", path, "--matrices", write(tmp_path, "mats.json", _PAIR)],
+            "search": ["search", "--tau", path, "--mode", "prop_6_2", "--r", "0.5"],
+        }[command]
     code = main(argv)
     assert f"error: {error}: " in capsys.readouterr().err
     assert code == EXIT_INPUT

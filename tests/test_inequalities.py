@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -655,6 +656,8 @@ def test_documented_witness_pair():
         epsilon_shift=1e-9,
     )
     assert verify_counterexample(cx, harmonic(0.5))
+    with pytest.raises(errors.BadMode, match="unknown counterexample id '6.9'"):
+        verify_counterexample(replace(cx, violated_id="6.9"), harmonic(0.5))
 
 
 def test_find_reverse_improvement_instance():

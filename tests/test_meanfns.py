@@ -25,7 +25,7 @@ from opmeans.meanfns import (
     two_var_mean,
     two_var_deformed_mean,
 )
-from opmeans.psd_core import matrix_function, random_spd, validate_spd
+from opmeans.psd_core import loewner_compare, matrix_function, random_spd, thompson_distance, validate_spd
 
 GRID = np.geomspace(1e-3, 1e3, 60)
 
@@ -147,6 +147,8 @@ def test_transform_validation():
         rep_transform(arithmetic(0.5), "power_outer", 2.0)
     with pytest.raises(errors.DomainError):
         rep_eval(arithmetic(0.5), -1.0)
+    with pytest.raises(errors.DomainError, match="needs a finite r > 0"):
+        meanfns.Transform("power_inner", np.inf)
 
 
 def test_power_map_at_one_is_the_spec_itself():
@@ -281,6 +283,21 @@ def test_deformed_rep_special_cases():
 def test_deformed_rep_domain(t):
     with pytest.raises(errors.DomainError):
         deformed_rep(arithmetic(0.3), harmonic(0.5), np.array([2.0, t]))
+
+
+@pytest.mark.parametrize(
+    "of_pair",
+    [
+        thompson_distance,
+        loewner_compare,
+        lambda a, b: two_var_mean(harmonic(0.5), a, b),
+        lambda a, b: two_var_deformed_mean(arithmetic(0.5), harmonic(0.5), a, b),
+    ],
+    ids=["thompson_distance", "loewner_compare", "two_var_mean", "two_var_deformed_mean"],
+)
+def test_two_matrix_operations_name_a_dimension_mismatch(of_pair):
+    with pytest.raises(errors.DimensionMismatch, match="dimensions differ: 2 vs 3"):
+        of_pair(random_spd(2, (0.5, 2.0), 1), random_spd(3, (0.5, 2.0), 2))
 
 
 def test_deformed_rep_derivative_matches_base():
@@ -475,6 +492,8 @@ def test_condition_vi_margins():
 def test_margin_grid_validation():
     with pytest.raises(errors.DomainError):
         pmi_margin(geometric(0.5), np.array([-1.0]), np.array([2.0]))
+    with pytest.raises(errors.DomainError, match="grids must be nonempty"):
+        pmi_margin(geometric(0.5), np.array([]), np.array([2.0]))
     with pytest.raises(errors.DomainError):
         condition_vi_margin(geometric(0.5), GRID50, np.array([0.5]))
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,8 @@ from opmeans.multimeans import (
     MultiMeanSpec,
     Weights,
     _certify_karcher,
-    _eval_node,
+    _geodesic_loop,
+    _spec_weights,
     adjoint_eval,
     comparison_bound,
     deformed_mean,
@@ -301,11 +303,11 @@ def _check_against_monotone(stack, w, t):
     mono, step = monotone_reference(MultiMeanSpec.arithmetic(uni), geometric(t), stack, w)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multimeans, "DT_TOL", 1e-12)
-        fine, _, fine_bound = _eval_node(spec, stack, w)
-    assert np.all(fast.residual_dt < DT_TOL) and np.all(fine_bound < 1e-12)
+        fine = eval_mean_stack(spec, stack, w)
+    assert np.all(fast.residual_dt < DT_TOL) and np.all(fine.residual_dt < 1e-12)
     assert np.all(thompson(fast.values, mono) <= step * (1 - t) / t + fast.residual_dt)
     # the two reported bounds cover the distance between the solves
-    assert np.all(thompson(fast.values, fine) <= fast.residual_dt + fine_bound)
+    assert np.all(thompson(fast.values, fine.values) <= fast.residual_dt + fine.residual_dt)
 
 
 @pytest.mark.parametrize("t", [0.5, 1 / 12, 1 / 64])
@@ -459,10 +461,10 @@ def test_deformed_bound_covers_tighter_solve_on_5_8_data(dim):
     fast = eval_mean_stack(spec, stack, weights_override=data.weights)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multimeans, "DT_TOL", 1e-13)
-        fine, _, fine_bound = _eval_node(spec, stack, data.weights)
+        fine = eval_mean_stack(spec, stack, data.weights)
     assert np.all(fast.residual_dt < DT_TOL)
-    assert np.all(fine_bound <= 16 * np.finfo(float).eps * 8.0**3)
-    assert np.all(thompson(fast.values, fine) <= fast.residual_dt)
+    assert np.all(fine.residual_dt <= 16 * np.finfo(float).eps * 8.0**3)
+    assert np.all(thompson(fast.values, fine.values) <= fast.residual_dt)
     mono, _ = monotone_reference(arith, sigma, stack, data.weights, tol=1e-13)
     assert np.all(thompson(fast.values, mono) <= 1e-10)
 
@@ -543,7 +545,7 @@ def _karcher_3_13_decompositions(held, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(np.prod(np.shape(a)[:-2])) or eigh(a))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(np.prod(np.shape(a)[:-2])) or eigvalsh(a))
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": qrs.append(np.prod(np.shape(a)[:-2])) or qr(a, mode))
-    _, iters, _ = _eval_node(MultiMeanSpec.karcher(None), trials if held else data.stack, data.weights)
+    _, iters, _, _ = _geodesic_loop(data.weights, 0.0, (), trials if held else Spectral(data.stack), "Karcher", False)
     assert iters.sum() > 0
     return data.stack.shape[-3], iters, sum(sizes), qrs
 
@@ -1084,8 +1086,8 @@ def test_batched_enclosure_matches_separate_power_solves(batch):
     w = W3.asarray()
     res = eval_mean_stack(MultiMeanSpec.karcher(W3), stack)
     t = KARCHER_ALPHA
-    upper, _, _ = _eval_node(MultiMeanSpec.power(UNI3, t), stack, w)
-    lower, _, _ = _eval_node(MultiMeanSpec.power(UNI3, -t), stack, w)
+    upper = eval_mean_stack(MultiMeanSpec.power(UNI3, t), stack, w).values
+    lower = eval_mean_stack(MultiMeanSpec.power(UNI3, -t), stack, w).values
     s_upper = np.linalg.inv(np.linalg.cholesky(upper)).swapaxes(-1, -2)  # S S^T = upper^{-1}
     exact = np.zeros((3, batch))
     gap = _certify_karcher(res.values, upper, lower, s_upper, exact)
@@ -1164,13 +1166,13 @@ def test_certifying_does_not_change_the_solve(case):
     assert cert.iterations == plain.iterations
     assert np.array_equal(cert.residual_dt, plain.residual_dt)
     t = KARCHER_ALPHA
-    upper, up_iters, _ = _eval_node(MultiMeanSpec.power(weights, t), stack, w)
-    lower, lo_iters, _ = _eval_node(MultiMeanSpec.power(weights, -t), stack, w)
+    upper = eval_mean_stack(MultiMeanSpec.power(weights, t), stack, w)
+    lower = eval_mean_stack(MultiMeanSpec.power(weights, -t), stack, w)
     # the gap is read from the loop's factor of P_t, so it agrees with the
     # Thompson distance of the two ends to rounding, not bit for bit
-    np.testing.assert_allclose(cert.enclosure_gap, thompson(lower, upper), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(cert.enclosure_gap, thompson(lower.values, upper.values), rtol=0, atol=1e-13)
     if case == "bench-seed1-s22":  # from A_w #_s H_w the mean and its enclosure ends take two Newton steps each
-        assert (plain.iterations, max(up_iters.max(), lo_iters.max())) == (2, 2)
+        assert (plain.iterations, max(upper.iterations, lower.iterations)) == (2, 2)
 
 
 # ------------------------------------------------------------------ axioms
@@ -1254,6 +1256,18 @@ def test_one_matrix_against_three_weights_is_an_arity_error(spec):
     # before the one-matrix shortcut, as those of a weighted node are
     with pytest.raises(errors.ArityMismatch, match="3 weights for 1 matrices"):
         eval_mean(spec, [random_spd(3, (0.5, 2.0), 123)], certify=False)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3, 2, 3)])
+def test_stack_that_is_not_of_square_matrices_is_a_dimension_error(shape):
+    with pytest.raises(errors.DimensionMismatch, match=re.escape(f"expected shape (..., n, d, d), got {shape}")):
+        eval_mean_stack(MultiMeanSpec.karcher(W3), np.ones(shape))
+
+
+def test_mean_description_with_no_weighted_node_names_it():
+    # found down bases and inner means; eval_mean_stack reports it as InvalidWeights
+    with pytest.raises(errors.UnknownKind, match="carries no weights"):
+        _spec_weights(MultiMeanSpec.adjoint(MultiMeanSpec.karcher(None)))
 
 
 # ----------------------------------------------------------- comparison bound

@@ -172,6 +172,30 @@ def test_loewner_swap_consistency():
         assert ab.holds_ge == ba.holds_le
 
 
+def test_loewner_compare_takes_each_least_eigenvalue_once(monkeypatch):
+    # two norms and one least eigenvalue per difference: four eigvalsh calls
+    # (order_margin's own took six), for order_margin's verdicts and margins
+    a = random_spd(3, (0.5, 2.0), 8)
+    pairs = [(a, a), (a, validate_spd(2 * a.a)), (validate_spd(2 * a.a), a), (a, random_spd(3, (0.5, 2.0), 58)),
+             (validate_spd((1 + 1e-9) * np.eye(2)), validate_spd(np.eye(2)))]
+    expect = []
+    for x, y in pairs:
+        le, ge = order_margin(x.a, y.a) >= -psd_core.CHECK_TOL, order_margin(y.a, x.a) >= -psd_core.CHECK_TOL
+        lo, hi = float(np.linalg.eigvalsh(y.a - x.a)[0]), float(np.linalg.eigvalsh(x.a - y.a)[0])
+        expect.append({
+            (True, True): (Relation.EQUAL, min(lo, hi)), (True, False): (Relation.LESS_EQUAL, lo),
+            (False, True): (Relation.GREATER_EQUAL, hi), (False, False): (Relation.INCOMPARABLE, max(lo, hi)),
+        }[le, ge])
+    assert {relation for relation, _ in expect} == set(Relation)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    for (x, y), (relation, margin) in zip(pairs, expect):
+        calls.clear()
+        v = loewner_compare(x, y)
+        assert len(calls) == 4
+        assert (v.relation, v.margin) == (relation, margin)
+
+
 def test_order_margin_is_the_normalized_smallest_eigenvalue():
     lo = random_spd_stack(3, (0.5, 2.0), range(4))
     hi = random_spd_stack(3, (0.5, 2.0), range(10, 14))
@@ -200,6 +224,8 @@ def test_spectral_stats_diag():
 def test_random_spd_contract():
     with pytest.raises(errors.BadInterval):
         random_spd(3, (2.0, 1.0), 0)
+    with pytest.raises(errors.BadInterval, match="dimension must be positive"):
+        random_spd(0, (1.0, 2.0), 0)
     one = random_spd(1, (2.0, 3.0), 7)
     assert 2.0 <= one.a[0, 0] <= 3.0
     a1 = random_spd(3, (1.0, 4.0), 7)
