@@ -86,7 +86,7 @@ CHECK_TOL = 1e-9  # an order claim holds when its order_margin is >= -CHECK_TOL;
 def sym(a):
     """Symmetric part ``(a + a^T)/2`` over the trailing two axes, finite for finite ``a``."""
     h = 0.5 * a
-    return h + np.swapaxes(h, -1, -2)
+    return h + h.mT
 
 
 def _eigh(a):
@@ -107,7 +107,7 @@ def eigh_apply(a, fn):
 
 def _rebuild(v, fw):
     """``v diag(fw) v^T`` symmetrized, batched: the spectral rebuild."""
-    return sym((v * fw[..., None, :]) @ np.swapaxes(v, -1, -2))
+    return sym((v * fw[..., None, :]) @ v.mT)
 
 
 class Spectral:
@@ -193,7 +193,7 @@ class Spectral:
 def _values(fn, w):
     """``fn(w)``; DomainError naming the eigenvalues where it is not finite."""
     fw = np.asarray(fn(w), dtype=float)
-    if not np.all(np.isfinite(fw)):
+    if not np.isfinite(fw).all():
         bad = w[~np.isfinite(fw)]
         raise DomainError(f"function undefined at eigenvalue(s) {bad[:4]}")
     return fw
@@ -208,7 +208,7 @@ def _power_fn(r):
     def power(w):
         with np.errstate(over="ignore"):
             wr = np.power(w if whole else _positive(w, f"power {r}"), r)
-        if not np.all(np.isfinite(wr)):
+        if not np.isfinite(wr).all():
             raise DomainError(f"power {r} overflows at eigenvalue(s) {w[~np.isfinite(wr)][:4]}")
         return wr
 
@@ -217,7 +217,7 @@ def _power_fn(r):
 
 def _positive(w, what):
     """Eigenvalues ``w`` as they are; DomainError naming the smallest unless all are positive."""
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise DomainError(f"{what} of nonpositive eigenvalue {w.min()}")
     return w
 
@@ -290,8 +290,7 @@ def thompson(a, b):
 
 def congruence(s, a):
     """``s^T a s`` symmetrized, batched over leading axes."""
-    st = np.swapaxes(s, -1, -2)
-    return sym(st @ a @ s)
+    return sym(s.mT @ a @ s)
 
 
 # --------------------------------------------------------------------------
@@ -398,7 +397,7 @@ def _validated(a) -> Spectral:
     with np.errstate(invalid="ignore"):  # a matrix that is not finite fails first
         scale = np.abs(a).max(axis=(-2, -1))
         # halved, like the threshold, so it cannot overflow
-        half_gap = np.abs(0.5 * a - 0.5 * np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
+        half_gap = np.abs(0.5 * a - 0.5 * a.mT).max(axis=(-2, -1))
     asym = half_gap > 0.5 * SYM_TOL * np.maximum(scale, 1e-300)
     bad = ~finite | asym
     if bad.any():
@@ -520,7 +519,7 @@ def _spd_draws(dim: int, spectrum, rngs, n: int) -> np.ndarray:
     eigs[:, 0], eigs[:, 1:-1], eigs[:, -1] = m, u, M
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-    return sym((q * eigs[:, None, :]) @ np.swapaxes(q, -1, -2))
+    return sym((q * eigs[:, None, :]) @ q.mT)
 
 
 # --------------------------------------------------------------------------
@@ -628,7 +627,7 @@ def _generators(seeds):
 
 def matrix_to_json(a) -> dict:
     a = np.asarray(a, dtype=float)
-    return {"dim": int(a.shape[0]), "entries": [[float(x) for x in row] for row in a]}
+    return {"dim": int(a.shape[0]), "entries": a.tolist()}
 
 
 def _entries_from_json(obj):
@@ -655,7 +654,7 @@ def _stack_of(mats):
     for a in mats:
         if len(a) != dim:
             raise DimensionMismatch(f"mixed dimensions {dim} and {len(a)}")
-    return np.stack(mats)
+    return np.array(mats)
 
 
 def spectral_from_json(objs) -> Spectral:

@@ -559,3 +559,10 @@ def test_json_unknown_kind():
         repfn_from_json({"kind": "median", "params": {}})
     with pytest.raises(errors.MissingParameter):
         repfn_from_json({"kind": "geometric", "params": {}})
+
+
+def test_spec_built_directly_rejects_an_unknown_kind():
+    # the wire format turns "median" away before it builds a spec; built
+    # directly, the spec's own check names the kind
+    with pytest.raises(errors.UnknownKind, match="'median'"):
+        meanfns.RepFnSpec("median")

@@ -1,4 +1,6 @@
+import os
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -829,6 +831,32 @@ def test_mean_certified_ensembles_take_their_pinned_iterations():
         got.append(eval_mean_stack(MultiMeanSpec.karcher(Weights.uniform(n)), stack).iterations)
     assert got == MEAN_CERTIFIED_SEED0_ITERATIONS
     assert sum(got) == 84
+
+
+def test_certified_solve_makes_few_python_calls():
+    # two Newton steps per group leave a certified solve mostly fixed cost,
+    # its Python-level calls: count those made from the library's own frames
+    # (numpy's internals vary by version) in one solve of three 5 x 5 inputs
+    # with their decomposition held, as `opmeans mean` holds it
+    root = os.path.dirname(multimeans.__file__) + os.sep
+    stack = Spectral(np.stack([random_spd(5, (0.6, 1.8), j).a for j in range(3)]))
+    stack.eig
+    spec = MultiMeanSpec.karcher(UNI3)
+    eval_mean_stack(spec, stack)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        caller = frame.f_back if event == "call" else frame if event == "c_call" else None
+        calls += caller is not None and caller.f_code.co_filename.startswith(root)
+
+    before = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        eval_mean_stack(spec, stack)
+    finally:
+        sys.setprofile(before)
+    assert calls <= 300
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0])
